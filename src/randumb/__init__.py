@@ -15,7 +15,6 @@ from .classifier import (
 )
 from .data_io import (
     DatasetDescriptor,
-    LabeledSample,
     RawDataset,
     dataset_from_features,
     load_dataset,
@@ -38,6 +37,7 @@ from .errors import (
 from .fourier import FeatureMap, FeatureMapSpec, sample_omegas
 from .harness import (
     RunResult,
+    StreamBlock,
     StreamSpec,
     compute_accuracy,
     make_stream,
@@ -67,7 +67,6 @@ __all__ = [
     "FeatureMap",
     "FeatureMapSpec",
     "InsufficientDataError",
-    "LabeledSample",
     "ModelStateError",
     "ModelVariant",
     "NumericalError",
@@ -81,6 +80,7 @@ __all__ = [
     "ShapeError",
     "ShrinkageResult",
     "SingularUpdateError",
+    "StreamBlock",
     "StreamSpec",
     "StreamingClassifier",
     "StreamingEstimator",

@@ -174,13 +174,13 @@ def _build_map(config: ModelVariant):
 
 
 class StreamingClassifier:
-    """One streaming model: embed each sample, fold it into the running
-    statistics, finalize once, then score test points.
+    """One streaming model: embed each block of samples, fold it into the
+    running statistics, finalize once, then score test points.
 
     ``observe`` may resume after a non-consuming ``finalize`` (the
     scores simply reflect the most recent finalize).  A consuming
-    finalize releases the scatter buffer to the precision step, capping
-    peak memory at a single E x E float64 array, and ends the stream.
+    finalize releases the scatter buffer to the precision step without
+    copying it, and ends the stream.
     """
 
     def __init__(self, config: ModelVariant):
@@ -205,13 +205,17 @@ class StreamingClassifier:
         return self._labels is not None
 
     def _embed(self, x: np.ndarray) -> np.ndarray:
-        if self.feature_map is not None:
+        x = np.asarray(x)
+        if self.feature_map is None:
+            return x
+        if x.ndim == 1:
             return self.feature_map.embed(x)
-        return np.asarray(x)
+        return self.feature_map.embed_batch(x)
 
-    def observe(self, x_raw: np.ndarray, label: int) -> None:
-        """Embed one raw sample and fold it into the statistics."""
-        self.estimator.observe(self._embed(x_raw), label)
+    def observe(self, x_raw: np.ndarray, labels) -> None:
+        """Embed one raw sample, or a block of rows with one label each,
+        and fold it into the statistics."""
+        self.estimator.observe(self._embed(x_raw), labels)
 
     def finalize(self, consume: bool = False) -> None:
         """Snapshot the class means and (for Mahalanobis variants)

@@ -55,15 +55,6 @@ _RDCK_HEADER = struct.Struct("<4sII")  # magic, version, header_len
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One stream element: a flat normalized feature vector plus its label."""
-
-    features: np.ndarray
-    label: int
-    origin: str = ORIGIN_ORIGINAL
-
-
-@dataclass(frozen=True)
 class DatasetDescriptor:
     """Static description of a dataset: dimensions, classes, normalization
     constants, and per-dataset defaults used by the harness.
@@ -478,15 +469,15 @@ def normalize_batch(images: np.ndarray, descriptor: DatasetDescriptor) -> np.nda
     return out.reshape(images.shape[0], -1)
 
 
-def flip_horizontal(image: np.ndarray) -> np.ndarray:
-    """Mirror an unflattened image left-right (columns reversed per channel)."""
-    if image.ndim == 2:
-        return np.ascontiguousarray(image[:, ::-1])
-    if image.ndim == 3:
-        return np.ascontiguousarray(image[:, :, ::-1])
-    raise UnsupportedAugmentationError(
-        "flip requires an unflattened image; feature vectors cannot be flipped"
-    )
+def flip_horizontal(images: np.ndarray) -> np.ndarray:
+    """Mirror unflattened images left-right: columns, the last axis, are
+    reversed per channel.  Takes one (H, W) or (C, H, W) image or a
+    stack of them."""
+    if images.ndim < 2:
+        raise UnsupportedAugmentationError(
+            "flip requires an unflattened image; feature vectors cannot be flipped"
+        )
+    return np.ascontiguousarray(images[..., ::-1])
 
 
 # ---------------------------------------------------------------------------

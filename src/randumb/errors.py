@@ -36,9 +36,17 @@ class ModelStateError(ConfigurationError):
 
 
 class DataError(RanDumbError):
-    """Bad data values: non-finite entries, inconsistent counts, and similar."""
+    """Bad data values: non-finite entries, inconsistent counts, and similar.
+
+    ``row`` is the index of the offending row within a block, when a
+    single row is to blame.
+    """
 
     exit_code = 3
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ShapeError(DataError):

@@ -2,10 +2,11 @@
 embedding sweeps, and ablation runs.
 
 Protocol: classes are split into tasks following a class order; the
-stream visits tasks in order, presenting each task's samples one at a
-time in a seed-shuffled order (flipped copies, when enabled, follow
-their originals on adjacent steps).  The model observes every element
-exactly once, is finalized, and is then evaluated on the full test set.
+stream visits tasks in order, presenting each task's samples in a
+seed-shuffled order (flipped copies, when enabled, follow their
+originals on adjacent steps).  The stream is delivered in blocks of
+consecutive steps; the model observes every element exactly once, is
+finalized, and is then evaluated on the full test set.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from .data_io import (
     ORIGIN_FLIPPED,
     ORIGIN_ORIGINAL,
     DatasetDescriptor,
-    LabeledSample,
     RawDataset,
     flip_horizontal,
-    normalize,
     normalize_batch,
 )
 from .errors import (
     ConfigurationError,
     DataError,
+    ModelStateError,
     RanDumbError,
     UnsupportedAugmentationError,
 )
@@ -39,6 +39,8 @@ from .streaming import MODE_POOLED
 DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
 
 ABLATION_ORDER = ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
+
+_STREAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -82,17 +84,51 @@ class StreamSpec:
         )
 
 
-def make_stream(spec: StreamSpec, train_x: np.ndarray, train_y: np.ndarray):
-    """Yield LabeledSamples in class-incremental order, one per step.
+@dataclass(frozen=True)
+class StreamBlock:
+    """Consecutive stream steps ``start .. start + len(labels) - 1``.
+
+    Row i is step ``start + i``: train-set sample ``indices[i]``,
+    mirrored when ``flipped[i]``, as the flat normalized ``features[i]``
+    with label ``labels[i]``.
+    """
+
+    start: int
+    indices: np.ndarray
+    flipped: np.ndarray
+    features: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.labels)
+
+    def describe(self, row: int | None) -> str:
+        """Name one row's stream step, or the whole block without a row."""
+        if row is None:
+            return f"stream steps {self.start}..{self.stop - 1}"
+        origin = ORIGIN_FLIPPED if self.flipped[row] else ORIGIN_ORIGINAL
+        return f"stream step {self.start + row} (class {self.labels[row]}, {origin})"
+
+
+def make_stream(
+    spec: StreamSpec, train_x: np.ndarray, train_y: np.ndarray, cut_every: int = 0
+):
+    """Yield the class-incremental stream as StreamBlocks.
 
     Deterministic in spec.seed: one generator shuffles each task's
-    indices in sequence.  Flip-augmented streams yield the flipped copy
-    immediately after its original.
+    indices in sequence.  Flip-augmented streams put each flipped copy
+    on the step right after its original.  Blocks are cut at every
+    multiple of 256 stream steps and, when cut_every > 0, at every
+    multiple of cut_every: cuts depend only on the absolute stream
+    position, never on task boundaries.  Only one block of the train set
+    is ever normalized at a time.
     """
+    train_x = np.asarray(train_x)
     train_y = np.asarray(train_y)
     rng = np.random.default_rng(spec.seed)
     descriptor = spec.dataset
-    is_images = descriptor.kind == "images"
+    orders = []
     for task in spec.tasks:
         members = []
         for c in task:
@@ -102,22 +138,29 @@ def make_stream(spec: StreamSpec, train_x: np.ndarray, train_y: np.ndarray):
             members.append(idx)
         order = np.concatenate(members)
         rng.shuffle(order)
-        for i in order:
-            label = int(train_y[i])
-            if is_images:
-                yield LabeledSample(
-                    normalize(train_x[i], descriptor), label, ORIGIN_ORIGINAL
-                )
-                if spec.augment:
-                    yield LabeledSample(
-                        normalize(flip_horizontal(train_x[i]), descriptor),
-                        label,
-                        ORIGIN_FLIPPED,
-                    )
-            else:
-                yield LabeledSample(
-                    np.asarray(train_x[i], dtype=np.float32), label, ORIGIN_ORIGINAL
-                )
+        orders.append(order)
+    indices = np.concatenate(orders)
+    flipped = np.zeros(len(indices), dtype=bool)
+    if spec.augment:
+        indices = np.repeat(indices, 2)
+        flipped = np.tile([False, True], len(flipped))
+    n = len(indices)
+    cuts = np.arange(0, n, _STREAM_BLOCK)
+    if cut_every > 0:
+        cuts = np.union1d(cuts, np.arange(0, n, cut_every))
+    for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
+        idx = indices[start:stop]
+        flip = flipped[start:stop]
+        if descriptor.kind == "images":
+            images = train_x[idx]
+            if flip.any():
+                images[flip] = flip_horizontal(images[flip])
+            features = normalize_batch(images, descriptor)
+        else:
+            features = train_x[idx].astype(np.float32, copy=False)
+        yield StreamBlock(
+            start, idx, flip, features, train_y[idx].astype(np.int64, copy=False)
+        )
 
 
 def compute_accuracy(predictions: np.ndarray, labels: np.ndarray):
@@ -273,22 +316,24 @@ def run_benchmark(
 
     intermediate = []
     steps = 0
-    for sample in make_stream(stream_spec, train_x, train_y):
+    for block in make_stream(stream_spec, train_x, train_y, cut_every=eval_every):
         try:
-            model.observe(sample.features, sample.label)
+            model.observe(block.features, block.labels)
         except RanDumbError as exc:
-            raise exc.with_prefix(
-                f"stream step {steps} (class {sample.label}, {sample.origin})"
+            raise exc.with_prefix(block.describe(getattr(exc, "row", None)))
+        steps = block.stop
+        # One-pass contract: every stream element hit observe exactly
+        # once, and nothing else did.
+        if model.estimator.observe_count != steps:
+            raise ModelStateError(
+                f"one-pass check failed after stream step {steps - 1}: the "
+                f"estimator holds {model.estimator.observe_count} samples, "
+                f"the stream delivered {steps}"
             )
-        steps += 1
         if eval_every > 0 and steps % eval_every == 0:
             model.finalize(consume=False)
             _, average, _ = _evaluate(model, test_flat, test_y)
             intermediate.append({"step": steps, "average_accuracy": average})
-
-    # One-pass contract: every stream element hit observe exactly once,
-    # and nothing else did.
-    assert model.estimator.observe_count == steps
 
     state_bytes = model.estimator.state_nbytes()
     model.finalize(consume=eval_every == 0)

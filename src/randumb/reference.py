@@ -191,10 +191,13 @@ def _check_streaming_vs_batch(rng) -> OracleReport:
         k = int(rng.integers(2, 8))
         X = rng.standard_normal((n, e))
         y = rng.integers(0, k, size=n)
+        # Random block sizes from 1 up, as production streams arrive.
+        cuts = np.cumsum(rng.integers(1, 64, size=n))
+        bounds = [0, *cuts[cuts < n].tolist(), n]
         for mode in MODES:
             est = StreamingEstimator(e, mode=mode)
-            for xi, yi in zip(X, y):
-                est.observe(xi, yi)
+            for start, stop in zip(bounds, bounds[1:]):
+                est.observe(X[start:stop], y[start:stop])
             ref = batch_stats(X, y, mode=mode)
             scale = max(np.abs(ref.covariance).max(), 1e-12)
             worst = max(worst, np.abs(est.covariance() - ref.covariance).max() / scale)

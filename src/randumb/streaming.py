@@ -1,31 +1,39 @@
-"""Exact one-sample-at-a-time estimation of class means and a pooled
-scatter matrix in embedding space.
+"""Exact streaming estimation of class means and a pooled scatter
+matrix in embedding space, folded in one block of samples at a time.
 
-The update is the rank-1 telescoping rule: with n_c and mu_c the
-PRE-update count and mean of the sample's own class,
+A block is merged into the running state with the pairwise rule of
+Chan, Golub & LeVeque (1979).  For one class with n samples and mean mu
+before the block, and m rows of mean b inside it:
 
-    scatter += (n_c / (n_c + 1)) * (phi - mu_c) (phi - mu_c)^T
-    mu_c    += (phi - mu_c) / (n_c + 1)
+    scatter += sum over the rows of (phi - b) (phi - b)^T
+             + (n m / (n + m)) (b - mu) (b - mu)^T
+    mu      += (b - mu) m / (n + m)
 
-which sums exactly (in exact arithmetic) to the batch pooled
-within-class scatter, for any arrival order.  A "global" mode applies
-the same rule with the grand mean and total count instead, yielding the
-scatter around the grand mean.
+All centred rows of a block, plus one mean-shift row
+sqrt(n m / (n + m)) (b - mu) per class seen before, are stacked into
+one matrix Z, and ``scatter += Z^T Z`` is a single BLAS rank-k
+symmetric update (dsyrk) at matrix-multiply speed.  In exact arithmetic
+the result is the batch pooled within-class scatter, for any arrival
+order and any cut of the stream into blocks.  A "global" mode applies
+the same rule around the block's grand mean and the total count,
+yielding the scatter around the grand mean.
 
-No sample is ever stored: state is one E x E float64 accumulator plus
-one float64 mean vector and a count per class, so memory is
+A single sample is a block of one: its centred row is zero, and its
+mean-shift term is applied with the rank-1 routine (dsyr) and
+coefficient n / (n + 1), the classic telescoping update.
+
+No sample outlives its block: state is one E x E float64 accumulator
+plus one float64 mean vector and a count per class, so memory is
 O(E^2 + C*E) no matter how long the stream runs.
 
 The accumulator is Fortran-ordered and only its upper triangle is
-written, via the BLAS rank-1 symmetric update (dsyr) to avoid an E x E
-temporary per step; reads mirror the triangle into a full symmetric
-matrix.
+written; reads mirror the triangle into a full symmetric matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dsyr
+from scipy.linalg.blas import dsyr, dsyrk
 
 from . import data_io
 from .errors import (
@@ -60,6 +68,23 @@ def _mirror_upper(a: np.ndarray, block: int = _MIRROR_BLOCK) -> np.ndarray:
     return a
 
 
+def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool):
+    """Fold ``rows`` into the running ``mean`` of ``count`` samples, in place.
+
+    Returns (n m / (n + m), b - mean) with b the rows' own mean: the
+    coefficient and vector of the merge's mean-shift scatter term.  With
+    ``centre`` the rows are also centred on b, in place.  For a single
+    row b is that row, so this is the per-sample update to the last bit.
+    """
+    m = len(rows)
+    block_mean = rows[0] if m == 1 else rows.sum(axis=0) / m
+    delta = block_mean - mean
+    mean += delta * m / (count + m)
+    if centre:
+        rows -= block_mean
+    return count * m / (count + m), delta
+
+
 class ClassStats:
     """Running count and mean for one class label."""
 
@@ -72,7 +97,7 @@ class ClassStats:
 
 
 class StreamingEstimator:
-    """Per-class means plus one pooled scatter matrix, updated per sample.
+    """Per-class means plus one pooled scatter matrix, updated per block.
 
     Parameters
     ----------
@@ -116,51 +141,90 @@ class StreamingEstimator:
 
     # -- streaming ---------------------------------------------------------
 
-    def observe(self, phi: np.ndarray, label: int) -> None:
-        """Fold one embedded sample into the running statistics."""
+    def observe(self, phi: np.ndarray, labels) -> None:
+        """Fold embedded samples into the running statistics.
+
+        ``phi`` is one embedding of length E with one label, or a block
+        of shape (m, E) with m labels.  A block is validated whole before
+        any state changes; a non-finite row raises a DataError whose
+        ``row`` is that row's index in the block.
+        """
         if self._consumed:
             raise ModelStateError(
                 "estimator state was consumed by covariance(copy=False); "
                 "no further observations are possible"
             )
         phi = np.asarray(phi)
-        if phi.ndim != 1 or phi.shape[0] != self.embed_dim:
+        if phi.ndim == 1 and phi.shape[0] == self.embed_dim:
+            phi = phi[None, :]
+        elif phi.ndim != 2 or phi.shape[1] != self.embed_dim:
             raise ShapeError(
-                f"expected an embedding of length {self.embed_dim}, "
-                f"got shape {phi.shape}"
+                f"expected an embedding of length {self.embed_dim} or a block "
+                f"of them, got shape {phi.shape}"
+            )
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        if labels.shape != (phi.shape[0],):
+            raise ShapeError(
+                f"a block of {phi.shape[0]} embeddings needs as many labels, "
+                f"got {labels.size}"
             )
         if not np.isfinite(phi).all():
-            raise DataError("embedded sample contains non-finite values")
-        label = int(label)
-        phi64 = phi.astype(np.float64)
+            raise DataError(
+                "embedded sample contains non-finite values",
+                row=int(np.argmin(np.isfinite(phi).all(axis=1))),
+            )
+        m = phi.shape[0]
+        if m == 0:
+            return
 
-        stats = self._classes.get(label)
-        if stats is None:
-            stats = self._classes[label] = ClassStats(label, self.embed_dim)
+        # Rows sorted by label, so each class is one contiguous slice;
+        # the spare rows of z hold the mean-shift terms.
+        cuts = []
+        if m > 1:
+            order = np.argsort(labels, kind="stable")
+            phi, labels = phi[order], labels[order]
+            cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+        starts, stops = [0, *cuts], [*cuts, m]
+        z = np.empty((m + len(starts) + 1, self.embed_dim), dtype=np.float64)
+        rows = z[:m]
+        rows[...] = phi
 
-        if self.mode == MODE_POOLED:
-            center, n_ref = stats.mean, stats.count
-        else:
-            center, n_ref = self._grand_mean, self.total_count
+        pooled = self.mode == MODE_POOLED
+        shifts = []
+        for start, stop in zip(starts, stops):
+            label = int(labels[start])
+            stats = self._classes.get(label)
+            if stats is None:
+                stats = self._classes[label] = ClassStats(label, self.embed_dim)
+            shift = _merge(stats.mean, stats.count, rows[start:stop], centre=pooled)
+            if pooled and stats.count > 0:
+                shifts.append(shift)
+            stats.count += stop - start
+        if not pooled:
+            shift = _merge(self._grand_mean, self.total_count, rows, centre=True)
+            if self.total_count > 0:
+                shifts.append(shift)
+        self.total_count += m
 
-        delta = phi64 - center
-        if n_ref > 0 and self.track_scatter:
-            coef = n_ref / (n_ref + 1.0)
-            dsyr(coef, delta, a=self._scatter, lower=0, overwrite_a=1)
-
-        if self.mode == MODE_GLOBAL:
-            self._grand_mean += delta / (self.total_count + 1)
-            stats.mean += (phi64 - stats.mean) / (stats.count + 1)
-        else:
-            stats.mean += delta / (stats.count + 1)
-        stats.count += 1
-        self.total_count += 1
+        if not self.track_scatter:
+            return
+        if m == 1:
+            # No centred rows: the rank-1 routine keeps the per-sample
+            # rule, and a resumed per-sample stream, bitwise.
+            if shifts:
+                coef, delta = shifts[0]
+                dsyr(coef, delta, a=self._scatter, lower=0, overwrite_a=1)
+            return
+        for i, (coef, delta) in enumerate(shifts):
+            np.multiply(delta, np.sqrt(coef), out=z[m + i])
+        stacked = z[: m + len(shifts)]
+        dsyrk(1.0, stacked.T, beta=1.0, c=self._scatter, lower=0, overwrite_c=1)
 
     # -- snapshots ----------------------------------------------------------
 
     @property
     def observe_count(self) -> int:
-        """Total observe calls; augmented copies count individually."""
+        """Total samples folded in; augmented copies count individually."""
         return self.total_count
 
     @property

@@ -456,6 +456,13 @@ class TestFlip:
         for c in range(3):
             np.testing.assert_array_equal(flipped[c], image[c][:, ::-1])
 
+    def test_stack_matches_per_image(self):
+        rng = np.random.default_rng(3)
+        images = rng.integers(0, 256, size=(6, 3, 4, 5), dtype=np.uint8)
+        flipped = flip_horizontal(images)
+        for image, out in zip(images, flipped):
+            np.testing.assert_array_equal(out, flip_horizontal(image))
+
     def test_flat_vector_rejected(self):
         with pytest.raises(UnsupportedAugmentationError, match="cannot be flipped"):
             flip_horizontal(np.zeros(3072, dtype=np.float32))

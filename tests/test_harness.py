@@ -11,6 +11,7 @@ from randumb import (
     ConfigurationError,
     DataError,
     DatasetDescriptor,
+    ModelStateError,
     RunResult,
     StreamSpec,
     UnsupportedAugmentationError,
@@ -21,7 +22,12 @@ from randumb import (
     run_on_dataset,
     sweep_embedding,
 )
-from randumb.data_io import RawDataset, dataset_from_features
+from randumb.data_io import (
+    RawDataset,
+    dataset_from_features,
+    flip_horizontal,
+    normalize,
+)
 from randumb.harness import (
     ABLATION_ORDER,
     append_jsonl,
@@ -96,17 +102,28 @@ class TestStreamSpec:
             StreamSpec(dataset=data.descriptor, augment=True)
 
 
+def stream_rows(spec, data, **kwargs):
+    """Concatenate a block stream into per-step arrays."""
+    blocks = list(make_stream(spec, data.train_x, data.train_y, **kwargs))
+    return (
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.flipped for b in blocks]),
+        np.concatenate([b.features for b in blocks]),
+        np.concatenate([b.labels for b in blocks]),
+    )
+
+
 class TestMakeStream:
     def test_class_incremental_contiguity(self):
         data = blob_dataset(num_classes=4, train_per_class=5)
         spec = StreamSpec(dataset=data.descriptor, class_order=(2, 0, 3, 1))
-        labels = [s.label for s in make_stream(spec, data.train_x, data.train_y)]
+        labels = stream_rows(spec, data)[3].tolist()
         assert labels == [2] * 5 + [0] * 5 + [3] * 5 + [1] * 5
 
     def test_within_task_mixing(self):
         data = blob_dataset(num_classes=4, train_per_class=8)
         spec = StreamSpec(dataset=data.descriptor, classes_per_task=2, seed=1)
-        labels = [s.label for s in make_stream(spec, data.train_x, data.train_y)]
+        labels = stream_rows(spec, data)[3].tolist()
         first, second = labels[:16], labels[16:]
         assert set(first) == {0, 1} and set(second) == {2, 3}
         # A task's classes are interleaved by the shuffle, not concatenated.
@@ -117,18 +134,19 @@ class TestMakeStream:
         spec = StreamSpec(dataset=data.descriptor, seed=9)
         a = list(make_stream(spec, data.train_x, data.train_y))
         b = list(make_stream(spec, data.train_x, data.train_y))
-        assert [s.label for s in a] == [s.label for s in b]
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.features, sb.features)
+        assert len(a) == len(b)
+        for ba, bb in zip(a, b):
+            assert ba.start == bb.start
+            np.testing.assert_array_equal(ba.indices, bb.indices)
+            np.testing.assert_array_equal(ba.labels, bb.labels)
+            np.testing.assert_array_equal(ba.features, bb.features)
 
     def test_different_seeds_differ(self):
         data = blob_dataset(num_classes=2, train_per_class=30)
         orders = []
         for seed in (0, 1):
             spec = StreamSpec(dataset=data.descriptor, seed=seed)
-            orders.append(
-                [s.features[0] for s in make_stream(spec, data.train_x, data.train_y)]
-            )
+            orders.append(stream_rows(spec, data)[0].tolist())
         assert orders[0] != orders[1]
 
     def test_missing_class_rejected(self):
@@ -141,35 +159,63 @@ class TestMakeStream:
     def test_flip_augmentation_doubles_and_interleaves(self):
         data = toy_image_dataset(per_class=6)
         spec = StreamSpec(dataset=data.descriptor, augment=True, seed=2)
-        samples = list(make_stream(spec, data.train_x, data.train_y))
-        assert len(samples) == 2 * len(data.train_y)
-        origins = [s.origin for s in samples]
-        assert origins[0::2] == ["original"] * len(data.train_y)
-        assert origins[1::2] == ["flipped"] * len(data.train_y)
-        for orig, flip in zip(samples[0::2], samples[1::2]):
-            assert orig.label == flip.label
+        indices, flipped, features, labels = stream_rows(spec, data)
+        n = len(data.train_y)
+        assert len(labels) == 2 * n
+        assert not flipped[0::2].any() and flipped[1::2].all()
+        np.testing.assert_array_equal(indices[0::2], indices[1::2])
+        np.testing.assert_array_equal(labels[0::2], labels[1::2])
+        assert sorted(indices[0::2].tolist()) == list(range(n))
+        for orig, flip in zip(features[0::2], features[1::2]):
             # Normalization is per-pixel, so flipping commutes with it.
             np.testing.assert_array_equal(
-                orig.features.reshape(2, 2)[:, ::-1], flip.features.reshape(2, 2)
+                orig.reshape(2, 2)[:, ::-1], flip.reshape(2, 2)
             )
 
     def test_no_augmentation_keeps_origin_original(self):
         data = toy_image_dataset(per_class=4)
         spec = StreamSpec(dataset=data.descriptor, augment=False)
-        samples = list(make_stream(spec, data.train_x, data.train_y))
-        assert len(samples) == len(data.train_y)
-        assert all(s.origin == "original" for s in samples)
-        assert all(s.features.shape == (4,) for s in samples)
+        indices, flipped, features, labels = stream_rows(spec, data)
+        assert len(labels) == len(data.train_y)
+        assert not flipped.any()
+        assert features.shape == (len(data.train_y), 4)
 
     def test_feature_stream_passthrough(self):
         data = blob_dataset(num_classes=2, train_per_class=3)
         spec = StreamSpec(dataset=data.descriptor)
-        for sample in make_stream(spec, data.train_x, data.train_y):
-            assert sample.features.dtype == np.float32
-            i = np.flatnonzero(
-                (data.train_x == sample.features).all(axis=1)
-            )[0]
-            assert data.train_y[i] == sample.label
+        indices, _, features, labels = stream_rows(spec, data)
+        assert features.dtype == np.float32
+        np.testing.assert_array_equal(features, data.train_x[indices])
+        np.testing.assert_array_equal(labels, data.train_y[indices])
+
+    def test_blocks_match_per_image_normalize_and_flip(self):
+        # The per-image functions are the reference for the block path.
+        rng = np.random.default_rng(3)
+        n = 300
+        train_x = rng.integers(0, 256, size=(n, 2, 2), dtype=np.uint8)
+        train_y = np.repeat([0, 1], n // 2)
+        descriptor = toy_image_descriptor(train_count=n)
+        spec = StreamSpec(dataset=descriptor, augment=True, seed=4)
+        data = RawDataset(descriptor, train_x, train_y, train_x[:4], train_y[:4])
+        indices, flipped, features, labels = stream_rows(spec, data)
+        for i, flip, row in zip(indices, flipped, features):
+            image = flip_horizontal(train_x[i]) if flip else train_x[i]
+            np.testing.assert_array_equal(row, normalize(image, descriptor))
+
+    def test_blocks_cut_at_absolute_positions(self):
+        # 2 tasks x 200 samples, flipped: 800 steps.  Cuts fall on
+        # multiples of 256 and of cut_every, never at the task boundary.
+        data = toy_image_dataset(per_class=200)
+        spec = StreamSpec(dataset=data.descriptor, augment=True, seed=5)
+        starts = [b.start for b in make_stream(spec, data.train_x, data.train_y)]
+        assert starts == [0, 256, 512, 768]
+        blocks = list(make_stream(spec, data.train_x, data.train_y, cut_every=300))
+        assert [b.start for b in blocks] == [0, 256, 300, 512, 600, 768]
+        assert [b.stop for b in blocks] == [256, 300, 512, 600, 768, 800]
+        whole = stream_rows(spec, data)
+        cut = stream_rows(spec, data, cut_every=300)
+        for a, b in zip(whole, cut):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestComputeAccuracy:
@@ -301,6 +347,65 @@ class TestRunBenchmark:
         data = dataset_from_features(X, y, X[5:], y[5:])
         with pytest.raises(DataError, match=r"stream step \d+ \(class \d+, original\)"):
             run_on_dataset(data, variant="slda", embed_dim=4, seed=0)
+
+    def test_mid_block_error_names_its_own_step(self):
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((600, 4)).astype(np.float32)
+        y = np.repeat([0, 1, 2], 200)
+        data = dataset_from_features(X, y, X[:30], y[:30])
+        # run_on_dataset shuffles the stream with seed + 1.
+        spec = StreamSpec(dataset=data.descriptor, seed=1)
+        indices, _, _, labels = stream_rows(spec, data)
+        step = 300  # row 44 of the block starting at step 256
+        X[indices[step]] = np.nan
+        with pytest.raises(
+            DataError,
+            match=rf"stream step {step} \(class {labels[step]}, original\)",
+        ):
+            run_on_dataset(data, variant="slda", seed=0)
+
+    def test_flipped_copy_error_names_its_step(self, monkeypatch):
+        # Image pixels are always finite, so a fault is injected into the
+        # embedded row of one flipped copy.
+        from randumb.streaming import StreamingEstimator
+
+        data = toy_image_dataset(per_class=200)
+        step = 2 * 150 + 1  # the flipped copy of the 151st image
+        original = StreamingEstimator.observe
+        seen = []
+
+        def poisoned(self, phi, labels):
+            start = sum(seen)
+            seen.append(len(phi))
+            if start <= step < start + len(phi):
+                phi = np.array(phi)
+                phi[step - start] = np.inf
+            return original(self, phi, labels)
+
+        monkeypatch.setattr(StreamingEstimator, "observe", poisoned)
+        with pytest.raises(
+            DataError, match=rf"stream step {step} \(class \d+, flipped\)"
+        ):
+            run_on_dataset(
+                data, variant="randumb", embed_dim=16, gamma=0.5, seed=0,
+                augment=True,
+            )
+
+    def test_one_pass_check_raises(self, monkeypatch):
+        # A model that folds in a row twice breaks the one-pass contract;
+        # the check is a raised error, so it also holds under python -O.
+        from randumb.classifier import StreamingClassifier
+
+        original = StreamingClassifier.observe
+
+        def double_first_row(self, x_raw, labels):
+            original(self, x_raw, labels)
+            original(self, x_raw[:1], labels[:1])
+
+        monkeypatch.setattr(StreamingClassifier, "observe", double_first_row)
+        data = blob_dataset(seed=1)
+        with pytest.raises(ModelStateError, match="one-pass check failed"):
+            run_on_dataset(data, variant="slda", seed=0)
 
     def test_augmented_run_observes_two_per_image(self):
         data = toy_image_dataset(per_class=10)

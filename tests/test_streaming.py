@@ -238,3 +238,125 @@ class TestCheckpoint:
         write_checkpoint(path, {"kind": "something_else"}, {})
         with pytest.raises(DataError):
             StreamingEstimator.load(path)
+
+
+def feed_blocks(est, X, y, cuts):
+    """Fold X in as the blocks between consecutive cut positions."""
+    bounds = [0, *cuts, len(y)]
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop > start:
+            est.observe(X[start:stop], y[start:stop])
+    return est
+
+
+def fixed_cuts(n, size):
+    return list(range(size, n, size))
+
+
+class TestBlocked:
+    """The blocked merge (one dsyrk per block) against the per-sample
+    rule and the two-pass batch oracle."""
+
+    SETTINGS = [
+        (MODE_POOLED, False),
+        (MODE_POOLED, True),
+        (MODE_GLOBAL, False),
+    ]
+
+    @pytest.mark.parametrize("mode,unbiased", SETTINGS)
+    @pytest.mark.parametrize("size", [1, 2, 7, 256, None])
+    def test_blocked_matches_per_sample_and_batch(self, mode, unbiased, size):
+        rng = np.random.default_rng(30)
+        for trial in range(4):
+            e = int(rng.integers(2, 24))
+            n = int(rng.integers(20, 600))
+            k = int(rng.integers(1, 8))
+            X = rng.standard_normal((n, e)) + rng.standard_normal(e) * 3
+            # shuffled labels, so blocks mix classes
+            y = rng.integers(0, k, size=n)
+            cuts = fixed_cuts(n, size or n)
+            blocked = feed_blocks(
+                StreamingEstimator(e, mode=mode, pooled_unbiased=unbiased), X, y, cuts
+            )
+            single = feed(StreamingEstimator(e, mode=mode, pooled_unbiased=unbiased), X, y)
+            ref = batch_stats(X, y, mode=mode)
+            labels = np.unique(y)
+            denom = n - (len(labels) if unbiased else 1)
+            expected = ref.scatter / denom
+            scale = np.abs(expected).max()
+            for est in (blocked, single):
+                assert est.total_count == n
+                assert est.class_counts() == ref.counts
+                assert np.abs(est.covariance() - expected).max() / scale <= 1e-8
+                for label, mean in est.class_means().items():
+                    np.testing.assert_allclose(mean, ref.means[label], rtol=1e-8, atol=1e-12)
+            if size == 1:
+                # a block of one takes the per-sample rule, to the last bit
+                np.testing.assert_array_equal(blocked.scatter(), single.scatter())
+                for label, mean in blocked.class_means().items():
+                    np.testing.assert_array_equal(mean, single.class_means()[label])
+
+    @pytest.mark.parametrize("mode", [MODE_POOLED, MODE_GLOBAL])
+    def test_random_cuts_and_orders_agree(self, mode):
+        rng = np.random.default_rng(31)
+        for trial in range(10):
+            e = int(rng.integers(2, 20))
+            n = int(rng.integers(10, 400))
+            X = rng.standard_normal((n, e))
+            y = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            perm = rng.permutation(n)
+            cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 12), replace=False))
+            a = feed_blocks(StreamingEstimator(e, mode=mode), X, y, cuts)
+            b = feed_blocks(StreamingEstimator(e, mode=mode), X[perm], y[perm], cuts[::2])
+            ref = batch_stats(X, y, mode=mode)
+            scale = np.abs(ref.scatter).max()
+            for est in (a, b):
+                assert np.abs(est.scatter() - ref.scatter).max() / scale <= 1e-8
+
+    def test_mean_only_blocks_match_batch_means(self):
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((300, 6)).astype(np.float32)
+        y = rng.integers(0, 4, size=300)
+        est = feed_blocks(StreamingEstimator(6, track_scatter=False), X, y, [5, 100, 299])
+        ref = batch_stats(X, y)
+        for label, mean in est.class_means().items():
+            np.testing.assert_allclose(mean, ref.means[label], rtol=1e-10, atol=1e-12)
+
+    def test_resume_at_block_boundary_bitwise(self, tmp_path):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal((200, 7))
+        y = rng.integers(0, 4, size=200)
+        for mode in (MODE_POOLED, MODE_GLOBAL):
+            cuts = fixed_cuts(200, 13)
+            whole = feed_blocks(StreamingEstimator(7, mode=mode), X, y, cuts)
+            stop = 13 * 8
+            first = feed_blocks(StreamingEstimator(7, mode=mode), X[:stop], y[:stop], cuts[:7])
+            path = tmp_path / f"{mode}.rdck"
+            first.save(path)
+            rest = [c - stop for c in cuts[8:]]
+            resumed = feed_blocks(StreamingEstimator.load(path), X[stop:], y[stop:], rest)
+            np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
+            for label, mean in whole.class_means().items():
+                np.testing.assert_array_equal(resumed.class_means()[label], mean)
+
+    def test_bad_row_names_its_index_and_leaves_state(self):
+        rng = np.random.default_rng(34)
+        est = StreamingEstimator(3)
+        est.observe(rng.standard_normal((4, 3)), [0, 1, 0, 1])
+        before = est.scatter()
+        block = rng.standard_normal((5, 3))
+        block[3, 1] = np.nan
+        with pytest.raises(DataError) as info:
+            est.observe(block, [0, 0, 1, 1, 2])
+        assert info.value.row == 3
+        assert est.total_count == 4 and est.classes_seen == [0, 1]
+        np.testing.assert_array_equal(est.scatter(), before)
+
+    def test_block_shape_checks(self):
+        est = StreamingEstimator(3)
+        with pytest.raises(ShapeError, match="labels"):
+            est.observe(np.zeros((4, 3)), [0, 1, 2])
+        with pytest.raises(ShapeError):
+            est.observe(np.zeros((4, 2)), [0, 1, 2, 3])
+        with pytest.raises(ShapeError):
+            est.observe(np.zeros((2, 4, 3)), [0, 1])
