@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
 )
 from .fourier import FeatureMap, FeatureMapSpec
-from .precision import build_precision, oas_shrink
+from .precision import build_precision, shrink_upper
 from .streaming import MODE_POOLED, MODES, StreamingEstimator
 
 VARIANTS = ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
@@ -221,28 +221,35 @@ class StreamingClassifier:
         """Snapshot the class means and (for Mahalanobis variants)
         shrink + ridge + factorize the covariance.
 
-        consume=True hands the estimator's own scatter buffer through
-        shrinkage and factorization without any copy; the estimator is
-        spent afterwards.
+        Shrinkage and factorization work in place on the upper triangle
+        of the estimator's scatter buffer.  consume=True hands that
+        buffer over without any copy, so nothing E x E is allocated; the
+        estimator is spent afterwards.  consume=False works on one copy.
         """
         if self.estimator.total_count == 0:
             raise EmptyModelError("no samples observed; nothing to finalize")
+        # Drop the previous snapshot first, so its E x E factor is freed
+        # before the next one is built and a failed finalize leaves the
+        # model unfinalized rather than mixing old and new state.
+        self._labels = self._precision = None
+        self._lin_weights = self._lin_bias = None
         means = self.estimator.class_means()
-        self._labels = np.asarray(sorted(means), dtype=np.int64)
-        self._means = np.stack([means[c] for c in self._labels])
+        labels = np.asarray(sorted(means), dtype=np.int64)
+        self._means = np.stack([means[c] for c in labels])
         if self.config.needs_precision:
-            cov = self.estimator.covariance(copy=not consume)
-            shrink = oas_shrink(cov, self.estimator.total_count, copy=False)
-            self.shrinkage_rho = shrink.rho
-            self.shrinkage_mu = shrink.mu
+            scatter, denom = self.estimator.upper_scatter(consume=consume)
+            self.shrinkage_rho, self.shrinkage_mu = shrink_upper(
+                scatter, self.estimator.total_count, denom
+            )
             self._precision = build_precision(
-                shrink.shrunk, self.config.ridge, overwrite=True
+                scatter, self.config.ridge, overwrite=True
             )
             # Linear form of the same rule for batch scoring:
             # w_i = A^{-1} mu_i, b_i = -1/2 mu_i^T w_i with A = shrunk + ridge I.
             weights = self._precision.solve(self._means.T)
             self._lin_weights = weights
             self._lin_bias = -0.5 * np.einsum("ec,ec->c", self._means.T, weights)
+        self._labels = labels
 
     @property
     def precision(self):

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -319,36 +321,48 @@ def write_feature_file(
         fh.write(labels.astype("<u4").tobytes())
 
 
+def _read_into(fh, arr: np.ndarray) -> int:
+    """Fill ``arr`` from the file's current position; returns bytes read."""
+    return fh.readinto(arr.reshape(-1).view(np.uint8))
+
+
 def load_feature_file(path: str | Path):
-    """Read an RDFB container back into (vectors f32 (N, dim), labels int64)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _RDFB_HEADER.size:
-        raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, n, dim, dtype_tag = _RDFB_HEADER.unpack_from(raw, 0)
-    if magic != _RDFB_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-    if version != 1:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    if dtype_tag != _RDFB_DTYPE_F32:
-        raise DataFormatError(f"{path}: unsupported dtype tag {dtype_tag}")
-    if n < 1 or dim < 1:
-        raise DataFormatError(f"{path}: empty container (N={n}, dim={dim})")
-    vec_bytes = 4 * n * dim
-    label_offset = _RDFB_HEADER.size + vec_bytes
-    expected = label_offset + 4 * n
-    if len(raw) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} bytes for N={n}, dim={dim}, "
-            f"found {len(raw)} (payload truncated or trailing garbage at "
-            f"offset {min(len(raw), expected)})"
+    """Read an RDFB container back into (vectors f32 (N, dim), labels int64).
+
+    The payload is read straight into the returned vector array; the
+    file is never held in memory as a second copy.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _RDFB_HEADER.size:
+            raise DataFormatError(f"{path}: truncated header ({size} bytes)")
+        magic, version, n, dim, dtype_tag = _RDFB_HEADER.unpack(
+            fh.read(_RDFB_HEADER.size)
         )
-    vectors = np.frombuffer(
-        raw, dtype="<f4", count=n * dim, offset=_RDFB_HEADER.size
-    ).reshape(n, dim)
-    labels = np.frombuffer(raw, dtype="<u4", count=n, offset=label_offset)
+        if magic != _RDFB_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
+        if version != 1:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        if dtype_tag != _RDFB_DTYPE_F32:
+            raise DataFormatError(f"{path}: unsupported dtype tag {dtype_tag}")
+        if n < 1 or dim < 1:
+            raise DataFormatError(f"{path}: empty container (N={n}, dim={dim})")
+        vec_bytes = 4 * n * dim
+        label_offset = _RDFB_HEADER.size + vec_bytes
+        expected = label_offset + 4 * n
+        if size != expected:
+            raise DataFormatError(
+                f"{path}: expected {expected} bytes for N={n}, dim={dim}, "
+                f"found {size} (payload truncated or trailing garbage at "
+                f"offset {min(size, expected)})"
+            )
+        vectors = np.empty((n, dim), dtype="<f4")
+        labels = np.empty(n, dtype="<u4")
+        if _read_into(fh, vectors) + _read_into(fh, labels) != expected - _RDFB_HEADER.size:
+            raise DataFormatError(f"{path}: file shrank while it was read")
     if not np.isfinite(vectors).all():
         raise DataError(f"{path}: feature vectors contain non-finite values")
-    return vectors.copy(), labels.astype(np.int64)
+    return vectors, labels.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +375,15 @@ _RDCK_DTYPES = {"<f8", "<f4", "<i8", "<u8"}
 def write_checkpoint(
     path: str | Path, meta: dict, arrays: dict[str, np.ndarray]
 ) -> None:
-    """Serialize a JSON meta block plus named arrays, all little-endian."""
+    """Serialize a JSON meta block plus named arrays, all little-endian.
+
+    Array bytes are written straight from each C-ordered buffer, without
+    a serialized copy.  The file is written under a temporary name in the
+    same directory and moved over ``path`` only once it is complete and
+    synced, so a crash mid-write leaves an earlier checkpoint intact.
+    """
     manifest = []
-    blobs = []
+    payloads = []
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         dtype = arr.dtype.newbyteorder("<").str
@@ -371,50 +391,72 @@ def write_checkpoint(
             raise DataError(f"array {name!r} has unsupported dtype {arr.dtype}")
         arr = arr.astype(dtype, copy=False)
         manifest.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+        payloads.append(arr)
     header = json.dumps({"meta": meta, "arrays": manifest}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_RDCK_HEADER.pack(_RDCK_MAGIC, 1, len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_RDCK_HEADER.pack(_RDCK_MAGIC, 1, len(header)))
+            fh.write(header)
+            for arr in payloads:
+                fh.write(arr.reshape(-1).view(np.uint8))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path: str | Path):
-    """Read an RDCK container back into (meta dict, {name: array})."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _RDCK_HEADER.size:
-        raise DataFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, header_len = _RDCK_HEADER.unpack_from(raw, 0)
-    if magic != _RDCK_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
-    if version != 1:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    body_start = _RDCK_HEADER.size + header_len
-    if len(raw) < body_start:
-        raise DataFormatError(f"{path}: truncated JSON header")
-    try:
-        header = json.loads(raw[_RDCK_HEADER.size : body_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: unreadable JSON header: {exc}") from exc
-    arrays = {}
-    offset = body_start
-    for entry in header.get("arrays", []):
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if offset + nbytes > len(raw):
-            raise DataFormatError(
-                f"{path}: array {entry['name']!r} truncated at offset {offset}"
-            )
-        arrays[entry["name"]] = (
-            np.frombuffer(raw, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)), offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset += nbytes
-    if offset != len(raw):
-        raise DataFormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    """Read an RDCK container back into (meta dict, {name: array}).
+
+    Each array is read straight into its own preallocated buffer, so the
+    peak is the payload once, not the file plus a copy.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _RDCK_HEADER.size:
+            raise DataFormatError(f"{path}: truncated header ({size} bytes)")
+        magic, version, header_len = _RDCK_HEADER.unpack(fh.read(_RDCK_HEADER.size))
+        if magic != _RDCK_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {magic!r} at offset 0")
+        if version != 1:
+            raise DataFormatError(f"{path}: unsupported version {version}")
+        body_start = _RDCK_HEADER.size + header_len
+        if size < body_start:
+            raise DataFormatError(f"{path}: truncated JSON header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFormatError(f"{path}: unreadable JSON header: {exc}") from exc
+        arrays = {}
+        offset = body_start
+        for entry in header.get("arrays", []):
+            shape = tuple(entry["shape"])
+            if entry["dtype"] not in _RDCK_DTYPES or min(shape, default=0) < 0:
+                raise DataFormatError(
+                    f"{path}: array {entry['name']!r} has unsupported dtype "
+                    f"{entry['dtype']!r} or shape {list(shape)}"
+                )
+            dtype = np.dtype(entry["dtype"])
+            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            if offset + nbytes > size:
+                raise DataFormatError(
+                    f"{path}: array {entry['name']!r} truncated at offset {offset}"
+                )
+            arr = np.empty(shape, dtype=dtype)
+            if _read_into(fh, arr) != nbytes:
+                raise DataFormatError(
+                    f"{path}: array {entry['name']!r} truncated at offset {offset}"
+                )
+            arrays[entry["name"]] = arr
+            offset += nbytes
+        if offset != size:
+            raise DataFormatError(f"{path}: {size - offset} trailing bytes")
     return header.get("meta", {}), arrays
 
 

@@ -263,19 +263,74 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
     return echo
 
 
-def check_memory_cap(model_config: ModelVariant, cap_bytes: int) -> int:
-    """Refuse covariance-tracking runs whose accumulator exceeds the cap."""
+def check_memory_cap(
+    model_config: ModelVariant, cap_bytes: int, eval_every: int = 0
+) -> int:
+    """Refuse covariance-tracking runs whose E x E buffers exceed the cap.
+
+    A run holds the float64 accumulator; with eval_every > 0 each
+    snapshot factors a copy of it as well, so it holds two.
+    """
     if not model_config.needs_precision:
         return 0
     e = model_config.embed_dim
-    needed = 8 * e * e
+    copies = 2 if eval_every > 0 else 1
+    needed = copies * 8 * e * e
     if needed > cap_bytes:
+        snapshot = " and the copy each --eval-every-k snapshot factors"
         raise ConfigurationError(
-            f"state dimension {e} needs 8*E^2 = {needed} bytes for the "
-            f"float64 covariance accumulator, above the configured cap of "
-            f"{cap_bytes} bytes; lower the embedding size or raise the cap"
+            f"state dimension {e} needs {copies} x 8*E^2 = {needed} bytes for "
+            f"the float64 covariance accumulator{snapshot if copies == 2 else ''}, "
+            f"above the configured cap of {cap_bytes} bytes; lower the "
+            f"embedding size or raise the cap"
         )
     return needed
+
+
+def _peak_memory_estimate(
+    model_config: ModelVariant,
+    descriptor: DatasetDescriptor,
+    state_bytes: int,
+    stream_steps: int,
+    test_count: int,
+    eval_every: int,
+) -> int:
+    """Upper bound on the bytes one ``run_benchmark`` call allocates at once.
+
+    Held throughout: the random map, the statistics (``state_bytes``),
+    the normalized test set and the stream's index arrays, plus, with
+    eval_every > 0, the E x E factor of the latest snapshot (one copy of
+    the accumulator).  On top of that comes the largest transient:
+    building the map, normalizing the test set, one ingestion block (raw
+    rows and their normalized copies, the projection, the float32
+    embedding, its sort copy and finiteness mask, and the float64
+    stacked rows of the rank-k update), or finalize's mean arrays with
+    one predict block.
+    """
+    e, d, c = model_config.embed_dim, descriptor.input_dim, descriptor.num_classes
+    b = _STREAM_BLOCK
+    emb = model_config.embedding
+    if isinstance(emb, FeatureMapSpec):
+        width = emb.num_bases
+    elif isinstance(emb, RPSpec):
+        width = emb.output_dim
+    else:
+        width = 0
+    snapshot = 8 * e * e if model_config.needs_precision and eval_every > 0 else 0
+    held = (
+        4 * width * d
+        + state_bytes
+        + snapshot
+        + 4 * test_count * d
+        + 25 * stream_steps
+    )
+    # a projection block and its cos/sin (or relu) output beside the embedding
+    embed = 4 * b * (e + 2 * width)
+    # the previous block's features stay alive while the next is cut
+    ingest = 17 * b * d + max(embed, 9 * b * e + 8 * (b + c + 1) * e)
+    score = 8 * c * e * 4 + embed + 8 * b * (e + c)
+    transient = max(12 * width * d, 12 * test_count * d, ingest, score)
+    return held + transient
 
 
 def _evaluate(model: StreamingClassifier, test_flat: np.ndarray, test_y: np.ndarray):
@@ -296,11 +351,11 @@ def run_benchmark(
     """One full pass: stream -> finalize -> evaluate the whole test set.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
-    steps via a non-consuming finalize (this copies the covariance, so
-    the transient footprint doubles); the default evaluates once at the
-    end through the consuming, single-buffer path.
+    steps via a non-consuming finalize (this factors a copy of the
+    accumulator, so the run holds two E x E buffers); the default
+    evaluates once at the end through the consuming, single-buffer path.
     """
-    scatter_bytes = check_memory_cap(model_config, memory_cap_bytes)
+    check_memory_cap(model_config, memory_cap_bytes, eval_every)
     if stream_spec.dataset.input_dim != model_config.raw_input_dim:
         raise ConfigurationError(
             f"dataset feeds {stream_spec.dataset.input_dim}-dim inputs but the "
@@ -340,9 +395,9 @@ def run_benchmark(
     per_class, average, class_average = _evaluate(model, test_flat, test_y)
     elapsed = time.perf_counter() - started
 
-    peak = state_bytes + test_flat.nbytes + 256 * model_config.embed_dim * 4
-    if eval_every > 0:
-        peak += scatter_bytes  # the non-consuming finalize copies the matrix
+    peak = _peak_memory_estimate(
+        model_config, stream_spec.dataset, state_bytes, steps, len(test_y), eval_every
+    )
     pm = model.precision
     return RunResult(
         config=_config_echo(stream_spec, model_config, eval_every),

@@ -293,12 +293,63 @@ def _check_lda_equivalence(rng) -> OracleReport:
     return OracleReport("lda_equivalence", disagreement, 0.0)
 
 
+def _check_finalize_upper(rng) -> OracleReport:
+    """The production finalize shrinks and factors the accumulator's upper
+    triangle in place.  Against the oracle on the mirrored covariance, in
+    every estimator mode, for an accumulator whose strict lower triangle
+    is zero and for one mirrored as a checkpoint leaves it: the worst
+    error over rho, mu, log det and predictions."""
+    from .classifier import ModelVariant, StreamingClassifier
+
+    e, k, per_class, ridge = 12, 3, 30, 1e-3
+    centers = rng.standard_normal((k, e)) * 2.0
+    X = np.concatenate(
+        [centers[i] + rng.standard_normal((per_class, e)) for i in range(k)]
+    )
+    y = np.repeat(np.arange(k), per_class)
+    tests = rng.standard_normal((200, e)) * 2.0
+    means = batch_stats(X, y).means
+    worst = 0.0
+    for mode, unbiased in (
+        ("pooled_within_class", False),
+        ("pooled_within_class", True),
+        ("global", False),
+    ):
+        for mirrored in (False, True):
+            model = StreamingClassifier(
+                ModelVariant(
+                    variant="slda",
+                    ridge=ridge,
+                    estimator_mode=mode,
+                    pooled_unbiased=unbiased,
+                    input_dim=e,
+                )
+            )
+            model.observe(X, y)
+            cov = model.estimator.covariance()
+            if mirrored:
+                model.estimator._state()  # mirrors in place, as save() does
+            model.finalize(consume=True)
+            rho, mu, shrunk = oas_reference(cov, len(y))
+            _, log_det = np.linalg.slogdet(shrunk + ridge * np.eye(e))
+            oracle = batch_lda_predict(means, shrunk, ridge, tests)
+            worst = max(
+                worst,
+                abs(model.shrinkage_rho - rho),
+                abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
+                abs(model.precision.log_det - log_det) / max(abs(log_det), 1.0),
+                float(np.mean(model.predict_batch(tests) != oracle)),
+            )
+    return OracleReport("finalize_upper_matches_reference", worst, 1e-10)
+
+
 def run_verify(seed: int = 0) -> list[OracleReport]:
     """Run every oracle check at desk scale; returns one report each."""
     checks = [
         _check_streaming_vs_batch,
         _check_rff_kernel,
         _check_oas,
+        _check_finalize_upper,
         _check_sherman_morrison,
         _check_lda_equivalence,
     ]

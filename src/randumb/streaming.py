@@ -27,7 +27,9 @@ plus one float64 mean vector and a count per class, so memory is
 O(E^2 + C*E) no matter how long the stream runs.
 
 The accumulator is Fortran-ordered and only its upper triangle is
-written; reads mirror the triangle into a full symmetric matrix.
+written.  ``upper_scatter`` hands it over as stored, for finalize to
+shrink and factor in place; ``scatter`` and ``covariance`` mirror the
+triangle into a full symmetric matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ MODE_POOLED = "pooled_within_class"
 MODE_GLOBAL = "global"
 MODES = (MODE_POOLED, MODE_GLOBAL)
 
-_MIRROR_BLOCK = 1024
+_MIRROR_BLOCK = 256
 
 
 def _mirror_upper(a: np.ndarray, block: int = _MIRROR_BLOCK) -> np.ndarray:
@@ -151,7 +153,7 @@ class StreamingEstimator:
         """
         if self._consumed:
             raise ModelStateError(
-                "estimator state was consumed by covariance(copy=False); "
+                "estimator state was consumed by upper_scatter(consume=True); "
                 "no further observations are possible"
             )
         phi = np.asarray(phi)
@@ -243,15 +245,34 @@ class StreamingEstimator:
         self._require_scatter()
         return _mirror_upper(self._scatter.copy(order="F"))
 
-    def covariance(self, copy: bool = True) -> np.ndarray:
-        """scatter / (n - 1), or / (n - C) when pooled_unbiased is set.
+    def covariance(self) -> np.ndarray:
+        """scatter / (n - 1), or / (n - C) when pooled_unbiased is set,
+        as a full symmetric matrix."""
+        denom = self._normalizer()
+        out = self.scatter()
+        out /= denom
+        return out
 
-        With copy=False the internal accumulator itself is symmetrized,
-        scaled, and handed out; the estimator is then consumed and
-        rejects further observe/covariance calls.  This is the
-        constant-memory path used at the end of a one-pass run (peak
-        stays at one 8*E^2-byte buffer).
+    def upper_scatter(self, consume: bool = False) -> tuple[np.ndarray, int]:
+        """The accumulator as stored, with the covariance's normalizer.
+
+        Returns (scatter, denom): a Fortran-ordered E x E array whose
+        upper triangle holds the scatter (the strict lower triangle is
+        zero, or its mirror after a checkpoint) and n - 1, or n - C when
+        pooled_unbiased is set.  Without ``consume`` the array is a copy.
+        With ``consume`` it is the accumulator itself, handed over
+        without a copy; the estimator is then spent and rejects further
+        observe/covariance calls.  This is the constant-memory path at
+        the end of a one-pass run.
         """
+        denom = self._normalizer()
+        if not consume:
+            return self._scatter.copy(order="F"), denom
+        out, self._scatter = self._scatter, None
+        self._consumed = True
+        return out, denom
+
+    def _normalizer(self) -> int:
         self._require_scatter()
         denom = self.total_count - (
             len(self._classes) if self.pooled_unbiased else 1
@@ -261,14 +282,7 @@ class StreamingEstimator:
                 f"covariance needs more samples: n={self.total_count}, "
                 f"normalizer n-{'C' if self.pooled_unbiased else '1'}={denom}"
             )
-        if copy:
-            out = _mirror_upper(self._scatter.copy(order="F"))
-        else:
-            out = _mirror_upper(self._scatter)
-            self._scatter = None
-            self._consumed = True
-        out /= denom
-        return out
+        return denom
 
     def state_nbytes(self) -> int:
         """Bytes held by the statistics; constant once all classes are seen."""
@@ -310,9 +324,11 @@ class StreamingEstimator:
         }
         if self.track_scatter:
             self._require_scatter()
-            # Mirroring in place is safe: updates only ever write the upper
-            # triangle, and every read re-mirrors it anyway.
-            arrays["scatter"] = _mirror_upper(self._scatter)
+            # Mirroring in place is safe: updates and finalize read and
+            # write only the upper triangle.  The transpose of the
+            # symmetric F-ordered buffer is the same matrix, C-ordered, so
+            # the writer takes its bytes without a copy.
+            arrays["scatter"] = _mirror_upper(self._scatter).T
         return meta, arrays
 
     def save(self, path) -> None:
@@ -322,12 +338,15 @@ class StreamingEstimator:
 
     @classmethod
     def _from_state(cls, meta: dict, arrays: dict) -> "StreamingEstimator":
+        # Built without an accumulator: the stored one is adopted below
+        # rather than allocated a second time.
         est = cls(
             int(meta["embed_dim"]),
             mode=meta["mode"],
             pooled_unbiased=bool(meta["pooled_unbiased"]),
-            track_scatter=bool(meta["track_scatter"]),
+            track_scatter=False,
         )
+        est.track_scatter = bool(meta["track_scatter"])
         est.total_count = int(meta["total_count"])
         est._grand_mean = np.asarray(arrays["grand_mean"], dtype=np.float64)
         for i, label in enumerate(arrays["class_labels"]):
@@ -336,8 +355,10 @@ class StreamingEstimator:
             stats.mean = np.asarray(arrays["class_means"][i], dtype=np.float64)
             est._classes[int(label)] = stats
         if est.track_scatter:
+            # The stored matrix is symmetric, so its transpose is the same
+            # matrix and already Fortran-ordered: no copy.
             est._scatter = np.asfortranarray(
-                np.asarray(arrays["scatter"], dtype=np.float64)
+                np.asarray(arrays["scatter"], dtype=np.float64).T
             )
         return est
 

@@ -6,6 +6,7 @@ silently passing; everything else runs on any machine in minutes.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,24 @@ class TestDatasetGates:
 
 
 class TestContractGates:
+    def test_consuming_finalize_allocates_under_five_percent_of_the_accumulator(self):
+        """One E x E copy through finalize: at E=2048 the consuming
+        finalize (shrink, factor, discriminant solve) allocates less than
+        5% of the 8*E^2-byte accumulator on top of it."""
+        e = 2048
+        rng = np.random.default_rng(24)
+        model = StreamingClassifier(ModelVariant(variant="slda", ridge=1e-4, input_dim=e))
+        for start in range(0, 600, 256):
+            X = rng.standard_normal((min(256, 600 - start), e))
+            model.observe(X, np.arange(start, start + len(X)) % 10)
+        tracemalloc.start()
+        try:
+            model.finalize(consume=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 8 * e * e, f"finalize allocated {peak} bytes"
+
     def test_state_size_constant_over_hundred_thousand_steps(self):
         # The model state must not grow with stream length: only the
         # accumulator, one mean per class, and counters.

@@ -1,6 +1,8 @@
 """Classifier variants: configuration rules, decision rules, variant
 semantics, batch/single agreement, and checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from randumb import (
     FeatureMapSpec,
     ModelStateError,
     ModelVariant,
+    NumericalError,
     RandomReluMap,
     RPSpec,
     ShapeError,
@@ -19,7 +22,7 @@ from randumb import (
     build_precision,
     oas_shrink,
 )
-from randumb.reference import batch_lda_predict
+from randumb.reference import batch_lda_predict, oas_reference
 
 
 def fourier_config(variant="randumb", input_dim=6, num_bases=32, gamma=0.5,
@@ -375,6 +378,84 @@ class TestLifecycle:
         assert model.shrinkage_mu > 0
         mean_only = fit(raw_config("ncm", input_dim=4, ridge=0.0), X, y)
         assert mean_only.shrinkage_rho is None
+
+
+class TestUpperTriangleFinalize:
+    """Finalize shrinks and factors the accumulator's upper triangle in
+    place.  Whether the strict lower triangle is zero (as the rank-k
+    updates leave it) or mirrored (as a checkpoint leaves it), rho, mu,
+    log det and predictions match the oracle on the mirrored covariance."""
+
+    @pytest.mark.parametrize(
+        "mode,unbiased",
+        [("pooled_within_class", False), ("pooled_within_class", True), ("global", False)],
+    )
+    @pytest.mark.parametrize("consume", [True, False])
+    def test_matches_oracle_upper_only_and_mirrored(self, tmp_path, mode, unbiased, consume):
+        rng = np.random.default_rng(12)
+        X, y = gaussian_blobs(rng, num_classes=4, dim=9, per_class=40)
+        T = rng.standard_normal((300, 9)) * 2.0
+        config = raw_config(input_dim=9, ridge=1e-3, estimator_mode=mode,
+                            pooled_unbiased=unbiased)
+        for mirrored in (False, True):
+            model = StreamingClassifier(config)
+            model.observe(X[:150], y[:150])
+            model.observe(X[150:], y[150:])
+            cov = model.estimator.covariance()
+            if mirrored:
+                model.save(tmp_path / "model.rdck")
+            lower = np.tril(model.estimator._scatter, -1)
+            assert lower.any() == mirrored
+            model.finalize(consume=consume)
+
+            rho, mu, shrunk = oas_reference(cov, len(y))
+            _, log_det = np.linalg.slogdet(shrunk + 1e-3 * np.eye(9))
+            assert abs(model.shrinkage_rho - rho) < 1e-10
+            assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
+            assert abs(model.precision.log_det - log_det) < 1e-10 * abs(log_det)
+            means = model.estimator.class_means()
+            oracle = batch_lda_predict(means, shrunk, 1e-3, T)
+            np.testing.assert_array_equal(model.predict_batch(T), oracle)
+
+    def test_nonconsuming_finalize_leaves_the_accumulator_untouched(self):
+        rng = np.random.default_rng(13)
+        X, y = gaussian_blobs(rng, num_classes=3, dim=5, per_class=30)
+        model = StreamingClassifier(raw_config(input_dim=5))
+        model.observe(X, y)
+        before = model.estimator._scatter.copy(order="F")
+        model.finalize(consume=False)
+        np.testing.assert_array_equal(model.estimator._scatter, before)
+
+    def test_repeated_snapshots_hold_one_factor(self):
+        """A non-consuming finalize frees the previous snapshot's factor
+        before copying the accumulator, so snapshot after snapshot holds
+        one E x E copy beside the accumulator, not two."""
+        e = 1024
+        rng = np.random.default_rng(15)
+        model = StreamingClassifier(raw_config(input_dim=e))
+        model.observe(rng.standard_normal((300, e)), np.arange(300) % 4)
+        tracemalloc.start()
+        try:
+            model.finalize(consume=False)
+            model.finalize(consume=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * e * e
+
+    def test_failed_finalize_leaves_the_model_unfinalized(self):
+        rng = np.random.default_rng(14)
+        X, y = gaussian_blobs(rng, num_classes=2, dim=3, per_class=10)
+        model = StreamingClassifier(raw_config(input_dim=3))
+        model.observe(X, y)
+        model.finalize()
+        # a finite sample whose outer product overflows the accumulator
+        model.observe(np.full((1, 3), 1e200), [0])
+        with pytest.raises(NumericalError, match="not finite"):
+            model.finalize()
+        assert not model.finalized and model.precision is None
+        with pytest.raises(ModelStateError, match="finalize"):
+            model.predict_batch(np.zeros((1, 3)))
 
 
 class TestEndToEnd:

@@ -2,9 +2,12 @@
 discovery.  Format tests build files byte by byte so the loaders are
 checked against the layout itself, not against the writers."""
 
+import errno
 import gzip
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +341,102 @@ class TestCheckpointContainer:
         path.write_bytes(path.read_bytes() + b"\xff\xff")
         with pytest.raises(DataFormatError, match="2 trailing bytes"):
             read_checkpoint(path)
+
+
+class _FailingWriter:
+    """A file stand-in that accepts ``limit`` bytes and then fails as a
+    full disk would, part-way through a payload."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.left = fh, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        if len(data) > self.left:
+            self.fh.write(data[: self.left])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def flush(self):
+        self.fh.flush()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointAtomicity:
+    def test_failed_write_keeps_prior_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.rdck"
+        write_checkpoint(path, {"step": 1}, {"v": np.arange(1000.0)})
+        before = path.read_bytes()
+
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: _FailingWriter(real_fdopen(fd, mode), 4000)
+        )
+        with pytest.raises(OSError, match="No space left"):
+            write_checkpoint(path, {"step": 2}, {"v": np.arange(2000.0)})
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.rdck"]
+        meta, arrays = read_checkpoint(path)
+        assert meta == {"step": 1}
+
+    def test_symmetric_fortran_array_written_without_a_copy(self, tmp_path):
+        """The transpose of a symmetric F-ordered matrix is the same
+        matrix, C-ordered: it is written from its own buffer."""
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((512, 512))
+        sym = np.asfortranarray(a + a.T)
+        path = tmp_path / "sym.rdck"
+        _, peak = traced_peak(write_checkpoint, path, {}, {"scatter": sym.T})
+        assert peak < 0.1 * sym.nbytes
+        np.testing.assert_array_equal(read_checkpoint(path)[1]["scatter"], sym)
+
+    def test_read_peak_is_the_payload_once(self, tmp_path):
+        arrays = {"scatter": np.ones((512, 512)), "means": np.zeros((10, 512))}
+        path = tmp_path / "state.rdck"
+        write_checkpoint(path, {"kind": "x"}, arrays)
+        payload = sum(a.nbytes for a in arrays.values())
+        (_, back), peak = traced_peak(read_checkpoint, path)
+        assert peak <= 1.1 * payload
+        np.testing.assert_array_equal(back["scatter"], arrays["scatter"])
+
+    def test_unsupported_dtype_in_header_rejected(self, tmp_path):
+        header = json.dumps(
+            {"meta": {}, "arrays": [{"name": "o", "dtype": "|O", "shape": [1]}]}
+        ).encode()
+        path = tmp_path / "obj.rdck"
+        path.write_bytes(struct.pack("<4sII", b"RDCK", 1, len(header)) + header + bytes(8))
+        with pytest.raises(DataFormatError, match="unsupported dtype"):
+            read_checkpoint(path)
+
+    def test_feature_file_read_holds_no_second_copy(self, tmp_path):
+        """Vectors are read in place; only the finiteness mask (a quarter
+        of the float32 payload) and the int64 labels come on top."""
+        vectors = np.ones((2000, 128), dtype=np.float32)
+        path = tmp_path / "f.rdfb"
+        write_feature_file(path, vectors, np.arange(2000) % 7)
+        (back, _), peak = traced_peak(load_feature_file, path)
+        assert peak <= 1.4 * vectors.nbytes
+        np.testing.assert_array_equal(back, vectors)
 
 
 class TestDescriptor:

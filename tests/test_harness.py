@@ -2,6 +2,8 @@
 single-pass contract, and the sweep/ablation drivers."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from randumb import (
     sweep_embedding,
 )
 from randumb.data_io import (
+    DESCRIPTORS,
     RawDataset,
     dataset_from_features,
     flip_horizontal,
@@ -319,6 +322,17 @@ class TestRunBenchmark:
                 memory_cap_bytes=1024**2,
             )
 
+    def test_memory_cap_counts_the_eval_every_copy(self):
+        """8*E^2 fits the cap, but snapshots factor a copy of the
+        accumulator, so an eval_every run needs twice that and is refused."""
+        data = blob_dataset(seed=7)
+        cap = 3 * 8 * 256 * 256 // 2
+        settings = dict(variant="randumb", embed_dim=256, gamma=0.1, seed=0,
+                        memory_cap_bytes=cap)
+        assert run_on_dataset(data, **settings).observe_count == len(data.train_y)
+        with pytest.raises(ConfigurationError, match=r"2 x 8\*E\^2"):
+            run_on_dataset(data, eval_every=50, **settings)
+
     def test_memory_cap_ignores_mean_only_variants(self):
         data = blob_dataset(seed=7)
         result = run_on_dataset(
@@ -457,6 +471,59 @@ class TestCheckMemoryCap:
         assert check_memory_cap(config, 80001) == 80000
         with pytest.raises(ConfigurationError):
             check_memory_cap(config, 79999)
+
+    def test_eval_every_doubles_the_need(self):
+        data = blob_dataset(seed=0)
+        config = build_model_config(
+            "randumb", data.descriptor, embed_dim=100, gamma=1.0, ridge=None, seed=0
+        )
+        assert check_memory_cap(config, 160000, eval_every=5) == 160000
+        with pytest.raises(ConfigurationError, match="eval-every"):
+            check_memory_cap(config, 159999, eval_every=5)
+
+
+class TestPeakMemoryEstimate:
+    """The reported estimate bounds what a run really allocates at once:
+    the accumulator (twice with eval_every), the map, the test set, and
+    the ingestion, finalize and predict blocks."""
+
+    @staticmethod
+    def cifar_shaped(seed=0, train=300, test=100):
+        rng = np.random.default_rng(seed)
+        descriptor = replace(DESCRIPTORS["cifar10"], train_count=train, test_count=test)
+        def draw(n):
+            return (rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8),
+                    np.arange(n) % 10)
+        return RawDataset(descriptor, *draw(train), *draw(test))
+
+    @pytest.mark.parametrize("eval_every", [0, 50])
+    @pytest.mark.parametrize(
+        "kind,settings",
+        [
+            ("images", dict(variant="randumb", embed_dim=512, gamma=1e-3, augment=True)),
+            ("features", dict(variant="rp_relu", embed_dim=384)),
+            ("features", dict(variant="kernel_ncm", embed_dim=512, gamma=0.05)),
+        ],
+    )
+    def test_traced_peak_within_estimate(self, kind, settings, eval_every):
+        if kind == "images":
+            data = self.cifar_shaped()
+        else:
+            data = blob_dataset(seed=3, num_classes=5, dim=64, train_per_class=80)
+        tracemalloc.start()
+        try:
+            result = run_on_dataset(data, seed=0, eval_every=eval_every, **settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= result.peak_memory_estimate_bytes
+
+    def test_estimate_counts_the_snapshot_copy(self):
+        data = blob_dataset(seed=3)
+        settings = dict(variant="randumb", embed_dim=256, gamma=0.1, seed=0)
+        once = run_on_dataset(data, **settings).peak_memory_estimate_bytes
+        snap = run_on_dataset(data, eval_every=50, **settings).peak_memory_estimate_bytes
+        assert snap == once + 8 * 256 * 256
 
 
 class TestSweepAndAblation:

@@ -1,5 +1,7 @@
 """Shrinkage, factorization, quadratic forms, and the rank-1 inverse update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from randumb.precision import (
     build_precision,
     oas_shrink,
     sherman_morrison_update,
+    shrink_upper,
 )
 from randumb.reference import oas_reference
 
@@ -87,6 +90,64 @@ class TestOasShrink:
         result = oas_shrink(S, n=21, copy=False)
         assert result.shrunk is S
 
+    def test_asymmetry_found_in_any_column_panel(self):
+        """At E=600 the symmetry check runs over three column panels; an
+        asymmetric pair outside the first one is still caught."""
+        rng = np.random.default_rng(37)
+        S = random_spd(rng, 600, 700)
+        assert 0.0 <= oas_shrink(S, n=700).rho <= 1.0
+        S[550, 480] += 1.0
+        with pytest.raises(DataError, match="not symmetric"):
+            oas_shrink(S, n=700)
+
+    def test_in_place_shrink_allocates_no_square_temporary(self):
+        """Symmetry check, traces and scaling stay within panel-sized
+        temporaries: far below one E x E array (32 MiB at E=2048)."""
+        rng = np.random.default_rng(38)
+        S = random_spd(rng, 2048, 2100)
+        tracemalloc.start()
+        try:
+            oas_shrink(S, n=2100, copy=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024**2
+
+
+class TestShrinkUpper:
+    """The production kernel: shrink S = a / denom in place, reading only
+    the upper triangle of ``a``."""
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_upper_only_matches_reference(self, order):
+        rng = np.random.default_rng(39)
+        S = random_spd(rng, 30, 40)
+        denom = 39.0
+        a = np.array(np.triu(S * denom), order=order)
+        rho, mu = shrink_upper(a, 40, denom)
+        rho_ref, mu_ref, shrunk_ref = oas_reference(S, 40)
+        assert abs(rho - rho_ref) < 1e-10
+        assert abs(mu - mu_ref) < 1e-10
+        assert np.abs(np.triu(a) - np.triu(shrunk_ref)).max() < 1e-10
+        assert not np.tril(a, -1).any()
+
+    def test_mirrored_lower_triangle_stays_the_mirror(self):
+        rng = np.random.default_rng(40)
+        S = random_spd(rng, 25, 30)
+        a = np.asfortranarray(S * 29.0)
+        shrink_upper(a, 30, 29.0)
+        _, _, shrunk_ref = oas_reference(S, 30)
+        assert np.abs(a - shrunk_ref).max() < 1e-10
+
+    def test_non_finite_trace_of_square_raises(self):
+        a = np.asfortranarray(np.eye(5))
+        a[1, 3] = np.inf
+        with pytest.raises(NumericalError, match="not finite"):
+            shrink_upper(a, 10)
+        # finite entries whose squares overflow
+        with pytest.raises(NumericalError, match="not finite"):
+            shrink_upper(np.asfortranarray(np.eye(4) * 1e200), 10)
+
 
 class TestBuildPrecision:
     def test_identity_solves_are_identity(self):
@@ -139,6 +200,26 @@ class TestBuildPrecision:
             build_precision(np.zeros((3, 4)), ridge=0.0)
         with pytest.raises(DataError):
             build_precision(np.eye(3), ridge=-0.1)
+
+    def test_reads_only_the_upper_triangle(self):
+        """The factor is taken from the upper triangle alone: a zero or a
+        non-finite strict lower triangle changes nothing."""
+        rng = np.random.default_rng(41)
+        S = random_spd(rng, 600, 700)
+        full = build_precision(S, ridge=1e-3)
+        upper = np.triu(S)
+        upper[500, 20] = np.nan
+        half = build_precision(upper, ridge=1e-3)
+        assert half.log_det == full.log_det
+        v = rng.standard_normal(600)
+        np.testing.assert_array_equal(half.solve(v), full.solve(v))
+
+    def test_non_finite_upper_triangle_rejected(self):
+        for i, j in ((0, 3), (2, 2), (1, 599)):
+            S = np.eye(600)
+            S[i, j] = np.inf if i != j else np.nan
+            with pytest.raises(NumericalError, match="non-finite"):
+                build_precision(S, ridge=0.0)
 
     def test_overwrite_false_leaves_input_untouched(self):
         S = np.eye(4) * 2.0

@@ -1,6 +1,8 @@
 """Streaming estimator: exactness against batch statistics, order
 invariance, memory behavior, and checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,17 +180,37 @@ class TestMemoryContract:
         assert est.observe_count == 5050
 
     def test_consuming_covariance_spends_the_estimator(self):
+        """The consuming handoff returns the accumulator itself, as
+        stored: the scatter in the upper triangle, zeros below, and the
+        normalizer; the copying handoff returns an equal copy."""
         rng = np.random.default_rng(19)
         X = rng.standard_normal((40, 4))
         y = rng.integers(0, 2, size=40)
-        keep = feed(StreamingEstimator(4), X, y)
         spend = feed(StreamingEstimator(4), X, y)
-        expected = keep.covariance()
-        np.testing.assert_array_equal(spend.covariance(copy=False), expected)
+        expected = spend.scatter()
+        buffer = spend._scatter
+        copied, denom = spend.upper_scatter()
+        assert copied is not buffer and denom == 39
+        taken, denom = spend.upper_scatter(consume=True)
+        assert taken is buffer and taken.flags.f_contiguous and denom == 39
+        np.testing.assert_array_equal(taken, copied)
+        np.testing.assert_array_equal(np.triu(taken), np.triu(expected))
+        assert not np.tril(taken, -1).any()
         with pytest.raises(ModelStateError):
             spend.observe(np.zeros(4), 0)
         with pytest.raises(ModelStateError):
             spend.covariance()
+        with pytest.raises(ModelStateError):
+            spend.upper_scatter()
+
+    def test_normalizer_counts_classes_when_unbiased(self):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((30, 3))
+        y = np.repeat([0, 1, 2], 10)
+        _, denom = feed(StreamingEstimator(3, pooled_unbiased=True), X, y).upper_scatter()
+        assert denom == 27
+        with pytest.raises(InsufficientDataError):
+            feed(StreamingEstimator(3), X[:1], y[:1]).upper_scatter(consume=True)
 
     def test_mean_only_mode_has_no_scatter(self):
         est = StreamingEstimator(4, track_scatter=False)
@@ -230,6 +252,30 @@ class TestCheckpoint:
         first.save(path)
         resumed = feed(StreamingEstimator.load(path), X[37:], y[37:])
         np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
+
+    def test_save_and_load_hold_one_copy_of_the_accumulator(self, tmp_path):
+        """save mirrors the accumulator in place and writes it from its own
+        buffer (a C-ordered copy would add a whole 8*E^2 on top), and load
+        reads it into the Fortran-ordered buffer it resumes with."""
+        e = 1024
+        rng = np.random.default_rng(23)
+        est = StreamingEstimator(e)
+        est.observe(rng.standard_normal((300, e)), rng.integers(0, 4, size=300))
+        path = tmp_path / "big.rdck"
+        square = 8 * e * e
+        tracemalloc.start()
+        try:
+            est.save(path)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = StreamingEstimator.load(path)
+            loaded = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert saved < 0.5 * square
+        assert loaded < 1.1 * square
+        assert back._scatter.flags.f_contiguous
+        np.testing.assert_array_equal(back.scatter(), est.scatter())
 
     def test_wrong_kind_rejected(self, tmp_path):
         from randumb.data_io import write_checkpoint
