@@ -31,10 +31,9 @@ from .errors import (
     NumericalError,
     RanDumbError,
     ShapeError,
-    SingularUpdateError,
     UnsupportedAugmentationError,
 )
-from .fourier import FeatureMap, FeatureMapSpec, sample_omegas
+from .fourier import FeatureMap, FeatureMapSpec
 from .harness import (
     RunResult,
     StreamBlock,
@@ -46,13 +45,7 @@ from .harness import (
     run_on_dataset,
     sweep_embedding,
 )
-from .precision import (
-    PrecisionModel,
-    ShrinkageResult,
-    build_precision,
-    oas_shrink,
-    sherman_morrison_update,
-)
+from .precision import PrecisionModel, ShrinkageResult, oas_shrink
 from .reference import OracleReport, run_verify
 from .streaming import StreamingEstimator
 
@@ -79,14 +72,12 @@ __all__ = [
     "RunResult",
     "ShapeError",
     "ShrinkageResult",
-    "SingularUpdateError",
     "StreamBlock",
     "StreamSpec",
     "StreamingClassifier",
     "StreamingEstimator",
     "UnsupportedAugmentationError",
     "VARIANTS",
-    "build_precision",
     "compute_accuracy",
     "dataset_from_features",
     "load_dataset",
@@ -97,7 +88,6 @@ __all__ = [
     "run_benchmark",
     "run_on_dataset",
     "run_verify",
-    "sample_omegas",
     "sweep_embedding",
     "write_feature_file",
     "__version__",

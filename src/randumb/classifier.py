@@ -13,9 +13,13 @@ Variants:
 * ``rp_relu``    relu(Wx) random-projection embedding with the full
                  Mahalanobis rule.
 
-Mahalanobis variants take the argmin of the squared distance; the
-inner-product variants take the argmax of phi(x) . mean_i.  Ties break
-toward the smallest class label in both senses.
+Mahalanobis variants take the argmin of the squared distance
+(phi - mean_i)^T A^{-1} (phi - mean_i), A = shrunk + ridge I, evaluated
+as the argmax of the linear discriminant w_i . phi + b_i with
+w_i = A^{-1} mean_i and b_i = -1/2 mean_i . w_i (the common
+phi^T A^{-1} phi term cancels); the weights come from one Cholesky
+solve per finalize.  The inner-product variants take the argmax of
+phi . mean_i.  Ties break toward the smallest class label.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .errors import (
     ShapeError,
 )
 from .fourier import FeatureMap, FeatureMapSpec
-from .precision import build_precision, shrink_upper
+from .precision import PrecisionModel, shrink_upper
 from .streaming import MODE_POOLED, MODES, StreamingEstimator
 
 VARIANTS = ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
@@ -184,14 +188,20 @@ class StreamingClassifier:
     """
 
     def __init__(self, config: ModelVariant):
+        self._start(
+            config,
+            StreamingEstimator(
+                config.embed_dim,
+                mode=config.estimator_mode,
+                pooled_unbiased=config.pooled_unbiased,
+                track_scatter=config.needs_precision,
+            ),
+        )
+
+    def _start(self, config: ModelVariant, estimator: StreamingEstimator) -> None:
         self.config = config
         self.feature_map = _build_map(config)
-        self.estimator = StreamingEstimator(
-            config.embed_dim,
-            mode=config.estimator_mode,
-            pooled_unbiased=config.pooled_unbiased,
-            track_scatter=config.needs_precision,
-        )
+        self.estimator = estimator
         self._labels: np.ndarray | None = None
         self._means: np.ndarray | None = None
         self._precision = None
@@ -241,11 +251,10 @@ class StreamingClassifier:
             self.shrinkage_rho, self.shrinkage_mu = shrink_upper(
                 scatter, self.estimator.total_count, denom
             )
-            self._precision = build_precision(
+            self._precision = PrecisionModel(
                 scatter, self.config.ridge, overwrite=True
             )
-            # Linear form of the same rule for batch scoring:
-            # w_i = A^{-1} mu_i, b_i = -1/2 mu_i^T w_i with A = shrunk + ridge I.
+            # The rule's linear form (module docstring).
             weights = self._precision.solve(self._means.T)
             self._lin_weights = weights
             self._lin_bias = -0.5 * np.einsum("ec,ec->c", self._means.T, weights)
@@ -261,50 +270,10 @@ class StreamingClassifier:
                 raise EmptyModelError("no classes observed yet")
             raise ModelStateError("call finalize() before scoring")
 
-    def scores(self, x_raw: np.ndarray) -> dict[int, float]:
-        """Per-class values behind predict: squared Mahalanobis distance
-        (smaller is better) for randumb/slda/rp_relu, inner-product
-        similarity (larger is better) for kernel_ncm/ncm."""
-        self._require_finalized()
-        phi = np.asarray(self._embed(x_raw), dtype=np.float64)
-        if phi.shape != (self.config.embed_dim,):
-            raise ShapeError(
-                f"expected input of dim {self.config.raw_input_dim}, "
-                f"embedded shape came out {phi.shape}"
-            )
-        out: dict[int, float] = {}
-        if self.config.needs_precision:
-            for label, mean in zip(self._labels, self._means):
-                out[int(label)] = self._precision.mahalanobis_sq(phi - mean)
-        else:
-            for label, mean in zip(self._labels, self._means):
-                out[int(label)] = float(phi @ mean)
-        return out
-
-    def predict(self, x_raw: np.ndarray) -> int:
-        """The extremal label of scores(): argmin for Mahalanobis
-        variants, argmax for inner-product variants; ties go to the
-        smallest label."""
-        scores = self.scores(x_raw)
-        minimize = self.config.needs_precision
-        best_label = None
-        best_value = None
-        for label in sorted(scores):
-            value = scores[label]
-            if best_label is None or (
-                value < best_value if minimize else value > best_value
-            ):
-                best_label, best_value = label, value
-        return best_label
-
     def predict_batch(self, X_raw: np.ndarray, block: int = 256) -> np.ndarray:
-        """Labels for many raw inputs, embedding and scoring blockwise.
-
-        For Mahalanobis variants this evaluates the algebraically
-        equivalent linear discriminant w_i . phi + b_i (the common
-        phi^T A^{-1} phi term cancels across classes), so only an
-        (n, C) score block is materialized.
-        """
+        """Labels for rows of raw inputs, embedding and scoring blockwise,
+        so only a (block, C) score array is materialized.  Mahalanobis
+        variants rank by the linear discriminant (module docstring)."""
         self._require_finalized()
         X_raw = np.asarray(X_raw)
         if X_raw.ndim != 2 or X_raw.shape[1] != self.config.raw_input_dim:
@@ -394,6 +363,8 @@ class StreamingClassifier:
             pooled_unbiased=bool(est_meta["pooled_unbiased"]),
             input_dim=meta["input_dim"],
         )
-        model = cls(config)
-        model.estimator = StreamingEstimator._from_state(est_meta, arrays)
+        # The classifier is built around the restored estimator, so no
+        # zero accumulator is allocated beside the one just read.
+        model = cls.__new__(cls)
+        model._start(config, StreamingEstimator._from_state(est_meta, arrays))
         return model

@@ -74,6 +74,3 @@ class NumericalError(RanDumbError):
         super().__init__(message)
         self.pivot_index = pivot_index
 
-
-class SingularUpdateError(NumericalError):
-    """Rank-one inverse update would divide by a vanishing denominator."""

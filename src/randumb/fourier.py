@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import data_io
-from .errors import ConfigurationError, DataError, ShapeError
+from .errors import ConfigurationError, ShapeError
 
 GENERATOR_NAME = "numpy PCG64, ziggurat standard_normal"
 
@@ -67,40 +66,21 @@ def num_bases_for_embed_dim(embed_dim: int) -> int:
     return embed_dim // 2
 
 
-def _draw_omegas(spec: FeatureMapSpec) -> np.ndarray:
-    """Draw the (num_bases, input_dim) frequency matrix for a spec.
-
-    Each row is an independent draw from N(0, 2*gamma*I): a standard
-    normal from PCG64 scaled by sqrt(2*gamma), stored float32.
-    """
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    scale = np.sqrt(2.0 * spec.gamma)
-    omegas = rng.standard_normal((spec.num_bases, spec.input_dim))
-    omegas *= scale
-    return omegas.astype(np.float32)
-
-
-def sample_omegas(spec: FeatureMapSpec) -> "FeatureMap":
-    """Build the frozen feature map for a spec (same spec, same map)."""
-    return FeatureMap(spec)
-
-
 class FeatureMap:
-    """A frozen random embedding: spec plus its sampled frequency matrix."""
+    """A frozen random embedding: a spec and the frequency matrix it
+    determines.
 
-    def __init__(self, spec: FeatureMapSpec, omegas: np.ndarray | None = None):
+    The (num_bases, input_dim) matrix has rows drawn independently from
+    N(0, 2*gamma*I): standard normals from PCG64 scaled by
+    sqrt(2*gamma), stored float32.
+    """
+
+    def __init__(self, spec: FeatureMapSpec):
         self.spec = spec
-        if omegas is None:
-            omegas = _draw_omegas(spec)
-        omegas = np.asarray(omegas, dtype=np.float32)
-        if omegas.shape != (spec.num_bases, spec.input_dim):
-            raise ShapeError(
-                f"omegas shape {omegas.shape} does not match spec "
-                f"({spec.num_bases}, {spec.input_dim})"
-            )
-        if not np.isfinite(omegas).all():
-            raise DataError("frequency matrix contains non-finite values")
-        self.omegas = omegas
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        omegas = rng.standard_normal((spec.num_bases, spec.input_dim))
+        omegas *= np.sqrt(2.0 * spec.gamma)
+        self.omegas = omegas.astype(np.float32)
 
     @property
     def embed_dim(self) -> int:
@@ -141,26 +121,3 @@ class FeatureMap:
             out[start:stop, 1::2] = np.sin(proj)
         out *= inv_sqrt_d
         return out
-
-    def save_omegas(self, path) -> None:
-        """Export the frequency matrix as an RDFB container.
-
-        Rows are stored as the feature vectors; the label slot carries
-        each row's index so a reload can verify ordering.
-        """
-        data_io.write_feature_file(
-            path, self.omegas, np.arange(self.spec.num_bases, dtype=np.int64)
-        )
-
-    @classmethod
-    def load_omegas(cls, path, spec: FeatureMapSpec) -> "FeatureMap":
-        """Rebuild a map from an exported frequency matrix.
-
-        The embedding settings must match the stored shape; a mismatch
-        means the file was produced under different settings and is
-        rejected.
-        """
-        omegas, row_ids = data_io.load_feature_file(path)
-        if not np.array_equal(row_ids, np.arange(len(row_ids))):
-            raise DataError(f"{path}: frequency rows are out of order")
-        return cls(spec, omegas)

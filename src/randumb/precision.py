@@ -1,4 +1,4 @@
-"""Shrinkage and inversion of the pooled covariance.
+"""Shrinkage and factorization of the pooled covariance.
 
 The raw covariance S is pulled toward a scaled identity by the
 closed-form oracle-approximating shrinkage intensity
@@ -18,10 +18,6 @@ accumulator, so shrinkage and factorization read only that triangle and
 work on the buffer in place: tr(S) from the diagonal, tr(S^2) from one
 dot per column, one in-place scaling pass, and an upper Cholesky factor.
 Nothing E x E is mirrored, scanned or allocated on the way.
-
-A rank-1 inverse update (Sherman-Morrison) is provided for the
-strict-online prediction path, where an explicit inverse is maintained
-instead of a factorization.
 """
 
 from __future__ import annotations
@@ -32,10 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import DataError, NumericalError, ShapeError, SingularUpdateError
-
-_SM_DENOMINATOR_FLOOR = 1e-12
-
+from .errors import DataError, NumericalError, ShapeError
 
 # Column panels of the blockwise passes hold at most this many elements
 # (1 MiB of float64), so no pass allocates anything E x E.
@@ -133,8 +126,8 @@ def oas_shrink(S: np.ndarray, n: int, copy: bool = True) -> ShrinkageResult:
 
 
 class PrecisionModel:
-    """A factorized (shrunk + lambda I): repeated SPD solves and the
-    Mahalanobis quadratic form, plus log-determinant diagnostics."""
+    """A factorized (shrunk + lambda I): repeated SPD solves, plus a
+    log-determinant diagnostic."""
 
     def __init__(self, shrunk: np.ndarray, ridge: float, overwrite: bool = False):
         shrunk = np.asarray(shrunk, dtype=np.float64)
@@ -182,65 +175,3 @@ class PrecisionModel:
                 f"expected {self.embed_dim}"
             )
         return cho_solve(self._factor, b, check_finite=False)
-
-    def mahalanobis_sq(self, delta: np.ndarray) -> float:
-        """delta^T (shrunk + lambda I)^{-1} delta, clamped at zero.
-
-        A tiny negative value (>= -1e-9) is floating-point noise and is
-        clamped; anything more negative means the factorization is
-        inconsistent and raises.
-        """
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.ndim != 1 or delta.shape[0] != self.embed_dim:
-            raise ShapeError(
-                f"expected a vector of length {self.embed_dim}, "
-                f"got shape {delta.shape}"
-            )
-        q = float(delta @ self.solve(delta))
-        if q < -1e-9:
-            raise NumericalError(f"quadratic form came out negative: {q:.3e}")
-        return max(q, 0.0)
-
-    def inverse(self) -> np.ndarray:
-        """Explicit dense inverse, for the rank-1 incremental update path."""
-        return self.solve(np.eye(self.embed_dim))
-
-
-def build_precision(
-    shrunk: np.ndarray, ridge: float, overwrite: bool = False
-) -> PrecisionModel:
-    """Factorize (shrunk + ridge I) for repeated solves."""
-    return PrecisionModel(shrunk, ridge, overwrite=overwrite)
-
-
-def sherman_morrison_update(
-    inv: np.ndarray, u: np.ndarray, c: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Given inv = A^{-1}, return (A + c u u^T)^{-1}.
-
-    Uses the rank-1 identity
-        (A + c u u^T)^{-1} = inv - c (inv u)(u^T inv) / (1 + c u^T inv u).
-    An ``out`` buffer (same shape, may be ``inv`` itself) avoids a fresh
-    allocation per step.
-    """
-    inv = np.asarray(inv, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if inv.ndim != 2 or inv.shape[0] != inv.shape[1]:
-        raise ShapeError(f"inverse must be square, got shape {inv.shape}")
-    if u.ndim != 1 or u.shape[0] != inv.shape[0]:
-        raise ShapeError(
-            f"update vector length {u.shape} does not match matrix {inv.shape}"
-        )
-    iu = inv @ u
-    ui = u @ inv
-    den = 1.0 + c * float(u @ iu)
-    if abs(den) < _SM_DENOMINATOR_FLOOR:
-        raise SingularUpdateError(
-            f"rank-1 update is singular: 1 + c u^T A^(-1) u = {den:.3e}"
-        )
-    if out is None:
-        out = inv.copy()
-    elif out is not inv:
-        np.copyto(out, inv)
-    out -= np.outer(iu, ui * (c / den))
-    return out

@@ -30,7 +30,6 @@ from randumb import (
     sweep_embedding,
 )
 from randumb.data_io import dataset_from_features
-from randumb.precision import build_precision, sherman_morrison_update
 from randumb.reference import (
     batch_lda_predict,
     batch_stats,
@@ -153,22 +152,6 @@ class TestPropertyGates:
             worst = max(worst, float(np.abs(mine.shrunk - shrunk_ref).max()))
         assert worst <= 1e-10, f"oracle disagreement {worst:.3e}"
 
-    def test_sherman_morrison_tracks_dense_inverse(self):
-        # 200 sequential rank-one updates at dimension 30 stay within
-        # 1e-6 max-abs of the from-scratch inverse.
-        e = 30
-        rng = np.random.default_rng(13)
-        A = np.eye(e) + 0.1 * np.diag(rng.random(e))
-        inv = np.linalg.inv(A)
-        for _ in range(200):
-            u = rng.standard_normal(e) * 0.3
-            c = float(rng.random()) + 0.05
-            A += c * np.outer(u, u)
-            inv = sherman_morrison_update(inv, u, c)
-        direct = np.linalg.inv(A)
-        err = float(np.abs(inv - direct).max())
-        assert err <= 1e-6, f"max-abs drift {err:.3e}"
-
     def test_predictions_match_batch_lda_oracle_everywhere(self):
         # On balanced classes, the streaming classifier's label must agree
         # with the explicit batch discriminant on all 1000 test points.
@@ -194,10 +177,11 @@ class TestPropertyGates:
         _, _, shrunk = oas_reference(ref.covariance, len(y))
         T = rng.standard_normal((1000, d))
         oracle = batch_lda_predict(ref.means, shrunk, ridge, T)
-        singles = np.array([model.predict(t) for t in T])
-        agreement = float((singles == oracle).mean())
+        mine = model.predict_batch(T)
+        agreement = float((mine == oracle).mean())
         assert agreement == 1.0, f"agreement {agreement:.4f}"
-        np.testing.assert_array_equal(model.predict_batch(T), singles)
+        # Scoring one row at a time gives the same labels.
+        np.testing.assert_array_equal(model.predict_batch(T, block=1), mine)
 
 
 class TestDatasetGates:

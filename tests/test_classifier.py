@@ -15,14 +15,19 @@ from randumb import (
     ModelStateError,
     ModelVariant,
     NumericalError,
+    PrecisionModel,
     RandomReluMap,
     RPSpec,
     ShapeError,
     StreamingClassifier,
-    build_precision,
     oas_shrink,
 )
-from randumb.reference import batch_lda_predict, oas_reference
+from randumb.reference import (
+    batch_lda_predict,
+    batch_mahalanobis_predict,
+    batch_stats,
+    oas_reference,
+)
 
 
 def fourier_config(variant="randumb", input_dim=6, num_bases=32, gamma=0.5,
@@ -149,6 +154,16 @@ class TestRPSpec:
             )
 
 
+def squared_distances(precision, phi, means):
+    """(n, C) squared distances (phi_k - mean_j)^T A^{-1} (phi_k - mean_j),
+    each through one solve against the model's factor."""
+    out = np.empty((len(phi), len(means)))
+    for j, mean in enumerate(means):
+        delta = phi - mean
+        out[:, j] = np.einsum("ne,en->n", delta, precision.solve(delta.T))
+    return out
+
+
 class TestDecisionRule:
     def test_training_point_at_class_mean_wins(self):
         # One-point classes: each training point IS its class mean, so its
@@ -159,14 +174,13 @@ class TestDecisionRule:
         for i, x in enumerate(X):
             model.observe(x, i)
         model.finalize()
-        for i, x in enumerate(X):
-            scores = model.scores(x)
-            assert scores[i] == pytest.approx(0.0, abs=1e-18)
-            assert model.predict(x) == i
+        dist = squared_distances(model.precision, X, model._means)
+        np.testing.assert_array_equal(np.diagonal(dist), 0.0)
+        np.testing.assert_array_equal(model.predict_batch(X), np.arange(4))
 
     def test_tie_breaks_to_smallest_label_minimizing(self):
-        # Classes 4 and 9 share a mean; the tied Mahalanobis scores must
-        # resolve to label 4.
+        # Classes 4 and 9 share a mean, so every point scores them
+        # equally; the tie must resolve to label 4 everywhere.
         model = StreamingClassifier(raw_config(input_dim=3, ridge=1e-2))
         shared = np.array([1.0, 2.0, 3.0])
         rng = np.random.default_rng(0)
@@ -177,10 +191,11 @@ class TestDecisionRule:
         model.observe(np.array([-5.0, -5.0, -5.0]), 7)
         model.observe(np.array([-5.1, -4.9, -5.0]), 7)
         model.finalize()
-        scores = model.scores(shared)
-        assert scores[4] == scores[9]
-        assert model.predict(shared) == 4
+        means = model.estimator.class_means()
+        np.testing.assert_array_equal(means[4], means[9])
         assert model.predict_batch(shared[None, :])[0] == 4
+        picks = model.predict_batch(shared + 3.0 * rng.standard_normal((200, 3)))
+        assert 4 in picks and 9 not in picks
 
     def test_tie_breaks_to_smallest_label_maximizing(self):
         model = StreamingClassifier(
@@ -191,14 +206,18 @@ class TestDecisionRule:
         model.observe(shared, 2)
         model.observe(np.array([-3.0, 1.0, 0.0]), 8)
         model.finalize()
-        scores = model.scores(shared)
-        assert scores[2] == scores[6]
-        assert model.predict(shared) == 2
         assert model.predict_batch(shared[None, :])[0] == 2
+        rng = np.random.default_rng(1)
+        picks = model.predict_batch(shared + 3.0 * rng.standard_normal((200, 3)))
+        assert 2 in picks and 6 not in picks
 
     def test_scores_and_predict_agree(self):
+        """predict_batch picks the extremal per-class score computed
+        directly: the smallest squared Mahalanobis distance for the
+        covariance variants, the largest inner product otherwise."""
         rng = np.random.default_rng(7)
         X, y = gaussian_blobs(rng, num_classes=4, dim=5, per_class=50)
+        T = rng.standard_normal((50, 5))
         for config in (
             fourier_config(input_dim=5, ridge=1e-4),
             fourier_config("kernel_ncm", input_dim=5, ridge=0.0),
@@ -206,22 +225,27 @@ class TestDecisionRule:
             raw_config("ncm", input_dim=5, ridge=0.0),
         ):
             model = fit(config, X, y)
-            minimize = config.needs_precision
-            for x in rng.standard_normal((50, 5)):
-                scores = model.scores(x)
-                want = min(scores, key=lambda c: (scores[c], c)) if minimize else (
-                    min(scores, key=lambda c: (-scores[c], c))
-                )
-                assert model.predict(x) == want
+            phi = T if model.feature_map is None else model.feature_map.embed_batch(T)
+            phi = phi.astype(np.float64)
+            if config.needs_precision:
+                pick = np.argmin(squared_distances(model.precision, phi, model._means), axis=1)
+            else:
+                pick = np.argmax(phi @ model._means.T, axis=1)
+            np.testing.assert_array_equal(model.predict_batch(T), model._labels[pick])
 
     def test_ncm_scores_are_plain_inner_products(self):
         rng = np.random.default_rng(4)
         X, y = gaussian_blobs(rng, num_classes=3, dim=4, per_class=30)
         model = fit(raw_config("ncm", input_dim=4, ridge=0.0), X, y)
-        x = rng.standard_normal(4)
+        # Test points at every scale, so a score that is not the plain
+        # inner product (a norm term, a bias) changes some label.
+        T = rng.standard_normal((1000, 4)) * rng.uniform(0.01, 3.0, size=(1000, 1))
         means = model.estimator.class_means()
-        for label, value in model.scores(x).items():
-            assert value == pytest.approx(float(x @ means[label]), rel=1e-12)
+        labels = np.array(sorted(means))
+        scores = T @ np.stack([means[c] for c in labels]).T
+        np.testing.assert_array_equal(
+            model.predict_batch(T), labels[np.argmax(scores, axis=1)]
+        )
 
     def test_kernel_ncm_scores_are_embedded_inner_products(self):
         rng = np.random.default_rng(5)
@@ -229,11 +253,14 @@ class TestDecisionRule:
         config = fourier_config("kernel_ncm", input_dim=4, ridge=0.0)
         model = fit(config, X, y)
         fmap = FeatureMap(config.embedding)
-        x = rng.standard_normal(4)
-        phi = fmap.embed(x).astype(np.float64)
+        T = rng.standard_normal((1000, 4)) * rng.uniform(0.01, 3.0, size=(1000, 1))
+        phi = fmap.embed_batch(T).astype(np.float64)
         means = model.estimator.class_means()
-        for label, value in model.scores(x).items():
-            assert value == pytest.approx(float(phi @ means[label]), rel=1e-12)
+        labels = np.array(sorted(means))
+        scores = phi @ np.stack([means[c] for c in labels]).T
+        np.testing.assert_array_equal(
+            model.predict_batch(T), labels[np.argmax(scores, axis=1)]
+        )
 
 
 class TestBatchAgreement:
@@ -254,7 +281,7 @@ class TestBatchAgreement:
         model = fit(config, X, y)
         T = rng.standard_normal((73, 6)).astype(np.float32)
         batch = model.predict_batch(T, block=16)
-        singles = np.array([model.predict(t) for t in T])
+        singles = np.concatenate([model.predict_batch(t[None, :]) for t in T])
         np.testing.assert_array_equal(batch, singles)
 
     def test_predict_batch_shape_check(self):
@@ -268,20 +295,16 @@ class TestBatchAgreement:
 
     def test_linear_form_equals_quadratic_argmin(self):
         # The batch path ranks with w_i . phi + b_i; verify against the
-        # explicit quadratic on the same shrunk-and-ridged matrix.
+        # oracle's explicit quadratic argmin on the same shrunk-and-ridged
+        # matrix.
         rng = np.random.default_rng(21)
         X, y = gaussian_blobs(rng, num_classes=6, dim=8, per_class=80)
         model = fit(raw_config(input_dim=8, ridge=1e-3), X, y)
         T = rng.standard_normal((1000, 8))
-        batch = model.predict_batch(T)
-        prec = model.precision
-        labels = model._labels
-        means = model._means
-        quad = np.empty((len(T), len(labels)))
-        for j, mu in enumerate(means):
-            delta = T - mu
-            quad[:, j] = [prec.mahalanobis_sq(d) for d in delta]
-        np.testing.assert_array_equal(batch, labels[np.argmin(quad, axis=1)])
+        stats = batch_stats(X, y)
+        _, _, shrunk = oas_reference(stats.covariance, len(y))
+        quad = batch_mahalanobis_predict(stats.means, shrunk, 1e-3, T)
+        np.testing.assert_array_equal(model.predict_batch(T), quad)
 
 
 class TestScaleInvariance:
@@ -296,17 +319,16 @@ class TestScaleInvariance:
                    bias=False),
             len(X),
         ).shrunk
-        base = build_precision(shrunk, ridge=1e-3)
-        scaled = build_precision(3.7 * (shrunk + 1e-3 * np.eye(6)), ridge=0.0)
+        base = PrecisionModel(shrunk, ridge=1e-3)
+        scaled = PrecisionModel(3.7 * (shrunk + 1e-3 * np.eye(6)), ridge=0.0)
         means = model._means
         T = rng.standard_normal((1000, 6))
-        for t in T:
-            d_base = [base.mahalanobis_sq(t - mu) for mu in means]
-            d_scaled = [scaled.mahalanobis_sq(t - mu) for mu in means]
-            assert int(np.argmin(d_base)) == int(np.argmin(d_scaled))
-            np.testing.assert_allclose(
-                np.asarray(d_scaled) * 3.7, d_base, rtol=1e-9, atol=1e-12
-            )
+        d_base = squared_distances(base, T, means)
+        d_scaled = squared_distances(scaled, T, means)
+        np.testing.assert_array_equal(
+            np.argmin(d_base, axis=1), np.argmin(d_scaled, axis=1)
+        )
+        np.testing.assert_allclose(d_scaled * 3.7, d_base, rtol=1e-9, atol=1e-12)
 
 
 class TestLdaEquivalence:
@@ -334,14 +356,14 @@ class TestLifecycle:
     def test_predict_before_observe(self):
         model = StreamingClassifier(raw_config(input_dim=4))
         with pytest.raises(EmptyModelError):
-            model.predict(np.zeros(4))
+            model.predict_batch(np.zeros((1, 4)))
 
     def test_predict_before_finalize(self):
         model = StreamingClassifier(raw_config(input_dim=4))
         model.observe(np.ones(4), 0)
         model.observe(np.zeros(4), 1)
         with pytest.raises(ModelStateError, match="finalize"):
-            model.predict(np.zeros(4))
+            model.predict_batch(np.zeros((1, 4)))
 
     def test_observe_after_consuming_finalize(self):
         rng = np.random.default_rng(3)
@@ -458,6 +480,75 @@ class TestUpperTriangleFinalize:
             model.predict_batch(np.zeros((1, 3)))
 
 
+class TestOrderInvariance:
+    """Predictions depend on neither the arrival order of the stream, nor
+    where it is cut into blocks, nor which label each class carries."""
+
+    @staticmethod
+    def feed(config, X, y, rng):
+        model = StreamingClassifier(config)
+        cuts = np.cumsum(rng.integers(1, 40, size=len(y)))
+        bounds = [0, *cuts[cuts < len(y)].tolist(), len(y)]
+        for start, stop in zip(bounds, bounds[1:]):
+            model.observe(X[start:stop], y[start:stop])
+        model.finalize()
+        return model
+
+    @staticmethod
+    def discriminant(model, T):
+        phi = T if model.feature_map is None else model.feature_map.embed_batch(T)
+        phi = phi.astype(np.float64)
+        if model.config.needs_precision:
+            return phi @ model._lin_weights + model._lin_bias
+        return phi @ model._means.T
+
+    def test_predictions_ignore_arrival_and_class_order(self):
+        rng = np.random.default_rng(71)
+        settings = [
+            ("pooled_within_class", False),
+            ("pooled_within_class", True),
+            ("global", False),
+        ]
+        checked = 0
+        for trial in range(20):
+            d = int(rng.integers(2, 9))
+            k = int(rng.integers(2, 8))
+            n = int(rng.integers(4 * k, 300))
+            classes = rng.choice(100, size=k, replace=False)
+            relabel = dict(zip(classes.tolist(), rng.permutation(classes).tolist()))
+            centers = rng.standard_normal((k, d)) * 2.0
+            which = rng.integers(0, k, size=n)
+            X = (centers[which] + rng.standard_normal((n, d))).astype(np.float32)
+            y = classes[which]
+            order = rng.permutation(n)
+            X2 = X[order]
+            y2 = np.array([relabel[c] for c in y[order].tolist()])
+            T = rng.standard_normal((400, d)) * 3.0
+            for variant in ("slda", "ncm", "randumb"):
+                for mode, unbiased in settings:
+                    if variant == "randumb":
+                        config = fourier_config(
+                            input_dim=d, num_bases=8, gamma=0.3, seed=trial,
+                            ridge=1e-3, estimator_mode=mode, pooled_unbiased=unbiased,
+                        )
+                    else:
+                        config = raw_config(
+                            variant, input_dim=d, ridge=1e-3,
+                            estimator_mode=mode, pooled_unbiased=unbiased,
+                        )
+                    first = self.feed(config, X, y, rng)
+                    second = self.feed(config, X2, y2, rng)
+                    scores = np.sort(self.discriminant(first, T), axis=1)
+                    gap = scores[:, -1] - scores[:, -2]
+                    clear = gap > 1e-9 * np.abs(scores).max(axis=1)
+                    assert clear.mean() >= 0.99, (variant, mode, unbiased, clear.mean())
+                    want = np.array([relabel[c] for c in first.predict_batch(T).tolist()])
+                    got = second.predict_batch(T)
+                    np.testing.assert_array_equal(got[clear], want[clear])
+                    checked += 1
+        assert checked == 20 * 3 * 3
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
     def test_separable_blobs_learned_above_chance(self, variant):
@@ -539,6 +630,28 @@ class TestCheckpointing:
 
         T = rng.standard_normal((80, 4))
         np.testing.assert_array_equal(direct.predict_batch(T), resumed.predict_batch(T))
+
+    def test_load_holds_one_copy_of_the_accumulator(self, tmp_path):
+        """load builds the classifier around the estimator read from the
+        checkpoint, so no zero accumulator is allocated beside it."""
+        e = 1024
+        rng = np.random.default_rng(63)
+        model = StreamingClassifier(raw_config(input_dim=e, ridge=1e-3))
+        model.observe(rng.standard_normal((300, e)), np.arange(300) % 4)
+        path = tmp_path / "big.rdck"
+        model.save(path)
+        payload = sum(a.nbytes for a in model.estimator._state()[1].values())
+        tracemalloc.start()
+        try:
+            restored = StreamingClassifier.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload
+        model.finalize()
+        restored.finalize()
+        T = rng.standard_normal((50, e))
+        np.testing.assert_array_equal(model.predict_batch(T), restored.predict_batch(T))
 
     def test_wrong_kind_rejected(self, tmp_path):
         from randumb import DataError

@@ -250,17 +250,17 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--seed", "0")
         assert code == 0
         reports = [json.loads(line) for line in out.strip().split("\n")]
-        assert len(reports) == 6
+        assert len(reports) == 5
         for report in reports:
             assert report["passed"] is True, report
             assert report["max_error"] <= report["tolerance"]
         names = {r["check"] for r in reports}
-        assert len(names) == 6
+        assert len(names) == 5
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "checks.jsonl"
         code, _, _ = run_cli(capsys, "verify", "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().strip().split("\n")
-        assert len(lines) == 6
+        assert len(lines) == 5
         assert all(json.loads(line)["passed"] for line in lines)

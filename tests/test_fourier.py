@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from randumb.errors import ConfigurationError, DataError, ShapeError
-from randumb.fourier import (
-    FeatureMap,
-    FeatureMapSpec,
-    num_bases_for_embed_dim,
-    sample_omegas,
-)
+from randumb.errors import ConfigurationError, ShapeError
+from randumb.fourier import FeatureMap, FeatureMapSpec, num_bases_for_embed_dim
 from randumb.reference import exact_rbf_kernel
 
 
@@ -43,8 +38,8 @@ class TestSpecValidation:
 class TestSampling:
     def test_same_seed_same_map(self):
         spec = FeatureMapSpec(input_dim=1, num_bases=1, gamma=0.5, seed=123)
-        a = sample_omegas(spec)
-        b = sample_omegas(spec)
+        a = FeatureMap(spec)
+        b = FeatureMap(spec)
         np.testing.assert_array_equal(a.omegas, b.omegas)
 
     def test_different_seed_different_map(self):
@@ -56,7 +51,7 @@ class TestSampling:
     def test_entry_variance_matches_two_gamma(self):
         """Entries are drawn from N(0, 2*gamma); with 200k samples the
         empirical variance lands within 0.02 of 2.0."""
-        fm = sample_omegas(FeatureMapSpec(input_dim=2, num_bases=100_000, gamma=1.0, seed=7))
+        fm = FeatureMap(FeatureMapSpec(input_dim=2, num_bases=100_000, gamma=1.0, seed=7))
         var = np.var(fm.omegas.astype(np.float64))
         assert abs(var - 2.0) < 0.02
 
@@ -64,15 +59,6 @@ class TestSampling:
         fm = FeatureMap(FeatureMapSpec(input_dim=3, num_bases=8, gamma=1.0, seed=0))
         assert fm.omegas.dtype == np.float32
         assert fm.omegas.shape == (8, 3)
-
-    def test_rejects_wrong_shape_or_nonfinite_omegas(self):
-        spec = FeatureMapSpec(input_dim=3, num_bases=4, gamma=1.0, seed=0)
-        with pytest.raises(ShapeError):
-            FeatureMap(spec, omegas=np.zeros((4, 2), dtype=np.float32))
-        bad = np.zeros((4, 3), dtype=np.float32)
-        bad[1, 1] = np.nan
-        with pytest.raises(DataError):
-            FeatureMap(spec, omegas=bad)
 
 
 class TestEmbedding:
@@ -140,23 +126,3 @@ class TestEmbedding:
             fm.embed_batch(np.zeros((3, 5)))
         with pytest.raises(ConfigurationError):
             fm.embed_batch(np.zeros((3, 4)), block=0)
-
-
-class TestOmegaExport:
-    def test_round_trip(self, tmp_path):
-        spec = FeatureMapSpec(input_dim=6, num_bases=20, gamma=1.0, seed=9)
-        fm = FeatureMap(spec)
-        path = tmp_path / "bases.rdfb"
-        fm.save_omegas(path)
-        loaded = FeatureMap.load_omegas(path, spec)
-        np.testing.assert_array_equal(loaded.omegas, fm.omegas)
-        x = np.random.default_rng(0).standard_normal(6)
-        np.testing.assert_array_equal(loaded.embed(x), fm.embed(x))
-
-    def test_mismatched_spec_rejected(self, tmp_path):
-        fm = FeatureMap(FeatureMapSpec(input_dim=6, num_bases=20, gamma=1.0, seed=9))
-        path = tmp_path / "bases.rdfb"
-        fm.save_omegas(path)
-        wrong = FeatureMapSpec(input_dim=6, num_bases=21, gamma=1.0, seed=9)
-        with pytest.raises(ShapeError):
-            FeatureMap.load_omegas(path, wrong)

@@ -1,23 +1,12 @@
-"""Shrinkage, factorization, quadratic forms, and the rank-1 inverse update."""
+"""Shrinkage, factorization, and the quadratic forms its solves give."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from randumb.errors import (
-    DataError,
-    NumericalError,
-    ShapeError,
-    SingularUpdateError,
-)
-from randumb.precision import (
-    PrecisionModel,
-    build_precision,
-    oas_shrink,
-    sherman_morrison_update,
-    shrink_upper,
-)
+from randumb.errors import DataError, NumericalError, ShapeError
+from randumb.precision import PrecisionModel, oas_shrink, shrink_upper
 from randumb.reference import oas_reference
 
 
@@ -150,14 +139,16 @@ class TestShrinkUpper:
 
 
 class TestBuildPrecision:
+    """Factorizing (shrunk + ridge I) into a PrecisionModel."""
+
     def test_identity_solves_are_identity(self):
-        pm = build_precision(np.eye(6), ridge=0.0)
+        pm = PrecisionModel(np.eye(6), ridge=0.0)
         v = np.arange(6.0)
         np.testing.assert_allclose(pm.solve(v), v, atol=1e-12)
 
     def test_diagonal_case_closed_form(self):
         d = np.array([1.0, 2.0, 4.0])
-        pm = build_precision(np.diag(d), ridge=0.5)
+        pm = PrecisionModel(np.diag(d), ridge=0.5)
         for i in range(3):
             e_i = np.zeros(3)
             e_i[i] = 1.0
@@ -166,7 +157,7 @@ class TestBuildPrecision:
     def test_solve_matches_dense_inverse(self):
         rng = np.random.default_rng(34)
         S = random_spd(rng, 50)
-        pm = build_precision(S, ridge=1e-3)
+        pm = PrecisionModel(S, ridge=1e-3)
         inv = np.linalg.inv(S + 1e-3 * np.eye(50))
         for _ in range(5):
             v = rng.standard_normal(50)
@@ -176,7 +167,7 @@ class TestBuildPrecision:
         rng = np.random.default_rng(35)
         S = random_spd(rng, 40)
         A = S + 1e-4 * np.eye(40)
-        pm = build_precision(S, ridge=1e-4)
+        pm = PrecisionModel(S, ridge=1e-4)
         for _ in range(100):
             v = rng.standard_normal(40)
             z = pm.solve(v)
@@ -185,31 +176,31 @@ class TestBuildPrecision:
     def test_log_det_matches_slogdet(self):
         rng = np.random.default_rng(36)
         S = random_spd(rng, 15)
-        pm = build_precision(S, ridge=0.01)
+        pm = PrecisionModel(S, ridge=0.01)
         sign, logdet = np.linalg.slogdet(S + 0.01 * np.eye(15))
         assert sign == 1.0
         assert pm.log_det == pytest.approx(logdet, rel=1e-10)
 
     def test_non_positive_definite_reports_pivot(self):
         with pytest.raises(NumericalError) as excinfo:
-            build_precision(np.diag([1.0, -1.0, 2.0]), ridge=0.0)
+            PrecisionModel(np.diag([1.0, -1.0, 2.0]), ridge=0.0)
         assert excinfo.value.pivot_index == 1
 
     def test_input_validation(self):
         with pytest.raises(ShapeError):
-            build_precision(np.zeros((3, 4)), ridge=0.0)
+            PrecisionModel(np.zeros((3, 4)), ridge=0.0)
         with pytest.raises(DataError):
-            build_precision(np.eye(3), ridge=-0.1)
+            PrecisionModel(np.eye(3), ridge=-0.1)
 
     def test_reads_only_the_upper_triangle(self):
         """The factor is taken from the upper triangle alone: a zero or a
         non-finite strict lower triangle changes nothing."""
         rng = np.random.default_rng(41)
         S = random_spd(rng, 600, 700)
-        full = build_precision(S, ridge=1e-3)
+        full = PrecisionModel(S, ridge=1e-3)
         upper = np.triu(S)
         upper[500, 20] = np.nan
-        half = build_precision(upper, ridge=1e-3)
+        half = PrecisionModel(upper, ridge=1e-3)
         assert half.log_det == full.log_det
         v = rng.standard_normal(600)
         np.testing.assert_array_equal(half.solve(v), full.solve(v))
@@ -219,32 +210,38 @@ class TestBuildPrecision:
             S = np.eye(600)
             S[i, j] = np.inf if i != j else np.nan
             with pytest.raises(NumericalError, match="non-finite"):
-                build_precision(S, ridge=0.0)
+                PrecisionModel(S, ridge=0.0)
 
     def test_overwrite_false_leaves_input_untouched(self):
         S = np.eye(4) * 2.0
         original = S.copy()
-        build_precision(S, ridge=1.0)
+        PrecisionModel(S, ridge=1.0)
         np.testing.assert_array_equal(S, original)
 
 
 class TestMahalanobis:
+    """The squared Mahalanobis distance d^T A^{-1} d through solve."""
+
+    @staticmethod
+    def form(pm, d):
+        return float(d @ pm.solve(d))
+
     def test_zero_delta_is_zero(self):
-        pm = build_precision(np.eye(5), ridge=0.0)
-        assert pm.mahalanobis_sq(np.zeros(5)) == 0.0
+        pm = PrecisionModel(np.eye(5), ridge=0.0)
+        assert self.form(pm, np.zeros(5)) == 0.0
 
     def test_identity_metric_is_squared_norm(self):
-        pm = build_precision(np.eye(2), ridge=0.0)
-        assert pm.mahalanobis_sq(np.array([3.0, 4.0])) == pytest.approx(25.0)
+        pm = PrecisionModel(np.eye(2), ridge=0.0)
+        assert self.form(pm, np.array([3.0, 4.0])) == pytest.approx(25.0)
 
     def test_matches_dense_quadratic_form(self):
         rng = np.random.default_rng(37)
         S = random_spd(rng, 30)
-        pm = build_precision(S, ridge=1e-3)
+        pm = PrecisionModel(S, ridge=1e-3)
         inv = np.linalg.inv(S + 1e-3 * np.eye(30))
         for _ in range(20):
             d = rng.standard_normal(30)
-            assert abs(pm.mahalanobis_sq(d) - d @ inv @ d) < 1e-8
+            assert abs(self.form(pm, d) - d @ inv @ d) < 1e-8
 
     def test_non_increasing_in_ridge(self):
         """A larger ridge means a larger matrix, hence a smaller
@@ -253,66 +250,12 @@ class TestMahalanobis:
         S = random_spd(rng, 10)
         d = rng.standard_normal(10)
         values = [
-            build_precision(S, ridge=lam).mahalanobis_sq(d)
+            self.form(PrecisionModel(S, ridge=lam), d)
             for lam in (0.0, 1e-4, 1e-2, 1.0, 10.0)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_shape_check(self):
-        pm = build_precision(np.eye(3), ridge=0.0)
+        pm = PrecisionModel(np.eye(3), ridge=0.0)
         with pytest.raises(ShapeError):
-            pm.mahalanobis_sq(np.zeros(4))
-
-
-class TestShermanMorrison:
-    def test_zero_vector_is_identity_update(self):
-        inv = np.eye(4)
-        np.testing.assert_array_equal(
-            sherman_morrison_update(inv, np.zeros(4), 1.0), inv
-        )
-
-    def test_unit_vector_closed_form(self):
-        """Adding e1 e1^T to I halves the (0, 0) entry of the inverse."""
-        e1 = np.zeros(3)
-        e1[0] = 1.0
-        out = sherman_morrison_update(np.eye(3), e1, 1.0)
-        np.testing.assert_allclose(out, np.diag([0.5, 1.0, 1.0]), atol=1e-15)
-
-    def test_two_hundred_updates_track_direct_inverse(self):
-        rng = np.random.default_rng(39)
-        e = 30
-        A = 2.0 * np.eye(e)
-        inv = np.linalg.inv(A)
-        for _ in range(200):
-            u = rng.standard_normal(e)
-            c = float(rng.uniform(0.1, 1.0))
-            A += c * np.outer(u, u)
-            inv = sherman_morrison_update(inv, u, c)
-        assert np.abs(inv - np.linalg.inv(A)).max() < 1e-6
-
-    def test_vanishing_denominator_raises(self):
-        e1 = np.zeros(3)
-        e1[0] = 1.0
-        with pytest.raises(SingularUpdateError):
-            sherman_morrison_update(np.eye(3), e1, -1.0)
-
-    def test_out_buffer_is_used_and_input_preserved(self):
-        rng = np.random.default_rng(40)
-        inv = np.linalg.inv(random_spd(rng, 5) + np.eye(5))
-        before = inv.copy()
-        u = rng.standard_normal(5)
-        buffer = np.empty_like(inv)
-        result = sherman_morrison_update(inv, u, 0.3, out=buffer)
-        assert result is buffer
-        np.testing.assert_array_equal(inv, before)
-        # in-place on the input also works
-        expected = result.copy()
-        result2 = sherman_morrison_update(inv, u, 0.3, out=inv)
-        assert result2 is inv
-        np.testing.assert_array_equal(result2, expected)
-
-    def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            sherman_morrison_update(np.eye(3), np.zeros(4), 1.0)
-        with pytest.raises(ShapeError):
-            sherman_morrison_update(np.zeros((3, 4)), np.zeros(3), 1.0)
+            pm.solve(np.zeros(4))
