@@ -37,7 +37,7 @@ from .errors import (
     ShapeError,
 )
 from .fourier import FeatureMap, FeatureMapSpec
-from .precision import PrecisionModel, shrink_upper
+from .precision import PrecisionModel, shrink_packed
 from .streaming import MODE_POOLED, MODES, StreamingEstimator
 
 VARIANTS = ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
@@ -231,14 +231,15 @@ class StreamingClassifier:
         """Snapshot the class means and (for Mahalanobis variants)
         shrink + ridge + factorize the covariance.
 
-        Shrinkage and factorization work in place on the upper triangle
-        of the estimator's scatter buffer.  consume=True hands that
-        buffer over without any copy, so nothing E x E is allocated; the
-        estimator is spent afterwards.  consume=False works on one copy.
+        Shrinkage and factorization work in place on the estimator's
+        packed upper triangle of the scatter.  consume=True hands that
+        vector over without any copy, so nothing quadratic is allocated;
+        the estimator is spent afterwards.  consume=False works on one
+        copy.
         """
         if self.estimator.total_count == 0:
             raise EmptyModelError("no samples observed; nothing to finalize")
-        # Drop the previous snapshot first, so its E x E factor is freed
+        # Drop the previous snapshot first, so its packed factor is freed
         # before the next one is built and a failed finalize leaves the
         # model unfinalized rather than mixing old and new state.
         self._labels = self._precision = None
@@ -247,8 +248,8 @@ class StreamingClassifier:
         labels = np.asarray(sorted(means), dtype=np.int64)
         self._means = np.stack([means[c] for c in labels])
         if self.config.needs_precision:
-            scatter, denom = self.estimator.upper_scatter(consume=consume)
-            self.shrinkage_rho, self.shrinkage_mu = shrink_upper(
+            scatter, denom = self.estimator.packed_scatter(consume=consume)
+            self.shrinkage_rho, self.shrinkage_mu = shrink_packed(
                 scatter, self.estimator.total_count, denom
             )
             self._precision = PrecisionModel(

@@ -266,20 +266,21 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
 def check_memory_cap(
     model_config: ModelVariant, cap_bytes: int, eval_every: int = 0
 ) -> int:
-    """Refuse covariance-tracking runs whose E x E buffers exceed the cap.
+    """Refuse covariance-tracking runs whose packed triangles exceed the cap.
 
-    A run holds the float64 accumulator; with eval_every > 0 each
-    snapshot factors a copy of it as well, so it holds two.
+    A run holds the float64 accumulator, the 4*E*(E+1) bytes of the
+    scatter's upper triangle; with eval_every > 0 each snapshot factors a
+    copy of it as well, so it holds two.
     """
     if not model_config.needs_precision:
         return 0
     e = model_config.embed_dim
     copies = 2 if eval_every > 0 else 1
-    needed = copies * 8 * e * e
+    needed = copies * 4 * e * (e + 1)
     if needed > cap_bytes:
         snapshot = " and the copy each --eval-every-k snapshot factors"
         raise ConfigurationError(
-            f"state dimension {e} needs {copies} x 8*E^2 = {needed} bytes for "
+            f"state dimension {e} needs {copies} x 4*E*(E+1) = {needed} bytes for "
             f"the float64 covariance accumulator{snapshot if copies == 2 else ''}, "
             f"above the configured cap of {cap_bytes} bytes; lower the "
             f"embedding size or raise the cap"
@@ -299,7 +300,7 @@ def _peak_memory_estimate(
 
     Held throughout: the random map, the statistics (``state_bytes``),
     the normalized test set and the stream's index arrays, plus, with
-    eval_every > 0, the E x E factor of the latest snapshot (one copy of
+    eval_every > 0, the packed factor of the latest snapshot (one copy of
     the accumulator).  On top of that comes the largest transient:
     building the map, normalizing the test set, one ingestion block (raw
     rows and their normalized copies, the projection, the float32
@@ -316,7 +317,7 @@ def _peak_memory_estimate(
         width = emb.output_dim
     else:
         width = 0
-    snapshot = 8 * e * e if model_config.needs_precision and eval_every > 0 else 0
+    snapshot = 4 * e * (e + 1) if model_config.needs_precision and eval_every > 0 else 0
     held = (
         4 * width * d
         + state_bytes
@@ -352,7 +353,7 @@ def run_benchmark(
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize (this factors a copy of the
-    accumulator, so the run holds two E x E buffers); the default
+    accumulator, so the run holds two packed triangles); the default
     evaluates once at the end through the consuming, single-buffer path.
     """
     check_memory_cap(model_config, memory_cap_bytes, eval_every)

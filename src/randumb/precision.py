@@ -13,25 +13,31 @@ proportional to the identity).  A ridge term lambda * I is then added
 and the result factorized once (Cholesky); scoring needs only solves
 against this factorization, never an explicit inverse.
 
-The estimator writes only the upper triangle of its Fortran-ordered
-accumulator, so shrinkage and factorization read only that triangle and
-work on the buffer in place: tr(S) from the diagonal, tr(S^2) from one
-dot per column, one in-place scaling pass, and an upper Cholesky factor.
-Nothing E x E is mirrored, scanned or allocated on the way.
+The estimator keeps only the upper triangle of its accumulator, packed
+into one vector of E (E + 1) / 2 entries in LAPACK's rectangular full
+packed (RFP) format (TRANSR = 'N', UPLO = 'U'; Gustavson, Wasniewski,
+Dongarra & Langou, ACM TOMS 37(2), 2010).  Shrinkage and factorization
+work on that vector in place: tr(S) from the packed diagonal, tr(S^2)
+from one dot over the vector, one scaling pass, and an RFP Cholesky
+factor (dpftrf) whose solves are dpftrs.  Nothing E x E is mirrored,
+scanned or allocated on the way.
 """
 
 from __future__ import annotations
 
-import re
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
 
 from .errors import DataError, NumericalError, ShapeError
 
-# Column panels of the blockwise passes hold at most this many elements
-# (1 MiB of float64), so no pass allocates anything E x E.
+# The RFP variant every packed routine is called with.
+RFP = {"transr": "N", "uplo": "U"}
+
+# Panels of the blockwise passes hold at most this many elements (1 MiB
+# of float64), so no pass allocates anything E x E.
 _PANEL_ELEMENTS = 1 << 17
 
 
@@ -40,6 +46,46 @@ def _panels(e: int):
     width = max(1, _PANEL_ELEMENTS // e)
     for j0 in range(0, e, width):
         yield j0, min(j0 + width, e)
+
+
+def packed_size(e: int) -> int:
+    """Entries of an E x E triangle in RFP storage: E (E + 1) / 2."""
+    return e * (e + 1) // 2
+
+
+def packed_dim(a: np.ndarray) -> int:
+    """The order E of the matrix whose triangle the RFP vector ``a`` holds."""
+    if a.ndim != 1:
+        raise ShapeError(f"a packed triangle is one vector, got shape {a.shape}")
+    e = (math.isqrt(8 * a.size + 1) - 1) // 2
+    if a.size == 0 or packed_size(e) != a.size:
+        raise ShapeError(f"length {a.size} is not E (E + 1) / 2 for any E >= 1")
+    return e
+
+
+def packed_diagonal(e: int) -> np.ndarray:
+    """Positions of S_00 .. S_{E-1,E-1} in the RFP vector of an E x E
+    upper triangle.
+
+    The vector is a column-major array with leading dimension E (odd E)
+    or E + 1 (even E).  With n1 = E // 2, the leading n1 x n1 triangle is
+    stored transposed from row n1 + 1 of the first column and the
+    trailing one as is from row n1, so each diagonal steps by lda + 1.
+    """
+    n1 = e // 2
+    step = e + 2 - e % 2
+    return np.concatenate(
+        [n1 + 1 + np.arange(n1) * step, n1 + np.arange(e - n1) * step]
+    )
+
+
+def pack_upper(S: np.ndarray) -> np.ndarray:
+    """The RFP vector of the upper triangle of the square matrix ``S``;
+    the strict lower triangle is never read."""
+    packed, info = dtrttf(S, **RFP)
+    if info != 0:
+        raise NumericalError(f"packing rejected the matrix (info={info})")
+    return packed
 
 
 @dataclass(frozen=True)
@@ -52,33 +98,8 @@ class ShrinkageResult:
     shrunk: np.ndarray
 
 
-def _upper_sum_squares(a: np.ndarray) -> float:
-    """tr(S^2) = 2 sum_{i<j} S_ij^2 + sum_i S_ii^2 of the symmetric S whose
-    upper triangle ``a`` holds, by one BLAS dot per column of the triangle
-    (per row when ``a`` is C-ordered, so every run is contiguous)."""
-    e = a.shape[0]
-    if a.flags.f_contiguous:
-        runs = (a[:j, j] for j in range(1, e))
-    else:
-        runs = (a[i, i + 1 :] for i in range(e - 1))
-    off = sum(float(np.dot(run, run)) for run in runs)
-    diag = np.diagonal(a)
-    return 2.0 * off + float(np.dot(diag, diag))
-
-
-def shrink_upper(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, float]:
-    """OAS-shrink S = a / denom in place, reading only the upper triangle.
-
-    ``a`` is square and holds S * denom in its upper triangle (a scatter
-    and its normalizer, or a covariance and 1).  One pass turns it into
-    (1 - rho) S + rho mu I: the whole array is scaled by
-    (1 - rho) / denom, so a mirrored strict lower triangle stays the
-    mirror and a zero one stays zero.  Returns (rho, mu).
-    """
-    e = a.shape[0]
-    tr_s = float(np.trace(a)) / denom
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr_s2 = _upper_sum_squares(a) / (denom * denom)
+def _oas(tr_s: float, tr_s2: float, e: int, n: int) -> tuple[float, float]:
+    """(rho, mu) of the module docstring from tr(S) and tr(S^2)."""
     if not np.isfinite(tr_s2):
         raise NumericalError(
             f"tr(S^2) of the covariance is not finite ({tr_s2}); "
@@ -88,8 +109,27 @@ def shrink_upper(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, floa
     num = (1.0 - 2.0 / e) * tr_s2 + tr_s * tr_s
     den = (n + 1.0 - 2.0 / e) * (tr_s2 - tr_s * tr_s / e)
     rho = 1.0 if den <= 0.0 else min(1.0, num / den)
+    return rho, mu
+
+
+def shrink_packed(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, float]:
+    """OAS-shrink S = a / denom in place, ``a`` the RFP vector of its
+    upper triangle times ``denom`` (a scatter and its normalizer, or a
+    covariance and 1).
+
+    Every off-diagonal entry appears once in ``a``, so with d the packed
+    diagonal tr(S^2) = (2 a.a - d.d) / denom^2.  One pass scales the
+    vector by (1 - rho) / denom and adds rho mu to the diagonal.
+    Returns (rho, mu).
+    """
+    e = packed_dim(a)
+    diag = packed_diagonal(e)
+    d = a[diag]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_s2 = (2.0 * float(np.dot(a, a)) - float(np.dot(d, d))) / (denom * denom)
+    rho, mu = _oas(float(d.sum()) / denom, tr_s2, e, n)
     a *= (1.0 - rho) / denom
-    a[np.diag_indices(e)] += rho * mu
+    a[diag] += rho * mu
     return rho, mu
 
 
@@ -121,50 +161,58 @@ def oas_shrink(S: np.ndarray, n: int, copy: bool = True) -> ShrinkageResult:
         raise DataError(f"shrinkage needs n >= 2 samples, got {n}")
     _check_symmetric(S)
     out = S.copy(order="K") if copy else S
-    rho, mu = shrink_upper(out, n)
+    flat = out.ravel(order="K")  # a view of any contiguous matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr_s2 = float(np.dot(flat, flat))
+    rho, mu = _oas(float(np.trace(out)), tr_s2, out.shape[0], n)
+    out *= 1.0 - rho
+    out[np.diag_indices(out.shape[0])] += rho * mu
     return ShrinkageResult(rho=rho, mu=mu, shrunk=out)
 
 
 class PrecisionModel:
     """A factorized (shrunk + lambda I): repeated SPD solves, plus a
-    log-determinant diagnostic."""
+    log-determinant diagnostic.
+
+    ``shrunk`` is a square matrix, of which only the upper triangle is
+    read (it is packed into a new vector), or the RFP vector of that
+    triangle, which ``overwrite`` lets the factor take over in place.
+    """
 
     def __init__(self, shrunk: np.ndarray, ridge: float, overwrite: bool = False):
         shrunk = np.asarray(shrunk, dtype=np.float64)
-        if shrunk.ndim != 2 or shrunk.shape[0] != shrunk.shape[1]:
-            raise ShapeError(f"matrix must be square, got shape {shrunk.shape}")
         if ridge < 0:
             raise DataError(f"ridge must be >= 0, got {ridge}")
-        self.embed_dim = shrunk.shape[0]
+        if shrunk.ndim == 2 and shrunk.shape[0] == shrunk.shape[1]:
+            packed = pack_upper(shrunk)
+        elif shrunk.ndim == 1:
+            packed = shrunk if overwrite else shrunk.copy()
+        else:
+            raise ShapeError(
+                f"matrix must be square or a packed triangle, got shape {shrunk.shape}"
+            )
+        e = packed_dim(packed)
+        self.embed_dim = e
         self.ridge = float(ridge)
-        if not overwrite:
-            shrunk = np.array(shrunk, order="F")
+        diag = packed_diagonal(e)
         if ridge:
-            shrunk[np.diag_indices(self.embed_dim)] += ridge
-        # The factorization reads only the upper triangle, so only that
-        # triangle is checked, a column panel at a time.
-        for j0, j1 in _panels(self.embed_dim):
-            if not np.isfinite(shrunk[:j1, j0:j1]).all():
+            packed[diag] += ridge
+        for i in range(0, packed.size, _PANEL_ELEMENTS):
+            if not np.isfinite(packed[i : i + _PANEL_ELEMENTS]).all():
                 raise NumericalError(
                     "factorization rejected the matrix: it contains "
                     "non-finite values"
                 )
-        try:
-            self._factor = cho_factor(
-                shrunk, lower=False, overwrite_a=True, check_finite=False
-            )
-        except LinAlgError as exc:
-            match = re.search(r"(\d+)-th leading minor", str(exc))
-            pivot = int(match.group(1)) - 1 if match else None
+        self._factor, info = dpftrf(e, packed, overwrite_a=1, **RFP)
+        if info > 0:
             raise NumericalError(
                 f"regularized covariance is not positive definite "
-                f"(ridge={ridge:g}): {exc}",
-                pivot_index=pivot,
-            ) from exc
-        except ValueError as exc:
-            raise NumericalError(f"factorization rejected the matrix: {exc}") from exc
-        diag = np.diagonal(self._factor[0])
-        self.log_det = float(2.0 * np.log(diag).sum())
+                f"(ridge={ridge:g}): its leading minor of order {info} is not",
+                pivot_index=info - 1,
+            )
+        if info < 0:
+            raise NumericalError(f"factorization rejected argument {-info}")
+        self.log_det = float(2.0 * np.log(self._factor[diag]).sum())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (shrunk + lambda I) z = b for one vector or a column stack."""
@@ -174,4 +222,7 @@ class PrecisionModel:
                 f"right-hand side has leading dim {b.shape[0]}, "
                 f"expected {self.embed_dim}"
             )
-        return cho_solve(self._factor, b, check_finite=False)
+        z, info = dpftrs(self.embed_dim, self._factor, b.reshape(len(b), -1), **RFP)
+        if info != 0:
+            raise NumericalError(f"solve rejected argument {-info}")
+        return z.reshape(b.shape)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataError, NumericalError
 
@@ -30,6 +29,10 @@ def exact_rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
 
 def exact_rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     """Pairwise kernel matrix via explicit squared distances."""
+    # Imported here: scipy.spatial is slow to load and only this oracle
+    # needs it.
+    from scipy.spatial.distance import cdist
+
     sq = cdist(np.asarray(X, np.float64), np.asarray(Y, np.float64), "sqeuclidean")
     return np.exp(-gamma * sq)
 
@@ -278,52 +281,59 @@ def _check_lda_equivalence(rng) -> OracleReport:
 
 
 def _check_finalize_upper(rng) -> OracleReport:
-    """The production finalize shrinks and factors the accumulator's upper
-    triangle in place.  Against the oracle on the mirrored covariance, in
-    every estimator mode, for an accumulator whose strict lower triangle
-    is zero and for one mirrored as a checkpoint leaves it: the worst
-    error over rho, mu, log det and predictions."""
+    """The production finalize shrinks and factors the accumulator's
+    packed upper triangle in place.  Against the oracle on the full
+    covariance, in every estimator mode, at an even and an odd order (the
+    two layouts of RFP storage), for a consuming and a copying finalize
+    and for one after a checkpoint round trip: the worst error over rho,
+    mu, log det and predictions."""
     from .classifier import ModelVariant, StreamingClassifier
+    from .streaming import StreamingEstimator
 
-    e, k, per_class, ridge = 12, 3, 30, 1e-3
-    centers = rng.standard_normal((k, e)) * 2.0
-    X = np.concatenate(
-        [centers[i] + rng.standard_normal((per_class, e)) for i in range(k)]
+    dim, k, per_class, ridge = 12, 3, 30, 1e-3
+    centers = rng.standard_normal((k, dim)) * 2.0
+    X_all = np.concatenate(
+        [centers[i] + rng.standard_normal((per_class, dim)) for i in range(k)]
     )
     y = np.repeat(np.arange(k), per_class)
-    tests = rng.standard_normal((200, e)) * 2.0
-    means = batch_stats(X, y).means
+    tests_all = rng.standard_normal((200, dim)) * 2.0
     worst = 0.0
-    for mode, unbiased in (
-        ("pooled_within_class", False),
-        ("pooled_within_class", True),
-        ("global", False),
-    ):
-        for mirrored in (False, True):
-            model = StreamingClassifier(
-                ModelVariant(
-                    variant="slda",
-                    ridge=ridge,
-                    estimator_mode=mode,
-                    pooled_unbiased=unbiased,
-                    input_dim=e,
+    for e in (dim, dim - 1):
+        X, tests = X_all[:, :e], tests_all[:, :e]
+        means = batch_stats(X, y).means
+        for mode, unbiased in (
+            ("pooled_within_class", False),
+            ("pooled_within_class", True),
+            ("global", False),
+        ):
+            for handoff in ("consume", "copy", "restored"):
+                model = StreamingClassifier(
+                    ModelVariant(
+                        variant="slda",
+                        ridge=ridge,
+                        estimator_mode=mode,
+                        pooled_unbiased=unbiased,
+                        input_dim=e,
+                    )
                 )
-            )
-            model.observe(X, y)
-            cov = model.estimator.covariance()
-            if mirrored:
-                model.estimator._state()  # mirrors in place, as save() does
-            model.finalize(consume=True)
-            rho, mu, shrunk = oas_reference(cov, len(y))
-            _, log_det = np.linalg.slogdet(shrunk + ridge * np.eye(e))
-            oracle = batch_lda_predict(means, shrunk, ridge, tests)
-            worst = max(
-                worst,
-                abs(model.shrinkage_rho - rho),
-                abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
-                abs(model.precision.log_det - log_det) / max(abs(log_det), 1.0),
-                float(np.mean(model.predict_batch(tests) != oracle)),
-            )
+                model.observe(X, y)
+                cov = model.estimator.covariance()
+                if handoff == "restored":
+                    meta, arrays = model.estimator._state()
+                    model.estimator = StreamingEstimator._from_state(
+                        meta, {name: a.copy() for name, a in arrays.items()}
+                    )
+                model.finalize(consume=handoff != "copy")
+                rho, mu, shrunk = oas_reference(cov, len(y))
+                _, log_det = np.linalg.slogdet(shrunk + ridge * np.eye(e))
+                oracle = batch_lda_predict(means, shrunk, ridge, tests)
+                worst = max(
+                    worst,
+                    abs(model.shrinkage_rho - rho),
+                    abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
+                    abs(model.precision.log_det - log_det) / max(abs(log_det), 1.0),
+                    float(np.mean(model.predict_batch(tests) != oracle)),
+                )
     return OracleReport("finalize_upper_matches_reference", worst, 1e-10)
 
 

@@ -11,40 +11,44 @@ before the block, and m rows of mean b inside it:
 
 All centred rows of a block, plus one mean-shift row
 sqrt(n m / (n + m)) (b - mu) per class seen before, are stacked into
-one matrix Z, and ``scatter += Z^T Z`` is a single BLAS rank-k
-symmetric update (dsyrk) at matrix-multiply speed.  In exact arithmetic
+one matrix Z, and ``scatter += Z^T Z`` is a single rank-k symmetric
+update at matrix-multiply speed.  In exact arithmetic
 the result is the batch pooled within-class scatter, for any arrival
 order and any cut of the stream into blocks.  A "global" mode applies
 the same rule around the block's grand mean and the total count,
 yielding the scatter around the grand mean.
 
 A single sample is a block of one: its centred row is zero, and its
-mean-shift term is applied with the rank-1 routine (dsyr) and
-coefficient n / (n + 1), the classic telescoping update.
+mean-shift row carries coefficient n / (n + 1), the classic telescoping
+update.
 
-No sample outlives its block: state is one E x E float64 accumulator
+No sample outlives its block: state is the scatter's upper triangle
 plus one float64 mean vector and a count per class, so memory is
 O(E^2 + C*E) no matter how long the stream runs.
 
-The accumulator is Fortran-ordered and only its upper triangle is
-written.  ``upper_scatter`` hands it over as stored, for finalize to
-shrink and factor in place; ``scatter`` and ``covariance`` mirror the
-triangle into a full symmetric matrix.
+The triangle is one float64 vector of E (E + 1) / 2 entries in LAPACK's
+rectangular full packed (RFP) format, half the bytes of a square
+buffer, and each block is folded into it with the RFP rank-k update
+(dsfrk).  ``packed_scatter`` hands the vector over as stored, for
+finalize to shrink and factor in place; ``scatter`` and ``covariance``
+unpack it into a full symmetric matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dsyr, dsyrk
+from scipy.linalg.lapack import dsfrk, dtfttr
 
 from . import data_io
 from .errors import (
     ConfigurationError,
     DataError,
+    DataFormatError,
     InsufficientDataError,
     ModelStateError,
     ShapeError,
 )
+from .precision import RFP, packed_size
 
 MODE_POOLED = "pooled_within_class"
 MODE_GLOBAL = "global"
@@ -87,6 +91,20 @@ def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool):
     return count * m / (count + m), delta
 
 
+def _stored(arrays: dict, name: str, shape: tuple[int, ...] | None) -> np.ndarray:
+    """The checkpoint array ``name``, checked against the ``shape`` its
+    meta implies (None: any one-dimensional length)."""
+    if name not in arrays:
+        raise DataFormatError(f"checkpoint has no {name!r} array")
+    arr = np.asarray(arrays[name])
+    if arr.shape != shape and not (shape is None and arr.ndim == 1):
+        raise DataFormatError(
+            f"checkpoint array {name!r} has shape {list(arr.shape)}, expected "
+            f"{list(shape) if shape is not None else '[C]'}"
+        )
+    return arr
+
+
 class ClassStats:
     """Running count and mean for one class label."""
 
@@ -109,7 +127,7 @@ class StreamingEstimator:
     pooled_unbiased : divide the scatter by (n - C) instead of (n - 1)
         in ``covariance``; only meaningful in pooled mode.
     track_scatter : set False for mean-only classifiers to skip the
-        E x E accumulator entirely.
+        scatter accumulator entirely.
     """
 
     def __init__(
@@ -135,7 +153,7 @@ class StreamingEstimator:
         self._classes: dict[int, ClassStats] = {}
         self._grand_mean = np.zeros(embed_dim, dtype=np.float64)
         self._scatter = (
-            np.zeros((embed_dim, embed_dim), dtype=np.float64, order="F")
+            np.zeros(packed_size(embed_dim), dtype=np.float64)
             if track_scatter
             else None
         )
@@ -153,7 +171,7 @@ class StreamingEstimator:
         """
         if self._consumed:
             raise ModelStateError(
-                "estimator state was consumed by upper_scatter(consume=True); "
+                "estimator state was consumed by packed_scatter(consume=True); "
                 "no further observations are possible"
             )
         phi = np.asarray(phi)
@@ -210,17 +228,14 @@ class StreamingEstimator:
 
         if not self.track_scatter:
             return
-        if m == 1:
-            # No centred rows: the rank-1 routine keeps the per-sample
-            # rule, and a resumed per-sample stream, bitwise.
-            if shifts:
-                coef, delta = shifts[0]
-                dsyr(coef, delta, a=self._scatter, lower=0, overwrite_a=1)
-            return
         for i, (coef, delta) in enumerate(shifts):
             np.multiply(delta, np.sqrt(coef), out=z[m + i])
         stacked = z[: m + len(shifts)]
-        dsyrk(1.0, stacked.T, beta=1.0, c=self._scatter, lower=0, overwrite_c=1)
+        # stacked.T is Fortran-ordered, so it reaches LAPACK without a copy.
+        dsfrk(
+            self.embed_dim, len(stacked), 1.0, stacked.T, 1.0, self._scatter,
+            trans="N", overwrite_c=1, **RFP,
+        )
 
     # -- snapshots ----------------------------------------------------------
 
@@ -243,7 +258,10 @@ class StreamingEstimator:
     def scatter(self) -> np.ndarray:
         """The pooled sum of squared deviations, as a full symmetric matrix."""
         self._require_scatter()
-        return _mirror_upper(self._scatter.copy(order="F"))
+        full, info = dtfttr(self.embed_dim, self._scatter, **RFP)
+        if info != 0:
+            raise ModelStateError(f"unpacking the scatter failed (info={info})")
+        return _mirror_upper(full)
 
     def covariance(self) -> np.ndarray:
         """scatter / (n - 1), or / (n - C) when pooled_unbiased is set,
@@ -253,21 +271,20 @@ class StreamingEstimator:
         out /= denom
         return out
 
-    def upper_scatter(self, consume: bool = False) -> tuple[np.ndarray, int]:
+    def packed_scatter(self, consume: bool = False) -> tuple[np.ndarray, int]:
         """The accumulator as stored, with the covariance's normalizer.
 
-        Returns (scatter, denom): a Fortran-ordered E x E array whose
-        upper triangle holds the scatter (the strict lower triangle is
-        zero, or its mirror after a checkpoint) and n - 1, or n - C when
-        pooled_unbiased is set.  Without ``consume`` the array is a copy.
-        With ``consume`` it is the accumulator itself, handed over
-        without a copy; the estimator is then spent and rejects further
-        observe/covariance calls.  This is the constant-memory path at
-        the end of a one-pass run.
+        Returns (scatter, denom): the RFP vector of the scatter's upper
+        triangle (module docstring; ``precision.RFP``) and n - 1, or
+        n - C when pooled_unbiased is set.  Without ``consume`` the
+        vector is a copy.  With ``consume`` it is the accumulator itself,
+        handed over without a copy; the estimator is then spent and
+        rejects further observe/covariance calls.  This is the
+        constant-memory path at the end of a one-pass run.
         """
         denom = self._normalizer()
         if not consume:
-            return self._scatter.copy(order="F"), denom
+            return self._scatter.copy(), denom
         out, self._scatter = self._scatter, None
         self._consumed = True
         return out, denom
@@ -324,11 +341,7 @@ class StreamingEstimator:
         }
         if self.track_scatter:
             self._require_scatter()
-            # Mirroring in place is safe: updates and finalize read and
-            # write only the upper triangle.  The transpose of the
-            # symmetric F-ordered buffer is the same matrix, C-ordered, so
-            # the writer takes its bytes without a copy.
-            arrays["scatter"] = _mirror_upper(self._scatter).T
+            arrays["scatter"] = self._scatter
         return meta, arrays
 
     def save(self, path) -> None:
@@ -348,17 +361,22 @@ class StreamingEstimator:
         )
         est.track_scatter = bool(meta["track_scatter"])
         est.total_count = int(meta["total_count"])
-        est._grand_mean = np.asarray(arrays["grand_mean"], dtype=np.float64)
-        for i, label in enumerate(arrays["class_labels"]):
-            stats = ClassStats(int(label), est.embed_dim)
-            stats.count = int(arrays["class_counts"][i])
-            stats.mean = np.asarray(arrays["class_means"][i], dtype=np.float64)
+        e = est.embed_dim
+        labels = _stored(arrays, "class_labels", None)
+        c = len(labels)
+        counts = _stored(arrays, "class_counts", (c,))
+        means = _stored(arrays, "class_means", (c, e))
+        est._grand_mean = np.asarray(
+            _stored(arrays, "grand_mean", (e,)), dtype=np.float64
+        )
+        for i, label in enumerate(labels):
+            stats = ClassStats(int(label), e)
+            stats.count = int(counts[i])
+            stats.mean = np.asarray(means[i], dtype=np.float64)
             est._classes[int(label)] = stats
         if est.track_scatter:
-            # The stored matrix is symmetric, so its transpose is the same
-            # matrix and already Fortran-ordered: no copy.
-            est._scatter = np.asfortranarray(
-                np.asarray(arrays["scatter"], dtype=np.float64).T
+            est._scatter = np.asarray(
+                _stored(arrays, "scatter", (packed_size(e),)), dtype=np.float64
             )
         return est
 

@@ -241,9 +241,9 @@ class TestDatasetGates:
 
 class TestContractGates:
     def test_consuming_finalize_allocates_under_five_percent_of_the_accumulator(self):
-        """One E x E copy through finalize: at E=2048 the consuming
+        """One accumulator through finalize: at E=2048 the consuming
         finalize (shrink, factor, discriminant solve) allocates less than
-        5% of the 8*E^2-byte accumulator on top of it."""
+        5% of the packed 4*E*(E+1)-byte accumulator on top of it."""
         e = 2048
         rng = np.random.default_rng(24)
         model = StreamingClassifier(ModelVariant(variant="slda", ridge=1e-4, input_dim=e))
@@ -256,7 +256,7 @@ class TestContractGates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.05 * 8 * e * e, f"finalize allocated {peak} bytes"
+        assert peak < 0.05 * 4 * e * (e + 1), f"finalize allocated {peak} bytes"
 
     def test_state_size_constant_over_hundred_thousand_steps(self):
         # The model state must not grow with stream length: only the

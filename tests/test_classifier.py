@@ -403,10 +403,11 @@ class TestLifecycle:
 
 
 class TestUpperTriangleFinalize:
-    """Finalize shrinks and factors the accumulator's upper triangle in
-    place.  Whether the strict lower triangle is zero (as the rank-k
-    updates leave it) or mirrored (as a checkpoint leaves it), rho, mu,
-    log det and predictions match the oracle on the mirrored covariance."""
+    """Finalize shrinks and factors the accumulator's packed upper
+    triangle in place.  For a consuming and a copying finalize, before
+    and after a save/load round trip and at an even and an odd order (the
+    two RFP layouts), rho, mu, log det and predictions match the oracle
+    on the full covariance."""
 
     @pytest.mark.parametrize(
         "mode,unbiased",
@@ -415,43 +416,48 @@ class TestUpperTriangleFinalize:
     @pytest.mark.parametrize("consume", [True, False])
     def test_matches_oracle_upper_only_and_mirrored(self, tmp_path, mode, unbiased, consume):
         rng = np.random.default_rng(12)
-        X, y = gaussian_blobs(rng, num_classes=4, dim=9, per_class=40)
-        T = rng.standard_normal((300, 9)) * 2.0
-        config = raw_config(input_dim=9, ridge=1e-3, estimator_mode=mode,
-                            pooled_unbiased=unbiased)
-        for mirrored in (False, True):
-            model = StreamingClassifier(config)
-            model.observe(X[:150], y[:150])
-            model.observe(X[150:], y[150:])
-            cov = model.estimator.covariance()
-            if mirrored:
-                model.save(tmp_path / "model.rdck")
-            lower = np.tril(model.estimator._scatter, -1)
-            assert lower.any() == mirrored
-            model.finalize(consume=consume)
+        X_all, y = gaussian_blobs(rng, num_classes=4, dim=9, per_class=40)
+        T_all = rng.standard_normal((300, 9)) * 2.0
+        for e in (9, 8):
+            X, T = X_all[:, :e], T_all[:, :e]
+            config = raw_config(input_dim=e, ridge=1e-3, estimator_mode=mode,
+                                pooled_unbiased=unbiased)
+            for restored in (False, True):
+                model = StreamingClassifier(config)
+                model.observe(X[:150], y[:150])
+                model.observe(X[150:], y[150:])
+                cov = model.estimator.covariance()
+                if restored:
+                    model.save(tmp_path / "model.rdck")
+                    model = StreamingClassifier.load(tmp_path / "model.rdck")
+                assert model.estimator._scatter.shape == (e * (e + 1) // 2,)
+                model.finalize(consume=consume)
 
-            rho, mu, shrunk = oas_reference(cov, len(y))
-            _, log_det = np.linalg.slogdet(shrunk + 1e-3 * np.eye(9))
-            assert abs(model.shrinkage_rho - rho) < 1e-10
-            assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
-            assert abs(model.precision.log_det - log_det) < 1e-10 * abs(log_det)
-            means = model.estimator.class_means()
-            oracle = batch_lda_predict(means, shrunk, 1e-3, T)
-            np.testing.assert_array_equal(model.predict_batch(T), oracle)
+                rho, mu, shrunk = oas_reference(cov, len(y))
+                _, log_det = np.linalg.slogdet(shrunk + 1e-3 * np.eye(e))
+                assert abs(model.shrinkage_rho - rho) < 1e-10
+                assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
+                assert abs(model.precision.log_det - log_det) < 1e-10 * abs(log_det)
+                means = model.estimator.class_means()
+                oracle = batch_lda_predict(means, shrunk, 1e-3, T)
+                np.testing.assert_array_equal(model.predict_batch(T), oracle)
 
     def test_nonconsuming_finalize_leaves_the_accumulator_untouched(self):
         rng = np.random.default_rng(13)
         X, y = gaussian_blobs(rng, num_classes=3, dim=5, per_class=30)
         model = StreamingClassifier(raw_config(input_dim=5))
         model.observe(X, y)
-        before = model.estimator._scatter.copy(order="F")
+        buffer = model.estimator._scatter
+        before = buffer.copy()
         model.finalize(consume=False)
-        np.testing.assert_array_equal(model.estimator._scatter, before)
+        assert model.estimator._scatter is buffer
+        assert not np.shares_memory(model.precision._factor, buffer)
+        np.testing.assert_array_equal(buffer, before)
 
     def test_repeated_snapshots_hold_one_factor(self):
         """A non-consuming finalize frees the previous snapshot's factor
         before copying the accumulator, so snapshot after snapshot holds
-        one E x E copy beside the accumulator, not two."""
+        one packed copy (4*E*(E+1) bytes) beside the accumulator, not two."""
         e = 1024
         rng = np.random.default_rng(15)
         model = StreamingClassifier(raw_config(input_dim=e))
@@ -463,7 +469,7 @@ class TestUpperTriangleFinalize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * 8 * e * e
+        assert peak < 1.1 * 4 * e * (e + 1)
 
     def test_failed_finalize_leaves_the_model_unfinalized(self):
         rng = np.random.default_rng(14)

@@ -35,6 +35,7 @@ from randumb.data_io import (
     read_checkpoint,
     write_checkpoint,
 )
+from randumb.precision import pack_upper
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -400,15 +401,15 @@ class TestCheckpointAtomicity:
         assert meta == {"step": 1}
 
     def test_symmetric_fortran_array_written_without_a_copy(self, tmp_path):
-        """The transpose of a symmetric F-ordered matrix is the same
-        matrix, C-ordered: it is written from its own buffer."""
+        """A symmetric matrix is checkpointed as the packed vector of its
+        upper triangle, which is written from its own buffer."""
         rng = np.random.default_rng(0)
         a = rng.standard_normal((512, 512))
-        sym = np.asfortranarray(a + a.T)
+        packed = pack_upper(np.asfortranarray(a + a.T))
         path = tmp_path / "sym.rdck"
-        _, peak = traced_peak(write_checkpoint, path, {}, {"scatter": sym.T})
-        assert peak < 0.1 * sym.nbytes
-        np.testing.assert_array_equal(read_checkpoint(path)[1]["scatter"], sym)
+        _, peak = traced_peak(write_checkpoint, path, {}, {"scatter": packed})
+        assert peak < 0.1 * packed.nbytes
+        np.testing.assert_array_equal(read_checkpoint(path)[1]["scatter"], packed)
 
     def test_read_peak_is_the_payload_once(self, tmp_path):
         arrays = {"scatter": np.ones((512, 512)), "means": np.zeros((10, 512))}

@@ -316,21 +316,22 @@ class TestRunBenchmark:
 
     def test_memory_cap_refusal(self):
         data = blob_dataset(seed=7)
-        with pytest.raises(ConfigurationError, match=r"8\*E\^2"):
+        with pytest.raises(ConfigurationError, match=r"1 x 4\*E\*\(E\+1\)"):
             run_on_dataset(
                 data, variant="randumb", embed_dim=512, gamma=0.1, seed=0,
                 memory_cap_bytes=1024**2,
             )
 
     def test_memory_cap_counts_the_eval_every_copy(self):
-        """8*E^2 fits the cap, but snapshots factor a copy of the
-        accumulator, so an eval_every run needs twice that and is refused."""
+        """The packed accumulator, 4*E*(E+1) bytes, fits the cap, but
+        snapshots factor a copy of it, so an eval_every run needs twice
+        that and is refused."""
         data = blob_dataset(seed=7)
-        cap = 3 * 8 * 256 * 256 // 2
+        cap = 3 * 4 * 256 * 257 // 2
         settings = dict(variant="randumb", embed_dim=256, gamma=0.1, seed=0,
                         memory_cap_bytes=cap)
         assert run_on_dataset(data, **settings).observe_count == len(data.train_y)
-        with pytest.raises(ConfigurationError, match=r"2 x 8\*E\^2"):
+        with pytest.raises(ConfigurationError, match=r"2 x 4\*E\*\(E\+1\)"):
             run_on_dataset(data, eval_every=50, **settings)
 
     def test_memory_cap_ignores_mean_only_variants(self):
@@ -468,24 +469,25 @@ class TestCheckMemoryCap:
         config = build_model_config(
             "randumb", data.descriptor, embed_dim=100, gamma=1.0, ridge=None, seed=0
         )
-        assert check_memory_cap(config, 80001) == 80000
-        with pytest.raises(ConfigurationError):
-            check_memory_cap(config, 79999)
+        # the packed upper triangle: 100 * 101 / 2 float64 entries
+        assert check_memory_cap(config, 40400) == 40400
+        with pytest.raises(ConfigurationError, match="40400 bytes"):
+            check_memory_cap(config, 40399)
 
     def test_eval_every_doubles_the_need(self):
         data = blob_dataset(seed=0)
         config = build_model_config(
             "randumb", data.descriptor, embed_dim=100, gamma=1.0, ridge=None, seed=0
         )
-        assert check_memory_cap(config, 160000, eval_every=5) == 160000
+        assert check_memory_cap(config, 80800, eval_every=5) == 80800
         with pytest.raises(ConfigurationError, match="eval-every"):
-            check_memory_cap(config, 159999, eval_every=5)
+            check_memory_cap(config, 80799, eval_every=5)
 
 
 class TestPeakMemoryEstimate:
     """The reported estimate bounds what a run really allocates at once:
-    the accumulator (twice with eval_every), the map, the test set, and
-    the ingestion, finalize and predict blocks."""
+    the packed accumulator (twice with eval_every), the map, the test
+    set, and the ingestion, finalize and predict blocks."""
 
     @staticmethod
     def cifar_shaped(seed=0, train=300, test=100):
@@ -523,7 +525,7 @@ class TestPeakMemoryEstimate:
         settings = dict(variant="randumb", embed_dim=256, gamma=0.1, seed=0)
         once = run_on_dataset(data, **settings).peak_memory_estimate_bytes
         snap = run_on_dataset(data, eval_every=50, **settings).peak_memory_estimate_bytes
-        assert snap == once + 8 * 256 * 256
+        assert snap == once + 4 * 256 * 257
 
 
 class TestSweepAndAblation:

@@ -5,8 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy.linalg.lapack import dtfttr
+
 from randumb.errors import DataError, NumericalError, ShapeError
-from randumb.precision import PrecisionModel, oas_shrink, shrink_upper
+from randumb.precision import (
+    PrecisionModel,
+    oas_shrink,
+    pack_upper,
+    packed_diagonal,
+    packed_dim,
+    shrink_packed,
+)
 from randumb.reference import oas_reference
 
 
@@ -103,39 +112,66 @@ class TestOasShrink:
         assert peak < 4 * 1024**2
 
 
+def unpack_upper(a):
+    """The upper triangle held in the RFP vector ``a``, zeros below."""
+    return np.triu(dtfttr(packed_dim(a), a)[0])
+
+
+class TestPackedLayout:
+    """The RFP vector of an E x E upper triangle: its size, its diagonal
+    and its order, for the even and the odd layout."""
+
+    @pytest.mark.parametrize("e", range(1, 10))
+    def test_diagonal_positions_match_lapack_packing(self, e):
+        a = pack_upper(np.diag(np.arange(1.0, e + 1)))
+        assert a.shape == (e * (e + 1) // 2,) and packed_dim(a) == e
+        np.testing.assert_array_equal(a[packed_diagonal(e)], np.arange(1.0, e + 1))
+        assert np.count_nonzero(a) == e
+
+    def test_non_triangular_length_rejected(self):
+        for bad in (np.zeros(0), np.zeros(4), np.zeros((3, 2))):
+            with pytest.raises(ShapeError):
+                packed_dim(bad)
+
+
 class TestShrinkUpper:
-    """The production kernel: shrink S = a / denom in place, reading only
-    the upper triangle of ``a``."""
+    """The production kernel: shrink S = a / denom in place, ``a`` the
+    packed upper triangle of S * denom."""
 
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_upper_only_matches_reference(self, order):
         rng = np.random.default_rng(39)
-        S = random_spd(rng, 30, 40)
-        denom = 39.0
-        a = np.array(np.triu(S * denom), order=order)
-        rho, mu = shrink_upper(a, 40, denom)
-        rho_ref, mu_ref, shrunk_ref = oas_reference(S, 40)
-        assert abs(rho - rho_ref) < 1e-10
-        assert abs(mu - mu_ref) < 1e-10
-        assert np.abs(np.triu(a) - np.triu(shrunk_ref)).max() < 1e-10
-        assert not np.tril(a, -1).any()
+        for e in (30, 29):
+            S = random_spd(rng, e, 40)
+            denom = 39.0
+            a = pack_upper(np.array(np.triu(S * denom), order=order))
+            rho, mu = shrink_packed(a, 40, denom)
+            rho_ref, mu_ref, shrunk_ref = oas_reference(S, 40)
+            assert abs(rho - rho_ref) < 1e-10
+            assert abs(mu - mu_ref) < 1e-10
+            assert np.abs(unpack_upper(a) - np.triu(shrunk_ref)).max() < 1e-10
 
     def test_mirrored_lower_triangle_stays_the_mirror(self):
+        """Packing reads only the upper triangle, so a mirrored matrix
+        shrinks exactly like its upper triangle alone."""
         rng = np.random.default_rng(40)
         S = random_spd(rng, 25, 30)
-        a = np.asfortranarray(S * 29.0)
-        shrink_upper(a, 30, 29.0)
+        mirrored = pack_upper(np.asfortranarray(S * 29.0))
+        upper = pack_upper(np.triu(S * 29.0))
+        np.testing.assert_array_equal(mirrored, upper)
+        assert shrink_packed(mirrored, 30, 29.0) == shrink_packed(upper, 30, 29.0)
+        np.testing.assert_array_equal(mirrored, upper)
         _, _, shrunk_ref = oas_reference(S, 30)
-        assert np.abs(a - shrunk_ref).max() < 1e-10
+        assert np.abs(unpack_upper(mirrored) - np.triu(shrunk_ref)).max() < 1e-10
 
     def test_non_finite_trace_of_square_raises(self):
-        a = np.asfortranarray(np.eye(5))
+        a = np.eye(5)
         a[1, 3] = np.inf
         with pytest.raises(NumericalError, match="not finite"):
-            shrink_upper(a, 10)
+            shrink_packed(pack_upper(a), 10)
         # finite entries whose squares overflow
         with pytest.raises(NumericalError, match="not finite"):
-            shrink_upper(np.asfortranarray(np.eye(4) * 1e200), 10)
+            shrink_packed(pack_upper(np.eye(4) * 1e200), 10)
 
 
 class TestBuildPrecision:
@@ -217,6 +253,36 @@ class TestBuildPrecision:
         original = S.copy()
         PrecisionModel(S, ridge=1.0)
         np.testing.assert_array_equal(S, original)
+        packed = pack_upper(S)
+        before = packed.copy()
+        PrecisionModel(packed, ridge=1.0)
+        np.testing.assert_array_equal(packed, before)
+
+    @pytest.mark.parametrize("e", [40, 41])
+    def test_packed_input_factors_in_place_like_the_square(self, e):
+        """A packed triangle gives the same factor as its square matrix,
+        and with overwrite the factor takes over the vector itself."""
+        rng = np.random.default_rng(42)
+        S = random_spd(rng, e)
+        square = PrecisionModel(S, ridge=1e-3)
+        packed = pack_upper(S)
+        model = PrecisionModel(packed, ridge=1e-3, overwrite=True)
+        assert np.shares_memory(model._factor, packed)
+        assert model.log_det == square.log_det
+        v = rng.standard_normal((e, 3))
+        np.testing.assert_array_equal(model.solve(v), square.solve(v))
+        np.testing.assert_allclose(model.solve(v[:, 0]), model.solve(v)[:, 0], rtol=1e-12)
+
+    @pytest.mark.parametrize("e", [6, 7])
+    def test_pivot_index_is_global_in_either_layout(self, e):
+        """The RFP factor works on two sub-triangles; the reported pivot is
+        still the leading minor's index in the whole matrix."""
+        for pivot in range(e):
+            d = np.ones(e)
+            d[pivot] = -1.0
+            with pytest.raises(NumericalError) as excinfo:
+                PrecisionModel(pack_upper(np.diag(d)), ridge=0.0)
+            assert excinfo.value.pivot_index == pivot
 
 
 class TestMahalanobis:

@@ -4,6 +4,11 @@ These functions are the yardstick the streaming modules are measured
 against, so they get their own closed-form sanity tests first.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,22 @@ from randumb.reference import (
     oas_reference,
     run_verify,
 )
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """scipy.spatial costs a noticeable share of start-up and only the
+    kernel-matrix oracle needs it, so importing the package skips it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, randumb; print('scipy.spatial' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestExactRbfKernel:

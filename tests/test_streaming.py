@@ -6,13 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from randumb.data_io import read_checkpoint, write_checkpoint
 from randumb.errors import (
     ConfigurationError,
     DataError,
+    DataFormatError,
     InsufficientDataError,
     ModelStateError,
     ShapeError,
 )
+from randumb.precision import pack_upper
 from randumb.reference import batch_stats
 from randumb.streaming import MODE_GLOBAL, MODE_POOLED, StreamingEstimator
 
@@ -181,36 +184,37 @@ class TestMemoryContract:
 
     def test_consuming_covariance_spends_the_estimator(self):
         """The consuming handoff returns the accumulator itself, as
-        stored: the scatter in the upper triangle, zeros below, and the
-        normalizer; the copying handoff returns an equal copy."""
+        stored: the scatter's upper triangle packed into E (E + 1) / 2
+        entries, and the normalizer; the copying handoff returns an equal
+        copy."""
         rng = np.random.default_rng(19)
-        X = rng.standard_normal((40, 4))
-        y = rng.integers(0, 2, size=40)
-        spend = feed(StreamingEstimator(4), X, y)
-        expected = spend.scatter()
-        buffer = spend._scatter
-        copied, denom = spend.upper_scatter()
-        assert copied is not buffer and denom == 39
-        taken, denom = spend.upper_scatter(consume=True)
-        assert taken is buffer and taken.flags.f_contiguous and denom == 39
-        np.testing.assert_array_equal(taken, copied)
-        np.testing.assert_array_equal(np.triu(taken), np.triu(expected))
-        assert not np.tril(taken, -1).any()
-        with pytest.raises(ModelStateError):
-            spend.observe(np.zeros(4), 0)
-        with pytest.raises(ModelStateError):
-            spend.covariance()
-        with pytest.raises(ModelStateError):
-            spend.upper_scatter()
+        for e in (4, 5):
+            X = rng.standard_normal((40, e))
+            y = rng.integers(0, 2, size=40)
+            spend = feed(StreamingEstimator(e), X, y)
+            expected = spend.scatter()
+            buffer = spend._scatter
+            copied, denom = spend.packed_scatter()
+            assert copied is not buffer and denom == 39
+            taken, denom = spend.packed_scatter(consume=True)
+            assert taken is buffer and taken.shape == (e * (e + 1) // 2,) and denom == 39
+            np.testing.assert_array_equal(taken, copied)
+            np.testing.assert_array_equal(taken, pack_upper(expected))
+            with pytest.raises(ModelStateError):
+                spend.observe(np.zeros(e), 0)
+            with pytest.raises(ModelStateError):
+                spend.covariance()
+            with pytest.raises(ModelStateError):
+                spend.packed_scatter()
 
     def test_normalizer_counts_classes_when_unbiased(self):
         rng = np.random.default_rng(22)
         X = rng.standard_normal((30, 3))
         y = np.repeat([0, 1, 2], 10)
-        _, denom = feed(StreamingEstimator(3, pooled_unbiased=True), X, y).upper_scatter()
+        _, denom = feed(StreamingEstimator(3, pooled_unbiased=True), X, y).packed_scatter()
         assert denom == 27
         with pytest.raises(InsufficientDataError):
-            feed(StreamingEstimator(3), X[:1], y[:1]).upper_scatter(consume=True)
+            feed(StreamingEstimator(3), X[:1], y[:1]).packed_scatter(consume=True)
 
     def test_mean_only_mode_has_no_scatter(self):
         est = StreamingEstimator(4, track_scatter=False)
@@ -221,7 +225,8 @@ class TestMemoryContract:
         with pytest.raises(ModelStateError):
             est.covariance()
         assert set(est.class_means()) == {0, 1}
-        assert full.state_nbytes() - est.state_nbytes() == 4 * 4 * 8  # the E x E term
+        # the packed upper triangle: E (E + 1) / 2 float64 entries
+        assert full.state_nbytes() - est.state_nbytes() == 4 * 5 // 2 * 8
 
 
 class TestCheckpoint:
@@ -254,15 +259,15 @@ class TestCheckpoint:
         np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
 
     def test_save_and_load_hold_one_copy_of_the_accumulator(self, tmp_path):
-        """save mirrors the accumulator in place and writes it from its own
-        buffer (a C-ordered copy would add a whole 8*E^2 on top), and load
-        reads it into the Fortran-ordered buffer it resumes with."""
+        """save writes the packed accumulator from its own buffer (a copy
+        would add a whole 4*E*(E+1) bytes on top), and load reads it into
+        the vector it resumes with."""
         e = 1024
         rng = np.random.default_rng(23)
         est = StreamingEstimator(e)
         est.observe(rng.standard_normal((300, e)), rng.integers(0, 4, size=300))
         path = tmp_path / "big.rdck"
-        square = 8 * e * e
+        packed = 4 * e * (e + 1)
         tracemalloc.start()
         try:
             est.save(path)
@@ -272,14 +277,51 @@ class TestCheckpoint:
             loaded = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert saved < 0.5 * square
-        assert loaded < 1.1 * square
-        assert back._scatter.flags.f_contiguous
-        np.testing.assert_array_equal(back.scatter(), est.scatter())
+        assert saved < 0.1 * packed
+        assert loaded < 1.1 * packed
+        assert back._scatter.shape == (e * (e + 1) // 2,)
+        np.testing.assert_array_equal(back._scatter, est._scatter)
+
+    MISMATCHES = {
+        "scatter_square_of_a_smaller_order": ("scatter", np.zeros((5, 5)), [21], [5, 5]),
+        "scatter_square_pre_packed_layout": ("scatter", np.zeros((6, 6)), [21], [6, 6]),
+        "scatter_short": ("scatter", np.zeros(20), [21], [20]),
+        "means_fewer_rows_than_labels": ("class_means", np.zeros((2, 6)), [3, 6], [2, 6]),
+        "means_narrower_than_embed_dim": ("class_means", np.zeros((3, 4)), [3, 6], [3, 4]),
+        "counts_shorter_than_labels": ("class_counts", np.ones(2, np.int64), [3], [2]),
+        "grand_mean_wrong_length": ("grand_mean", np.zeros(5), [6], [5]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISMATCHES))
+    def test_array_disagreeing_with_meta_rejected(self, tmp_path, case):
+        """Every array is checked against the shape its meta implies, so a
+        mismatched checkpoint fails at load, naming the array, instead of
+        at the next observe."""
+        name, bad, expected, found = self.MISMATCHES[case]
+        rng = np.random.default_rng(24)
+        est = feed(StreamingEstimator(6), rng.standard_normal((30, 6)), np.arange(30) % 3)
+        path = tmp_path / "bad.rdck"
+        est.save(path)
+        meta, arrays = read_checkpoint(path)
+        arrays[name] = bad
+        write_checkpoint(path, meta, arrays)
+        with pytest.raises(DataFormatError) as info:
+            StreamingEstimator.load(path)
+        message = str(info.value)
+        assert repr(name) in message
+        assert f"expected {expected}" in message and f"shape {found}" in message
+
+    def test_missing_array_rejected(self, tmp_path):
+        est = feed(StreamingEstimator(3), np.eye(3), [0, 1, 1])
+        path = tmp_path / "partial.rdck"
+        est.save(path)
+        meta, arrays = read_checkpoint(path)
+        del arrays["scatter"]
+        write_checkpoint(path, meta, arrays)
+        with pytest.raises(DataFormatError, match="'scatter'"):
+            StreamingEstimator.load(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
-        from randumb.data_io import write_checkpoint
-
         path = tmp_path / "other.rdck"
         write_checkpoint(path, {"kind": "something_else"}, {})
         with pytest.raises(DataError):
@@ -384,6 +426,41 @@ class TestBlocked:
             np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
             for label, mean in whole.class_means().items():
                 np.testing.assert_array_equal(resumed.class_means()[label], mean)
+
+    def test_resume_at_a_random_block_boundary_is_bitwise(self, tmp_path):
+        """Over random shapes, class counts, block cuts and every estimator
+        setting, a run saved at a random block boundary, loaded and
+        finished holds exactly the state of the uninterrupted run."""
+        rng = np.random.default_rng(35)
+        path = tmp_path / "resume.rdck"
+        for trial in range(30):
+            mode, unbiased = self.SETTINGS[trial % len(self.SETTINGS)]
+            e = int(rng.integers(1, 30))
+            n = int(rng.integers(2, 300))
+            X = rng.standard_normal((n, e)) + rng.standard_normal(e) * 2
+            y = rng.integers(0, int(rng.integers(1, 8)), size=n)
+            cuts = sorted(
+                rng.choice(np.arange(1, n), size=int(rng.integers(0, min(n, 20))), replace=False)
+            )
+            bounds = [0, *cuts, n]
+            stop = bounds[int(rng.integers(1, len(bounds)))]
+
+            def build():
+                return StreamingEstimator(e, mode=mode, pooled_unbiased=unbiased)
+
+            whole = feed_blocks(build(), X, y, cuts)
+            first = feed_blocks(build(), X[:stop], y[:stop], [c for c in cuts if c < stop])
+            first.save(path)
+            rest = [c - stop for c in cuts if c > stop]
+            resumed = feed_blocks(StreamingEstimator.load(path), X[stop:], y[stop:], rest)
+            assert resumed.total_count == whole.total_count == n
+            assert resumed.class_counts() == whole.class_counts()
+            np.testing.assert_array_equal(resumed._scatter, whole._scatter)
+            np.testing.assert_array_equal(resumed._grand_mean, whole._grand_mean)
+            for label, mean in whole.class_means().items():
+                np.testing.assert_array_equal(resumed.class_means()[label], mean)
+            if n - (len(whole.classes_seen) if unbiased else 1) >= 1:
+                np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
 
     def test_bad_row_names_its_index_and_leaves_state(self):
         rng = np.random.default_rng(34)
