@@ -8,8 +8,6 @@ benchmark harness around it.
 
 from .classifier import (
     ModelVariant,
-    RandomReluMap,
-    RPSpec,
     StreamingClassifier,
     VARIANTS,
 )
@@ -33,7 +31,7 @@ from .errors import (
     ShapeError,
     UnsupportedAugmentationError,
 )
-from .fourier import FeatureMap, FeatureMapSpec
+from .fourier import FeatureMap, FeatureMapSpec, RandomReluMap
 from .harness import (
     RunResult,
     StreamBlock,
@@ -68,7 +66,6 @@ __all__ = [
     "RanDumbError",
     "RandomReluMap",
     "RawDataset",
-    "RPSpec",
     "RunResult",
     "ShapeError",
     "ShrinkageResult",

@@ -24,7 +24,7 @@ phi . mean_i.  Ties break toward the smallest class label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,73 +32,24 @@ from . import data_io
 from .errors import (
     ConfigurationError,
     DataError,
+    DataFormatError,
     EmptyModelError,
     ModelStateError,
     ShapeError,
 )
-from .fourier import FeatureMap, FeatureMapSpec
+# RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
+from .fourier import FeatureMapSpec, RandomReluMap, build_map
 from .precision import PrecisionModel, shrink_packed
 from .streaming import MODE_POOLED, MODES, StreamingEstimator
 
-VARIANTS = ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
-PRECISION_VARIANTS = ("randumb", "slda", "rp_relu")
-EMBEDDED_VARIANTS = ("randumb", "kernel_ncm", "rp_relu")
-
-
-@dataclass(frozen=True)
-class RPSpec:
-    """Random projection + rectifier embedding: relu(Wx), W iid N(0, 1)."""
-
-    input_dim: int
-    output_dim: int
-    seed: int
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ConfigurationError("projection dimensions must be positive")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.output_dim
-
-
-class RandomReluMap:
-    """Frozen rectified random projection, same shape contract as FeatureMap."""
-
-    def __init__(self, spec: RPSpec):
-        self.spec = spec
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
-        self.weights = rng.standard_normal(
-            (spec.output_dim, spec.input_dim)
-        ).astype(np.float32)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.spec.output_dim
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim != 1 or x.shape[0] != self.spec.input_dim:
-            raise ShapeError(
-                f"expected a flat vector of length {self.spec.input_dim}, "
-                f"got shape {x.shape}"
-            )
-        return self.embed_batch(x[None, :])[0]
-
-    def embed_batch(self, X: np.ndarray, block: int = 256) -> np.ndarray:
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
-            raise ShapeError(
-                f"expected (n, {self.spec.input_dim}) inputs, got shape {X.shape}"
-            )
-        out = np.empty((X.shape[0], self.embed_dim), dtype=np.float32)
-        X32 = X.astype(np.float32, copy=False)
-        for start in range(0, X.shape[0], block):
-            stop = min(start + block, X.shape[0])
-            np.maximum(X32[start:stop] @ self.weights.T, 0.0, out=out[start:stop])
-        return out
+# variant -> (random-map head, or None on raw inputs; Mahalanobis rule?)
+VARIANTS = {
+    "randumb": ("fourier", True),
+    "kernel_ncm": ("fourier", False),
+    "slda": (None, True),
+    "ncm": (None, False),
+    "rp_relu": ("relu", True),
+}
 
 
 @dataclass(frozen=True)
@@ -106,13 +57,13 @@ class ModelVariant:
     """Configuration of one classifier: variant name, embedding spec,
     ridge strength, and covariance centering mode.
 
-    ``randumb``/``kernel_ncm`` require a FeatureMapSpec and ``rp_relu``
-    an RPSpec; ``slda``/``ncm`` run on raw inputs and take ``input_dim``
+    The embedding's head must be the one ``VARIANTS`` names for the
+    variant; ``slda``/``ncm`` run on raw inputs and take ``input_dim``
     instead.  ``ridge`` is ignored by the two inner-product variants.
     """
 
     variant: str
-    embedding: FeatureMapSpec | RPSpec | None = None
+    embedding: FeatureMapSpec | None = None
     ridge: float = 0.0
     estimator_mode: str = MODE_POOLED
     pooled_unbiased: bool = False
@@ -121,28 +72,19 @@ class ModelVariant:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
+                f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}"
             )
-        if self.variant in ("randumb", "kernel_ncm"):
-            if not isinstance(self.embedding, FeatureMapSpec):
-                raise ConfigurationError(
-                    f"variant {self.variant} requires a Fourier embedding spec"
-                )
-        elif self.variant == "rp_relu":
-            if not isinstance(self.embedding, RPSpec):
-                raise ConfigurationError(
-                    "variant rp_relu requires a random-projection spec"
-                )
-        else:
-            if self.embedding is not None:
-                raise ConfigurationError(
-                    f"variant {self.variant} runs on raw inputs and forbids "
-                    f"an embedding spec"
-                )
-            if self.input_dim is None or self.input_dim < 1:
-                raise ConfigurationError(
-                    f"variant {self.variant} needs a positive input_dim"
-                )
+        head = VARIANTS[self.variant][0]
+        given = self.embedding.head if self.embedding is not None else None
+        if given != head:
+            want = f"a {head!r} embedding" if head else "raw inputs, with no embedding"
+            raise ConfigurationError(
+                f"variant {self.variant} runs on {want}; got head {given!r}"
+            )
+        if head is None and (self.input_dim is None or self.input_dim < 1):
+            raise ConfigurationError(
+                f"variant {self.variant} needs a positive input_dim"
+            )
         if self.embedding is not None and self.input_dim is not None:
             if self.input_dim != self.embedding.input_dim:
                 raise ConfigurationError(
@@ -166,15 +108,7 @@ class ModelVariant:
 
     @property
     def needs_precision(self) -> bool:
-        return self.variant in PRECISION_VARIANTS
-
-
-def _build_map(config: ModelVariant):
-    if isinstance(config.embedding, FeatureMapSpec):
-        return FeatureMap(config.embedding)
-    if isinstance(config.embedding, RPSpec):
-        return RandomReluMap(config.embedding)
-    return None
+        return VARIANTS[self.variant][1]
 
 
 class StreamingClassifier:
@@ -200,7 +134,7 @@ class StreamingClassifier:
 
     def _start(self, config: ModelVariant, estimator: StreamingEstimator) -> None:
         self.config = config
-        self.feature_map = _build_map(config)
+        self.feature_map = build_map(config.embedding) if config.embedding else None
         self.estimator = estimator
         self._labels: np.ndarray | None = None
         self._means: np.ndarray | None = None
@@ -252,9 +186,7 @@ class StreamingClassifier:
             self.shrinkage_rho, self.shrinkage_mu = shrink_packed(
                 scatter, self.estimator.total_count, denom
             )
-            self._precision = PrecisionModel(
-                scatter, self.config.ridge, overwrite=True
-            )
+            self._precision = PrecisionModel(scatter, self.config.ridge)
             # The rule's linear form (module docstring).
             weights = self._precision.solve(self._means.T)
             self._lin_weights = weights
@@ -305,65 +237,53 @@ class StreamingClassifier:
         state.  Finalized artifacts are rebuilt by finalize() on load."""
         est_meta, arrays = self.estimator._state()
         emb = self.config.embedding
-        if isinstance(emb, FeatureMapSpec):
-            emb_meta = {
-                "type": "fourier",
-                "input_dim": emb.input_dim,
-                "num_bases": emb.num_bases,
-                "gamma": emb.gamma,
-                "seed": emb.seed,
-            }
-        elif isinstance(emb, RPSpec):
-            emb_meta = {
-                "type": "rp",
-                "input_dim": emb.input_dim,
-                "output_dim": emb.output_dim,
-                "seed": emb.seed,
-            }
-        else:
-            emb_meta = None
         meta = {
             "kind": "classifier",
             "variant": self.config.variant,
             "ridge": self.config.ridge,
             "input_dim": self.config.input_dim,
-            "embedding": emb_meta,
+            "embedding": asdict(emb) if emb is not None else None,
             "estimator": est_meta,
         }
         data_io.write_checkpoint(path, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "StreamingClassifier":
+        """Rebuild a saved classifier.  A checkpoint whose meta misses a
+        field, carries one the spec does not know, or disagrees with its
+        own estimator state raises DataFormatError naming the field."""
         meta, arrays = data_io.read_checkpoint(path)
         if meta.get("kind") != "classifier":
             raise DataError(f"{path}: not a classifier checkpoint")
-        emb_meta = meta["embedding"]
-        if emb_meta is None:
-            embedding = None
-        elif emb_meta["type"] == "fourier":
-            embedding = FeatureMapSpec(
-                input_dim=int(emb_meta["input_dim"]),
-                num_bases=int(emb_meta["num_bases"]),
-                gamma=float(emb_meta["gamma"]),
-                seed=int(emb_meta["seed"]),
+        try:
+            emb, est_meta = meta["embedding"], meta["estimator"]
+            variant, ridge, input_dim = meta["variant"], meta["ridge"], meta["input_dim"]
+            mode, unbiased = est_meta["mode"], est_meta["pooled_unbiased"]
+            embed_dim, track_scatter = est_meta["embed_dim"], est_meta["track_scatter"]
+        except KeyError as exc:
+            raise DataFormatError(f"{path}: checkpoint meta has no {exc} field") from exc
+        try:
+            config = ModelVariant(
+                variant=variant,
+                # a field the spec does not take, or lacks, is a TypeError
+                embedding=FeatureMapSpec(**emb) if emb is not None else None,
+                ridge=float(ridge),
+                estimator_mode=mode,
+                pooled_unbiased=bool(unbiased),
+                input_dim=input_dim,
             )
-        elif emb_meta["type"] == "rp":
-            embedding = RPSpec(
-                input_dim=int(emb_meta["input_dim"]),
-                output_dim=int(emb_meta["output_dim"]),
-                seed=int(emb_meta["seed"]),
+        except (ConfigurationError, TypeError) as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+        if config.embed_dim != embed_dim:
+            raise DataFormatError(
+                f"{path}: embed_dim {config.embed_dim} of the model disagrees "
+                f"with the estimator's embed_dim {embed_dim}"
             )
-        else:
-            raise DataError(f"{path}: unknown embedding type {emb_meta['type']!r}")
-        est_meta = meta["estimator"]
-        config = ModelVariant(
-            variant=meta["variant"],
-            embedding=embedding,
-            ridge=float(meta["ridge"]),
-            estimator_mode=est_meta["mode"],
-            pooled_unbiased=bool(est_meta["pooled_unbiased"]),
-            input_dim=meta["input_dim"],
-        )
+        if config.needs_precision != track_scatter:
+            raise DataFormatError(
+                f"{path}: variant {variant} disagrees with the estimator's "
+                f"track_scatter {track_scatter}"
+            )
         # The classifier is built around the restored estimator, so no
         # zero accumulator is allocated beside the one just read.
         model = cls.__new__(cls)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ModelVariant, RPSpec, StreamingClassifier, VARIANTS
+from .classifier import ModelVariant, StreamingClassifier, VARIANTS
 from .data_io import (
     ORIGIN_FLIPPED,
     ORIGIN_ORIGINAL,
@@ -33,12 +33,12 @@ from .errors import (
     RanDumbError,
     UnsupportedAugmentationError,
 )
-from .fourier import GENERATOR_NAME, FeatureMapSpec, num_bases_for_embed_dim
+from .fourier import GENERATOR_NAME, FeatureMapSpec
 from .streaming import MODE_POOLED
 
 DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
 
-ABLATION_ORDER = ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
+ABLATION_ORDER = tuple(VARIANTS)
 
 _STREAM_BLOCK = 256
 
@@ -254,8 +254,8 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
         "class_order": list(stream_spec.class_order),
         "stream_seed": stream_spec.seed,
         "feature_seed": emb.seed if emb is not None else None,
-        "gamma": emb.gamma if isinstance(emb, FeatureMapSpec) else None,
-        "num_bases": emb.num_bases if isinstance(emb, FeatureMapSpec) else None,
+        "gamma": emb.gamma if emb is not None else None,
+        "num_bases": emb.num_bases if emb is not None else None,
         "rng": GENERATOR_NAME,
         "numpy_version": np.__version__,
         "eval_every": eval_every,
@@ -311,12 +311,7 @@ def _peak_memory_estimate(
     e, d, c = model_config.embed_dim, descriptor.input_dim, descriptor.num_classes
     b = _STREAM_BLOCK
     emb = model_config.embedding
-    if isinstance(emb, FeatureMapSpec):
-        width = emb.num_bases
-    elif isinstance(emb, RPSpec):
-        width = emb.output_dim
-    else:
-        width = 0
+    width = emb.num_bases if emb is not None else 0
     snapshot = 4 * e * (e + 1) if model_config.needs_precision and eval_every > 0 else 0
     held = (
         4 * width * d
@@ -433,7 +428,7 @@ def build_model_config(
     """Translate CLI-level knobs into a ModelVariant for one dataset."""
     if variant not in VARIANTS:
         raise ConfigurationError(
-            f"unknown variant {variant!r}; expected one of {VARIANTS}"
+            f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}"
         )
     if ridge is None:
         ridge = descriptor.default_ridge
@@ -442,20 +437,17 @@ def build_model_config(
         estimator_mode=estimator_mode,
         pooled_unbiased=pooled_unbiased,
     )
-    if variant in ("randumb", "kernel_ncm"):
-        embedding = FeatureMapSpec(
-            input_dim=descriptor.input_dim,
-            num_bases=num_bases_for_embed_dim(embed_dim),
-            gamma=gamma,
-            seed=seed,
-        )
-        return ModelVariant(variant=variant, embedding=embedding, **common)
-    if variant == "rp_relu":
-        embedding = RPSpec(
-            input_dim=descriptor.input_dim, output_dim=embed_dim, seed=seed
-        )
-        return ModelVariant(variant=variant, embedding=embedding, **common)
-    return ModelVariant(variant=variant, input_dim=descriptor.input_dim, **common)
+    head = VARIANTS[variant][0]
+    if head is None:
+        return ModelVariant(variant=variant, input_dim=descriptor.input_dim, **common)
+    embedding = FeatureMapSpec(
+        head=head,
+        input_dim=descriptor.input_dim,
+        embed_dim=embed_dim,
+        seed=seed,
+        gamma=gamma if head == "fourier" else None,
+    )
+    return ModelVariant(variant=variant, embedding=embedding, **common)
 
 
 def run_on_dataset(
@@ -514,8 +506,8 @@ def run_on_dataset(
 def sweep_embedding(dims: list[int], data: RawDataset, **settings) -> list[RunResult]:
     """One run per embedding size with shared data, seed, and stream.
 
-    Sizes must be even and non-descending (repeats allowed; repeated
-    sizes reproduce identical results).
+    Sizes must be non-descending (repeats allowed; repeated sizes
+    reproduce identical results), and even for the Fourier variants.
     """
     if not dims:
         raise ConfigurationError("sweep needs at least one embedding size")

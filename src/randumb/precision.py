@@ -174,23 +174,15 @@ class PrecisionModel:
     """A factorized (shrunk + lambda I): repeated SPD solves, plus a
     log-determinant diagnostic.
 
-    ``shrunk`` is a square matrix, of which only the upper triangle is
-    read (it is packed into a new vector), or the RFP vector of that
-    triangle, which ``overwrite`` lets the factor take over in place.
+    ``packed`` is the RFP vector of the upper triangle of ``shrunk``
+    (``pack_upper``); the ridge is added to it and it is factored in
+    place, so the factor takes the vector over.
     """
 
-    def __init__(self, shrunk: np.ndarray, ridge: float, overwrite: bool = False):
-        shrunk = np.asarray(shrunk, dtype=np.float64)
+    def __init__(self, packed: np.ndarray, ridge: float):
+        packed = np.asarray(packed, dtype=np.float64)
         if ridge < 0:
             raise DataError(f"ridge must be >= 0, got {ridge}")
-        if shrunk.ndim == 2 and shrunk.shape[0] == shrunk.shape[1]:
-            packed = pack_upper(shrunk)
-        elif shrunk.ndim == 1:
-            packed = shrunk if overwrite else shrunk.copy()
-        else:
-            raise ShapeError(
-                f"matrix must be square or a packed triangle, got shape {shrunk.shape}"
-            )
         e = packed_dim(packed)
         self.embed_dim = e
         self.ridge = float(ridge)

@@ -219,7 +219,7 @@ def _check_rff_kernel(rng) -> OracleReport:
     exact = exact_rbf_kernel_matrix(X, Y, 1.0).diagonal()
 
     def mae(num_bases: int, seed: int) -> float:
-        fm = FeatureMap(FeatureMapSpec(d, num_bases, 1.0, seed))
+        fm = FeatureMap(FeatureMapSpec("fourier", d, 2 * num_bases, seed, gamma=1.0))
         approx = np.einsum("ij,ij->i", fm.embed_batch(X), fm.embed_batch(Y))
         return float(np.abs(approx - exact).mean())
 

@@ -103,7 +103,7 @@ class TestPropertyGates:
 
         def mean_abs_error(num_bases: int, seed: int) -> float:
             spec = FeatureMapSpec(
-                input_dim=d, num_bases=num_bases, gamma=gamma, seed=seed
+                "fourier", input_dim=d, embed_dim=2 * num_bases, seed=seed, gamma=gamma
             )
             fmap = FeatureMap(spec)
             lhs = fmap.embed_batch(pairs[:, 0]).astype(np.float64)

@@ -17,11 +17,13 @@ from randumb import (
     NumericalError,
     PrecisionModel,
     RandomReluMap,
-    RPSpec,
     ShapeError,
     StreamingClassifier,
     oas_shrink,
 )
+from randumb.data_io import read_checkpoint, write_checkpoint
+from randumb.errors import DataFormatError
+from randumb.precision import pack_upper
 from randumb.reference import (
     batch_lda_predict,
     batch_mahalanobis_predict,
@@ -32,8 +34,12 @@ from randumb.reference import (
 
 def fourier_config(variant="randumb", input_dim=6, num_bases=32, gamma=0.5,
                    seed=11, ridge=1e-4, **kw):
-    spec = FeatureMapSpec(input_dim=input_dim, num_bases=num_bases, gamma=gamma, seed=seed)
+    spec = FeatureMapSpec("fourier", input_dim, 2 * num_bases, seed, gamma=gamma)
     return ModelVariant(variant=variant, embedding=spec, ridge=ridge, **kw)
+
+
+def relu_spec(input_dim, embed_dim, seed):
+    return FeatureMapSpec("relu", input_dim, embed_dim, seed)
 
 
 def raw_config(variant="slda", input_dim=6, ridge=1e-4, **kw):
@@ -55,28 +61,30 @@ class TestModelVariantValidation:
 
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm"])
     def test_fourier_variants_need_fourier_spec(self, variant):
-        with pytest.raises(ConfigurationError, match="Fourier"):
+        with pytest.raises(ConfigurationError, match="'fourier' embedding"):
             ModelVariant(variant=variant, input_dim=4)
-        with pytest.raises(ConfigurationError, match="Fourier"):
-            ModelVariant(variant=variant, embedding=RPSpec(input_dim=4, output_dim=8, seed=0))
+        with pytest.raises(ConfigurationError, match="'fourier' embedding"):
+            ModelVariant(variant=variant, embedding=relu_spec(4, 8, 0))
 
     def test_rp_relu_needs_rp_spec(self):
-        with pytest.raises(ConfigurationError, match="random-projection"):
+        with pytest.raises(ConfigurationError, match="'relu' embedding"):
             ModelVariant(
                 variant="rp_relu",
-                embedding=FeatureMapSpec(input_dim=4, num_bases=4, gamma=1.0, seed=0),
+                embedding=FeatureMapSpec("fourier", 4, 8, 0, gamma=1.0),
             )
+        with pytest.raises(ConfigurationError, match="'relu' embedding"):
+            ModelVariant(variant="rp_relu", input_dim=4)
 
     @pytest.mark.parametrize("variant", ["slda", "ncm"])
     def test_raw_variants_forbid_embedding(self, variant):
-        spec = FeatureMapSpec(input_dim=4, num_bases=4, gamma=1.0, seed=0)
+        spec = FeatureMapSpec("fourier", 4, 8, 0, gamma=1.0)
         with pytest.raises(ConfigurationError, match="raw inputs"):
             ModelVariant(variant=variant, embedding=spec, input_dim=4)
         with pytest.raises(ConfigurationError, match="input_dim"):
             ModelVariant(variant=variant)
 
     def test_input_dim_must_match_embedding(self):
-        spec = FeatureMapSpec(input_dim=4, num_bases=4, gamma=1.0, seed=0)
+        spec = FeatureMapSpec("fourier", 4, 8, 0, gamma=1.0)
         with pytest.raises(ConfigurationError, match="contradicts"):
             ModelVariant(variant="randumb", embedding=spec, input_dim=5)
         # Matching value is allowed.
@@ -96,26 +104,31 @@ class TestModelVariantValidation:
     def test_needs_precision_flags(self):
         assert fourier_config("randumb").needs_precision
         assert raw_config("slda").needs_precision
-        rp = ModelVariant(variant="rp_relu", embedding=RPSpec(input_dim=4, output_dim=8, seed=0))
+        rp = ModelVariant(variant="rp_relu", embedding=relu_spec(4, 8, 0))
         assert rp.needs_precision
         assert not fourier_config("kernel_ncm").needs_precision
         assert not raw_config("ncm").needs_precision
 
 
 class TestRPSpec:
+    """The relu head of the frozen random map (the rp_relu embedding)."""
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RPSpec(input_dim=0, output_dim=8, seed=0)
+            relu_spec(input_dim=0, embed_dim=8, seed=0)
         with pytest.raises(ConfigurationError):
-            RPSpec(input_dim=4, output_dim=0, seed=0)
+            relu_spec(input_dim=4, embed_dim=0, seed=0)
         with pytest.raises(ConfigurationError):
-            RPSpec(input_dim=4, output_dim=8, seed=-1)
+            relu_spec(input_dim=4, embed_dim=8, seed=-1)
+        with pytest.raises(ConfigurationError, match="no gamma"):
+            FeatureMapSpec("relu", 4, 8, 0, gamma=1.0)
 
     def test_embed_dim_is_output_dim(self):
-        assert RPSpec(input_dim=4, output_dim=17, seed=0).embed_dim == 17
+        spec = relu_spec(input_dim=4, embed_dim=17, seed=0)
+        assert spec.embed_dim == spec.num_bases == 17
 
     def test_relu_semantics(self):
-        spec = RPSpec(input_dim=3, output_dim=16, seed=5)
+        spec = relu_spec(input_dim=3, embed_dim=16, seed=5)
         fmap = RandomReluMap(spec)
         x = np.array([0.3, -1.2, 0.7], dtype=np.float64)
         raw = fmap.weights.astype(np.float64) @ x
@@ -128,7 +141,7 @@ class TestRPSpec:
         assert np.all(out[raw < -1e-6] == 0)
 
     def test_deterministic_weights(self):
-        spec = RPSpec(input_dim=5, output_dim=9, seed=123)
+        spec = relu_spec(input_dim=5, embed_dim=9, seed=123)
         a = RandomReluMap(spec)
         b = RandomReluMap(spec)
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -136,7 +149,7 @@ class TestRPSpec:
         assert a.weights.shape == (9, 5)
 
     def test_weight_distribution_is_standard_normal(self):
-        spec = RPSpec(input_dim=400, output_dim=500, seed=9)
+        spec = relu_spec(input_dim=400, embed_dim=500, seed=9)
         w = RandomReluMap(spec).weights.astype(np.float64)
         assert abs(w.mean()) < 0.01
         assert abs(w.var() - 1.0) < 0.02
@@ -144,7 +157,7 @@ class TestRPSpec:
     def test_embed_batch_matches_single(self):
         # Single-precision matmul reassociates across batch shapes, so the
         # agreement is to float32 roundoff, not bitwise.
-        spec = RPSpec(input_dim=6, output_dim=12, seed=3)
+        spec = relu_spec(input_dim=6, embed_dim=12, seed=3)
         fmap = RandomReluMap(spec)
         X = np.random.default_rng(0).standard_normal((40, 6)).astype(np.float32)
         batch = fmap.embed_batch(X, block=7)
@@ -273,7 +286,7 @@ class TestBatchAgreement:
         elif variant == "rp_relu":
             config = ModelVariant(
                 variant="rp_relu",
-                embedding=RPSpec(input_dim=6, output_dim=24, seed=2),
+                embedding=relu_spec(6, 24, 2),
                 ridge=1e-4,
             )
         else:
@@ -319,8 +332,8 @@ class TestScaleInvariance:
                    bias=False),
             len(X),
         ).shrunk
-        base = PrecisionModel(shrunk, ridge=1e-3)
-        scaled = PrecisionModel(3.7 * (shrunk + 1e-3 * np.eye(6)), ridge=0.0)
+        base = PrecisionModel(pack_upper(shrunk), ridge=1e-3)
+        scaled = PrecisionModel(pack_upper(3.7 * (shrunk + 1e-3 * np.eye(6))), ridge=0.0)
         means = model._means
         T = rng.standard_normal((1000, 6))
         d_base = squared_distances(base, T, means)
@@ -576,7 +589,7 @@ class TestEndToEnd:
         elif variant == "rp_relu":
             config = ModelVariant(
                 variant="rp_relu",
-                embedding=RPSpec(input_dim=10, output_dim=256, seed=2),
+                embedding=relu_spec(10, 256, 2),
                 ridge=1e-4,
             )
         else:
@@ -596,7 +609,7 @@ class TestCheckpointing:
         elif variant == "rp_relu":
             config = ModelVariant(
                 variant="rp_relu",
-                embedding=RPSpec(input_dim=5, output_dim=20, seed=4),
+                embedding=relu_spec(5, 20, 4),
                 ridge=1e-4,
             )
         else:
@@ -666,4 +679,89 @@ class TestCheckpointing:
         path = tmp_path / "other.rdck"
         write_checkpoint(path, {"kind": "estimator"}, {})
         with pytest.raises(DataError, match="classifier"):
+            StreamingClassifier.load(path)
+
+
+class TestCheckpointMeta:
+    """load refuses a checkpoint whose meta is incomplete, unknown, or at
+    odds with its own estimator state, naming the field."""
+
+    @staticmethod
+    def tampered(tmp_path, config, edit):
+        rng = np.random.default_rng(64)
+        d = config.raw_input_dim
+        model = StreamingClassifier(config)
+        model.observe(rng.standard_normal((30, d)), np.arange(30) % 3)
+        path = tmp_path / "model.rdck"
+        model.save(path)
+        meta, arrays = read_checkpoint(path)
+        edit(meta)
+        write_checkpoint(path, meta, arrays)
+        return path
+
+    @pytest.mark.parametrize(
+        "field",
+        ["variant", "ridge", "input_dim", "embedding", "estimator", "seed", "mode"],
+    )
+    def test_missing_field_rejected(self, tmp_path, field):
+        def drop(meta):
+            {"seed": meta["embedding"], "mode": meta["estimator"]}.get(field, meta).pop(field)
+
+        path = self.tampered(tmp_path, fourier_config(input_dim=5), drop)
+        with pytest.raises(DataFormatError, match=repr(field)):
+            StreamingClassifier.load(path)
+
+    @pytest.mark.parametrize(
+        "embedding,field",
+        [
+            # the layout before the two random maps shared one spec
+            ({"type": "fourier", "input_dim": 5, "num_bases": 32, "gamma": 0.5,
+              "seed": 11}, "type"),
+            ({"head": "fourier", "input_dim": 5, "embed_dim": 64, "seed": 11,
+              "gamma": 0.5, "scale": 2.0}, "scale"),
+        ],
+    )
+    def test_unknown_spec_field_rejected(self, tmp_path, embedding, field):
+        path = self.tampered(
+            tmp_path, fourier_config(input_dim=5), lambda m: m.update(embedding=embedding)
+        )
+        with pytest.raises(DataFormatError, match=repr(field)):
+            StreamingClassifier.load(path)
+
+    @pytest.mark.parametrize("variant", ["randumb", "rp_relu", "slda"])
+    def test_embed_dim_disagreeing_with_estimator_rejected(self, tmp_path, variant):
+        if variant == "randumb":
+            config = fourier_config(input_dim=5, num_bases=16)
+            edit = lambda m: m["embedding"].update(embed_dim=8)  # noqa: E731
+        elif variant == "rp_relu":
+            config = ModelVariant(variant="rp_relu", embedding=relu_spec(5, 20, 4))
+            edit = lambda m: m["embedding"].update(embed_dim=21)  # noqa: E731
+        else:
+            config = raw_config(input_dim=5)
+            edit = lambda m: m.update(input_dim=4)  # noqa: E731
+        path = self.tampered(tmp_path, config, edit)
+        with pytest.raises(DataFormatError, match="embed_dim"):
+            StreamingClassifier.load(path)
+
+    @pytest.mark.parametrize(
+        "config,variant",
+        [
+            (fourier_config("randumb", input_dim=5), "kernel_ncm"),
+            (raw_config("ncm", input_dim=5), "slda"),
+        ],
+    )
+    def test_precision_need_disagreeing_with_track_scatter_rejected(
+        self, tmp_path, config, variant
+    ):
+        path = self.tampered(tmp_path, config, lambda m: m.update(variant=variant))
+        with pytest.raises(DataFormatError, match="track_scatter"):
+            StreamingClassifier.load(path)
+
+    def test_invalid_spec_values_rejected_as_data_format(self, tmp_path):
+        path = self.tampered(
+            tmp_path,
+            fourier_config(input_dim=5),
+            lambda m: m["embedding"].update(embed_dim=63),
+        )
+        with pytest.raises(DataFormatError, match="even"):
             StreamingClassifier.load(path)

@@ -462,6 +462,14 @@ class TestConfigEcho:
         assert result.config["feature_seed"] is None
         assert result.config["state_dim"] == data.descriptor.input_dim
 
+    def test_relu_variant_echoes_its_rows_and_no_gamma(self):
+        data = blob_dataset(seed=10)
+        result = run_on_dataset(data, variant="rp_relu", embed_dim=33, gamma=0.3, seed=4)
+        echo = result.config
+        assert echo["num_bases"] == echo["state_dim"] == 33
+        assert echo["gamma"] is None
+        assert echo["feature_seed"] == 4
+
 
 class TestCheckMemoryCap:
     def test_byte_arithmetic(self):

@@ -175,16 +175,17 @@ class TestShrinkUpper:
 
 
 class TestBuildPrecision:
-    """Factorizing (shrunk + ridge I) into a PrecisionModel."""
+    """Factorizing (shrunk + ridge I), given as the RFP vector of its
+    upper triangle, into a PrecisionModel."""
 
     def test_identity_solves_are_identity(self):
-        pm = PrecisionModel(np.eye(6), ridge=0.0)
+        pm = PrecisionModel(pack_upper(np.eye(6)), ridge=0.0)
         v = np.arange(6.0)
         np.testing.assert_allclose(pm.solve(v), v, atol=1e-12)
 
     def test_diagonal_case_closed_form(self):
         d = np.array([1.0, 2.0, 4.0])
-        pm = PrecisionModel(np.diag(d), ridge=0.5)
+        pm = PrecisionModel(pack_upper(np.diag(d)), ridge=0.5)
         for i in range(3):
             e_i = np.zeros(3)
             e_i[i] = 1.0
@@ -193,7 +194,7 @@ class TestBuildPrecision:
     def test_solve_matches_dense_inverse(self):
         rng = np.random.default_rng(34)
         S = random_spd(rng, 50)
-        pm = PrecisionModel(S, ridge=1e-3)
+        pm = PrecisionModel(pack_upper(S), ridge=1e-3)
         inv = np.linalg.inv(S + 1e-3 * np.eye(50))
         for _ in range(5):
             v = rng.standard_normal(50)
@@ -203,7 +204,7 @@ class TestBuildPrecision:
         rng = np.random.default_rng(35)
         S = random_spd(rng, 40)
         A = S + 1e-4 * np.eye(40)
-        pm = PrecisionModel(S, ridge=1e-4)
+        pm = PrecisionModel(pack_upper(S), ridge=1e-4)
         for _ in range(100):
             v = rng.standard_normal(40)
             z = pm.solve(v)
@@ -212,31 +213,33 @@ class TestBuildPrecision:
     def test_log_det_matches_slogdet(self):
         rng = np.random.default_rng(36)
         S = random_spd(rng, 15)
-        pm = PrecisionModel(S, ridge=0.01)
+        pm = PrecisionModel(pack_upper(S), ridge=0.01)
         sign, logdet = np.linalg.slogdet(S + 0.01 * np.eye(15))
         assert sign == 1.0
         assert pm.log_det == pytest.approx(logdet, rel=1e-10)
 
     def test_non_positive_definite_reports_pivot(self):
         with pytest.raises(NumericalError) as excinfo:
-            PrecisionModel(np.diag([1.0, -1.0, 2.0]), ridge=0.0)
+            PrecisionModel(pack_upper(np.diag([1.0, -1.0, 2.0])), ridge=0.0)
         assert excinfo.value.pivot_index == 1
 
     def test_input_validation(self):
         with pytest.raises(ShapeError):
-            PrecisionModel(np.zeros((3, 4)), ridge=0.0)
+            PrecisionModel(np.eye(3), ridge=0.0)
+        with pytest.raises(ShapeError):
+            PrecisionModel(np.zeros(5), ridge=0.0)
         with pytest.raises(DataError):
-            PrecisionModel(np.eye(3), ridge=-0.1)
+            PrecisionModel(pack_upper(np.eye(3)), ridge=-0.1)
 
     def test_reads_only_the_upper_triangle(self):
         """The factor is taken from the upper triangle alone: a zero or a
         non-finite strict lower triangle changes nothing."""
         rng = np.random.default_rng(41)
         S = random_spd(rng, 600, 700)
-        full = PrecisionModel(S, ridge=1e-3)
+        full = PrecisionModel(pack_upper(S), ridge=1e-3)
         upper = np.triu(S)
         upper[500, 20] = np.nan
-        half = PrecisionModel(upper, ridge=1e-3)
+        half = PrecisionModel(pack_upper(upper), ridge=1e-3)
         assert half.log_det == full.log_det
         v = rng.standard_normal(600)
         np.testing.assert_array_equal(half.solve(v), full.solve(v))
@@ -246,31 +249,21 @@ class TestBuildPrecision:
             S = np.eye(600)
             S[i, j] = np.inf if i != j else np.nan
             with pytest.raises(NumericalError, match="non-finite"):
-                PrecisionModel(S, ridge=0.0)
-
-    def test_overwrite_false_leaves_input_untouched(self):
-        S = np.eye(4) * 2.0
-        original = S.copy()
-        PrecisionModel(S, ridge=1.0)
-        np.testing.assert_array_equal(S, original)
-        packed = pack_upper(S)
-        before = packed.copy()
-        PrecisionModel(packed, ridge=1.0)
-        np.testing.assert_array_equal(packed, before)
+                PrecisionModel(pack_upper(S), ridge=0.0)
 
     @pytest.mark.parametrize("e", [40, 41])
     def test_packed_input_factors_in_place_like_the_square(self, e):
-        """A packed triangle gives the same factor as its square matrix,
-        and with overwrite the factor takes over the vector itself."""
+        """The factor takes over the packed vector itself and solves like
+        the square matrix it packs."""
         rng = np.random.default_rng(42)
         S = random_spd(rng, e)
-        square = PrecisionModel(S, ridge=1e-3)
         packed = pack_upper(S)
-        model = PrecisionModel(packed, ridge=1e-3, overwrite=True)
+        model = PrecisionModel(packed, ridge=1e-3)
         assert np.shares_memory(model._factor, packed)
-        assert model.log_det == square.log_det
+        A = S + 1e-3 * np.eye(e)
+        assert model.log_det == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
         v = rng.standard_normal((e, 3))
-        np.testing.assert_array_equal(model.solve(v), square.solve(v))
+        np.testing.assert_allclose(model.solve(v), np.linalg.solve(A, v), rtol=1e-9)
         np.testing.assert_allclose(model.solve(v[:, 0]), model.solve(v)[:, 0], rtol=1e-12)
 
     @pytest.mark.parametrize("e", [6, 7])
@@ -293,17 +286,17 @@ class TestMahalanobis:
         return float(d @ pm.solve(d))
 
     def test_zero_delta_is_zero(self):
-        pm = PrecisionModel(np.eye(5), ridge=0.0)
+        pm = PrecisionModel(pack_upper(np.eye(5)), ridge=0.0)
         assert self.form(pm, np.zeros(5)) == 0.0
 
     def test_identity_metric_is_squared_norm(self):
-        pm = PrecisionModel(np.eye(2), ridge=0.0)
+        pm = PrecisionModel(pack_upper(np.eye(2)), ridge=0.0)
         assert self.form(pm, np.array([3.0, 4.0])) == pytest.approx(25.0)
 
     def test_matches_dense_quadratic_form(self):
         rng = np.random.default_rng(37)
         S = random_spd(rng, 30)
-        pm = PrecisionModel(S, ridge=1e-3)
+        pm = PrecisionModel(pack_upper(S), ridge=1e-3)
         inv = np.linalg.inv(S + 1e-3 * np.eye(30))
         for _ in range(20):
             d = rng.standard_normal(30)
@@ -316,12 +309,12 @@ class TestMahalanobis:
         S = random_spd(rng, 10)
         d = rng.standard_normal(10)
         values = [
-            self.form(PrecisionModel(S, ridge=lam), d)
+            self.form(PrecisionModel(pack_upper(S), ridge=lam), d)
             for lam in (0.0, 1e-4, 1e-2, 1.0, 10.0)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_shape_check(self):
-        pm = PrecisionModel(np.eye(3), ridge=0.0)
+        pm = PrecisionModel(pack_upper(np.eye(3)), ridge=0.0)
         with pytest.raises(ShapeError):
             pm.solve(np.zeros(4))

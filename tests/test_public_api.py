@@ -1,0 +1,20 @@
+"""The package's public surface: every exported name resolves, and the
+names the shared random-map spec replaced stay gone."""
+
+import randumb
+from randumb import classifier, fourier
+
+
+def test_every_exported_name_resolves():
+    for name in randumb.__all__:
+        assert getattr(randumb, name) is not None, name
+
+
+def test_one_random_map_spec():
+    for module in (randumb, classifier, fourier):
+        for gone in ("RPSpec", "num_bases_for_embed_dim", "PRECISION_VARIANTS",
+                     "EMBEDDED_VARIANTS"):
+            assert not hasattr(module, gone), (module.__name__, gone)
+    assert randumb.RandomReluMap is classifier.RandomReluMap
+    assert issubclass(randumb.RandomReluMap, randumb.FeatureMap)
+    assert tuple(randumb.VARIANTS) == ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
