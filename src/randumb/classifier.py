@@ -42,6 +42,11 @@ from .fourier import FeatureMapSpec, RandomReluMap, build_map
 from .precision import PrecisionModel, shrink_packed
 from .streaming import MODE_POOLED, MODES, StreamingEstimator
 
+# Rows per block: the stream is cut, and test sets are scored, this many
+# rows at a time.  The cut positions are part of the bitwise-resume
+# contract, and 256 rows sit at the knee of the packed rank-k update.
+BLOCK_ROWS = 256
+
 # variant -> (random-map head, or None on raw inputs; Mahalanobis rule?)
 VARIANTS = {
     "randumb": ("fourier", True),
@@ -138,7 +143,7 @@ class StreamingClassifier:
         self.estimator = estimator
         self._labels: np.ndarray | None = None
         self._means: np.ndarray | None = None
-        self._precision = None
+        self.precision = None
         self._lin_weights = None
         self._lin_bias = None
         self.shrinkage_rho: float | None = None
@@ -152,9 +157,7 @@ class StreamingClassifier:
         x = np.asarray(x)
         if self.feature_map is None:
             return x
-        if x.ndim == 1:
-            return self.feature_map.embed(x)
-        return self.feature_map.embed_batch(x)
+        return self.feature_map.embed_batch(x[None] if x.ndim == 1 else x)
 
     def observe(self, x_raw: np.ndarray, labels) -> None:
         """Embed one raw sample, or a block of rows with one label each,
@@ -176,7 +179,7 @@ class StreamingClassifier:
         # Drop the previous snapshot first, so its packed factor is freed
         # before the next one is built and a failed finalize leaves the
         # model unfinalized rather than mixing old and new state.
-        self._labels = self._precision = None
+        self._labels = self.precision = None
         self._lin_weights = self._lin_bias = None
         means = self.estimator.class_means()
         labels = np.asarray(sorted(means), dtype=np.int64)
@@ -186,16 +189,12 @@ class StreamingClassifier:
             self.shrinkage_rho, self.shrinkage_mu = shrink_packed(
                 scatter, self.estimator.total_count, denom
             )
-            self._precision = PrecisionModel(scatter, self.config.ridge)
+            self.precision = PrecisionModel(scatter, self.config.ridge)
             # The rule's linear form (module docstring).
-            weights = self._precision.solve(self._means.T)
+            weights = self.precision.solve(self._means.T)
             self._lin_weights = weights
             self._lin_bias = -0.5 * np.einsum("ec,ec->c", self._means.T, weights)
         self._labels = labels
-
-    @property
-    def precision(self):
-        return self._precision
 
     def _require_finalized(self) -> None:
         if not self.finalized:
@@ -203,10 +202,10 @@ class StreamingClassifier:
                 raise EmptyModelError("no classes observed yet")
             raise ModelStateError("call finalize() before scoring")
 
-    def predict_batch(self, X_raw: np.ndarray, block: int = 256) -> np.ndarray:
-        """Labels for rows of raw inputs, embedding and scoring blockwise,
-        so only a (block, C) score array is materialized.  Mahalanobis
-        variants rank by the linear discriminant (module docstring)."""
+    def predict_batch(self, X_raw: np.ndarray) -> np.ndarray:
+        """Labels for rows of raw inputs, embedded and scored BLOCK_ROWS
+        rows at a time.  Mahalanobis variants rank by the linear
+        discriminant (module docstring)."""
         self._require_finalized()
         X_raw = np.asarray(X_raw)
         if X_raw.ndim != 2 or X_raw.shape[1] != self.config.raw_input_dim:
@@ -216,12 +215,10 @@ class StreamingClassifier:
             )
         n = X_raw.shape[0]
         out = np.empty(n, dtype=np.int64)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            if self.feature_map is not None:
-                phi = self.feature_map.embed_batch(X_raw[start:stop])
-            else:
-                phi = X_raw[start:stop]
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            # Rebinding phi before the cast frees the previous block's rows.
+            phi = self._embed(X_raw[start:stop])
             phi = phi.astype(np.float64, copy=False)
             if self.config.needs_precision:
                 scores = phi @ self._lin_weights + self._lin_bias
@@ -258,34 +255,36 @@ class StreamingClassifier:
         try:
             emb, est_meta = meta["embedding"], meta["estimator"]
             variant, ridge, input_dim = meta["variant"], meta["ridge"], meta["input_dim"]
-            mode, unbiased = est_meta["mode"], est_meta["pooled_unbiased"]
-            embed_dim, track_scatter = est_meta["embed_dim"], est_meta["track_scatter"]
         except KeyError as exc:
             raise DataFormatError(f"{path}: checkpoint meta has no {exc} field") from exc
+        try:
+            estimator = StreamingEstimator._from_state(est_meta, arrays)
+        except DataFormatError as exc:
+            raise exc.with_prefix(str(path))
         try:
             config = ModelVariant(
                 variant=variant,
                 # a field the spec does not take, or lacks, is a TypeError
                 embedding=FeatureMapSpec(**emb) if emb is not None else None,
                 ridge=float(ridge),
-                estimator_mode=mode,
-                pooled_unbiased=bool(unbiased),
+                estimator_mode=estimator.mode,
+                pooled_unbiased=estimator.pooled_unbiased,
                 input_dim=input_dim,
             )
         except (ConfigurationError, TypeError) as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
-        if config.embed_dim != embed_dim:
+        if config.embed_dim != estimator.embed_dim:
             raise DataFormatError(
                 f"{path}: embed_dim {config.embed_dim} of the model disagrees "
-                f"with the estimator's embed_dim {embed_dim}"
+                f"with the estimator's embed_dim {estimator.embed_dim}"
             )
-        if config.needs_precision != track_scatter:
+        if config.needs_precision != estimator.track_scatter:
             raise DataFormatError(
                 f"{path}: variant {variant} disagrees with the estimator's "
-                f"track_scatter {track_scatter}"
+                f"track_scatter {estimator.track_scatter}"
             )
         # The classifier is built around the restored estimator, so no
         # zero accumulator is allocated beside the one just read.
         model = cls.__new__(cls)
-        model._start(config, StreamingEstimator._from_state(est_meta, arrays))
+        model._start(config, estimator)
         return model

@@ -1,8 +1,10 @@
 """Command-line interface: run / sweep / ablate / verify.
 
 Settings resolve in three layers: built-in defaults, then a JSON config
-file (keys mirror the flag names), then explicit flags.  The data
-directory falls back to the RANDUMB_DATA_DIR environment variable.
+file (keys mirror the flag names), then explicit flags.  Run settings
+(flags named for a ``run_on_dataset`` keyword) default in that function,
+and reach it only when set.  The data directory falls back to the
+RANDUMB_DATA_DIR environment variable.
 
 Exit codes: 0 success, 2 configuration error, 3 data or file-format
 error, 4 numerical error.
@@ -11,6 +13,7 @@ error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -20,7 +23,6 @@ from .data_io import DESCRIPTORS, load_dataset
 from .errors import ConfigurationError, RanDumbError
 from .harness import (
     ABLATION_ORDER,
-    DEFAULT_MEMORY_CAP_BYTES,
     append_jsonl,
     run_ablation,
     run_on_dataset,
@@ -28,29 +30,21 @@ from .harness import (
     sweep_table,
 )
 from .reference import run_verify
-from .streaming import MODE_POOLED, MODES
+from .streaming import MODES
 
 ENV_DATA_DIR = "RANDUMB_DATA_DIR"
 
+# The CLI's own settings; run settings default in run_on_dataset.
 _DEFAULTS = {
     "dataset": None,
     "data_dir": None,
-    "variant": "randumb",
-    "embed_dim": 25000,
-    "gamma": 1.0,
-    "ridge": None,
-    "seed": 0,
-    "augment": None,
-    "classes_per_task": 1,
-    "estimator_mode": MODE_POOLED,
-    "pooled_unbiased": False,
-    "eval_every": 0,
-    "memory_cap_bytes": DEFAULT_MEMORY_CAP_BYTES,
     "out": None,
     "csv": None,
     "dims": None,
     "variants": None,
 }
+
+_RUN_PARAMS = inspect.signature(run_on_dataset).parameters
 
 _KEY_ALIASES = {"lambda": "ridge", "eval_every_k": "eval_every"}
 
@@ -79,7 +73,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="append one JSON line per run to this file")
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, known: list[str]) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -93,7 +87,7 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         key = key.replace("-", "_")
         key = _KEY_ALIASES.get(key, key)
-        if key not in _DEFAULTS:
+        if key not in known:
             raise ConfigurationError(f"config file {path}: unknown setting {key!r}")
         out[key] = value
     return out
@@ -101,10 +95,11 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, then env fallbacks."""
+    known = [*_DEFAULTS, *(key for key in vars(args) if key in _RUN_PARAMS)]
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        settings.update(_load_config_file(args.config))
-    for key in _DEFAULTS:
+        settings.update(_load_config_file(args.config, known))
+    for key in known:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -128,29 +123,21 @@ def _load_data(settings: dict):
     return load_dataset(settings["dataset"], settings["data_dir"])
 
 
-def _run_settings(settings: dict) -> dict:
-    return dict(
-        variant=settings["variant"],
-        embed_dim=settings["embed_dim"],
-        gamma=settings["gamma"],
-        ridge=settings["ridge"],
-        seed=settings["seed"],
-        augment=settings["augment"],
-        classes_per_task=settings["classes_per_task"],
-        estimator_mode=settings["estimator_mode"],
-        pooled_unbiased=settings["pooled_unbiased"],
-        eval_every=settings["eval_every"],
-        memory_cap_bytes=settings["memory_cap_bytes"],
-    )
+def _run_settings(settings: dict, *owned: str) -> dict:
+    """The run settings that were set, less those the command sets itself."""
+    return {
+        key: value
+        for key, value in settings.items()
+        if key in _RUN_PARAMS and key not in owned
+    }
 
 
 def _emit(results, settings: dict) -> None:
     for result in results:
-        line = json.dumps(result.to_json())
         if settings["out"]:
             append_jsonl(result, settings["out"])
         else:
-            print(line)
+            print(json.dumps(result.to_json()))
     if settings["out"]:
         for result in results:
             print(
@@ -170,15 +157,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     settings = _resolve(args)
-    if args.dims is not None:
-        settings["dims"] = args.dims
     if not settings["dims"]:
         raise ConfigurationError("--dims is required for sweep")
     dims = _parse_int_list(settings["dims"])
     data = _load_data(settings)
-    run_kwargs = _run_settings(settings)
-    run_kwargs.pop("embed_dim")
-    results = sweep_embedding(dims, data, **run_kwargs)
+    results = sweep_embedding(dims, data, **_run_settings(settings, "embed_dim"))
     _emit(results, settings)
     _write_csv(results, settings)
     return 0
@@ -186,8 +169,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ablate(args) -> int:
     settings = _resolve(args)
-    if args.variants is not None:
-        settings["variants"] = args.variants
     variants = (
         tuple(str(settings["variants"]).split(","))
         if settings["variants"]
@@ -197,8 +178,7 @@ def _cmd_ablate(args) -> int:
         if v not in VARIANTS:
             raise ConfigurationError(f"unknown variant {v!r} in --variants")
     data = _load_data(settings)
-    run_kwargs = _run_settings(settings)
-    run_kwargs.pop("variant")
+    run_kwargs = _run_settings(settings, "variant")
     results = run_ablation(data, variants=variants, **run_kwargs)
     _emit(results, settings)
     _write_csv(results, settings)

@@ -6,11 +6,10 @@ Three file formats are handled here:
   for u8 label vectors), the MNIST distribution format.  Gzipped files
   are accepted transparently.
 * CIFAR binary records: 1 label byte (CIFAR-10 style) or 2 label bytes
-  (CIFAR-100, coarse then fine) followed by 3072 pixel bytes laid out
-  as row-major R, G, B planes.
+  (CIFAR-100, coarse then fine; the fine label is read) followed by 3072
+  pixel bytes laid out as row-major R, G, B planes.
 * RDFB, a little-endian feature-vector container used to ingest
-  precomputed embeddings (for example frozen-backbone features) and to
-  export random bases for cross-implementation comparison:
+  precomputed embeddings (for example frozen-backbone features):
 
       magic "RDFB" | u32 version=1 | u32 N | u32 dim | u8 dtype tag
       (0 = f32) | 3 pad bytes | N*dim little-endian f32 | N little-endian
@@ -254,7 +253,6 @@ _CIFAR_FORMATS = {
     # label bytes per record, index of the byte to use, default class count
     "cifar10": (1, 0, 10),
     "cifar100_fine": (2, 1, 100),
-    "cifar100_coarse": (2, 0, 20),
 }
 
 

@@ -13,7 +13,9 @@ fixed nonlinearity.
 * ``relu``: relu(Wx) with W iid N(0, 1); E = D entries.
 
 Embeddings are float32.  The same spec always yields the same matrix,
-which is what makes whole runs bit-reproducible.
+which is what makes whole runs bit-reproducible.  A map embeds exactly
+the rows it is handed, in one projection; callers cut their inputs into
+blocks (``classifier.BLOCK_ROWS``) to bound the projection temporary.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .errors import ConfigurationError, ShapeError
 GENERATOR_NAME = "numpy PCG64, ziggurat standard_normal"
 
 HEADS = ("fourier", "relu")
-
-_DEFAULT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -98,34 +98,25 @@ class FeatureMap:
             )
         return self.embed_batch(x[None, :])[0]
 
-    def embed_batch(self, X: np.ndarray, block: int = _DEFAULT_BLOCK) -> np.ndarray:
-        """Embed rows of X in fixed-size blocks.
+    def embed_batch(self, X: np.ndarray) -> np.ndarray:
+        """Embed the rows of X in one projection; returns float32 (n, E).
 
-        Blocking bounds the size of the (block, D) projection temporary;
-        the result is identical for any block size because each row's
-        embedding depends only on that row.
+        Each row's embedding depends only on that row, so the result for a
+        row does not depend on which block carried it; the (n, D)
+        projection temporary is the caller's to bound.
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
             raise ShapeError(
                 f"expected (n, {self.spec.input_dim}) inputs, got shape {X.shape}"
             )
-        if block < 1:
-            raise ConfigurationError(f"block must be >= 1, got {block}")
-        n = X.shape[0]
-        fourier = self.spec.head == "fourier"
-        out = np.empty((n, self.embed_dim), dtype=np.float32)
-        X32 = X.astype(np.float32, copy=False)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            proj = X32[start:stop] @ self.weights.T
-            if fourier:
-                out[start:stop, 0::2] = np.cos(proj)
-                out[start:stop, 1::2] = np.sin(proj)
-            else:
-                np.maximum(proj, 0.0, out=out[start:stop])
-        if fourier:
-            out *= np.float32(1.0 / np.sqrt(self.spec.num_bases))
+        proj = X.astype(np.float32, copy=False) @ self.weights.T
+        if self.spec.head == "relu":
+            return np.maximum(proj, 0.0, out=proj)
+        out = np.empty((len(X), self.embed_dim), dtype=np.float32)
+        out[:, 0::2] = np.cos(proj)
+        out[:, 1::2] = np.sin(proj)
+        out *= np.float32(1.0 / np.sqrt(self.spec.num_bases))
         return out
 
 

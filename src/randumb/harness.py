@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .classifier import ModelVariant, StreamingClassifier, VARIANTS
+from .classifier import BLOCK_ROWS, ModelVariant, StreamingClassifier, VARIANTS
 from .data_io import (
     ORIGIN_FLIPPED,
     ORIGIN_ORIGINAL,
@@ -39,8 +39,6 @@ from .streaming import MODE_POOLED
 DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
 
 ABLATION_ORDER = tuple(VARIANTS)
-
-_STREAM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def make_stream(
     Deterministic in spec.seed: one generator shuffles each task's
     indices in sequence.  Flip-augmented streams put each flipped copy
     on the step right after its original.  Blocks are cut at every
-    multiple of 256 stream steps and, when cut_every > 0, at every
+    multiple of BLOCK_ROWS stream steps and, when cut_every > 0, at every
     multiple of cut_every: cuts depend only on the absolute stream
     position, never on task boundaries.  Only one block of the train set
     is ever normalized at a time.
@@ -145,7 +143,7 @@ def make_stream(
         indices = np.repeat(indices, 2)
         flipped = np.tile([False, True], len(flipped))
     n = len(indices)
-    cuts = np.arange(0, n, _STREAM_BLOCK)
+    cuts = np.arange(0, n, BLOCK_ROWS)
     if cut_every > 0:
         cuts = np.union1d(cuts, np.arange(0, n, cut_every))
     for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
@@ -206,22 +204,14 @@ class RunResult:
     intermediate: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
-            "config": self.config,
-            "per_class_accuracy": {
-                str(k): v for k, v in sorted(self.per_class_accuracy.items())
-            },
-            "average_accuracy": self.average_accuracy,
-            "class_average_accuracy": self.class_average_accuracy,
-            "wall_time_seconds": self.wall_time_seconds,
-            "peak_memory_estimate_bytes": self.peak_memory_estimate_bytes,
-            "observe_count": self.observe_count,
-            "shrinkage_rho": self.shrinkage_rho,
-            "shrinkage_mu": self.shrinkage_mu,
-            "log_det": self.log_det,
+        """The fields in declaration order; class keys become sorted
+        strings, and an empty ``intermediate`` is left out."""
+        out = asdict(self)
+        out["per_class_accuracy"] = {
+            str(k): v for k, v in sorted(self.per_class_accuracy.items())
         }
-        if self.intermediate:
-            out["intermediate"] = self.intermediate
+        if not self.intermediate:
+            del out["intermediate"]
         return out
 
 
@@ -234,7 +224,7 @@ def append_jsonl(result: RunResult, path) -> None:
 def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every: int):
     d = stream_spec.dataset
     emb = model_config.embedding
-    echo = {
+    return {
         "dataset": d.name,
         "input_dim": d.input_dim,
         "num_classes": d.num_classes,
@@ -260,7 +250,6 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
         "numpy_version": np.__version__,
         "eval_every": eval_every,
     }
-    return echo
 
 
 def check_memory_cap(
@@ -309,7 +298,7 @@ def _peak_memory_estimate(
     one predict block.
     """
     e, d, c = model_config.embed_dim, descriptor.input_dim, descriptor.num_classes
-    b = _STREAM_BLOCK
+    b = BLOCK_ROWS
     emb = model_config.embedding
     width = emb.num_bases if emb is not None else 0
     snapshot = 4 * e * (e + 1) if model_config.needs_precision and eval_every > 0 else 0
@@ -329,11 +318,6 @@ def _peak_memory_estimate(
     return held + transient
 
 
-def _evaluate(model: StreamingClassifier, test_flat: np.ndarray, test_y: np.ndarray):
-    predictions = model.predict_batch(test_flat)
-    return compute_accuracy(predictions, test_y)
-
-
 def run_benchmark(
     stream_spec: StreamSpec,
     model_config: ModelVariant,
@@ -348,9 +332,11 @@ def run_benchmark(
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize (this factors a copy of the
-    accumulator, so the run holds two packed triangles); the default
-    evaluates once at the end through the consuming, single-buffer path.
+    accumulator, so the run holds two packed triangles); the final
+    evaluation always goes through the consuming, single-buffer path.
     """
+    if eval_every < 0:
+        raise ConfigurationError(f"eval_every must be >= 0, got {eval_every}")
     check_memory_cap(model_config, memory_cap_bytes, eval_every)
     if stream_spec.dataset.input_dim != model_config.raw_input_dim:
         raise ConfigurationError(
@@ -375,20 +361,22 @@ def run_benchmark(
         steps = block.stop
         # One-pass contract: every stream element hit observe exactly
         # once, and nothing else did.
-        if model.estimator.observe_count != steps:
+        if model.estimator.total_count != steps:
             raise ModelStateError(
                 f"one-pass check failed after stream step {steps - 1}: the "
-                f"estimator holds {model.estimator.observe_count} samples, "
+                f"estimator holds {model.estimator.total_count} samples, "
                 f"the stream delivered {steps}"
             )
         if eval_every > 0 and steps % eval_every == 0:
             model.finalize(consume=False)
-            _, average, _ = _evaluate(model, test_flat, test_y)
+            _, average, _ = compute_accuracy(model.predict_batch(test_flat), test_y)
             intermediate.append({"step": steps, "average_accuracy": average})
 
     state_bytes = model.estimator.state_nbytes()
-    model.finalize(consume=eval_every == 0)
-    per_class, average, class_average = _evaluate(model, test_flat, test_y)
+    model.finalize(consume=True)
+    per_class, average, class_average = compute_accuracy(
+        model.predict_batch(test_flat), test_y
+    )
     elapsed = time.perf_counter() - started
 
     peak = _peak_memory_estimate(
@@ -426,10 +414,6 @@ def build_model_config(
     pooled_unbiased: bool = False,
 ) -> ModelVariant:
     """Translate CLI-level knobs into a ModelVariant for one dataset."""
-    if variant not in VARIANTS:
-        raise ConfigurationError(
-            f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}"
-        )
     if ridge is None:
         ridge = descriptor.default_ridge
     common = dict(
@@ -437,7 +421,8 @@ def build_model_config(
         estimator_mode=estimator_mode,
         pooled_unbiased=pooled_unbiased,
     )
-    head = VARIANTS[variant][0]
+    # an unknown variant gets no head here and is refused by ModelVariant
+    head = VARIANTS.get(variant, (None,))[0]
     if head is None:
         return ModelVariant(variant=variant, input_dim=descriptor.input_dim, **common)
     embedding = FeatureMapSpec(
@@ -514,10 +499,7 @@ def sweep_embedding(dims: list[int], data: RawDataset, **settings) -> list[RunRe
     for a, b in zip(dims, dims[1:]):
         if b < a:
             raise ConfigurationError(f"sweep sizes must be non-descending, got {dims}")
-    results = []
-    for dim in dims:
-        results.append(run_on_dataset(data, embed_dim=dim, **settings))
-    return results
+    return [run_on_dataset(data, embed_dim=dim, **settings) for dim in dims]
 
 
 def run_ablation(
@@ -526,10 +508,7 @@ def run_ablation(
     **settings,
 ) -> list[RunResult]:
     """Run the requested variants over the identical stream."""
-    results = []
-    for variant in variants:
-        results.append(run_on_dataset(data, variant=variant, **settings))
-    return results
+    return [run_on_dataset(data, variant=variant, **settings) for variant in variants]
 
 
 def sweep_table(results: list[RunResult]) -> str:

@@ -57,13 +57,13 @@ MODES = (MODE_POOLED, MODE_GLOBAL)
 _MIRROR_BLOCK = 256
 
 
-def _mirror_upper(a: np.ndarray, block: int = _MIRROR_BLOCK) -> np.ndarray:
+def _mirror_upper(a: np.ndarray) -> np.ndarray:
     """Copy the upper triangle of ``a`` onto the lower, blockwise, in place.
 
-    Works block-by-block so no temporary larger than block^2 is created
-    even for very large matrices.
+    Works block-by-block so no temporary larger than _MIRROR_BLOCK^2 is
+    created even for very large matrices.
     """
-    n = a.shape[0]
+    n, block = a.shape[0], _MIRROR_BLOCK
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
         diag = a[i0:i1, i0:i1]
@@ -80,10 +80,11 @@ def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool):
     Returns (n m / (n + m), b - mean) with b the rows' own mean: the
     coefficient and vector of the merge's mean-shift scatter term.  With
     ``centre`` the rows are also centred on b, in place.  For a single
-    row b is that row, so this is the per-sample update to the last bit.
+    row the sum is that row exactly, so this is the per-sample update to
+    the last bit.
     """
     m = len(rows)
-    block_mean = rows[0] if m == 1 else rows.sum(axis=0) / m
+    block_mean = rows.sum(axis=0) / m
     delta = block_mean - mean
     mean += delta * m / (count + m)
     if centre:
@@ -108,10 +109,9 @@ def _stored(arrays: dict, name: str, shape: tuple[int, ...] | None) -> np.ndarra
 class ClassStats:
     """Running count and mean for one class label."""
 
-    __slots__ = ("class_id", "count", "mean")
+    __slots__ = ("count", "mean")
 
-    def __init__(self, class_id: int, embed_dim: int):
-        self.class_id = class_id
+    def __init__(self, embed_dim: int):
         self.count = 0
         self.mean = np.zeros(embed_dim, dtype=np.float64)
 
@@ -199,11 +199,9 @@ class StreamingEstimator:
 
         # Rows sorted by label, so each class is one contiguous slice;
         # the spare rows of z hold the mean-shift terms.
-        cuts = []
-        if m > 1:
-            order = np.argsort(labels, kind="stable")
-            phi, labels = phi[order], labels[order]
-            cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+        order = np.argsort(labels, kind="stable")
+        phi, labels = phi[order], labels[order]
+        cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         starts, stops = [0, *cuts], [*cuts, m]
         z = np.empty((m + len(starts) + 1, self.embed_dim), dtype=np.float64)
         rows = z[:m]
@@ -215,7 +213,7 @@ class StreamingEstimator:
             label = int(labels[start])
             stats = self._classes.get(label)
             if stats is None:
-                stats = self._classes[label] = ClassStats(label, self.embed_dim)
+                stats = self._classes[label] = ClassStats(self.embed_dim)
             shift = _merge(stats.mean, stats.count, rows[start:stop], centre=pooled)
             if pooled and stats.count > 0:
                 shifts.append(shift)
@@ -238,11 +236,6 @@ class StreamingEstimator:
         )
 
     # -- snapshots ----------------------------------------------------------
-
-    @property
-    def observe_count(self) -> int:
-        """Total samples folded in; augmented copies count individually."""
-        return self.total_count
 
     @property
     def classes_seen(self) -> list[int]:
@@ -351,26 +344,43 @@ class StreamingEstimator:
 
     @classmethod
     def _from_state(cls, meta: dict, arrays: dict) -> "StreamingEstimator":
+        """Rebuild an estimator from checkpoint meta and arrays.  A missing
+        or invalid meta field, counts that disagree with ``total_count``
+        or a repeated class label raise DataFormatError naming it."""
+        try:
+            embed_dim, mode = int(meta["embed_dim"]), meta["mode"]
+            unbiased = bool(meta["pooled_unbiased"])
+            tracked = bool(meta["track_scatter"])
+            total_count = int(meta["total_count"])
+        except KeyError as exc:
+            raise DataFormatError(f"checkpoint meta has no {exc} field") from exc
         # Built without an accumulator: the stored one is adopted below
         # rather than allocated a second time.
-        est = cls(
-            int(meta["embed_dim"]),
-            mode=meta["mode"],
-            pooled_unbiased=bool(meta["pooled_unbiased"]),
-            track_scatter=False,
-        )
-        est.track_scatter = bool(meta["track_scatter"])
-        est.total_count = int(meta["total_count"])
+        try:
+            est = cls(
+                embed_dim, mode=mode, pooled_unbiased=unbiased, track_scatter=False
+            )
+        except ConfigurationError as exc:
+            raise DataFormatError(f"checkpoint meta: {exc}") from exc
+        est.track_scatter = tracked
+        est.total_count = total_count
         e = est.embed_dim
         labels = _stored(arrays, "class_labels", None)
         c = len(labels)
         counts = _stored(arrays, "class_counts", (c,))
         means = _stored(arrays, "class_means", (c, e))
+        if len(np.unique(labels)) != c:
+            raise DataFormatError("checkpoint array 'class_labels' repeats a label")
+        if int(counts.sum()) != total_count:
+            raise DataFormatError(
+                f"checkpoint meta total_count {total_count} disagrees with the "
+                f"'class_counts', which sum to {int(counts.sum())}"
+            )
         est._grand_mean = np.asarray(
             _stored(arrays, "grand_mean", (e,)), dtype=np.float64
         )
         for i, label in enumerate(labels):
-            stats = ClassStats(int(label), e)
+            stats = ClassStats(e)
             stats.count = int(counts[i])
             stats.mean = np.asarray(means[i], dtype=np.float64)
             est._classes[int(label)] = stats

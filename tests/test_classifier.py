@@ -21,6 +21,7 @@ from randumb import (
     StreamingClassifier,
     oas_shrink,
 )
+from randumb.classifier import BLOCK_ROWS
 from randumb.data_io import read_checkpoint, write_checkpoint
 from randumb.errors import DataFormatError
 from randumb.precision import pack_upper
@@ -160,7 +161,7 @@ class TestRPSpec:
         spec = relu_spec(input_dim=6, embed_dim=12, seed=3)
         fmap = RandomReluMap(spec)
         X = np.random.default_rng(0).standard_normal((40, 6)).astype(np.float32)
-        batch = fmap.embed_batch(X, block=7)
+        batch = fmap.embed_batch(X)
         for i in range(40):
             np.testing.assert_allclose(
                 batch[i], fmap.embed(X[i]), rtol=1e-4, atol=1e-6
@@ -292,8 +293,9 @@ class TestBatchAgreement:
         else:
             config = raw_config(variant, input_dim=6)
         model = fit(config, X, y)
-        T = rng.standard_normal((73, 6)).astype(np.float32)
-        batch = model.predict_batch(T, block=16)
+        # More rows than one scoring block, so the batch crosses a cut.
+        T = rng.standard_normal((BLOCK_ROWS + 73, 6)).astype(np.float32)
+        batch = model.predict_batch(T)
         singles = np.concatenate([model.predict_batch(t[None, :]) for t in T])
         np.testing.assert_array_equal(batch, singles)
 
@@ -701,11 +703,19 @@ class TestCheckpointMeta:
 
     @pytest.mark.parametrize(
         "field",
-        ["variant", "ridge", "input_dim", "embedding", "estimator", "seed", "mode"],
+        [
+            "variant", "ridge", "input_dim", "embedding", "estimator", "seed", "mode",
+            "total_count",
+        ],
     )
     def test_missing_field_rejected(self, tmp_path, field):
         def drop(meta):
-            {"seed": meta["embedding"], "mode": meta["estimator"]}.get(field, meta).pop(field)
+            owner = {
+                "seed": meta["embedding"],
+                "mode": meta["estimator"],
+                "total_count": meta["estimator"],
+            }
+            owner.get(field, meta).pop(field)
 
         path = self.tampered(tmp_path, fourier_config(input_dim=5), drop)
         with pytest.raises(DataFormatError, match=repr(field)):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from randumb import write_feature_file
+from randumb import cli, write_feature_file
 from randumb.cli import main
 
 
@@ -132,10 +132,37 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, capsys, feature_dir, tmp_path):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"dataset": "features", "learning_rate": 0.1}))
-        code, _, err = run_cli(capsys, "run", "--config", str(config))
-        assert code == 2
-        assert "unknown setting 'learning_rate'" in err
+        # class_order is a run_on_dataset keyword, but no flag sets it.
+        for key in ("learning_rate", "class_order"):
+            config.write_text(json.dumps({"dataset": "features", key: 0.1}))
+            code, _, err = run_cli(capsys, "run", "--config", str(config))
+            assert code == 2
+            assert f"unknown setting {key!r}" in err
+
+    def test_only_set_settings_reach_run_on_dataset(
+        self, capsys, feature_dir, tmp_path, monkeypatch
+    ):
+        """Unset run settings take run_on_dataset's own defaults."""
+        seen = []
+        real = cli.run_on_dataset
+
+        def recording(data, **settings):
+            seen.append(settings)
+            return real(data, **settings)
+
+        monkeypatch.setattr(cli, "run_on_dataset", recording)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "dataset": "features",
+            "data-dir": str(feature_dir),
+            "embed-dim": 32,
+            "lambda": 0.001,
+        }))
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(config), "--gamma", "0.1", "--seed", "2"
+        )
+        assert code == 0, err
+        assert seen == [{"embed_dim": 32, "ridge": 0.001, "gamma": 0.1, "seed": 2}]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/does/not/exist.json")

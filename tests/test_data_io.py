@@ -141,8 +141,6 @@ class TestCifarBinary:
         path.write_bytes(self.make_records([(7, 42), (19, 99)], label_bytes=2))
         _, fine = load_cifar_binary(path, "cifar100_fine")
         np.testing.assert_array_equal(fine, [42, 99])
-        _, coarse = load_cifar_binary(path, "cifar100_coarse")
-        np.testing.assert_array_equal(coarse, [7, 19])
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigurationError, match="unknown CIFAR format"):

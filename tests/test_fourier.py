@@ -183,12 +183,21 @@ class TestEmbedding:
         assert errors[0] > errors[1] > errors[2]
 
     def test_blocking_does_not_change_results(self):
-        fm = FeatureMap(rff(input_dim=7, num_bases=24, gamma=1.3, seed=2))
+        # Callers cut the rows; each row's embedding must not depend on the cut.
+        specs = [
+            rff(input_dim=7, num_bases=24, gamma=1.3, seed=2),
+            FeatureMapSpec("relu", input_dim=7, embed_dim=48, seed=2),
+        ]
         X = np.random.default_rng(2).standard_normal((33, 7))
-        full = fm.embed_batch(X, block=33)
-        for block in (1, 2, 5, 32, 64):
-            np.testing.assert_array_equal(fm.embed_batch(X, block=block), full)
-        np.testing.assert_array_equal(fm.embed(X[4]), full[4])
+        for spec in specs:
+            fm = build_map(spec)
+            full = fm.embed_batch(X)
+            for block in (1, 2, 5, 32, 64):
+                sliced = np.concatenate(
+                    [fm.embed_batch(X[i : i + block]) for i in range(0, 33, block)]
+                )
+                np.testing.assert_array_equal(sliced, full)
+            np.testing.assert_array_equal(fm.embed(X[4]), full[4])
 
     def test_shape_errors(self):
         fm = FeatureMap(rff(input_dim=4, num_bases=4, gamma=1.0, seed=0))
@@ -196,5 +205,3 @@ class TestEmbedding:
             fm.embed(np.zeros(5))
         with pytest.raises(ShapeError):
             fm.embed_batch(np.zeros((3, 5)))
-        with pytest.raises(ConfigurationError):
-            fm.embed_batch(np.zeros((3, 4)), block=0)

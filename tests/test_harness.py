@@ -3,7 +3,7 @@ single-pass contract, and the sweep/ablation drivers."""
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,9 +13,12 @@ from randumb import (
     ConfigurationError,
     DataError,
     DatasetDescriptor,
+    FeatureMap,
     ModelStateError,
+    RandomReluMap,
     RunResult,
     StreamSpec,
+    StreamingEstimator,
     UnsupportedAugmentationError,
     compute_accuracy,
     make_stream,
@@ -24,6 +27,7 @@ from randumb import (
     run_on_dataset,
     sweep_embedding,
 )
+from randumb.classifier import BLOCK_ROWS
 from randumb.data_io import (
     DESCRIPTORS,
     RawDataset,
@@ -303,6 +307,48 @@ class TestRunBenchmark:
         assert result.intermediate[-1]["average_accuracy"] == result.average_accuracy
         for e in result.intermediate:
             assert 0.0 <= e["average_accuracy"] <= 1.0
+
+    def test_eval_every_final_finalize_consumes(self, monkeypatch):
+        """Snapshots factor a copy; the last finalize hands the
+        accumulator over instead of copying it once more."""
+        flags = []
+        real = StreamingEstimator.packed_scatter
+
+        def recording(self, consume=False):
+            flags.append(consume)
+            return real(self, consume=consume)
+
+        monkeypatch.setattr(StreamingEstimator, "packed_scatter", recording)
+        data = blob_dataset(seed=5, num_classes=3, train_per_class=40)  # 120 steps
+        run_on_dataset(
+            data, variant="randumb", embed_dim=32, gamma=0.1, seed=0, eval_every=30
+        )
+        assert flags == [False, False, False, False, True]
+
+    def test_negative_eval_every_refused(self):
+        data = blob_dataset(seed=5, num_classes=3, train_per_class=10)
+        with pytest.raises(ConfigurationError, match="eval_every must be >= 0"):
+            run_on_dataset(
+                data, variant="randumb", embed_dim=32, gamma=0.1, seed=0, eval_every=-1
+            )
+
+    @pytest.mark.parametrize("variant", ["randumb", "rp_relu"])
+    def test_every_embed_call_gets_at_most_block_rows(self, monkeypatch, variant):
+        """The map embeds whatever it is handed, so the stream and
+        predict_batch must keep each call within one block."""
+        rows = []
+        for cls in (FeatureMap, RandomReluMap):
+            def recording(self, X, real=vars(cls)["embed_batch"]):
+                rows.append(len(X))
+                return real(self, X)
+
+            monkeypatch.setattr(cls, "embed_batch", recording)
+        data = blob_dataset(
+            seed=8, num_classes=3, dim=6, train_per_class=200, test_per_class=100
+        )
+        result = run_on_dataset(data, variant=variant, embed_dim=32, gamma=0.1, seed=0)
+        assert max(rows) == BLOCK_ROWS
+        assert sum(rows) == result.observe_count + 300  # stream + test set
 
     def test_accuracy_improves_along_the_stream(self):
         data = blob_dataset(seed=6, num_classes=5, dim=10, train_per_class=50)
@@ -587,6 +633,16 @@ class TestRunResultSerialization:
         assert all(isinstance(k, str) for k in decoded["per_class_accuracy"])
         assert decoded["average_accuracy"] == result.average_accuracy
         assert "intermediate" not in decoded  # empty list is omitted
+
+    def test_to_json_keys_are_the_fields_in_order(self):
+        names = [f.name for f in fields(RunResult)]
+        assert names[-1] == "intermediate"  # the one key left out when empty
+        assert list(self.make_result().to_json()) == names[:-1]
+        data = blob_dataset(seed=14)
+        snapshots = run_on_dataset(
+            data, variant="randumb", embed_dim=32, gamma=0.1, seed=0, eval_every=100
+        )
+        assert list(snapshots.to_json()) == names
 
     def test_append_jsonl(self, tmp_path):
         result = self.make_result()

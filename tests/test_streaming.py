@@ -180,7 +180,7 @@ class TestMemoryContract:
         for i in range(5000):
             est.observe(rng.standard_normal(12), i % 5)
         assert est.state_nbytes() == size_warm
-        assert est.observe_count == 5050
+        assert est.total_count == 5050
 
     def test_consuming_covariance_spends_the_estimator(self):
         """The consuming handoff returns the accumulator itself, as
@@ -325,6 +325,45 @@ class TestCheckpoint:
         path = tmp_path / "other.rdck"
         write_checkpoint(path, {"kind": "something_else"}, {})
         with pytest.raises(DataError):
+            StreamingEstimator.load(path)
+
+    @staticmethod
+    def tampered(tmp_path, edit):
+        """A saved three-class estimator whose (meta, arrays) ``edit`` changed."""
+        X = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+        est = feed(StreamingEstimator(4), X, [0, 1, 2, 0, 1, 2])
+        path = tmp_path / "tampered.rdck"
+        est.save(path)
+        meta, arrays = read_checkpoint(path)
+        edit(meta, arrays)
+        write_checkpoint(path, meta, arrays)
+        return path
+
+    @pytest.mark.parametrize(
+        "field",
+        ["embed_dim", "mode", "pooled_unbiased", "track_scatter", "total_count"],
+    )
+    def test_missing_meta_field_rejected(self, tmp_path, field):
+        path = self.tampered(tmp_path, lambda meta, arrays: meta.pop(field))
+        with pytest.raises(DataFormatError, match=repr(field)):
+            StreamingEstimator.load(path)
+
+    def test_unknown_mode_rejected_as_data_format(self, tmp_path):
+        path = self.tampered(tmp_path, lambda meta, arrays: meta.update(mode="median"))
+        with pytest.raises(DataFormatError, match="mode"):
+            StreamingEstimator.load(path)
+
+    def test_total_count_disagreeing_with_class_counts_rejected(self, tmp_path):
+        path = self.tampered(tmp_path, lambda meta, arrays: meta.update(total_count=7))
+        with pytest.raises(DataFormatError, match="total_count 7 .* sum to 6"):
+            StreamingEstimator.load(path)
+
+    def test_repeated_class_label_rejected(self, tmp_path):
+        def repeat(meta, arrays):
+            arrays["class_labels"] = np.array([0, 1, 1], dtype=np.int64)
+
+        path = self.tampered(tmp_path, repeat)
+        with pytest.raises(DataFormatError, match="'class_labels' repeats"):
             StreamingEstimator.load(path)
 
 
