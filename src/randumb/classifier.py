@@ -24,14 +24,13 @@ phi . mean_i.  Ties break toward the smallest class label.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import data_io
 from .errors import (
     ConfigurationError,
-    DataError,
     DataFormatError,
     EmptyModelError,
     ModelStateError,
@@ -115,6 +114,11 @@ class ModelVariant:
     def needs_precision(self) -> bool:
         return VARIANTS[self.variant][1]
 
+    @property
+    def estimator_settings(self) -> tuple[int, str, bool, bool]:
+        """The estimator's embed_dim, mode, pooled_unbiased, track_scatter."""
+        return self.embed_dim, self.estimator_mode, self.pooled_unbiased, self.needs_precision
+
 
 class StreamingClassifier:
     """One streaming model: embed each block of samples, fold it into the
@@ -127,15 +131,7 @@ class StreamingClassifier:
     """
 
     def __init__(self, config: ModelVariant):
-        self._start(
-            config,
-            StreamingEstimator(
-                config.embed_dim,
-                mode=config.estimator_mode,
-                pooled_unbiased=config.pooled_unbiased,
-                track_scatter=config.needs_precision,
-            ),
-        )
+        self._start(config, StreamingEstimator(*config.estimator_settings))
 
     def _start(self, config: ModelVariant, estimator: StreamingEstimator) -> None:
         self.config = config
@@ -181,9 +177,8 @@ class StreamingClassifier:
         # model unfinalized rather than mixing old and new state.
         self._labels = self.precision = None
         self._lin_weights = self._lin_bias = None
-        means = self.estimator.class_means()
-        labels = np.asarray(sorted(means), dtype=np.int64)
-        self._means = np.stack([means[c] for c in labels])
+        stats = self.estimator._arrays()
+        labels, self._means = stats["class_labels"].copy(), stats["class_means"].copy()
         if self.config.needs_precision:
             scatter, denom = self.estimator.packed_scatter(consume=consume)
             self.shrinkage_rho, self.shrinkage_mu = shrink_packed(
@@ -229,62 +224,53 @@ class StreamingClassifier:
 
     # -- checkpointing ------------------------------------------------------
 
+    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The checkpoint: the model's config as meta, plus the
+        estimator's arrays as they are held.  Finalized artifacts are
+        rebuilt by finalize() after a load."""
+        return {"kind": "classifier", "model": asdict(self.config)}, self.estimator._arrays()
+
+    @classmethod
+    def _from_state(cls, meta: dict, arrays: dict) -> "StreamingClassifier":
+        """Rebuild a classifier from checkpoint meta and arrays.  A meta
+        whose kind is wrong or whose model misses a field, carries one it
+        does not know or holds an invalid value, and an array the model
+        does not imply, raise DataFormatError naming it."""
+        if meta.get("kind") != "classifier":
+            raise DataFormatError(f"checkpoint kind {meta.get('kind')!r} is not 'classifier'")
+        if not isinstance(meta.get("model"), dict):
+            raise DataFormatError("checkpoint meta has no 'model' field holding an object")
+        model = dict(meta["model"])
+        # The ModelVariant defaults would hide a missing field.
+        missing = [f.name for f in fields(ModelVariant) if f.name not in model]
+        if missing:
+            raise DataFormatError(f"checkpoint meta has no {missing[0]!r} field")
+        try:
+            if model["embedding"] is not None:
+                model["embedding"] = FeatureMapSpec(**model["embedding"])
+            config = ModelVariant(**model)
+            # Settings the estimator refuses (global mode with the (n - C)
+            # normalizer) are a bad checkpoint, not a bad call.
+            estimator = StreamingEstimator._restore(arrays, *config.estimator_settings)
+        except (ConfigurationError, TypeError) as exc:
+            raise DataFormatError(f"checkpoint model: {exc}") from exc
+        # The classifier is built around the restored estimator, so no
+        # zero accumulator is allocated beside the one just read.
+        classifier = cls.__new__(cls)
+        classifier._start(config, estimator)
+        return classifier
+
     def save(self, path) -> None:
-        """Checkpoint = variant tag + embedding spec + ridge + estimator
-        state.  Finalized artifacts are rebuilt by finalize() on load."""
-        est_meta, arrays = self.estimator._state()
-        emb = self.config.embedding
-        meta = {
-            "kind": "classifier",
-            "variant": self.config.variant,
-            "ridge": self.config.ridge,
-            "input_dim": self.config.input_dim,
-            "embedding": asdict(emb) if emb is not None else None,
-            "estimator": est_meta,
-        }
-        data_io.write_checkpoint(path, meta, arrays)
+        """Write the checkpoint (``_state``) to ``path``, atomically."""
+        data_io.write_checkpoint(path, *self._state())
 
     @classmethod
     def load(cls, path) -> "StreamingClassifier":
-        """Rebuild a saved classifier.  A checkpoint whose meta misses a
-        field, carries one the spec does not know, or disagrees with its
-        own estimator state raises DataFormatError naming the field."""
+        """Rebuild a saved classifier; a refused checkpoint raises
+        DataFormatError naming the path and the field or array."""
         meta, arrays = data_io.read_checkpoint(path)
-        if meta.get("kind") != "classifier":
-            raise DataError(f"{path}: not a classifier checkpoint")
         try:
-            emb, est_meta = meta["embedding"], meta["estimator"]
-            variant, ridge, input_dim = meta["variant"], meta["ridge"], meta["input_dim"]
-        except KeyError as exc:
-            raise DataFormatError(f"{path}: checkpoint meta has no {exc} field") from exc
-        try:
-            estimator = StreamingEstimator._from_state(est_meta, arrays)
+            return cls._from_state(meta, arrays)
         except DataFormatError as exc:
             raise exc.with_prefix(str(path))
-        try:
-            config = ModelVariant(
-                variant=variant,
-                # a field the spec does not take, or lacks, is a TypeError
-                embedding=FeatureMapSpec(**emb) if emb is not None else None,
-                ridge=float(ridge),
-                estimator_mode=estimator.mode,
-                pooled_unbiased=estimator.pooled_unbiased,
-                input_dim=input_dim,
-            )
-        except (ConfigurationError, TypeError) as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-        if config.embed_dim != estimator.embed_dim:
-            raise DataFormatError(
-                f"{path}: embed_dim {config.embed_dim} of the model disagrees "
-                f"with the estimator's embed_dim {estimator.embed_dim}"
-            )
-        if config.needs_precision != estimator.track_scatter:
-            raise DataFormatError(
-                f"{path}: variant {variant} disagrees with the estimator's "
-                f"track_scatter {estimator.track_scatter}"
-            )
-        # The classifier is built around the restored estimator, so no
-        # zero accumulator is allocated beside the one just read.
-        model = cls.__new__(cls)
-        model._start(config, estimator)
-        return model
+

@@ -1,9 +1,11 @@
 """Command-line interface: run / sweep / ablate / verify.
 
 Settings resolve in three layers: built-in defaults, then a JSON config
-file (keys mirror the flag names), then explicit flags.  Run settings
-(flags named for a ``run_on_dataset`` keyword) default in that function,
-and reach it only when set.  The data directory falls back to the
+file (keys mirror the flag names), then explicit flags.  A command knows
+only the settings it has flags for (sweep sets the embedding size and
+ablate the variant, so neither has that flag).  Run settings (flags
+named for a ``run_on_dataset`` keyword) default in that function, and
+reach it only when set.  The data directory falls back to the
 RANDUMB_DATA_DIR environment variable.
 
 Exit codes: 0 success, 2 configuration error, 3 data or file-format
@@ -13,6 +15,7 @@ error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -34,43 +37,40 @@ from .streaming import MODES
 
 ENV_DATA_DIR = "RANDUMB_DATA_DIR"
 
-# The CLI's own settings; run settings default in run_on_dataset.
-_DEFAULTS = {
-    "dataset": None,
-    "data_dir": None,
-    "out": None,
-    "csv": None,
-    "dims": None,
-    "variants": None,
-}
-
 _RUN_PARAMS = inspect.signature(run_on_dataset).parameters
 
 _KEY_ALIASES = {"lambda": "ridge", "eval_every_k": "eval_every"}
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of settings; explicit flags override")
-    p.add_argument("--dataset", choices=sorted(DESCRIPTORS) + ["features"])
-    p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lambda", dest="ridge", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--augment", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--classes-per-task", dest="classes_per_task", type=int)
-    p.add_argument("--estimator-mode", dest="estimator_mode", choices=MODES)
-    p.add_argument(
+def _add_common_flags(p: argparse.ArgumentParser, owned: str | None = None) -> None:
+    """The flags every command shares, less the one for the run setting
+    ``owned`` that the command sets itself."""
+
+    def add(flag: str, **kwargs) -> None:
+        if kwargs.get("dest", flag[2:].replace("-", "_")) != owned:
+            p.add_argument(flag, **kwargs)
+
+    add("--config", help="JSON file of settings; explicit flags override")
+    add("--dataset", choices=sorted(DESCRIPTORS) + ["features"])
+    add("--data-dir", dest="data_dir")
+    add("--variant", choices=VARIANTS)
+    add("--embed-dim", dest="embed_dim", type=int)
+    add("--gamma", type=float)
+    add("--lambda", dest="ridge", type=float)
+    add("--seed", type=int)
+    add("--augment", action=argparse.BooleanOptionalAction, default=None)
+    add("--classes-per-task", dest="classes_per_task", type=int)
+    add("--estimator-mode", dest="estimator_mode", choices=MODES)
+    add(
         "--pooled-unbiased",
         dest="pooled_unbiased",
         action="store_true",
         default=None,
         help="divide the pooled scatter by (n - C) instead of (n - 1)",
     )
-    p.add_argument("--eval-every-k", dest="eval_every", type=int)
-    p.add_argument("--memory-cap-bytes", dest="memory_cap_bytes", type=int)
-    p.add_argument("--out", help="append one JSON line per run to this file")
+    add("--eval-every-k", dest="eval_every", type=int)
+    add("--memory-cap-bytes", dest="memory_cap_bytes", type=int)
+    add("--out", help="append one JSON line per run to this file")
 
 
 def _load_config_file(path: str, known: list[str]) -> dict:
@@ -94,9 +94,10 @@ def _load_config_file(path: str, known: list[str]) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags, then env fallbacks."""
-    known = [*_DEFAULTS, *(key for key in vars(args) if key in _RUN_PARAMS)]
-    settings = dict(_DEFAULTS)
+    """defaults <- config file <- explicit flags, then env fallbacks.  The
+    settings are the command's flags; run settings default in run_on_dataset."""
+    known = [key for key in vars(args) if key not in ("config", "command", "func")]
+    settings = {key: None for key in known if key not in _RUN_PARAMS}
     if getattr(args, "config", None):
         settings.update(_load_config_file(args.config, known))
     for key in known:
@@ -123,13 +124,9 @@ def _load_data(settings: dict):
     return load_dataset(settings["dataset"], settings["data_dir"])
 
 
-def _run_settings(settings: dict, *owned: str) -> dict:
-    """The run settings that were set, less those the command sets itself."""
-    return {
-        key: value
-        for key, value in settings.items()
-        if key in _RUN_PARAMS and key not in owned
-    }
+def _run_settings(settings: dict) -> dict:
+    """The run settings that were set."""
+    return {key: value for key, value in settings.items() if key in _RUN_PARAMS}
 
 
 def _emit(results, settings: dict) -> None:
@@ -161,7 +158,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError("--dims is required for sweep")
     dims = _parse_int_list(settings["dims"])
     data = _load_data(settings)
-    results = sweep_embedding(dims, data, **_run_settings(settings, "embed_dim"))
+    results = sweep_embedding(dims, data, **_run_settings(settings))
     _emit(results, settings)
     _write_csv(results, settings)
     return 0
@@ -178,8 +175,7 @@ def _cmd_ablate(args) -> int:
         if v not in VARIANTS:
             raise ConfigurationError(f"unknown variant {v!r} in --variants")
     data = _load_data(settings)
-    run_kwargs = _run_settings(settings, "variant")
-    results = run_ablation(data, variants=variants, **run_kwargs)
+    results = run_ablation(data, variants=variants, **_run_settings(settings))
     _emit(results, settings)
     _write_csv(results, settings)
     return 0
@@ -212,20 +208,26 @@ def build_parser() -> argparse.ArgumentParser:
             "Mahalanobis scoring."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: ablate's --variants would take --variant, a
+    # flag ablate does not have.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p_run = sub.add_parser("run", help="one benchmark run")
     _add_common_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="one run per embedding size")
-    _add_common_flags(p_sweep)
+    _add_common_flags(p_sweep, owned="embed_dim")
     p_sweep.add_argument("--dims", help="comma-separated embedding sizes, ascending")
     p_sweep.add_argument("--csv", help="also write a CSV table here")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_ablate = sub.add_parser("ablate", help="run several variants on one stream")
-    _add_common_flags(p_ablate)
+    _add_common_flags(p_ablate, owned="variant")
     p_ablate.add_argument(
         "--variants", help=f"comma-separated subset of {','.join(VARIANTS)}"
     )

@@ -16,7 +16,7 @@ Three file formats are handled here:
       u32 labels
 
 A fourth container, RDCK, serializes named float arrays plus a JSON
-header and backs estimator/model checkpoints:
+header and backs classifier checkpoints:
 
       magic "RDCK" | u32 version=1 | u32 header_len | header JSON (UTF-8)
       | raw little-endian array payloads in header order
@@ -431,6 +431,8 @@ def read_checkpoint(path: str | Path):
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: unreadable JSON header: {exc}") from exc
+        if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+            raise DataFormatError(f"{path}: JSON header or its 'meta' is not an object")
         arrays = {}
         offset = body_start
         for entry in header.get("arrays", []):
@@ -618,6 +620,11 @@ def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
     test_y = np.asarray(test_y, dtype=np.int64)
     if train_x.ndim != 2 or test_x.ndim != 2 or train_x.shape[1] != test_x.shape[1]:
         raise DataError("train and test feature dimensions disagree")
+    # Labels are class indices; the stream covers classes 0..C-1 only.
+    for part, y in (("train", train_y), ("test", test_y)):
+        if (y < 0).any():
+            i = int(np.argmax(y < 0))
+            raise DataError(f"{part} label at index {i} is {y[i]}; labels must be >= 0", row=i)
     num_classes = int(max(train_y.max(initial=0), test_y.max(initial=0))) + 1
     descriptor = DatasetDescriptor(
         name=name,

@@ -288,7 +288,6 @@ def _check_finalize_upper(rng) -> OracleReport:
     and for one after a checkpoint round trip: the worst error over rho,
     mu, log det and predictions."""
     from .classifier import ModelVariant, StreamingClassifier
-    from .streaming import StreamingEstimator
 
     dim, k, per_class, ridge = 12, 3, 30, 1e-3
     centers = rng.standard_normal((k, dim)) * 2.0
@@ -319,8 +318,8 @@ def _check_finalize_upper(rng) -> OracleReport:
                 model.observe(X, y)
                 cov = model.estimator.covariance()
                 if handoff == "restored":
-                    meta, arrays = model.estimator._state()
-                    model.estimator = StreamingEstimator._from_state(
+                    meta, arrays = model._state()
+                    model = StreamingClassifier._from_state(
                         meta, {name: a.copy() for name, a in arrays.items()}
                     )
                 model.finalize(consume=handoff != "copy")

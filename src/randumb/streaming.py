@@ -39,7 +39,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dsfrk, dtfttr
 
-from . import data_io
 from .errors import (
     ConfigurationError,
     DataError,
@@ -93,8 +92,8 @@ def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool):
 
 
 def _stored(arrays: dict, name: str, shape: tuple[int, ...] | None) -> np.ndarray:
-    """The checkpoint array ``name``, checked against the ``shape`` its
-    meta implies (None: any one-dimensional length)."""
+    """The checkpoint array ``name``, checked against the ``shape`` the
+    model implies (None: any one-dimensional length)."""
     if name not in arrays:
         raise DataFormatError(f"checkpoint has no {name!r} array")
     arr = np.asarray(arrays[name])
@@ -104,16 +103,6 @@ def _stored(arrays: dict, name: str, shape: tuple[int, ...] | None) -> np.ndarra
             f"{list(shape) if shape is not None else '[C]'}"
         )
     return arr
-
-
-class ClassStats:
-    """Running count and mean for one class label."""
-
-    __slots__ = ("count", "mean")
-
-    def __init__(self, embed_dim: int):
-        self.count = 0
-        self.mean = np.zeros(embed_dim, dtype=np.float64)
 
 
 class StreamingEstimator:
@@ -149,8 +138,10 @@ class StreamingEstimator:
         self.mode = mode
         self.pooled_unbiased = pooled_unbiased
         self.track_scatter = track_scatter
-        self.total_count = 0
-        self._classes: dict[int, ClassStats] = {}
+        # One row per class seen, in increasing label order.
+        self._labels = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._means = np.zeros((0, embed_dim), dtype=np.float64)
         self._grand_mean = np.zeros(embed_dim, dtype=np.float64)
         self._scatter = (
             np.zeros(packed_size(embed_dim), dtype=np.float64)
@@ -197,32 +188,39 @@ class StreamingEstimator:
         if m == 0:
             return
 
-        # Rows sorted by label, so each class is one contiguous slice;
-        # the spare rows of z hold the mean-shift terms.
+        # Rows sorted by label, so each class is one contiguous slice.
         order = np.argsort(labels, kind="stable")
         phi, labels = phi[order], labels[order]
         cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         starts, stops = [0, *cuts], [*cuts, m]
+        # A label not seen before gets a zero row at its place in order.
+        block_labels = labels[starts]
+        new = np.setdiff1d(block_labels, self._labels, assume_unique=True)
+        if len(new):
+            at = np.searchsorted(self._labels, new)
+            self._labels = np.insert(self._labels, at, new)
+            self._counts = np.insert(self._counts, at, 0)
+            self._means = np.insert(self._means, at, 0.0, axis=0)
+        # The spare rows of z hold the mean-shift terms.
         z = np.empty((m + len(starts) + 1, self.embed_dim), dtype=np.float64)
         rows = z[:m]
         rows[...] = phi
 
         pooled = self.mode == MODE_POOLED
+        total = self.total_count
         shifts = []
-        for start, stop in zip(starts, stops):
-            label = int(labels[start])
-            stats = self._classes.get(label)
-            if stats is None:
-                stats = self._classes[label] = ClassStats(self.embed_dim)
-            shift = _merge(stats.mean, stats.count, rows[start:stop], centre=pooled)
-            if pooled and stats.count > 0:
+        for i, start, stop in zip(
+            np.searchsorted(self._labels, block_labels).tolist(), starts, stops
+        ):
+            count = int(self._counts[i])
+            shift = _merge(self._means[i], count, rows[start:stop], centre=pooled)
+            if pooled and count > 0:
                 shifts.append(shift)
-            stats.count += stop - start
+            self._counts[i] += stop - start
         if not pooled:
-            shift = _merge(self._grand_mean, self.total_count, rows, centre=True)
-            if self.total_count > 0:
+            shift = _merge(self._grand_mean, total, rows, centre=True)
+            if total > 0:
                 shifts.append(shift)
-        self.total_count += m
 
         if not self.track_scatter:
             return
@@ -238,15 +236,19 @@ class StreamingEstimator:
     # -- snapshots ----------------------------------------------------------
 
     @property
+    def total_count(self) -> int:
+        return int(self._counts.sum())
+
+    @property
     def classes_seen(self) -> list[int]:
-        return sorted(self._classes)
+        return self._labels.tolist()
 
     def class_means(self) -> dict[int, np.ndarray]:
         """Snapshot of every per-class mean, keyed by observed labels only."""
-        return {label: s.mean.copy() for label, s in self._classes.items()}
+        return dict(zip(self._labels.tolist(), self._means.copy()))
 
     def class_counts(self) -> dict[int, int]:
-        return {label: s.count for label, s in self._classes.items()}
+        return dict(zip(self._labels.tolist(), self._counts.tolist()))
 
     def scatter(self) -> np.ndarray:
         """The pooled sum of squared deviations, as a full symmetric matrix."""
@@ -284,24 +286,19 @@ class StreamingEstimator:
 
     def _normalizer(self) -> int:
         self._require_scatter()
-        denom = self.total_count - (
-            len(self._classes) if self.pooled_unbiased else 1
-        )
-        if self.total_count < 2 or denom < 1:
+        n = self.total_count
+        denom = n - (len(self._labels) if self.pooled_unbiased else 1)
+        if n < 2 or denom < 1:
             raise InsufficientDataError(
-                f"covariance needs more samples: n={self.total_count}, "
+                f"covariance needs more samples: n={n}, "
                 f"normalizer n-{'C' if self.pooled_unbiased else '1'}={denom}"
             )
         return denom
 
     def state_nbytes(self) -> int:
         """Bytes held by the statistics; constant once all classes are seen."""
-        total = self._grand_mean.nbytes
-        if self._scatter is not None:
-            total += self._scatter.nbytes
-        for s in self._classes.values():
-            total += s.mean.nbytes + 16  # count + label
-        return total
+        arrays = (self._labels, self._counts, self._means, self._grand_mean, self._scatter)
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def _require_scatter(self) -> None:
         if self._consumed:
@@ -311,88 +308,57 @@ class StreamingEstimator:
 
     # -- checkpointing ------------------------------------------------------
 
-    def _state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        labels = self.classes_seen
-        meta = {
-            "embed_dim": self.embed_dim,
-            "mode": self.mode,
-            "pooled_unbiased": self.pooled_unbiased,
-            "track_scatter": self.track_scatter,
-            "total_count": self.total_count,
-        }
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The statistics as a checkpoint stores them: the arrays
+        themselves, not copies."""
         arrays = {
-            "class_labels": np.asarray(labels, dtype=np.int64),
-            "class_counts": np.asarray(
-                [self._classes[c].count for c in labels], dtype=np.int64
-            ),
-            "class_means": (
-                np.stack([self._classes[c].mean for c in labels])
-                if labels
-                else np.zeros((0, self.embed_dim))
-            ),
+            "class_labels": self._labels,
+            "class_counts": self._counts,
+            "class_means": self._means,
             "grand_mean": self._grand_mean,
         }
         if self.track_scatter:
             self._require_scatter()
             arrays["scatter"] = self._scatter
-        return meta, arrays
-
-    def save(self, path) -> None:
-        """Checkpoint counts, means, scatter, and mode for exact resume."""
-        meta, arrays = self._state()
-        data_io.write_checkpoint(path, {"kind": "estimator", **meta}, arrays)
+        return arrays
 
     @classmethod
-    def _from_state(cls, meta: dict, arrays: dict) -> "StreamingEstimator":
-        """Rebuild an estimator from checkpoint meta and arrays.  A missing
-        or invalid meta field, counts that disagree with ``total_count``
-        or a repeated class label raise DataFormatError naming it."""
-        try:
-            embed_dim, mode = int(meta["embed_dim"]), meta["mode"]
-            unbiased = bool(meta["pooled_unbiased"])
-            tracked = bool(meta["track_scatter"])
-            total_count = int(meta["total_count"])
-        except KeyError as exc:
-            raise DataFormatError(f"checkpoint meta has no {exc} field") from exc
+    def _restore(
+        cls, arrays: dict, embed_dim: int, mode: str, pooled_unbiased: bool,
+        track_scatter: bool,
+    ) -> "StreamingEstimator":
+        """Rebuild an estimator around checkpoint ``arrays``, adopting them
+        without a copy.  A missing or misshapen array, one the settings do
+        not use, labels that are not strictly increasing or a count below
+        1 raise DataFormatError naming the array."""
         # Built without an accumulator: the stored one is adopted below
         # rather than allocated a second time.
-        try:
-            est = cls(
-                embed_dim, mode=mode, pooled_unbiased=unbiased, track_scatter=False
-            )
-        except ConfigurationError as exc:
-            raise DataFormatError(f"checkpoint meta: {exc}") from exc
-        est.track_scatter = tracked
-        est.total_count = total_count
-        e = est.embed_dim
+        est = cls(embed_dim, mode, pooled_unbiased, track_scatter=False)
+        est.track_scatter = track_scatter
         labels = _stored(arrays, "class_labels", None)
         c = len(labels)
-        counts = _stored(arrays, "class_counts", (c,))
-        means = _stored(arrays, "class_means", (c, e))
-        if len(np.unique(labels)) != c:
-            raise DataFormatError("checkpoint array 'class_labels' repeats a label")
-        if int(counts.sum()) != total_count:
+        shapes = {
+            "class_counts": (c,),
+            "class_means": (c, embed_dim),
+            "grand_mean": (embed_dim,),
+            **({"scatter": (packed_size(embed_dim),)} if track_scatter else {}),
+        }
+        unused = sorted(set(arrays) - {"class_labels", *shapes})
+        if unused:
             raise DataFormatError(
-                f"checkpoint meta total_count {total_count} disagrees with the "
-                f"'class_counts', which sum to {int(counts.sum())}"
+                f"checkpoint has a {unused[0]!r} array that its model does not use"
             )
-        est._grand_mean = np.asarray(
-            _stored(arrays, "grand_mean", (e,)), dtype=np.float64
-        )
-        for i, label in enumerate(labels):
-            stats = ClassStats(e)
-            stats.count = int(counts[i])
-            stats.mean = np.asarray(means[i], dtype=np.float64)
-            est._classes[int(label)] = stats
-        if est.track_scatter:
-            est._scatter = np.asarray(
-                _stored(arrays, "scatter", (packed_size(e),)), dtype=np.float64
+        stored = {name: _stored(arrays, name, shape) for name, shape in shapes.items()}
+        if (np.diff(labels) <= 0).any():
+            raise DataFormatError(
+                "checkpoint array 'class_labels' repeats a label or is out of order"
             )
+        if (stored["class_counts"] < 1).any():
+            raise DataFormatError("checkpoint array 'class_counts' holds a count below 1")
+        est._labels = labels.astype(np.int64, copy=False)
+        est._counts = stored["class_counts"].astype(np.int64, copy=False)
+        est._means = stored["class_means"].astype(np.float64, copy=False)
+        est._grand_mean = stored["grand_mean"].astype(np.float64, copy=False)
+        if track_scatter:
+            est._scatter = stored["scatter"].astype(np.float64, copy=False)
         return est
-
-    @classmethod
-    def load(cls, path) -> "StreamingEstimator":
-        meta, arrays = data_io.read_checkpoint(path)
-        if meta.get("kind") != "estimator":
-            raise DataError(f"{path}: not an estimator checkpoint")
-        return cls._from_state(meta, arrays)

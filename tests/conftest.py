@@ -6,6 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import randumb
+
+# The suite tests this checkout: pyproject.toml puts its src/ on the path.
+# An installed copy found first would be tested in its place, silently.
+_SRC = Path(__file__).resolve().parent.parent / "src"
+if not Path(randumb.__file__).resolve().is_relative_to(_SRC):
+    raise ImportError(f"randumb imported from {randumb.__file__}, not {_SRC}")
+
 
 def gaussian_blobs(rng, num_classes, dim, per_class, spread=2.0, noise=1.0):
     """Balanced labeled clusters with Gaussian class centers.
@@ -38,6 +46,18 @@ def blob_dataset(seed=0, num_classes=5, dim=12, train_per_class=60, test_per_cla
     Xtr, ytr = draw(train_per_class)
     Xte, yte = draw(test_per_class)
     return dataset_from_features(Xtr, ytr, Xte, yte)
+
+
+def assert_refused(path, match):
+    """Loading the checkpoint at ``path`` fails with a DataFormatError
+    (exit code 3) whose message starts with the path and matches ``match``."""
+    from randumb import StreamingClassifier
+    from randumb.errors import DataFormatError
+
+    with pytest.raises(DataFormatError, match=match) as info:
+        StreamingClassifier.load(path)
+    assert info.value.exit_code == 3
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def data_dir() -> Path:

@@ -1,12 +1,13 @@
 """Classifier variants: configuration rules, decision rules, variant
 semantics, batch/single agreement, and checkpointing."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import gaussian_blobs
+from conftest import assert_refused, gaussian_blobs
 from randumb import (
     ConfigurationError,
     EmptyModelError,
@@ -23,7 +24,6 @@ from randumb import (
 )
 from randumb.classifier import BLOCK_ROWS
 from randumb.data_io import read_checkpoint, write_checkpoint
-from randumb.errors import DataFormatError
 from randumb.precision import pack_upper
 from randumb.reference import (
     batch_lda_predict,
@@ -661,7 +661,7 @@ class TestCheckpointing:
         model.observe(rng.standard_normal((300, e)), np.arange(300) % 4)
         path = tmp_path / "big.rdck"
         model.save(path)
-        payload = sum(a.nbytes for a in model.estimator._state()[1].values())
+        payload = sum(a.nbytes for a in model._state()[1].values())
         tracemalloc.start()
         try:
             restored = StreamingClassifier.load(path)
@@ -683,10 +683,65 @@ class TestCheckpointing:
         with pytest.raises(DataError, match="classifier"):
             StreamingClassifier.load(path)
 
+    @pytest.mark.parametrize(
+        "mode,unbiased",
+        [("pooled_within_class", False), ("pooled_within_class", True), ("global", False)],
+    )
+    @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
+    def test_resume_at_any_block_boundary_is_bitwise(self, tmp_path, variant, mode, unbiased):
+        """Saved at a random block boundary (the first and the last
+        included), loaded and finished, a run holds every array of the
+        uninterrupted run, and finalizes to the same rho, mu, log det and
+        predictions, bit for bit."""
+        rng = np.random.default_rng([66, len(variant), len(mode), unbiased])
+        settings = dict(estimator_mode=mode, pooled_unbiased=unbiased)
+        path = tmp_path / "resume.rdck"
+        for trial in range(4):
+            d, k, n = int(rng.integers(2, 8)), int(rng.integers(1, 6)), int(rng.integers(20, 200))
+            if variant in ("randumb", "kernel_ncm"):
+                config = fourier_config(variant, input_dim=d, num_bases=int(rng.integers(2, 16)),
+                                        seed=trial, **settings)
+            elif variant == "rp_relu":
+                spec = relu_spec(d, int(rng.integers(1, 30)), trial)
+                config = ModelVariant(variant, embedding=spec, ridge=1e-4, **settings)
+            else:
+                config = raw_config(variant, input_dim=d, **settings)
+            y = rng.integers(0, k, size=n)
+            X = rng.standard_normal((k, d))[y] * 2.0 + rng.standard_normal((n, d))
+            cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, 12)), replace=False))
+            bounds = [0, *cuts, n]
+            stop = bounds[int(rng.integers(0, len(bounds)))]
+
+            def feed(model, lo, hi):
+                for start, end in zip(bounds, bounds[1:]):
+                    if lo <= start and end <= hi:
+                        model.observe(X[start:end], y[start:end])
+                return model
+
+            whole = feed(StreamingClassifier(config), 0, n)
+            feed(StreamingClassifier(config), 0, stop).save(path)
+            resumed = feed(StreamingClassifier.load(path), stop, n)
+            meta, arrays = whole._state()
+            assert resumed._state()[0] == meta and resumed.config == config
+            assert resumed._state()[1].keys() == arrays.keys()
+            for name, stored in arrays.items():
+                assert resumed._state()[1][name].dtype == stored.dtype
+                np.testing.assert_array_equal(resumed._state()[1][name], stored)
+
+            T = rng.standard_normal((40, d)) * 2.0
+            for model in (whole, resumed):
+                model.finalize(consume=True)
+            assert resumed.shrinkage_rho == whole.shrinkage_rho
+            assert resumed.shrinkage_mu == whole.shrinkage_mu
+            if config.needs_precision:
+                assert resumed.precision.log_det == whole.precision.log_det
+            np.testing.assert_array_equal(resumed.predict_batch(T), whole.predict_batch(T))
+
 
 class TestCheckpointMeta:
-    """load refuses a checkpoint whose meta is incomplete, unknown, or at
-    odds with its own estimator state, naming the field."""
+    """load refuses a checkpoint whose model config is incomplete,
+    unknown, invalid, or at odds with the arrays stored beside it, naming
+    the path and the field or array."""
 
     @staticmethod
     def tampered(tmp_path, config, edit):
@@ -704,22 +759,26 @@ class TestCheckpointMeta:
     @pytest.mark.parametrize(
         "field",
         [
-            "variant", "ridge", "input_dim", "embedding", "estimator", "seed", "mode",
-            "total_count",
+            "variant", "ridge", "input_dim", "embedding", "model", "seed",
+            pytest.param("estimator_mode", id="mode"),
         ],
     )
     def test_missing_field_rejected(self, tmp_path, field):
+        """Including 'model' itself: a checkpoint in the layout before the
+        config was stored whole has none."""
         def drop(meta):
-            owner = {
-                "seed": meta["embedding"],
-                "mode": meta["estimator"],
-                "total_count": meta["estimator"],
-            }
-            owner.get(field, meta).pop(field)
+            owner = {"model": meta, "seed": meta["model"]["embedding"]}
+            owner.get(field, meta["model"]).pop(field)
 
         path = self.tampered(tmp_path, fourier_config(input_dim=5), drop)
-        with pytest.raises(DataFormatError, match=repr(field)):
-            StreamingClassifier.load(path)
+        assert_refused(path, repr(field))
+
+    @pytest.mark.parametrize("value", ["randumb", [["variant", "slda"]], None])
+    def test_model_field_not_an_object_rejected(self, tmp_path, value):
+        path = self.tampered(
+            tmp_path, fourier_config(input_dim=5), lambda m: m.update(model=value)
+        )
+        assert_refused(path, "'model' field holding an object")
 
     @pytest.mark.parametrize(
         "embedding,field",
@@ -733,25 +792,33 @@ class TestCheckpointMeta:
     )
     def test_unknown_spec_field_rejected(self, tmp_path, embedding, field):
         path = self.tampered(
-            tmp_path, fourier_config(input_dim=5), lambda m: m.update(embedding=embedding)
+            tmp_path,
+            fourier_config(input_dim=5),
+            lambda m: m["model"].update(embedding=embedding),
         )
-        with pytest.raises(DataFormatError, match=repr(field)):
-            StreamingClassifier.load(path)
+        assert_refused(path, repr(field))
 
     @pytest.mark.parametrize("variant", ["randumb", "rp_relu", "slda"])
     def test_embed_dim_disagreeing_with_estimator_rejected(self, tmp_path, variant):
+        """The size is stored once, in the config; the arrays' shapes must
+        agree with it."""
         if variant == "randumb":
             config = fourier_config(input_dim=5, num_bases=16)
-            edit = lambda m: m["embedding"].update(embed_dim=8)  # noqa: E731
+            edit = lambda m: m["model"]["embedding"].update(embed_dim=8)  # noqa: E731
+            found, expected = [3, 32], [3, 8]
         elif variant == "rp_relu":
             config = ModelVariant(variant="rp_relu", embedding=relu_spec(5, 20, 4))
-            edit = lambda m: m["embedding"].update(embed_dim=21)  # noqa: E731
+            edit = lambda m: m["model"]["embedding"].update(embed_dim=21)  # noqa: E731
+            found, expected = [3, 20], [3, 21]
         else:
             config = raw_config(input_dim=5)
-            edit = lambda m: m.update(input_dim=4)  # noqa: E731
+            edit = lambda m: m["model"].update(input_dim=4)  # noqa: E731
+            found, expected = [3, 5], [3, 4]
         path = self.tampered(tmp_path, config, edit)
-        with pytest.raises(DataFormatError, match="embed_dim"):
-            StreamingClassifier.load(path)
+        assert_refused(
+            path,
+            re.escape(f"'class_means' has shape {found}, expected {expected}"),
+        )
 
     @pytest.mark.parametrize(
         "config,variant",
@@ -763,15 +830,15 @@ class TestCheckpointMeta:
     def test_precision_need_disagreeing_with_track_scatter_rejected(
         self, tmp_path, config, variant
     ):
-        path = self.tampered(tmp_path, config, lambda m: m.update(variant=variant))
-        with pytest.raises(DataFormatError, match="track_scatter"):
-            StreamingClassifier.load(path)
+        """Whether a covariance is kept is stored once, as the variant; a
+        swapped variant leaves a 'scatter' array behind or finds none."""
+        path = self.tampered(tmp_path, config, lambda m: m["model"].update(variant=variant))
+        assert_refused(path, "'scatter'")
 
     def test_invalid_spec_values_rejected_as_data_format(self, tmp_path):
         path = self.tampered(
             tmp_path,
             fourier_config(input_dim=5),
-            lambda m: m["embedding"].update(embed_dim=63),
+            lambda m: m["model"]["embedding"].update(embed_dim=63),
         )
-        with pytest.raises(DataFormatError, match="even"):
-            StreamingClassifier.load(path)
+        assert_refused(path, "even")

@@ -164,6 +164,25 @@ class TestConfigFile:
         assert code == 0, err
         assert seen == [{"embed_dim": 32, "ridge": 0.001, "gamma": 0.1, "seed": 2}]
 
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            ("run", "dims"), ("run", "csv"), ("run", "variants"),
+            ("sweep", "embed_dim"), ("sweep", "variants"),
+            ("ablate", "variant"), ("ablate", "dims"),
+        ],
+    )
+    def test_setting_the_command_does_not_read_rejected(
+        self, capsys, feature_dir, tmp_path, command, key
+    ):
+        """A config file may hold only settings the command has a flag
+        for; the rest would be silently ignored."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dataset": "features", key: "64"}))
+        code, _, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 2
+        assert f"unknown setting {key!r}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/does/not/exist.json")
         assert code == 2
@@ -228,6 +247,15 @@ class TestSweep:
         assert csv_lines[0].startswith("variant,state_dim")
         assert len(csv_lines) == 3
 
+    def test_embed_dim_flag_rejected(self, capsys, feature_dir):
+        """sweep sets the embedding size from --dims; --embed-dim was
+        accepted and ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--dataset", "features", "--data-dir", str(feature_dir),
+                  "--dims", "32,64", "--gamma", "0.1", "--embed-dim", "999"])
+        assert excinfo.value.code == 2
+        assert "--embed-dim" in capsys.readouterr().err
+
     def test_dims_required(self, capsys, feature_dir):
         code, _, err = run_cli(
             capsys, "sweep", "--dataset", "features", "--data-dir", str(feature_dir),
@@ -262,6 +290,15 @@ class TestAblate:
         assert code == 0
         variants = [json.loads(l)["config"]["variant"] for l in out.strip().split("\n")]
         assert variants == ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"]
+
+    def test_variant_flag_rejected(self, capsys, feature_dir):
+        """ablate sets the variant from --variants; --variant was accepted
+        and ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ablate", "--dataset", "features", "--data-dir", str(feature_dir),
+                  "--variants", "ncm", "--variant", "slda"])
+        assert excinfo.value.code == 2
+        assert "--variant slda" in capsys.readouterr().err
 
     def test_unknown_variant_in_list(self, capsys, feature_dir):
         code, _, err = run_cli(

@@ -323,6 +323,13 @@ class TestCheckpointContainer:
         with pytest.raises(DataFormatError, match="unreadable JSON header"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("body", [b"[1]", b'{"meta": [1, 2], "arrays": []}'])
+    def test_header_or_meta_not_an_object(self, tmp_path, body):
+        path = tmp_path / "bad.rdck"
+        path.write_bytes(struct.pack("<4sII", b"RDCK", 1, len(body)) + body)
+        with pytest.raises(DataFormatError, match="is not an object"):
+            read_checkpoint(path)
+
     def test_truncated_array(self, tmp_path):
         header = json.dumps(
             {"meta": {}, "arrays": [{"name": "v", "dtype": "<f8", "shape": [4]}]}
@@ -623,3 +630,16 @@ class TestDatasetDiscovery:
                 np.ones((3, 4), dtype=np.float32), [0, 1, 0],
                 np.ones((2, 5), dtype=np.float32), [0, 1],
             )
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_dataset_from_features_refuses_negative_labels(self, part):
+        """Such rows would drop out of the stream without a word, leaving
+        fewer samples observed than the echoed train_count."""
+        rng = np.random.default_rng(7)
+        y = {"train": rng.integers(0, 3, size=60), "test": rng.integers(0, 3, size=20)}
+        y[part][[13, 17, 19]] = -1
+        with pytest.raises(DataError, match=f"{part} label at index 13 is -1") as info:
+            dataset_from_features(
+                rng.standard_normal((60, 4)), y["train"], rng.standard_normal((20, 4)), y["test"]
+            )
+        assert info.value.row == 13

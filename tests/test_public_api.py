@@ -18,3 +18,15 @@ def test_one_random_map_spec():
     assert randumb.RandomReluMap is classifier.RandomReluMap
     assert issubclass(randumb.RandomReluMap, randumb.FeatureMap)
     assert tuple(randumb.VARIANTS) == ("randumb", "kernel_ncm", "slda", "ncm", "rp_relu")
+
+
+def test_one_checkpoint_kind():
+    """Checkpoints belong to the classifier; the estimator only holds the
+    arrays they store."""
+    from randumb import StreamingClassifier, StreamingEstimator, streaming
+
+    for gone in ("save", "load", "_state", "_from_state"):
+        assert not hasattr(StreamingEstimator, gone), gone
+    assert not hasattr(streaming, "ClassStats")
+    for kept in ("save", "load", "_state", "_from_state"):
+        assert hasattr(StreamingClassifier, kept), kept

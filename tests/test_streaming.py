@@ -1,11 +1,13 @@
 """Streaming estimator: exactness against batch statistics, order
-invariance, memory behavior, and checkpointing."""
+invariance, memory behavior, and its state through a checkpoint."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import assert_refused
+from randumb.classifier import ModelVariant, StreamingClassifier
 from randumb.data_io import read_checkpoint, write_checkpoint
 from randumb.errors import (
     ConfigurationError,
@@ -24,6 +26,21 @@ def feed(est, X, y):
     for xi, yi in zip(X, y):
         est.observe(xi, yi)
     return est
+
+
+def raw_model(e, mode=MODE_POOLED, unbiased=False):
+    """A classifier on raw inputs: its state is exactly one estimator
+    plus a ridge, and checkpoints are the classifier's."""
+    return StreamingClassifier(
+        ModelVariant("slda", input_dim=e, ridge=1e-4, estimator_mode=mode,
+                     pooled_unbiased=unbiased)
+    )
+
+
+def reload(model, path):
+    """The estimator of ``model`` after a save to ``path`` and a load."""
+    model.save(path)
+    return StreamingClassifier.load(path).estimator
 
 
 class TestSingleSamples:
@@ -230,19 +247,24 @@ class TestMemoryContract:
 
 
 class TestCheckpoint:
+    """The estimator's arrays are what a checkpoint stores.  Checkpoints
+    belong to the classifier, so each case goes through ``raw_model``."""
+
     def test_round_trip_preserves_every_statistic(self, tmp_path):
         rng = np.random.default_rng(20)
         X = rng.standard_normal((150, 6))
         y = rng.integers(0, 4, size=150)
-        est = feed(StreamingEstimator(6), X, y)
-        path = tmp_path / "estimator.rdck"
-        est.save(path)
-        back = StreamingEstimator.load(path)
+        model = raw_model(6)
+        est = feed(model.estimator, X, y)
+        back = reload(model, tmp_path / "estimator.rdck")
         assert back.total_count == est.total_count
         assert back.class_counts() == est.class_counts()
+        assert back.classes_seen == est.classes_seen
         np.testing.assert_array_equal(back.covariance(), est.covariance())
-        for label in est.classes_seen:
-            np.testing.assert_array_equal(back.class_means()[label], est.class_means()[label])
+        assert back.state_nbytes() == est.state_nbytes()
+        for name, stored in est._arrays().items():
+            assert back._arrays()[name].dtype == stored.dtype
+            np.testing.assert_array_equal(back._arrays()[name], stored)
 
     def test_resume_matches_uninterrupted_run_bitwise(self, tmp_path):
         """Saving mid-stream and resuming replays the identical float
@@ -252,10 +274,9 @@ class TestCheckpoint:
         y = rng.integers(0, 3, size=80)
         whole = feed(StreamingEstimator(5), X, y)
 
-        first = feed(StreamingEstimator(5), X[:37], y[:37])
-        path = tmp_path / "mid.rdck"
-        first.save(path)
-        resumed = feed(StreamingEstimator.load(path), X[37:], y[37:])
+        first = raw_model(5)
+        feed(first.estimator, X[:37], y[:37])
+        resumed = feed(reload(first, tmp_path / "mid.rdck"), X[37:], y[37:])
         np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
 
     def test_save_and_load_hold_one_copy_of_the_accumulator(self, tmp_path):
@@ -264,23 +285,23 @@ class TestCheckpoint:
         the vector it resumes with."""
         e = 1024
         rng = np.random.default_rng(23)
-        est = StreamingEstimator(e)
-        est.observe(rng.standard_normal((300, e)), rng.integers(0, 4, size=300))
+        model = raw_model(e)
+        model.observe(rng.standard_normal((300, e)), rng.integers(0, 4, size=300))
         path = tmp_path / "big.rdck"
         packed = 4 * e * (e + 1)
         tracemalloc.start()
         try:
-            est.save(path)
+            model.save(path)
             saved = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            back = StreamingEstimator.load(path)
+            back = StreamingClassifier.load(path).estimator
             loaded = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert saved < 0.1 * packed
         assert loaded < 1.1 * packed
         assert back._scatter.shape == (e * (e + 1) // 2,)
-        np.testing.assert_array_equal(back._scatter, est._scatter)
+        np.testing.assert_array_equal(back._scatter, model.estimator._scatter)
 
     MISMATCHES = {
         "scatter_square_of_a_smaller_order": ("scatter", np.zeros((5, 5)), [21], [5, 5]),
@@ -294,77 +315,93 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("case", sorted(MISMATCHES))
     def test_array_disagreeing_with_meta_rejected(self, tmp_path, case):
-        """Every array is checked against the shape its meta implies, so a
-        mismatched checkpoint fails at load, naming the array, instead of
-        at the next observe."""
+        """Every array is checked against the shape the model's config
+        implies, so a mismatched checkpoint fails at load, naming the
+        array, instead of at the next observe."""
         name, bad, expected, found = self.MISMATCHES[case]
         rng = np.random.default_rng(24)
-        est = feed(StreamingEstimator(6), rng.standard_normal((30, 6)), np.arange(30) % 3)
+        model = raw_model(6)
+        model.observe(rng.standard_normal((30, 6)), np.arange(30) % 3)
         path = tmp_path / "bad.rdck"
-        est.save(path)
+        model.save(path)
         meta, arrays = read_checkpoint(path)
         arrays[name] = bad
         write_checkpoint(path, meta, arrays)
         with pytest.raises(DataFormatError) as info:
-            StreamingEstimator.load(path)
+            StreamingClassifier.load(path)
         message = str(info.value)
         assert repr(name) in message
         assert f"expected {expected}" in message and f"shape {found}" in message
 
-    def test_missing_array_rejected(self, tmp_path):
-        est = feed(StreamingEstimator(3), np.eye(3), [0, 1, 1])
-        path = tmp_path / "partial.rdck"
-        est.save(path)
-        meta, arrays = read_checkpoint(path)
-        del arrays["scatter"]
-        write_checkpoint(path, meta, arrays)
-        with pytest.raises(DataFormatError, match="'scatter'"):
-            StreamingEstimator.load(path)
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "other.rdck"
-        write_checkpoint(path, {"kind": "something_else"}, {})
-        with pytest.raises(DataError):
-            StreamingEstimator.load(path)
-
     @staticmethod
     def tampered(tmp_path, edit):
-        """A saved three-class estimator whose (meta, arrays) ``edit`` changed."""
+        """A saved three-class model whose (meta, arrays) ``edit`` changed."""
         X = np.eye(4)[[0, 1, 2, 3, 0, 1]]
-        est = feed(StreamingEstimator(4), X, [0, 1, 2, 0, 1, 2])
+        model = raw_model(4)
+        feed(model.estimator, X, [0, 1, 2, 0, 1, 2])
         path = tmp_path / "tampered.rdck"
-        est.save(path)
+        model.save(path)
         meta, arrays = read_checkpoint(path)
         edit(meta, arrays)
         write_checkpoint(path, meta, arrays)
         return path
 
+    def test_missing_array_rejected(self, tmp_path):
+        path = self.tampered(tmp_path, lambda meta, arrays: arrays.pop("scatter"))
+        assert_refused(path, "no 'scatter' array")
+
+    def test_array_the_model_does_not_use_rejected(self, tmp_path):
+        def add(meta, arrays):
+            arrays["weights"] = np.zeros((4, 4))
+
+        assert_refused(self.tampered(tmp_path, add), "'weights' array that its model")
+
+    def test_wrong_kind_rejected(self, tmp_path):
+        path = tmp_path / "other.rdck"
+        write_checkpoint(path, {"kind": "something_else"}, {})
+        with pytest.raises(DataError):
+            StreamingClassifier.load(path)
+
     @pytest.mark.parametrize(
-        "field",
-        ["embed_dim", "mode", "pooled_unbiased", "track_scatter", "total_count"],
+        "field", [pytest.param("estimator_mode", id="mode"), "pooled_unbiased"]
     )
     def test_missing_meta_field_rejected(self, tmp_path, field):
-        path = self.tampered(tmp_path, lambda meta, arrays: meta.pop(field))
-        with pytest.raises(DataFormatError, match=repr(field)):
-            StreamingEstimator.load(path)
+        path = self.tampered(tmp_path, lambda meta, arrays: meta["model"].pop(field))
+        assert_refused(path, repr(field))
 
     def test_unknown_mode_rejected_as_data_format(self, tmp_path):
-        path = self.tampered(tmp_path, lambda meta, arrays: meta.update(mode="median"))
-        with pytest.raises(DataFormatError, match="mode"):
-            StreamingEstimator.load(path)
+        path = self.tampered(
+            tmp_path, lambda meta, arrays: meta["model"].update(estimator_mode="median")
+        )
+        assert_refused(path, "estimator_mode")
 
-    def test_total_count_disagreeing_with_class_counts_rejected(self, tmp_path):
-        path = self.tampered(tmp_path, lambda meta, arrays: meta.update(total_count=7))
-        with pytest.raises(DataFormatError, match="total_count 7 .* sum to 6"):
-            StreamingEstimator.load(path)
+    def test_global_mode_with_pooled_unbiased_rejected_as_data_format(self, tmp_path):
+        """The estimator refuses this pair with ConfigurationError (exit 2)
+        when called; from a checkpoint it is a bad file (exit 3)."""
+        def edit(meta, arrays):
+            meta["model"].update(estimator_mode=MODE_GLOBAL, pooled_unbiased=True)
+
+        assert_refused(self.tampered(tmp_path, edit), "pooled_within_class mode only")
 
     def test_repeated_class_label_rejected(self, tmp_path):
         def repeat(meta, arrays):
             arrays["class_labels"] = np.array([0, 1, 1], dtype=np.int64)
 
-        path = self.tampered(tmp_path, repeat)
-        with pytest.raises(DataFormatError, match="'class_labels' repeats"):
-            StreamingEstimator.load(path)
+        assert_refused(self.tampered(tmp_path, repeat), "'class_labels' repeats")
+
+    def test_labels_out_of_order_rejected(self, tmp_path):
+        """Rows are kept in increasing label order; a row swap would
+        otherwise pair each label with another class's mean and count."""
+        def swap(meta, arrays):
+            arrays["class_labels"] = np.array([0, 2, 1], dtype=np.int64)
+
+        assert_refused(self.tampered(tmp_path, swap), "'class_labels' .* is out of order")
+
+    def test_count_below_one_rejected(self, tmp_path):
+        def zero(meta, arrays):
+            arrays["class_counts"] = np.array([2, 0, 2], dtype=np.int64)
+
+        assert_refused(self.tampered(tmp_path, zero), "'class_counts' holds a count below 1")
 
 
 def feed_blocks(est, X, y, cuts):
@@ -457,11 +494,11 @@ class TestBlocked:
             cuts = fixed_cuts(200, 13)
             whole = feed_blocks(StreamingEstimator(7, mode=mode), X, y, cuts)
             stop = 13 * 8
-            first = feed_blocks(StreamingEstimator(7, mode=mode), X[:stop], y[:stop], cuts[:7])
-            path = tmp_path / f"{mode}.rdck"
-            first.save(path)
+            first = raw_model(7, mode)
+            feed_blocks(first.estimator, X[:stop], y[:stop], cuts[:7])
             rest = [c - stop for c in cuts[8:]]
-            resumed = feed_blocks(StreamingEstimator.load(path), X[stop:], y[stop:], rest)
+            restored = reload(first, tmp_path / f"{mode}.rdck")
+            resumed = feed_blocks(restored, X[stop:], y[stop:], rest)
             np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
             for label, mean in whole.class_means().items():
                 np.testing.assert_array_equal(resumed.class_means()[label], mean)
@@ -488,10 +525,10 @@ class TestBlocked:
                 return StreamingEstimator(e, mode=mode, pooled_unbiased=unbiased)
 
             whole = feed_blocks(build(), X, y, cuts)
-            first = feed_blocks(build(), X[:stop], y[:stop], [c for c in cuts if c < stop])
-            first.save(path)
+            first = raw_model(e, mode, unbiased)
+            feed_blocks(first.estimator, X[:stop], y[:stop], [c for c in cuts if c < stop])
             rest = [c - stop for c in cuts if c > stop]
-            resumed = feed_blocks(StreamingEstimator.load(path), X[stop:], y[stop:], rest)
+            resumed = feed_blocks(reload(first, path), X[stop:], y[stop:], rest)
             assert resumed.total_count == whole.total_count == n
             assert resumed.class_counts() == whole.class_counts()
             np.testing.assert_array_equal(resumed._scatter, whole._scatter)
