@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 import struct
 import tempfile
@@ -413,7 +414,9 @@ def read_checkpoint(path: str | Path):
     """Read an RDCK container back into (meta dict, {name: array}).
 
     Each array is read straight into its own preallocated buffer, so the
-    peak is the payload once, not the file plus a copy.
+    peak is the payload once, not the file plus a copy.  A manifest entry
+    that is not an object with a new string name, a supported dtype and a
+    list of sizes raises DataFormatError naming the path and its index.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -433,27 +436,37 @@ def read_checkpoint(path: str | Path):
             raise DataFormatError(f"{path}: unreadable JSON header: {exc}") from exc
         if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
             raise DataFormatError(f"{path}: JSON header or its 'meta' is not an object")
+        manifest = header.get("arrays", [])
+        if not isinstance(manifest, list):
+            raise DataFormatError(f"{path}: JSON header's 'arrays' is not a list")
         arrays = {}
         offset = body_start
-        for entry in header.get("arrays", []):
-            shape = tuple(entry["shape"])
-            if entry["dtype"] not in _RDCK_DTYPES or min(shape, default=0) < 0:
+        for i, entry in enumerate(manifest):
+            where = f"{path}: array entry {i}"
+            if not isinstance(entry, dict):
+                raise DataFormatError(f"{where} is not an object")
+            name, dtype, shape = entry.get("name"), entry.get("dtype"), entry.get("shape")
+            if not isinstance(name, str):
+                raise DataFormatError(f"{where} has no string 'name'")
+            if name in arrays:
+                raise DataFormatError(f"{where} repeats the name {name!r}")
+            if not isinstance(dtype, str) or dtype not in _RDCK_DTYPES:
+                raise DataFormatError(f"{where} ({name!r}) has unsupported dtype {dtype!r}")
+            # bool is an int subclass, but JSON true is no size
+            if not isinstance(shape, list) or not all(
+                type(n) is int and n >= 0 for n in shape
+            ):
                 raise DataFormatError(
-                    f"{path}: array {entry['name']!r} has unsupported dtype "
-                    f"{entry['dtype']!r} or shape {list(shape)}"
+                    f"{where} ({name!r}) has shape {shape!r}, not a list of sizes >= 0"
                 )
-            dtype = np.dtype(entry["dtype"])
-            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            dtype = np.dtype(dtype)
+            nbytes = dtype.itemsize * math.prod(shape)
             if offset + nbytes > size:
-                raise DataFormatError(
-                    f"{path}: array {entry['name']!r} truncated at offset {offset}"
-                )
+                raise DataFormatError(f"{path}: array {name!r} truncated at offset {offset}")
             arr = np.empty(shape, dtype=dtype)
             if _read_into(fh, arr) != nbytes:
-                raise DataFormatError(
-                    f"{path}: array {entry['name']!r} truncated at offset {offset}"
-                )
-            arrays[entry["name"]] = arr
+                raise DataFormatError(f"{path}: array {name!r} truncated at offset {offset}")
+            arrays[name] = arr
             offset += nbytes
         if offset != size:
             raise DataFormatError(f"{path}: {size - offset} trailing bytes")
@@ -491,7 +504,9 @@ def normalize(image: np.ndarray, descriptor: DatasetDescriptor) -> np.ndarray:
 def normalize_batch(images: np.ndarray, descriptor: DatasetDescriptor) -> np.ndarray:
     """Vectorized ``normalize`` over a stack of images; returns (n, input_dim).
 
-    Same arithmetic as the per-image path, applied to the whole tensor.
+    Same arithmetic as the per-image path, in the same order, applied in
+    place to one float32 copy of the stack: the output is the only
+    allocation.
     """
     if descriptor.kind != "images":
         raise ConfigurationError(f"{descriptor.name}: not an image dataset")
@@ -503,11 +518,14 @@ def normalize_batch(images: np.ndarray, descriptor: DatasetDescriptor) -> np.nda
         )
     means = np.asarray(descriptor.channel_means, dtype=np.float32)
     stds = np.asarray(descriptor.channel_stds, dtype=np.float32)
-    scaled = images.astype(np.float32) / np.float32(255.0)
+    out = images.astype(np.float32)
+    out /= np.float32(255.0)
     if images.ndim == 3:
-        out = (scaled - means[0]) / stds[0]
+        out -= means[0]
+        out /= stds[0]
     else:
-        out = (scaled - means[None, :, None, None]) / stds[None, :, None, None]
+        out -= means[None, :, None, None]
+        out /= stds[None, :, None, None]
     return out.reshape(images.shape[0], -1)
 
 

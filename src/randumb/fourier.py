@@ -28,6 +28,10 @@ from .errors import ConfigurationError, ShapeError
 
 GENERATOR_NAME = "numpy PCG64, ziggurat standard_normal"
 
+# Entries of W drawn per call: 1 MiB of float64.  The generator yields
+# the same sequence however the draw is cut, so W does not depend on it.
+DRAW_CHUNK = 1 << 17
+
 HEADS = ("fourier", "relu")
 
 
@@ -79,10 +83,16 @@ class FeatureMap:
     def __init__(self, spec: FeatureMapSpec):
         self.spec = spec
         rng = np.random.Generator(np.random.PCG64(spec.seed))
-        weights = rng.standard_normal((spec.num_bases, spec.input_dim))
-        if spec.head == "fourier":
-            weights *= np.sqrt(2.0 * spec.gamma)
-        self.weights = weights.astype(np.float32)
+        self.weights = np.empty((spec.num_bases, spec.input_dim), dtype=np.float32)
+        # Drawn in float64 one chunk at a time, in row-major order, so the
+        # build holds W plus one chunk rather than a float64 copy of W.
+        flat = self.weights.reshape(-1)
+        buffer = np.empty(min(DRAW_CHUNK, flat.size))
+        for start in range(0, flat.size, DRAW_CHUNK):
+            chunk = rng.standard_normal(out=buffer[: flat.size - start])
+            if spec.head == "fourier":
+                chunk *= np.sqrt(2.0 * spec.gamma)
+            flat[start : start + len(chunk)] = chunk
 
     @property
     def embed_dim(self) -> int:
@@ -114,8 +124,8 @@ class FeatureMap:
         if self.spec.head == "relu":
             return np.maximum(proj, 0.0, out=proj)
         out = np.empty((len(X), self.embed_dim), dtype=np.float32)
-        out[:, 0::2] = np.cos(proj)
-        out[:, 1::2] = np.sin(proj)
+        np.cos(proj, out=out[:, 0::2])
+        np.sin(proj, out=out[:, 1::2])
         out *= np.float32(1.0 / np.sqrt(self.spec.num_bases))
         return out
 

@@ -12,6 +12,8 @@ finalized, and is then evaluated on the full test set.
 from __future__ import annotations
 
 import json
+import resource
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -37,6 +39,9 @@ from .fourier import GENERATOR_NAME, FeatureMapSpec
 from .streaming import MODE_POOLED
 
 DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
+
+# Bytes per unit of getrusage's ru_maxrss: KiB on Linux, bytes on macOS.
+_RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 
 ABLATION_ORDER = tuple(VARIANTS)
 
@@ -149,16 +154,33 @@ def make_stream(
     for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
         idx = indices[start:stop]
         flip = flipped[start:stop]
-        if descriptor.kind == "images":
-            images = train_x[idx]
-            if flip.any():
-                images[flip] = flip_horizontal(images[flip])
-            features = normalize_batch(images, descriptor)
-        else:
-            features = train_x[idx].astype(np.float32, copy=False)
+        rows = train_x[idx]
+        if flip.any():
+            rows[flip] = flip_horizontal(rows[flip])
         yield StreamBlock(
-            start, idx, flip, features, train_y[idx].astype(np.int64, copy=False)
+            start, idx, flip, _flat(rows, descriptor),
+            train_y[idx].astype(np.int64, copy=False),
         )
+
+
+def _flat(rows: np.ndarray, descriptor: DatasetDescriptor) -> np.ndarray:
+    """Raw rows as the model takes them: images normalized and flattened,
+    feature vectors as float32."""
+    if descriptor.kind == "images":
+        return normalize_batch(rows, descriptor)
+    return rows.astype(np.float32, copy=False)
+
+
+def _predict_test(
+    model: StreamingClassifier, test_x: np.ndarray, descriptor: DatasetDescriptor
+) -> np.ndarray:
+    """Predictions for the raw test split, each BLOCK_ROWS rows made flat
+    just before they are scored, so the flat split is never held whole."""
+    out = np.empty(len(test_x), dtype=np.int64)
+    for start in range(0, len(test_x), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        out[start:stop] = model.predict_batch(_flat(test_x[start:stop], descriptor))
+    return out
 
 
 def compute_accuracy(predictions: np.ndarray, labels: np.ndarray):
@@ -189,7 +211,14 @@ def compute_accuracy(predictions: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class RunResult:
-    """Everything one benchmark run produced, JSON-serializable."""
+    """Everything one benchmark run produced, JSON-serializable.
+
+    ``peak_memory_estimate_bytes`` bounds, by formula, what the run
+    allocates at once (``_peak_memory_estimate``).  ``peak_rss_bytes`` is
+    measured: the process's resident-set high-water mark (``getrusage``
+    ``ru_maxrss``) when the run ends, which also counts the interpreter,
+    the raw data and whatever the process held before the run.
+    """
 
     config: dict
     per_class_accuracy: dict[int, float]
@@ -197,6 +226,7 @@ class RunResult:
     class_average_accuracy: float
     wall_time_seconds: float
     peak_memory_estimate_bytes: int
+    peak_rss_bytes: int
     observe_count: int
     shrinkage_rho: float | None = None
     shrinkage_mu: float | None = None
@@ -287,35 +317,37 @@ def _peak_memory_estimate(
 ) -> int:
     """Upper bound on the bytes one ``run_benchmark`` call allocates at once.
 
-    Held throughout: the random map, the statistics (``state_bytes``),
-    the normalized test set and the stream's index arrays, plus, with
-    eval_every > 0, the packed factor of the latest snapshot (one copy of
-    the accumulator).  On top of that comes the largest transient:
-    building the map, normalizing the test set, one ingestion block (raw
-    rows and their normalized copies, the projection, the float32
-    embedding, its sort copy and finiteness mask, and the float64
-    stacked rows of the rank-k update), or finalize's mean arrays with
-    one predict block.
+    The raw splits are the caller's and are not counted.  Held
+    throughout: the random map, the statistics (``state_bytes``, spare
+    class rows included) and the stream's index arrays, plus, with
+    eval_every > 0, the packed factor of the latest snapshot (one copy
+    of the accumulator).  On top of that comes the largest transient:
+    one ingestion block (the previous block's rows beside the next
+    block's gathered and normalized rows, then the projection, the
+    float32 embedding and the float64 stacked rows of the rank-k update,
+    or the class rows' reallocation), or evaluation: finalize's mean
+    arrays, the test predictions and one BLOCK_ROWS block of test rows
+    normalized, embedded and scored.  No data split is ever held
+    normalized whole.  Building the map holds one 1 MiB float64 chunk
+    beside it (``fourier.DRAW_CHUNK``), which for any sizes is less than
+    an ingestion block's projection and rows.
     """
     e, d, c = model_config.embed_dim, descriptor.input_dim, descriptor.num_classes
     b = BLOCK_ROWS
     emb = model_config.embedding
     width = emb.num_bases if emb is not None else 0
     snapshot = 4 * e * (e + 1) if model_config.needs_precision and eval_every > 0 else 0
-    held = (
-        4 * width * d
-        + state_bytes
-        + snapshot
-        + 4 * test_count * d
-        + 25 * stream_steps
-    )
-    # a projection block and its cos/sin (or relu) output beside the embedding
-    embed = 4 * b * (e + 2 * width)
-    # the previous block's features stay alive while the next is cut
-    ingest = 17 * b * d + max(embed, 9 * b * e + 8 * (b + c + 1) * e)
-    score = 8 * c * e * 4 + embed + 8 * b * (e + c)
-    transient = max(12 * width * d, 12 * test_count * d, ingest, score)
-    return held + transient
+    held = 4 * width * d + state_bytes + snapshot + 25 * stream_steps
+    # the projection beside its cos/sin (or in-place relu) output
+    embed = 4 * b * (e + width)
+    # gathered rows hold at most 8 bytes an entry, normalized rows 4; the
+    # merge adds a few E-vectors to the stack, and growing the class rows
+    # (at most C old rows beside the new) less than the stack
+    ingest = 16 * b * d + max(embed, 4 * b * e + 8 * (b + c + 1) * e + 128 * e)
+    # int64 predictions, then compute_accuracy's sorted labels and masks
+    evaluate = 24 * test_count
+    score = 4 * 8 * c * e + evaluate + 4 * b * d + embed + 8 * b * (e + c)
+    return held + max(ingest, score)
 
 
 def run_benchmark(
@@ -332,8 +364,9 @@ def run_benchmark(
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize (this factors a copy of the
-    accumulator, so the run holds two packed triangles); the final
-    evaluation always goes through the consuming, single-buffer path.
+    accumulator, so the run holds two packed triangles, and normalizes the
+    raw test split again, block by block); the final evaluation always
+    goes through the consuming, single-buffer path.
     """
     if eval_every < 0:
         raise ConfigurationError(f"eval_every must be >= 0, got {eval_every}")
@@ -345,11 +378,8 @@ def run_benchmark(
         )
     started = time.perf_counter()
     model = StreamingClassifier(model_config)
-    if stream_spec.dataset.kind == "images":
-        test_flat = normalize_batch(test_x, stream_spec.dataset)
-    else:
-        test_flat = np.asarray(test_x, dtype=np.float32)
-    test_y = np.asarray(test_y)
+    descriptor = stream_spec.dataset
+    test_x, test_y = np.asarray(test_x), np.asarray(test_y)
 
     intermediate = []
     steps = 0
@@ -369,18 +399,19 @@ def run_benchmark(
             )
         if eval_every > 0 and steps % eval_every == 0:
             model.finalize(consume=False)
-            _, average, _ = compute_accuracy(model.predict_batch(test_flat), test_y)
+            predictions = _predict_test(model, test_x, descriptor)
+            _, average, _ = compute_accuracy(predictions, test_y)
             intermediate.append({"step": steps, "average_accuracy": average})
 
     state_bytes = model.estimator.state_nbytes()
     model.finalize(consume=True)
     per_class, average, class_average = compute_accuracy(
-        model.predict_batch(test_flat), test_y
+        _predict_test(model, test_x, descriptor), test_y
     )
     elapsed = time.perf_counter() - started
 
     peak = _peak_memory_estimate(
-        model_config, stream_spec.dataset, state_bytes, steps, len(test_y), eval_every
+        model_config, descriptor, state_bytes, steps, len(test_y), eval_every
     )
     pm = model.precision
     return RunResult(
@@ -390,6 +421,7 @@ def run_benchmark(
         class_average_accuracy=class_average,
         wall_time_seconds=elapsed,
         peak_memory_estimate_bytes=int(peak),
+        peak_rss_bytes=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _RSS_UNIT,
         observe_count=steps,
         shrinkage_rho=model.shrinkage_rho,
         shrinkage_mu=model.shrinkage_mu,

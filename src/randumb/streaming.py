@@ -24,7 +24,10 @@ update.
 
 No sample outlives its block: state is the scatter's upper triangle
 plus one float64 mean vector and a count per class, so memory is
-O(E^2 + C*E) no matter how long the stream runs.
+O(E^2 + C*E) no matter how long the stream runs.  The per-class rows
+keep spare capacity that doubles when full, so a new label is written
+in place (an append, in class-incremental order) rather than copying
+every mean.
 
 The triangle is one float64 vector of E (E + 1) / 2 entries in LAPACK's
 rectangular full packed (RFP) format, half the bytes of a square
@@ -138,7 +141,9 @@ class StreamingEstimator:
         self.mode = mode
         self.pooled_unbiased = pooled_unbiased
         self.track_scatter = track_scatter
-        # One row per class seen, in increasing label order.
+        # One row per class seen, in increasing label order: the first
+        # _num rows of each array; the rest is spare capacity.
+        self._num = 0
         self._labels = np.zeros(0, dtype=np.int64)
         self._counts = np.zeros(0, dtype=np.int64)
         self._means = np.zeros((0, embed_dim), dtype=np.float64)
@@ -190,65 +195,91 @@ class StreamingEstimator:
 
         # Rows sorted by label, so each class is one contiguous slice.
         order = np.argsort(labels, kind="stable")
-        phi, labels = phi[order], labels[order]
+        labels = labels[order]
         cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         starts, stops = [0, *cuts], [*cuts, m]
-        # A label not seen before gets a zero row at its place in order.
         block_labels = labels[starts]
-        new = np.setdiff1d(block_labels, self._labels, assume_unique=True)
-        if len(new):
-            at = np.searchsorted(self._labels, new)
-            self._labels = np.insert(self._labels, at, new)
-            self._counts = np.insert(self._counts, at, 0)
-            self._means = np.insert(self._means, at, 0.0, axis=0)
-        # The spare rows of z hold the mean-shift terms.
+        self._insert(np.setdiff1d(block_labels, self._labels[: self._num], assume_unique=True))
+        # The sorted rows are scattered straight into z, whose spare rows
+        # hold the mean-shift terms.
         z = np.empty((m + len(starts) + 1, self.embed_dim), dtype=np.float64)
         rows = z[:m]
-        rows[...] = phi
+        rows[np.argsort(order)] = phi
 
         pooled = self.mode == MODE_POOLED
         total = self.total_count
-        shifts = []
+        stacked = m  # rows of z filled so far
         for i, start, stop in zip(
-            np.searchsorted(self._labels, block_labels).tolist(), starts, stops
+            np.searchsorted(self._labels[: self._num], block_labels).tolist(), starts, stops
         ):
             count = int(self._counts[i])
-            shift = _merge(self._means[i], count, rows[start:stop], centre=pooled)
+            coef, delta = _merge(self._means[i], count, rows[start:stop], centre=pooled)
             if pooled and count > 0:
-                shifts.append(shift)
+                np.multiply(delta, np.sqrt(coef), out=z[stacked])
+                stacked += 1
             self._counts[i] += stop - start
         if not pooled:
-            shift = _merge(self._grand_mean, total, rows, centre=True)
+            coef, delta = _merge(self._grand_mean, total, rows, centre=True)
             if total > 0:
-                shifts.append(shift)
+                np.multiply(delta, np.sqrt(coef), out=z[stacked])
+                stacked += 1
 
         if not self.track_scatter:
             return
-        for i, (coef, delta) in enumerate(shifts):
-            np.multiply(delta, np.sqrt(coef), out=z[m + i])
-        stacked = z[: m + len(shifts)]
+        stacked = z[:stacked]
         # stacked.T is Fortran-ordered, so it reaches LAPACK without a copy.
         dsfrk(
             self.embed_dim, len(stacked), 1.0, stacked.T, 1.0, self._scatter,
             trans="N", overwrite_c=1, **RFP,
         )
 
+    def _insert(self, new: np.ndarray) -> None:
+        """Give each label in ``new`` (sorted, none seen before) a zero row
+        at its place in label order.  Rows after it shift within the
+        arrays.  Full arrays are reallocated at the next power of two, so
+        the capacity doubles and depends only on the class count, not on
+        how the stream was cut."""
+        c, k = self._num, len(new)
+        if k == 0:
+            return
+        if c + k > len(self._labels):
+            capacity = 1 << (c + k - 1).bit_length()
+            for name in ("_labels", "_counts", "_means"):
+                old = getattr(self, name)
+                grown = np.zeros((capacity, *old.shape[1:]), dtype=old.dtype)
+                grown[:c] = old[:c]
+                setattr(self, name, grown)
+        at = np.searchsorted(self._labels[:c], new).tolist()
+        e = self.embed_dim
+        # The flat view moves overlapping rows without a temporary.
+        flat = self._means.reshape(-1)
+        # From the last new label back, the rows after it move up by the
+        # number of new labels before them, then its own row is zeroed.
+        for j in range(k - 1, -1, -1):
+            lo, hi, to = at[j], (at[j + 1] if j + 1 < k else c), at[j] + j
+            self._labels[lo + j + 1 : hi + j + 1] = self._labels[lo:hi]
+            self._counts[lo + j + 1 : hi + j + 1] = self._counts[lo:hi]
+            flat[(lo + j + 1) * e : (hi + j + 1) * e] = flat[lo * e : hi * e]
+            self._labels[to], self._counts[to] = new[j], 0
+            self._means[to] = 0.0
+        self._num = c + k
+
     # -- snapshots ----------------------------------------------------------
 
     @property
     def total_count(self) -> int:
-        return int(self._counts.sum())
+        return int(self._counts[: self._num].sum())
 
     @property
     def classes_seen(self) -> list[int]:
-        return self._labels.tolist()
+        return self._labels[: self._num].tolist()
 
     def class_means(self) -> dict[int, np.ndarray]:
         """Snapshot of every per-class mean, keyed by observed labels only."""
-        return dict(zip(self._labels.tolist(), self._means.copy()))
+        return dict(zip(self.classes_seen, self._means[: self._num].copy()))
 
     def class_counts(self) -> dict[int, int]:
-        return dict(zip(self._labels.tolist(), self._counts.tolist()))
+        return dict(zip(self.classes_seen, self._counts[: self._num].tolist()))
 
     def scatter(self) -> np.ndarray:
         """The pooled sum of squared deviations, as a full symmetric matrix."""
@@ -287,7 +318,7 @@ class StreamingEstimator:
     def _normalizer(self) -> int:
         self._require_scatter()
         n = self.total_count
-        denom = n - (len(self._labels) if self.pooled_unbiased else 1)
+        denom = n - (self._num if self.pooled_unbiased else 1)
         if n < 2 or denom < 1:
             raise InsufficientDataError(
                 f"covariance needs more samples: n={n}, "
@@ -296,7 +327,8 @@ class StreamingEstimator:
         return denom
 
     def state_nbytes(self) -> int:
-        """Bytes held by the statistics; constant once all classes are seen."""
+        """Bytes held by the statistics, spare class rows included; constant
+        once all classes are seen."""
         arrays = (self._labels, self._counts, self._means, self._grand_mean, self._scatter)
         return sum(a.nbytes for a in arrays if a is not None)
 
@@ -309,12 +341,13 @@ class StreamingEstimator:
     # -- checkpointing ------------------------------------------------------
 
     def _arrays(self) -> dict[str, np.ndarray]:
-        """The statistics as a checkpoint stores them: the arrays
-        themselves, not copies."""
+        """The statistics as a checkpoint stores them: views of the arrays
+        themselves (the classes seen, without spare rows), not copies."""
+        c = self._num
         arrays = {
-            "class_labels": self._labels,
-            "class_counts": self._counts,
-            "class_means": self._means,
+            "class_labels": self._labels[:c],
+            "class_counts": self._counts[:c],
+            "class_means": self._means[:c],
             "grand_mean": self._grand_mean,
         }
         if self.track_scatter:
@@ -355,6 +388,7 @@ class StreamingEstimator:
             )
         if (stored["class_counts"] < 1).any():
             raise DataFormatError("checkpoint array 'class_counts' holds a count below 1")
+        est._num = c
         est._labels = labels.astype(np.int64, copy=False)
         est._counts = stored["class_counts"].astype(np.int64, copy=False)
         est._means = stored["class_means"].astype(np.float64, copy=False)

@@ -1,6 +1,11 @@
-"""Shared helpers: synthetic class data and dataset-availability gating."""
+"""Shared helpers: synthetic class data, memory measurement and
+dataset-availability gating."""
 
 import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +18,43 @@ import randumb
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if not Path(randumb.__file__).resolve().is_relative_to(_SRC):
     raise ImportError(f"randumb imported from {randumb.__file__}, not {_SRC}")
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def child_peak_rss(code: str, timeout: float = 120) -> tuple[int, str]:
+    """Run ``python -c code`` with this checkout's src/ on the path.
+
+    Returns (peak RSS in bytes, stdout and stderr).  The peak is the
+    child's ``ru_maxrss`` as ``os.wait4`` reports it, the way the
+    benchmark measures a run.  A child that exits non-zero, or is killed
+    after ``timeout`` seconds, fails the calling test with its output.
+    """
+    env = {**os.environ, "PYTHONPATH": str(_SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, env=env, text=True,
+    )
+    timer = threading.Timer(timeout, proc.kill)
+    timer.start()
+    try:
+        output = proc.stdout.read()
+    finally:
+        timer.cancel()
+        proc.stdout.close()
+        # wait4, not Popen.wait: only it returns the child's rusage.
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, output
+    return usage.ru_maxrss * 1024, output  # Linux reports KiB
 
 
 def gaussian_blobs(rng, num_classes, dim, per_class, spread=2.0, noise=1.0):

@@ -51,6 +51,7 @@ class TestRun:
         assert result["config"]["state_dim"] == 64
         assert result["average_accuracy"] > 0.8
         assert result["observe_count"] == 100
+        assert isinstance(result["peak_rss_bytes"], int) and result["peak_rss_bytes"] > 0
 
     def test_out_file_appends(self, capsys, feature_dir, tmp_path):
         out_path = tmp_path / "runs.jsonl"
@@ -64,8 +65,11 @@ class TestRun:
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 2
         first, second = (json.loads(line) for line in lines)
-        first.pop("wall_time_seconds")
-        second.pop("wall_time_seconds")
+        # wall time and the process's RSS high-water mark are measured,
+        # not derived from the run
+        for key in ("wall_time_seconds", "peak_rss_bytes"):
+            first.pop(key)
+            second.pop(key)
         assert first == second
 
     def test_lambda_flag_sets_ridge(self, capsys, feature_dir):

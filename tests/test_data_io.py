@@ -7,7 +7,6 @@ import gzip
 import json
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,8 @@ from randumb.data_io import (
     write_checkpoint,
 )
 from randumb.precision import pack_upper
+
+from conftest import traced_peak
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -341,6 +342,47 @@ class TestCheckpointContainer:
         with pytest.raises(DataFormatError, match="'v' truncated at offset"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "arrays,message",
+        [
+            ({"v": {"name": "v"}}, r"'arrays' is not a list"),
+            ([5], r"array entry 0 is not an object"),
+            ([{"dtype": "<f8", "shape": [1]}], r"array entry 0 has no string 'name'"),
+            ([{"name": 3, "dtype": "<f8", "shape": [1]}], r"array entry 0 has no string 'name'"),
+            ([{"name": "v", "dtype": "<f8"}], r"array entry 0 \('v'\) has shape None"),
+            ([{"name": "v", "shape": [1]}], r"array entry 0 \('v'\) has unsupported dtype None"),
+            (
+                [{"name": "v", "dtype": ["<f8"], "shape": [1]}],
+                r"array entry 0 \('v'\) has unsupported dtype \['<f8'\]",
+            ),
+            ([{"name": "v", "dtype": "<f8", "shape": 1}], r"array entry 0 \('v'\) has shape 1"),
+            ([{"name": "v", "dtype": "<f8", "shape": [1.5]}], r"has shape \[1.5\]"),
+            ([{"name": "v", "dtype": "<f8", "shape": ["1"]}], r"has shape \['1'\]"),
+            ([{"name": "v", "dtype": "<f8", "shape": [True]}], r"has shape \[True\]"),
+            (
+                [{"name": "v", "dtype": "<f8", "shape": [1]}] * 2,
+                r"array entry 1 repeats the name 'v'",
+            ),
+        ],
+        ids=[
+            "arrays-not-a-list", "entry-not-an-object", "no-name", "name-not-a-string",
+            "no-shape", "no-dtype", "dtype-not-a-string", "shape-not-a-list",
+            "float-size", "string-size", "bool-size", "duplicate-name",
+        ],
+    )
+    def test_malformed_manifest_entry(self, tmp_path, arrays, message):
+        """Each malformed manifest raises DataFormatError naming the path
+        and the entry, never a bare KeyError or TypeError."""
+        header = json.dumps({"meta": {}, "arrays": arrays}).encode()
+        # one float64 per entry, so a reader that skips the check finds a
+        # well-sized payload
+        payload = bytes(8 * len(arrays)) if isinstance(arrays, list) else b""
+        path = tmp_path / "bad.rdck"
+        path.write_bytes(struct.pack("<4sII", b"RDCK", 1, len(header)) + header + payload)
+        with pytest.raises(DataFormatError, match=message) as info:
+            read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.rdck"
         write_checkpoint(path, {"k": 1}, {"v": np.zeros(2)})
@@ -375,15 +417,6 @@ class _FailingWriter:
 
     def fileno(self):
         return self.fh.fileno()
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestCheckpointAtomicity:
@@ -534,6 +567,16 @@ class TestNormalize:
         assert batch.shape == (20, d.input_dim)
         for i in range(20):
             np.testing.assert_array_equal(batch[i], normalize(images[i], d))
+
+    @pytest.mark.parametrize("name", ["mnist", "cifar10"])
+    def test_batch_allocates_only_its_output(self, name):
+        d = DESCRIPTORS[name]
+        images = np.random.default_rng(4).integers(
+            0, 256, size=(256,) + d.image_shape, dtype=np.uint8
+        )
+        out, peak = traced_peak(normalize_batch, images, d)
+        assert out.dtype == np.float32
+        assert peak <= 1.05 * out.nbytes
 
     def test_batch_shape_mismatch(self):
         with pytest.raises(DataError, match="batch shape"):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from randumb.errors import ConfigurationError, ShapeError
-from randumb.fourier import FeatureMap, FeatureMapSpec, RandomReluMap, build_map
+from randumb.fourier import DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map
 from randumb.reference import exact_rbf_kernel
+
+from conftest import traced_peak
 
 
 def rff(input_dim, num_bases, gamma, seed):
@@ -131,6 +133,41 @@ class TestSampling:
         fm = FeatureMap(rff(input_dim=3, num_bases=8, gamma=1.0, seed=0))
         assert fm.weights.dtype == np.float32
         assert fm.weights.shape == (8, 3)
+
+
+class TestChunkedDraw:
+    """W is drawn one DRAW_CHUNK of float64 at a time: the build holds W
+    and one chunk, and W is the one-shot draw bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # many chunks, the last one partial
+            rff(input_dim=3072, num_bases=1000, gamma=0.3, seed=4),
+            # one row wider than a chunk, three rows
+            FeatureMapSpec("relu", input_dim=DRAW_CHUNK + 68928, embed_dim=3, seed=5),
+            # less than one chunk
+            FeatureMapSpec("relu", input_dim=5, embed_dim=7, seed=6),
+        ],
+        ids=["fourier-1000x3072", "relu-3x200000", "relu-7x5"],
+    )
+    def test_build_holds_the_map_and_one_chunk(self, spec):
+        fmap, peak = traced_peak(build_map, spec)
+        assert peak <= fmap.weights.nbytes + 1.1 * 2**20
+        w = np.random.Generator(np.random.PCG64(spec.seed)).standard_normal(
+            (spec.num_bases, spec.input_dim)
+        )
+        if spec.head == "fourier":
+            w *= np.sqrt(2.0 * spec.gamma)
+        assert fmap.weights.tobytes() == w.astype(np.float32).tobytes()
+
+    def test_embed_allocates_the_projection_and_the_output(self):
+        """cos and sin are written straight into the output's columns."""
+        fmap = FeatureMap(rff(input_dim=512, num_bases=1024, gamma=0.01, seed=1))
+        X = np.random.default_rng(1).standard_normal((256, 512)).astype(np.float32)
+        out, peak = traced_peak(fmap.embed_batch, X)
+        projection = 4 * len(X) * fmap.spec.num_bases
+        assert peak <= 1.01 * (projection + out.nbytes)
 
 
 class TestEmbedding:

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import blob_dataset
+from conftest import blob_dataset, child_peak_rss
 from randumb import (
     ConfigurationError,
     DataError,
@@ -18,6 +18,7 @@ from randumb import (
     RandomReluMap,
     RunResult,
     StreamSpec,
+    StreamingClassifier,
     StreamingEstimator,
     UnsupportedAugmentationError,
     compute_accuracy,
@@ -34,14 +35,36 @@ from randumb.data_io import (
     dataset_from_features,
     flip_horizontal,
     normalize,
+    normalize_batch,
 )
 from randumb.harness import (
     ABLATION_ORDER,
+    _predict_test,
     append_jsonl,
     build_model_config,
     check_memory_cap,
     sweep_table,
 )
+
+# One kernel_ncm run on random CIFAR-shaped images with {test} test
+# images, in a child process; prints the RSS high-water mark before the
+# run, then the result's peak_rss_bytes and peak_memory_estimate_bytes.
+RSS_CHILD = """
+import resource
+from dataclasses import replace
+import numpy as np
+from randumb import RawDataset, run_on_dataset
+from randumb.data_io import DESCRIPTORS
+
+rng = np.random.default_rng(0)
+descriptor = replace(DESCRIPTORS["cifar10"], train_count=300, test_count={test})
+train_x = rng.integers(0, 256, size=(300, 3, 32, 32), dtype=np.uint8)
+test_x = rng.integers(0, 256, size=({test}, 3, 32, 32), dtype=np.uint8)
+data = RawDataset(descriptor, train_x, np.arange(300) % 10, test_x, np.arange({test}) % 10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+result = run_on_dataset(data, variant="kernel_ncm", embed_dim=256, gamma=1e-3, seed=0)
+print(before, result.peak_rss_bytes, result.peak_memory_estimate_bytes)
+"""
 
 
 def toy_image_descriptor(num_classes=2, train_count=20, test_count=8,
@@ -559,11 +582,15 @@ class TestPeakMemoryEstimate:
             ("images", dict(variant="randumb", embed_dim=512, gamma=1e-3, augment=True)),
             ("features", dict(variant="rp_relu", embed_dim=384)),
             ("features", dict(variant="kernel_ncm", embed_dim=512, gamma=0.05)),
+            # evaluation sets the peak: predictions and accuracy masks
+            ("long-test", dict(variant="ncm")),
         ],
     )
     def test_traced_peak_within_estimate(self, kind, settings, eval_every):
         if kind == "images":
             data = self.cifar_shaped()
+        elif kind == "long-test":
+            data = blob_dataset(seed=3, num_classes=2, dim=4, test_per_class=100_000)
         else:
             data = blob_dataset(seed=3, num_classes=5, dim=64, train_per_class=80)
         tracemalloc.start()
@@ -574,12 +601,55 @@ class TestPeakMemoryEstimate:
             tracemalloc.stop()
         assert peak <= result.peak_memory_estimate_bytes
 
+    def test_test_split_adds_only_its_raw_bytes_to_peak_rss(self):
+        """The test split is normalized one block at a time just before it
+        is scored, so 100x more test images raise the process's peak by
+        their raw bytes, not by a normalized float32 copy (4x) of them."""
+        small, _ = child_peak_rss(RSS_CHILD.format(test=100))
+        large, _ = child_peak_rss(RSS_CHILD.format(test=10_000))
+        added = (10_000 - 100) * (3 * 32 * 32 + 8)  # u8 images, int64 labels
+        assert large - small <= added + 8 * 2**20
+
+    def test_peak_rss_bytes_is_the_process_high_water_mark(self):
+        """Measured at the end of the run: at least the mark before it, at
+        most the child's final mark, and within the estimate on top of
+        the pre-run mark (plus 8 MiB of allocator and BLAS slack)."""
+        final, output = child_peak_rss(RSS_CHILD.format(test=100))
+        before, measured, estimate = map(int, output.split())
+        assert before <= measured <= final
+        assert measured <= before + estimate + 8 * 2**20
+
     def test_estimate_counts_the_snapshot_copy(self):
         data = blob_dataset(seed=3)
         settings = dict(variant="randumb", embed_dim=256, gamma=0.1, seed=0)
         once = run_on_dataset(data, **settings).peak_memory_estimate_bytes
         snap = run_on_dataset(data, eval_every=50, **settings).peak_memory_estimate_bytes
         assert snap == once + 4 * 256 * 257
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("kind", ["images", "features"])
+    def test_blocked_and_whole_split_predictions_agree(self, kind):
+        """Normalizing and scoring the test split one BLOCK_ROWS block at
+        a time gives the predictions of the whole split at once."""
+        if kind == "images":
+            data = TestPeakMemoryEstimate.cifar_shaped(seed=5, train=200, test=600)
+            whole = normalize_batch(data.test_x, data.descriptor)
+        else:
+            data = blob_dataset(seed=5, dim=20, test_per_class=120)
+            whole = data.test_x
+        config = build_model_config(
+            "randumb", data.descriptor, 128, gamma=1e-3, ridge=None, seed=0
+        )
+        model = StreamingClassifier(config)
+        spec = StreamSpec(dataset=data.descriptor, seed=1)
+        for block in make_stream(spec, data.train_x, data.train_y):
+            model.observe(block.features, block.labels)
+        model.finalize()
+        assert len(data.test_y) > 2 * BLOCK_ROWS
+        np.testing.assert_array_equal(
+            _predict_test(model, data.test_x, data.descriptor), model.predict_batch(whole)
+        )
 
 
 class TestSweepAndAblation:

@@ -1,12 +1,13 @@
 """Streaming estimator: exactness against batch statistics, order
 invariance, memory behavior, and its state through a checkpoint."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import assert_refused
+from conftest import assert_refused, traced_peak
 from randumb.classifier import ModelVariant, StreamingClassifier
 from randumb.data_io import read_checkpoint, write_checkpoint
 from randumb.errors import (
@@ -244,6 +245,67 @@ class TestMemoryContract:
         assert set(est.class_means()) == {0, 1}
         # the packed upper triangle: E (E + 1) / 2 float64 entries
         assert full.state_nbytes() - est.state_nbytes() == 4 * 5 // 2 * 8
+
+
+class TestClassRows:
+    """Per-class rows live in spare capacity that doubles when full; a new
+    label shifts the rows after it in place."""
+
+    def test_class_order_reallocates_logarithmically(self):
+        e = 16
+        rng = np.random.default_rng(30)
+        est = StreamingEstimator(e, track_scatter=False)
+        buffers = [est._means]
+        for c in range(100):
+            est.observe(rng.standard_normal((3, e)), [c] * 3)
+            if est._means is not buffers[-1]:
+                buffers.append(est._means)
+        assert len(buffers) - 1 <= math.ceil(math.log2(100)) + 1
+        assert est.classes_seen == list(range(100))
+        # state_nbytes counts the spare rows: capacity 128
+        assert est.state_nbytes() == 128 * (8 + 8 + 8 * e) + 8 * e
+        assert {name: len(a) for name, a in est._arrays().items()} == {
+            "class_labels": 100, "class_counts": 100, "class_means": 100, "grand_mean": e,
+        }
+
+    def test_rows_shifted_in_place_keep_every_statistic_bitwise(self, tmp_path):
+        """New labels arrive out of order, several per block, across
+        reallocations; each class's mean is the merge rule's arithmetic
+        on its own rows, bit for bit, wherever its row was moved."""
+        e = 6
+        rng = np.random.default_rng(31)
+        model = raw_model(e)
+        est = model.estimator
+        want_means, want_counts = {}, {}
+        for labels in ([7, 3, 3], [5, 1, 9, 5], [0, 8], [2, 4, 6, 3], [1, 7, 7]):
+            block = rng.standard_normal((len(labels), e)).astype(np.float32)
+            est.observe(block, labels)
+            for c in sorted(set(labels)):
+                rows = block[np.asarray(labels) == c].astype(np.float64)
+                mean = want_means.setdefault(c, np.zeros(e))
+                n, m = want_counts.get(c, 0), len(rows)
+                mean += (rows.sum(axis=0) / m - mean) * m / (n + m)
+                want_counts[c] = n + m
+        assert est.classes_seen == list(range(10))
+        assert est.class_counts() == want_counts
+        for c, mean in est.class_means().items():
+            assert mean.tobytes() == want_means[c].tobytes()
+        back = reload(model, tmp_path / "rows.rdck")
+        for name, stored in est._arrays().items():
+            assert back._arrays()[name].tobytes() == stored.tobytes()
+
+    def test_observe_allocates_the_stack_and_a_few_vectors(self):
+        """A float32 block is scattered straight into the float64 stack
+        of the rank-k update: no float32 sorted copy, no held mean-shift
+        vectors."""
+        e, m, c = 1024, 256, 10
+        rng = np.random.default_rng(32)
+        est = StreamingEstimator(e)
+        est.observe(rng.standard_normal((c, e)).astype(np.float32), np.arange(c))
+        block = rng.standard_normal((m, e)).astype(np.float32)
+        _, peak = traced_peak(est.observe, block, rng.integers(0, c, size=m))
+        stack = 8 * (m + c + 1) * e
+        assert peak <= stack + 16 * 8 * e
 
 
 class TestCheckpoint:
