@@ -39,7 +39,7 @@ from .errors import (
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
 from .fourier import FeatureMapSpec, RandomReluMap, build_map
 from .precision import PrecisionModel, shrink_packed
-from .streaming import MODE_POOLED, MODES, StreamingEstimator
+from .streaming import StreamingEstimator
 
 # Rows per block: the stream is cut, and test sets are scored, this many
 # rows at a time.  The cut positions are part of the bitwise-resume
@@ -58,8 +58,8 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class ModelVariant:
-    """Configuration of one classifier: variant name, embedding spec,
-    ridge strength, and covariance centering mode.
+    """Configuration of one classifier: variant name, embedding spec and
+    ridge strength.
 
     The embedding's head must be the one ``VARIANTS`` names for the
     variant; ``slda``/``ncm`` run on raw inputs and take ``input_dim``
@@ -69,8 +69,6 @@ class ModelVariant:
     variant: str
     embedding: FeatureMapSpec | None = None
     ridge: float = 0.0
-    estimator_mode: str = MODE_POOLED
-    pooled_unbiased: bool = False
     input_dim: int | None = None
 
     def __post_init__(self):
@@ -97,10 +95,6 @@ class ModelVariant:
                 )
         if not (self.ridge >= 0) or not np.isfinite(self.ridge):
             raise ConfigurationError(f"ridge must be finite and >= 0, got {self.ridge}")
-        if self.estimator_mode not in MODES:
-            raise ConfigurationError(
-                f"estimator_mode must be one of {MODES}, got {self.estimator_mode!r}"
-            )
 
     @property
     def raw_input_dim(self) -> int:
@@ -114,11 +108,6 @@ class ModelVariant:
     def needs_precision(self) -> bool:
         return VARIANTS[self.variant][1]
 
-    @property
-    def estimator_settings(self) -> tuple[int, str, bool, bool]:
-        """The estimator's embed_dim, mode, pooled_unbiased, track_scatter."""
-        return self.embed_dim, self.estimator_mode, self.pooled_unbiased, self.needs_precision
-
 
 class StreamingClassifier:
     """One streaming model: embed each block of samples, fold it into the
@@ -131,7 +120,9 @@ class StreamingClassifier:
     """
 
     def __init__(self, config: ModelVariant):
-        self._start(config, StreamingEstimator(*config.estimator_settings))
+        self._start(
+            config, StreamingEstimator(config.embed_dim, track_scatter=config.needs_precision)
+        )
 
     def _start(self, config: ModelVariant, estimator: StreamingEstimator) -> None:
         self.config = config
@@ -249,11 +240,11 @@ class StreamingClassifier:
             if model["embedding"] is not None:
                 model["embedding"] = FeatureMapSpec(**model["embedding"])
             config = ModelVariant(**model)
-            # Settings the estimator refuses (global mode with the (n - C)
-            # normalizer) are a bad checkpoint, not a bad call.
-            estimator = StreamingEstimator._restore(arrays, *config.estimator_settings)
         except (ConfigurationError, TypeError) as exc:
             raise DataFormatError(f"checkpoint model: {exc}") from exc
+        estimator = StreamingEstimator._restore(
+            arrays, config.embed_dim, config.needs_precision
+        )
         # The classifier is built around the restored estimator, so no
         # zero accumulator is allocated beside the one just read.
         classifier = cls.__new__(cls)

@@ -33,7 +33,6 @@ from .harness import (
     sweep_table,
 )
 from .reference import run_verify
-from .streaming import MODES
 
 ENV_DATA_DIR = "RANDUMB_DATA_DIR"
 
@@ -60,14 +59,6 @@ def _add_common_flags(p: argparse.ArgumentParser, owned: str | None = None) -> N
     add("--seed", type=int)
     add("--augment", action=argparse.BooleanOptionalAction, default=None)
     add("--classes-per-task", dest="classes_per_task", type=int)
-    add("--estimator-mode", dest="estimator_mode", choices=MODES)
-    add(
-        "--pooled-unbiased",
-        dest="pooled_unbiased",
-        action="store_true",
-        default=None,
-        help="divide the pooled scatter by (n - C) instead of (n - 1)",
-    )
     add("--eval-every-k", dest="eval_every", type=int)
     add("--memory-cap-bytes", dest="memory_cap_bytes", type=int)
     add("--out", help="append one JSON line per run to this file")

@@ -36,7 +36,6 @@ from .errors import (
     UnsupportedAugmentationError,
 )
 from .fourier import GENERATOR_NAME, FeatureMapSpec
-from .streaming import MODE_POOLED
 
 DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
 
@@ -267,8 +266,6 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
         "variant": model_config.variant,
         "state_dim": model_config.embed_dim,
         "ridge": model_config.ridge if model_config.needs_precision else None,
-        "estimator_mode": model_config.estimator_mode,
-        "pooled_unbiased": model_config.pooled_unbiased,
         "augment": stream_spec.augment,
         "classes_per_task": stream_spec.classes_per_task,
         "class_order": list(stream_spec.class_order),
@@ -442,21 +439,14 @@ def build_model_config(
     gamma: float,
     ridge: float | None,
     seed: int,
-    estimator_mode: str = MODE_POOLED,
-    pooled_unbiased: bool = False,
 ) -> ModelVariant:
     """Translate CLI-level knobs into a ModelVariant for one dataset."""
     if ridge is None:
         ridge = descriptor.default_ridge
-    common = dict(
-        ridge=ridge,
-        estimator_mode=estimator_mode,
-        pooled_unbiased=pooled_unbiased,
-    )
     # an unknown variant gets no head here and is refused by ModelVariant
     head = VARIANTS.get(variant, (None,))[0]
     if head is None:
-        return ModelVariant(variant=variant, input_dim=descriptor.input_dim, **common)
+        return ModelVariant(variant=variant, input_dim=descriptor.input_dim, ridge=ridge)
     embedding = FeatureMapSpec(
         head=head,
         input_dim=descriptor.input_dim,
@@ -464,7 +454,7 @@ def build_model_config(
         seed=seed,
         gamma=gamma if head == "fourier" else None,
     )
-    return ModelVariant(variant=variant, embedding=embedding, **common)
+    return ModelVariant(variant=variant, embedding=embedding, ridge=ridge)
 
 
 def run_on_dataset(
@@ -477,8 +467,6 @@ def run_on_dataset(
     augment: bool | None = None,
     classes_per_task: int = 1,
     class_order: tuple[int, ...] | None = None,
-    estimator_mode: str = MODE_POOLED,
-    pooled_unbiased: bool = False,
     eval_every: int = 0,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> RunResult:
@@ -498,16 +486,7 @@ def run_on_dataset(
         augment=augment,
         seed=seed + 1,
     )
-    model_config = build_model_config(
-        variant,
-        descriptor,
-        embed_dim,
-        gamma,
-        ridge,
-        seed,
-        estimator_mode,
-        pooled_unbiased,
-    )
+    model_config = build_model_config(variant, descriptor, embed_dim, gamma, ridge, seed)
     return run_benchmark(
         stream_spec,
         model_config,

@@ -40,7 +40,7 @@ def exact_rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.nd
 @dataclass
 class BatchStats:
     """Two-pass batch statistics: per-class means, the grand mean, the
-    centered scatter, and its (n - 1)-normalized covariance."""
+    pooled within-class scatter, and its (n - 1)-normalized covariance."""
 
     means: dict[int, np.ndarray]
     counts: dict[int, int]
@@ -49,14 +49,9 @@ class BatchStats:
     covariance: np.ndarray
 
 
-def batch_stats(
-    samples: np.ndarray, labels: np.ndarray, mode: str = "pooled_within_class"
-) -> BatchStats:
-    """Textbook batch computation: means first, then centered outer sums.
-
-    mode "pooled_within_class" centers each sample on its class mean;
-    "global" centers everything on the grand mean.
-    """
+def batch_stats(samples: np.ndarray, labels: np.ndarray) -> BatchStats:
+    """Textbook batch computation: means first, then the outer sums of
+    each sample centered on its class mean."""
     X = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels)
     n = X.shape[0]
@@ -68,19 +63,12 @@ def batch_stats(
         members = X[y == label]
         means[int(label)] = members.mean(axis=0)
         counts[int(label)] = len(members)
-    grand_mean = X.mean(axis=0)
-    if mode == "pooled_within_class":
-        centers = np.stack([means[int(label)] for label in y])
-    elif mode == "global":
-        centers = np.broadcast_to(grand_mean, X.shape)
-    else:
-        raise DataError(f"unknown mode {mode!r}")
-    centered = X - centers
+    centered = X - np.stack([means[int(label)] for label in y])
     scatter = centered.T @ centered
     return BatchStats(
         means=means,
         counts=counts,
-        grand_mean=grand_mean,
+        grand_mean=X.mean(axis=0),
         scatter=scatter,
         covariance=scatter / (n - 1),
     )
@@ -185,7 +173,7 @@ class OracleReport:
 
 
 def _check_streaming_vs_batch(rng) -> OracleReport:
-    from .streaming import MODES, StreamingEstimator
+    from .streaming import StreamingEstimator
 
     worst = 0.0
     for trial in range(6):
@@ -197,16 +185,15 @@ def _check_streaming_vs_batch(rng) -> OracleReport:
         # Random block sizes from 1 up, as production streams arrive.
         cuts = np.cumsum(rng.integers(1, 64, size=n))
         bounds = [0, *cuts[cuts < n].tolist(), n]
-        for mode in MODES:
-            est = StreamingEstimator(e, mode=mode)
-            for start, stop in zip(bounds, bounds[1:]):
-                est.observe(X[start:stop], y[start:stop])
-            ref = batch_stats(X, y, mode=mode)
-            scale = max(np.abs(ref.covariance).max(), 1e-12)
-            worst = max(worst, np.abs(est.covariance() - ref.covariance).max() / scale)
-            for label, mean in est.class_means().items():
-                mscale = max(np.abs(ref.means[label]).max(), 1e-12)
-                worst = max(worst, np.abs(mean - ref.means[label]).max() / mscale)
+        est = StreamingEstimator(e)
+        for start, stop in zip(bounds, bounds[1:]):
+            est.observe(X[start:stop], y[start:stop])
+        ref = batch_stats(X, y)
+        scale = max(np.abs(ref.covariance).max(), 1e-12)
+        worst = max(worst, np.abs(est.covariance() - ref.covariance).max() / scale)
+        for label, mean in est.class_means().items():
+            mscale = max(np.abs(ref.means[label]).max(), 1e-12)
+            worst = max(worst, np.abs(mean - ref.means[label]).max() / mscale)
     return OracleReport("streaming_matches_batch", worst, 1e-8)
 
 
@@ -283,8 +270,8 @@ def _check_lda_equivalence(rng) -> OracleReport:
 def _check_finalize_upper(rng) -> OracleReport:
     """The production finalize shrinks and factors the accumulator's
     packed upper triangle in place.  Against the oracle on the full
-    covariance, in every estimator mode, at an even and an odd order (the
-    two layouts of RFP storage), for a consuming and a copying finalize
+    covariance, at an even and an odd order (the two layouts of RFP
+    storage), for a consuming and a copying finalize
     and for one after a checkpoint round trip: the worst error over rho,
     mu, log det and predictions."""
     from .classifier import ModelVariant, StreamingClassifier
@@ -300,39 +287,26 @@ def _check_finalize_upper(rng) -> OracleReport:
     for e in (dim, dim - 1):
         X, tests = X_all[:, :e], tests_all[:, :e]
         means = batch_stats(X, y).means
-        for mode, unbiased in (
-            ("pooled_within_class", False),
-            ("pooled_within_class", True),
-            ("global", False),
-        ):
-            for handoff in ("consume", "copy", "restored"):
-                model = StreamingClassifier(
-                    ModelVariant(
-                        variant="slda",
-                        ridge=ridge,
-                        estimator_mode=mode,
-                        pooled_unbiased=unbiased,
-                        input_dim=e,
-                    )
+        for handoff in ("consume", "copy", "restored"):
+            model = StreamingClassifier(ModelVariant(variant="slda", ridge=ridge, input_dim=e))
+            model.observe(X, y)
+            cov = model.estimator.covariance()
+            if handoff == "restored":
+                meta, arrays = model._state()
+                model = StreamingClassifier._from_state(
+                    meta, {name: a.copy() for name, a in arrays.items()}
                 )
-                model.observe(X, y)
-                cov = model.estimator.covariance()
-                if handoff == "restored":
-                    meta, arrays = model._state()
-                    model = StreamingClassifier._from_state(
-                        meta, {name: a.copy() for name, a in arrays.items()}
-                    )
-                model.finalize(consume=handoff != "copy")
-                rho, mu, shrunk = oas_reference(cov, len(y))
-                _, log_det = np.linalg.slogdet(shrunk + ridge * np.eye(e))
-                oracle = batch_lda_predict(means, shrunk, ridge, tests)
-                worst = max(
-                    worst,
-                    abs(model.shrinkage_rho - rho),
-                    abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
-                    abs(model.precision.log_det - log_det) / max(abs(log_det), 1.0),
-                    float(np.mean(model.predict_batch(tests) != oracle)),
-                )
+            model.finalize(consume=handoff != "copy")
+            rho, mu, shrunk = oas_reference(cov, len(y))
+            _, log_det = np.linalg.slogdet(shrunk + ridge * np.eye(e))
+            oracle = batch_lda_predict(means, shrunk, ridge, tests)
+            worst = max(
+                worst,
+                abs(model.shrinkage_rho - rho),
+                abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
+                abs(model.precision.log_det - log_det) / max(abs(log_det), 1.0),
+                float(np.mean(model.predict_batch(tests) != oracle)),
+            )
     return OracleReport("finalize_upper_matches_reference", worst, 1e-10)
 
 

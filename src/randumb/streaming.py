@@ -14,9 +14,7 @@ sqrt(n m / (n + m)) (b - mu) per class seen before, are stacked into
 one matrix Z, and ``scatter += Z^T Z`` is a single rank-k symmetric
 update at matrix-multiply speed.  In exact arithmetic
 the result is the batch pooled within-class scatter, for any arrival
-order and any cut of the stream into blocks.  A "global" mode applies
-the same rule around the block's grand mean and the total count,
-yielding the scatter around the grand mean.
+order and any cut of the stream into blocks.
 
 A single sample is a block of one: its centred row is zero, and its
 mean-shift row carries coefficient n / (n + 1), the classic telescoping
@@ -52,10 +50,6 @@ from .errors import (
 )
 from .precision import RFP, packed_size
 
-MODE_POOLED = "pooled_within_class"
-MODE_GLOBAL = "global"
-MODES = (MODE_POOLED, MODE_GLOBAL)
-
 _MIRROR_BLOCK = 256
 
 
@@ -76,21 +70,19 @@ def _mirror_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool):
-    """Fold ``rows`` into the running ``mean`` of ``count`` samples, in place.
+def _merge(mean: np.ndarray, count: int, rows: np.ndarray):
+    """Fold ``rows`` into the running ``mean`` of ``count`` samples, and
+    centre them on their own mean b, both in place.
 
-    Returns (n m / (n + m), b - mean) with b the rows' own mean: the
-    coefficient and vector of the merge's mean-shift scatter term.  With
-    ``centre`` the rows are also centred on b, in place.  For a single
-    row the sum is that row exactly, so this is the per-sample update to
-    the last bit.
+    Returns (n m / (n + m), b - mean): the coefficient and vector of the
+    merge's mean-shift scatter term.  For a single row the sum is that
+    row exactly, so this is the per-sample update to the last bit.
     """
     m = len(rows)
     block_mean = rows.sum(axis=0) / m
     delta = block_mean - mean
     mean += delta * m / (count + m)
-    if centre:
-        rows -= block_mean
+    rows -= block_mean
     return count * m / (count + m), delta
 
 
@@ -113,33 +105,16 @@ class StreamingEstimator:
 
     Parameters
     ----------
-    embed_dim : size E of the incoming embedded vectors.
-    mode : "pooled_within_class" centers each sample on its own class
-        mean (the LDA covariance); "global" centers on the grand mean.
-    pooled_unbiased : divide the scatter by (n - C) instead of (n - 1)
-        in ``covariance``; only meaningful in pooled mode.
+    embed_dim : size E of the incoming embedded vectors; each is
+        centred on its own class mean (the LDA covariance).
     track_scatter : set False for mean-only classifiers to skip the
         scatter accumulator entirely.
     """
 
-    def __init__(
-        self,
-        embed_dim: int,
-        mode: str = MODE_POOLED,
-        pooled_unbiased: bool = False,
-        track_scatter: bool = True,
-    ):
+    def __init__(self, embed_dim: int, track_scatter: bool = True):
         if embed_dim < 1:
             raise ConfigurationError(f"embed_dim must be >= 1, got {embed_dim}")
-        if mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-        if pooled_unbiased and mode != MODE_POOLED:
-            raise ConfigurationError(
-                "the (n - C) normalizer applies to pooled_within_class mode only"
-            )
         self.embed_dim = embed_dim
-        self.mode = mode
-        self.pooled_unbiased = pooled_unbiased
         self.track_scatter = track_scatter
         # One row per class seen, in increasing label order: the first
         # _num rows of each array; the rest is spare capacity.
@@ -147,7 +122,6 @@ class StreamingEstimator:
         self._labels = np.zeros(0, dtype=np.int64)
         self._counts = np.zeros(0, dtype=np.int64)
         self._means = np.zeros((0, embed_dim), dtype=np.float64)
-        self._grand_mean = np.zeros(embed_dim, dtype=np.float64)
         self._scatter = (
             np.zeros(packed_size(embed_dim), dtype=np.float64)
             if track_scatter
@@ -202,27 +176,20 @@ class StreamingEstimator:
         self._insert(np.setdiff1d(block_labels, self._labels[: self._num], assume_unique=True))
         # The sorted rows are scattered straight into z, whose spare rows
         # hold the mean-shift terms.
-        z = np.empty((m + len(starts) + 1, self.embed_dim), dtype=np.float64)
+        z = np.empty((m + len(starts), self.embed_dim), dtype=np.float64)
         rows = z[:m]
         rows[np.argsort(order)] = phi
 
-        pooled = self.mode == MODE_POOLED
-        total = self.total_count
         stacked = m  # rows of z filled so far
         for i, start, stop in zip(
             np.searchsorted(self._labels[: self._num], block_labels).tolist(), starts, stops
         ):
             count = int(self._counts[i])
-            coef, delta = _merge(self._means[i], count, rows[start:stop], centre=pooled)
-            if pooled and count > 0:
+            coef, delta = _merge(self._means[i], count, rows[start:stop])
+            if count > 0:
                 np.multiply(delta, np.sqrt(coef), out=z[stacked])
                 stacked += 1
             self._counts[i] += stop - start
-        if not pooled:
-            coef, delta = _merge(self._grand_mean, total, rows, centre=True)
-            if total > 0:
-                np.multiply(delta, np.sqrt(coef), out=z[stacked])
-                stacked += 1
 
         if not self.track_scatter:
             return
@@ -236,19 +203,12 @@ class StreamingEstimator:
     def _insert(self, new: np.ndarray) -> None:
         """Give each label in ``new`` (sorted, none seen before) a zero row
         at its place in label order.  Rows after it shift within the
-        arrays.  Full arrays are reallocated at the next power of two, so
-        the capacity doubles and depends only on the class count, not on
-        how the stream was cut."""
+        arrays, which ``_grow`` reallocates when full."""
         c, k = self._num, len(new)
         if k == 0:
             return
         if c + k > len(self._labels):
-            capacity = 1 << (c + k - 1).bit_length()
-            for name in ("_labels", "_counts", "_means"):
-                old = getattr(self, name)
-                grown = np.zeros((capacity, *old.shape[1:]), dtype=old.dtype)
-                grown[:c] = old[:c]
-                setattr(self, name, grown)
+            self._grow(c + k)
         at = np.searchsorted(self._labels[:c], new).tolist()
         e = self.embed_dim
         # The flat view moves overlapping rows without a temporary.
@@ -263,6 +223,18 @@ class StreamingEstimator:
             self._labels[to], self._counts[to] = new[j], 0
             self._means[to] = 0.0
         self._num = c + k
+
+    def _grow(self, rows: int) -> None:
+        """Reallocate the class rows to hold ``rows`` classes, keeping the
+        ``_num`` rows in use.  The capacity is the next power of two, so
+        it doubles when full and depends only on the class count, not on
+        how the stream was cut or whether it was checkpointed."""
+        c, capacity = self._num, 1 << (rows - 1).bit_length() if rows else 0
+        for name in ("_labels", "_counts", "_means"):
+            old = getattr(self, name)
+            grown = np.zeros((capacity, *old.shape[1:]), dtype=old.dtype)
+            grown[:c] = old[:c]
+            setattr(self, name, grown)
 
     # -- snapshots ----------------------------------------------------------
 
@@ -290,8 +262,7 @@ class StreamingEstimator:
         return _mirror_upper(full)
 
     def covariance(self) -> np.ndarray:
-        """scatter / (n - 1), or / (n - C) when pooled_unbiased is set,
-        as a full symmetric matrix."""
+        """scatter / (n - 1), as a full symmetric matrix."""
         denom = self._normalizer()
         out = self.scatter()
         out /= denom
@@ -301,11 +272,10 @@ class StreamingEstimator:
         """The accumulator as stored, with the covariance's normalizer.
 
         Returns (scatter, denom): the RFP vector of the scatter's upper
-        triangle (module docstring; ``precision.RFP``) and n - 1, or
-        n - C when pooled_unbiased is set.  Without ``consume`` the
-        vector is a copy.  With ``consume`` it is the accumulator itself,
-        handed over without a copy; the estimator is then spent and
-        rejects further observe/covariance calls.  This is the
+        triangle (module docstring; ``precision.RFP``) and n - 1.
+        Without ``consume`` the vector is a copy.  With ``consume`` it is
+        the accumulator itself, handed over without a copy; the estimator
+        is then spent and rejects further observe/covariance calls.  This is the
         constant-memory path at the end of a one-pass run.
         """
         denom = self._normalizer()
@@ -318,18 +288,14 @@ class StreamingEstimator:
     def _normalizer(self) -> int:
         self._require_scatter()
         n = self.total_count
-        denom = n - (self._num if self.pooled_unbiased else 1)
-        if n < 2 or denom < 1:
-            raise InsufficientDataError(
-                f"covariance needs more samples: n={n}, "
-                f"normalizer n-{'C' if self.pooled_unbiased else '1'}={denom}"
-            )
-        return denom
+        if n < 2:
+            raise InsufficientDataError(f"covariance needs n >= 2 samples, got n={n}")
+        return n - 1
 
     def state_nbytes(self) -> int:
         """Bytes held by the statistics, spare class rows included; constant
         once all classes are seen."""
-        arrays = (self._labels, self._counts, self._means, self._grand_mean, self._scatter)
+        arrays = (self._labels, self._counts, self._means, self._scatter)
         return sum(a.nbytes for a in arrays if a is not None)
 
     def _require_scatter(self) -> None:
@@ -348,7 +314,6 @@ class StreamingEstimator:
             "class_labels": self._labels[:c],
             "class_counts": self._counts[:c],
             "class_means": self._means[:c],
-            "grand_mean": self._grand_mean,
         }
         if self.track_scatter:
             self._require_scatter()
@@ -357,23 +322,23 @@ class StreamingEstimator:
 
     @classmethod
     def _restore(
-        cls, arrays: dict, embed_dim: int, mode: str, pooled_unbiased: bool,
-        track_scatter: bool,
+        cls, arrays: dict, embed_dim: int, track_scatter: bool
     ) -> "StreamingEstimator":
-        """Rebuild an estimator around checkpoint ``arrays``, adopting them
-        without a copy.  A missing or misshapen array, one the settings do
-        not use, labels that are not strictly increasing or a count below
-        1 raise DataFormatError naming the array."""
+        """Rebuild an estimator around checkpoint ``arrays``.  The packed
+        scatter is adopted without a copy; the class rows are copied into
+        the capacity the stream would have grown them to.  A missing or
+        misshapen array, one the settings do not use, labels that are not
+        strictly increasing or a count below 1 raise DataFormatError
+        naming the array."""
         # Built without an accumulator: the stored one is adopted below
         # rather than allocated a second time.
-        est = cls(embed_dim, mode, pooled_unbiased, track_scatter=False)
+        est = cls(embed_dim, track_scatter=False)
         est.track_scatter = track_scatter
         labels = _stored(arrays, "class_labels", None)
         c = len(labels)
         shapes = {
             "class_counts": (c,),
             "class_means": (c, embed_dim),
-            "grand_mean": (embed_dim,),
             **({"scatter": (packed_size(embed_dim),)} if track_scatter else {}),
         }
         unused = sorted(set(arrays) - {"class_labels", *shapes})
@@ -388,11 +353,11 @@ class StreamingEstimator:
             )
         if (stored["class_counts"] < 1).any():
             raise DataFormatError("checkpoint array 'class_counts' holds a count below 1")
+        est._grow(c)
         est._num = c
-        est._labels = labels.astype(np.int64, copy=False)
-        est._counts = stored["class_counts"].astype(np.int64, copy=False)
-        est._means = stored["class_means"].astype(np.float64, copy=False)
-        est._grand_mean = stored["grand_mean"].astype(np.float64, copy=False)
+        est._labels[:c] = labels
+        est._counts[:c] = stored["class_counts"]
+        est._means[:c] = stored["class_means"]
         if track_scatter:
             est._scatter = stored["scatter"].astype(np.float64, copy=False)
         return est

@@ -36,7 +36,6 @@ from randumb.reference import (
     exact_rbf_kernel,
     oas_reference,
 )
-from randumb.streaming import MODES
 
 
 def relative_max_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -46,10 +45,10 @@ def relative_max_error(a: np.ndarray, b: np.ndarray) -> float:
 
 class TestPropertyGates:
     def test_streaming_statistics_match_batch_and_ignore_order(self):
-        # 50 random streams, E <= 50, n <= 5000, up to 10 classes, both
-        # centering modes: the online statistics must match the two-pass
-        # batch computation and a permuted replay of the same stream,
-        # each within 1e-8 relative error.
+        # 50 random streams, E <= 50, n <= 5000, up to 10 classes: the
+        # online statistics must match the two-pass batch computation and
+        # a permuted replay of the same stream, each within 1e-8 relative
+        # error.
         rng = np.random.default_rng(1234)
         worst_batch = 0.0
         worst_perm = 0.0
@@ -60,31 +59,26 @@ class TestPropertyGates:
             X = rng.standard_normal((n, e))
             y = rng.integers(0, k, size=n)
             perm = rng.permutation(n)
-            for mode in MODES:
-                est = StreamingEstimator(e, mode=mode)
-                for x, c in zip(X, y):
-                    est.observe(x, int(c))
-                est_perm = StreamingEstimator(e, mode=mode)
-                for i in perm:
-                    est_perm.observe(X[i], int(y[i]))
+            est = StreamingEstimator(e)
+            for x, c in zip(X, y):
+                est.observe(x, int(c))
+            est_perm = StreamingEstimator(e)
+            for i in perm:
+                est_perm.observe(X[i], int(y[i]))
 
-                ref = batch_stats(X, y, mode=mode)
-                cov = est.covariance()
-                worst_batch = max(
-                    worst_batch, relative_max_error(cov, ref.covariance)
+            ref = batch_stats(X, y)
+            cov = est.covariance()
+            worst_batch = max(worst_batch, relative_max_error(cov, ref.covariance))
+            means = est.class_means()
+            for c, mu in ref.means.items():
+                worst_batch = max(worst_batch, relative_max_error(means[c], mu))
+            cov_perm = est_perm.covariance()
+            worst_perm = max(worst_perm, relative_max_error(cov_perm, cov))
+            means_perm = est_perm.class_means()
+            for c in means:
+                worst_perm = max(
+                    worst_perm, relative_max_error(means_perm[c], means[c])
                 )
-                means = est.class_means()
-                for c, mu in ref.means.items():
-                    worst_batch = max(
-                        worst_batch, relative_max_error(means[c], mu)
-                    )
-                cov_perm = est_perm.covariance()
-                worst_perm = max(worst_perm, relative_max_error(cov_perm, cov))
-                means_perm = est_perm.class_means()
-                for c in means:
-                    worst_perm = max(
-                        worst_perm, relative_max_error(means_perm[c], means[c])
-                    )
         assert worst_batch <= 1e-8, f"streaming vs batch: {worst_batch:.3e}"
         assert worst_perm <= 1e-8, f"permutation invariance: {worst_perm:.3e}"
 

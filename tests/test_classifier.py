@@ -98,10 +98,6 @@ class TestModelVariantValidation:
         with pytest.raises(ConfigurationError, match="ridge"):
             raw_config(ridge=ridge)
 
-    def test_bad_estimator_mode(self):
-        with pytest.raises(ConfigurationError, match="estimator_mode"):
-            raw_config(estimator_mode="per_task")
-
     def test_needs_precision_flags(self):
         assert fourier_config("randumb").needs_precision
         assert raw_config("slda").needs_precision
@@ -424,38 +420,33 @@ class TestUpperTriangleFinalize:
     two RFP layouts), rho, mu, log det and predictions match the oracle
     on the full covariance."""
 
-    @pytest.mark.parametrize(
-        "mode,unbiased",
-        [("pooled_within_class", False), ("pooled_within_class", True), ("global", False)],
-    )
+    @pytest.mark.parametrize("restored", [False, True], ids=["live", "restored"])
+    @pytest.mark.parametrize("e", [9, 8], ids=["odd", "even"])
     @pytest.mark.parametrize("consume", [True, False])
-    def test_matches_oracle_upper_only_and_mirrored(self, tmp_path, mode, unbiased, consume):
+    def test_matches_oracle_upper_only_and_mirrored(self, tmp_path, consume, e, restored):
         rng = np.random.default_rng(12)
         X_all, y = gaussian_blobs(rng, num_classes=4, dim=9, per_class=40)
         T_all = rng.standard_normal((300, 9)) * 2.0
-        for e in (9, 8):
-            X, T = X_all[:, :e], T_all[:, :e]
-            config = raw_config(input_dim=e, ridge=1e-3, estimator_mode=mode,
-                                pooled_unbiased=unbiased)
-            for restored in (False, True):
-                model = StreamingClassifier(config)
-                model.observe(X[:150], y[:150])
-                model.observe(X[150:], y[150:])
-                cov = model.estimator.covariance()
-                if restored:
-                    model.save(tmp_path / "model.rdck")
-                    model = StreamingClassifier.load(tmp_path / "model.rdck")
-                assert model.estimator._scatter.shape == (e * (e + 1) // 2,)
-                model.finalize(consume=consume)
+        X, T = X_all[:, :e], T_all[:, :e]
+        config = raw_config(input_dim=e, ridge=1e-3)
+        model = StreamingClassifier(config)
+        model.observe(X[:150], y[:150])
+        model.observe(X[150:], y[150:])
+        cov = model.estimator.covariance()
+        if restored:
+            model.save(tmp_path / "model.rdck")
+            model = StreamingClassifier.load(tmp_path / "model.rdck")
+        assert model.estimator._scatter.shape == (e * (e + 1) // 2,)
+        model.finalize(consume=consume)
 
-                rho, mu, shrunk = oas_reference(cov, len(y))
-                _, log_det = np.linalg.slogdet(shrunk + 1e-3 * np.eye(e))
-                assert abs(model.shrinkage_rho - rho) < 1e-10
-                assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
-                assert abs(model.precision.log_det - log_det) < 1e-10 * abs(log_det)
-                means = model.estimator.class_means()
-                oracle = batch_lda_predict(means, shrunk, 1e-3, T)
-                np.testing.assert_array_equal(model.predict_batch(T), oracle)
+        rho, mu, shrunk = oas_reference(cov, len(y))
+        _, log_det = np.linalg.slogdet(shrunk + 1e-3 * np.eye(e))
+        assert abs(model.shrinkage_rho - rho) < 1e-10
+        assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
+        assert abs(model.precision.log_det - log_det) < 1e-10 * abs(log_det)
+        means = model.estimator.class_means()
+        oracle = batch_lda_predict(means, shrunk, 1e-3, T)
+        np.testing.assert_array_equal(model.predict_batch(T), oracle)
 
     def test_nonconsuming_finalize_leaves_the_accumulator_untouched(self):
         rng = np.random.default_rng(13)
@@ -523,14 +514,9 @@ class TestOrderInvariance:
             return phi @ model._lin_weights + model._lin_bias
         return phi @ model._means.T
 
-    def test_predictions_ignore_arrival_and_class_order(self):
+    @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
+    def test_predictions_ignore_arrival_and_class_order(self, variant):
         rng = np.random.default_rng(71)
-        settings = [
-            ("pooled_within_class", False),
-            ("pooled_within_class", True),
-            ("global", False),
-        ]
-        checked = 0
         for trial in range(20):
             d = int(rng.integers(2, 9))
             k = int(rng.integers(2, 8))
@@ -545,29 +531,23 @@ class TestOrderInvariance:
             X2 = X[order]
             y2 = np.array([relabel[c] for c in y[order].tolist()])
             T = rng.standard_normal((400, d)) * 3.0
-            for variant in ("slda", "ncm", "randumb"):
-                for mode, unbiased in settings:
-                    if variant == "randumb":
-                        config = fourier_config(
-                            input_dim=d, num_bases=8, gamma=0.3, seed=trial,
-                            ridge=1e-3, estimator_mode=mode, pooled_unbiased=unbiased,
-                        )
-                    else:
-                        config = raw_config(
-                            variant, input_dim=d, ridge=1e-3,
-                            estimator_mode=mode, pooled_unbiased=unbiased,
-                        )
-                    first = self.feed(config, X, y, rng)
-                    second = self.feed(config, X2, y2, rng)
-                    scores = np.sort(self.discriminant(first, T), axis=1)
-                    gap = scores[:, -1] - scores[:, -2]
-                    clear = gap > 1e-9 * np.abs(scores).max(axis=1)
-                    assert clear.mean() >= 0.99, (variant, mode, unbiased, clear.mean())
-                    want = np.array([relabel[c] for c in first.predict_batch(T).tolist()])
-                    got = second.predict_batch(T)
-                    np.testing.assert_array_equal(got[clear], want[clear])
-                    checked += 1
-        assert checked == 20 * 3 * 3
+            if variant in ("randumb", "kernel_ncm"):
+                config = fourier_config(
+                    variant, input_dim=d, num_bases=8, gamma=0.3, seed=trial, ridge=1e-3
+                )
+            elif variant == "rp_relu":
+                config = ModelVariant(variant, embedding=relu_spec(d, 16, trial), ridge=1e-3)
+            else:
+                config = raw_config(variant, input_dim=d, ridge=1e-3)
+            first = self.feed(config, X, y, rng)
+            second = self.feed(config, X2, y2, rng)
+            scores = np.sort(self.discriminant(first, T), axis=1)
+            gap = scores[:, -1] - scores[:, -2]
+            clear = gap > 1e-9 * np.abs(scores).max(axis=1)
+            assert clear.mean() >= 0.99, (trial, clear.mean())
+            want = np.array([relabel[c] for c in first.predict_batch(T).tolist()])
+            got = second.predict_batch(T)
+            np.testing.assert_array_equal(got[clear], want[clear])
 
 
 class TestEndToEnd:
@@ -683,30 +663,29 @@ class TestCheckpointing:
         with pytest.raises(DataError, match="classifier"):
             StreamingClassifier.load(path)
 
-    @pytest.mark.parametrize(
-        "mode,unbiased",
-        [("pooled_within_class", False), ("pooled_within_class", True), ("global", False)],
-    )
+    @pytest.mark.parametrize("order", ["shuffled", "class_incremental"])
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
-    def test_resume_at_any_block_boundary_is_bitwise(self, tmp_path, variant, mode, unbiased):
+    def test_resume_at_any_block_boundary_is_bitwise(self, tmp_path, variant, order):
         """Saved at a random block boundary (the first and the last
         included), loaded and finished, a run holds every array of the
         uninterrupted run, and finalizes to the same rho, mu, log det and
-        predictions, bit for bit."""
-        rng = np.random.default_rng([66, len(variant), len(mode), unbiased])
-        settings = dict(estimator_mode=mode, pooled_unbiased=unbiased)
+        predictions, bit for bit.  In a class-incremental stream the
+        classes after the boundary are new to the loaded model."""
+        rng = np.random.default_rng([66, len(variant)])
         path = tmp_path / "resume.rdck"
         for trial in range(4):
             d, k, n = int(rng.integers(2, 8)), int(rng.integers(1, 6)), int(rng.integers(20, 200))
             if variant in ("randumb", "kernel_ncm"):
                 config = fourier_config(variant, input_dim=d, num_bases=int(rng.integers(2, 16)),
-                                        seed=trial, **settings)
+                                        seed=trial)
             elif variant == "rp_relu":
                 spec = relu_spec(d, int(rng.integers(1, 30)), trial)
-                config = ModelVariant(variant, embedding=spec, ridge=1e-4, **settings)
+                config = ModelVariant(variant, embedding=spec, ridge=1e-4)
             else:
-                config = raw_config(variant, input_dim=d, **settings)
+                config = raw_config(variant, input_dim=d)
             y = rng.integers(0, k, size=n)
+            if order == "class_incremental":
+                y = np.sort(y)
             X = rng.standard_normal((k, d))[y] * 2.0 + rng.standard_normal((n, d))
             cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, 12)), replace=False))
             bounds = [0, *cuts, n]
@@ -760,7 +739,6 @@ class TestCheckpointMeta:
         "field",
         [
             "variant", "ridge", "input_dim", "embedding", "model", "seed",
-            pytest.param("estimator_mode", id="mode"),
         ],
     )
     def test_missing_field_rejected(self, tmp_path, field):

@@ -1,12 +1,16 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from randumb import cli, write_feature_file
-from randumb.cli import main
+from randumb.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -219,6 +223,18 @@ class TestExitCodes:
             main(["run", "--dataset", "features", "--variant", "svm"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--estimator-mode", "global"], ["--pooled-unbiased"]],
+        ids=["estimator-mode", "pooled-unbiased"],
+    )
+    def test_deleted_estimator_flags_are_argparse_errors(self, feature_dir, flags):
+        """One covariance: the centering mode and the (n - C) normalizer
+        are no longer settings."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--dataset", "features", "--data-dir", str(feature_dir), *flags])
+        assert excinfo.value.code == 2
+
     def test_missing_data_files(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "run", "--dataset", "mnist", "--data-dir", str(tmp_path), *BASE,
@@ -332,3 +348,14 @@ class TestVerify:
         lines = out_path.read_text().strip().split("\n")
         assert len(lines) == 5
         assert all(json.loads(line)["passed"] for line in lines)
+
+
+def test_readme_common_flags_match_the_run_command():
+    """README's "Common flags:" list names exactly the options of `randumb
+    run`, less --help and --config (documented in the next paragraph)."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = text.split("Common flags:", 1)[1].split(". ", 1)[0]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)`", listed))
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    options = {flag for action in run._actions for flag in action.option_strings}
+    assert documented == options - {"-h", "--help", "--config"}

@@ -83,16 +83,6 @@ class TestBatchStats:
         np.testing.assert_allclose(stats.covariance, expected, atol=1e-12)
         np.testing.assert_allclose(stats.means[0], (v + w) / 2)
 
-    def test_single_class_global_equals_pooled(self):
-        """With one class the grand mean is the class mean, so both
-        centering modes produce the same scatter."""
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((40, 6))
-        y = np.zeros(40, dtype=int)
-        pooled = batch_stats(X, y, mode="pooled_within_class")
-        joint = batch_stats(X, y, mode="global")
-        np.testing.assert_allclose(pooled.covariance, joint.covariance, atol=1e-12)
-
     def test_counts_and_keys(self):
         X = np.arange(12.0).reshape(6, 2)
         y = np.array([3, 7, 3, 7, 3, 7])

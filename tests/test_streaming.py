@@ -20,7 +20,7 @@ from randumb.errors import (
 )
 from randumb.precision import pack_upper
 from randumb.reference import batch_stats
-from randumb.streaming import MODE_GLOBAL, MODE_POOLED, StreamingEstimator
+from randumb.streaming import StreamingEstimator
 
 
 def feed(est, X, y):
@@ -29,13 +29,10 @@ def feed(est, X, y):
     return est
 
 
-def raw_model(e, mode=MODE_POOLED, unbiased=False):
+def raw_model(e):
     """A classifier on raw inputs: its state is exactly one estimator
     plus a ridge, and checkpoints are the classifier's."""
-    return StreamingClassifier(
-        ModelVariant("slda", input_dim=e, ridge=1e-4, estimator_mode=mode,
-                     pooled_unbiased=unbiased)
-    )
+    return StreamingClassifier(ModelVariant("slda", input_dim=e, ridge=1e-4))
 
 
 def reload(model, path):
@@ -91,14 +88,6 @@ class TestBatchEquivalence:
         for label, mean in est.class_means().items():
             np.testing.assert_allclose(mean, ref.means[label], rtol=1e-12, atol=1e-12)
 
-    def test_global_mode_matches_batch_oracle(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((400, 9))
-        y = rng.integers(0, 4, size=400)
-        est = feed(StreamingEstimator(9, mode=MODE_GLOBAL), X, y)
-        ref = batch_stats(X, y, mode="global")
-        np.testing.assert_allclose(est.covariance(), ref.covariance, rtol=1e-10, atol=1e-12)
-
     def test_class_means_high_count(self):
         rng = np.random.default_rng(12)
         X = rng.standard_normal((1000, 8))
@@ -122,17 +111,6 @@ class TestBatchEquivalence:
         y = np.zeros(10_000, dtype=int)
         est = feed(StreamingEstimator(8), X, y)
         assert np.abs(est.covariance() - np.eye(8)).max() < 0.1
-
-    def test_pooled_unbiased_divides_by_n_minus_c(self):
-        rng = np.random.default_rng(15)
-        X = rng.standard_normal((60, 5))
-        y = rng.integers(0, 4, size=60)
-        plain = feed(StreamingEstimator(5), X, y)
-        unbiased = feed(StreamingEstimator(5, pooled_unbiased=True), X, y)
-        k = len(np.unique(y))
-        np.testing.assert_allclose(
-            unbiased.covariance(), plain.covariance() * (60 - 1) / (60 - k), rtol=1e-12
-        )
 
 
 class TestNumericalShape:
@@ -170,20 +148,19 @@ class TestNumericalShape:
         est.observe(np.ones(3), 0)
         with pytest.raises(InsufficientDataError):
             est.covariance()
-        # with the (n - C) normalizer, two samples in two classes is too few
-        est2 = StreamingEstimator(3, pooled_unbiased=True)
-        est2.observe(np.ones(3), 0)
-        est2.observe(np.zeros(3), 1)
         with pytest.raises(InsufficientDataError):
-            est2.covariance()
+            est.packed_scatter(consume=True)
+        est.observe(np.zeros(3), 1)
+        assert est.packed_scatter()[1] == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
             StreamingEstimator(0)
-        with pytest.raises(ConfigurationError):
-            StreamingEstimator(4, mode="diagonal")
-        with pytest.raises(ConfigurationError):
-            StreamingEstimator(4, mode=MODE_GLOBAL, pooled_unbiased=True)
+        # one covariance: no centering mode, no (n - C) normalizer
+        with pytest.raises(TypeError):
+            StreamingEstimator(4, mode="global")
+        with pytest.raises(TypeError):
+            StreamingEstimator(4, pooled_unbiased=True)
 
 
 class TestMemoryContract:
@@ -225,15 +202,6 @@ class TestMemoryContract:
             with pytest.raises(ModelStateError):
                 spend.packed_scatter()
 
-    def test_normalizer_counts_classes_when_unbiased(self):
-        rng = np.random.default_rng(22)
-        X = rng.standard_normal((30, 3))
-        y = np.repeat([0, 1, 2], 10)
-        _, denom = feed(StreamingEstimator(3, pooled_unbiased=True), X, y).packed_scatter()
-        assert denom == 27
-        with pytest.raises(InsufficientDataError):
-            feed(StreamingEstimator(3), X[:1], y[:1]).packed_scatter(consume=True)
-
     def test_mean_only_mode_has_no_scatter(self):
         est = StreamingEstimator(4, track_scatter=False)
         full = StreamingEstimator(4)
@@ -263,9 +231,9 @@ class TestClassRows:
         assert len(buffers) - 1 <= math.ceil(math.log2(100)) + 1
         assert est.classes_seen == list(range(100))
         # state_nbytes counts the spare rows: capacity 128
-        assert est.state_nbytes() == 128 * (8 + 8 + 8 * e) + 8 * e
+        assert est.state_nbytes() == 128 * (8 + 8 + 8 * e)
         assert {name: len(a) for name, a in est._arrays().items()} == {
-            "class_labels": 100, "class_counts": 100, "class_means": 100, "grand_mean": e,
+            "class_labels": 100, "class_counts": 100, "class_means": 100,
         }
 
     def test_rows_shifted_in_place_keep_every_statistic_bitwise(self, tmp_path):
@@ -312,21 +280,44 @@ class TestCheckpoint:
     """The estimator's arrays are what a checkpoint stores.  Checkpoints
     belong to the classifier, so each case goes through ``raw_model``."""
 
-    def test_round_trip_preserves_every_statistic(self, tmp_path):
-        rng = np.random.default_rng(20)
+    @pytest.mark.parametrize("classes", [1, 2, 3, 4, 5, 8, 9, 17])
+    def test_round_trip_preserves_every_statistic(self, tmp_path, classes):
+        """Also the spare class rows: a load restores the capacity the
+        stream grew (the next power of two), so 5 classes keep 8 rows as
+        4 keep 4, and rows added after the load grow alike."""
+        rng = np.random.default_rng([20, classes])
         X = rng.standard_normal((150, 6))
-        y = rng.integers(0, 4, size=150)
+        y = rng.permutation(np.arange(150) % classes)
         model = raw_model(6)
         est = feed(model.estimator, X, y)
         back = reload(model, tmp_path / "estimator.rdck")
         assert back.total_count == est.total_count
         assert back.class_counts() == est.class_counts()
-        assert back.classes_seen == est.classes_seen
+        assert back.classes_seen == est.classes_seen == list(range(classes))
         np.testing.assert_array_equal(back.covariance(), est.covariance())
         assert back.state_nbytes() == est.state_nbytes()
+        assert len(back._means) == len(est._means) == 1 << (classes - 1).bit_length()
         for name, stored in est._arrays().items():
             assert back._arrays()[name].dtype == stored.dtype
             np.testing.assert_array_equal(back._arrays()[name], stored)
+        new = [classes, classes + 1]
+        back.observe(rng.standard_normal((2, 6)), new)
+        est.observe(rng.standard_normal((2, 6)), new)
+        assert back.state_nbytes() == est.state_nbytes()
+
+    def test_round_trip_of_an_empty_stream(self, tmp_path):
+        """No class seen: no rows, none spare, and the first rows after
+        the load grow as a fresh estimator's do."""
+        model = raw_model(6)
+        back = reload(model, tmp_path / "empty.rdck")
+        assert back.total_count == 0 and back.classes_seen == []
+        assert len(back._means) == 0
+        assert back.state_nbytes() == model.estimator.state_nbytes()
+        x = np.arange(12.0).reshape(2, 6)
+        for est in (back, model.estimator):
+            est.observe(x, [3, 7])
+        assert back.state_nbytes() == model.estimator.state_nbytes()
+        np.testing.assert_array_equal(back.scatter(), model.estimator.scatter())
 
     def test_resume_matches_uninterrupted_run_bitwise(self, tmp_path):
         """Saving mid-stream and resuming replays the identical float
@@ -372,7 +363,6 @@ class TestCheckpoint:
         "means_fewer_rows_than_labels": ("class_means", np.zeros((2, 6)), [3, 6], [2, 6]),
         "means_narrower_than_embed_dim": ("class_means", np.zeros((3, 4)), [3, 6], [3, 4]),
         "counts_shorter_than_labels": ("class_counts", np.ones(2, np.int64), [3], [2]),
-        "grand_mean_wrong_length": ("grand_mean", np.zeros(5), [6], [5]),
     }
 
     @pytest.mark.parametrize("case", sorted(MISMATCHES))
@@ -425,25 +415,24 @@ class TestCheckpoint:
             StreamingClassifier.load(path)
 
     @pytest.mark.parametrize(
-        "field", [pytest.param("estimator_mode", id="mode"), "pooled_unbiased"]
+        "field,value",
+        [("estimator_mode", "pooled_within_class"), ("pooled_unbiased", False)],
     )
-    def test_missing_meta_field_rejected(self, tmp_path, field):
-        path = self.tampered(tmp_path, lambda meta, arrays: meta["model"].pop(field))
+    def test_field_of_the_deleted_estimator_settings_rejected(self, tmp_path, field, value):
+        """Checkpoints written while the estimator had a global mode and an
+        (n - C) normalizer carry both fields, even at their defaults."""
+        path = self.tampered(
+            tmp_path, lambda meta, arrays: meta["model"].update({field: value})
+        )
         assert_refused(path, repr(field))
 
-    def test_unknown_mode_rejected_as_data_format(self, tmp_path):
-        path = self.tampered(
-            tmp_path, lambda meta, arrays: meta["model"].update(estimator_mode="median")
-        )
-        assert_refused(path, "estimator_mode")
+    def test_grand_mean_array_rejected(self, tmp_path):
+        """Only the deleted global mode updated it; older checkpoints
+        stored it, all zeros, beside every pooled model."""
+        def add(meta, arrays):
+            arrays["grand_mean"] = np.zeros(4)
 
-    def test_global_mode_with_pooled_unbiased_rejected_as_data_format(self, tmp_path):
-        """The estimator refuses this pair with ConfigurationError (exit 2)
-        when called; from a checkpoint it is a bad file (exit 3)."""
-        def edit(meta, arrays):
-            meta["model"].update(estimator_mode=MODE_GLOBAL, pooled_unbiased=True)
-
-        assert_refused(self.tampered(tmp_path, edit), "pooled_within_class mode only")
+        assert_refused(self.tampered(tmp_path, add), "'grand_mean' array that its model")
 
     def test_repeated_class_label_rejected(self, tmp_path):
         def repeat(meta, arrays):
@@ -483,32 +472,26 @@ class TestBlocked:
     """The blocked merge (one dsyrk per block) against the per-sample
     rule and the two-pass batch oracle."""
 
-    SETTINGS = [
-        (MODE_POOLED, False),
-        (MODE_POOLED, True),
-        (MODE_GLOBAL, False),
-    ]
-
-    @pytest.mark.parametrize("mode,unbiased", SETTINGS)
+    @pytest.mark.parametrize("order", ["shuffled", "class_incremental"])
     @pytest.mark.parametrize("size", [1, 2, 7, 256, None])
-    def test_blocked_matches_per_sample_and_batch(self, mode, unbiased, size):
+    def test_blocked_matches_per_sample_and_batch(self, size, order):
+        """Shuffled labels make blocks mix classes; class-incremental
+        labels (the continual-learning stream) make most blocks hold one
+        class and bring each new class in mid-stream."""
         rng = np.random.default_rng(30)
         for trial in range(4):
             e = int(rng.integers(2, 24))
             n = int(rng.integers(20, 600))
             k = int(rng.integers(1, 8))
             X = rng.standard_normal((n, e)) + rng.standard_normal(e) * 3
-            # shuffled labels, so blocks mix classes
             y = rng.integers(0, k, size=n)
+            if order == "class_incremental":
+                y = np.sort(y)
             cuts = fixed_cuts(n, size or n)
-            blocked = feed_blocks(
-                StreamingEstimator(e, mode=mode, pooled_unbiased=unbiased), X, y, cuts
-            )
-            single = feed(StreamingEstimator(e, mode=mode, pooled_unbiased=unbiased), X, y)
-            ref = batch_stats(X, y, mode=mode)
-            labels = np.unique(y)
-            denom = n - (len(labels) if unbiased else 1)
-            expected = ref.scatter / denom
+            blocked = feed_blocks(StreamingEstimator(e), X, y, cuts)
+            single = feed(StreamingEstimator(e), X, y)
+            ref = batch_stats(X, y)
+            expected = ref.covariance
             scale = np.abs(expected).max()
             for est in (blocked, single):
                 assert est.total_count == n
@@ -522,19 +505,23 @@ class TestBlocked:
                 for label, mean in blocked.class_means().items():
                     np.testing.assert_array_equal(mean, single.class_means()[label])
 
-    @pytest.mark.parametrize("mode", [MODE_POOLED, MODE_GLOBAL])
-    def test_random_cuts_and_orders_agree(self, mode):
+    @pytest.mark.parametrize("order", ["shuffled", "class_incremental"])
+    def test_random_cuts_and_orders_agree(self, order):
+        """One stream in the drawn order (or sorted by class) against a
+        random permutation of it, each cut at random block boundaries."""
         rng = np.random.default_rng(31)
         for trial in range(10):
             e = int(rng.integers(2, 20))
             n = int(rng.integers(10, 400))
             X = rng.standard_normal((n, e))
             y = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            if order == "class_incremental":
+                y = np.sort(y)
             perm = rng.permutation(n)
             cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 12), replace=False))
-            a = feed_blocks(StreamingEstimator(e, mode=mode), X, y, cuts)
-            b = feed_blocks(StreamingEstimator(e, mode=mode), X[perm], y[perm], cuts[::2])
-            ref = batch_stats(X, y, mode=mode)
+            a = feed_blocks(StreamingEstimator(e), X, y, cuts)
+            b = feed_blocks(StreamingEstimator(e), X[perm], y[perm], cuts[::2])
+            ref = batch_stats(X, y)
             scale = np.abs(ref.scatter).max()
             for est in (a, b):
                 assert np.abs(est.scatter() - ref.scatter).max() / scale <= 1e-8
@@ -552,27 +539,24 @@ class TestBlocked:
         rng = np.random.default_rng(33)
         X = rng.standard_normal((200, 7))
         y = rng.integers(0, 4, size=200)
-        for mode in (MODE_POOLED, MODE_GLOBAL):
-            cuts = fixed_cuts(200, 13)
-            whole = feed_blocks(StreamingEstimator(7, mode=mode), X, y, cuts)
-            stop = 13 * 8
-            first = raw_model(7, mode)
-            feed_blocks(first.estimator, X[:stop], y[:stop], cuts[:7])
-            rest = [c - stop for c in cuts[8:]]
-            restored = reload(first, tmp_path / f"{mode}.rdck")
-            resumed = feed_blocks(restored, X[stop:], y[stop:], rest)
-            np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
-            for label, mean in whole.class_means().items():
-                np.testing.assert_array_equal(resumed.class_means()[label], mean)
+        cuts = fixed_cuts(200, 13)
+        whole = feed_blocks(StreamingEstimator(7), X, y, cuts)
+        stop = 13 * 8
+        first = raw_model(7)
+        feed_blocks(first.estimator, X[:stop], y[:stop], cuts[:7])
+        rest = [c - stop for c in cuts[8:]]
+        restored = reload(first, tmp_path / "mid.rdck")
+        resumed = feed_blocks(restored, X[stop:], y[stop:], rest)
+        np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
+        for label, mean in whole.class_means().items():
+            np.testing.assert_array_equal(resumed.class_means()[label], mean)
 
     def test_resume_at_a_random_block_boundary_is_bitwise(self, tmp_path):
-        """Over random shapes, class counts, block cuts and every estimator
-        setting, a run saved at a random block boundary, loaded and
+        """Over random shapes, class counts and block cuts, a run saved at a random block boundary, loaded and
         finished holds exactly the state of the uninterrupted run."""
         rng = np.random.default_rng(35)
         path = tmp_path / "resume.rdck"
         for trial in range(30):
-            mode, unbiased = self.SETTINGS[trial % len(self.SETTINGS)]
             e = int(rng.integers(1, 30))
             n = int(rng.integers(2, 300))
             X = rng.standard_normal((n, e)) + rng.standard_normal(e) * 2
@@ -583,21 +567,17 @@ class TestBlocked:
             bounds = [0, *cuts, n]
             stop = bounds[int(rng.integers(1, len(bounds)))]
 
-            def build():
-                return StreamingEstimator(e, mode=mode, pooled_unbiased=unbiased)
-
-            whole = feed_blocks(build(), X, y, cuts)
-            first = raw_model(e, mode, unbiased)
+            whole = feed_blocks(StreamingEstimator(e), X, y, cuts)
+            first = raw_model(e)
             feed_blocks(first.estimator, X[:stop], y[:stop], [c for c in cuts if c < stop])
             rest = [c - stop for c in cuts if c > stop]
             resumed = feed_blocks(reload(first, path), X[stop:], y[stop:], rest)
             assert resumed.total_count == whole.total_count == n
             assert resumed.class_counts() == whole.class_counts()
             np.testing.assert_array_equal(resumed._scatter, whole._scatter)
-            np.testing.assert_array_equal(resumed._grand_mean, whole._grand_mean)
             for label, mean in whole.class_means().items():
                 np.testing.assert_array_equal(resumed.class_means()[label], mean)
-            if n - (len(whole.classes_seen) if unbiased else 1) >= 1:
+            if n >= 2:
                 np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
 
     def test_bad_row_names_its_index_and_leaves_state(self):
