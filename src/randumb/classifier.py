@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import data_io
 from .errors import (
@@ -206,10 +207,13 @@ class StreamingClassifier:
             # Rebinding phi before the cast frees the previous block's rows.
             phi = self._embed(X_raw[start:stop])
             phi = phi.astype(np.float64, copy=False)
+            # phi A as (A^T phi^T)^T in scipy's BLAS, A the discriminant
+            # weights (E x C, F-order) or the means' transpose: every
+            # operand is an F-contiguous view, so f2py copies nothing.
             if self.config.needs_precision:
-                scores = phi @ self._lin_weights + self._lin_bias
+                scores = dgemm(1.0, self._lin_weights, phi.T, trans_a=1).T + self._lin_bias
             else:
-                scores = phi @ self._means.T
+                scores = dgemm(1.0, self._means.T, phi.T, trans_a=1).T
             out[start:stop] = self._labels[np.argmax(scores, axis=1)]
         return out
 

@@ -18,9 +18,11 @@ into one vector of E (E + 1) / 2 entries in LAPACK's rectangular full
 packed (RFP) format (TRANSR = 'N', UPLO = 'U'; Gustavson, Wasniewski,
 Dongarra & Langou, ACM TOMS 37(2), 2010).  Shrinkage and factorization
 work on that vector in place: tr(S) from the packed diagonal, tr(S^2)
-from one dot over the vector, one scaling pass, and an RFP Cholesky
-factor (dpftrf) whose solves are dpftrs.  Nothing E x E is mirrored,
-scanned or allocated on the way.
+from one BLAS ddot over the vector, one scaling pass, and an RFP
+Cholesky factor (dpftrf) whose solves are dpftrs.  Nothing E x E is
+mirrored, scanned or allocated on the way.  Every one of these kernels
+is scipy's (``scipy.linalg.blas`` and ``.lapack``), so a run uses one
+OpenBLAS and one thread pool.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
 
 from .errors import DataError, NumericalError, ShapeError
@@ -118,15 +121,15 @@ def shrink_packed(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, flo
     covariance and 1).
 
     Every off-diagonal entry appears once in ``a``, so with d the packed
-    diagonal tr(S^2) = (2 a.a - d.d) / denom^2.  One pass scales the
+    diagonal tr(S^2) = (2 a.a - d.d) / denom^2, two ddot calls over
+    vectors that are already contiguous.  One pass scales the
     vector by (1 - rho) / denom and adds rho mu to the diagonal.
     Returns (rho, mu).
     """
     e = packed_dim(a)
     diag = packed_diagonal(e)
     d = a[diag]
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr_s2 = (2.0 * float(np.dot(a, a)) - float(np.dot(d, d))) / (denom * denom)
+    tr_s2 = (2.0 * ddot(a, a) - ddot(d, d)) / (denom * denom)
     rho, mu = _oas(float(d.sum()) / denom, tr_s2, e, n)
     a *= (1.0 - rho) / denom
     a[diag] += rho * mu
@@ -162,9 +165,7 @@ def oas_shrink(S: np.ndarray, n: int, copy: bool = True) -> ShrinkageResult:
     _check_symmetric(S)
     out = S.copy(order="K") if copy else S
     flat = out.ravel(order="K")  # a view of any contiguous matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr_s2 = float(np.dot(flat, flat))
-    rho, mu = _oas(float(np.trace(out)), tr_s2, out.shape[0], n)
+    rho, mu = _oas(float(np.trace(out)), ddot(flat, flat), out.shape[0], n)
     out *= 1.0 - rho
     out[np.diag_indices(out.shape[0])] += rho * mu
     return ShrinkageResult(rho=rho, mu=mu, shrunk=out)

@@ -39,12 +39,11 @@ def exact_rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.nd
 
 @dataclass
 class BatchStats:
-    """Two-pass batch statistics: per-class means, the grand mean, the
-    pooled within-class scatter, and its (n - 1)-normalized covariance."""
+    """Two-pass batch statistics: per-class means, the pooled
+    within-class scatter, and its (n - 1)-normalized covariance."""
 
     means: dict[int, np.ndarray]
     counts: dict[int, int]
-    grand_mean: np.ndarray
     scatter: np.ndarray
     covariance: np.ndarray
 
@@ -68,7 +67,6 @@ def batch_stats(samples: np.ndarray, labels: np.ndarray) -> BatchStats:
     return BatchStats(
         means=means,
         counts=counts,
-        grand_mean=X.mean(axis=0),
         scatter=scatter,
         covariance=scatter / (n - 1),
     )

@@ -295,6 +295,28 @@ class TestBatchAgreement:
         singles = np.concatenate([model.predict_batch(t[None, :]) for t in T])
         np.testing.assert_array_equal(batch, singles)
 
+    @pytest.mark.parametrize(
+        "variant,spec",
+        [
+            ("kernel_ncm", FeatureMapSpec("fourier", 784, 6144, 5, gamma=2e-3)),
+            ("rp_relu", relu_spec(512, 4096, 5)),
+        ],
+        ids=["kernel_ncm-784x6144", "rp_relu-512x4096"],
+    )
+    def test_one_row_scores_as_inside_a_block_at_real_sizes(self, variant, spec):
+        """A row scored alone gets the label it gets inside a full block,
+        through both scoring products (means and discriminant weights)."""
+        rng = np.random.default_rng(17)
+        X, y = gaussian_blobs(rng, num_classes=10, dim=spec.input_dim, per_class=30)
+        model = StreamingClassifier(ModelVariant(variant, embedding=spec, ridge=1e-4))
+        for start in range(0, len(y), BLOCK_ROWS):
+            model.observe(X[start : start + BLOCK_ROWS], y[start : start + BLOCK_ROWS])
+        model.finalize(consume=True)
+        T = X[:BLOCK_ROWS] + rng.standard_normal((BLOCK_ROWS, spec.input_dim)).astype(np.float32)
+        batch = model.predict_batch(T)
+        singles = np.concatenate([model.predict_batch(t[None, :]) for t in T])
+        np.testing.assert_array_equal(batch, singles)
+
     def test_predict_batch_shape_check(self):
         rng = np.random.default_rng(1)
         X, y = gaussian_blobs(rng, num_classes=3, dim=4, per_class=20)

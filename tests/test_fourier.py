@@ -3,6 +3,7 @@ kernel fidelity, and a transcription of both heads."""
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import sgemm
 
 from randumb.errors import ConfigurationError, ShapeError
 from randumb.fourier import DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map
@@ -64,10 +65,10 @@ class TestSpecValidation:
 
 
 class TestTranscription:
-    """Both heads against a plain numpy transcription, bit for bit:
+    """Both heads against a plain transcription, bit for bit:
     W = PCG64(seed).standard_normal((rows, d)), times sqrt(2 gamma) for
     the Fourier head, cast to float32; relu(X W^T), or the interleaved
-    cos/sin of X W^T times 1/sqrt(rows)."""
+    cos/sin of X W^T times 1/sqrt(rows), with X W^T from scipy's sgemm."""
 
     @pytest.mark.parametrize(
         "head,input_dim,embed_dim,seed,gamma",
@@ -92,10 +93,11 @@ class TestTranscription:
         assert fmap.weights.dtype == np.float32
         assert fmap.weights.tobytes() == w.tobytes()
 
-        # One block of rows, so both sides make the same float32 matmul
-        # call (its rounding may depend on the number of rows).
+        # The projection is the map's own BLAS call, sgemm on W and X^T:
+        # numpy's ``@`` may pick another kernel (gemv for a single
+        # frequency), whose rounding differs in the last bits.
         X = np.random.default_rng(seed + 1).standard_normal((200, input_dim))
-        proj = X.astype(np.float32) @ w.T
+        proj = sgemm(1.0, w.T, X.astype(np.float32).T, trans_a=1).T
         if head == "fourier":
             want = np.empty((200, embed_dim), dtype=np.float32)
             want[:, 0::2] = np.cos(proj)
@@ -220,20 +222,27 @@ class TestEmbedding:
         assert errors[0] > errors[1] > errors[2]
 
     def test_blocking_does_not_change_results(self):
-        # Callers cut the rows; each row's embedding must not depend on the cut.
+        """Callers cut the rows; each row's embedding must not depend on
+        the cut.  The 7-input maps stay below OpenBLAS's small-matrix
+        cutoff (M N K <= 10^6) at every block size, so all their blocks
+        take one small kernel.  The two with D d >= 2^20 check that a
+        one-row block takes the same sgemm kernel as a full one."""
         specs = [
             rff(input_dim=7, num_bases=24, gamma=1.3, seed=2),
             FeatureMapSpec("relu", input_dim=7, embed_dim=48, seed=2),
+            FeatureMapSpec("fourier", input_dim=784, embed_dim=6144, seed=3, gamma=2e-3),
+            FeatureMapSpec("relu", input_dim=512, embed_dim=4096, seed=3),
         ]
-        X = np.random.default_rng(2).standard_normal((33, 7))
+        rng = np.random.default_rng(2)
         for spec in specs:
             fm = build_map(spec)
+            X = rng.standard_normal((300, spec.input_dim))
             full = fm.embed_batch(X)
-            for block in (1, 2, 5, 32, 64):
+            for block in (1, 2, 5, 7, 32, 64, 256):
                 sliced = np.concatenate(
-                    [fm.embed_batch(X[i : i + block]) for i in range(0, 33, block)]
+                    [fm.embed_batch(X[i : i + block]) for i in range(0, len(X), block)]
                 )
-                np.testing.assert_array_equal(sliced, full)
+                np.testing.assert_array_equal(sliced, full, err_msg=f"{spec} {block}")
             np.testing.assert_array_equal(fm.embed(X[4]), full[4])
 
     def test_shape_errors(self):
