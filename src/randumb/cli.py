@@ -64,7 +64,30 @@ def _add_common_flags(p: argparse.ArgumentParser, owned: str | None = None) -> N
     add("--out", help="append one JSON line per run to this file")
 
 
-def _load_config_file(path: str, known: list[str]) -> dict:
+def _config_value(path: str, name: str, value, action: argparse.Action):
+    """``value`` as the flag ``action`` would have set it: an int flag
+    takes a JSON integer, a float flag any JSON number, an on/off flag
+    true or false.  Anything else raises ConfigurationError naming the
+    setting."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        expected, ok = "true or false", isinstance(value, bool)
+    elif action.type in (int, float):
+        expected = "an integer" if action.type is int else "a number"
+        # type(), not isinstance(): JSON true/false load as bool, an int subclass
+        ok = type(value) in (int, action.type)
+    else:
+        return value
+    if not ok:
+        raise ConfigurationError(
+            f"config file {path}: setting {name!r} must be {expected}, "
+            f"got {json.dumps(value)}"
+        )
+    return value if action.type is None else action.type(value)
+
+
+def _load_config_file(
+    path: str, parser: argparse.ArgumentParser, known: list[str]
+) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -74,23 +97,26 @@ def _load_config_file(path: str, known: list[str]) -> dict:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
+    actions = {action.dest: action for action in parser._actions}
     out = {}
-    for key, value in raw.items():
-        key = key.replace("-", "_")
+    for name, value in raw.items():
+        key = name.replace("-", "_")
         key = _KEY_ALIASES.get(key, key)
         if key not in known:
             raise ConfigurationError(f"config file {path}: unknown setting {key!r}")
-        out[key] = value
+        out[key] = _config_value(path, name, value, actions[key])
     return out
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags, then env fallbacks.  The
     settings are the command's flags; run settings default in run_on_dataset."""
-    known = [key for key in vars(args) if key not in ("config", "command", "func")]
+    known = [
+        key for key in vars(args) if key not in ("config", "command", "func", "parser")
+    ]
     settings = {key: None for key in known if key not in _RUN_PARAMS}
     if getattr(args, "config", None):
-        settings.update(_load_config_file(args.config, known))
+        settings.update(_load_config_file(args.config, args.parser, known))
     for key in known:
         value = getattr(args, key, None)
         if value is not None:
@@ -209,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="one benchmark run")
     _add_common_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_sweep = sub.add_parser("sweep", help="one run per embedding size")
     _add_common_flags(p_sweep, owned="embed_dim")
     p_sweep.add_argument("--dims", help="comma-separated embedding sizes, ascending")
     p_sweep.add_argument("--csv", help="also write a CSV table here")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 
     p_ablate = sub.add_parser("ablate", help="run several variants on one stream")
     _add_common_flags(p_ablate, owned="variant")
@@ -223,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--variants", help=f"comma-separated subset of {','.join(VARIANTS)}"
     )
     p_ablate.add_argument("--csv", help="also write a CSV table here")
-    p_ablate.set_defaults(func=_cmd_ablate)
+    p_ablate.set_defaults(func=_cmd_ablate, parser=p_ablate)
 
     p_verify = sub.add_parser("verify", help="run the oracle self-checks")
     p_verify.add_argument("--seed", type=int)

@@ -212,11 +212,13 @@ def compute_accuracy(predictions: np.ndarray, labels: np.ndarray):
 class RunResult:
     """Everything one benchmark run produced, JSON-serializable.
 
-    ``peak_memory_estimate_bytes`` bounds, by formula, what the run
-    allocates at once (``_peak_memory_estimate``).  ``peak_rss_bytes`` is
-    measured: the process's resident-set high-water mark (``getrusage``
-    ``ru_maxrss``) when the run ends, which also counts the interpreter,
-    the raw data and whatever the process held before the run.
+    ``state_bytes`` is the nbytes of the statistics' own arrays at the
+    end of the stream (``StreamingEstimator.state_nbytes``: the packed
+    accumulator, the class means with their spare rows, the labels and
+    counts).  ``peak_rss_bytes`` is measured: the process's resident-set
+    high-water mark (``getrusage`` ``ru_maxrss``) when the run ends, which
+    also counts the interpreter, the raw data and whatever the process
+    held before the run.
     """
 
     config: dict
@@ -224,7 +226,7 @@ class RunResult:
     average_accuracy: float
     class_average_accuracy: float
     wall_time_seconds: float
-    peak_memory_estimate_bytes: int
+    state_bytes: int
     peak_rss_bytes: int
     observe_count: int
     shrinkage_rho: float | None = None
@@ -304,49 +306,6 @@ def check_memory_cap(
     return needed
 
 
-def _peak_memory_estimate(
-    model_config: ModelVariant,
-    descriptor: DatasetDescriptor,
-    state_bytes: int,
-    stream_steps: int,
-    test_count: int,
-    eval_every: int,
-) -> int:
-    """Upper bound on the bytes one ``run_benchmark`` call allocates at once.
-
-    The raw splits are the caller's and are not counted.  Held
-    throughout: the random map, the statistics (``state_bytes``, spare
-    class rows included) and the stream's index arrays, plus, with
-    eval_every > 0, the packed factor of the latest snapshot (one copy
-    of the accumulator).  On top of that comes the largest transient:
-    one ingestion block (the previous block's rows beside the next
-    block's gathered and normalized rows, then the projection, the
-    float32 embedding and the float64 stacked rows of the rank-k update,
-    or the class rows' reallocation), or evaluation: finalize's mean
-    arrays, the test predictions and one BLOCK_ROWS block of test rows
-    normalized, embedded and scored.  No data split is ever held
-    normalized whole.  Building the map holds one 1 MiB float64 chunk
-    beside it (``fourier.DRAW_CHUNK``), which for any sizes is less than
-    an ingestion block's projection and rows.
-    """
-    e, d, c = model_config.embed_dim, descriptor.input_dim, descriptor.num_classes
-    b = BLOCK_ROWS
-    emb = model_config.embedding
-    width = emb.num_bases if emb is not None else 0
-    snapshot = 4 * e * (e + 1) if model_config.needs_precision and eval_every > 0 else 0
-    held = 4 * width * d + state_bytes + snapshot + 25 * stream_steps
-    # the projection beside its cos/sin (or in-place relu) output
-    embed = 4 * b * (e + width)
-    # gathered rows hold at most 8 bytes an entry, normalized rows 4; the
-    # merge adds a few E-vectors to the stack, and growing the class rows
-    # (at most C old rows beside the new) less than the stack
-    ingest = 16 * b * d + max(embed, 4 * b * e + 8 * (b + c + 1) * e + 128 * e)
-    # int64 predictions, then compute_accuracy's sorted labels and masks
-    evaluate = 24 * test_count
-    score = 4 * 8 * c * e + evaluate + 4 * b * d + embed + 8 * b * (e + c)
-    return held + max(ingest, score)
-
-
 def run_benchmark(
     stream_spec: StreamSpec,
     model_config: ModelVariant,
@@ -396,8 +355,9 @@ def run_benchmark(
             )
         if eval_every > 0 and steps % eval_every == 0:
             model.finalize(consume=False)
-            predictions = _predict_test(model, test_x, descriptor)
-            _, average, _ = compute_accuracy(predictions, test_y)
+            _, average, _ = compute_accuracy(
+                _predict_test(model, test_x, descriptor), test_y
+            )
             intermediate.append({"step": steps, "average_accuracy": average})
 
     state_bytes = model.estimator.state_nbytes()
@@ -407,9 +367,6 @@ def run_benchmark(
     )
     elapsed = time.perf_counter() - started
 
-    peak = _peak_memory_estimate(
-        model_config, descriptor, state_bytes, steps, len(test_y), eval_every
-    )
     pm = model.precision
     return RunResult(
         config=_config_echo(stream_spec, model_config, eval_every),
@@ -417,7 +374,7 @@ def run_benchmark(
         average_accuracy=average,
         class_average_accuracy=class_average,
         wall_time_seconds=elapsed,
-        peak_memory_estimate_bytes=int(peak),
+        state_bytes=state_bytes,
         peak_rss_bytes=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _RSS_UNIT,
         observe_count=steps,
         shrinkage_rho=model.shrinkage_rho,
@@ -504,9 +461,16 @@ def sweep_embedding(dims: list[int], data: RawDataset, **settings) -> list[RunRe
 
     Sizes must be non-descending (repeats allowed; repeated sizes
     reproduce identical results), and even for the Fourier variants.
+    The variant must embed its inputs: slda and ncm run on the raw
+    inputs at every size, so a sweep of them is refused.
     """
     if not dims:
         raise ConfigurationError("sweep needs at least one embedding size")
+    variant = settings.get("variant")
+    if variant in VARIANTS and VARIANTS[variant][0] is None:
+        raise ConfigurationError(
+            f"variant {variant} runs on raw inputs and has no embedding size to sweep"
+        )
     for a, b in zip(dims, dims[1:]):
         if b < a:
             raise ConfigurationError(f"sweep sizes must be non-descending, got {dims}")

@@ -327,9 +327,9 @@ class StreamingEstimator:
         """Rebuild an estimator around checkpoint ``arrays``.  The packed
         scatter is adopted without a copy; the class rows are copied into
         the capacity the stream would have grown them to.  A missing or
-        misshapen array, one the settings do not use, labels that are not
-        strictly increasing or a count below 1 raise DataFormatError
-        naming the array."""
+        misshapen array, one the settings do not use, labels or counts
+        that are not integers, labels that are not strictly increasing or
+        a count below 1 raise DataFormatError naming the array."""
         # Built without an accumulator: the stored one is adopted below
         # rather than allocated a second time.
         est = cls(embed_dim, track_scatter=False)
@@ -347,16 +347,22 @@ class StreamingEstimator:
                 f"checkpoint has a {unused[0]!r} array that its model does not use"
             )
         stored = {name: _stored(arrays, name, shape) for name, shape in shapes.items()}
+        counts = stored["class_counts"]
+        for name, arr in (("class_labels", labels), ("class_counts", counts)):
+            if arr.dtype.kind not in "iu":
+                raise DataFormatError(
+                    f"checkpoint array {name!r} has dtype {arr.dtype}, expected integers"
+                )
         if (np.diff(labels) <= 0).any():
             raise DataFormatError(
                 "checkpoint array 'class_labels' repeats a label or is out of order"
             )
-        if (stored["class_counts"] < 1).any():
+        if (counts < 1).any():
             raise DataFormatError("checkpoint array 'class_counts' holds a count below 1")
         est._grow(c)
         est._num = c
         est._labels[:c] = labels
-        est._counts[:c] = stored["class_counts"]
+        est._counts[:c] = counts
         est._means[:c] = stored["class_means"]
         if track_scatter:
             est._scatter = stored["scatter"].astype(np.float64, copy=False)

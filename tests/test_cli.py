@@ -2,12 +2,13 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from randumb import cli, write_feature_file
+from randumb import RunResult, cli, write_feature_file
 from randumb.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -191,6 +192,29 @@ class TestConfigFile:
         assert code == 2
         assert f"unknown setting {key!r}" in err
 
+    @pytest.mark.parametrize(
+        "key,value,expected",
+        [
+            ("embed_dim", "64", "an integer"),
+            ("gamma", "0.5", "a number"),
+            ("eval_every_k", "10", "an integer"),
+            ("memory_cap_bytes", "1e9", "an integer"),
+            ("seed", 1.5, "an integer"),
+            ("augment", "yes", "true or false"),
+            ("classes_per_task", True, "an integer"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(
+        self, capsys, tmp_path, key, value, expected
+    ):
+        """A file value must be what the flag itself would parse; a string
+        for a number used to fail deep in the run with a TypeError."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dataset": "features", key: value}))
+        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 2
+        assert f"setting {key!r} must be {expected}, got {json.dumps(value)}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/does/not/exist.json")
         assert code == 2
@@ -359,3 +383,11 @@ def test_readme_common_flags_match_the_run_command():
     run = build_parser()._subparsers._group_actions[0].choices["run"]
     options = {flag for action in run._actions for flag in action.option_strings}
     assert documented == options - {"-h", "--help", "--config"}
+
+
+def test_readme_result_keys_match_run_result():
+    """README's "Result keys:" list names RunResult's fields, in order."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = text.split("Result keys:", 1)[1].split(". ", 1)[0]
+    documented = re.findall(r"`([a-z_]+)`", listed)
+    assert documented == [f.name for f in fields(RunResult)]

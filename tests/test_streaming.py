@@ -448,6 +448,19 @@ class TestCheckpoint:
 
         assert_refused(self.tampered(tmp_path, swap), "'class_labels' .* is out of order")
 
+    @pytest.mark.parametrize(
+        "name,values",
+        [("class_labels", [0.25, 1.75, 2.0]), ("class_counts", [10.9, 10.2, 2.0])],
+    )
+    def test_float_labels_or_counts_rejected(self, tmp_path, name, values):
+        """The manifest allows <f8 for any array; restoring into the integer
+        rows would truncate 0.25 to label 0 and 10.9 to a count of 10."""
+        def to_float(meta, arrays):
+            arrays[name] = np.array(values, dtype=np.float64)
+
+        path = self.tampered(tmp_path, to_float)
+        assert_refused(path, f"{name!r} has dtype float64, expected integers")
+
     def test_count_below_one_rejected(self, tmp_path):
         def zero(meta, arrays):
             arrays["class_counts"] = np.array([2, 0, 2], dtype=np.int64)
