@@ -39,7 +39,6 @@ from .harness import (
     compute_accuracy,
     make_stream,
     run_ablation,
-    run_benchmark,
     run_on_dataset,
     sweep_embedding,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "make_stream",
     "oas_shrink",
     "run_ablation",
-    "run_benchmark",
     "run_on_dataset",
     "run_verify",
     "sweep_embedding",

@@ -67,16 +67,19 @@ def _add_common_flags(p: argparse.ArgumentParser, owned: str | None = None) -> N
 def _config_value(path: str, name: str, value, action: argparse.Action):
     """``value`` as the flag ``action`` would have set it: an int flag
     takes a JSON integer, a float flag any JSON number, an on/off flag
-    true or false.  Anything else raises ConfigurationError naming the
-    setting."""
+    true or false, and any other flag a string (``dims`` also a list,
+    whose entries ``_parse_int_list`` checks).  Anything else raises
+    ConfigurationError naming the setting."""
     if isinstance(action, argparse.BooleanOptionalAction):
         expected, ok = "true or false", isinstance(value, bool)
     elif action.type in (int, float):
         expected = "an integer" if action.type is int else "a number"
         # type(), not isinstance(): JSON true/false load as bool, an int subclass
         ok = type(value) in (int, action.type)
+    elif action.dest == "dims":
+        expected, ok = "a string or a list", isinstance(value, (str, list))
     else:
-        return value
+        expected, ok = "a string", isinstance(value, str)
     if not ok:
         raise ConfigurationError(
             f"config file {path}: setting {name!r} must be {expected}, "
@@ -126,13 +129,20 @@ def _resolve(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _parse_int_list(text) -> list[int]:
-    if isinstance(text, list):
-        return [int(v) for v in text]
-    try:
-        return [int(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"expected comma-separated integers, got {text!r}") from exc
+def _parse_int_list(value) -> list[int]:
+    """The dims setting: comma-separated integers, or a config file's list
+    of JSON integers (not booleans)."""
+    if isinstance(value, list) and all(type(v) is int for v in value):
+        return value
+    if isinstance(value, str):
+        try:
+            return [int(part) for part in value.split(",") if part.strip()]
+        except ValueError:
+            pass
+    raise ConfigurationError(
+        f"setting 'dims' must be comma-separated integers or a list of integers, "
+        f"got {json.dumps(value)}"
+    )
 
 
 def _load_data(settings: dict):
@@ -184,7 +194,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablate(args) -> int:
     settings = _resolve(args)
     variants = (
-        tuple(str(settings["variants"]).split(","))
+        tuple(settings["variants"].split(","))
         if settings["variants"]
         else ABLATION_ORDER
     )

@@ -251,27 +251,24 @@ def load_idx(images_path: str | Path, labels_path: str | Path):
 # ---------------------------------------------------------------------------
 
 _CIFAR_FORMATS = {
-    # label bytes per record, index of the byte to use, default class count
-    "cifar10": (1, 0, 10),
-    "cifar100_fine": (2, 1, 100),
+    # label bytes per record, index of the byte to use
+    "cifar10": (1, 0),
+    "cifar100_fine": (2, 1),
 }
 
 
-def load_cifar_binary(
-    path: str | Path, fmt: str = "cifar10", num_classes: int | None = None
-):
+def load_cifar_binary(path: str | Path, fmt: str = "cifar10"):
     """Read one CIFAR-style binary file.
 
     Returns (images, labels) with images u8 of shape (N, 3, 32, 32) and
-    labels int64 in [0, num_classes).
+    labels int64, each the record's label byte (the fine one for
+    cifar100_fine); ``load_dataset`` checks them against the class count.
     """
     if fmt not in _CIFAR_FORMATS:
         raise ConfigurationError(
             f"unknown CIFAR format {fmt!r}; expected one of {sorted(_CIFAR_FORMATS)}"
         )
-    label_bytes, label_index, default_classes = _CIFAR_FORMATS[fmt]
-    if num_classes is None:
-        num_classes = default_classes
+    label_bytes, label_index = _CIFAR_FORMATS[fmt]
     record = label_bytes + 3072
     raw = _read_bytes(path)
     if len(raw) == 0 or len(raw) % record != 0:
@@ -283,11 +280,6 @@ def load_cifar_binary(
     data = np.frombuffer(raw, dtype=np.uint8).reshape(n, record)
     labels = data[:, label_index].astype(np.int64)
     images = data[:, label_bytes:].reshape(n, 3, 32, 32)
-    if labels.max(initial=0) >= num_classes:
-        raise DataFormatError(
-            f"{path}: label {int(labels.max())} out of range for "
-            f"{num_classes} classes"
-        )
     return images, labels
 
 
@@ -579,9 +571,10 @@ def _find_file(directory: Path, names: list[str]) -> Path:
 def load_dataset(name: str, data_dir: str | Path) -> RawDataset:
     """Locate and load a named dataset under ``data_dir``.
 
-    Image datasets return u8 image tensors; the "features" dataset returns
-    f32 vectors read from RDFB containers with a descriptor built from the
-    file contents.
+    Image datasets return u8 image tensors, and a label of either split
+    at or above the dataset's class count raises DataFormatError; the
+    "features" dataset returns f32 vectors read from RDFB containers with
+    a descriptor built from the file contents.
     """
     if name == "mnist":
         d = _find_dir(data_dir, ["mnist", "MNIST/raw", "MNIST"])
@@ -611,9 +604,8 @@ def load_dataset(name: str, data_dir: str | Path) -> RawDataset:
     elif name in ("tinyimagenet", "miniimagenet"):
         # Pre-downscaled 32x32 RGB images in CIFAR-10-style records.
         d = _find_dir(data_dir, [name])
-        classes = DESCRIPTORS[name].num_classes
-        train = load_cifar_binary(_find_file(d, ["train.bin"]), "cifar10", classes)
-        test = load_cifar_binary(_find_file(d, ["test.bin"]), "cifar10", classes)
+        train = load_cifar_binary(_find_file(d, ["train.bin"]), "cifar10")
+        test = load_cifar_binary(_find_file(d, ["test.bin"]), "cifar10")
     elif name == "features":
         d = _find_dir(data_dir, ["features"])
         train = load_feature_file(_find_file(d, ["train.rdfb"]))
@@ -627,6 +619,14 @@ def load_dataset(name: str, data_dir: str | Path) -> RawDataset:
     descriptor = replace(
         DESCRIPTORS[name], train_count=len(train[1]), test_count=len(test[1])
     )
+    # A label past the class count would be in no task of the stream.
+    for split, y in (("train", train[1]), ("test", test[1])):
+        if y.max(initial=0) >= descriptor.num_classes:
+            i = int(np.argmax(y >= descriptor.num_classes))
+            raise DataFormatError(
+                f"{name} {split} label at index {i} is {y[i]}, out of range "
+                f"for {descriptor.num_classes} classes"
+            )
     return RawDataset(descriptor, train[0], train[1], test[0], test[1])
 
 

@@ -1,8 +1,8 @@
 """Class-incremental streams, the one-pass benchmark loop, metrics,
 embedding sweeps, and ablation runs.
 
-Protocol: classes are split into tasks following a class order; the
-stream visits tasks in order, presenting each task's samples in a
+Protocol: classes are split into tasks of consecutive labels; the
+stream visits tasks in label order, presenting each task's samples in a
 seed-shuffled order (flipped copies, when enabled, follow their
 originals on adjacent steps).  The stream is delivered in blocks of
 consecutive steps; the model observes every element exactly once, is
@@ -51,7 +51,6 @@ class StreamSpec:
 
     dataset: DatasetDescriptor
     classes_per_task: int = 1
-    class_order: tuple[int, ...] | None = None
     augment: bool = False
     seed: int = 0
 
@@ -62,16 +61,6 @@ class StreamSpec:
             )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        order = self.class_order
-        if order is None:
-            order = tuple(range(self.dataset.num_classes))
-            object.__setattr__(self, "class_order", order)
-        else:
-            object.__setattr__(self, "class_order", tuple(int(c) for c in order))
-        if sorted(self.class_order) != list(range(self.dataset.num_classes)):
-            raise ConfigurationError(
-                f"class_order must be a permutation of 0..{self.dataset.num_classes - 1}"
-            )
         if self.augment and self.dataset.kind != "images":
             raise UnsupportedAugmentationError(
                 f"dataset {self.dataset.name} holds feature vectors; "
@@ -80,10 +69,9 @@ class StreamSpec:
 
     @property
     def tasks(self) -> tuple[tuple[int, ...], ...]:
-        k = self.classes_per_task
-        return tuple(
-            self.class_order[i : i + k] for i in range(0, len(self.class_order), k)
-        )
+        """Consecutive label ranges of classes_per_task classes each."""
+        c, k = self.dataset.num_classes, self.classes_per_task
+        return tuple(tuple(range(i, min(i + k, c))) for i in range(0, c, k))
 
 
 @dataclass(frozen=True)
@@ -270,7 +258,6 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
         "ridge": model_config.ridge if model_config.needs_precision else None,
         "augment": stream_spec.augment,
         "classes_per_task": stream_spec.classes_per_task,
-        "class_order": list(stream_spec.class_order),
         "stream_seed": stream_spec.seed,
         "feature_seed": emb.seed if emb is not None else None,
         "gamma": emb.gamma if emb is not None else None,
@@ -306,17 +293,23 @@ def check_memory_cap(
     return needed
 
 
-def run_benchmark(
-    stream_spec: StreamSpec,
-    model_config: ModelVariant,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    test_x: np.ndarray,
-    test_y: np.ndarray,
+def run_on_dataset(
+    data: RawDataset,
+    variant: str = "randumb",
+    embed_dim: int = 25000,
+    gamma: float = 1.0,
+    ridge: float | None = None,
+    seed: int = 0,
+    augment: bool | None = None,
+    classes_per_task: int = 1,
     eval_every: int = 0,
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
 ) -> RunResult:
     """One full pass: stream -> finalize -> evaluate the whole test set.
+
+    The embedding seed is the run seed itself; the stream shuffle uses
+    seed + 1 so the two random choices never alias.  Augmentation and
+    ridge default per dataset.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize (this factors a copy of the
@@ -324,22 +317,38 @@ def run_benchmark(
     raw test split again, block by block); the final evaluation always
     goes through the consuming, single-buffer path.
     """
+    descriptor = data.descriptor
+    stream_spec = StreamSpec(
+        dataset=descriptor,
+        classes_per_task=classes_per_task,
+        augment=descriptor.flip_default if augment is None else augment,
+        seed=seed + 1,
+    )
+    # an unknown variant gets no head here and is refused by ModelVariant
+    head = VARIANTS.get(variant, (None,))[0]
+    embedding = None if head is None else FeatureMapSpec(
+        head=head,
+        input_dim=descriptor.input_dim,
+        embed_dim=embed_dim,
+        seed=seed,
+        gamma=gamma if head == "fourier" else None,
+    )
+    model_config = ModelVariant(
+        variant=variant,
+        embedding=embedding,
+        ridge=descriptor.default_ridge if ridge is None else ridge,
+        input_dim=descriptor.input_dim if head is None else None,
+    )
     if eval_every < 0:
         raise ConfigurationError(f"eval_every must be >= 0, got {eval_every}")
     check_memory_cap(model_config, memory_cap_bytes, eval_every)
-    if stream_spec.dataset.input_dim != model_config.raw_input_dim:
-        raise ConfigurationError(
-            f"dataset feeds {stream_spec.dataset.input_dim}-dim inputs but the "
-            f"model expects {model_config.raw_input_dim}"
-        )
     started = time.perf_counter()
     model = StreamingClassifier(model_config)
-    descriptor = stream_spec.dataset
-    test_x, test_y = np.asarray(test_x), np.asarray(test_y)
+    test_x, test_y = np.asarray(data.test_x), np.asarray(data.test_y)
 
     intermediate = []
     steps = 0
-    for block in make_stream(stream_spec, train_x, train_y, cut_every=eval_every):
+    for block in make_stream(stream_spec, data.train_x, data.train_y, cut_every=eval_every):
         try:
             model.observe(block.features, block.labels)
         except RanDumbError as exc:
@@ -381,78 +390,6 @@ def run_benchmark(
         shrinkage_mu=model.shrinkage_mu,
         log_det=pm.log_det if pm is not None else None,
         intermediate=intermediate,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Config-level entry points (shared by the CLI)
-# ---------------------------------------------------------------------------
-
-
-def build_model_config(
-    variant: str,
-    descriptor: DatasetDescriptor,
-    embed_dim: int,
-    gamma: float,
-    ridge: float | None,
-    seed: int,
-) -> ModelVariant:
-    """Translate CLI-level knobs into a ModelVariant for one dataset."""
-    if ridge is None:
-        ridge = descriptor.default_ridge
-    # an unknown variant gets no head here and is refused by ModelVariant
-    head = VARIANTS.get(variant, (None,))[0]
-    if head is None:
-        return ModelVariant(variant=variant, input_dim=descriptor.input_dim, ridge=ridge)
-    embedding = FeatureMapSpec(
-        head=head,
-        input_dim=descriptor.input_dim,
-        embed_dim=embed_dim,
-        seed=seed,
-        gamma=gamma if head == "fourier" else None,
-    )
-    return ModelVariant(variant=variant, embedding=embedding, ridge=ridge)
-
-
-def run_on_dataset(
-    data: RawDataset,
-    variant: str = "randumb",
-    embed_dim: int = 25000,
-    gamma: float = 1.0,
-    ridge: float | None = None,
-    seed: int = 0,
-    augment: bool | None = None,
-    classes_per_task: int = 1,
-    class_order: tuple[int, ...] | None = None,
-    eval_every: int = 0,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> RunResult:
-    """Run one benchmark from plain keyword settings.
-
-    The embedding seed is the run seed itself; the stream shuffle uses
-    seed + 1 so the two random choices never alias.  Augmentation and
-    ridge default per dataset.
-    """
-    descriptor = data.descriptor
-    if augment is None:
-        augment = descriptor.flip_default
-    stream_spec = StreamSpec(
-        dataset=descriptor,
-        classes_per_task=classes_per_task,
-        class_order=class_order,
-        augment=augment,
-        seed=seed + 1,
-    )
-    model_config = build_model_config(variant, descriptor, embed_dim, gamma, ridge, seed)
-    return run_benchmark(
-        stream_spec,
-        model_config,
-        data.train_x,
-        data.train_y,
-        data.test_x,
-        data.test_y,
-        eval_every=eval_every,
-        memory_cap_bytes=memory_cap_bytes,
     )
 
 

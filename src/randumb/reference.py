@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import ConfigurationError, DataError, NumericalError
 
 
 def exact_rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
@@ -310,6 +310,8 @@ def _check_finalize_upper(rng) -> OracleReport:
 
 def run_verify(seed: int = 0) -> list[OracleReport]:
     """Run every oracle check at desk scale; returns one report each."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     checks = [
         _check_streaming_vs_batch,
         _check_rff_kernel,

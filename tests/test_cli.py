@@ -141,7 +141,7 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, capsys, feature_dir, tmp_path):
         config = tmp_path / "run.json"
-        # class_order is a run_on_dataset keyword, but no flag sets it.
+        # class_order was a run_on_dataset keyword that no flag set; it is gone.
         for key in ("learning_rate", "class_order"):
             config.write_text(json.dumps({"dataset": "features", key: 0.1}))
             code, _, err = run_cli(capsys, "run", "--config", str(config))
@@ -202,16 +202,23 @@ class TestConfigFile:
             ("seed", 1.5, "an integer"),
             ("augment", "yes", "true or false"),
             ("classes_per_task", True, "an integer"),
+            ("out", 1, "a string"),
+            ("data-dir", 5, "a string"),
+            ("dims", ["a"], "comma-separated integers or a list of integers"),
+            ("dims", [64.7, 96], "comma-separated integers or a list of integers"),
+            ("variants", ["randumb", "ncm"], "a string"),
         ],
     )
     def test_value_of_the_wrong_type_rejected(
         self, capsys, tmp_path, key, value, expected
     ):
         """A file value must be what the flag itself would parse; a string
-        for a number used to fail deep in the run with a TypeError."""
+        for a number used to fail deep in the run with a TypeError, and a
+        number for a path with an OSError or a TypeError."""
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"dataset": "features", key: value}))
-        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        command = {"dims": "sweep", "variants": "ablate"}.get(key, "run")
+        code, _, err = run_cli(capsys, command, "--config", str(config))
         assert code == 2
         assert f"setting {key!r} must be {expected}, got {json.dumps(value)}" in err
 
@@ -291,6 +298,17 @@ class TestSweep:
         assert csv_lines[0].startswith("variant,state_dim")
         assert len(csv_lines) == 3
 
+    def test_config_file_dims_list(self, capsys, feature_dir, tmp_path):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"dims": [32, 64]}))
+        code, out, err = run_cli(
+            capsys, "sweep", "--dataset", "features", "--data-dir", str(feature_dir),
+            "--gamma", "0.1", "--config", str(config),
+        )
+        assert code == 0, err
+        lines = out.strip().split("\n")
+        assert [json.loads(l)["config"]["state_dim"] for l in lines] == [32, 64]
+
     def test_embed_dim_flag_rejected(self, capsys, feature_dir):
         """sweep sets the embedding size from --dims; --embed-dim was
         accepted and ignored."""
@@ -364,6 +382,11 @@ class TestVerify:
             assert report["max_error"] <= report["tolerance"]
         names = {r["check"] for r in reports}
         assert len(names) == 5
+
+    def test_negative_seed_refused(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert "seed must be >= 0, got -1" in err
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "checks.jsonl"

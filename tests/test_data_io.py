@@ -160,13 +160,30 @@ class TestCifarBinary:
             load_cifar_binary(path, "cifar10")
 
     def test_label_out_of_range(self, tmp_path):
-        path = tmp_path / "bad_label.bin"
-        path.write_bytes(self.make_records([11]))
-        with pytest.raises(DataFormatError, match="label 11 out of range"):
-            load_cifar_binary(path, "cifar10")
-        # The same byte is valid when the caller declares more classes.
-        images, labels = load_cifar_binary(path, "cifar10", num_classes=200)
-        np.testing.assert_array_equal(labels, [11])
+        """load_dataset checks the labels against the dataset's class
+        count: 11 is out of range for cifar10's 10 classes, but a
+        tinyimagenet label in its 200."""
+        d = tmp_path / "cifar10"
+        d.mkdir()
+        for i in range(1, 6):
+            labels = [1, 11 if i == 3 else 2]
+            (d / f"data_batch_{i}.bin").write_bytes(self.make_records(labels))
+        (d / "test_batch.bin").write_bytes(self.make_records([0]))
+        with pytest.raises(
+            DataFormatError,
+            match="cifar10 train label at index 5 is 11, out of range for 10 classes",
+        ):
+            load_dataset("cifar10", tmp_path)
+
+        d = tmp_path / "tinyimagenet"
+        d.mkdir()
+        (d / "train.bin").write_bytes(self.make_records([11, 199]))
+        (d / "test.bin").write_bytes(self.make_records([4, 11, 200]))
+        with pytest.raises(DataFormatError, match="tinyimagenet test label at index 2 is 200"):
+            load_dataset("tinyimagenet", tmp_path)
+        (d / "test.bin").write_bytes(self.make_records([4, 11]))
+        ds = load_dataset("tinyimagenet", tmp_path)
+        np.testing.assert_array_equal(ds.train_y, [11, 199])
 
 
 class TestFeatureFile:
@@ -666,6 +683,25 @@ class TestDatasetDiscovery:
         assert ds.descriptor.test_count == 4
         np.testing.assert_array_equal(ds.train_x, train_imgs)
         np.testing.assert_array_equal(ds.test_y, test_labels)
+
+    def test_idx_label_out_of_range(self, tmp_path):
+        """Such rows would drop out of the stream without a word, and the
+        test class would count as one nothing can predict."""
+        d = tmp_path / "mnist"
+        d.mkdir()
+        labels = np.arange(20) % 10
+        labels[[7, 13]] = 12
+        (d / "train-images-idx3-ubyte").write_bytes(
+            idx_image_bytes(np.zeros((20, 2, 2)))
+        )
+        (d / "train-labels-idx1-ubyte").write_bytes(idx_label_bytes(labels))
+        (d / "t10k-images-idx3-ubyte").write_bytes(idx_image_bytes(np.zeros((2, 2, 2))))
+        (d / "t10k-labels-idx1-ubyte").write_bytes(idx_label_bytes([0, 1]))
+        with pytest.raises(
+            DataFormatError,
+            match="mnist train label at index 7 is 12, out of range for 10 classes",
+        ):
+            load_dataset("mnist", tmp_path)
 
     def test_dataset_from_features_dim_mismatch(self):
         with pytest.raises(DataError, match="disagree"):

@@ -13,7 +13,9 @@ from randumb import (
     DataError,
     DatasetDescriptor,
     FeatureMap,
+    FeatureMapSpec,
     ModelStateError,
+    ModelVariant,
     RandomReluMap,
     RunResult,
     StreamSpec,
@@ -23,7 +25,6 @@ from randumb import (
     compute_accuracy,
     make_stream,
     run_ablation,
-    run_benchmark,
     run_on_dataset,
     sweep_embedding,
 )
@@ -40,7 +41,6 @@ from randumb.harness import (
     ABLATION_ORDER,
     _predict_test,
     append_jsonl,
-    build_model_config,
     check_memory_cap,
     sweep_table,
 )
@@ -104,15 +104,11 @@ def toy_image_dataset(seed=0, per_class=10, test_per_class=4):
 class TestStreamSpec:
     def test_default_order_is_identity(self):
         spec = StreamSpec(dataset=toy_image_descriptor(num_classes=4))
-        assert spec.class_order == (0, 1, 2, 3)
+        assert spec.tasks == ((0,), (1,), (2,), (3,))
 
     def test_tasks_chunking(self):
-        spec = StreamSpec(
-            dataset=toy_image_descriptor(num_classes=5),
-            classes_per_task=2,
-            class_order=(3, 1, 4, 0, 2),
-        )
-        assert spec.tasks == ((3, 1), (4, 0), (2,))
+        spec = StreamSpec(dataset=toy_image_descriptor(num_classes=5), classes_per_task=2)
+        assert spec.tasks == ((0, 1), (2, 3), (4,))
 
     def test_validation(self):
         d = toy_image_descriptor(num_classes=3)
@@ -120,10 +116,6 @@ class TestStreamSpec:
             StreamSpec(dataset=d, classes_per_task=0)
         with pytest.raises(ConfigurationError, match="seed"):
             StreamSpec(dataset=d, seed=-1)
-        with pytest.raises(ConfigurationError, match="permutation"):
-            StreamSpec(dataset=d, class_order=(0, 1))
-        with pytest.raises(ConfigurationError, match="permutation"):
-            StreamSpec(dataset=d, class_order=(0, 1, 1))
 
     def test_augmenting_features_rejected(self):
         data = blob_dataset()
@@ -145,9 +137,9 @@ def stream_rows(spec, data, **kwargs):
 class TestMakeStream:
     def test_class_incremental_contiguity(self):
         data = blob_dataset(num_classes=4, train_per_class=5)
-        spec = StreamSpec(dataset=data.descriptor, class_order=(2, 0, 3, 1))
+        spec = StreamSpec(dataset=data.descriptor)
         labels = stream_rows(spec, data)[3].tolist()
-        assert labels == [2] * 5 + [0] * 5 + [3] * 5 + [1] * 5
+        assert labels == [0] * 5 + [1] * 5 + [2] * 5 + [3] * 5
 
     def test_within_task_mixing(self):
         data = blob_dataset(num_classes=4, train_per_class=8)
@@ -301,14 +293,14 @@ class TestRunBenchmark:
         assert a.shrinkage_rho == b.shrinkage_rho
         assert a.log_det == b.log_det
 
-    def test_class_order_does_not_move_accuracy(self):
+    def test_task_size_does_not_move_accuracy(self):
+        """One class per task and all five in one task stream the same
+        samples in different orders."""
         data = blob_dataset(seed=3, num_classes=5, dim=10, train_per_class=80)
-        base = run_on_dataset(data, variant="randumb", embed_dim=64, gamma=0.05, seed=0)
-        permuted = run_on_dataset(
-            data, variant="randumb", embed_dim=64, gamma=0.05, seed=0,
-            class_order=(4, 2, 0, 3, 1),
-        )
-        assert abs(base.average_accuracy - permuted.average_accuracy) <= 0.02
+        settings = dict(variant="randumb", embed_dim=64, gamma=0.05, seed=0)
+        one = run_on_dataset(data, classes_per_task=1, **settings)
+        five = run_on_dataset(data, classes_per_task=5, **settings)
+        assert abs(one.average_accuracy - five.average_accuracy) <= 0.02
 
     def test_single_class_dataset(self):
         rng = np.random.default_rng(4)
@@ -410,18 +402,6 @@ class TestRunBenchmark:
             memory_cap_bytes=1024**2,
         )
         assert result.observe_count == len(data.train_y)
-
-    def test_input_dim_mismatch(self):
-        data = blob_dataset(seed=8, dim=12)
-        config = build_model_config(
-            "slda", blob_dataset(seed=8, dim=7).descriptor,
-            embed_dim=64, gamma=1.0, ridge=None, seed=0,
-        )
-        spec = StreamSpec(dataset=data.descriptor)
-        with pytest.raises(ConfigurationError, match="dataset feeds"):
-            run_benchmark(
-                spec, config, data.train_x, data.train_y, data.test_x, data.test_y
-            )
 
     def test_stream_errors_name_the_step(self):
         rng = np.random.default_rng(9)
@@ -541,24 +521,18 @@ class TestConfigEcho:
 
 
 class TestCheckMemoryCap:
+    CONFIG = ModelVariant("randumb", FeatureMapSpec("fourier", 8, 100, seed=0, gamma=1.0))
+
     def test_byte_arithmetic(self):
-        data = blob_dataset(seed=0)
-        config = build_model_config(
-            "randumb", data.descriptor, embed_dim=100, gamma=1.0, ridge=None, seed=0
-        )
         # the packed upper triangle: 100 * 101 / 2 float64 entries
-        assert check_memory_cap(config, 40400) == 40400
+        assert check_memory_cap(self.CONFIG, 40400) == 40400
         with pytest.raises(ConfigurationError, match="40400 bytes"):
-            check_memory_cap(config, 40399)
+            check_memory_cap(self.CONFIG, 40399)
 
     def test_eval_every_doubles_the_need(self):
-        data = blob_dataset(seed=0)
-        config = build_model_config(
-            "randumb", data.descriptor, embed_dim=100, gamma=1.0, ridge=None, seed=0
-        )
-        assert check_memory_cap(config, 80800, eval_every=5) == 80800
+        assert check_memory_cap(self.CONFIG, 80800, eval_every=5) == 80800
         with pytest.raises(ConfigurationError, match="eval-every"):
-            check_memory_cap(config, 80799, eval_every=5)
+            check_memory_cap(self.CONFIG, 80799, eval_every=5)
 
 
 class TestPeakMemoryEstimate:
@@ -652,9 +626,9 @@ class TestBlockedEvaluation:
         else:
             data = blob_dataset(seed=5, dim=20, test_per_class=120)
             whole = data.test_x
-        config = build_model_config(
-            "randumb", data.descriptor, 128, gamma=1e-3, ridge=None, seed=0
-        )
+        d = data.descriptor
+        embedding = FeatureMapSpec("fourier", d.input_dim, 128, seed=0, gamma=1e-3)
+        config = ModelVariant("randumb", embedding, ridge=d.default_ridge)
         model = StreamingClassifier(config)
         spec = StreamSpec(dataset=data.descriptor, seed=1)
         for block in make_stream(spec, data.train_x, data.train_y):

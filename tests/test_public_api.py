@@ -1,11 +1,12 @@
 """The package's public surface: every exported name resolves, and the
-names the shared random-map spec and the single covariance replaced
-stay gone."""
+names the shared random-map spec, the single covariance and the one run
+function replaced stay gone."""
 
+import inspect
 from dataclasses import fields
 
 import randumb
-from randumb import classifier, fourier, streaming
+from randumb import classifier, fourier, harness, streaming
 
 
 def test_every_exported_name_resolves():
@@ -42,4 +43,16 @@ def test_one_covariance():
         assert not hasattr(streaming, gone), gone
     assert [f.name for f in fields(randumb.ModelVariant)] == [
         "variant", "embedding", "ridge", "input_dim",
+    ]
+
+
+def test_one_run_entry_point():
+    """run_on_dataset is the run: it builds the stream and the model
+    from its keywords, with no config-level steps in between."""
+    for module in (randumb, harness):
+        for gone in ("run_benchmark", "build_model_config"):
+            assert not hasattr(module, gone), (module.__name__, gone)
+    assert list(inspect.signature(randumb.run_on_dataset).parameters) == [
+        "data", "variant", "embed_dim", "gamma", "ridge", "seed", "augment",
+        "classes_per_task", "eval_every", "memory_cap_bytes",
     ]
