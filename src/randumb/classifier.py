@@ -59,15 +59,17 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class ModelVariant:
-    """Configuration of one classifier: variant name, embedding spec and
-    ridge strength.
+    """Configuration of one classifier: variant name, class count,
+    embedding spec and ridge strength.
 
-    The embedding's head must be the one ``VARIANTS`` names for the
-    variant; ``slda``/``ncm`` run on raw inputs and take ``input_dim``
-    instead.  ``ridge`` is ignored by the two inner-product variants.
+    Labels are 0..num_classes-1.  The embedding's head must be the one
+    ``VARIANTS`` names for the variant; ``slda``/``ncm`` run on raw
+    inputs and take ``input_dim`` instead.  ``ridge`` is ignored by the
+    two inner-product variants.
     """
 
     variant: str
+    num_classes: int
     embedding: FeatureMapSpec | None = None
     ridge: float = 0.0
     input_dim: int | None = None
@@ -76,6 +78,11 @@ class ModelVariant:
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}"
+            )
+        # exactly an int (no bool, no numpy scalar): the checkpoint meta is JSON
+        if type(self.num_classes) is not int or self.num_classes < 1:
+            raise ConfigurationError(
+                f"num_classes must be a positive integer, got {self.num_classes!r}"
             )
         head = VARIANTS[self.variant][0]
         given = self.embedding.head if self.embedding is not None else None
@@ -121,9 +128,8 @@ class StreamingClassifier:
     """
 
     def __init__(self, config: ModelVariant):
-        self._start(
-            config, StreamingEstimator(config.embed_dim, track_scatter=config.needs_precision)
-        )
+        estimator = StreamingEstimator(config.embed_dim, config.num_classes, config.needs_precision)
+        self._start(config, estimator)
 
     def _start(self, config: ModelVariant, estimator: StreamingEstimator) -> None:
         self.config = config
@@ -169,8 +175,10 @@ class StreamingClassifier:
         # model unfinalized rather than mixing old and new state.
         self._labels = self.precision = None
         self._lin_weights = self._lin_bias = None
+        # The labels seen, in increasing order, so ties go to the smallest.
         stats = self.estimator._arrays()
-        labels, self._means = stats["class_labels"].copy(), stats["class_means"].copy()
+        labels = np.flatnonzero(stats["class_counts"])
+        self._means = stats["class_means"][labels]
         if self.config.needs_precision:
             scatter, denom = self.estimator.packed_scatter(consume=consume)
             self.shrinkage_rho, self.shrinkage_mu = shrink_packed(
@@ -247,7 +255,7 @@ class StreamingClassifier:
         except (ConfigurationError, TypeError) as exc:
             raise DataFormatError(f"checkpoint model: {exc}") from exc
         estimator = StreamingEstimator._restore(
-            arrays, config.embed_dim, config.needs_precision
+            arrays, config.embed_dim, config.num_classes, config.needs_precision
         )
         # The classifier is built around the restored estimator, so no
         # zero accumulator is allocated beside the one just read.

@@ -101,12 +101,17 @@ def _load_config_file(
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
     actions = {action.dest: action for action in parser._actions}
-    out = {}
+    out, spelled = {}, {}
     for name, value in raw.items():
         key = name.replace("-", "_")
         key = _KEY_ALIASES.get(key, key)
         if key not in known:
             raise ConfigurationError(f"config file {path}: unknown setting {key!r}")
+        if key in spelled:
+            raise ConfigurationError(
+                f"config file {path}: keys {spelled[key]!r} and {name!r} both set {key!r}"
+            )
+        spelled[key] = name
         out[key] = _config_value(path, name, value, actions[key])
     return out
 

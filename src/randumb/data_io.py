@@ -4,7 +4,7 @@ Three file formats are handled here:
 
 * IDX (big-endian, magic 0x00000803 for u8 image tensors and 0x00000801
   for u8 label vectors), the MNIST distribution format.  Gzipped files
-  are accepted transparently.
+  are detected by their header and read the same way.
 * CIFAR binary records: 1 label byte (CIFAR-10 style) or 2 label bytes
   (CIFAR-100, coarse then fine; the fine label is read) followed by 3072
   pixel bytes laid out as row-major R, G, B planes.
@@ -99,6 +99,14 @@ class DatasetDescriptor:
                 )
             if any(s <= 0 for s in self.channel_stds):
                 raise ConfigurationError("channel stds must be positive")
+
+    @property
+    def default_gamma(self) -> float | None:
+        """The Fourier kernel width a run takes when none is given:
+        1 / (2 * input_dim) for images, whose normalized pixels have about
+        unit variance, so the kernel's exponent is about 1 between two
+        unrelated images.  Feature vectors have no such scale: None."""
+        return 1.0 / (2 * self.input_dim) if self.kind == "images" else None
 
 
 # Normalization constants are the widely published per-channel values for
@@ -619,31 +627,40 @@ def load_dataset(name: str, data_dir: str | Path) -> RawDataset:
     descriptor = replace(
         DESCRIPTORS[name], train_count=len(train[1]), test_count=len(test[1])
     )
-    # A label past the class count would be in no task of the stream.
     for split, y in (("train", train[1]), ("test", test[1])):
-        if y.max(initial=0) >= descriptor.num_classes:
-            i = int(np.argmax(y >= descriptor.num_classes))
-            raise DataFormatError(
-                f"{name} {split} label at index {i} is {y[i]}, out of range "
-                f"for {descriptor.num_classes} classes"
-            )
+        _refuse_labels_past(y, descriptor.num_classes, f"{name} {split}")
     return RawDataset(descriptor, train[0], train[1], test[0], test[1])
 
 
+def _refuse_labels_past(y: np.ndarray, num_classes: int, split: str) -> None:
+    """Raise DataFormatError naming ``split``, the first index and the label
+    when a label of ``y`` is at or above ``num_classes``: it would be in no
+    task of the stream and no row of the model."""
+    if y.max(initial=0) >= num_classes:
+        i = int(np.argmax(y >= num_classes))
+        raise DataFormatError(
+            f"{split} label at index {i} is {y[i]}, out of range for {num_classes} classes"
+        )
+
+
 def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
-    """Build a RawDataset around in-memory feature vectors."""
+    """Build a RawDataset around in-memory feature vectors.
+
+    Labels are class indices, and the train split's largest fixes the
+    class count C: a negative label raises DataError, and a test label
+    at or above C raises DataFormatError."""
     train_x = np.asarray(train_x, dtype=np.float32)
     test_x = np.asarray(test_x, dtype=np.float32)
     train_y = np.asarray(train_y, dtype=np.int64)
     test_y = np.asarray(test_y, dtype=np.int64)
     if train_x.ndim != 2 or test_x.ndim != 2 or train_x.shape[1] != test_x.shape[1]:
         raise DataError("train and test feature dimensions disagree")
-    # Labels are class indices; the stream covers classes 0..C-1 only.
     for part, y in (("train", train_y), ("test", test_y)):
         if (y < 0).any():
             i = int(np.argmax(y < 0))
             raise DataError(f"{part} label at index {i} is {y[i]}; labels must be >= 0", row=i)
-    num_classes = int(max(train_y.max(initial=0), test_y.max(initial=0))) + 1
+    num_classes = int(train_y.max(initial=0)) + 1
+    _refuse_labels_past(test_y, num_classes, f"{name} test")
     descriptor = DatasetDescriptor(
         name=name,
         kind="features",

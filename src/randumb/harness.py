@@ -202,11 +202,10 @@ class RunResult:
 
     ``state_bytes`` is the nbytes of the statistics' own arrays at the
     end of the stream (``StreamingEstimator.state_nbytes``: the packed
-    accumulator, the class means with their spare rows, the labels and
-    counts).  ``peak_rss_bytes`` is measured: the process's resident-set
-    high-water mark (``getrusage`` ``ru_maxrss``) when the run ends, which
-    also counts the interpreter, the raw data and whatever the process
-    held before the run.
+    accumulator and the C class means and counts).  ``peak_rss_bytes`` is
+    measured: the process's resident-set high-water mark (``getrusage``
+    ``ru_maxrss``) when the run ends, which also counts the interpreter,
+    the raw data and whatever the process held before the run.
     """
 
     config: dict
@@ -297,7 +296,7 @@ def run_on_dataset(
     data: RawDataset,
     variant: str = "randumb",
     embed_dim: int = 25000,
-    gamma: float = 1.0,
+    gamma: float | None = None,
     ridge: float | None = None,
     seed: int = 0,
     augment: bool | None = None,
@@ -308,8 +307,10 @@ def run_on_dataset(
     """One full pass: stream -> finalize -> evaluate the whole test set.
 
     The embedding seed is the run seed itself; the stream shuffle uses
-    seed + 1 so the two random choices never alias.  Augmentation and
-    ridge default per dataset.
+    seed + 1 so the two random choices never alias.  Augmentation,
+    ridge and the Fourier kernel width gamma default per dataset; a
+    features dataset has no default gamma, so a Fourier variant on one
+    needs it given.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize (this factors a copy of the
@@ -326,6 +327,13 @@ def run_on_dataset(
     )
     # an unknown variant gets no head here and is refused by ModelVariant
     head = VARIANTS.get(variant, (None,))[0]
+    if head == "fourier" and gamma is None:
+        gamma = descriptor.default_gamma
+        if gamma is None:
+            raise ConfigurationError(
+                f"variant {variant} on the {descriptor.kind} dataset {descriptor.name} "
+                f"has no default kernel width; set --gamma"
+            )
     embedding = None if head is None else FeatureMapSpec(
         head=head,
         input_dim=descriptor.input_dim,
@@ -335,6 +343,7 @@ def run_on_dataset(
     )
     model_config = ModelVariant(
         variant=variant,
+        num_classes=descriptor.num_classes,
         embedding=embedding,
         ridge=descriptor.default_ridge if ridge is None else ridge,
         input_dim=descriptor.input_dim if head is None else None,

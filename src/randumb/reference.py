@@ -183,7 +183,7 @@ def _check_streaming_vs_batch(rng) -> OracleReport:
         # Random block sizes from 1 up, as production streams arrive.
         cuts = np.cumsum(rng.integers(1, 64, size=n))
         bounds = [0, *cuts[cuts < n].tolist(), n]
-        est = StreamingEstimator(e)
+        est = StreamingEstimator(e, k)
         for start, stop in zip(bounds, bounds[1:]):
             est.observe(X[start:stop], y[start:stop])
         ref = batch_stats(X, y)
@@ -246,7 +246,7 @@ def _check_lda_equivalence(rng) -> OracleReport:
     )
     y = np.repeat(np.arange(k), per_class)
     model = StreamingClassifier(
-        ModelVariant(variant="slda", ridge=1e-3, input_dim=e)
+        ModelVariant(variant="slda", num_classes=k, ridge=1e-3, input_dim=e)
     )
     model.observe(X, y)
     model.finalize()
@@ -286,7 +286,9 @@ def _check_finalize_upper(rng) -> OracleReport:
         X, tests = X_all[:, :e], tests_all[:, :e]
         means = batch_stats(X, y).means
         for handoff in ("consume", "copy", "restored"):
-            model = StreamingClassifier(ModelVariant(variant="slda", ridge=ridge, input_dim=e))
+            model = StreamingClassifier(
+                ModelVariant(variant="slda", num_classes=k, ridge=ridge, input_dim=e)
+            )
             model.observe(X, y)
             cov = model.estimator.covariance()
             if handoff == "restored":

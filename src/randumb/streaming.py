@@ -22,10 +22,9 @@ update.
 
 No sample outlives its block: state is the scatter's upper triangle
 plus one float64 mean vector and a count per class, so memory is
-O(E^2 + C*E) no matter how long the stream runs.  The per-class rows
-keep spare capacity that doubles when full, so a new label is written
-in place (an append, in class-incremental order) rather than copying
-every mean.
+O(E^2 + C*E) no matter how long the stream runs.  The C class rows are
+allocated up front and label c is row c; a count of 0 marks a class not
+seen yet.
 
 The triangle is one float64 vector of E (E + 1) / 2 entries in LAPACK's
 rectangular full packed (RFP) format, half the bytes of a square
@@ -86,16 +85,15 @@ def _merge(mean: np.ndarray, count: int, rows: np.ndarray):
     return count * m / (count + m), delta
 
 
-def _stored(arrays: dict, name: str, shape: tuple[int, ...] | None) -> np.ndarray:
+def _stored(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """The checkpoint array ``name``, checked against the ``shape`` the
-    model implies (None: any one-dimensional length)."""
+    model implies."""
     if name not in arrays:
         raise DataFormatError(f"checkpoint has no {name!r} array")
     arr = np.asarray(arrays[name])
-    if arr.shape != shape and not (shape is None and arr.ndim == 1):
+    if arr.shape != shape:
         raise DataFormatError(
-            f"checkpoint array {name!r} has shape {list(arr.shape)}, expected "
-            f"{list(shape) if shape is not None else '[C]'}"
+            f"checkpoint array {name!r} has shape {list(arr.shape)}, expected {list(shape)}"
         )
     return arr
 
@@ -107,21 +105,21 @@ class StreamingEstimator:
     ----------
     embed_dim : size E of the incoming embedded vectors; each is
         centred on its own class mean (the LDA covariance).
+    num_classes : the class count C; labels are 0..C-1, and label c is
+        row c of the counts and means.
     track_scatter : set False for mean-only classifiers to skip the
         scatter accumulator entirely.
     """
 
-    def __init__(self, embed_dim: int, track_scatter: bool = True):
+    def __init__(self, embed_dim: int, num_classes: int, track_scatter: bool = True):
         if embed_dim < 1:
             raise ConfigurationError(f"embed_dim must be >= 1, got {embed_dim}")
+        if num_classes < 1:
+            raise ConfigurationError(f"num_classes must be >= 1, got {num_classes}")
         self.embed_dim = embed_dim
         self.track_scatter = track_scatter
-        # One row per class seen, in increasing label order: the first
-        # _num rows of each array; the rest is spare capacity.
-        self._num = 0
-        self._labels = np.zeros(0, dtype=np.int64)
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._means = np.zeros((0, embed_dim), dtype=np.float64)
+        self._counts = np.zeros(num_classes, dtype=np.int64)
+        self._means = np.zeros((num_classes, embed_dim), dtype=np.float64)
         self._scatter = (
             np.zeros(packed_size(embed_dim), dtype=np.float64)
             if track_scatter
@@ -136,8 +134,8 @@ class StreamingEstimator:
 
         ``phi`` is one embedding of length E with one label, or a block
         of shape (m, E) with m labels.  A block is validated whole before
-        any state changes; a non-finite row raises a DataError whose
-        ``row`` is that row's index in the block.
+        any state changes; a non-finite row, or a label outside 0..C-1,
+        raises a DataError whose ``row`` is that row's index in the block.
         """
         if self._consumed:
             raise ModelStateError(
@@ -163,6 +161,12 @@ class StreamingEstimator:
                 "embedded sample contains non-finite values",
                 row=int(np.argmin(np.isfinite(phi).all(axis=1))),
             )
+        outside = (labels < 0) | (labels >= len(self._counts))
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise DataError(
+                f"label {labels[row]} is outside 0..{len(self._counts) - 1}", row=row
+            )
         m = phi.shape[0]
         if m == 0:
             return
@@ -172,24 +176,20 @@ class StreamingEstimator:
         labels = labels[order]
         cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         starts, stops = [0, *cuts], [*cuts, m]
-        block_labels = labels[starts]
-        self._insert(np.setdiff1d(block_labels, self._labels[: self._num], assume_unique=True))
-        # The sorted rows are scattered straight into z, whose spare rows
+        # The sorted rows are scattered straight into z, whose last rows
         # hold the mean-shift terms.
         z = np.empty((m + len(starts), self.embed_dim), dtype=np.float64)
         rows = z[:m]
         rows[np.argsort(order)] = phi
 
         stacked = m  # rows of z filled so far
-        for i, start, stop in zip(
-            np.searchsorted(self._labels[: self._num], block_labels).tolist(), starts, stops
-        ):
-            count = int(self._counts[i])
-            coef, delta = _merge(self._means[i], count, rows[start:stop])
+        for c, start, stop in zip(labels[starts].tolist(), starts, stops):
+            count = int(self._counts[c])
+            coef, delta = _merge(self._means[c], count, rows[start:stop])
             if count > 0:
                 np.multiply(delta, np.sqrt(coef), out=z[stacked])
                 stacked += 1
-            self._counts[i] += stop - start
+            self._counts[c] += stop - start
 
         if not self.track_scatter:
             return
@@ -200,58 +200,24 @@ class StreamingEstimator:
             trans="N", overwrite_c=1, **RFP,
         )
 
-    def _insert(self, new: np.ndarray) -> None:
-        """Give each label in ``new`` (sorted, none seen before) a zero row
-        at its place in label order.  Rows after it shift within the
-        arrays, which ``_grow`` reallocates when full."""
-        c, k = self._num, len(new)
-        if k == 0:
-            return
-        if c + k > len(self._labels):
-            self._grow(c + k)
-        at = np.searchsorted(self._labels[:c], new).tolist()
-        e = self.embed_dim
-        # The flat view moves overlapping rows without a temporary.
-        flat = self._means.reshape(-1)
-        # From the last new label back, the rows after it move up by the
-        # number of new labels before them, then its own row is zeroed.
-        for j in range(k - 1, -1, -1):
-            lo, hi, to = at[j], (at[j + 1] if j + 1 < k else c), at[j] + j
-            self._labels[lo + j + 1 : hi + j + 1] = self._labels[lo:hi]
-            self._counts[lo + j + 1 : hi + j + 1] = self._counts[lo:hi]
-            flat[(lo + j + 1) * e : (hi + j + 1) * e] = flat[lo * e : hi * e]
-            self._labels[to], self._counts[to] = new[j], 0
-            self._means[to] = 0.0
-        self._num = c + k
-
-    def _grow(self, rows: int) -> None:
-        """Reallocate the class rows to hold ``rows`` classes, keeping the
-        ``_num`` rows in use.  The capacity is the next power of two, so
-        it doubles when full and depends only on the class count, not on
-        how the stream was cut or whether it was checkpointed."""
-        c, capacity = self._num, 1 << (rows - 1).bit_length() if rows else 0
-        for name in ("_labels", "_counts", "_means"):
-            old = getattr(self, name)
-            grown = np.zeros((capacity, *old.shape[1:]), dtype=old.dtype)
-            grown[:c] = old[:c]
-            setattr(self, name, grown)
-
     # -- snapshots ----------------------------------------------------------
 
     @property
     def total_count(self) -> int:
-        return int(self._counts[: self._num].sum())
+        return int(self._counts.sum())
 
     @property
     def classes_seen(self) -> list[int]:
-        return self._labels[: self._num].tolist()
+        return np.flatnonzero(self._counts).tolist()
 
     def class_means(self) -> dict[int, np.ndarray]:
         """Snapshot of every per-class mean, keyed by observed labels only."""
-        return dict(zip(self.classes_seen, self._means[: self._num].copy()))
+        seen = self.classes_seen
+        return dict(zip(seen, self._means[seen]))
 
     def class_counts(self) -> dict[int, int]:
-        return dict(zip(self.classes_seen, self._counts[: self._num].tolist()))
+        seen = self.classes_seen
+        return dict(zip(seen, self._counts[seen].tolist()))
 
     def scatter(self) -> np.ndarray:
         """The pooled sum of squared deviations, as a full symmetric matrix."""
@@ -293,9 +259,9 @@ class StreamingEstimator:
         return n - 1
 
     def state_nbytes(self) -> int:
-        """Bytes held by the statistics, spare class rows included; constant
-        once all classes are seen."""
-        arrays = (self._labels, self._counts, self._means, self._scatter)
+        """Bytes held by the statistics: the C counts and mean rows and the
+        packed accumulator, constant from construction on."""
+        arrays = (self._counts, self._means, self._scatter)
         return sum(a.nbytes for a in arrays if a is not None)
 
     def _require_scatter(self) -> None:
@@ -307,14 +273,9 @@ class StreamingEstimator:
     # -- checkpointing ------------------------------------------------------
 
     def _arrays(self) -> dict[str, np.ndarray]:
-        """The statistics as a checkpoint stores them: views of the arrays
-        themselves (the classes seen, without spare rows), not copies."""
-        c = self._num
-        arrays = {
-            "class_labels": self._labels[:c],
-            "class_counts": self._counts[:c],
-            "class_means": self._means[:c],
-        }
+        """The statistics as a checkpoint stores them: the arrays
+        themselves, not copies."""
+        arrays = {"class_counts": self._counts, "class_means": self._means}
         if self.track_scatter:
             self._require_scatter()
             arrays["scatter"] = self._scatter
@@ -322,48 +283,36 @@ class StreamingEstimator:
 
     @classmethod
     def _restore(
-        cls, arrays: dict, embed_dim: int, track_scatter: bool
+        cls, arrays: dict, embed_dim: int, num_classes: int, track_scatter: bool
     ) -> "StreamingEstimator":
-        """Rebuild an estimator around checkpoint ``arrays``.  The packed
-        scatter is adopted without a copy; the class rows are copied into
-        the capacity the stream would have grown them to.  A missing or
-        misshapen array, one the settings do not use, labels or counts
-        that are not integers, labels that are not strictly increasing or
-        a count below 1 raise DataFormatError naming the array."""
+        """Rebuild an estimator around checkpoint ``arrays``, adopted
+        without a copy.  A missing or misshapen array, one the settings do
+        not use, counts that are not integers or a negative count raise
+        DataFormatError naming the array."""
         # Built without an accumulator: the stored one is adopted below
         # rather than allocated a second time.
-        est = cls(embed_dim, track_scatter=False)
+        est = cls(embed_dim, num_classes, track_scatter=False)
         est.track_scatter = track_scatter
-        labels = _stored(arrays, "class_labels", None)
-        c = len(labels)
         shapes = {
-            "class_counts": (c,),
-            "class_means": (c, embed_dim),
+            "class_counts": (num_classes,),
+            "class_means": (num_classes, embed_dim),
             **({"scatter": (packed_size(embed_dim),)} if track_scatter else {}),
         }
-        unused = sorted(set(arrays) - {"class_labels", *shapes})
+        unused = sorted(set(arrays) - set(shapes))
         if unused:
             raise DataFormatError(
                 f"checkpoint has a {unused[0]!r} array that its model does not use"
             )
         stored = {name: _stored(arrays, name, shape) for name, shape in shapes.items()}
         counts = stored["class_counts"]
-        for name, arr in (("class_labels", labels), ("class_counts", counts)):
-            if arr.dtype.kind not in "iu":
-                raise DataFormatError(
-                    f"checkpoint array {name!r} has dtype {arr.dtype}, expected integers"
-                )
-        if (np.diff(labels) <= 0).any():
+        if counts.dtype.kind not in "iu":
             raise DataFormatError(
-                "checkpoint array 'class_labels' repeats a label or is out of order"
+                f"checkpoint array 'class_counts' has dtype {counts.dtype}, expected integers"
             )
-        if (counts < 1).any():
-            raise DataFormatError("checkpoint array 'class_counts' holds a count below 1")
-        est._grow(c)
-        est._num = c
-        est._labels[:c] = labels
-        est._counts[:c] = counts
-        est._means[:c] = stored["class_means"]
+        if (counts < 0).any():
+            raise DataFormatError("checkpoint array 'class_counts' holds a negative count")
+        est._counts = counts.astype(np.int64, copy=False)
+        est._means = stored["class_means"].astype(np.float64, copy=False)
         if track_scatter:
             est._scatter = stored["scatter"].astype(np.float64, copy=False)
         return est

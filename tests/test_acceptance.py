@@ -60,10 +60,10 @@ class TestPropertyGates:
             X = rng.standard_normal((n, e))
             y = rng.integers(0, k, size=n)
             perm = rng.permutation(n)
-            est = StreamingEstimator(e)
+            est = StreamingEstimator(e, k)
             for x, c in zip(X, y):
                 est.observe(x, int(c))
-            est_perm = StreamingEstimator(e)
+            est_perm = StreamingEstimator(e, k)
             for i in perm:
                 est_perm.observe(X[i], int(y[i]))
 
@@ -162,7 +162,7 @@ class TestPropertyGates:
 
         ridge = 1e-4
         model = StreamingClassifier(
-            ModelVariant(variant="slda", input_dim=d, ridge=ridge)
+            ModelVariant(variant="slda", num_classes=k, input_dim=d, ridge=ridge)
         )
         for x, c in zip(X, y):
             model.observe(x, int(c))
@@ -242,7 +242,9 @@ class TestContractGates:
         5% of the packed 4*E*(E+1)-byte accumulator on top of it."""
         e = 2048
         rng = np.random.default_rng(24)
-        model = StreamingClassifier(ModelVariant(variant="slda", ridge=1e-4, input_dim=e))
+        model = StreamingClassifier(
+            ModelVariant(variant="slda", num_classes=10, ridge=1e-4, input_dim=e)
+        )
         for start in range(0, 600, 256):
             X = rng.standard_normal((min(256, 600 - start), e))
             model.observe(X, np.arange(start, start + len(X)) % 10)
@@ -262,7 +264,7 @@ class TestContractGates:
         X = rng.standard_normal((n, e)).astype(np.float32)
         y = (np.arange(n) % k).astype(np.int64)
 
-        est = StreamingEstimator(e)
+        est = StreamingEstimator(e, k)
         sizes = []
         for i in range(n):
             est.observe(X[i], int(y[i]))
@@ -271,7 +273,7 @@ class TestContractGates:
         assert len(set(sizes)) == 1, f"state grew: {sizes}"
 
         # A 200-step stream over the same classes holds the same bytes.
-        short = StreamingEstimator(e)
+        short = StreamingEstimator(e, k)
         for i in range(200):
             short.observe(X[i], int(y[i]))
         assert short.state_nbytes() == sizes[-1]

@@ -33,18 +33,26 @@ from randumb.reference import (
 )
 
 
+# The class count of the models here: every test labels its samples below it.
+CLASSES = 10
+
+
 def fourier_config(variant="randumb", input_dim=6, num_bases=32, gamma=0.5,
-                   seed=11, ridge=1e-4, **kw):
+                   seed=11, ridge=1e-4, num_classes=CLASSES, **kw):
     spec = FeatureMapSpec("fourier", input_dim, 2 * num_bases, seed, gamma=gamma)
-    return ModelVariant(variant=variant, embedding=spec, ridge=ridge, **kw)
+    return ModelVariant(
+        variant=variant, num_classes=num_classes, embedding=spec, ridge=ridge, **kw
+    )
 
 
 def relu_spec(input_dim, embed_dim, seed):
     return FeatureMapSpec("relu", input_dim, embed_dim, seed)
 
 
-def raw_config(variant="slda", input_dim=6, ridge=1e-4, **kw):
-    return ModelVariant(variant=variant, input_dim=input_dim, ridge=ridge, **kw)
+def raw_config(variant="slda", input_dim=6, ridge=1e-4, num_classes=CLASSES, **kw):
+    return ModelVariant(
+        variant=variant, num_classes=num_classes, input_dim=input_dim, ridge=ridge, **kw
+    )
 
 
 def fit(config, X, y, consume=False):
@@ -58,38 +66,39 @@ def fit(config, X, y, consume=False):
 class TestModelVariantValidation:
     def test_unknown_variant(self):
         with pytest.raises(ConfigurationError, match="unknown variant"):
-            ModelVariant(variant="svm", input_dim=4)
+            ModelVariant(variant="svm", num_classes=CLASSES, input_dim=4)
 
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm"])
     def test_fourier_variants_need_fourier_spec(self, variant):
         with pytest.raises(ConfigurationError, match="'fourier' embedding"):
-            ModelVariant(variant=variant, input_dim=4)
+            ModelVariant(variant=variant, num_classes=CLASSES, input_dim=4)
         with pytest.raises(ConfigurationError, match="'fourier' embedding"):
-            ModelVariant(variant=variant, embedding=relu_spec(4, 8, 0))
+            ModelVariant(variant=variant, num_classes=CLASSES, embedding=relu_spec(4, 8, 0))
 
     def test_rp_relu_needs_rp_spec(self):
         with pytest.raises(ConfigurationError, match="'relu' embedding"):
             ModelVariant(
                 variant="rp_relu",
+                num_classes=CLASSES,
                 embedding=FeatureMapSpec("fourier", 4, 8, 0, gamma=1.0),
             )
         with pytest.raises(ConfigurationError, match="'relu' embedding"):
-            ModelVariant(variant="rp_relu", input_dim=4)
+            ModelVariant(variant="rp_relu", num_classes=CLASSES, input_dim=4)
 
     @pytest.mark.parametrize("variant", ["slda", "ncm"])
     def test_raw_variants_forbid_embedding(self, variant):
         spec = FeatureMapSpec("fourier", 4, 8, 0, gamma=1.0)
         with pytest.raises(ConfigurationError, match="raw inputs"):
-            ModelVariant(variant=variant, embedding=spec, input_dim=4)
+            ModelVariant(variant=variant, num_classes=CLASSES, embedding=spec, input_dim=4)
         with pytest.raises(ConfigurationError, match="input_dim"):
-            ModelVariant(variant=variant)
+            ModelVariant(variant=variant, num_classes=CLASSES)
 
     def test_input_dim_must_match_embedding(self):
         spec = FeatureMapSpec("fourier", 4, 8, 0, gamma=1.0)
         with pytest.raises(ConfigurationError, match="contradicts"):
-            ModelVariant(variant="randumb", embedding=spec, input_dim=5)
+            ModelVariant(variant="randumb", num_classes=CLASSES, embedding=spec, input_dim=5)
         # Matching value is allowed.
-        cfg = ModelVariant(variant="randumb", embedding=spec, input_dim=4)
+        cfg = ModelVariant(variant="randumb", num_classes=CLASSES, embedding=spec, input_dim=4)
         assert cfg.raw_input_dim == 4
         assert cfg.embed_dim == 8
 
@@ -101,7 +110,7 @@ class TestModelVariantValidation:
     def test_needs_precision_flags(self):
         assert fourier_config("randumb").needs_precision
         assert raw_config("slda").needs_precision
-        rp = ModelVariant(variant="rp_relu", embedding=relu_spec(4, 8, 0))
+        rp = ModelVariant(variant="rp_relu", num_classes=CLASSES, embedding=relu_spec(4, 8, 0))
         assert rp.needs_precision
         assert not fourier_config("kernel_ncm").needs_precision
         assert not raw_config("ncm").needs_precision
@@ -209,7 +218,7 @@ class TestDecisionRule:
 
     def test_tie_breaks_to_smallest_label_maximizing(self):
         model = StreamingClassifier(
-            ModelVariant(variant="ncm", input_dim=3)
+            ModelVariant(variant="ncm", num_classes=CLASSES, input_dim=3)
         )
         shared = np.array([1.0, 0.0, 2.0])
         model.observe(shared, 6)
@@ -283,6 +292,7 @@ class TestBatchAgreement:
         elif variant == "rp_relu":
             config = ModelVariant(
                 variant="rp_relu",
+                num_classes=CLASSES,
                 embedding=relu_spec(6, 24, 2),
                 ridge=1e-4,
             )
@@ -308,7 +318,9 @@ class TestBatchAgreement:
         through both scoring products (means and discriminant weights)."""
         rng = np.random.default_rng(17)
         X, y = gaussian_blobs(rng, num_classes=10, dim=spec.input_dim, per_class=30)
-        model = StreamingClassifier(ModelVariant(variant, embedding=spec, ridge=1e-4))
+        model = StreamingClassifier(
+            ModelVariant(variant, num_classes=CLASSES, embedding=spec, ridge=1e-4)
+        )
         for start in range(0, len(y), BLOCK_ROWS):
             model.observe(X[start : start + BLOCK_ROWS], y[start : start + BLOCK_ROWS])
         model.finalize(consume=True)
@@ -555,12 +567,15 @@ class TestOrderInvariance:
             T = rng.standard_normal((400, d)) * 3.0
             if variant in ("randumb", "kernel_ncm"):
                 config = fourier_config(
-                    variant, input_dim=d, num_bases=8, gamma=0.3, seed=trial, ridge=1e-3
+                    variant, input_dim=d, num_bases=8, gamma=0.3, seed=trial, ridge=1e-3,
+                    num_classes=100,
                 )
             elif variant == "rp_relu":
-                config = ModelVariant(variant, embedding=relu_spec(d, 16, trial), ridge=1e-3)
+                config = ModelVariant(
+                    variant, num_classes=100, embedding=relu_spec(d, 16, trial), ridge=1e-3
+                )
             else:
-                config = raw_config(variant, input_dim=d, ridge=1e-3)
+                config = raw_config(variant, input_dim=d, ridge=1e-3, num_classes=100)
             first = self.feed(config, X, y, rng)
             second = self.feed(config, X2, y2, rng)
             scores = np.sort(self.discriminant(first, T), axis=1)
@@ -593,6 +608,7 @@ class TestEndToEnd:
         elif variant == "rp_relu":
             config = ModelVariant(
                 variant="rp_relu",
+                num_classes=CLASSES,
                 embedding=relu_spec(10, 256, 2),
                 ridge=1e-4,
             )
@@ -613,6 +629,7 @@ class TestCheckpointing:
         elif variant == "rp_relu":
             config = ModelVariant(
                 variant="rp_relu",
+                num_classes=CLASSES,
                 embedding=relu_spec(5, 20, 4),
                 ridge=1e-4,
             )
@@ -702,7 +719,7 @@ class TestCheckpointing:
                                         seed=trial)
             elif variant == "rp_relu":
                 spec = relu_spec(d, int(rng.integers(1, 30)), trial)
-                config = ModelVariant(variant, embedding=spec, ridge=1e-4)
+                config = ModelVariant(variant, num_classes=CLASSES, embedding=spec, ridge=1e-4)
             else:
                 config = raw_config(variant, input_dim=d)
             y = rng.integers(0, k, size=n)
@@ -760,12 +777,13 @@ class TestCheckpointMeta:
     @pytest.mark.parametrize(
         "field",
         [
-            "variant", "ridge", "input_dim", "embedding", "model", "seed",
+            "variant", "num_classes", "ridge", "input_dim", "embedding", "model", "seed",
         ],
     )
     def test_missing_field_rejected(self, tmp_path, field):
         """Including 'model' itself: a checkpoint in the layout before the
-        config was stored whole has none."""
+        config was stored whole has none, and 'num_classes': one in the
+        layout before the class rows were indexed by label has none."""
         def drop(meta):
             owner = {"model": meta, "seed": meta["model"]["embedding"]}
             owner.get(field, meta["model"]).pop(field)
@@ -803,15 +821,17 @@ class TestCheckpointMeta:
         """The size is stored once, in the config; the arrays' shapes must
         agree with it."""
         if variant == "randumb":
-            config = fourier_config(input_dim=5, num_bases=16)
+            config = fourier_config(input_dim=5, num_bases=16, num_classes=3)
             edit = lambda m: m["model"]["embedding"].update(embed_dim=8)  # noqa: E731
             found, expected = [3, 32], [3, 8]
         elif variant == "rp_relu":
-            config = ModelVariant(variant="rp_relu", embedding=relu_spec(5, 20, 4))
+            config = ModelVariant(
+                variant="rp_relu", num_classes=3, embedding=relu_spec(5, 20, 4)
+            )
             edit = lambda m: m["model"]["embedding"].update(embed_dim=21)  # noqa: E731
             found, expected = [3, 20], [3, 21]
         else:
-            config = raw_config(input_dim=5)
+            config = raw_config(input_dim=5, num_classes=3)
             edit = lambda m: m["model"].update(input_dim=4)  # noqa: E731
             found, expected = [3, 5], [3, 4]
         path = self.tampered(tmp_path, config, edit)
@@ -819,6 +839,25 @@ class TestCheckpointMeta:
             path,
             re.escape(f"'class_means' has shape {found}, expected {expected}"),
         )
+
+    @pytest.mark.parametrize("num_classes", [0, 2.5, True, "3"])
+    def test_invalid_class_count_rejected(self, tmp_path, num_classes):
+        path = self.tampered(
+            tmp_path,
+            raw_config(input_dim=5),
+            lambda m: m["model"].update(num_classes=num_classes),
+        )
+        assert_refused(path, "num_classes must be a positive integer")
+
+    def test_class_count_disagreeing_with_the_rows_rejected(self, tmp_path):
+        """Label c is row c: a class count the arrays do not have is refused
+        at load, naming the first array whose rows disagree."""
+        path = self.tampered(
+            tmp_path,
+            raw_config(input_dim=5, num_classes=3),
+            lambda m: m["model"].update(num_classes=4),
+        )
+        assert_refused(path, re.escape("'class_counts' has shape [3], expected [4]"))
 
     @pytest.mark.parametrize(
         "config,variant",

@@ -222,6 +222,26 @@ class TestConfigFile:
         assert code == 2
         assert f"setting {key!r} must be {expected}, got {json.dumps(value)}" in err
 
+    @pytest.mark.parametrize(
+        "first,second,setting",
+        [
+            (("lambda", 0.5), ("ridge", 1e-4), "ridge"),
+            (("eval_every", 8), ("eval-every-k", 16), "eval_every"),
+            (("embed-dim", 32), ("embed_dim", 64), "embed_dim"),
+        ],
+    )
+    def test_one_setting_under_two_spellings_rejected(
+        self, capsys, feature_dir, tmp_path, first, second, setting
+    ):
+        """Which spelling won used to depend on the keys' order in the file."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "dataset": "features", "data-dir": str(feature_dir), **dict([first, second]),
+        }))
+        code, _, err = run_cli(capsys, "run", "--config", str(config), *BASE)
+        assert code == 2
+        assert f"keys {first[0]!r} and {second[0]!r} both set {setting!r}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/does/not/exist.json")
         assert code == 2
@@ -244,7 +264,7 @@ class TestExitCodes:
     def test_odd_embed_dim(self, capsys, feature_dir):
         code, _, err = run_cli(
             capsys, "run", "--dataset", "features", "--data-dir", str(feature_dir),
-            "--variant", "randumb", "--embed-dim", "63",
+            "--variant", "randumb", "--embed-dim", "63", "--gamma", "0.5",
         )
         assert code == 2
         assert "even" in err

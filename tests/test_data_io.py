@@ -711,6 +711,33 @@ class TestDatasetDiscovery:
             )
 
     @pytest.mark.parametrize("part", ["train", "test"])
+    def test_features_class_count_comes_from_the_train_split(self, tmp_path, part):
+        """Train labels 0..3: a 5 in the train split makes six classes; a 5
+        in the test split is refused (exit 3) naming the split, the first
+        offending index and the label, read from disk or from memory."""
+        rng = np.random.default_rng(8)
+        y = {"train": np.arange(40) % 4, "test": np.arange(12) % 4}
+        y[part][[6, 9]] = 5
+        x = {"train": rng.standard_normal((40, 3)), "test": rng.standard_normal((12, 3))}
+        d = tmp_path / "features"
+        d.mkdir()
+        for split in ("train", "test"):
+            write_feature_file(d / f"{split}.rdfb", x[split].astype(np.float32), y[split])
+        if part == "train":
+            assert load_dataset("features", tmp_path).descriptor.num_classes == 6
+            return
+        for load in (
+            lambda: load_dataset("features", tmp_path),
+            lambda: dataset_from_features(x["train"], y["train"], x["test"], y["test"]),
+        ):
+            with pytest.raises(
+                DataFormatError,
+                match="features test label at index 6 is 5, out of range for 4 classes",
+            ) as info:
+                load()
+            assert info.value.exit_code == 3
+
+    @pytest.mark.parametrize("part", ["train", "test"])
     def test_dataset_from_features_refuses_negative_labels(self, part):
         """Such rows would drop out of the stream without a word, leaving
         fewer samples observed than the echoed train_count."""

@@ -281,8 +281,8 @@ class TestRunBenchmark:
         assert set(result.per_class_accuracy) == set(range(5))
         assert 0.0 <= result.shrinkage_rho <= 1.0
         assert result.log_det is not None
-        # the packed 4*E*(E+1)-byte accumulator at E=128 alone
-        assert result.state_bytes >= 4 * 128 * 129
+        # 5 counts, 5 mean rows and the packed 4*E*(E+1)-byte accumulator
+        assert result.state_bytes == 8 * 5 + 8 * 5 * 128 + 4 * 128 * 129
 
     def test_bit_for_bit_repeatable(self):
         data = blob_dataset(seed=2)
@@ -455,6 +455,29 @@ class TestRunBenchmark:
                 augment=True,
             )
 
+    def test_label_past_the_class_rows_names_its_step(self, monkeypatch):
+        """The loaders refuse such labels, so one is injected into the
+        labels of one step: the model has no row for it."""
+        data = blob_dataset(seed=6, num_classes=3)
+        step = 100
+        original = StreamingEstimator.observe
+        seen = []
+
+        def relabeled(self, phi, labels):
+            start = sum(seen)
+            seen.append(len(phi))
+            if start <= step < start + len(phi):
+                labels = np.array(labels)
+                labels[step - start] = 3
+            return original(self, phi, labels)
+
+        monkeypatch.setattr(StreamingEstimator, "observe", relabeled)
+        with pytest.raises(
+            DataError,
+            match=rf"stream step {step} \(class \d+, original\): label 3 is outside 0..2",
+        ):
+            run_on_dataset(data, variant="slda", seed=0)
+
     def test_one_pass_check_raises(self, monkeypatch):
         # A model that folds in a row twice breaks the one-pass contract;
         # the check is a raised error, so it also holds under python -O.
@@ -520,8 +543,57 @@ class TestConfigEcho:
         assert echo["feature_seed"] == 4
 
 
+def prototype_images(name, seed, train_per_class, test_per_class, noise=64.0):
+    """Images shaped as dataset ``name``'s: one smooth random prototype per
+    class (fixed across seeds) plus pixel noise drawn from ``seed``."""
+    base = DESCRIPTORS[name]
+    shape, c = base.image_shape, base.num_classes
+    coarse = np.random.default_rng(0).standard_normal((c, *shape[:-2], 4, 4))
+    prototypes = 128 + 48 * np.kron(coarse, np.ones((shape[-2] // 4, shape[-1] // 4)))
+    rng = np.random.default_rng(seed)
+
+    def draw(per_class):
+        y = np.repeat(np.arange(c), per_class)
+        x = prototypes[y] + noise * rng.standard_normal((len(y), *shape))
+        return np.clip(x, 0, 255).astype(np.uint8), y
+
+    train, test = draw(train_per_class), draw(test_per_class)
+    descriptor = replace(base, train_count=len(train[1]), test_count=len(test[1]))
+    return RawDataset(descriptor, *train, *test)
+
+
+class TestDefaultGamma:
+    def test_images_default_to_half_the_inverse_input_dim(self):
+        assert DESCRIPTORS["mnist"].default_gamma == 1 / (2 * 784)
+        assert DESCRIPTORS["cifar100"].default_gamma == 1 / (2 * 3072)
+        assert blob_dataset().descriptor.default_gamma is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name,train,test", [("mnist", 20, 20), ("cifar100", 10, 3)])
+    def test_default_width_learns_images(self, name, train, test, seed):
+        """The width that used to be the default, 1.0, scores at chance:
+        its kernel is about 0 between any two images."""
+        data = prototype_images(name, seed, train, test)
+        settings = dict(variant="randumb", embed_dim=512, seed=seed)
+        result = run_on_dataset(data, **settings)
+        assert result.config["gamma"] == data.descriptor.default_gamma
+        assert result.average_accuracy >= 0.9
+        chance = 1 / data.descriptor.num_classes
+        assert run_on_dataset(data, gamma=1.0, **settings).average_accuracy < 2 * chance
+
+    @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm"])
+    def test_fourier_variant_on_features_needs_gamma(self, variant):
+        data = blob_dataset(seed=8)
+        with pytest.raises(ConfigurationError, match="set --gamma"):
+            run_on_dataset(data, variant=variant, embed_dim=32, seed=0)
+        for other in ("rp_relu", "slda", "ncm"):
+            assert run_on_dataset(data, variant=other, embed_dim=32, seed=0).config["gamma"] is None
+
+
 class TestCheckMemoryCap:
-    CONFIG = ModelVariant("randumb", FeatureMapSpec("fourier", 8, 100, seed=0, gamma=1.0))
+    CONFIG = ModelVariant(
+        "randumb", num_classes=4, embedding=FeatureMapSpec("fourier", 8, 100, seed=0, gamma=1.0)
+    )
 
     def test_byte_arithmetic(self):
         # the packed upper triangle: 100 * 101 / 2 float64 entries
@@ -628,7 +700,9 @@ class TestBlockedEvaluation:
             whole = data.test_x
         d = data.descriptor
         embedding = FeatureMapSpec("fourier", d.input_dim, 128, seed=0, gamma=1e-3)
-        config = ModelVariant("randumb", embedding, ridge=d.default_ridge)
+        config = ModelVariant(
+            "randumb", num_classes=d.num_classes, embedding=embedding, ridge=d.default_ridge
+        )
         model = StreamingClassifier(config)
         spec = StreamSpec(dataset=data.descriptor, seed=1)
         for block in make_stream(spec, data.train_x, data.train_y):

@@ -42,7 +42,7 @@ def test_one_covariance():
     for gone in ("MODES", "MODE_POOLED", "MODE_GLOBAL"):
         assert not hasattr(streaming, gone), gone
     assert [f.name for f in fields(randumb.ModelVariant)] == [
-        "variant", "embedding", "ridge", "input_dim",
+        "variant", "num_classes", "embedding", "ridge", "input_dim",
     ]
 
 

@@ -1,7 +1,6 @@
 """Streaming estimator: exactness against batch statistics, order
 invariance, memory behavior, and its state through a checkpoint."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -29,10 +28,15 @@ def feed(est, X, y):
     return est
 
 
-def raw_model(e):
+# The class count of the estimators here: every test labels its samples
+# below it, unless it passes its own.
+CLASSES = 10
+
+
+def raw_model(e, classes=CLASSES):
     """A classifier on raw inputs: its state is exactly one estimator
     plus a ridge, and checkpoints are the classifier's."""
-    return StreamingClassifier(ModelVariant("slda", input_dim=e, ridge=1e-4))
+    return StreamingClassifier(ModelVariant("slda", num_classes=classes, input_dim=e, ridge=1e-4))
 
 
 def reload(model, path):
@@ -43,7 +47,7 @@ def reload(model, path):
 
 class TestSingleSamples:
     def test_first_sample_sets_mean_and_zero_scatter(self):
-        est = StreamingEstimator(4)
+        est = StreamingEstimator(4, CLASSES)
         phi = np.array([1.0, -2.0, 0.5, 3.0])
         est.observe(phi, 0)
         np.testing.assert_array_equal(est.class_means()[0], phi)
@@ -51,7 +55,7 @@ class TestSingleSamples:
         assert not est.scatter().any()
 
     def test_identical_samples_leave_scatter_zero(self):
-        est = StreamingEstimator(3)
+        est = StreamingEstimator(3, CLASSES)
         phi = np.array([0.25, 0.5, -1.0])
         est.observe(phi, 2)
         est.observe(phi, 2)
@@ -61,13 +65,13 @@ class TestSingleSamples:
     def test_two_point_covariance_closed_form(self):
         v = np.array([1.0, 4.0])
         w = np.array([3.0, 0.0])
-        est = feed(StreamingEstimator(2), [v, w], [0, 0])
+        est = feed(StreamingEstimator(2, CLASSES), [v, w], [0, 0])
         np.testing.assert_allclose(
             est.covariance(), 0.5 * np.outer(v - w, v - w), atol=1e-12
         )
 
     def test_key_set_tracks_observed_labels_only(self):
-        est = StreamingEstimator(2)
+        est = StreamingEstimator(2, CLASSES)
         est.observe(np.ones(2), 3)
         est.observe(np.zeros(2), 7)
         assert set(est.class_means()) == {3, 7}
@@ -81,7 +85,7 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((500, 16))
         y = rng.integers(0, 5, size=500)
-        est = feed(StreamingEstimator(16), X, y)
+        est = feed(StreamingEstimator(16, CLASSES), X, y)
         ref = batch_stats(X, y)
         scale = np.abs(ref.scatter).max()
         assert np.abs(est.scatter() - ref.scatter).max() / scale < 1e-10
@@ -92,7 +96,7 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(12)
         X = rng.standard_normal((1000, 8))
         y = np.repeat(np.arange(10), 100)
-        est = feed(StreamingEstimator(8), X, y)
+        est = feed(StreamingEstimator(8, CLASSES), X, y)
         ref = batch_stats(X, y)
         for label, mean in est.class_means().items():
             np.testing.assert_allclose(mean, ref.means[label], rtol=1e-12)
@@ -101,15 +105,15 @@ class TestBatchEquivalence:
         rng = np.random.default_rng(13)
         X = rng.standard_normal((300, 6))
         y = rng.integers(0, 3, size=300)
-        fwd = feed(StreamingEstimator(6), X, y).covariance()
-        rev = feed(StreamingEstimator(6), X[::-1], y[::-1]).covariance()
+        fwd = feed(StreamingEstimator(6, CLASSES), X, y).covariance()
+        rev = feed(StreamingEstimator(6, CLASSES), X[::-1], y[::-1]).covariance()
         assert np.abs(fwd - rev).max() / np.abs(fwd).max() < 1e-10
 
     def test_iid_standard_normal_covariance_near_identity(self):
         rng = np.random.default_rng(14)
         X = rng.standard_normal((10_000, 8))
         y = np.zeros(10_000, dtype=int)
-        est = feed(StreamingEstimator(8), X, y)
+        est = feed(StreamingEstimator(8, CLASSES), X, y)
         assert np.abs(est.covariance() - np.eye(8)).max() < 0.1
 
 
@@ -117,7 +121,7 @@ class TestNumericalShape:
     def test_scatter_is_exactly_symmetric(self):
         rng = np.random.default_rng(16)
         est = feed(
-            StreamingEstimator(7),
+            StreamingEstimator(7, CLASSES),
             rng.standard_normal((120, 7)),
             rng.integers(0, 3, size=120),
         )
@@ -127,7 +131,7 @@ class TestNumericalShape:
     def test_covariance_positive_semidefinite(self):
         rng = np.random.default_rng(17)
         est = feed(
-            StreamingEstimator(10),
+            StreamingEstimator(10, CLASSES),
             rng.standard_normal((200, 10)),
             rng.integers(0, 6, size=200),
         )
@@ -135,14 +139,14 @@ class TestNumericalShape:
         assert eigs.min() >= -1e-8 * eigs.max()
 
     def test_dimension_and_finiteness_checks(self):
-        est = StreamingEstimator(3)
+        est = StreamingEstimator(3, CLASSES)
         with pytest.raises(ShapeError):
             est.observe(np.zeros(4), 0)
         with pytest.raises(DataError):
             est.observe(np.array([1.0, np.inf, 0.0]), 0)
 
     def test_insufficient_data_errors(self):
-        est = StreamingEstimator(3)
+        est = StreamingEstimator(3, CLASSES)
         with pytest.raises(InsufficientDataError):
             est.covariance()
         est.observe(np.ones(3), 0)
@@ -155,12 +159,12 @@ class TestNumericalShape:
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
-            StreamingEstimator(0)
+            StreamingEstimator(0, CLASSES)
         # one covariance: no centering mode, no (n - C) normalizer
         with pytest.raises(TypeError):
-            StreamingEstimator(4, mode="global")
+            StreamingEstimator(4, CLASSES, mode="global")
         with pytest.raises(TypeError):
-            StreamingEstimator(4, pooled_unbiased=True)
+            StreamingEstimator(4, CLASSES, pooled_unbiased=True)
 
 
 class TestMemoryContract:
@@ -168,7 +172,7 @@ class TestMemoryContract:
         """State is one E x E accumulator plus C mean vectors: growing
         the stream 100x does not grow the state."""
         rng = np.random.default_rng(18)
-        est = StreamingEstimator(12)
+        est = StreamingEstimator(12, CLASSES)
         for i in range(50):
             est.observe(rng.standard_normal(12), i % 5)
         size_warm = est.state_nbytes()
@@ -186,7 +190,7 @@ class TestMemoryContract:
         for e in (4, 5):
             X = rng.standard_normal((40, e))
             y = rng.integers(0, 2, size=40)
-            spend = feed(StreamingEstimator(e), X, y)
+            spend = feed(StreamingEstimator(e, CLASSES), X, y)
             expected = spend.scatter()
             buffer = spend._scatter
             copied, denom = spend.packed_scatter()
@@ -203,8 +207,8 @@ class TestMemoryContract:
                 spend.packed_scatter()
 
     def test_mean_only_mode_has_no_scatter(self):
-        est = StreamingEstimator(4, track_scatter=False)
-        full = StreamingEstimator(4)
+        est = StreamingEstimator(4, CLASSES, track_scatter=False)
+        full = StreamingEstimator(4, CLASSES)
         for model in (est, full):
             model.observe(np.ones(4), 0)
             model.observe(np.zeros(4), 1)
@@ -216,30 +220,29 @@ class TestMemoryContract:
 
 
 class TestClassRows:
-    """Per-class rows live in spare capacity that doubles when full; a new
-    label shifts the rows after it in place."""
+    """Label c is row c of the C class rows, allocated at construction; a
+    count of 0 marks a class not seen yet."""
 
-    def test_class_order_reallocates_logarithmically(self):
-        e = 16
+    @pytest.mark.parametrize("track_scatter", [True, False])
+    def test_state_nbytes_fixed_at_construction(self, track_scatter):
+        """8 C bytes of counts and 8 C E of means, plus the 4 E (E + 1) of
+        the packed accumulator when it is kept: the same before the first
+        observe, after the last and after a checkpoint round trip."""
+        e, c = 6, 7
+        want = 8 * c + 8 * c * e + (4 * e * (e + 1) if track_scatter else 0)
+        est = StreamingEstimator(e, c, track_scatter=track_scatter)
+        assert est.state_nbytes() == want
         rng = np.random.default_rng(30)
-        est = StreamingEstimator(e, track_scatter=False)
-        buffers = [est._means]
-        for c in range(100):
-            est.observe(rng.standard_normal((3, e)), [c] * 3)
-            if est._means is not buffers[-1]:
-                buffers.append(est._means)
-        assert len(buffers) - 1 <= math.ceil(math.log2(100)) + 1
-        assert est.classes_seen == list(range(100))
-        # state_nbytes counts the spare rows: capacity 128
-        assert est.state_nbytes() == 128 * (8 + 8 + 8 * e)
-        assert {name: len(a) for name, a in est._arrays().items()} == {
-            "class_labels": 100, "class_counts": 100, "class_means": 100,
-        }
+        for labels in ([3], [6, 0, 0], list(range(c)) * 5):
+            est.observe(rng.standard_normal((len(labels), e)), labels)
+            assert est.state_nbytes() == want
+        model = raw_model(e, c)
+        model.observe(rng.standard_normal((20, e)), np.arange(20) % c)
+        assert model.estimator.state_nbytes() == 8 * c + 8 * c * e + 4 * e * (e + 1)
 
-    def test_rows_shifted_in_place_keep_every_statistic_bitwise(self, tmp_path):
-        """New labels arrive out of order, several per block, across
-        reallocations; each class's mean is the merge rule's arithmetic
-        on its own rows, bit for bit, wherever its row was moved."""
+    def test_each_row_keeps_its_class_statistics_bitwise(self, tmp_path):
+        """New labels arrive out of order, several per block; each class's
+        mean is the merge rule's arithmetic on its own rows, bit for bit."""
         e = 6
         rng = np.random.default_rng(31)
         model = raw_model(e)
@@ -262,13 +265,27 @@ class TestClassRows:
         for name, stored in est._arrays().items():
             assert back._arrays()[name].tobytes() == stored.tobytes()
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_label_outside_the_rows_names_its_row_and_leaves_state(self, bad):
+        est = StreamingEstimator(3, 4)
+        est.observe(np.ones((2, 3)), [0, 1])
+        before = est.scatter()
+        with pytest.raises(DataError, match=f"label {bad} is outside 0..3") as info:
+            est.observe(np.zeros((4, 3)), [1, 3, bad, 0])
+        assert info.value.row == 2
+        assert est.class_counts() == {0: 1, 1: 1}
+        np.testing.assert_array_equal(est.scatter(), before)
+        with pytest.raises(DataError) as info:
+            est.observe(np.zeros(3), bad)
+        assert info.value.row == 0
+
     def test_observe_allocates_the_stack_and_a_few_vectors(self):
         """A float32 block is scattered straight into the float64 stack
         of the rank-k update: no float32 sorted copy, no held mean-shift
         vectors."""
         e, m, c = 1024, 256, 10
         rng = np.random.default_rng(32)
-        est = StreamingEstimator(e)
+        est = StreamingEstimator(e, CLASSES)
         est.observe(rng.standard_normal((c, e)).astype(np.float32), np.arange(c))
         block = rng.standard_normal((m, e)).astype(np.float32)
         _, peak = traced_peak(est.observe, block, rng.integers(0, c, size=m))
@@ -282,13 +299,12 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("classes", [1, 2, 3, 4, 5, 8, 9, 17])
     def test_round_trip_preserves_every_statistic(self, tmp_path, classes):
-        """Also the spare class rows: a load restores the capacity the
-        stream grew (the next power of two), so 5 classes keep 8 rows as
-        4 keep 4, and rows added after the load grow alike."""
+        """The checkpoint holds the C rows as they are, and a load adopts
+        them: rows seen after the load fold in as in the saved estimator."""
         rng = np.random.default_rng([20, classes])
         X = rng.standard_normal((150, 6))
         y = rng.permutation(np.arange(150) % classes)
-        model = raw_model(6)
+        model = raw_model(6, classes + 2)
         est = feed(model.estimator, X, y)
         back = reload(model, tmp_path / "estimator.rdck")
         assert back.total_count == est.total_count
@@ -296,28 +312,50 @@ class TestCheckpoint:
         assert back.classes_seen == est.classes_seen == list(range(classes))
         np.testing.assert_array_equal(back.covariance(), est.covariance())
         assert back.state_nbytes() == est.state_nbytes()
-        assert len(back._means) == len(est._means) == 1 << (classes - 1).bit_length()
         for name, stored in est._arrays().items():
             assert back._arrays()[name].dtype == stored.dtype
             np.testing.assert_array_equal(back._arrays()[name], stored)
         new = [classes, classes + 1]
-        back.observe(rng.standard_normal((2, 6)), new)
-        est.observe(rng.standard_normal((2, 6)), new)
-        assert back.state_nbytes() == est.state_nbytes()
+        x = rng.standard_normal((2, 6))
+        back.observe(x, new)
+        est.observe(x, new)
+        for name, stored in est._arrays().items():
+            np.testing.assert_array_equal(back._arrays()[name], stored)
 
     def test_round_trip_of_an_empty_stream(self, tmp_path):
-        """No class seen: no rows, none spare, and the first rows after
-        the load grow as a fresh estimator's do."""
+        """No class seen: every count 0, every mean row zero, and the
+        first rows after the load fold in as a fresh estimator's do."""
         model = raw_model(6)
         back = reload(model, tmp_path / "empty.rdck")
         assert back.total_count == 0 and back.classes_seen == []
-        assert len(back._means) == 0
+        assert not back._counts.any() and not back._means.any()
         assert back.state_nbytes() == model.estimator.state_nbytes()
         x = np.arange(12.0).reshape(2, 6)
         for est in (back, model.estimator):
             est.observe(x, [3, 7])
-        assert back.state_nbytes() == model.estimator.state_nbytes()
         np.testing.assert_array_equal(back.scatter(), model.estimator.scatter())
+        np.testing.assert_array_equal(back._means, model.estimator._means)
+
+    def test_unseen_middle_class_round_trips_bitwise_and_is_never_predicted(self, tmp_path):
+        """Classes 0 and 2 of 3 seen: the checkpoint keeps class 1's zero
+        row and count bit for bit, and the model never predicts it."""
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((40, 5)) + np.repeat([[3.0], [-3.0]], 20, axis=0)
+        y = np.repeat([0, 2], 20)
+        model = raw_model(5, 3)
+        model.observe(X, y)
+        back = reload(model, tmp_path / "gap.rdck")
+        assert back.class_counts() == {0: 20, 2: 20}
+        assert back._counts[1] == 0 and not back._means[1].any()
+        for name, stored in model.estimator._arrays().items():
+            assert back._arrays()[name].tobytes() == stored.tobytes()
+        loaded = StreamingClassifier.load(tmp_path / "gap.rdck")
+        T = rng.standard_normal((500, 5)) * 4.0
+        for m in (model, loaded):
+            m.finalize()
+        predicted = model.predict_batch(T)
+        assert set(predicted.tolist()) == {0, 2}
+        np.testing.assert_array_equal(loaded.predict_batch(T), predicted)
 
     def test_resume_matches_uninterrupted_run_bitwise(self, tmp_path):
         """Saving mid-stream and resuming replays the identical float
@@ -325,7 +363,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(21)
         X = rng.standard_normal((80, 5))
         y = rng.integers(0, 3, size=80)
-        whole = feed(StreamingEstimator(5), X, y)
+        whole = feed(StreamingEstimator(5, CLASSES), X, y)
 
         first = raw_model(5)
         feed(first.estimator, X[:37], y[:37])
@@ -372,7 +410,7 @@ class TestCheckpoint:
         array, instead of at the next observe."""
         name, bad, expected, found = self.MISMATCHES[case]
         rng = np.random.default_rng(24)
-        model = raw_model(6)
+        model = raw_model(6, 3)
         model.observe(rng.standard_normal((30, 6)), np.arange(30) % 3)
         path = tmp_path / "bad.rdck"
         model.save(path)
@@ -389,7 +427,7 @@ class TestCheckpoint:
     def tampered(tmp_path, edit):
         """A saved three-class model whose (meta, arrays) ``edit`` changed."""
         X = np.eye(4)[[0, 1, 2, 3, 0, 1]]
-        model = raw_model(4)
+        model = raw_model(4, 3)
         feed(model.estimator, X, [0, 1, 2, 0, 1, 2])
         path = tmp_path / "tampered.rdck"
         model.save(path)
@@ -434,38 +472,30 @@ class TestCheckpoint:
 
         assert_refused(self.tampered(tmp_path, add), "'grand_mean' array that its model")
 
-    def test_repeated_class_label_rejected(self, tmp_path):
-        def repeat(meta, arrays):
-            arrays["class_labels"] = np.array([0, 1, 1], dtype=np.int64)
-
-        assert_refused(self.tampered(tmp_path, repeat), "'class_labels' repeats")
-
-    def test_labels_out_of_order_rejected(self, tmp_path):
-        """Rows are kept in increasing label order; a row swap would
-        otherwise pair each label with another class's mean and count."""
-        def swap(meta, arrays):
-            arrays["class_labels"] = np.array([0, 2, 1], dtype=np.int64)
-
-        assert_refused(self.tampered(tmp_path, swap), "'class_labels' .* is out of order")
-
-    @pytest.mark.parametrize(
-        "name,values",
-        [("class_labels", [0.25, 1.75, 2.0]), ("class_counts", [10.9, 10.2, 2.0])],
-    )
-    def test_float_labels_or_counts_rejected(self, tmp_path, name, values):
+    def test_float_counts_rejected(self, tmp_path):
         """The manifest allows <f8 for any array; restoring into the integer
-        rows would truncate 0.25 to label 0 and 10.9 to a count of 10."""
+        rows would truncate a count of 10.9 to 10."""
         def to_float(meta, arrays):
-            arrays[name] = np.array(values, dtype=np.float64)
+            arrays["class_counts"] = np.array([10.9, 10.2, 2.0], dtype=np.float64)
 
         path = self.tampered(tmp_path, to_float)
-        assert_refused(path, f"{name!r} has dtype float64, expected integers")
+        assert_refused(path, "'class_counts' has dtype float64, expected integers")
 
-    def test_count_below_one_rejected(self, tmp_path):
-        def zero(meta, arrays):
-            arrays["class_counts"] = np.array([2, 0, 2], dtype=np.int64)
+    def test_negative_count_rejected(self, tmp_path):
+        def negative(meta, arrays):
+            arrays["class_counts"] = np.array([2, -1, 2], dtype=np.int64)
 
-        assert_refused(self.tampered(tmp_path, zero), "'class_counts' holds a count below 1")
+        assert_refused(self.tampered(tmp_path, negative), "'class_counts' holds a negative count")
+
+    def test_label_ordered_checkpoint_rejected(self, tmp_path):
+        """A checkpoint from before the class rows were indexed by label: its
+        meta has no class count, and a 'class_labels' array lists the
+        classes seen."""
+        def old_layout(meta, arrays):
+            meta["model"].pop("num_classes")
+            arrays["class_labels"] = np.array([0, 1, 2], dtype=np.int64)
+
+        assert_refused(self.tampered(tmp_path, old_layout), "no 'num_classes' field")
 
 
 def feed_blocks(est, X, y, cuts):
@@ -501,8 +531,8 @@ class TestBlocked:
             if order == "class_incremental":
                 y = np.sort(y)
             cuts = fixed_cuts(n, size or n)
-            blocked = feed_blocks(StreamingEstimator(e), X, y, cuts)
-            single = feed(StreamingEstimator(e), X, y)
+            blocked = feed_blocks(StreamingEstimator(e, k), X, y, cuts)
+            single = feed(StreamingEstimator(e, k), X, y)
             ref = batch_stats(X, y)
             expected = ref.covariance
             scale = np.abs(expected).max()
@@ -532,8 +562,8 @@ class TestBlocked:
                 y = np.sort(y)
             perm = rng.permutation(n)
             cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 12), replace=False))
-            a = feed_blocks(StreamingEstimator(e), X, y, cuts)
-            b = feed_blocks(StreamingEstimator(e), X[perm], y[perm], cuts[::2])
+            a = feed_blocks(StreamingEstimator(e, CLASSES), X, y, cuts)
+            b = feed_blocks(StreamingEstimator(e, CLASSES), X[perm], y[perm], cuts[::2])
             ref = batch_stats(X, y)
             scale = np.abs(ref.scatter).max()
             for est in (a, b):
@@ -543,7 +573,7 @@ class TestBlocked:
         rng = np.random.default_rng(32)
         X = rng.standard_normal((300, 6)).astype(np.float32)
         y = rng.integers(0, 4, size=300)
-        est = feed_blocks(StreamingEstimator(6, track_scatter=False), X, y, [5, 100, 299])
+        est = feed_blocks(StreamingEstimator(6, CLASSES, track_scatter=False), X, y, [5, 100, 299])
         ref = batch_stats(X, y)
         for label, mean in est.class_means().items():
             np.testing.assert_allclose(mean, ref.means[label], rtol=1e-10, atol=1e-12)
@@ -553,7 +583,7 @@ class TestBlocked:
         X = rng.standard_normal((200, 7))
         y = rng.integers(0, 4, size=200)
         cuts = fixed_cuts(200, 13)
-        whole = feed_blocks(StreamingEstimator(7), X, y, cuts)
+        whole = feed_blocks(StreamingEstimator(7, CLASSES), X, y, cuts)
         stop = 13 * 8
         first = raw_model(7)
         feed_blocks(first.estimator, X[:stop], y[:stop], cuts[:7])
@@ -580,7 +610,7 @@ class TestBlocked:
             bounds = [0, *cuts, n]
             stop = bounds[int(rng.integers(1, len(bounds)))]
 
-            whole = feed_blocks(StreamingEstimator(e), X, y, cuts)
+            whole = feed_blocks(StreamingEstimator(e, CLASSES), X, y, cuts)
             first = raw_model(e)
             feed_blocks(first.estimator, X[:stop], y[:stop], [c for c in cuts if c < stop])
             rest = [c - stop for c in cuts if c > stop]
@@ -595,7 +625,7 @@ class TestBlocked:
 
     def test_bad_row_names_its_index_and_leaves_state(self):
         rng = np.random.default_rng(34)
-        est = StreamingEstimator(3)
+        est = StreamingEstimator(3, CLASSES)
         est.observe(rng.standard_normal((4, 3)), [0, 1, 0, 1])
         before = est.scatter()
         block = rng.standard_normal((5, 3))
@@ -607,7 +637,7 @@ class TestBlocked:
         np.testing.assert_array_equal(est.scatter(), before)
 
     def test_block_shape_checks(self):
-        est = StreamingEstimator(3)
+        est = StreamingEstimator(3, CLASSES)
         with pytest.raises(ShapeError, match="labels"):
             est.observe(np.zeros((4, 3)), [0, 1, 2])
         with pytest.raises(ShapeError):
