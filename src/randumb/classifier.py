@@ -13,13 +13,15 @@ Variants:
 * ``rp_relu``    relu(Wx) random-projection embedding with the full
                  Mahalanobis rule.
 
-Mahalanobis variants take the argmin of the squared distance
-(phi - mean_i)^T A^{-1} (phi - mean_i), A = shrunk + ridge I, evaluated
-as the argmax of the linear discriminant w_i . phi + b_i with
-w_i = A^{-1} mean_i and b_i = -1/2 mean_i . w_i (the common
-phi^T A^{-1} phi term cancels); the weights come from one Cholesky
-solve per finalize.  The inner-product variants take the argmax of
-phi . mean_i.  Ties break toward the smallest class label.
+Every variant predicts the argmax over labels c of the linear
+discriminant phi . w_c + b_c, with one column w_c and one bias b_c per
+class row.  For the Mahalanobis variants w_c = A^{-1} mean_c and
+b_c = -1/2 mean_c . w_c, A = shrunk + ridge I: the argmin of the squared
+distance (phi - mean_c)^T A^{-1} (phi - mean_c), whose common
+phi^T A^{-1} phi term cancels, with the weights from one Cholesky solve
+per finalize.  For the inner-product variants w_c = mean_c and b_c = 0.
+A class not seen yet has b_c = -inf and is never predicted.  Ties break
+toward the smallest class label.
 """
 
 from __future__ import annotations
@@ -41,11 +43,6 @@ from .errors import (
 from .fourier import FeatureMapSpec, RandomReluMap, build_map
 from .precision import PrecisionModel, shrink_packed
 from .streaming import StreamingEstimator
-
-# Rows per block: the stream is cut, and test sets are scored, this many
-# rows at a time.  The cut positions are part of the bitwise-resume
-# contract, and 256 rows sit at the knee of the packed rank-k update.
-BLOCK_ROWS = 256
 
 # variant -> (random-map head, or None on raw inputs; Mahalanobis rule?)
 VARIANTS = {
@@ -91,9 +88,11 @@ class ModelVariant:
             raise ConfigurationError(
                 f"variant {self.variant} runs on {want}; got head {given!r}"
             )
-        if head is None and (self.input_dim is None or self.input_dim < 1):
+        if head is None and self.input_dim is None:
+            raise ConfigurationError(f"variant {self.variant} needs a positive input_dim")
+        if self.input_dim is not None and (type(self.input_dim) is not int or self.input_dim < 1):
             raise ConfigurationError(
-                f"variant {self.variant} needs a positive input_dim"
+                f"input_dim must be a positive integer, got {self.input_dim!r}"
             )
         if self.embedding is not None and self.input_dim is not None:
             if self.input_dim != self.embedding.input_dim:
@@ -135,17 +134,16 @@ class StreamingClassifier:
         self.config = config
         self.feature_map = build_map(config.embedding) if config.embedding else None
         self.estimator = estimator
-        self._labels: np.ndarray | None = None
-        self._means: np.ndarray | None = None
-        self.precision = None
-        self._lin_weights = None
-        self._lin_bias = None
-        self.shrinkage_rho: float | None = None
-        self.shrinkage_mu: float | None = None
+        self._reset()
+
+    def _reset(self) -> None:
+        """Drop the finalized rule (W, b) and its diagnostics."""
+        self._weights = self._bias = self.log_det = None
+        self.shrinkage_rho = self.shrinkage_mu = None
 
     @property
     def finalized(self) -> bool:
-        return self._labels is not None
+        return self._weights is not None
 
     def _embed(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -159,37 +157,35 @@ class StreamingClassifier:
         self.estimator.observe(self._embed(x_raw), labels)
 
     def finalize(self, consume: bool = False) -> None:
-        """Snapshot the class means and (for Mahalanobis variants)
-        shrink + ridge + factorize the covariance.
+        """Snapshot the discriminant of the C class rows (module
+        docstring); for Mahalanobis variants, shrink + ridge + factorize
+        the covariance and solve against it once.
 
         Shrinkage and factorization work in place on the estimator's
         packed upper triangle of the scatter.  consume=True hands that
         vector over without any copy, so nothing quadratic is allocated;
         the estimator is spent afterwards.  consume=False works on one
-        copy.
+        copy.  Either way the factor is freed before finalize returns.
         """
         if self.estimator.total_count == 0:
             raise EmptyModelError("no samples observed; nothing to finalize")
-        # Drop the previous snapshot first, so its packed factor is freed
-        # before the next one is built and a failed finalize leaves the
-        # model unfinalized rather than mixing old and new state.
-        self._labels = self.precision = None
-        self._lin_weights = self._lin_bias = None
-        # The labels seen, in increasing order, so ties go to the smallest.
-        stats = self.estimator._arrays()
-        labels = np.flatnonzero(stats["class_counts"])
-        self._means = stats["class_means"][labels]
+        # Drop the previous snapshot first, so a failed finalize leaves
+        # the model unfinalized rather than mixing old and new state.
+        self._reset()
+        counts, means = self.estimator.class_rows()
         if self.config.needs_precision:
             scatter, denom = self.estimator.packed_scatter(consume=consume)
-            self.shrinkage_rho, self.shrinkage_mu = shrink_packed(
-                scatter, self.estimator.total_count, denom
-            )
-            self.precision = PrecisionModel(scatter, self.config.ridge)
-            # The rule's linear form (module docstring).
-            weights = self.precision.solve(self._means.T)
-            self._lin_weights = weights
-            self._lin_bias = -0.5 * np.einsum("ec,ec->c", self._means.T, weights)
-        self._labels = labels
+            rho, mu = shrink_packed(scatter, self.estimator.total_count, denom)
+            precision = PrecisionModel(scatter, self.config.ridge)
+            weights = precision.solve(means.T)
+            bias = -0.5 * np.einsum("ec,ec->c", means.T, weights)
+            self.shrinkage_rho, self.shrinkage_mu, self.log_det = rho, mu, precision.log_det
+        else:
+            # a copy, so that later observations leave the snapshot as it is
+            weights = means.T.copy(order="F")
+            bias = np.zeros(len(means))
+        bias[counts == 0] = -np.inf
+        self._weights, self._bias = weights, bias
 
     def _require_finalized(self) -> None:
         if not self.finalized:
@@ -198,9 +194,9 @@ class StreamingClassifier:
             raise ModelStateError("call finalize() before scoring")
 
     def predict_batch(self, X_raw: np.ndarray) -> np.ndarray:
-        """Labels for rows of raw inputs, embedded and scored BLOCK_ROWS
-        rows at a time.  Mahalanobis variants rank by the linear
-        discriminant (module docstring)."""
+        """Labels for rows of raw inputs, embedded in one block as handed
+        in (the caller bounds it) and ranked by the linear discriminant
+        (module docstring)."""
         self._require_finalized()
         X_raw = np.asarray(X_raw)
         if X_raw.ndim != 2 or X_raw.shape[1] != self.config.raw_input_dim:
@@ -208,22 +204,11 @@ class StreamingClassifier:
                 f"expected (n, {self.config.raw_input_dim}) inputs, "
                 f"got shape {X_raw.shape}"
             )
-        n = X_raw.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for start in range(0, n, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n)
-            # Rebinding phi before the cast frees the previous block's rows.
-            phi = self._embed(X_raw[start:stop])
-            phi = phi.astype(np.float64, copy=False)
-            # phi A as (A^T phi^T)^T in scipy's BLAS, A the discriminant
-            # weights (E x C, F-order) or the means' transpose: every
-            # operand is an F-contiguous view, so f2py copies nothing.
-            if self.config.needs_precision:
-                scores = dgemm(1.0, self._lin_weights, phi.T, trans_a=1).T + self._lin_bias
-            else:
-                scores = dgemm(1.0, self._means.T, phi.T, trans_a=1).T
-            out[start:stop] = self._labels[np.argmax(scores, axis=1)]
-        return out
+        phi = self._embed(X_raw).astype(np.float64, copy=False)
+        # phi W as (W^T phi^T)^T in scipy's BLAS: W (E x C) and phi^T are
+        # F-contiguous views, so f2py copies nothing.
+        scores = dgemm(1.0, self._weights, phi.T, trans_a=1).T + self._bias
+        return np.argmax(scores, axis=1)
 
     # -- checkpointing ------------------------------------------------------
 

@@ -310,6 +310,7 @@ def write_feature_file(
         )
     if not np.isfinite(vectors).all():
         raise DataError("feature vectors contain non-finite values")
+    _refuse_fractional_labels(labels, str(path))
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= 2**32:
         raise DataError("labels must fit in an unsigned 32-bit integer")
     n, dim = vectors.shape
@@ -643,22 +644,37 @@ def _refuse_labels_past(y: np.ndarray, num_classes: int, split: str) -> None:
         )
 
 
+def _refuse_fractional_labels(y: np.ndarray, split: str) -> None:
+    """Raise DataError naming ``split``, the first index and the label when
+    a label of ``y`` is not a finite whole number: the cast to integer
+    labels would truncate it without a word."""
+    if y.dtype.kind == "f":
+        bad = ~(np.isfinite(y) & (y == np.trunc(y)))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(
+                f"{split} label at index {i} is {y[i]}; labels must be whole numbers", row=i
+            )
+
+
 def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
     """Build a RawDataset around in-memory feature vectors.
 
     Labels are class indices, and the train split's largest fixes the
-    class count C: a negative label raises DataError, and a test label
-    at or above C raises DataFormatError."""
+    class count C: a negative or fractional label raises DataError, and a
+    test label at or above C raises DataFormatError."""
     train_x = np.asarray(train_x, dtype=np.float32)
     test_x = np.asarray(test_x, dtype=np.float32)
-    train_y = np.asarray(train_y, dtype=np.int64)
-    test_y = np.asarray(test_y, dtype=np.int64)
     if train_x.ndim != 2 or test_x.ndim != 2 or train_x.shape[1] != test_x.shape[1]:
         raise DataError("train and test feature dimensions disagree")
-    for part, y in (("train", train_y), ("test", test_y)):
+    labels = []
+    for part, y in (("train", np.asarray(train_y)), ("test", np.asarray(test_y))):
+        _refuse_fractional_labels(y, part)
         if (y < 0).any():
             i = int(np.argmax(y < 0))
             raise DataError(f"{part} label at index {i} is {y[i]}; labels must be >= 0", row=i)
+        labels.append(y.astype(np.int64, copy=False))
+    train_y, test_y = labels
     num_classes = int(train_y.max(initial=0)) + 1
     _refuse_labels_past(test_y, num_classes, f"{name} test")
     descriptor = DatasetDescriptor(

@@ -15,7 +15,7 @@ fixed nonlinearity.
 Embeddings are float32.  The same spec always yields the same matrix,
 which is what makes whole runs bit-reproducible.  A map embeds exactly
 the rows it is handed, in one projection; callers cut their inputs into
-blocks (``classifier.BLOCK_ROWS``) to bound the projection temporary.
+blocks (``harness.BLOCK_ROWS``) to bound the projection temporary.
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ class FeatureMapSpec:
     def __post_init__(self):
         if self.head not in HEADS:
             raise ConfigurationError(f"head must be one of {HEADS}, got {self.head!r}")
+        # exactly an int (no bool, float or numpy scalar): the checkpoint meta is JSON
+        for name in ("input_dim", "embed_dim", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
         if self.input_dim < 1:
             raise ConfigurationError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.head == "fourier":

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .classifier import BLOCK_ROWS, ModelVariant, StreamingClassifier, VARIANTS
+from .classifier import ModelVariant, StreamingClassifier, VARIANTS
 from .data_io import (
     ORIGIN_FLIPPED,
     ORIGIN_ORIGINAL,
@@ -38,6 +38,12 @@ from .errors import (
 from .fourier import GENERATOR_NAME, FeatureMapSpec
 
 DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
+
+# Rows per block: the stream is cut, and the test split is scored, this
+# many rows at a time; nothing else cuts rows.  The cut positions are part
+# of the bitwise-resume contract, and 256 rows sit at the knee of the
+# packed rank-k update.
+BLOCK_ROWS = 256
 
 # Bytes per unit of getrusage's ru_maxrss: KiB on Linux, bytes on macOS.
 _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
@@ -270,24 +276,29 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
 def check_memory_cap(
     model_config: ModelVariant, cap_bytes: int, eval_every: int = 0
 ) -> int:
-    """Refuse covariance-tracking runs whose packed triangles exceed the cap.
+    """Refuse runs whose statistics exceed the cap, before any of them is
+    allocated; returns the bytes they need.
 
-    A run holds the float64 accumulator, the 4*E*(E+1) bytes of the
-    scatter's upper triangle; with eval_every > 0 each snapshot factors a
-    copy of it as well, so it holds two.
+    Every run holds the C class rows, a float64 mean and an int64 count
+    each: 8*C*(E+1) bytes.  A covariance-tracking run also holds the
+    float64 accumulator, the 4*E*(E+1) bytes of the scatter's upper
+    triangle; with eval_every > 0 each snapshot factors a copy of it as
+    well, so it holds two.
     """
-    if not model_config.needs_precision:
-        return 0
-    e = model_config.embed_dim
-    copies = 2 if eval_every > 0 else 1
-    needed = copies * 4 * e * (e + 1)
+    c, e = model_config.num_classes, model_config.embed_dim
+    rows = 8 * c * (e + 1)
+    copies = (2 if eval_every > 0 else 1) if model_config.needs_precision else 0
+    needed = rows + copies * 4 * e * (e + 1)
     if needed > cap_bytes:
-        snapshot = " and the copy each --eval-every-k snapshot factors"
+        what = f"8*C*(E+1) = {rows} for the class rows"
+        if copies:
+            what += f" and {copies} x 4*E*(E+1) = {needed - rows} for the float64 accumulator"
+        if copies == 2:
+            what += " and the copy each --eval-every-k snapshot factors"
         raise ConfigurationError(
-            f"state dimension {e} needs {copies} x 4*E*(E+1) = {needed} bytes for "
-            f"the float64 covariance accumulator{snapshot if copies == 2 else ''}, "
-            f"above the configured cap of {cap_bytes} bytes; lower the "
-            f"embedding size or raise the cap"
+            f"{c} classes at state dimension {e} need {needed} bytes ({what}), above "
+            f"the configured cap of {cap_bytes} bytes; lower the embedding size or "
+            f"the largest label, or raise the cap"
         )
     return needed
 
@@ -385,7 +396,6 @@ def run_on_dataset(
     )
     elapsed = time.perf_counter() - started
 
-    pm = model.precision
     return RunResult(
         config=_config_echo(stream_spec, model_config, eval_every),
         per_class_accuracy=per_class,
@@ -397,7 +407,7 @@ def run_on_dataset(
         observe_count=steps,
         shrinkage_rho=model.shrinkage_rho,
         shrinkage_mu=model.shrinkage_mu,
-        log_det=pm.log_det if pm is not None else None,
+        log_det=model.log_det,
         intermediate=intermediate,
     )
 

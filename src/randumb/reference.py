@@ -304,7 +304,7 @@ def _check_finalize_upper(rng) -> OracleReport:
                 worst,
                 abs(model.shrinkage_rho - rho),
                 abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
-                abs(model.precision.log_det - log_det) / max(abs(log_det), 1.0),
+                abs(model.log_det - log_det) / max(abs(log_det), 1.0),
                 float(np.mean(model.predict_batch(tests) != oracle)),
             )
     return OracleReport("finalize_upper_matches_reference", worst, 1e-10)

@@ -210,6 +210,10 @@ class StreamingEstimator:
     def classes_seen(self) -> list[int]:
         return np.flatnonzero(self._counts).tolist()
 
+    def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The C counts and the C x E mean rows, as held: row c is label c."""
+        return self._counts, self._means
+
     def class_means(self) -> dict[int, np.ndarray]:
         """Snapshot of every per-class mean, keyed by observed labels only."""
         seen = self.classes_seen

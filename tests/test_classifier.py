@@ -22,9 +22,9 @@ from randumb import (
     StreamingClassifier,
     oas_shrink,
 )
-from randumb.classifier import BLOCK_ROWS
+from randumb.harness import BLOCK_ROWS
 from randumb.data_io import read_checkpoint, write_checkpoint
-from randumb.precision import pack_upper
+from randumb.precision import pack_upper, packed_size
 from randumb.reference import (
     batch_lda_predict,
     batch_mahalanobis_predict,
@@ -173,6 +173,23 @@ class TestRPSpec:
             )
 
 
+def precision_of(model):
+    """A factor of the model's shrunk + ridged covariance, built apart
+    from finalize from the estimator's full covariance (so before any
+    consuming finalize)."""
+    est = model.estimator
+    shrunk = oas_shrink(est.covariance(), est.total_count).shrunk
+    return PrecisionModel(pack_upper(shrunk), model.config.ridge)
+
+
+def seen_means(model):
+    """(labels, means): the classes seen so far, in increasing order, and
+    their mean rows."""
+    means = model.estimator.class_means()
+    labels = np.array(sorted(means))
+    return labels, np.stack([means[c] for c in labels])
+
+
 def squared_distances(precision, phi, means):
     """(n, C) squared distances (phi_k - mean_j)^T A^{-1} (phi_k - mean_j),
     each through one solve against the model's factor."""
@@ -193,7 +210,7 @@ class TestDecisionRule:
         for i, x in enumerate(X):
             model.observe(x, i)
         model.finalize()
-        dist = squared_distances(model.precision, X, model._means)
+        dist = squared_distances(precision_of(model), X, seen_means(model)[1])
         np.testing.assert_array_equal(np.diagonal(dist), 0.0)
         np.testing.assert_array_equal(model.predict_batch(X), np.arange(4))
 
@@ -246,11 +263,12 @@ class TestDecisionRule:
             model = fit(config, X, y)
             phi = T if model.feature_map is None else model.feature_map.embed_batch(T)
             phi = phi.astype(np.float64)
+            labels, means = seen_means(model)
             if config.needs_precision:
-                pick = np.argmin(squared_distances(model.precision, phi, model._means), axis=1)
+                pick = np.argmin(squared_distances(precision_of(model), phi, means), axis=1)
             else:
-                pick = np.argmax(phi @ model._means.T, axis=1)
-            np.testing.assert_array_equal(model.predict_batch(T), model._labels[pick])
+                pick = np.argmax(phi @ means.T, axis=1)
+            np.testing.assert_array_equal(model.predict_batch(T), labels[pick])
 
     def test_ncm_scores_are_plain_inner_products(self):
         rng = np.random.default_rng(4)
@@ -366,7 +384,7 @@ class TestScaleInvariance:
         ).shrunk
         base = PrecisionModel(pack_upper(shrunk), ridge=1e-3)
         scaled = PrecisionModel(pack_upper(3.7 * (shrunk + 1e-3 * np.eye(6))), ridge=0.0)
-        means = model._means
+        means = seen_means(model)[1]
         T = rng.standard_normal((1000, 6))
         d_base = squared_distances(base, T, means)
         d_scaled = squared_distances(scaled, T, means)
@@ -477,7 +495,7 @@ class TestUpperTriangleFinalize:
         _, log_det = np.linalg.slogdet(shrunk + 1e-3 * np.eye(e))
         assert abs(model.shrinkage_rho - rho) < 1e-10
         assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
-        assert abs(model.precision.log_det - log_det) < 1e-10 * abs(log_det)
+        assert abs(model.log_det - log_det) < 1e-10 * abs(log_det)
         means = model.estimator.class_means()
         oracle = batch_lda_predict(means, shrunk, 1e-3, T)
         np.testing.assert_array_equal(model.predict_batch(T), oracle)
@@ -490,9 +508,12 @@ class TestUpperTriangleFinalize:
         buffer = model.estimator._scatter
         before = buffer.copy()
         model.finalize(consume=False)
+        first = model.log_det
         assert model.estimator._scatter is buffer
-        assert not np.shares_memory(model.precision._factor, buffer)
         np.testing.assert_array_equal(buffer, before)
+        # a factor taken in place would make the next snapshot factor it again
+        model.finalize(consume=False)
+        assert model.log_det == first
 
     def test_repeated_snapshots_hold_one_factor(self):
         """A non-consuming finalize frees the previous snapshot's factor
@@ -511,6 +532,29 @@ class TestUpperTriangleFinalize:
             tracemalloc.stop()
         assert peak < 1.1 * 4 * e * (e + 1)
 
+    def test_consuming_finalize_keeps_no_quadratic_array(self):
+        """After a consuming finalize the model is the C discriminant
+        columns and biases: neither the accumulator nor its factor
+        outlives finalize, so evaluation runs without 4*E*(E+1) bytes."""
+        e = 1024
+        rng = np.random.default_rng(16)
+        model = StreamingClassifier(raw_config(input_dim=e))
+        model.observe(rng.standard_normal((300, e)), np.arange(300) % 4)
+        model.finalize(consume=True)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for value in obj.values():
+                    yield from arrays(value)
+            elif type(obj).__module__.startswith("randumb."):
+                for value in vars(obj).values():
+                    yield from arrays(value)
+
+        held = list(arrays(model))
+        assert held and max(a.size for a in held) < packed_size(e)
+
     def test_failed_finalize_leaves_the_model_unfinalized(self):
         rng = np.random.default_rng(14)
         X, y = gaussian_blobs(rng, num_classes=2, dim=3, per_class=10)
@@ -521,7 +565,8 @@ class TestUpperTriangleFinalize:
         model.observe(np.full((1, 3), 1e200), [0])
         with pytest.raises(NumericalError, match="not finite"):
             model.finalize()
-        assert not model.finalized and model.precision is None
+        assert not model.finalized
+        assert model.shrinkage_rho is model.shrinkage_mu is model.log_det is None
         with pytest.raises(ModelStateError, match="finalize"):
             model.predict_batch(np.zeros((1, 3)))
 
@@ -544,9 +589,11 @@ class TestOrderInvariance:
     def discriminant(model, T):
         phi = T if model.feature_map is None else model.feature_map.embed_batch(T)
         phi = phi.astype(np.float64)
-        if model.config.needs_precision:
-            return phi @ model._lin_weights + model._lin_bias
-        return phi @ model._means.T
+        means = seen_means(model)[1]
+        if not model.config.needs_precision:
+            return phi @ means.T
+        weights = precision_of(model).solve(means.T)
+        return phi @ weights - 0.5 * np.einsum("ec,ec->c", means.T, weights)
 
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
     def test_predictions_ignore_arrival_and_class_order(self, variant):
@@ -751,8 +798,7 @@ class TestCheckpointing:
                 model.finalize(consume=True)
             assert resumed.shrinkage_rho == whole.shrinkage_rho
             assert resumed.shrinkage_mu == whole.shrinkage_mu
-            if config.needs_precision:
-                assert resumed.precision.log_det == whole.precision.log_det
+            assert resumed.log_det == whole.log_det
             np.testing.assert_array_equal(resumed.predict_batch(T), whole.predict_batch(T))
 
 
@@ -881,3 +927,22 @@ class TestCheckpointMeta:
             lambda m: m["model"]["embedding"].update(embed_dim=63),
         )
         assert_refused(path, "even")
+
+    @pytest.mark.parametrize(
+        "config,owner,field,value",
+        [
+            (fourier_config(input_dim=5), "embedding", "input_dim", 5.0),
+            (fourier_config(input_dim=5, num_bases=8), "embedding", "embed_dim", 16.0),
+            (fourier_config(input_dim=5, seed=1), "embedding", "seed", 1.0),
+            (raw_config(input_dim=4), "model", "input_dim", 4.0),
+        ],
+        ids=["embedding-input_dim", "embedding-embed_dim", "embedding-seed", "slda-input_dim"],
+    )
+    def test_float_size_rejected(self, tmp_path, config, owner, field, value):
+        """A size or seed stored as a JSON float of the same value is
+        refused by name, not passed on to an array constructor."""
+        def edit(meta):
+            (meta["model"] if owner == "model" else meta["model"]["embedding"])[field] = value
+
+        path = self.tampered(tmp_path, config, edit)
+        assert_refused(path, re.escape(field) + " must be .*integer, got " + re.escape(repr(value)))

@@ -302,6 +302,14 @@ class TestFeatureFile:
         with pytest.raises(DataError, match="unsigned 32-bit"):
             write_feature_file(tmp_path / "x.rdfb", np.ones((2, 2), dtype=np.float32), [-1, 0])
 
+    @pytest.mark.parametrize("bad", [1.7, float("nan"), float("inf")])
+    def test_write_refuses_labels_that_are_not_whole(self, tmp_path, bad):
+        """A fractional label would be truncated to an integer without a word."""
+        path = tmp_path / "x.rdfb"
+        with pytest.raises(DataError, match=f"label at index 1 is {bad}; labels must be whole"):
+            write_feature_file(path, np.ones((3, 2), dtype=np.float32), [0.0, bad, 2.9])
+        assert not path.exists()
+
 
 class TestCheckpointContainer:
     def test_roundtrip(self, tmp_path):
@@ -736,6 +744,17 @@ class TestDatasetDiscovery:
             ) as info:
                 load()
             assert info.value.exit_code == 3
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_dataset_from_features_refuses_fractional_labels(self, part):
+        """A label of 1.7 would stream as class 1 without a word."""
+        y = {"train": [0.0, 1.0, 2.0, 1.0], "test": [0.0, 1.0, 2.0]}
+        y[part][1] = 1.7
+        with pytest.raises(
+            DataError, match=f"{part} label at index 1 is 1.7; labels must be whole"
+        ) as info:
+            dataset_from_features(np.ones((4, 2)), y["train"], np.ones((3, 2)), y["test"])
+        assert info.value.row == 1
 
     @pytest.mark.parametrize("part", ["train", "test"])
     def test_dataset_from_features_refuses_negative_labels(self, part):

@@ -28,7 +28,6 @@ from randumb import (
     run_on_dataset,
     sweep_embedding,
 )
-from randumb.classifier import BLOCK_ROWS
 from randumb.data_io import (
     DESCRIPTORS,
     RawDataset,
@@ -39,6 +38,7 @@ from randumb.data_io import (
 )
 from randumb.harness import (
     ABLATION_ORDER,
+    BLOCK_ROWS,
     _predict_test,
     append_jsonl,
     check_memory_cap,
@@ -370,14 +370,17 @@ class TestRunBenchmark:
         result = run_on_dataset(
             data, variant="randumb", embed_dim=64, gamma=0.05, seed=0, eval_every=50
         )
-        # While tasks are arriving, unseen classes score zero; accuracy
-        # climbs as classes appear.
+        # While tasks are arriving, unseen classes are never predicted;
+        # accuracy climbs as classes appear.
         first, last = result.intermediate[0], result.intermediate[-1]
         assert first["average_accuracy"] < last["average_accuracy"]
 
     def test_memory_cap_refusal(self):
         data = blob_dataset(seed=7)
-        with pytest.raises(ConfigurationError, match=r"1 x 4\*E\*\(E\+1\)"):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"= \d+ for the class rows and 1 x 4\*E\*\(E\+1\) = 1050624 ",
+        ):
             run_on_dataset(
                 data, variant="randumb", embed_dim=512, gamma=0.1, seed=0,
                 memory_cap_bytes=1024**2,
@@ -396,12 +399,24 @@ class TestRunBenchmark:
             run_on_dataset(data, eval_every=50, **settings)
 
     def test_memory_cap_ignores_mean_only_variants(self):
+        """A mean-only run holds no accumulator, so a cap below its
+        4*E*(E+1) bytes leaves it alone."""
         data = blob_dataset(seed=7)
         result = run_on_dataset(
             data, variant="kernel_ncm", embed_dim=512, gamma=0.1, seed=0,
             memory_cap_bytes=1024**2,
         )
         assert result.observe_count == len(data.train_y)
+
+    @pytest.mark.parametrize("variant", ["ncm", "randumb"])
+    def test_memory_cap_counts_the_class_rows(self, variant):
+        """A train label of 4e9 makes C = 4e9 + 1 class rows: refused by
+        the cap, naming C, before anything C-sized is allocated."""
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((4, 3)).astype(np.float32)
+        data = dataset_from_features(X, [0, 1, 4_000_000_000, 1], X, [0, 1, 1, 0])
+        with pytest.raises(ConfigurationError, match=r"4000000001 classes .* class rows"):
+            run_on_dataset(data, variant=variant, embed_dim=8, gamma=0.1, seed=0)
 
     def test_stream_errors_name_the_step(self):
         rng = np.random.default_rng(9)
@@ -596,15 +611,23 @@ class TestCheckMemoryCap:
     )
 
     def test_byte_arithmetic(self):
-        # the packed upper triangle: 100 * 101 / 2 float64 entries
-        assert check_memory_cap(self.CONFIG, 40400) == 40400
-        with pytest.raises(ConfigurationError, match="40400 bytes"):
-            check_memory_cap(self.CONFIG, 40399)
+        # 4 class rows of 100 float64 means and one int64 count (3232
+        # bytes), and the packed upper triangle: 100 * 101 / 2 float64
+        # entries (40400 bytes)
+        assert check_memory_cap(self.CONFIG, 43632) == 43632
+        with pytest.raises(ConfigurationError, match="43632 bytes"):
+            check_memory_cap(self.CONFIG, 43631)
 
     def test_eval_every_doubles_the_need(self):
-        assert check_memory_cap(self.CONFIG, 80800, eval_every=5) == 80800
+        assert check_memory_cap(self.CONFIG, 84032, eval_every=5) == 84032
         with pytest.raises(ConfigurationError, match="eval-every"):
-            check_memory_cap(self.CONFIG, 80799, eval_every=5)
+            check_memory_cap(self.CONFIG, 84031, eval_every=5)
+
+    def test_mean_only_variants_need_their_class_rows(self):
+        config = ModelVariant("ncm", num_classes=4, input_dim=100)
+        assert check_memory_cap(config, 3232, eval_every=5) == 3232
+        with pytest.raises(ConfigurationError, match="4 classes at state dimension 100"):
+            check_memory_cap(config, 3231)
 
 
 class TestPeakMemoryEstimate:

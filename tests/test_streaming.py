@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_refused, traced_peak
-from randumb.classifier import ModelVariant, StreamingClassifier
+from randumb.classifier import VARIANTS, ModelVariant, StreamingClassifier
+from randumb.fourier import FeatureMapSpec
 from randumb.data_io import read_checkpoint, write_checkpoint
 from randumb.errors import (
     ConfigurationError,
@@ -336,13 +337,35 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.scatter(), model.estimator.scatter())
         np.testing.assert_array_equal(back._means, model.estimator._means)
 
-    def test_unseen_middle_class_round_trips_bitwise_and_is_never_predicted(self, tmp_path):
+    @pytest.mark.parametrize(
+        "variant,negative",
+        [
+            *[pytest.param(v, False, id=v) for v in VARIANTS],
+            # every seen score below zero: an unseen class scoring 0 would win
+            pytest.param("ncm", True, id="ncm-negative-scores"),
+        ],
+    )
+    def test_unseen_middle_class_round_trips_bitwise_and_is_never_predicted(
+        self, tmp_path, variant, negative
+    ):
         """Classes 0 and 2 of 3 seen: the checkpoint keeps class 1's zero
         row and count bit for bit, and the model never predicts it."""
         rng = np.random.default_rng(22)
-        X = rng.standard_normal((40, 5)) + np.repeat([[3.0], [-3.0]], 20, axis=0)
+        head = VARIANTS[variant][0]
+        spec = None if head is None else FeatureMapSpec(
+            head, 5, 16, 3, gamma=0.2 if head == "fourier" else None
+        )
+        model = StreamingClassifier(ModelVariant(
+            variant, num_classes=3, embedding=spec, ridge=1e-4,
+            input_dim=5 if spec is None else None,
+        ))
+        if negative:
+            X = np.abs(rng.standard_normal((40, 5))) + np.repeat(np.eye(5)[:2] * 3, 20, axis=0)
+            T = -np.abs(rng.standard_normal((500, 5))) * 4.0
+        else:
+            X = rng.standard_normal((40, 5)) + np.repeat([[3.0], [-3.0]], 20, axis=0)
+            T = rng.standard_normal((500, 5)) * 4.0
         y = np.repeat([0, 2], 20)
-        model = raw_model(5, 3)
         model.observe(X, y)
         back = reload(model, tmp_path / "gap.rdck")
         assert back.class_counts() == {0: 20, 2: 20}
@@ -350,7 +373,9 @@ class TestCheckpoint:
         for name, stored in model.estimator._arrays().items():
             assert back._arrays()[name].tobytes() == stored.tobytes()
         loaded = StreamingClassifier.load(tmp_path / "gap.rdck")
-        T = rng.standard_normal((500, 5)) * 4.0
+        if negative:
+            means = model.estimator.class_means()
+            assert (T @ np.stack([means[0], means[2]]).T < 0).all()
         for m in (model, loaded):
             m.finalize()
         predicted = model.predict_batch(T)
