@@ -35,7 +35,6 @@ from .fourier import FeatureMap, FeatureMapSpec, RandomReluMap
 from .harness import (
     RunResult,
     StreamBlock,
-    StreamSpec,
     compute_accuracy,
     make_stream,
     run_ablation,
@@ -69,7 +68,6 @@ __all__ = [
     "ShapeError",
     "ShrinkageResult",
     "StreamBlock",
-    "StreamSpec",
     "StreamingClassifier",
     "StreamingEstimator",
     "UnsupportedAugmentationError",

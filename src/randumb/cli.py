@@ -131,7 +131,19 @@ def _resolve(args: argparse.Namespace) -> dict:
             settings[key] = value
     if settings["data_dir"] is None:
         settings["data_dir"] = os.environ.get(ENV_DATA_DIR, "data")
+    _refuse_missing_out_dirs(settings)
     return settings
+
+
+def _refuse_missing_out_dirs(settings: dict) -> None:
+    """Refuse an --out or --csv file in a directory that does not exist
+    before any data is loaded, not when the finished runs are written."""
+    for key in ("out", "csv"):
+        path = settings.get(key)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigurationError(
+                f"--{key} {path}: directory {os.path.dirname(path)} does not exist"
+            )
 
 
 def _parse_int_list(value) -> list[int]:
@@ -220,6 +232,7 @@ def _write_csv(results, settings: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
+    _refuse_missing_out_dirs(vars(args))
     seed = args.seed if args.seed is not None else 0
     reports = run_verify(seed=seed)
     lines = [json.dumps(r.to_json()) for r in reports]

@@ -30,7 +30,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +72,6 @@ class DatasetDescriptor:
     channel_means: tuple[float, ...] = ()
     channel_stds: tuple[float, ...] = ()
     image_shape: tuple[int, ...] | None = None
-    train_count: int = 1
-    test_count: int = 1
     flip_default: bool = False
     default_ridge: float = 1e-4
 
@@ -82,8 +80,6 @@ class DatasetDescriptor:
             raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
         if self.input_dim < 1 or self.num_classes < 1:
             raise ConfigurationError("input_dim and num_classes must be positive")
-        if self.train_count < 1 or self.test_count < 1:
-            raise ConfigurationError("sample counts must be positive")
         if self.kind == "images":
             if self.image_shape is None:
                 raise ConfigurationError("image datasets need image_shape")
@@ -121,8 +117,6 @@ DESCRIPTORS: dict[str, DatasetDescriptor] = {
         channel_means=(0.1307,),
         channel_stds=(0.3081,),
         image_shape=(28, 28),
-        train_count=60000,
-        test_count=10000,
         flip_default=False,
         default_ridge=1e-6,
     ),
@@ -134,8 +128,6 @@ DESCRIPTORS: dict[str, DatasetDescriptor] = {
         channel_means=(0.4914, 0.4822, 0.4465),
         channel_stds=(0.2470, 0.2435, 0.2616),
         image_shape=(3, 32, 32),
-        train_count=50000,
-        test_count=10000,
         flip_default=True,
         default_ridge=1e-5,
     ),
@@ -147,8 +139,6 @@ DESCRIPTORS: dict[str, DatasetDescriptor] = {
         channel_means=(0.5071, 0.4865, 0.4409),
         channel_stds=(0.2673, 0.2564, 0.2762),
         image_shape=(3, 32, 32),
-        train_count=50000,
-        test_count=10000,
         flip_default=True,
         default_ridge=1e-5,
     ),
@@ -160,8 +150,6 @@ DESCRIPTORS: dict[str, DatasetDescriptor] = {
         channel_means=(0.4802, 0.4481, 0.3975),
         channel_stds=(0.2770, 0.2691, 0.2821),
         image_shape=(3, 32, 32),
-        train_count=100000,
-        test_count=10000,
         flip_default=True,
         default_ridge=1e-4,
     ),
@@ -173,8 +161,6 @@ DESCRIPTORS: dict[str, DatasetDescriptor] = {
         channel_means=(0.485, 0.456, 0.406),
         channel_stds=(0.229, 0.224, 0.225),
         image_shape=(3, 32, 32),
-        train_count=50000,
-        test_count=10000,
         flip_default=True,
         default_ridge=1e-4,
     ),
@@ -625,9 +611,7 @@ def load_dataset(name: str, data_dir: str | Path) -> RawDataset:
             f"unknown dataset {name!r}; expected one of "
             f"{sorted(DESCRIPTORS) + ['features']}"
         )
-    descriptor = replace(
-        DESCRIPTORS[name], train_count=len(train[1]), test_count=len(test[1])
-    )
+    descriptor = DESCRIPTORS[name]
     for split, y in (("train", train[1]), ("test", test[1])):
         _refuse_labels_past(y, descriptor.num_classes, f"{name} {split}")
     return RawDataset(descriptor, train[0], train[1], test[0], test[1])
@@ -661,14 +645,22 @@ def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
     """Build a RawDataset around in-memory feature vectors.
 
     Labels are class indices, and the train split's largest fixes the
-    class count C: a negative or fractional label raises DataError, and a
-    test label at or above C raises DataFormatError."""
+    class count C: a split whose vector and label counts differ, a
+    non-finite vector, or a negative or fractional label raises DataError,
+    and a test label at or above C raises DataFormatError."""
     train_x = np.asarray(train_x, dtype=np.float32)
     test_x = np.asarray(test_x, dtype=np.float32)
     if train_x.ndim != 2 or test_x.ndim != 2 or train_x.shape[1] != test_x.shape[1]:
         raise DataError("train and test feature dimensions disagree")
     labels = []
-    for part, y in (("train", np.asarray(train_y)), ("test", np.asarray(test_y))):
+    for part, x, y in (("train", train_x, np.asarray(train_y)),
+                       ("test", test_x, np.asarray(test_y))):
+        if len(y) != len(x):
+            raise DataError(f"{part} split holds {len(x)} vectors but {len(y)} labels")
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise DataError(f"{part} vector at index {i} is not finite", row=i)
         _refuse_fractional_labels(y, part)
         if (y < 0).any():
             i = int(np.argmax(y < 0))
@@ -682,8 +674,6 @@ def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
         kind="features",
         input_dim=train_x.shape[1],
         num_classes=num_classes,
-        train_count=len(train_y),
-        test_count=len(test_y),
         flip_default=False,
         default_ridge=1e-4,
     )

@@ -1,12 +1,13 @@
 """Class-incremental streams, the one-pass benchmark loop, metrics,
 embedding sweeps, and ablation runs.
 
-Protocol: classes are split into tasks of consecutive labels; the
-stream visits tasks in label order, presenting each task's samples in a
-seed-shuffled order (flipped copies, when enabled, follow their
-originals on adjacent steps).  The stream is delivered in blocks of
-consecutive steps; the model observes every element exactly once, is
-finalized, and is then evaluated on the full test set.
+Protocol: ``make_stream`` cuts the train split of the RawDataset it is
+handed into tasks of consecutive labels; the stream visits tasks in label
+order, presenting each task's samples in a seed-shuffled order (flipped
+copies, when enabled, follow their originals on adjacent steps).  The
+stream is delivered in blocks of consecutive steps; the model observes
+every element exactly once, is finalized, and is then evaluated on the
+same RawDataset's full test split.
 """
 
 from __future__ import annotations
@@ -52,35 +53,6 @@ ABLATION_ORDER = tuple(VARIANTS)
 
 
 @dataclass(frozen=True)
-class StreamSpec:
-    """How to serialize a train set into a class-incremental stream."""
-
-    dataset: DatasetDescriptor
-    classes_per_task: int = 1
-    augment: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.classes_per_task < 1:
-            raise ConfigurationError(
-                f"classes_per_task must be >= 1, got {self.classes_per_task}"
-            )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.augment and self.dataset.kind != "images":
-            raise UnsupportedAugmentationError(
-                f"dataset {self.dataset.name} holds feature vectors; "
-                f"flip augmentation needs unflattened images"
-            )
-
-    @property
-    def tasks(self) -> tuple[tuple[int, ...], ...]:
-        """Consecutive label ranges of classes_per_task classes each."""
-        c, k = self.dataset.num_classes, self.classes_per_task
-        return tuple(tuple(range(i, min(i + k, c))) for i in range(0, c, k))
-
-
-@dataclass(frozen=True)
 class StreamBlock:
     """Consecutive stream steps ``start .. start + len(labels) - 1``.
 
@@ -108,52 +80,70 @@ class StreamBlock:
 
 
 def make_stream(
-    spec: StreamSpec, train_x: np.ndarray, train_y: np.ndarray, cut_every: int = 0
+    data: RawDataset,
+    classes_per_task: int = 1,
+    augment: bool = False,
+    seed: int = 0,
+    cut_every: int = 0,
 ):
-    """Yield the class-incremental stream as StreamBlocks.
+    """The class-incremental stream of ``data``'s train split, as a
+    generator of StreamBlocks.
 
-    Deterministic in spec.seed: one generator shuffles each task's
-    indices in sequence.  Flip-augmented streams put each flipped copy
-    on the step right after its original.  Blocks are cut at every
-    multiple of BLOCK_ROWS stream steps and, when cut_every > 0, at every
-    multiple of cut_every: cuts depend only on the absolute stream
-    position, never on task boundaries.  Only one block of the train set
-    is ever normalized at a time.
+    Tasks are consecutive label ranges of classes_per_task classes each,
+    visited in label order.  The order is fixed here, deterministic in
+    seed: one generator shuffles each task's indices in sequence, so a bad
+    setting or a class with no train samples is refused before any block
+    is made.  Flip-augmented streams put each flipped copy on the step
+    right after its original.  Blocks are cut at every multiple of
+    BLOCK_ROWS stream steps and, when cut_every > 0, at every multiple of
+    cut_every: cuts depend only on the absolute stream position, never on
+    task boundaries.  Only one block of the train set is ever normalized
+    at a time.
     """
-    train_x = np.asarray(train_x)
-    train_y = np.asarray(train_y)
-    rng = np.random.default_rng(spec.seed)
-    descriptor = spec.dataset
+    descriptor, train_x, train_y = data.descriptor, data.train_x, data.train_y
+    if classes_per_task < 1:
+        raise ConfigurationError(f"classes_per_task must be >= 1, got {classes_per_task}")
+    if augment and descriptor.kind != "images":
+        raise UnsupportedAugmentationError(
+            f"dataset {descriptor.name} holds feature vectors; "
+            f"flip augmentation needs unflattened images"
+        )
+    rng = np.random.default_rng(seed)
+    c = descriptor.num_classes
     orders = []
-    for task in spec.tasks:
+    for first in range(0, c, classes_per_task):
         members = []
-        for c in task:
-            idx = np.flatnonzero(train_y == c)
+        for label in range(first, min(first + classes_per_task, c)):
+            idx = np.flatnonzero(train_y == label)
             if len(idx) == 0:
-                raise ConfigurationError(f"class {c} has no samples in the train set")
+                raise ConfigurationError(f"class {label} has no samples in the train set")
             members.append(idx)
         order = np.concatenate(members)
         rng.shuffle(order)
         orders.append(order)
     indices = np.concatenate(orders)
     flipped = np.zeros(len(indices), dtype=bool)
-    if spec.augment:
+    if augment:
         indices = np.repeat(indices, 2)
         flipped = np.tile([False, True], len(flipped))
     n = len(indices)
     cuts = np.arange(0, n, BLOCK_ROWS)
     if cut_every > 0:
         cuts = np.union1d(cuts, np.arange(0, n, cut_every))
-    for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
-        idx = indices[start:stop]
-        flip = flipped[start:stop]
-        rows = train_x[idx]
-        if flip.any():
-            rows[flip] = flip_horizontal(rows[flip])
-        yield StreamBlock(
-            start, idx, flip, _flat(rows, descriptor),
-            train_y[idx].astype(np.int64, copy=False),
-        )
+
+    def blocks():
+        for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
+            idx = indices[start:stop]
+            flip = flipped[start:stop]
+            rows = train_x[idx]
+            if flip.any():
+                rows[flip] = flip_horizontal(rows[flip])
+            yield StreamBlock(
+                start, idx, flip, _flat(rows, descriptor),
+                train_y[idx].astype(np.int64, copy=False),
+            )
+
+    return blocks()
 
 
 def _flat(rows: np.ndarray, descriptor: DatasetDescriptor) -> np.ndarray:
@@ -164,15 +154,14 @@ def _flat(rows: np.ndarray, descriptor: DatasetDescriptor) -> np.ndarray:
     return rows.astype(np.float32, copy=False)
 
 
-def _predict_test(
-    model: StreamingClassifier, test_x: np.ndarray, descriptor: DatasetDescriptor
-) -> np.ndarray:
-    """Predictions for the raw test split, each BLOCK_ROWS rows made flat
-    just before they are scored, so the flat split is never held whole."""
+def _predict_test(model: StreamingClassifier, data: RawDataset) -> np.ndarray:
+    """Predictions for ``data``'s raw test split, each BLOCK_ROWS rows made
+    flat just before they are scored, so the flat split is never held whole."""
+    test_x = data.test_x
     out = np.empty(len(test_x), dtype=np.int64)
     for start in range(0, len(test_x), BLOCK_ROWS):
         stop = start + BLOCK_ROWS
-        out[start:stop] = model.predict_batch(_flat(test_x[start:stop], descriptor))
+        out[start:stop] = model.predict_batch(_flat(test_x[start:stop], data.descriptor))
     return out
 
 
@@ -245,15 +234,18 @@ def append_jsonl(result: RunResult, path) -> None:
         fh.write(json.dumps(result.to_json()) + "\n")
 
 
-def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every: int):
-    d = stream_spec.dataset
+def _config_echo(
+    data: RawDataset, model_config: ModelVariant, eval_every: int,
+    augment: bool, classes_per_task: int, stream_seed: int,
+):
+    d = data.descriptor
     emb = model_config.embedding
     return {
         "dataset": d.name,
         "input_dim": d.input_dim,
         "num_classes": d.num_classes,
-        "train_count": d.train_count,
-        "test_count": d.test_count,
+        "train_count": len(data.train_y),
+        "test_count": len(data.test_y),
         "normalization": {
             "channel_means": list(d.channel_means),
             "channel_stds": list(d.channel_stds),
@@ -261,9 +253,9 @@ def _config_echo(stream_spec: StreamSpec, model_config: ModelVariant, eval_every
         "variant": model_config.variant,
         "state_dim": model_config.embed_dim,
         "ridge": model_config.ridge if model_config.needs_precision else None,
-        "augment": stream_spec.augment,
-        "classes_per_task": stream_spec.classes_per_task,
-        "stream_seed": stream_spec.seed,
+        "augment": augment,
+        "classes_per_task": classes_per_task,
+        "stream_seed": stream_seed,
         "feature_seed": emb.seed if emb is not None else None,
         "gamma": emb.gamma if emb is not None else None,
         "num_bases": emb.num_bases if emb is not None else None,
@@ -321,7 +313,9 @@ def run_on_dataset(
     seed + 1 so the two random choices never alias.  Augmentation,
     ridge and the Fourier kernel width gamma default per dataset; a
     features dataset has no default gamma, so a Fourier variant on one
-    needs it given.
+    needs it given.  Every setting is checked before the model is
+    allocated: seed and eval_every here, the model's by ModelVariant and
+    check_memory_cap, classes_per_task and augment by make_stream.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize (this factors a copy of the
@@ -329,13 +323,13 @@ def run_on_dataset(
     raw test split again, block by block); the final evaluation always
     goes through the consuming, single-buffer path.
     """
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if eval_every < 0:
+        raise ConfigurationError(f"eval_every must be >= 0, got {eval_every}")
     descriptor = data.descriptor
-    stream_spec = StreamSpec(
-        dataset=descriptor,
-        classes_per_task=classes_per_task,
-        augment=descriptor.flip_default if augment is None else augment,
-        seed=seed + 1,
-    )
+    if augment is None:
+        augment = descriptor.flip_default
     # an unknown variant gets no head here and is refused by ModelVariant
     head = VARIANTS.get(variant, (None,))[0]
     if head == "fourier" and gamma is None:
@@ -359,16 +353,15 @@ def run_on_dataset(
         ridge=descriptor.default_ridge if ridge is None else ridge,
         input_dim=descriptor.input_dim if head is None else None,
     )
-    if eval_every < 0:
-        raise ConfigurationError(f"eval_every must be >= 0, got {eval_every}")
     check_memory_cap(model_config, memory_cap_bytes, eval_every)
     started = time.perf_counter()
+    stream_seed = seed + 1
+    stream = make_stream(data, classes_per_task, augment, stream_seed, cut_every=eval_every)
     model = StreamingClassifier(model_config)
-    test_x, test_y = np.asarray(data.test_x), np.asarray(data.test_y)
 
     intermediate = []
     steps = 0
-    for block in make_stream(stream_spec, data.train_x, data.train_y, cut_every=eval_every):
+    for block in stream:
         try:
             model.observe(block.features, block.labels)
         except RanDumbError as exc:
@@ -384,20 +377,20 @@ def run_on_dataset(
             )
         if eval_every > 0 and steps % eval_every == 0:
             model.finalize(consume=False)
-            _, average, _ = compute_accuracy(
-                _predict_test(model, test_x, descriptor), test_y
-            )
+            _, average, _ = compute_accuracy(_predict_test(model, data), data.test_y)
             intermediate.append({"step": steps, "average_accuracy": average})
 
     state_bytes = model.estimator.state_nbytes()
     model.finalize(consume=True)
     per_class, average, class_average = compute_accuracy(
-        _predict_test(model, test_x, descriptor), test_y
+        _predict_test(model, data), data.test_y
     )
     elapsed = time.perf_counter() - started
 
     return RunResult(
-        config=_config_echo(stream_spec, model_config, eval_every),
+        config=_config_echo(
+            data, model_config, eval_every, augment, classes_per_task, stream_seed
+        ),
         per_class_accuracy=per_class,
         average_accuracy=average,
         class_average_accuracy=class_average,

@@ -301,6 +301,47 @@ class TestExitCodes:
         assert code == 2
         assert "cap" in err
 
+    def test_negative_seed_refused(self, capsys, feature_dir):
+        """slda has no embedding seed, and its stream seed is seed + 1 = 0,
+        so --seed -1 used to run and exit 0."""
+        code, out, err = run_cli(
+            capsys, "run", "--dataset", "features", "--data-dir", str(feature_dir),
+            "--variant", "slda", "--seed", "-1",
+        )
+        assert code == 2 and out == ""
+        assert "seed must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (["run"], "--out"),
+            (["sweep", "--dims", "8"], "--csv"),
+            (["ablate", "--variants", "ncm"], "--out"),
+            (["verify"], "--out"),
+        ],
+        ids=["run", "sweep", "ablate", "verify"],
+    )
+    def test_output_file_in_missing_directory(
+        self, capsys, tmp_path, monkeypatch, command, flag
+    ):
+        """Refused (exit 2) naming the setting and the path before any data
+        is loaded or check run, not with a FileNotFoundError after the
+        whole pass.  The data directory is empty, so loading it would
+        exit 3."""
+        def not_reached(*args, **kwargs):
+            raise AssertionError("verify ran before its --out path was checked")
+
+        monkeypatch.setattr(cli, "run_verify", not_reached)
+        missing = tmp_path / "nodir"
+        path = str(missing / "results")
+        argv = [*command, flag, path]
+        if command[0] != "verify":
+            argv += ["--dataset", "features", "--data-dir", str(tmp_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"{flag} {path}: directory {missing} does not exist" in err
+        assert not missing.exists()
+
 
 class TestSweep:
     def test_two_sizes_with_csv(self, capsys, feature_dir, tmp_path):

@@ -664,8 +664,8 @@ class TestDatasetDiscovery:
         assert ds.descriptor.kind == "features"
         assert ds.descriptor.input_dim == 8
         assert ds.descriptor.num_classes == int(max(train_y.max(), test_y.max())) + 1
-        assert ds.descriptor.train_count == 12
-        assert ds.descriptor.test_count == 6
+        assert len(ds.train_y) == 12
+        assert len(ds.test_y) == 6
         np.testing.assert_array_equal(ds.train_x, train_x)
         np.testing.assert_array_equal(ds.test_y, test_y)
 
@@ -687,8 +687,8 @@ class TestDatasetDiscovery:
         )
         ds = load_dataset("mnist", tmp_path)
         assert ds.descriptor.name == "mnist"
-        assert ds.descriptor.train_count == 8
-        assert ds.descriptor.test_count == 4
+        assert len(ds.train_y) == 8
+        assert len(ds.test_y) == 4
         np.testing.assert_array_equal(ds.train_x, train_imgs)
         np.testing.assert_array_equal(ds.test_y, test_labels)
 
@@ -717,6 +717,36 @@ class TestDatasetDiscovery:
                 np.ones((3, 4), dtype=np.float32), [0, 1, 0],
                 np.ones((2, 5), dtype=np.float32), [0, 1],
             )
+
+    @pytest.mark.parametrize(
+        "part,vectors,labels", [("train", 60, 40), ("train", 40, 60), ("test", 30, 20)]
+    )
+    def test_dataset_from_features_refuses_count_mismatch(self, part, vectors, labels):
+        """Extra train vectors used to be dropped without a word, extra train
+        labels to fail mid-stream with a bare IndexError, and a short test
+        split only in compute_accuracy after the whole pass."""
+        rng = np.random.default_rng(9)
+        n = {"train": (60, 60), "test": (30, 30)}
+        n[part] = (vectors, labels)
+        x = {split: rng.standard_normal((n[split][0], 4)) for split in n}
+        y = {split: np.arange(n[split][1]) % 3 for split in n}
+        with pytest.raises(
+            DataError, match=f"^{part} split holds {vectors} vectors but {labels} labels$"
+        ):
+            dataset_from_features(x["train"], y["train"], x["test"], y["test"])
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dataset_from_features_refuses_non_finite_vectors(self, part, bad):
+        """A NaN test vector used to be scored silently, as label 0 with a
+        NaN score, and only lower the reported accuracy."""
+        rng = np.random.default_rng(10)
+        x = {"train": rng.standard_normal((40, 4)), "test": rng.standard_normal((30, 4))}
+        y = {"train": np.arange(40) % 4, "test": np.arange(30) % 4}
+        x[part][[7, 12], 2] = bad
+        with pytest.raises(DataError, match=f"^{part} vector at index 7 is not finite$") as info:
+            dataset_from_features(x["train"], y["train"], x["test"], y["test"])
+        assert info.value.row == 7
 
     @pytest.mark.parametrize("part", ["train", "test"])
     def test_features_class_count_comes_from_the_train_split(self, tmp_path, part):

@@ -2,7 +2,7 @@
 single-pass contract, and the sweep/ablation drivers."""
 
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from randumb import (
     ModelVariant,
     RandomReluMap,
     RunResult,
-    StreamSpec,
     StreamingClassifier,
     StreamingEstimator,
     UnsupportedAugmentationError,
@@ -50,13 +49,12 @@ from randumb.harness import (
 # run, then the result's peak_rss_bytes.
 RSS_CHILD = """
 import resource
-from dataclasses import replace
 import numpy as np
 from randumb import RawDataset, run_on_dataset
 from randumb.data_io import DESCRIPTORS
 
 rng = np.random.default_rng(0)
-descriptor = replace(DESCRIPTORS["cifar10"], train_count=300, test_count={test})
+descriptor = DESCRIPTORS["cifar10"]
 train_x = rng.integers(0, 256, size=(300, 3, 32, 32), dtype=np.uint8)
 test_x = rng.integers(0, 256, size=({test}, 3, 32, 32), dtype=np.uint8)
 data = RawDataset(descriptor, train_x, np.arange(300) % 10, test_x, np.arange({test}) % 10)
@@ -66,19 +64,16 @@ print(before, result.peak_rss_bytes)
 """
 
 
-def toy_image_descriptor(num_classes=2, train_count=20, test_count=8,
-                         flip_default=False):
+def toy_image_descriptor():
     return DatasetDescriptor(
         name="toyimg",
         kind="images",
         input_dim=4,
-        num_classes=num_classes,
+        num_classes=2,
         channel_means=(0.5,),
         channel_stds=(0.5,),
         image_shape=(2, 2),
-        train_count=train_count,
-        test_count=test_count,
-        flip_default=flip_default,
+        flip_default=False,
         default_ridge=1e-4,
     )
 
@@ -95,37 +90,59 @@ def toy_image_dataset(seed=0, per_class=10, test_per_class=4):
         return X[perm], y[perm]
     train_x, train_y = draw(per_class)
     test_x, test_y = draw(test_per_class)
-    descriptor = toy_image_descriptor(
-        train_count=len(train_y), test_count=len(test_y)
-    )
-    return RawDataset(descriptor, train_x, train_y, test_x, test_y)
+    return RawDataset(toy_image_descriptor(), train_x, train_y, test_x, test_y)
 
 
-class TestStreamSpec:
+def task_labels(data, **settings):
+    """The stream's tasks, in order, as the sorted labels each one holds."""
+    labels = stream_rows(data, **settings)[3]
+    bounds = np.flatnonzero(np.diff(labels // settings.get("classes_per_task", 1))) + 1
+    return [sorted(set(task.tolist())) for task in np.split(labels, bounds)]
+
+
+class TestStreamSettings:
     def test_default_order_is_identity(self):
-        spec = StreamSpec(dataset=toy_image_descriptor(num_classes=4))
-        assert spec.tasks == ((0,), (1,), (2,), (3,))
+        data = blob_dataset(num_classes=4, train_per_class=5)
+        assert task_labels(data) == [[0], [1], [2], [3]]
 
     def test_tasks_chunking(self):
-        spec = StreamSpec(dataset=toy_image_descriptor(num_classes=5), classes_per_task=2)
-        assert spec.tasks == ((0, 1), (2, 3), (4,))
+        data = blob_dataset(num_classes=5, train_per_class=5)
+        assert task_labels(data, classes_per_task=2) == [[0, 1], [2, 3], [4]]
 
     def test_validation(self):
-        d = toy_image_descriptor(num_classes=3)
-        with pytest.raises(ConfigurationError, match="classes_per_task"):
-            StreamSpec(dataset=d, classes_per_task=0)
-        with pytest.raises(ConfigurationError, match="seed"):
-            StreamSpec(dataset=d, seed=-1)
+        """Each setting is refused naming the value given, by the function
+        that owns it, before a block is made or a model is built."""
+        data = toy_image_dataset()
+        for k in (0, -1):
+            refusal = f"^classes_per_task must be >= 1, got {k}$"
+            with pytest.raises(ConfigurationError, match=refusal):
+                make_stream(data, classes_per_task=k)
+            with pytest.raises(ConfigurationError, match=refusal):
+                run_on_dataset(data, variant="slda", classes_per_task=k)
 
     def test_augmenting_features_rejected(self):
+        """Flipping a feature vector would reverse it; make_stream refuses
+        it when called, before the first block."""
         data = blob_dataset()
         with pytest.raises(UnsupportedAugmentationError, match="feature vectors"):
-            StreamSpec(dataset=data.descriptor, augment=True)
+            make_stream(data, augment=True)
+        with pytest.raises(UnsupportedAugmentationError, match="feature vectors"):
+            run_on_dataset(data, variant="slda", augment=True)
+
+    @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
+    @pytest.mark.parametrize("seed", [-1, -2])
+    def test_negative_seed_refused(self, variant, seed):
+        """The run seed is checked, not the stream seed seed + 1 derived
+        from it: -1 used to run with stream seed 0, and -2 was refused as
+        -1."""
+        data = blob_dataset(seed=3, num_classes=3, train_per_class=10)
+        with pytest.raises(ConfigurationError, match=rf"^seed must be >= 0, got {seed}$"):
+            run_on_dataset(data, variant=variant, embed_dim=16, gamma=0.1, seed=seed)
 
 
-def stream_rows(spec, data, **kwargs):
+def stream_rows(data, **kwargs):
     """Concatenate a block stream into per-step arrays."""
-    blocks = list(make_stream(spec, data.train_x, data.train_y, **kwargs))
+    blocks = list(make_stream(data, **kwargs))
     return (
         np.concatenate([b.indices for b in blocks]),
         np.concatenate([b.flipped for b in blocks]),
@@ -137,14 +154,12 @@ def stream_rows(spec, data, **kwargs):
 class TestMakeStream:
     def test_class_incremental_contiguity(self):
         data = blob_dataset(num_classes=4, train_per_class=5)
-        spec = StreamSpec(dataset=data.descriptor)
-        labels = stream_rows(spec, data)[3].tolist()
+        labels = stream_rows(data)[3].tolist()
         assert labels == [0] * 5 + [1] * 5 + [2] * 5 + [3] * 5
 
     def test_within_task_mixing(self):
         data = blob_dataset(num_classes=4, train_per_class=8)
-        spec = StreamSpec(dataset=data.descriptor, classes_per_task=2, seed=1)
-        labels = stream_rows(spec, data)[3].tolist()
+        labels = stream_rows(data, classes_per_task=2, seed=1)[3].tolist()
         first, second = labels[:16], labels[16:]
         assert set(first) == {0, 1} and set(second) == {2, 3}
         # A task's classes are interleaved by the shuffle, not concatenated.
@@ -152,9 +167,8 @@ class TestMakeStream:
 
     def test_deterministic_in_seed(self):
         data = blob_dataset(num_classes=3, train_per_class=7)
-        spec = StreamSpec(dataset=data.descriptor, seed=9)
-        a = list(make_stream(spec, data.train_x, data.train_y))
-        b = list(make_stream(spec, data.train_x, data.train_y))
+        a = list(make_stream(data, seed=9))
+        b = list(make_stream(data, seed=9))
         assert len(a) == len(b)
         for ba, bb in zip(a, b):
             assert ba.start == bb.start
@@ -166,21 +180,22 @@ class TestMakeStream:
         data = blob_dataset(num_classes=2, train_per_class=30)
         orders = []
         for seed in (0, 1):
-            spec = StreamSpec(dataset=data.descriptor, seed=seed)
-            orders.append(stream_rows(spec, data)[0].tolist())
+            orders.append(stream_rows(data, seed=seed)[0].tolist())
         assert orders[0] != orders[1]
 
     def test_missing_class_rejected(self):
+        """Refused when make_stream is called, before the first block."""
         data = blob_dataset(num_classes=3, train_per_class=5)
         mask = data.train_y != 1
-        spec = StreamSpec(dataset=data.descriptor)
+        data = RawDataset(
+            data.descriptor, data.train_x[mask], data.train_y[mask], data.test_x, data.test_y
+        )
         with pytest.raises(ConfigurationError, match="class 1 has no samples"):
-            list(make_stream(spec, data.train_x[mask], data.train_y[mask]))
+            make_stream(data)
 
     def test_flip_augmentation_doubles_and_interleaves(self):
         data = toy_image_dataset(per_class=6)
-        spec = StreamSpec(dataset=data.descriptor, augment=True, seed=2)
-        indices, flipped, features, labels = stream_rows(spec, data)
+        indices, flipped, features, labels = stream_rows(data, augment=True, seed=2)
         n = len(data.train_y)
         assert len(labels) == 2 * n
         assert not flipped[0::2].any() and flipped[1::2].all()
@@ -195,16 +210,14 @@ class TestMakeStream:
 
     def test_no_augmentation_keeps_origin_original(self):
         data = toy_image_dataset(per_class=4)
-        spec = StreamSpec(dataset=data.descriptor, augment=False)
-        indices, flipped, features, labels = stream_rows(spec, data)
+        indices, flipped, features, labels = stream_rows(data, augment=False)
         assert len(labels) == len(data.train_y)
         assert not flipped.any()
         assert features.shape == (len(data.train_y), 4)
 
     def test_feature_stream_passthrough(self):
         data = blob_dataset(num_classes=2, train_per_class=3)
-        spec = StreamSpec(dataset=data.descriptor)
-        indices, _, features, labels = stream_rows(spec, data)
+        indices, _, features, labels = stream_rows(data)
         assert features.dtype == np.float32
         np.testing.assert_array_equal(features, data.train_x[indices])
         np.testing.assert_array_equal(labels, data.train_y[indices])
@@ -215,10 +228,9 @@ class TestMakeStream:
         n = 300
         train_x = rng.integers(0, 256, size=(n, 2, 2), dtype=np.uint8)
         train_y = np.repeat([0, 1], n // 2)
-        descriptor = toy_image_descriptor(train_count=n)
-        spec = StreamSpec(dataset=descriptor, augment=True, seed=4)
+        descriptor = toy_image_descriptor()
         data = RawDataset(descriptor, train_x, train_y, train_x[:4], train_y[:4])
-        indices, flipped, features, labels = stream_rows(spec, data)
+        indices, flipped, features, labels = stream_rows(data, augment=True, seed=4)
         for i, flip, row in zip(indices, flipped, features):
             image = flip_horizontal(train_x[i]) if flip else train_x[i]
             np.testing.assert_array_equal(row, normalize(image, descriptor))
@@ -227,14 +239,14 @@ class TestMakeStream:
         # 2 tasks x 200 samples, flipped: 800 steps.  Cuts fall on
         # multiples of 256 and of cut_every, never at the task boundary.
         data = toy_image_dataset(per_class=200)
-        spec = StreamSpec(dataset=data.descriptor, augment=True, seed=5)
-        starts = [b.start for b in make_stream(spec, data.train_x, data.train_y)]
+        settings = dict(augment=True, seed=5)
+        starts = [b.start for b in make_stream(data, **settings)]
         assert starts == [0, 256, 512, 768]
-        blocks = list(make_stream(spec, data.train_x, data.train_y, cut_every=300))
+        blocks = list(make_stream(data, cut_every=300, **settings))
         assert [b.start for b in blocks] == [0, 256, 300, 512, 600, 768]
         assert [b.stop for b in blocks] == [256, 300, 512, 600, 768, 800]
-        whole = stream_rows(spec, data)
-        cut = stream_rows(spec, data, cut_every=300)
+        whole = stream_rows(data, **settings)
+        cut = stream_rows(data, cut_every=300, **settings)
         for a, b in zip(whole, cut):
             np.testing.assert_array_equal(a, b)
 
@@ -422,8 +434,10 @@ class TestRunBenchmark:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((10, 4)).astype(np.float32)
         y = np.array([0] * 5 + [1] * 5, dtype=np.int64)
-        X[0] = np.nan  # poisons whichever step draws this sample
         data = dataset_from_features(X, y, X[5:], y[5:])
+        # dataset_from_features refuses NaN, so the shared train rows are
+        # poisoned after it: whichever step draws sample 0 fails
+        data.train_x[0] = np.nan
         with pytest.raises(DataError, match=r"stream step \d+ \(class \d+, original\)"):
             run_on_dataset(data, variant="slda", embed_dim=4, seed=0)
 
@@ -433,10 +447,9 @@ class TestRunBenchmark:
         y = np.repeat([0, 1, 2], 200)
         data = dataset_from_features(X, y, X[:30], y[:30])
         # run_on_dataset shuffles the stream with seed + 1.
-        spec = StreamSpec(dataset=data.descriptor, seed=1)
-        indices, _, _, labels = stream_rows(spec, data)
+        indices, _, _, labels = stream_rows(data, seed=1)
         step = 300  # row 44 of the block starting at step 256
-        X[indices[step]] = np.nan
+        data.train_x[indices[step]] = np.nan
         with pytest.raises(
             DataError,
             match=rf"stream step {step} \(class {labels[step]}, original\)",
@@ -572,9 +585,7 @@ def prototype_images(name, seed, train_per_class, test_per_class, noise=64.0):
         x = prototypes[y] + noise * rng.standard_normal((len(y), *shape))
         return np.clip(x, 0, 255).astype(np.uint8), y
 
-    train, test = draw(train_per_class), draw(test_per_class)
-    descriptor = replace(base, train_count=len(train[1]), test_count=len(test[1]))
-    return RawDataset(descriptor, *train, *test)
+    return RawDataset(base, *draw(train_per_class), *draw(test_per_class))
 
 
 class TestDefaultGamma:
@@ -643,11 +654,10 @@ class TestPeakMemoryEstimate:
     @staticmethod
     def cifar_shaped(seed=0, train=300, test=100):
         rng = np.random.default_rng(seed)
-        descriptor = replace(DESCRIPTORS["cifar10"], train_count=train, test_count=test)
         def draw(n):
             return (rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8),
                     np.arange(n) % 10)
-        return RawDataset(descriptor, *draw(train), *draw(test))
+        return RawDataset(DESCRIPTORS["cifar10"], *draw(train), *draw(test))
 
     # Bytes per case's variant, at eval_every 0 and 50.
     BOUNDS = {
@@ -727,13 +737,12 @@ class TestBlockedEvaluation:
             "randumb", num_classes=d.num_classes, embedding=embedding, ridge=d.default_ridge
         )
         model = StreamingClassifier(config)
-        spec = StreamSpec(dataset=data.descriptor, seed=1)
-        for block in make_stream(spec, data.train_x, data.train_y):
+        for block in make_stream(data, seed=1):
             model.observe(block.features, block.labels)
         model.finalize()
         assert len(data.test_y) > 2 * BLOCK_ROWS
         np.testing.assert_array_equal(
-            _predict_test(model, data.test_x, data.descriptor), model.predict_batch(whole)
+            _predict_test(model, data), model.predict_batch(whole)
         )
 
 

@@ -1,9 +1,12 @@
-"""The package's public surface: every exported name resolves, and the
-names the shared random-map spec, the single covariance and the one run
-function replaced stay gone."""
+"""The package's public surface: every exported name resolves, the
+names the shared random-map spec, the single covariance, the one run
+function and the one stream input replaced stay gone, and no module
+imports a name it never uses."""
 
+import ast
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import randumb
 from randumb import classifier, fourier, harness, streaming
@@ -56,3 +59,47 @@ def test_one_run_entry_point():
         "data", "variant", "embed_dim", "gamma", "ridge", "seed", "augment",
         "classes_per_task", "eval_every", "memory_cap_bytes",
     ]
+
+
+def test_one_stream_input():
+    """make_stream cuts the RawDataset it is handed: no stream spec sits
+    between the run's keywords and it, and the dataset's sample counts are
+    the lengths of its arrays, not descriptor fields."""
+    for module in (randumb, harness):
+        assert not hasattr(module, "StreamSpec"), module.__name__
+    assert list(inspect.signature(randumb.make_stream).parameters) == [
+        "data", "classes_per_task", "augment", "seed", "cut_every",
+    ]
+    names = {f.name for f in fields(randumb.DatasetDescriptor)}
+    assert not names & {"train_count", "test_count"}, names
+
+
+# Imported names a module keeps without using them, each with its reason.
+UNUSED_IMPORTS_ALLOWED = {
+    ("classifier", "RandomReluMap"): "perfbench/spans.py wraps it by this path",
+}
+
+
+def test_no_dead_imports():
+    """Every name a src/randumb module imports is used in it, exported in
+    its __all__, or allowed above with a reason (nothing lints the
+    package, and deletions leave imports behind)."""
+    dead = []
+    for path in sorted(Path(randumb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        dead += [
+            f"{path.stem}.{name}" for name in sorted(imported - used - exported)
+            if (path.stem, name) not in UNUSED_IMPORTS_ALLOWED
+        ]
+    assert dead == []
