@@ -40,7 +40,7 @@ from .errors import (
     ShapeError,
 )
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
-from .fourier import FeatureMapSpec, RandomReluMap, build_map
+from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_halves, mirror_pixels
 from .precision import PrecisionModel, shrink_packed
 from .streaming import StreamingEstimator
 
@@ -151,10 +151,41 @@ class StreamingClassifier:
             return x
         return self.feature_map.embed_batch(x[None] if x.ndim == 1 else x)
 
-    def observe(self, x_raw: np.ndarray, labels) -> None:
+    def observe(
+        self, x_raw: np.ndarray, labels, source=None, flipped=None, width=None
+    ) -> None:
         """Embed one raw sample, or a block of rows with one label each,
-        and fold it into the statistics."""
-        self.estimator.observe(self._embed(x_raw), labels)
+        and fold it into the statistics.
+
+        With ``source`` and ``flipped``, ``x_raw`` holds only the originals
+        of a block of flip-augmented images: row i of the block is
+        ``x_raw[source[i]]``, mirrored at image ``width`` where
+        ``flipped[i]``.  The originals are embedded once; a mirrored row
+        is the original's embedding with its halves swapped (which needs
+        a map paired at that width), or, on raw inputs, the original's
+        pixels mirrored.
+        """
+        phi = self._embed(x_raw)
+        if source is not None:
+            phi = self._mirror_rows(phi, np.asarray(source), np.asarray(flipped, bool), width)
+        self.estimator.observe(phi, labels)
+
+    def _mirror_rows(self, phi, source, flipped, width) -> np.ndarray:
+        if not flipped.any():
+            return phi[source]
+        if self.feature_map is None:
+            if width is None:
+                raise ConfigurationError("mirrored rows need the image width")
+            rows = phi[source]
+            rows[flipped] = mirror_pixels(rows[flipped], width)
+            return rows
+        paired = self.config.embedding.mirror_width
+        if paired is None or paired != width:
+            raise ConfigurationError(
+                f"mirrored rows at image width {width} need a map paired at that "
+                f"width; this model's map has mirror_width {paired}"
+            )
+        return mirror_halves(phi, source, flipped)
 
     def finalize(self, consume: bool = False) -> None:
         """Snapshot the discriminant of the C class rows (module

@@ -12,6 +12,17 @@ fixed nonlinearity.
   Recht, 2007).  D = num_bases frequencies give E = 2*D entries.
 * ``relu``: relu(Wx) with W iid N(0, 1); E = D entries.
 
+A map for flip-augmented images is mirror-paired: its spec carries the
+image width, W0 is the draw above at D/2 rows, and W = [W0; W0 P], where
+P mirrors a flat channel-major image left-right.  Row i + D/2 is row i
+mirrored, so (row i + D/2) . Px = (row i) . x: the embedding of a
+mirrored image is the embedding of the original with its two halves
+swapped (``mirror_halves``), and a flipped copy costs no projection.
+Each row is still N(0, 2*gamma*I) (or N(0, I)), but only D/2 of them are
+independent.  Fourier coordinates 2i, 2i + 1 (rows i) and E/2 + 2i,
+E/2 + 2i + 1 (rows i + D/2) pair up when D is even, so a paired
+Fourier map needs E % 4 == 0, and a paired relu map an even E.
+
 Embeddings are float32.  The same spec always yields the same matrix,
 which is what makes whole runs bit-reproducible.  A map embeds exactly
 the rows it is handed, in one projection; callers cut their inputs into
@@ -46,6 +57,7 @@ class FeatureMapSpec:
     embed_dim: int
     seed: int
     gamma: float | None = None
+    mirror_width: int | None = None
 
     def __post_init__(self):
         if self.head not in HEADS:
@@ -77,11 +89,48 @@ class FeatureMapSpec:
                 )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.mirror_width is not None:
+            self._check_pairing()
+
+    def _check_pairing(self) -> None:
+        width = self.mirror_width
+        if type(width) is not int or width < 1 or self.input_dim % width != 0:
+            raise ConfigurationError(
+                f"mirror_width must be a positive integer dividing input_dim "
+                f"{self.input_dim}, got {width!r}"
+            )
+        # rows i and i + D/2 must land in the two halves of the embedding
+        multiple = 4 if self.head == "fourier" else 2
+        if self.embed_dim % multiple != 0:
+            raise ConfigurationError(
+                f"--embed-dim {self.embed_dim} cannot be split into mirror pairs: a "
+                f"flip run's {self.head} map needs --embed-dim divisible by {multiple} "
+                f"(or --no-augment)"
+            )
 
     @property
     def num_bases(self) -> int:
         """Rows of the random matrix: E/2 frequencies or E projections."""
         return self.embed_dim // 2 if self.head == "fourier" else self.embed_dim
+
+
+def mirror_pixels(rows: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """P applied to each row: a flat channel-major image mirrored
+    left-right, every run of ``width`` entries reversed.  Written into
+    ``out`` (a new array by default), which must not overlap ``rows``."""
+    if out is None:
+        out = np.empty_like(rows)
+    out.reshape(len(rows), -1, width)[:] = rows.reshape(len(rows), -1, width)[..., ::-1]
+    return out
+
+
+def mirror_halves(phi: np.ndarray, source: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """Rows ``phi[source]`` of a mirror-paired embedding, each with its two
+    halves swapped where ``flipped``: the embedding of that image mirrored
+    (module docstring).  One gather, one allocation."""
+    halves = phi.reshape(len(phi), 2, -1)
+    order = np.where(flipped[:, None], [1, 0], [0, 1])
+    return halves[source[:, None], order].reshape(len(source), -1)
 
 
 class FeatureMap:
@@ -91,15 +140,20 @@ class FeatureMap:
         self.spec = spec
         rng = np.random.Generator(np.random.PCG64(spec.seed))
         self.weights = np.empty((spec.num_bases, spec.input_dim), dtype=np.float32)
+        drawn = self.weights
+        if spec.mirror_width is not None:
+            drawn = self.weights[: spec.num_bases // 2]
         # Drawn in float64 one chunk at a time, in row-major order, so the
         # build holds W plus one chunk rather than a float64 copy of W.
-        flat = self.weights.reshape(-1)
+        flat = drawn.reshape(-1)
         buffer = np.empty(min(DRAW_CHUNK, flat.size))
         for start in range(0, flat.size, DRAW_CHUNK):
             chunk = rng.standard_normal(out=buffer[: flat.size - start])
             if spec.head == "fourier":
                 chunk *= np.sqrt(2.0 * spec.gamma)
             flat[start : start + len(chunk)] = chunk
+        if spec.mirror_width is not None:
+            mirror_pixels(drawn, spec.mirror_width, out=self.weights[len(drawn):])
 
     @property
     def embed_dim(self) -> int:

@@ -7,16 +7,21 @@ order, presenting each task's samples in a seed-shuffled order (flipped
 copies, when enabled, follow their originals on adjacent steps).  The
 stream is delivered in blocks of consecutive steps; the model observes
 every element exactly once, is finalized, and is then evaluated on the
-same RawDataset's full test split.
+same RawDataset's full test split.  A flip run's map is mirror-paired
+(``fourier`` module docstring), so a block carries only the originals of
+its steps, and the model derives each flipped copy's row from its
+original's.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +31,6 @@ from .data_io import (
     ORIGIN_ORIGINAL,
     DatasetDescriptor,
     RawDataset,
-    flip_horizontal,
     normalize_batch,
 )
 from .errors import (
@@ -56,9 +60,11 @@ ABLATION_ORDER = tuple(VARIANTS)
 class StreamBlock:
     """Consecutive stream steps ``start .. start + len(labels) - 1``.
 
-    Row i is step ``start + i``: train-set sample ``indices[i]``,
-    mirrored when ``flipped[i]``, as the flat normalized ``features[i]``
-    with label ``labels[i]``.
+    Step ``start + i`` is train-set sample ``indices[i]``, mirrored when
+    ``flipped[i]``, with label ``labels[i]``.  ``features`` holds the flat
+    normalized originals: without flips (``source`` None) row i is step i;
+    with flips it holds one row per sample of the block, and step i is
+    row ``source[i]``, mirrored when ``flipped[i]``.
     """
 
     start: int
@@ -66,6 +72,7 @@ class StreamBlock:
     flipped: np.ndarray
     features: np.ndarray
     labels: np.ndarray
+    source: np.ndarray | None
 
     @property
     def stop(self) -> int:
@@ -97,12 +104,14 @@ def make_stream(
     right after its original.  Blocks are cut at every multiple of
     BLOCK_ROWS stream steps and, when cut_every > 0, at every multiple of
     cut_every: cuts depend only on the absolute stream position, never on
-    task boundaries.  Only one block of the train set is ever normalized
-    at a time.
+    task boundaries.  Only the originals of one block of the train set are
+    ever normalized at a time; a block whose first step is a flipped copy
+    carries that copy's original too.
     """
     descriptor, train_x, train_y = data.descriptor, data.train_x, data.train_y
-    if classes_per_task < 1:
-        raise ConfigurationError(f"classes_per_task must be >= 1, got {classes_per_task}")
+    _check_int("classes_per_task", classes_per_task, 1)
+    _check_int("seed", seed, 0)
+    _check_int("cut_every", cut_every, 0)
     if augment and descriptor.kind != "images":
         raise UnsupportedAugmentationError(
             f"dataset {descriptor.name} holds feature vectors; "
@@ -135,15 +144,30 @@ def make_stream(
         for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
             idx = indices[start:stop]
             flip = flipped[start:stop]
-            rows = train_x[idx]
-            if flip.any():
-                rows[flip] = flip_horizontal(rows[flip])
+            source, originals = None, idx
+            if augment:
+                # a flipped copy takes the row of the original on the step
+                # before it, or a row of its own when it opens the block
+                own = ~flip
+                own[0] = True
+                source = np.cumsum(own) - 1
+                originals = idx[own]
             yield StreamBlock(
-                start, idx, flip, _flat(rows, descriptor),
-                train_y[idx].astype(np.int64, copy=False),
+                start, idx, flip,
+                _flat(train_x[originals], descriptor),
+                train_y[idx].astype(np.int64, copy=False), source,
             )
 
     return blocks()
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Refuse a run setting that is not exactly an int (a bool or a
+    float included) or is below ``minimum``, naming the value given."""
+    if type(value) is not int:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _flat(rows: np.ndarray, descriptor: DatasetDescriptor) -> np.ndarray:
@@ -313,8 +337,9 @@ def run_on_dataset(
     seed + 1 so the two random choices never alias.  Augmentation,
     ridge and the Fourier kernel width gamma default per dataset; a
     features dataset has no default gamma, so a Fourier variant on one
-    needs it given.  Every setting is checked before the model is
-    allocated: seed and eval_every here, the model's by ModelVariant and
+    needs it given.  A flip run's map is mirror-paired at the image width.
+    Every setting is checked before the model is allocated: seed and
+    eval_every here, the model's by FeatureMapSpec, ModelVariant and
     check_memory_cap, classes_per_task and augment by make_stream.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
@@ -323,13 +348,27 @@ def run_on_dataset(
     raw test split again, block by block); the final evaluation always
     goes through the consuming, single-buffer path.
     """
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
-    if eval_every < 0:
-        raise ConfigurationError(f"eval_every must be >= 0, got {eval_every}")
+    return _planned_run(
+        data, variant, embed_dim, gamma, ridge, seed, augment, classes_per_task,
+        eval_every, memory_cap_bytes,
+    )()
+
+
+def _planned_run(
+    data, variant, embed_dim, gamma, ridge, seed, augment, classes_per_task,
+    eval_every, memory_cap_bytes,
+):
+    """``run_on_dataset``'s settings checked, its model config built and
+    its stream order fixed; returns the pass itself, to call with no
+    arguments.  Nothing the size of the model is allocated here."""
+    _check_int("seed", seed, 0)
+    _check_int("eval_every", eval_every, 0)
     descriptor = data.descriptor
     if augment is None:
         augment = descriptor.flip_default
+    # a flip run on a features dataset gets no width here and is refused
+    # by make_stream
+    width = descriptor.image_shape[-1] if augment and descriptor.kind == "images" else None
     # an unknown variant gets no head here and is refused by ModelVariant
     head = VARIANTS.get(variant, (None,))[0]
     if head == "fourier" and gamma is None:
@@ -345,6 +384,7 @@ def run_on_dataset(
         embed_dim=embed_dim,
         seed=seed,
         gamma=gamma if head == "fourier" else None,
+        mirror_width=width,
     )
     model_config = ModelVariant(
         variant=variant,
@@ -354,16 +394,20 @@ def run_on_dataset(
         input_dim=descriptor.input_dim if head is None else None,
     )
     check_memory_cap(model_config, memory_cap_bytes, eval_every)
-    started = time.perf_counter()
     stream_seed = seed + 1
     stream = make_stream(data, classes_per_task, augment, stream_seed, cut_every=eval_every)
-    model = StreamingClassifier(model_config)
+    echo = _config_echo(data, model_config, eval_every, augment, classes_per_task, stream_seed)
+    return partial(_run_pass, data, model_config, stream, width, eval_every, echo)
 
+
+def _run_pass(data, model_config, stream, width, eval_every, echo) -> RunResult:
+    started = time.perf_counter()
+    model = StreamingClassifier(model_config)
     intermediate = []
     steps = 0
     for block in stream:
         try:
-            model.observe(block.features, block.labels)
+            model.observe(block.features, block.labels, block.source, block.flipped, width)
         except RanDumbError as exc:
             raise exc.with_prefix(block.describe(getattr(exc, "row", None)))
         steps = block.stop
@@ -388,9 +432,7 @@ def run_on_dataset(
     elapsed = time.perf_counter() - started
 
     return RunResult(
-        config=_config_echo(
-            data, model_config, eval_every, augment, classes_per_task, stream_seed
-        ),
+        config=echo,
         per_class_accuracy=per_class,
         average_accuracy=average,
         class_average_accuracy=class_average,
@@ -409,9 +451,11 @@ def sweep_embedding(dims: list[int], data: RawDataset, **settings) -> list[RunRe
     """One run per embedding size with shared data, seed, and stream.
 
     Sizes must be non-descending (repeats allowed; repeated sizes
-    reproduce identical results), and even for the Fourier variants.
-    The variant must embed its inputs: slda and ncm run on the raw
-    inputs at every size, so a sweep of them is refused.
+    reproduce identical results), and even for the Fourier variants
+    (divisible by 4 on a flip run, whose map is mirror-paired).
+    The variant must embed its inputs: slda and ncm run on raw inputs at
+    every size, so a sweep of them is refused.  Every size's settings and
+    memory cap are checked before the first run starts.
     """
     if not dims:
         raise ConfigurationError("sweep needs at least one embedding size")
@@ -423,7 +467,12 @@ def sweep_embedding(dims: list[int], data: RawDataset, **settings) -> list[RunRe
     for a, b in zip(dims, dims[1:]):
         if b < a:
             raise ConfigurationError(f"sweep sizes must be non-descending, got {dims}")
-    return [run_on_dataset(data, embed_dim=dim, **settings) for dim in dims]
+    signature, runs = inspect.signature(run_on_dataset), []
+    for dim in dims:
+        bound = signature.bind(data, embed_dim=dim, **settings)
+        bound.apply_defaults()
+        runs.append(_planned_run(**bound.arguments))
+    return [run() for run in runs]
 
 
 def run_ablation(

@@ -310,6 +310,106 @@ def _check_finalize_upper(rng) -> OracleReport:
     return OracleReport("finalize_upper_matches_reference", worst, 1e-10)
 
 
+# Thresholds of flip_pair_errors, relative to the largest entry, frozen
+# over seeds 0..49 of flip_check_dataset on all five variants x
+# classes_per_task 1 and 3 x cut_every 0 and 37 at E=256: the worst seen
+# was 1.9e-7 on the means and 1.3e-7 on the packed scatter (float32
+# rounding of the two embeddings), with no prediction apart; slda and ncm
+# were exact.
+FLIP_MEANS_TOL = 1e-6
+FLIP_SCATTER_TOL = 1e-6
+
+
+def flip_check_dataset(rng):
+    """CIFAR-shaped images of 6 classes, 25 train and 10 test each: one
+    smooth random prototype per class plus pixel noise.  Their flip
+    stream of 300 steps spans a BLOCK_ROWS cut."""
+    from .data_io import DESCRIPTORS, DatasetDescriptor, RawDataset
+
+    cifar, classes = DESCRIPTORS["cifar10"], 6
+    descriptor = DatasetDescriptor(
+        "flipcheck", "images", cifar.input_dim, classes, cifar.channel_means,
+        cifar.channel_stds, cifar.image_shape, flip_default=True,
+    )
+    prototypes = 128 + 48 * np.kron(rng.standard_normal((classes, 3, 4, 4)), np.ones((8, 8)))
+
+    def draw(per_class):
+        y = np.repeat(np.arange(classes), per_class)
+        x = prototypes[y] + 40 * rng.standard_normal((len(y), 3, 32, 32))
+        return np.clip(x, 0, 255).astype(np.uint8), y
+
+    return RawDataset(descriptor, *draw(25), *draw(10))
+
+
+def flip_pair_errors(
+    data, variant: str, embed_dim: int, seed: int, classes_per_task: int, cut_every: int
+) -> tuple[float, float, float]:
+    """A flip run's streamed model against the stream that materializes
+    every copy: each step's image flipped (``flip_horizontal``),
+    normalized and embedded through the same mirror-paired map, block by
+    block on the same cuts.  Returns the worst differences of the class
+    means and of the packed scatter, each relative to its largest entry,
+    and the fraction of test predictions apart after a finalize."""
+    from .classifier import VARIANTS, ModelVariant, StreamingClassifier
+    from .data_io import flip_horizontal, normalize_batch
+    from .fourier import FeatureMapSpec
+    from .harness import make_stream
+
+    d = data.descriptor
+    width = d.image_shape[-1]
+    head = VARIANTS[variant][0]
+    spec = None if head is None else FeatureMapSpec(
+        head, d.input_dim, embed_dim, seed,
+        gamma=d.default_gamma if head == "fourier" else None, mirror_width=width,
+    )
+    config = ModelVariant(
+        variant, d.num_classes, spec, d.default_ridge, None if spec else d.input_dim
+    )
+    streamed, explicit = StreamingClassifier(config), StreamingClassifier(config)
+    for block in make_stream(data, classes_per_task, True, seed + 1, cut_every):
+        streamed.observe(block.features, block.labels, block.source, block.flipped, width)
+        images = data.train_x[block.indices]
+        images[block.flipped] = flip_horizontal(images[block.flipped])
+        explicit.observe(normalize_batch(images, d), block.labels)
+
+    def rel(a, b):
+        return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+    means = rel(streamed.estimator.class_rows()[1], explicit.estimator.class_rows()[1])
+    scatter = 0.0
+    if config.needs_precision:
+        scatter = rel(
+            streamed.estimator.packed_scatter()[0], explicit.estimator.packed_scatter()[0]
+        )
+    tests = normalize_batch(data.test_x, d)
+    for model in (streamed, explicit):
+        model.finalize(consume=True)
+    apart = float(np.mean(streamed.predict_batch(tests) != explicit.predict_batch(tests)))
+    return means, scatter, apart
+
+
+def _check_flip_pairs(rng) -> OracleReport:
+    """flip_pair_errors on every variant, one task and three, with and
+    without an odd cut: the worst error as a fraction of its threshold
+    (predictions apart count as a failure)."""
+    from .classifier import VARIANTS
+
+    data = flip_check_dataset(rng)
+    seed = int(rng.integers(0, 2**31))
+    worst = 0.0
+    for variant in VARIANTS:
+        for classes_per_task in (1, 3):
+            for cut_every in (0, 37):
+                means, scatter, apart = flip_pair_errors(
+                    data, variant, 256, seed, classes_per_task, cut_every
+                )
+                worst = max(
+                    worst, means / FLIP_MEANS_TOL, scatter / FLIP_SCATTER_TOL,
+                    2.0 if apart else 0.0,
+                )
+    return OracleReport("flip_pairs_match_explicit_copies", worst, 1.0)
+
+
 def run_verify(seed: int = 0) -> list[OracleReport]:
     """Run every oracle check at desk scale; returns one report each."""
     if seed < 0:
@@ -320,6 +420,7 @@ def run_verify(seed: int = 0) -> list[OracleReport]:
         _check_oas,
         _check_finalize_upper,
         _check_lda_equivalence,
+        _check_flip_pairs,
     ]
     reports = []
     for i, check in enumerate(checks):

@@ -20,15 +20,18 @@ from randumb import (
     RandomReluMap,
     ShapeError,
     StreamingClassifier,
+    VARIANTS,
+    make_stream,
     oas_shrink,
 )
 from randumb.harness import BLOCK_ROWS
-from randumb.data_io import read_checkpoint, write_checkpoint
+from randumb.data_io import normalize_batch, read_checkpoint, write_checkpoint
 from randumb.precision import pack_upper, packed_size
 from randumb.reference import (
     batch_lda_predict,
     batch_mahalanobis_predict,
     batch_stats,
+    flip_check_dataset,
     oas_reference,
 )
 
@@ -694,6 +697,41 @@ class TestCheckpointing:
         restored.finalize()
         T = rng.standard_normal((60, 5))
         np.testing.assert_array_equal(model.predict_batch(T), restored.predict_batch(T))
+
+    @pytest.mark.parametrize("variant", ["randumb", "rp_relu"])
+    def test_flip_run_roundtrip_restores_the_paired_map(self, tmp_path, variant):
+        """The checkpoint meta carries the map's mirror width: the
+        restored model redraws the paired map, takes the rest of the flip
+        stream and predicts bit for bit as the model never saved."""
+        data = flip_check_dataset(np.random.default_rng(65))
+        d = data.descriptor
+        head = VARIANTS[variant][0]
+        spec = FeatureMapSpec(
+            head, d.input_dim, 128, 3,
+            gamma=d.default_gamma if head == "fourier" else None, mirror_width=32,
+        )
+        config = ModelVariant(variant, d.num_classes, spec, ridge=1e-4)
+        blocks = list(make_stream(data, augment=True, seed=1, cut_every=37))
+
+        def feed(model, part):
+            for block in part:
+                model.observe(block.features, block.labels, block.source, block.flipped, 32)
+
+        direct = StreamingClassifier(config)
+        feed(direct, blocks)
+        first = StreamingClassifier(config)
+        feed(first, blocks[:3])
+        path = tmp_path / "flip.rdck"
+        first.save(path)
+        restored = StreamingClassifier.load(path)
+        assert restored.config.embedding.mirror_width == 32
+        assert restored.feature_map.weights.tobytes() == first.feature_map.weights.tobytes()
+        feed(restored, blocks[3:])
+        tests = normalize_batch(data.test_x, d)
+        for model in (direct, restored):
+            model.finalize()
+        np.testing.assert_array_equal(direct.predict_batch(tests), restored.predict_batch(tests))
+        assert (restored.shrinkage_rho, restored.log_det) == (direct.shrinkage_rho, direct.log_det)
 
     def test_save_midstream_then_resume(self, tmp_path):
         rng = np.random.default_rng(62)

@@ -269,6 +269,23 @@ class TestExitCodes:
         assert code == 2
         assert "even" in err
 
+    @pytest.mark.parametrize("variant,size", [("randumb", "66"), ("rp_relu", "65")])
+    def test_embed_dim_the_flip_pairs_cannot_split(self, capsys, tmp_path, variant, size):
+        """A flip run's map is mirror-paired: the fourier head needs
+        E % 4 == 0 and the relu head an even E."""
+        rng = np.random.default_rng(0)
+        records = rng.integers(0, 256, size=(20, 1 + 3072), dtype=np.uint8)
+        records[:, 0] = np.arange(20) % 10
+        (tmp_path / "cifar10").mkdir()
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            (tmp_path / "cifar10" / name).write_bytes(records.tobytes())
+        argv = ["run", "--dataset", "cifar10", "--data-dir", str(tmp_path),
+                "--variant", variant, "--embed-dim", size]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"--embed-dim {size} cannot be split into mirror pairs" in err
+        assert run_cli(capsys, *argv, "--no-augment")[0] == 0
+
     def test_bad_variant_choice_is_argparse_error(self, feature_dir):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--dataset", "features", "--variant", "svm"])
@@ -437,12 +454,12 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--seed", "0")
         assert code == 0
         reports = [json.loads(line) for line in out.strip().split("\n")]
-        assert len(reports) == 5
+        assert len(reports) == 6
         for report in reports:
             assert report["passed"] is True, report
             assert report["max_error"] <= report["tolerance"]
         names = {r["check"] for r in reports}
-        assert len(names) == 5
+        assert len(names) == 6
 
     def test_negative_seed_refused(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--seed", "-1")
@@ -454,7 +471,7 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().strip().split("\n")
-        assert len(lines) == 5
+        assert len(lines) == 6
         assert all(json.loads(line)["passed"] for line in lines)
 
 

@@ -1,12 +1,16 @@
 """Frozen random maps: spec validation, sampling, determinism, geometry,
 kernel fidelity, and a transcription of both heads."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import sgemm
 
 from randumb.errors import ConfigurationError, ShapeError
-from randumb.fourier import DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map
+from randumb.fourier import (
+    DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map, mirror_halves,
+)
 from randumb.reference import exact_rbf_kernel
 
 from conftest import traced_peak
@@ -251,3 +255,89 @@ class TestEmbedding:
             fm.embed(np.zeros(5))
         with pytest.raises(ShapeError):
             fm.embed_batch(np.zeros((3, 5)))
+
+
+class TestFrozenDraw:
+    """W of an unpaired spec is pinned by checksum, so any change to the
+    draw (chunking, dtype, scaling, generator) fails here rather than
+    only in a bitwise comparison of whole runs."""
+
+    @pytest.mark.parametrize(
+        "spec,sha256",
+        [
+            (
+                FeatureMapSpec("fourier", 3072, 2048, 1, gamma=5e-4),
+                "4759b31b258e32ba912d249d010b7b280128224bf494f014c9e8b8df7cb97c12",
+            ),
+            (
+                FeatureMapSpec("fourier", 784, 6144, 7, gamma=2e-3),
+                "94a9e88885563fdfea333157a569ea05e5c7bb63a0040c4e2f5d34b82ddccbd1",
+            ),
+            (
+                FeatureMapSpec("relu", 512, 8192, 3),
+                "a3aca283e72a86bd852debe92fb98f9efc3c4c22356ac879f7351292ad39b101",
+            ),
+        ],
+        ids=["fourier-2048x3072", "fourier-6144x784", "relu-8192x512"],
+    )
+    def test_weights_checksum(self, spec, sha256):
+        assert hashlib.sha256(build_map(spec).weights.tobytes()).hexdigest() == sha256
+
+
+def mirrored(X, width):
+    """Flat channel-major images mirrored left-right, by hand."""
+    return np.ascontiguousarray(X.reshape(len(X), -1, width)[..., ::-1]).reshape(len(X), -1)
+
+
+class TestMirrorPairedMap:
+    """A spec with mirror_width draws W0 at D/2 rows and stores
+    W = [W0; W0 P], so the embedding of a mirrored image is the
+    original's with its halves swapped."""
+
+    @pytest.mark.parametrize("head", ["fourier", "relu"])
+    def test_first_half_is_the_unpaired_draw_at_half_the_rows(self, head):
+        gamma = 5e-4 if head == "fourier" else None
+        paired = build_map(FeatureMapSpec(head, 3072, 256, 9, gamma=gamma, mirror_width=32))
+        half = paired.spec.num_bases // 2
+        # the iid draw at D/2 rows, which is also the first D/2 rows of
+        # the iid draw at D rows
+        for rows in (half, 2 * half):
+            embed_dim = 2 * rows if head == "fourier" else rows
+            iid = build_map(FeatureMapSpec(head, 3072, embed_dim, 9, gamma=gamma))
+            assert paired.weights[:half].tobytes() == iid.weights[:half].tobytes()
+        np.testing.assert_array_equal(paired.weights[half:], mirrored(paired.weights[:half], 32))
+        assert paired.weights.nbytes == build_map(
+            FeatureMapSpec(head, 3072, 256, 9, gamma=gamma)
+        ).weights.nbytes
+
+    # float32 rounding: the two projections sum 3072 products in other
+    # orders, and cos/sin turn the projection's absolute error into an
+    # entry's (entries <= 1/sqrt(D))
+    @pytest.mark.parametrize("head,tol", [("fourier", 5e-5), ("relu", 1e-6)])
+    def test_mirrored_image_swaps_the_halves(self, head, tol):
+        gamma = 5e-4 if head == "fourier" else None
+        fmap = build_map(FeatureMapSpec(head, 3072, 512, 2, gamma=gamma, mirror_width=32))
+        X = np.random.default_rng(2).standard_normal((40, 3072)).astype(np.float32)
+        direct = fmap.embed_batch(mirrored(X, 32))
+        swapped = np.roll(fmap.embed_batch(X), 256, axis=1)
+        assert np.abs(direct - swapped).max() <= tol * np.abs(direct).max()
+        # and mirror_halves derives the same rows, bit for bit the swap
+        source = np.array([0, 0, 3, 3, 1])
+        flipped = np.array([False, True, False, True, True])
+        phi = fmap.embed_batch(X)
+        got = mirror_halves(phi, source, flipped)
+        want = phi[source]
+        want[flipped] = np.roll(want[flipped], 256, axis=1)
+        np.testing.assert_array_equal(got, want)
+
+    def test_pairing_needs_sizes_that_split(self):
+        for head, bad, good in (("fourier", (18, 6), 16), ("relu", (17, 3), 18)):
+            gamma = 0.5 if head == "fourier" else None
+            for e in bad:
+                with pytest.raises(ConfigurationError, match=rf"--embed-dim {e} cannot"):
+                    FeatureMapSpec(head, 8, e, 0, gamma=gamma, mirror_width=4)
+                FeatureMapSpec(head, 8, e, 0, gamma=gamma)  # unpaired, the size is fine
+            FeatureMapSpec(head, 8, good, 0, gamma=gamma, mirror_width=4)
+        for width in (0, 3, 2.0, True):
+            with pytest.raises(ConfigurationError, match="mirror_width"):
+                FeatureMapSpec("relu", 8, 8, 0, mirror_width=width)

@@ -35,6 +35,12 @@ from randumb.data_io import (
     normalize,
     normalize_batch,
 )
+from randumb.reference import (
+    FLIP_MEANS_TOL,
+    FLIP_SCATTER_TOL,
+    flip_check_dataset,
+    flip_pair_errors,
+)
 from randumb.harness import (
     ABLATION_ORDER,
     BLOCK_ROWS,
@@ -140,13 +146,42 @@ class TestStreamSettings:
             run_on_dataset(data, variant=variant, embed_dim=16, gamma=0.1, seed=seed)
 
 
+def step_rows(block, descriptor):
+    """The flat row of every step of a block: a flip block's original
+    row for each step, mirrored left-right where the step is flipped."""
+    if block.source is None:
+        return block.features
+    rows = block.features[block.source]
+    shape = descriptor.image_shape
+    for i in np.flatnonzero(block.flipped):
+        rows[i] = rows[i].reshape(shape)[..., ::-1].reshape(-1)
+    return rows
+
+
+    @pytest.mark.parametrize(
+        "setting,value",
+        [("classes_per_task", 1.5), ("seed", 1.5), ("eval_every", 2.5), ("seed", True),
+         ("classes_per_task", np.int64(2))],
+    )
+    def test_setting_of_the_wrong_type_refused(self, setting, value):
+        """Only an exact int is a count or a seed: a float used to end in a
+        bare TypeError, and seed=True ran as seed 1."""
+        data = blob_dataset(seed=3, num_classes=3, train_per_class=10)
+        refusal = rf"^{setting} must be an integer, got {value!r}$"
+        with pytest.raises(ConfigurationError, match=refusal):
+            run_on_dataset(data, variant="slda", **{setting: value})
+        stream_setting = {"eval_every": "cut_every"}.get(setting, setting)
+        with pytest.raises(ConfigurationError, match=rf"^{stream_setting} must be an integer"):
+            make_stream(data, **{stream_setting: value})
+
+
 def stream_rows(data, **kwargs):
     """Concatenate a block stream into per-step arrays."""
     blocks = list(make_stream(data, **kwargs))
     return (
         np.concatenate([b.indices for b in blocks]),
         np.concatenate([b.flipped for b in blocks]),
-        np.concatenate([b.features for b in blocks]),
+        np.concatenate([step_rows(b, data.descriptor) for b in blocks]),
         np.concatenate([b.labels for b in blocks]),
     )
 
@@ -194,19 +229,22 @@ class TestMakeStream:
             make_stream(data)
 
     def test_flip_augmentation_doubles_and_interleaves(self):
+        """2n steps, each flipped copy right after its original, and the
+        block carries one normalized, unflipped row per image that both
+        steps point to: nothing is flipped or normalized twice."""
         data = toy_image_dataset(per_class=6)
-        indices, flipped, features, labels = stream_rows(data, augment=True, seed=2)
+        (block,) = make_stream(data, augment=True, seed=2)
         n = len(data.train_y)
-        assert len(labels) == 2 * n
-        assert not flipped[0::2].any() and flipped[1::2].all()
-        np.testing.assert_array_equal(indices[0::2], indices[1::2])
-        np.testing.assert_array_equal(labels[0::2], labels[1::2])
-        assert sorted(indices[0::2].tolist()) == list(range(n))
-        for orig, flip in zip(features[0::2], features[1::2]):
-            # Normalization is per-pixel, so flipping commutes with it.
-            np.testing.assert_array_equal(
-                orig.reshape(2, 2)[:, ::-1], flip.reshape(2, 2)
-            )
+        assert len(block.labels) == 2 * n
+        assert not block.flipped[0::2].any() and block.flipped[1::2].all()
+        np.testing.assert_array_equal(block.indices[0::2], block.indices[1::2])
+        np.testing.assert_array_equal(block.labels[0::2], block.labels[1::2])
+        assert sorted(block.indices[0::2].tolist()) == list(range(n))
+        np.testing.assert_array_equal(block.source[0::2], np.arange(n))
+        np.testing.assert_array_equal(block.source[1::2], np.arange(n))
+        np.testing.assert_array_equal(
+            block.features, normalize_batch(data.train_x[block.indices[0::2]], data.descriptor)
+        )
 
     def test_no_augmentation_keeps_origin_original(self):
         data = toy_image_dataset(per_class=4)
@@ -222,18 +260,27 @@ class TestMakeStream:
         np.testing.assert_array_equal(features, data.train_x[indices])
         np.testing.assert_array_equal(labels, data.train_y[indices])
 
-    def test_blocks_match_per_image_normalize_and_flip(self):
-        # The per-image functions are the reference for the block path.
+    @pytest.mark.parametrize("cut_every", [0, 7])
+    def test_blocks_match_per_image_normalize_and_flip(self, cut_every):
+        """The per-image functions are the reference for the block path:
+        each step's row, its original's mirrored where it is flipped,
+        is the per-image normalize of the (flipped) image, bit for bit,
+        also where an odd cut puts a flipped copy first in its block."""
         rng = np.random.default_rng(3)
         n = 300
         train_x = rng.integers(0, 256, size=(n, 2, 2), dtype=np.uint8)
         train_y = np.repeat([0, 1], n // 2)
         descriptor = toy_image_descriptor()
         data = RawDataset(descriptor, train_x, train_y, train_x[:4], train_y[:4])
-        indices, flipped, features, labels = stream_rows(data, augment=True, seed=4)
+        settings = dict(augment=True, seed=4, cut_every=cut_every)
+        indices, flipped, features, labels = stream_rows(data, **settings)
+        assert len(features) == 2 * n
         for i, flip, row in zip(indices, flipped, features):
             image = flip_horizontal(train_x[i]) if flip else train_x[i]
             np.testing.assert_array_equal(row, normalize(image, descriptor))
+        for block in make_stream(data, **settings):
+            # one original per image the block touches
+            assert len(block.features) == len(set(block.indices.tolist()))
 
     def test_blocks_cut_at_absolute_positions(self):
         # 2 tasks x 200 samples, flipped: 800 steps.  Cuts fall on
@@ -248,6 +295,18 @@ class TestMakeStream:
         whole = stream_rows(data, **settings)
         cut = stream_rows(data, cut_every=300, **settings)
         for a, b in zip(whole, cut):
+            np.testing.assert_array_equal(a, b)
+        # An odd cut separates a flipped copy from its original; the
+        # copy's block then carries the original as well.
+        blocks = list(make_stream(data, cut_every=301, **settings))
+        assert [b.start for b in blocks] == [0, 256, 301, 512, 602, 768]
+        opened = blocks[2]
+        assert opened.flipped[0] and opened.source[0] == 0
+        assert opened.indices[0] == blocks[1].indices[-1]
+        np.testing.assert_array_equal(
+            opened.features[0], normalize(data.train_x[opened.indices[0]], data.descriptor)
+        )
+        for a, b in zip(whole, stream_rows(data, cut_every=301, **settings)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -513,14 +572,16 @@ class TestRunBenchmark:
 
         original = StreamingClassifier.observe
 
-        def double_first_row(self, x_raw, labels):
-            original(self, x_raw, labels)
+        def double_first_row(self, x_raw, labels, *flips):
+            original(self, x_raw, labels, *flips)
             original(self, x_raw[:1], labels[:1])
 
         monkeypatch.setattr(StreamingClassifier, "observe", double_first_row)
-        data = blob_dataset(seed=1)
         with pytest.raises(ModelStateError, match="one-pass check failed"):
-            run_on_dataset(data, variant="slda", seed=0)
+            run_on_dataset(blob_dataset(seed=1), variant="slda", seed=0)
+        # and on a flip stream, whose blocks carry originals only
+        with pytest.raises(ModelStateError, match="one-pass check failed"):
+            run_on_dataset(toy_image_dataset(), variant="slda", seed=0, augment=True)
 
     def test_augmented_run_observes_two_per_image(self):
         data = toy_image_dataset(per_class=10)
@@ -598,14 +659,18 @@ class TestDefaultGamma:
     @pytest.mark.parametrize("name,train,test", [("mnist", 20, 20), ("cifar100", 10, 3)])
     def test_default_width_learns_images(self, name, train, test, seed):
         """The width that used to be the default, 1.0, scores at chance:
-        its kernel is about 0 between any two images."""
+        its kernel is about 0 between any two images.  Chance is scored
+        on at least 20 test images per class: at 3 per class (300 images
+        of 100 classes) a chance-level run reads 2 x chance on some seeds
+        by luck alone."""
         data = prototype_images(name, seed, train, test)
         settings = dict(variant="randumb", embed_dim=512, seed=seed)
         result = run_on_dataset(data, **settings)
         assert result.config["gamma"] == data.descriptor.default_gamma
         assert result.average_accuracy >= 0.9
         chance = 1 / data.descriptor.num_classes
-        assert run_on_dataset(data, gamma=1.0, **settings).average_accuracy < 2 * chance
+        wide = prototype_images(name, seed, train, max(test, 20))
+        assert run_on_dataset(wide, gamma=1.0, **settings).average_accuracy < 2 * chance
 
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm"])
     def test_fourier_variant_on_features_needs_gamma(self, variant):
@@ -746,7 +811,68 @@ class TestBlockedEvaluation:
         )
 
 
+class TestFlipPairs:
+    """The gate of the flip path: a flip run's streamed model, which
+    embeds each image once and derives its mirrored copy, against the
+    stream that flips, normalizes and embeds every copy through the same
+    mirror-paired map (``reference.flip_pair_errors``)."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return flip_check_dataset(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("cut_every", [0, 37])
+    @pytest.mark.parametrize("classes_per_task", [1, 3])
+    @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
+    def test_streamed_matches_explicit_copies(self, data, variant, classes_per_task, cut_every):
+        means, scatter, apart = flip_pair_errors(data, variant, 256, 0, classes_per_task, cut_every)
+        assert apart == 0
+        if variant in ("slda", "ncm"):
+            # the mirror of a normalized original is the normalize of the
+            # mirror, bit for bit: normalization is per channel
+            assert means == scatter == 0
+        else:
+            assert means <= FLIP_MEANS_TOL and scatter <= FLIP_SCATTER_TOL
+
+    def test_flip_run_embeds_each_image_once(self, data, monkeypatch):
+        rows = []
+        original = FeatureMap.embed_batch
+
+        def counted(self, X):
+            rows.append(len(X))
+            return original(self, X)
+
+        monkeypatch.setattr(FeatureMap, "embed_batch", counted)
+        result = run_on_dataset(data, variant="kernel_ncm", embed_dim=256, seed=0)
+        n = len(data.train_y)
+        assert result.config["augment"] is True and result.observe_count == 2 * n
+        assert sum(rows) == n + len(data.test_y)
+
+
 class TestSweepAndAblation:
+    def test_every_size_checked_before_the_first_run(self, monkeypatch):
+        """A size refused late used to cost every run before it, and the
+        CSV was never written."""
+        built = []
+        monkeypatch.setattr(
+            StreamingClassifier, "__init__", lambda self, config: built.append(config)
+        )
+        data = blob_dataset(seed=11)
+        with pytest.raises(ConfigurationError, match="positive even number"):
+            sweep_embedding([512, 1024, 1025], data, variant="randumb", gamma=0.1, seed=0)
+        images = toy_image_dataset()
+        with pytest.raises(ConfigurationError, match="--embed-dim 66 cannot be split"):
+            sweep_embedding([64, 66], images, variant="randumb", gamma=0.1, augment=True)
+        # the memory cap of the largest size
+        d = data.descriptor
+        cap = check_memory_cap(
+            ModelVariant("rp_relu", d.num_classes, FeatureMapSpec("relu", d.input_dim, 64, 0)),
+            2**40,
+        )
+        with pytest.raises(ConfigurationError, match="above the configured cap"):
+            sweep_embedding([64, 65], data, variant="rp_relu", memory_cap_bytes=cap)
+        assert built == []
+
     def test_repeated_size_reproduces(self):
         data = blob_dataset(seed=11)
         results = sweep_embedding(

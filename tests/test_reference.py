@@ -173,6 +173,6 @@ class TestOracleReport:
 def test_run_verify_all_green():
     """The packaged self-check suite passes end to end."""
     reports = run_verify(seed=0)
-    assert len(reports) == 5
+    assert len(reports) == 6
     for report in reports:
         assert report.passed, f"{report.name}: {report.max_error} > {report.tolerance}"
