@@ -40,7 +40,7 @@ from .errors import (
     ShapeError,
 )
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
-from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_halves, mirror_pixels
+from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_pixels
 from .precision import PrecisionModel, shrink_packed
 from .streaming import StreamingEstimator
 
@@ -151,41 +151,39 @@ class StreamingClassifier:
             return x
         return self.feature_map.embed_batch(x[None] if x.ndim == 1 else x)
 
-    def observe(
-        self, x_raw: np.ndarray, labels, source=None, flipped=None, width=None
-    ) -> None:
+    def observe(self, x_raw: np.ndarray, labels, mirror_width: int | None = None) -> None:
         """Embed one raw sample, or a block of rows with one label each,
         and fold it into the statistics.
 
-        With ``source`` and ``flipped``, ``x_raw`` holds only the originals
-        of a block of flip-augmented images: row i of the block is
-        ``x_raw[source[i]]``, mirrored at image ``width`` where
-        ``flipped[i]``.  The originals are embedded once; a mirrored row
-        is the original's embedding with its halves swapped (which needs
-        a map paired at that width), or, on raw inputs, the original's
-        pixels mirrored.
+        With ``mirror_width``, ``x_raw`` holds the originals of flip
+        pairs, and ``labels`` one label per row of the pairs: each
+        original is followed by its image mirrored at that width.  The
+        originals are embedded once; a mirrored row is the original's
+        embedding with its halves swapped (which needs a map paired at
+        that width), or, on raw inputs, the original's pixels mirrored.
         """
         phi = self._embed(x_raw)
-        if source is not None:
-            phi = self._mirror_rows(phi, np.asarray(source), np.asarray(flipped, bool), width)
+        if mirror_width is not None:
+            phi = self._with_mirrors(np.atleast_2d(phi), mirror_width)
         self.estimator.observe(phi, labels)
 
-    def _mirror_rows(self, phi, source, flipped, width) -> np.ndarray:
-        if not flipped.any():
-            return phi[source]
+    def _with_mirrors(self, phi: np.ndarray, width: int) -> np.ndarray:
+        """Rows [phi_i, mirror of phi_i] for each row i of ``phi``."""
+        m, e = phi.shape
+        pairs = np.empty((m, 2, e), dtype=phi.dtype)
+        pairs[:, 0] = phi
         if self.feature_map is None:
-            if width is None:
-                raise ConfigurationError("mirrored rows need the image width")
-            rows = phi[source]
-            rows[flipped] = mirror_pixels(rows[flipped], width)
-            return rows
-        paired = self.config.embedding.mirror_width
-        if paired is None or paired != width:
-            raise ConfigurationError(
-                f"mirrored rows at image width {width} need a map paired at that "
-                f"width; this model's map has mirror_width {paired}"
-            )
-        return mirror_halves(phi, source, flipped)
+            mirror_pixels(phi, width, out=pairs[:, 1])
+        else:
+            paired = self.config.embedding.mirror_width
+            if paired != width:
+                raise ConfigurationError(
+                    f"mirrored rows at image width {width} need a map paired at that "
+                    f"width; this model's map has mirror_width {paired}"
+                )
+            # the half swap Q: the embedding of the mirrored image
+            pairs.reshape(m, 2, 2, -1)[:, 1] = phi.reshape(m, 2, -1)[:, ::-1]
+        return pairs.reshape(2 * m, e)
 
     def finalize(self, consume: bool = False) -> None:
         """Snapshot the discriminant of the C class rows (module

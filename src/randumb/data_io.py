@@ -42,9 +42,6 @@ from .errors import (
     UnsupportedAugmentationError,
 )
 
-ORIGIN_ORIGINAL = "original"
-ORIGIN_FLIPPED = "flipped"
-
 _IDX_IMAGE_MAGIC = 0x00000803
 _IDX_LABEL_MAGIC = 0x00000801
 

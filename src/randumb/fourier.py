@@ -17,7 +17,8 @@ image width, W0 is the draw above at D/2 rows, and W = [W0; W0 P], where
 P mirrors a flat channel-major image left-right.  Row i + D/2 is row i
 mirrored, so (row i + D/2) . Px = (row i) . x: the embedding of a
 mirrored image is the embedding of the original with its two halves
-swapped (``mirror_halves``), and a flipped copy costs no projection.
+swapped, and a flipped copy costs no projection
+(``StreamingClassifier.observe`` emits it so).
 Each row is still N(0, 2*gamma*I) (or N(0, I)), but only D/2 of them are
 independent.  Fourier coordinates 2i, 2i + 1 (rows i) and E/2 + 2i,
 E/2 + 2i + 1 (rows i + D/2) pair up when D is even, so a paired
@@ -122,15 +123,6 @@ def mirror_pixels(rows: np.ndarray, width: int, out: np.ndarray | None = None) -
         out = np.empty_like(rows)
     out.reshape(len(rows), -1, width)[:] = rows.reshape(len(rows), -1, width)[..., ::-1]
     return out
-
-
-def mirror_halves(phi: np.ndarray, source: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-    """Rows ``phi[source]`` of a mirror-paired embedding, each with its two
-    halves swapped where ``flipped``: the embedding of that image mirrored
-    (module docstring).  One gather, one allocation."""
-    halves = phi.reshape(len(phi), 2, -1)
-    order = np.where(flipped[:, None], [1, 0], [0, 1])
-    return halves[source[:, None], order].reshape(len(source), -1)
 
 
 class FeatureMap:

@@ -7,10 +7,10 @@ order, presenting each task's samples in a seed-shuffled order (flipped
 copies, when enabled, follow their originals on adjacent steps).  The
 stream is delivered in blocks of consecutive steps; the model observes
 every element exactly once, is finalized, and is then evaluated on the
-same RawDataset's full test split.  A flip run's map is mirror-paired
-(``fourier`` module docstring), so a block carries only the originals of
-its steps, and the model derives each flipped copy's row from its
-original's.
+same RawDataset's full test split.  A flip stream is cut only between
+an image and its mirror, so each flip block is the normalized originals
+of its steps; the model emits each original's row followed by its
+mirror's (``StreamingClassifier.observe``).
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from functools import partial
 import numpy as np
 
 from .classifier import ModelVariant, StreamingClassifier, VARIANTS
-from .data_io import (
-    ORIGIN_FLIPPED,
-    ORIGIN_ORIGINAL,
-    DatasetDescriptor,
-    RawDataset,
-    normalize_batch,
-)
+from .data_io import DatasetDescriptor, RawDataset, normalize_batch
 from .errors import (
     ConfigurationError,
     DataError,
@@ -47,7 +41,7 @@ DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
 # Rows per block: the stream is cut, and the test split is scored, this
 # many rows at a time; nothing else cuts rows.  The cut positions are part
 # of the bitwise-resume contract, and 256 rows sit at the knee of the
-# packed rank-k update.
+# packed rank-k update.  It is even, so no block cut splits a flip pair.
 BLOCK_ROWS = 256
 
 # Bytes per unit of getrusage's ru_maxrss: KiB on Linux, bytes on macOS.
@@ -60,19 +54,18 @@ ABLATION_ORDER = tuple(VARIANTS)
 class StreamBlock:
     """Consecutive stream steps ``start .. start + len(labels) - 1``.
 
-    Step ``start + i`` is train-set sample ``indices[i]``, mirrored when
-    ``flipped[i]``, with label ``labels[i]``.  ``features`` holds the flat
-    normalized originals: without flips (``source`` None) row i is step i;
-    with flips it holds one row per sample of the block, and step i is
-    row ``source[i]``, mirrored when ``flipped[i]``.
+    Step ``start + i`` is train-set sample ``indices[i]`` with label
+    ``labels[i]``.  ``features`` holds the flat normalized originals:
+    without flips (``mirror_width`` None) row i is step i.  With flips
+    ``start`` is even, row i is step 2i, and step 2i + 1 is its image
+    mirrored left-right at width ``mirror_width``.
     """
 
     start: int
     indices: np.ndarray
-    flipped: np.ndarray
     features: np.ndarray
     labels: np.ndarray
-    source: np.ndarray | None
+    mirror_width: int | None = None
 
     @property
     def stop(self) -> int:
@@ -82,8 +75,9 @@ class StreamBlock:
         """Name one row's stream step, or the whole block without a row."""
         if row is None:
             return f"stream steps {self.start}..{self.stop - 1}"
-        origin = ORIGIN_FLIPPED if self.flipped[row] else ORIGIN_ORIGINAL
-        return f"stream step {self.start + row} (class {self.labels[row]}, {origin})"
+        step = self.start + row
+        origin = "flipped" if self.mirror_width and step % 2 else "original"
+        return f"stream step {step} (class {self.labels[row]}, {origin})"
 
 
 def make_stream(
@@ -104,19 +98,27 @@ def make_stream(
     right after its original.  Blocks are cut at every multiple of
     BLOCK_ROWS stream steps and, when cut_every > 0, at every multiple of
     cut_every: cuts depend only on the absolute stream position, never on
-    task boundaries.  Only the originals of one block of the train set are
-    ever normalized at a time; a block whose first step is a flipped copy
-    carries that copy's original too.
+    task boundaries.  A flip stream is cut only between pairs, so it
+    refuses an odd cut_every.  Only the originals of one block of the
+    train set are ever normalized at a time.
     """
     descriptor, train_x, train_y = data.descriptor, data.train_x, data.train_y
     _check_int("classes_per_task", classes_per_task, 1)
     _check_int("seed", seed, 0)
     _check_int("cut_every", cut_every, 0)
-    if augment and descriptor.kind != "images":
-        raise UnsupportedAugmentationError(
-            f"dataset {descriptor.name} holds feature vectors; "
-            f"flip augmentation needs unflattened images"
-        )
+    width = None
+    if augment:
+        if descriptor.kind != "images":
+            raise UnsupportedAugmentationError(
+                f"dataset {descriptor.name} holds feature vectors; "
+                f"flip augmentation needs unflattened images"
+            )
+        if cut_every % 2:
+            raise ConfigurationError(
+                f"--eval-every-k {cut_every} would cut an image from its mirror: a "
+                f"flip run needs an even --eval-every-k (or --no-augment)"
+            )
+        width = descriptor.image_shape[-1]
     rng = np.random.default_rng(seed)
     c = descriptor.num_classes
     orders = []
@@ -130,11 +132,8 @@ def make_stream(
         order = np.concatenate(members)
         rng.shuffle(order)
         orders.append(order)
-    indices = np.concatenate(orders)
-    flipped = np.zeros(len(indices), dtype=bool)
-    if augment:
-        indices = np.repeat(indices, 2)
-        flipped = np.tile([False, True], len(flipped))
+    step = 2 if augment else 1
+    indices = np.repeat(np.concatenate(orders), step)
     n = len(indices)
     cuts = np.arange(0, n, BLOCK_ROWS)
     if cut_every > 0:
@@ -143,19 +142,9 @@ def make_stream(
     def blocks():
         for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
             idx = indices[start:stop]
-            flip = flipped[start:stop]
-            source, originals = None, idx
-            if augment:
-                # a flipped copy takes the row of the original on the step
-                # before it, or a row of its own when it opens the block
-                own = ~flip
-                own[0] = True
-                source = np.cumsum(own) - 1
-                originals = idx[own]
             yield StreamBlock(
-                start, idx, flip,
-                _flat(train_x[originals], descriptor),
-                train_y[idx].astype(np.int64, copy=False), source,
+                start, idx, _flat(train_x[idx[::step]], descriptor),
+                train_y[idx].astype(np.int64, copy=False), width,
             )
 
     return blocks()
@@ -340,7 +329,8 @@ def run_on_dataset(
     needs it given.  A flip run's map is mirror-paired at the image width.
     Every setting is checked before the model is allocated: seed and
     eval_every here, the model's by FeatureMapSpec, ModelVariant and
-    check_memory_cap, classes_per_task and augment by make_stream.
+    check_memory_cap, classes_per_task, augment and a flip run's odd
+    eval_every by make_stream.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize (this factors a copy of the
@@ -397,17 +387,17 @@ def _planned_run(
     stream_seed = seed + 1
     stream = make_stream(data, classes_per_task, augment, stream_seed, cut_every=eval_every)
     echo = _config_echo(data, model_config, eval_every, augment, classes_per_task, stream_seed)
-    return partial(_run_pass, data, model_config, stream, width, eval_every, echo)
+    return partial(_run_pass, data, model_config, stream, eval_every, echo)
 
 
-def _run_pass(data, model_config, stream, width, eval_every, echo) -> RunResult:
+def _run_pass(data, model_config, stream, eval_every, echo) -> RunResult:
     started = time.perf_counter()
     model = StreamingClassifier(model_config)
     intermediate = []
     steps = 0
     for block in stream:
         try:
-            model.observe(block.features, block.labels, block.source, block.flipped, width)
+            model.observe(block.features, block.labels, block.mirror_width)
         except RanDumbError as exc:
             raise exc.with_prefix(block.describe(getattr(exc, "row", None)))
         steps = block.stop
@@ -467,11 +457,7 @@ def sweep_embedding(dims: list[int], data: RawDataset, **settings) -> list[RunRe
     for a, b in zip(dims, dims[1:]):
         if b < a:
             raise ConfigurationError(f"sweep sizes must be non-descending, got {dims}")
-    signature, runs = inspect.signature(run_on_dataset), []
-    for dim in dims:
-        bound = signature.bind(data, embed_dim=dim, **settings)
-        bound.apply_defaults()
-        runs.append(_planned_run(**bound.arguments))
+    runs = [_plan(data, embed_dim=dim, **settings) for dim in dims]
     return [run() for run in runs]
 
 
@@ -480,8 +466,18 @@ def run_ablation(
     variants: tuple[str, ...] = ABLATION_ORDER,
     **settings,
 ) -> list[RunResult]:
-    """Run the requested variants over the identical stream."""
-    return [run_on_dataset(data, variant=variant, **settings) for variant in variants]
+    """Run the requested variants over the identical stream.  Every
+    variant's settings and memory cap are checked before the first run
+    starts."""
+    runs = [_plan(data, variant=variant, **settings) for variant in variants]
+    return [run() for run in runs]
+
+
+def _plan(data: RawDataset, **settings):
+    """``_planned_run`` of ``run_on_dataset``'s arguments, defaults filled in."""
+    bound = inspect.signature(run_on_dataset).bind(data, **settings)
+    bound.apply_defaults()
+    return _planned_run(**bound.arguments)
 
 
 def sweep_table(results: list[RunResult]) -> str:

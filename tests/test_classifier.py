@@ -373,6 +373,44 @@ class TestBatchAgreement:
         np.testing.assert_array_equal(model.predict_batch(T), quad)
 
 
+class TestMirroredIntake:
+    """observe(x, labels, mirror_width) folds in each original followed by
+    its mirror: [phi, Q phi] (the halves swapped) on a paired map, and
+    [x, P x] (the pixels mirrored) on raw inputs."""
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_each_original_then_its_mirror(self, variant):
+        rng = np.random.default_rng(66)
+        head = VARIANTS[variant][0]
+        spec = None if head is None else FeatureMapSpec(
+            head, 48, 64, 5, gamma=0.05 if head == "fourier" else None, mirror_width=4
+        )
+        config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 48)
+        X = rng.standard_normal((20, 48)).astype(np.float32)
+        labels = np.repeat(rng.integers(0, 3, 20), 2)
+        paired = StreamingClassifier(config)
+        paired.observe(X, labels, mirror_width=4)
+        if spec is None:
+            phi, mirror = X, X.reshape(20, -1, 4)[..., ::-1].reshape(20, -1)
+        else:
+            phi = paired.feature_map.embed_batch(X)
+            mirror = np.concatenate([phi[:, 32:], phi[:, :32]], axis=1)
+        explicit = StreamingClassifier(config)
+        explicit.estimator.observe(np.stack([phi, mirror], axis=1).reshape(40, -1), labels)
+        got, want = paired.estimator._arrays(), explicit.estimator._arrays()
+        assert list(got) == list(want)
+        for name in got:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_map_paired_at_another_width_refused(self):
+        for width in (4, None):
+            spec = FeatureMapSpec("fourier", 48, 64, 5, gamma=0.05, mirror_width=width)
+            model = StreamingClassifier(ModelVariant("kernel_ncm", 3, spec))
+            with pytest.raises(ConfigurationError, match=rf"has mirror_width {width}$"):
+                model.observe(np.zeros((2, 48), np.float32), [0, 0, 1, 1], mirror_width=8)
+            assert model.estimator.total_count == 0
+
+
 class TestScaleInvariance:
     def test_argmin_survives_scaling_the_regularized_covariance(self):
         # Scaling (shrunk + ridge I) by any c > 0 scales every Mahalanobis
@@ -711,11 +749,11 @@ class TestCheckpointing:
             gamma=d.default_gamma if head == "fourier" else None, mirror_width=32,
         )
         config = ModelVariant(variant, d.num_classes, spec, ridge=1e-4)
-        blocks = list(make_stream(data, augment=True, seed=1, cut_every=37))
+        blocks = list(make_stream(data, augment=True, seed=1, cut_every=38))
 
         def feed(model, part):
             for block in part:
-                model.observe(block.features, block.labels, block.source, block.flipped, 32)
+                model.observe(block.features, block.labels, block.mirror_width)
 
         direct = StreamingClassifier(config)
         feed(direct, blocks)

@@ -33,6 +33,19 @@ def feature_dir(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def cifar10_dir(tmp_path):
+    """A tiny on-disk CIFAR-10 (20 random images per file), whose runs
+    flip by default."""
+    rng = np.random.default_rng(0)
+    records = rng.integers(0, 256, size=(20, 1 + 3072), dtype=np.uint8)
+    records[:, 0] = np.arange(20) % 10
+    (tmp_path / "cifar10").mkdir()
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        (tmp_path / "cifar10" / name).write_bytes(records.tobytes())
+    return tmp_path
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -270,20 +283,23 @@ class TestExitCodes:
         assert "even" in err
 
     @pytest.mark.parametrize("variant,size", [("randumb", "66"), ("rp_relu", "65")])
-    def test_embed_dim_the_flip_pairs_cannot_split(self, capsys, tmp_path, variant, size):
+    def test_embed_dim_the_flip_pairs_cannot_split(self, capsys, cifar10_dir, variant, size):
         """A flip run's map is mirror-paired: the fourier head needs
         E % 4 == 0 and the relu head an even E."""
-        rng = np.random.default_rng(0)
-        records = rng.integers(0, 256, size=(20, 1 + 3072), dtype=np.uint8)
-        records[:, 0] = np.arange(20) % 10
-        (tmp_path / "cifar10").mkdir()
-        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
-            (tmp_path / "cifar10" / name).write_bytes(records.tobytes())
-        argv = ["run", "--dataset", "cifar10", "--data-dir", str(tmp_path),
+        argv = ["run", "--dataset", "cifar10", "--data-dir", str(cifar10_dir),
                 "--variant", variant, "--embed-dim", size]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert f"--embed-dim {size} cannot be split into mirror pairs" in err
+        assert run_cli(capsys, *argv, "--no-augment")[0] == 0
+
+    def test_odd_eval_every_on_a_flip_run(self, capsys, cifar10_dir):
+        """A flip stream is cut only between an image and its mirror."""
+        argv = ["run", "--dataset", "cifar10", "--data-dir", str(cifar10_dir),
+                "--variant", "ncm", "--eval-every-k", "7"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--eval-every-k 7 would cut an image from its mirror" in err
         assert run_cli(capsys, *argv, "--no-augment")[0] == 0
 
     def test_bad_variant_choice_is_argparse_error(self, feature_dir):

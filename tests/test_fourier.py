@@ -8,9 +8,7 @@ import pytest
 from scipy.linalg.blas import sgemm
 
 from randumb.errors import ConfigurationError, ShapeError
-from randumb.fourier import (
-    DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map, mirror_halves,
-)
+from randumb.fourier import DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map
 from randumb.reference import exact_rbf_kernel
 
 from conftest import traced_peak
@@ -321,14 +319,6 @@ class TestMirrorPairedMap:
         direct = fmap.embed_batch(mirrored(X, 32))
         swapped = np.roll(fmap.embed_batch(X), 256, axis=1)
         assert np.abs(direct - swapped).max() <= tol * np.abs(direct).max()
-        # and mirror_halves derives the same rows, bit for bit the swap
-        source = np.array([0, 0, 3, 3, 1])
-        flipped = np.array([False, True, False, True, True])
-        phi = fmap.embed_batch(X)
-        got = mirror_halves(phi, source, flipped)
-        want = phi[source]
-        want[flipped] = np.roll(want[flipped], 256, axis=1)
-        np.testing.assert_array_equal(got, want)
 
     def test_pairing_needs_sizes_that_split(self):
         for head, bad, good in (("fourier", (18, 6), 16), ("relu", (17, 3), 18)):

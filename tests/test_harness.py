@@ -2,6 +2,7 @@
 single-pass contract, and the sweep/ablation drivers."""
 
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -145,19 +146,6 @@ class TestStreamSettings:
         with pytest.raises(ConfigurationError, match=rf"^seed must be >= 0, got {seed}$"):
             run_on_dataset(data, variant=variant, embed_dim=16, gamma=0.1, seed=seed)
 
-
-def step_rows(block, descriptor):
-    """The flat row of every step of a block: a flip block's original
-    row for each step, mirrored left-right where the step is flipped."""
-    if block.source is None:
-        return block.features
-    rows = block.features[block.source]
-    shape = descriptor.image_shape
-    for i in np.flatnonzero(block.flipped):
-        rows[i] = rows[i].reshape(shape)[..., ::-1].reshape(-1)
-    return rows
-
-
     @pytest.mark.parametrize(
         "setting,value",
         [("classes_per_task", 1.5), ("seed", 1.5), ("eval_every", 2.5), ("seed", True),
@@ -167,12 +155,54 @@ def step_rows(block, descriptor):
         """Only an exact int is a count or a seed: a float used to end in a
         bare TypeError, and seed=True ran as seed 1."""
         data = blob_dataset(seed=3, num_classes=3, train_per_class=10)
-        refusal = rf"^{setting} must be an integer, got {value!r}$"
+        refusal = rf"^{setting} must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigurationError, match=refusal):
             run_on_dataset(data, variant="slda", **{setting: value})
         stream_setting = {"eval_every": "cut_every"}.get(setting, setting)
         with pytest.raises(ConfigurationError, match=rf"^{stream_setting} must be an integer"):
             make_stream(data, **{stream_setting: value})
+
+    def test_odd_cut_refused_on_a_flip_stream(self, monkeypatch):
+        """A flip stream is cut only between an image and its mirror: an
+        odd cut is refused naming --eval-every-k when make_stream is
+        called, and by run_on_dataset before the model is built."""
+        built = []
+        monkeypatch.setattr(
+            StreamingClassifier, "__init__", lambda self, config: built.append(config)
+        )
+        data = toy_image_dataset()
+        refusal = r"^--eval-every-k 7 would cut an image from its mirror"
+        with pytest.raises(ConfigurationError, match=refusal):
+            make_stream(data, augment=True, cut_every=7)
+        with pytest.raises(ConfigurationError, match=refusal):
+            run_on_dataset(data, variant="slda", augment=True, eval_every=7)
+        assert built == []
+
+    def test_odd_cut_without_flips_runs(self):
+        data = toy_image_dataset(per_class=20)
+        assert [b.start for b in make_stream(data, cut_every=7)] == list(range(0, 40, 7))
+        result = run_on_dataset(data, variant="slda", augment=False, eval_every=7)
+        assert result.observe_count == 40
+        assert [s["step"] for s in result.intermediate] == [7, 14, 21, 28, 35]
+
+
+def step_rows(block, descriptor):
+    """The flat row of every step of a block: a flip block's original
+    rows each followed by its mirror, reversed left-right by hand."""
+    if block.mirror_width is None:
+        return block.features
+    rows = np.repeat(block.features, 2, axis=0)
+    shape = descriptor.image_shape
+    for i in range(1, len(rows), 2):
+        rows[i] = rows[i].reshape(shape)[..., ::-1].reshape(-1)
+    return rows
+
+
+def step_flipped(block):
+    """Whether each step of a block is a mirrored copy: on a flip stream,
+    the odd steps."""
+    steps = np.arange(block.start, block.stop)
+    return (steps % 2 == 1) if block.mirror_width else np.zeros(len(steps), bool)
 
 
 def stream_rows(data, **kwargs):
@@ -180,7 +210,7 @@ def stream_rows(data, **kwargs):
     blocks = list(make_stream(data, **kwargs))
     return (
         np.concatenate([b.indices for b in blocks]),
-        np.concatenate([b.flipped for b in blocks]),
+        np.concatenate([step_flipped(b) for b in blocks]),
         np.concatenate([step_rows(b, data.descriptor) for b in blocks]),
         np.concatenate([b.labels for b in blocks]),
     )
@@ -230,18 +260,18 @@ class TestMakeStream:
 
     def test_flip_augmentation_doubles_and_interleaves(self):
         """2n steps, each flipped copy right after its original, and the
-        block carries one normalized, unflipped row per image that both
-        steps point to: nothing is flipped or normalized twice."""
+        block carries one normalized, unflipped row per image, the
+        original of steps 2i and 2i + 1: nothing is flipped or normalized
+        twice."""
         data = toy_image_dataset(per_class=6)
         (block,) = make_stream(data, augment=True, seed=2)
         n = len(data.train_y)
-        assert len(block.labels) == 2 * n
-        assert not block.flipped[0::2].any() and block.flipped[1::2].all()
+        assert len(block.labels) == 2 * n and block.mirror_width == 2
+        assert block.describe(2).endswith(", original)")
+        assert block.describe(3).endswith(", flipped)")
         np.testing.assert_array_equal(block.indices[0::2], block.indices[1::2])
         np.testing.assert_array_equal(block.labels[0::2], block.labels[1::2])
         assert sorted(block.indices[0::2].tolist()) == list(range(n))
-        np.testing.assert_array_equal(block.source[0::2], np.arange(n))
-        np.testing.assert_array_equal(block.source[1::2], np.arange(n))
         np.testing.assert_array_equal(
             block.features, normalize_batch(data.train_x[block.indices[0::2]], data.descriptor)
         )
@@ -251,6 +281,7 @@ class TestMakeStream:
         indices, flipped, features, labels = stream_rows(data, augment=False)
         assert len(labels) == len(data.train_y)
         assert not flipped.any()
+        assert all(b.mirror_width is None for b in make_stream(data))
         assert features.shape == (len(data.train_y), 4)
 
     def test_feature_stream_passthrough(self):
@@ -260,12 +291,12 @@ class TestMakeStream:
         np.testing.assert_array_equal(features, data.train_x[indices])
         np.testing.assert_array_equal(labels, data.train_y[indices])
 
-    @pytest.mark.parametrize("cut_every", [0, 7])
+    @pytest.mark.parametrize("cut_every", [0, 8])
     def test_blocks_match_per_image_normalize_and_flip(self, cut_every):
         """The per-image functions are the reference for the block path:
         each step's row, its original's mirrored where it is flipped,
         is the per-image normalize of the (flipped) image, bit for bit,
-        also where an odd cut puts a flipped copy first in its block."""
+        also on blocks cut off the BLOCK_ROWS grid."""
         rng = np.random.default_rng(3)
         n = 300
         train_x = rng.integers(0, 256, size=(n, 2, 2), dtype=np.uint8)
@@ -279,7 +310,8 @@ class TestMakeStream:
             image = flip_horizontal(train_x[i]) if flip else train_x[i]
             np.testing.assert_array_equal(row, normalize(image, descriptor))
         for block in make_stream(data, **settings):
-            # one original per image the block touches
+            # one original per image the block touches, and no pair cut
+            assert block.start % 2 == 0
             assert len(block.features) == len(set(block.indices.tolist()))
 
     def test_blocks_cut_at_absolute_positions(self):
@@ -296,17 +328,15 @@ class TestMakeStream:
         cut = stream_rows(data, cut_every=300, **settings)
         for a, b in zip(whole, cut):
             np.testing.assert_array_equal(a, b)
-        # An odd cut separates a flipped copy from its original; the
-        # copy's block then carries the original as well.
-        blocks = list(make_stream(data, cut_every=301, **settings))
-        assert [b.start for b in blocks] == [0, 256, 301, 512, 602, 768]
-        opened = blocks[2]
-        assert opened.flipped[0] and opened.source[0] == 0
-        assert opened.indices[0] == blocks[1].indices[-1]
-        np.testing.assert_array_equal(
-            opened.features[0], normalize(data.train_x[opened.indices[0]], data.descriptor)
-        )
-        for a, b in zip(whole, stream_rows(data, cut_every=301, **settings)):
+        # Every cut falls between flip pairs, so each block carries
+        # exactly the originals of its own steps.
+        blocks = list(make_stream(data, cut_every=302, **settings))
+        assert [b.start for b in blocks] == [0, 256, 302, 512, 604, 768]
+        for b in blocks:
+            np.testing.assert_array_equal(
+                b.features, normalize_batch(data.train_x[b.indices[0::2]], data.descriptor)
+            )
+        for a, b in zip(whole, stream_rows(data, cut_every=302, **settings)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -821,7 +851,7 @@ class TestFlipPairs:
     def data(self):
         return flip_check_dataset(np.random.default_rng(0))
 
-    @pytest.mark.parametrize("cut_every", [0, 37])
+    @pytest.mark.parametrize("cut_every", [0, 38])
     @pytest.mark.parametrize("classes_per_task", [1, 3])
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
     def test_streamed_matches_explicit_copies(self, data, variant, classes_per_task, cut_every):
@@ -895,6 +925,18 @@ class TestSweepAndAblation:
         data = blob_dataset(seed=11)
         with pytest.raises(ConfigurationError, match=f"variant {variant} runs on raw"):
             sweep_embedding([64, 128], data, variant=variant, seed=0)
+
+    def test_ablation_plans_every_variant_before_the_first_run(self, monkeypatch):
+        """A variant refused late used to cost the full pass of every
+        variant before it: slda ran, then randumb had no kernel width."""
+        built = []
+        monkeypatch.setattr(
+            StreamingClassifier, "__init__", lambda self, config: built.append(config)
+        )
+        data = blob_dataset(seed=11)
+        with pytest.raises(ConfigurationError, match="no default kernel width"):
+            run_ablation(data, variants=("slda", "randumb"))
+        assert built == []
 
     def test_ablation_covers_all_variants(self):
         data = blob_dataset(seed=12, num_classes=4, dim=10, train_per_class=50)

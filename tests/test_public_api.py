@@ -1,7 +1,8 @@
 """The package's public surface: every exported name resolves, the
 names the shared random-map spec, the single covariance, the one run
-function and the one stream input replaced stay gone, and no module
-imports a name it never uses."""
+function, the one stream input and the whole flip pairs replaced stay
+gone, no module imports a name it never uses, and no test hides where
+pytest cannot collect it."""
 
 import ast
 import inspect
@@ -74,6 +75,23 @@ def test_one_stream_input():
     assert not names & {"train_count", "test_count"}, names
 
 
+def test_one_flip_fact():
+    """Steps 2i and 2i + 1 of a flip stream are an image and its mirror,
+    so a flip block carries its originals and the image width: the
+    per-step source rows, flip flags and origin labels are gone."""
+    from randumb import data_io
+
+    assert [f.name for f in fields(randumb.StreamBlock)] == [
+        "start", "indices", "features", "labels", "mirror_width",
+    ]
+    assert list(inspect.signature(randumb.StreamingClassifier.observe).parameters) == [
+        "self", "x_raw", "labels", "mirror_width",
+    ]
+    assert not hasattr(fourier, "mirror_halves")
+    for gone in ("ORIGIN_ORIGINAL", "ORIGIN_FLIPPED"):
+        assert not hasattr(data_io, gone), gone
+
+
 # Imported names a module keeps without using them, each with its reason.
 UNUSED_IMPORTS_ALLOWED = {
     ("classifier", "RandomReluMap"): "perfbench/spans.py wraps it by this path",
@@ -103,3 +121,22 @@ def test_no_dead_imports():
             if (path.stem, name) not in UNUSED_IMPORTS_ALLOWED
         ]
     assert dead == []
+
+
+def test_no_test_nested_in_a_function():
+    """pytest collects only module- and class-level tests: a test_* def
+    inside a function (say, indented under a helper, after its return) is
+    never run, and nothing reports it."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    hidden = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if isinstance(outer, functions):
+                hidden.update(
+                    f"{path.name}:{node.lineno} {node.name}"
+                    for node in ast.walk(outer)
+                    if node is not outer and isinstance(node, functions)
+                    and node.name.startswith("test_")
+                )
+    assert sorted(hidden) == []
