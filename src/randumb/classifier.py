@@ -38,6 +38,8 @@ from .errors import (
     EmptyModelError,
     ModelStateError,
     ShapeError,
+    check_int,
+    check_real,
 )
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
 from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_pixels
@@ -76,11 +78,7 @@ class ModelVariant:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}"
             )
-        # exactly an int (no bool, no numpy scalar): the checkpoint meta is JSON
-        if type(self.num_classes) is not int or self.num_classes < 1:
-            raise ConfigurationError(
-                f"num_classes must be a positive integer, got {self.num_classes!r}"
-            )
+        check_int("num_classes", self.num_classes, 1)
         head = VARIANTS[self.variant][0]
         given = self.embedding.head if self.embedding is not None else None
         if given != head:
@@ -90,16 +88,15 @@ class ModelVariant:
             )
         if head is None and self.input_dim is None:
             raise ConfigurationError(f"variant {self.variant} needs a positive input_dim")
-        if self.input_dim is not None and (type(self.input_dim) is not int or self.input_dim < 1):
-            raise ConfigurationError(
-                f"input_dim must be a positive integer, got {self.input_dim!r}"
-            )
+        if self.input_dim is not None:
+            check_int("input_dim", self.input_dim, 1)
         if self.embedding is not None and self.input_dim is not None:
             if self.input_dim != self.embedding.input_dim:
                 raise ConfigurationError(
                     f"input_dim {self.input_dim} contradicts the embedding "
                     f"spec's {self.embedding.input_dim}"
                 )
+        check_real("ridge", self.ridge)
         if not (self.ridge >= 0) or not np.isfinite(self.ridge):
             raise ConfigurationError(f"ridge must be finite and >= 0, got {self.ridge}")
 
@@ -173,6 +170,12 @@ class StreamingClassifier:
         pairs = np.empty((m, 2, e), dtype=phi.dtype)
         pairs[:, 0] = phi
         if self.feature_map is None:
+            check_int("mirror_width", width, 1)
+            if e % width:
+                raise ConfigurationError(
+                    f"mirrored rows at image width {width} need an input size the width "
+                    f"divides; these rows hold {e} entries"
+                )
             mirror_pixels(phi, width, out=pairs[:, 1])
         else:
             paired = self.config.embedding.mirror_width

@@ -40,6 +40,7 @@ from .errors import (
     DataError,
     DataFormatError,
     UnsupportedAugmentationError,
+    check_int,
 )
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -75,8 +76,8 @@ class DatasetDescriptor:
     def __post_init__(self):
         if self.kind not in ("images", "features"):
             raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
-        if self.input_dim < 1 or self.num_classes < 1:
-            raise ConfigurationError("input_dim and num_classes must be positive")
+        check_int("input_dim", self.input_dim, 1)
+        check_int("num_classes", self.num_classes, 1)
         if self.kind == "images":
             if self.image_shape is None:
                 raise ConfigurationError("image datasets need image_shape")

@@ -2,7 +2,8 @@
 
 Each family carries the process exit code the CLI maps it to:
 configuration problems exit 2, data and file-format problems exit 3,
-numerical failures exit 4.
+numerical failures exit 4.  ``check_int`` and ``check_real`` own the
+type rules of settings that a checkpoint's JSON meta stores.
 """
 
 
@@ -74,3 +75,21 @@ class NumericalError(RanDumbError):
         super().__init__(message)
         self.pivot_index = pivot_index
 
+
+def check_int(name: str, value, minimum: int | None) -> None:
+    """Refuse a setting that is not exactly an int (a bool, a float or a
+    numpy integer included) or is below ``minimum`` (None: any int),
+    naming the value given.  Counts, sizes and seeds go into JSON
+    checkpoint meta and result records, which take only Python ints."""
+    if type(value) is not int:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a setting that is not a Python int or float (a bool or a
+    numpy float32 included; numpy's float64 is a float), naming the
+    value given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{name} must be a Python int or float, got {value!r}")

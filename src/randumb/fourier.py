@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import sgemm
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, ShapeError, check_int, check_real
 
 GENERATOR_NAME = "numpy PCG64, ziggurat standard_normal"
 
@@ -63,14 +63,12 @@ class FeatureMapSpec:
     def __post_init__(self):
         if self.head not in HEADS:
             raise ConfigurationError(f"head must be one of {HEADS}, got {self.head!r}")
-        # exactly an int (no bool, float or numpy scalar): the checkpoint meta is JSON
-        for name in ("input_dim", "embed_dim", "seed"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                )
-        if self.input_dim < 1:
-            raise ConfigurationError(f"input_dim must be >= 1, got {self.input_dim}")
+        check_int("input_dim", self.input_dim, 1)
+        # the fourier head words its own lower bound, below
+        check_int("embed_dim", self.embed_dim, None if self.head == "fourier" else 1)
+        check_int("seed", self.seed, 0)
+        if self.gamma is not None:
+            check_real("gamma", self.gamma)
         if self.head == "fourier":
             if self.embed_dim < 2 or self.embed_dim % 2 != 0:
                 raise ConfigurationError(
@@ -81,24 +79,17 @@ class FeatureMapSpec:
                 raise ConfigurationError(
                     f"gamma must be finite and > 0, got {self.gamma}"
                 )
-        else:
-            if self.embed_dim < 1:
-                raise ConfigurationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-            if self.gamma is not None:
-                raise ConfigurationError(
-                    f"the relu head takes no gamma, got {self.gamma}"
-                )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        elif self.gamma is not None:
+            raise ConfigurationError(f"the relu head takes no gamma, got {self.gamma}")
         if self.mirror_width is not None:
             self._check_pairing()
 
     def _check_pairing(self) -> None:
         width = self.mirror_width
-        if type(width) is not int or width < 1 or self.input_dim % width != 0:
+        check_int("mirror_width", width, 1)
+        if self.input_dim % width != 0:
             raise ConfigurationError(
-                f"mirror_width must be a positive integer dividing input_dim "
-                f"{self.input_dim}, got {width!r}"
+                f"mirror_width must divide input_dim {self.input_dim}, got {width}"
             )
         # rows i and i + D/2 must land in the two halves of the embedding
         multiple = 4 if self.head == "fourier" else 2

@@ -33,6 +33,7 @@ from .errors import (
     ModelStateError,
     RanDumbError,
     UnsupportedAugmentationError,
+    check_int,
 )
 from .fourier import GENERATOR_NAME, FeatureMapSpec
 
@@ -103,9 +104,9 @@ def make_stream(
     train set are ever normalized at a time.
     """
     descriptor, train_x, train_y = data.descriptor, data.train_x, data.train_y
-    _check_int("classes_per_task", classes_per_task, 1)
-    _check_int("seed", seed, 0)
-    _check_int("cut_every", cut_every, 0)
+    check_int("classes_per_task", classes_per_task, 1)
+    check_int("seed", seed, 0)
+    check_int("cut_every", cut_every, 0)
     width = None
     if augment:
         if descriptor.kind != "images":
@@ -148,15 +149,6 @@ def make_stream(
             )
 
     return blocks()
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Refuse a run setting that is not exactly an int (a bool or a
-    float included) or is below ``minimum``, naming the value given."""
-    if type(value) is not int:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _flat(rows: np.ndarray, descriptor: DatasetDescriptor) -> np.ndarray:
@@ -351,8 +343,8 @@ def _planned_run(
     """``run_on_dataset``'s settings checked, its model config built and
     its stream order fixed; returns the pass itself, to call with no
     arguments.  Nothing the size of the model is allocated here."""
-    _check_int("seed", seed, 0)
-    _check_int("eval_every", eval_every, 0)
+    check_int("seed", seed, 0)
+    check_int("eval_every", eval_every, 0)
     descriptor = data.descriptor
     if augment is None:
         augment = descriptor.flip_default

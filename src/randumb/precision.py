@@ -156,6 +156,12 @@ def oas_shrink(S: np.ndarray, n: int, copy: bool = True) -> ShrinkageResult:
 
     ``n`` is the number of samples behind S (augmented copies included).
     With copy=False, S itself is overwritten with the shrunk matrix.
+
+    No run calls this full-matrix kernel: finalize runs ``shrink_packed``,
+    which the verify and acceptance checks test against the oracle.  It
+    stays only because ``perfbench/spans.py`` wraps it by name, until
+    ROADMAP item 2 deletes it with ``ShrinkageResult`` and
+    ``_check_symmetric``.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:

@@ -3,7 +3,11 @@
 Everything here is coded directly from definitions: two-pass batch
 statistics, explicit dense inverses, literal kernel evaluation.  None
 of it calls into the streaming modules, so agreement between the two
-sides is evidence, not circularity.  Slow on purpose; sized for E <= 50.
+sides is evidence, not circularity.  Slow on purpose, so the verify
+checks run small: E <= 31 on at most 400 samples for the statistics,
+shrinkage and discriminant checks, 10-dimensional inputs for the kernel
+check, and E = 256 on 300-step image streams for the flip check
+(``run_verify``).
 """
 
 from __future__ import annotations
@@ -13,18 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, NumericalError
-
-
-def exact_rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2), evaluated literally."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError(f"need two equal-length vectors, got {x.shape} and {y.shape}")
-    if not gamma > 0:
-        raise DataError(f"gamma must be > 0, got {gamma}")
-    diff = x - y
-    return float(np.exp(-gamma * (diff @ diff)))
 
 
 def exact_rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
@@ -189,9 +181,10 @@ def _check_streaming_vs_batch(rng) -> OracleReport:
         ref = batch_stats(X, y)
         scale = max(np.abs(ref.covariance).max(), 1e-12)
         worst = max(worst, np.abs(est.covariance() - ref.covariance).max() / scale)
-        for label, mean in est.class_means().items():
-            mscale = max(np.abs(ref.means[label]).max(), 1e-12)
-            worst = max(worst, np.abs(mean - ref.means[label]).max() / mscale)
+        means = est.class_rows()[1]
+        for label, mean in ref.means.items():
+            mscale = max(np.abs(mean).max(), 1e-12)
+            worst = max(worst, np.abs(means[label] - mean).max() / mscale)
     return OracleReport("streaming_matches_batch", worst, 1e-8)
 
 
@@ -217,22 +210,26 @@ def _check_rff_kernel(rng) -> OracleReport:
 
 
 def _check_oas(rng) -> OracleReport:
-    from .precision import oas_shrink
+    """The shrinkage finalize runs, ``shrink_packed`` on the packed upper
+    triangle, against the oracle's full matrix (packed the same way)."""
+    from .precision import pack_upper, shrink_packed
 
     worst = 0.0
     for _ in range(5):
         e, n = 20, 50
         A = rng.standard_normal((n, e))
         S = A.T @ A / n
-        result = oas_shrink(S, n)
+        packed = pack_upper(S)
+        rho, mu = shrink_packed(packed, n)
         rho_ref, mu_ref, shrunk_ref = oas_reference(S, n)
-        worst = max(worst, abs(result.rho - rho_ref))
-        worst = max(worst, abs(result.mu - mu_ref))
-        worst = max(worst, np.abs(result.shrunk - shrunk_ref).max())
-        if not (0.0 <= result.rho <= 1.0):
+        worst = max(worst, abs(rho - rho_ref))
+        worst = max(worst, abs(mu - mu_ref))
+        worst = max(worst, np.abs(packed - pack_upper(shrunk_ref)).max())
+        if not (0.0 <= rho <= 1.0):
             worst = max(worst, 1.0)
-    ident = oas_shrink(3.5 * np.eye(12), 100)
-    worst = max(worst, np.abs(ident.shrunk - 3.5 * np.eye(12)).max())
+    ident = pack_upper(3.5 * np.eye(12))
+    shrink_packed(ident, 100)
+    worst = max(worst, np.abs(ident - pack_upper(3.5 * np.eye(12))).max())
     return OracleReport("oas_matches_reference", worst, 1e-10)
 
 

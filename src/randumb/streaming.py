@@ -40,12 +40,12 @@ import numpy as np
 from scipy.linalg.lapack import dsfrk, dtfttr
 
 from .errors import (
-    ConfigurationError,
     DataError,
     DataFormatError,
     InsufficientDataError,
     ModelStateError,
     ShapeError,
+    check_int,
 )
 from .precision import RFP, packed_size
 
@@ -112,10 +112,8 @@ class StreamingEstimator:
     """
 
     def __init__(self, embed_dim: int, num_classes: int, track_scatter: bool = True):
-        if embed_dim < 1:
-            raise ConfigurationError(f"embed_dim must be >= 1, got {embed_dim}")
-        if num_classes < 1:
-            raise ConfigurationError(f"num_classes must be >= 1, got {num_classes}")
+        check_int("embed_dim", embed_dim, 1)
+        check_int("num_classes", num_classes, 1)
         self.embed_dim = embed_dim
         self.track_scatter = track_scatter
         self._counts = np.zeros(num_classes, dtype=np.int64)
@@ -125,7 +123,6 @@ class StreamingEstimator:
             if track_scatter
             else None
         )
-        self._consumed = False
 
     # -- streaming ---------------------------------------------------------
 
@@ -137,7 +134,7 @@ class StreamingEstimator:
         any state changes; a non-finite row, or a label outside 0..C-1,
         raises a DataError whose ``row`` is that row's index in the block.
         """
-        if self._consumed:
+        if self.track_scatter and self._scatter is None:
             raise ModelStateError(
                 "estimator state was consumed by packed_scatter(consume=True); "
                 "no further observations are possible"
@@ -206,22 +203,10 @@ class StreamingEstimator:
     def total_count(self) -> int:
         return int(self._counts.sum())
 
-    @property
-    def classes_seen(self) -> list[int]:
-        return np.flatnonzero(self._counts).tolist()
-
     def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The C counts and the C x E mean rows, as held: row c is label c."""
+        """The C counts and the C x E mean rows, as held: row c is label
+        c, and a count of 0 marks a class not seen yet."""
         return self._counts, self._means
-
-    def class_means(self) -> dict[int, np.ndarray]:
-        """Snapshot of every per-class mean, keyed by observed labels only."""
-        seen = self.classes_seen
-        return dict(zip(seen, self._means[seen]))
-
-    def class_counts(self) -> dict[int, int]:
-        seen = self.classes_seen
-        return dict(zip(seen, self._counts[seen].tolist()))
 
     def scatter(self) -> np.ndarray:
         """The pooled sum of squared deviations, as a full symmetric matrix."""
@@ -252,7 +237,6 @@ class StreamingEstimator:
         if not consume:
             return self._scatter.copy(), denom
         out, self._scatter = self._scatter, None
-        self._consumed = True
         return out, denom
 
     def _normalizer(self) -> int:
@@ -269,10 +253,10 @@ class StreamingEstimator:
         return sum(a.nbytes for a in arrays if a is not None)
 
     def _require_scatter(self) -> None:
-        if self._consumed:
-            raise ModelStateError("estimator state was already consumed")
         if not self.track_scatter:
             raise ModelStateError("estimator was built with track_scatter=False")
+        if self._scatter is None:
+            raise ModelStateError("estimator state was already consumed")
 
     # -- checkpointing ------------------------------------------------------
 

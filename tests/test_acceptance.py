@@ -25,16 +25,16 @@ from randumb import (
     StreamingClassifier,
     StreamingEstimator,
     load_dataset,
-    oas_shrink,
     run_ablation,
     run_on_dataset,
     sweep_embedding,
 )
 from randumb.data_io import dataset_from_features
+from randumb.precision import pack_upper, shrink_packed
 from randumb.reference import (
     batch_lda_predict,
     batch_stats,
-    exact_rbf_kernel,
+    exact_rbf_kernel_matrix,
     oas_reference,
 )
 
@@ -70,13 +70,13 @@ class TestPropertyGates:
             ref = batch_stats(X, y)
             cov = est.covariance()
             worst_batch = max(worst_batch, relative_max_error(cov, ref.covariance))
-            means = est.class_means()
+            means = est.class_rows()[1]
             for c, mu in ref.means.items():
                 worst_batch = max(worst_batch, relative_max_error(means[c], mu))
             cov_perm = est_perm.covariance()
             worst_perm = max(worst_perm, relative_max_error(cov_perm, cov))
-            means_perm = est_perm.class_means()
-            for c in means:
+            means_perm = est_perm.class_rows()[1]
+            for c in ref.means:
                 worst_perm = max(
                     worst_perm, relative_max_error(means_perm[c], means[c])
                 )
@@ -92,9 +92,7 @@ class TestPropertyGates:
         gamma = 1.0
         rng = np.random.default_rng(7)
         pairs = (rng.standard_normal((100, 2, d)) * 0.5).astype(np.float64)
-        exact = np.array(
-            [exact_rbf_kernel(x, y, gamma) for x, y in pairs]
-        )
+        exact = exact_rbf_kernel_matrix(pairs[:, 0], pairs[:, 1], gamma).diagonal()
 
         def mean_abs_error(num_bases: int, seed: int) -> float:
             spec = FeatureMapSpec(
@@ -113,6 +111,8 @@ class TestPropertyGates:
         assert fine < coarse, f"error grew with width: {fine:.4f} vs {coarse:.4f}"
 
     def test_shrinkage_bounds_identity_and_oracle_agreement(self):
+        # The shrinkage finalize runs: shrink_packed on the RFP vector of
+        # the covariance's upper triangle, shrunk in place.
         rng = np.random.default_rng(11)
         # Mixing weight stays in [0, 1] across benign and degenerate inputs.
         cases = []
@@ -124,14 +124,15 @@ class TestPropertyGates:
             cases.append((np.zeros((e, e)), 5))        # all zero
             cases.append((np.eye(e) * 3.0, 10**9))     # huge n
         for S, n in cases:
-            rho = oas_shrink(S, n).rho
+            rho, _ = shrink_packed(pack_upper(S), n)
             assert 0.0 <= rho <= 1.0, rho
 
         # A scaled identity is a fixed point.
         S = 2.5 * np.eye(40)
-        result = oas_shrink(S.copy(), 100)
-        assert np.abs(result.shrunk - S).max() == 0.0
-        assert result.rho == 1.0
+        packed = pack_upper(S)
+        rho, _ = shrink_packed(packed, 100)
+        assert np.abs(packed - pack_upper(S)).max() == 0.0
+        assert rho == 1.0
 
         # Agreement with the independent transcription on random SPD input.
         worst = 0.0
@@ -140,11 +141,12 @@ class TestPropertyGates:
             n = int(rng.integers(e, 500))
             A = rng.standard_normal((n, e))
             S = A.T @ A / n
-            mine = oas_shrink(S.copy(), n)
+            packed = pack_upper(S)
+            rho, mu = shrink_packed(packed, n)
             rho_ref, mu_ref, shrunk_ref = oas_reference(S, n)
-            worst = max(worst, abs(mine.rho - rho_ref))
-            worst = max(worst, abs(mine.mu - mu_ref))
-            worst = max(worst, float(np.abs(mine.shrunk - shrunk_ref).max()))
+            worst = max(worst, abs(rho - rho_ref))
+            worst = max(worst, abs(mu - mu_ref))
+            worst = max(worst, float(np.abs(packed - pack_upper(shrunk_ref)).max()))
         assert worst <= 1e-10, f"oracle disagreement {worst:.3e}"
 
     def test_predictions_match_batch_lda_oracle_everywhere(self):

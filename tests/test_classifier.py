@@ -22,7 +22,6 @@ from randumb import (
     StreamingClassifier,
     VARIANTS,
     make_stream,
-    oas_shrink,
 )
 from randumb.harness import BLOCK_ROWS
 from randumb.data_io import normalize_batch, read_checkpoint, write_checkpoint
@@ -110,6 +109,28 @@ class TestModelVariantValidation:
         with pytest.raises(ConfigurationError, match="ridge"):
             raw_config(ridge=ridge)
 
+    @pytest.mark.parametrize("ridge", [np.float32(1e-3), True, "0.001", None])
+    def test_ridge_outside_json_refused_by_name(self, ridge):
+        """The config goes into the checkpoint meta as JSON, so a ridge
+        json cannot write (a numpy float32, say) is refused when the config
+        is built, not when the model is saved."""
+        refusal = f"^ridge must be a Python int or float, got {re.escape(repr(ridge))}$"
+        with pytest.raises(ConfigurationError, match=refusal):
+            raw_config(ridge=ridge)
+
+    def test_float64_and_int_settings_save_and_load(self, tmp_path):
+        """numpy's float64 is a Python float, so it passes and the
+        checkpoint meta holds it as a plain JSON number."""
+        spec = FeatureMapSpec("fourier", 4, 8, 0, gamma=np.float64(0.5))
+        for config in (
+            ModelVariant("randumb", 2, spec, ridge=np.float64(1e-3)),
+            ModelVariant("slda", 2, ridge=0, input_dim=4),
+        ):
+            model = StreamingClassifier(config)
+            model.observe(np.eye(4), [0, 1, 0, 1])
+            model.save(tmp_path / "model.rdck")
+            assert StreamingClassifier.load(tmp_path / "model.rdck").config == config
+
     def test_needs_precision_flags(self):
         assert fourier_config("randumb").needs_precision
         assert raw_config("slda").needs_precision
@@ -181,16 +202,16 @@ def precision_of(model):
     from finalize from the estimator's full covariance (so before any
     consuming finalize)."""
     est = model.estimator
-    shrunk = oas_shrink(est.covariance(), est.total_count).shrunk
+    shrunk = oas_reference(est.covariance(), est.total_count)[2]
     return PrecisionModel(pack_upper(shrunk), model.config.ridge)
 
 
 def seen_means(model):
     """(labels, means): the classes seen so far, in increasing order, and
     their mean rows."""
-    means = model.estimator.class_means()
-    labels = np.array(sorted(means))
-    return labels, np.stack([means[c] for c in labels])
+    counts, means = model.estimator.class_rows()
+    labels = np.flatnonzero(counts)
+    return labels, means[labels]
 
 
 def squared_distances(precision, phi, means):
@@ -230,7 +251,7 @@ class TestDecisionRule:
         model.observe(np.array([-5.0, -5.0, -5.0]), 7)
         model.observe(np.array([-5.1, -4.9, -5.0]), 7)
         model.finalize()
-        means = model.estimator.class_means()
+        means = model.estimator.class_rows()[1]
         np.testing.assert_array_equal(means[4], means[9])
         assert model.predict_batch(shared[None, :])[0] == 4
         picks = model.predict_batch(shared + 3.0 * rng.standard_normal((200, 3)))
@@ -280,9 +301,8 @@ class TestDecisionRule:
         # Test points at every scale, so a score that is not the plain
         # inner product (a norm term, a bias) changes some label.
         T = rng.standard_normal((1000, 4)) * rng.uniform(0.01, 3.0, size=(1000, 1))
-        means = model.estimator.class_means()
-        labels = np.array(sorted(means))
-        scores = T @ np.stack([means[c] for c in labels]).T
+        labels, means = seen_means(model)
+        scores = T @ means.T
         np.testing.assert_array_equal(
             model.predict_batch(T), labels[np.argmax(scores, axis=1)]
         )
@@ -295,9 +315,8 @@ class TestDecisionRule:
         fmap = FeatureMap(config.embedding)
         T = rng.standard_normal((1000, 4)) * rng.uniform(0.01, 3.0, size=(1000, 1))
         phi = fmap.embed_batch(T).astype(np.float64)
-        means = model.estimator.class_means()
-        labels = np.array(sorted(means))
-        scores = phi @ np.stack([means[c] for c in labels]).T
+        labels, means = seen_means(model)
+        scores = phi @ means.T
         np.testing.assert_array_equal(
             model.predict_batch(T), labels[np.argmax(scores, axis=1)]
         )
@@ -410,6 +429,23 @@ class TestMirroredIntake:
                 model.observe(np.zeros((2, 48), np.float32), [0, 0, 1, 1], mirror_width=8)
             assert model.estimator.total_count == 0
 
+    @pytest.mark.parametrize("variant", ["slda", "ncm"])
+    def test_raw_width_that_does_not_divide_the_input_refused(self, variant):
+        """On raw inputs the pixels themselves are mirrored, so the width
+        must divide the input size; the refusal names both, and the
+        statistics are left as they were."""
+        model = StreamingClassifier(ModelVariant(variant, 3, input_dim=48))
+        model.observe(np.ones((1, 48), np.float32), [0, 0], mirror_width=4)
+        before = {name: a.copy() for name, a in model.estimator._arrays().items()}
+        refusal = "image width 5 need an input size the width divides; these rows hold 48"
+        with pytest.raises(ConfigurationError, match=refusal):
+            model.observe(np.zeros((2, 48), np.float32), [0, 0, 1, 1], mirror_width=5)
+        for width in (0, 4.0):
+            with pytest.raises(ConfigurationError, match="^mirror_width must be"):
+                model.observe(np.zeros((2, 48), np.float32), [0, 0, 1, 1], mirror_width=width)
+        for name, array in model.estimator._arrays().items():
+            np.testing.assert_array_equal(array, before[name])
+
 
 class TestScaleInvariance:
     def test_argmin_survives_scaling_the_regularized_covariance(self):
@@ -418,11 +454,11 @@ class TestScaleInvariance:
         rng = np.random.default_rng(31)
         X, y = gaussian_blobs(rng, num_classes=5, dim=6, per_class=100)
         model = fit(raw_config(input_dim=6, ridge=1e-3), X, y)
-        shrunk = oas_shrink(
+        shrunk = oas_reference(
             np.cov(np.concatenate([X[y == c] - X[y == c].mean(axis=0) for c in range(5)]).T,
                    bias=False),
             len(X),
-        ).shrunk
+        )[2]
         base = PrecisionModel(pack_upper(shrunk), ridge=1e-3)
         scaled = PrecisionModel(pack_upper(3.7 * (shrunk + 1e-3 * np.eye(6))), ridge=0.0)
         means = seen_means(model)[1]
@@ -444,7 +480,7 @@ class TestLdaEquivalence:
         means = {c: X[y == c].mean(axis=0) for c in range(5)}
         centered = np.concatenate([X[y == c] - means[c] for c in range(5)])
         S = (centered.T @ centered) / (len(X) - 1)
-        shrunk = oas_shrink(S, len(X)).shrunk
+        shrunk = oas_reference(S, len(X))[2]
         T = rng.standard_normal((1000, 7))
         oracle = batch_lda_predict(means, shrunk, 1e-4, T)
         mine = model.predict_batch(T)
@@ -537,7 +573,7 @@ class TestUpperTriangleFinalize:
         assert abs(model.shrinkage_rho - rho) < 1e-10
         assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
         assert abs(model.log_det - log_det) < 1e-10 * abs(log_det)
-        means = model.estimator.class_means()
+        means = dict(zip(*seen_means(model)))
         oracle = batch_lda_predict(means, shrunk, 1e-3, T)
         np.testing.assert_array_equal(model.predict_batch(T), oracle)
 
@@ -962,14 +998,22 @@ class TestCheckpointMeta:
             re.escape(f"'class_means' has shape {found}, expected {expected}"),
         )
 
-    @pytest.mark.parametrize("num_classes", [0, 2.5, True, "3"])
-    def test_invalid_class_count_rejected(self, tmp_path, num_classes):
+    @pytest.mark.parametrize(
+        "num_classes,refusal",
+        [
+            (0, "num_classes must be >= 1, got 0"),
+            (2.5, "num_classes must be an integer, got 2.5"),
+            (True, "num_classes must be an integer, got True"),
+            ("3", "num_classes must be an integer, got '3'"),
+        ],
+    )
+    def test_invalid_class_count_rejected(self, tmp_path, num_classes, refusal):
         path = self.tampered(
             tmp_path,
             raw_config(input_dim=5),
             lambda m: m["model"].update(num_classes=num_classes),
         )
-        assert_refused(path, "num_classes must be a positive integer")
+        assert_refused(path, re.escape(f"checkpoint model: {refusal}") + "$")
 
     def test_class_count_disagreeing_with_the_rows_rejected(self, tmp_path):
         """Label c is row c: a class count the arrays do not have is refused

@@ -6,6 +6,7 @@ import errno
 import gzip
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -540,6 +541,20 @@ class TestDescriptor:
                 name="x", kind="images", input_dim=4, num_classes=2,
                 image_shape=(2, 2), channel_means=(0.5,), channel_stds=(0.0,),
             )
+
+    @pytest.mark.parametrize(
+        "input_dim,num_classes,refusal",
+        [
+            (8.0, 3, "input_dim must be an integer, got 8.0"),
+            (True, 3, "input_dim must be an integer, got True"),
+            (0, 3, "input_dim must be >= 1, got 0"),
+            (8, 3.0, "num_classes must be an integer, got 3.0"),
+            (8, 0, "num_classes must be >= 1, got 0"),
+        ],
+    )
+    def test_sizes_are_exact_positive_ints(self, input_dim, num_classes, refusal):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(refusal)}$"):
+            DatasetDescriptor("x", "features", input_dim, num_classes)
 
 
 class TestNormalize:

@@ -2,6 +2,8 @@
 kernel fidelity, and a transcription of both heads."""
 
 import hashlib
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy.linalg.blas import sgemm
 
 from randumb.errors import ConfigurationError, ShapeError
 from randumb.fourier import DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map
-from randumb.reference import exact_rbf_kernel
+from randumb.reference import exact_rbf_kernel_matrix
 
 from conftest import traced_peak
 
@@ -46,6 +48,15 @@ class TestSpecValidation:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FeatureMapSpec(**kwargs)
+
+    @pytest.mark.parametrize("gamma", [np.float32(0.5), True, "0.5", Fraction(1, 2)])
+    def test_gamma_outside_json_refused_by_name(self, gamma):
+        """The spec goes into the checkpoint meta as JSON, so a gamma json
+        cannot write (a numpy float32, say) is refused when the spec is
+        built, not when the model is saved."""
+        refusal = f"^gamma must be a Python int or float, got {re.escape(repr(gamma))}$"
+        with pytest.raises(ConfigurationError, match=refusal):
+            FeatureMapSpec("fourier", 4, 8, 0, gamma=gamma)
 
     def test_embed_dim_helper_rejects_odd_sizes(self):
         """The Fourier head needs E/2 cos/sin pairs; the relu head takes
@@ -204,7 +215,8 @@ class TestEmbedding:
             x = rng.standard_normal(10) * 0.4
             y = rng.standard_normal(10) * 0.4
             approx = float(fm.embed(x) @ fm.embed(y))
-            assert abs(approx - exact_rbf_kernel(x, y, 1.0)) < 0.05
+            exact = exact_rbf_kernel_matrix(x[None], y[None], 1.0)[0, 0]
+            assert abs(approx - exact) < 0.05
 
     def test_kernel_error_shrinks_with_more_bases(self):
         """Mean absolute kernel error decreases at each step of

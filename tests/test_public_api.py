@@ -1,8 +1,9 @@
 """The package's public surface: every exported name resolves, the
 names the shared random-map spec, the single covariance, the one run
-function, the one stream input and the whole flip pairs replaced stay
-gone, no module imports a name it never uses, and no test hides where
-pytest cannot collect it."""
+function, the one stream input, the whole flip pairs and the one read
+of the class rows replaced stay gone, the shrinkage checks test the
+kernel finalize runs, no module imports a name it never uses, and no
+test hides where pytest cannot collect it."""
 
 import ast
 import inspect
@@ -10,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import randumb
-from randumb import classifier, fourier, harness, streaming
+from randumb import classifier, fourier, harness, reference, streaming
 
 
 def test_every_exported_name_resolves():
@@ -90,6 +91,35 @@ def test_one_flip_fact():
     assert not hasattr(fourier, "mirror_halves")
     for gone in ("ORIGIN_ORIGINAL", "ORIGIN_FLIPPED"):
         assert not hasattr(data_io, gone), gone
+
+
+def test_one_read_of_the_class_rows():
+    """class_rows() is the estimator's one read: C counts and C mean rows,
+    a count of 0 marking a class not seen yet.  The dict views, the spent
+    flag (a consumed accumulator is None) and the single-pair kernel
+    oracle are gone."""
+    for gone in ("classes_seen", "class_means", "class_counts"):
+        assert not hasattr(randumb.StreamingEstimator, gone), gone
+    estimator = randumb.StreamingEstimator(3, 2)
+    assert not hasattr(estimator, "_consumed")
+    estimator.observe([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]], [1, 1])
+    estimator.packed_scatter(consume=True)
+    assert not hasattr(estimator, "_consumed")
+    assert not hasattr(reference, "exact_rbf_kernel")
+
+
+def test_shrinkage_checks_call_the_packed_kernel():
+    """The verify OAS check and the acceptance shrinkage gate test
+    shrink_packed, which finalize runs, never the full-matrix oas_shrink."""
+    root = Path(__file__).resolve().parent.parent
+    for path in (root / "src/randumb/reference.py", root / "tests/test_acceptance.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+        }
+        assert "oas_shrink" not in called, path.name
+        assert "shrink_packed" in called, path.name
 
 
 # Imported names a module keeps without using them, each with its reason.

@@ -18,7 +18,6 @@ from randumb.reference import (
     batch_lda_predict,
     batch_mahalanobis_predict,
     batch_stats,
-    exact_rbf_kernel,
     exact_rbf_kernel_matrix,
     oas_reference,
     run_verify,
@@ -41,34 +40,30 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert done.stdout.strip() == "False"
 
 
-class TestExactRbfKernel:
+class TestExactRbfKernelMatrix:
     def test_identical_points_give_one(self):
-        x = np.array([1.5, -2.0, 0.25])
-        assert exact_rbf_kernel(x, x, gamma=3.0) == 1.0
+        x = np.array([[1.5, -2.0, 0.25]])
+        assert exact_rbf_kernel_matrix(x, x, gamma=3.0)[0, 0] == 1.0
 
     def test_log_two_distance_gives_half(self):
         """gamma=1 and squared distance ln(2) puts the kernel at exactly 1/2."""
-        x = np.zeros(4)
-        y = np.zeros(4)
-        y[0] = np.sqrt(np.log(2.0))
-        assert exact_rbf_kernel(x, y, gamma=1.0) == pytest.approx(0.5, rel=1e-12)
+        x = np.zeros((1, 4))
+        y = np.zeros((1, 4))
+        y[0, 0] = np.sqrt(np.log(2.0))
+        assert exact_rbf_kernel_matrix(x, y, gamma=1.0)[0, 0] == pytest.approx(
+            0.5, rel=1e-12
+        )
 
-    def test_matrix_agrees_with_scalar(self):
+    def test_matrix_agrees_with_the_definition(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 5))
         Y = rng.standard_normal((4, 5))
         K = exact_rbf_kernel_matrix(X, Y, gamma=0.7)
+        assert K.shape == (6, 4)
         for i in range(6):
             for j in range(4):
-                assert K[i, j] == pytest.approx(
-                    exact_rbf_kernel(X[i], Y[j], 0.7), rel=1e-12
-                )
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DataError):
-            exact_rbf_kernel(np.zeros(3), np.zeros(4), 1.0)
-        with pytest.raises(DataError):
-            exact_rbf_kernel(np.zeros(3), np.zeros(3), 0.0)
+                diff = X[i] - Y[j]
+                assert K[i, j] == pytest.approx(np.exp(-0.7 * (diff @ diff)), rel=1e-12)
 
 
 class TestBatchStats:

@@ -1,6 +1,7 @@
 """Streaming estimator: exactness against batch statistics, order
 invariance, memory behavior, and its state through a checkpoint."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,8 +52,9 @@ class TestSingleSamples:
         est = StreamingEstimator(4, CLASSES)
         phi = np.array([1.0, -2.0, 0.5, 3.0])
         est.observe(phi, 0)
-        np.testing.assert_array_equal(est.class_means()[0], phi)
-        assert est.class_counts() == {0: 1}
+        counts, means = est.class_rows()
+        np.testing.assert_array_equal(means[0], phi)
+        assert counts.tolist() == [1] + [0] * (CLASSES - 1)
         assert not est.scatter().any()
 
     def test_identical_samples_leave_scatter_zero(self):
@@ -61,7 +63,7 @@ class TestSingleSamples:
         est.observe(phi, 2)
         est.observe(phi, 2)
         assert not est.scatter().any()
-        np.testing.assert_allclose(est.class_means()[2], phi, atol=1e-15)
+        np.testing.assert_allclose(est.class_rows()[1][2], phi, atol=1e-15)
 
     def test_two_point_covariance_closed_form(self):
         v = np.array([1.0, 4.0])
@@ -71,12 +73,11 @@ class TestSingleSamples:
             est.covariance(), 0.5 * np.outer(v - w, v - w), atol=1e-12
         )
 
-    def test_key_set_tracks_observed_labels_only(self):
+    def test_nonzero_counts_mark_observed_labels_only(self):
         est = StreamingEstimator(2, CLASSES)
         est.observe(np.ones(2), 3)
         est.observe(np.zeros(2), 7)
-        assert set(est.class_means()) == {3, 7}
-        assert est.classes_seen == [3, 7]
+        assert np.flatnonzero(est.class_rows()[0]).tolist() == [3, 7]
 
 
 class TestBatchEquivalence:
@@ -90,8 +91,9 @@ class TestBatchEquivalence:
         ref = batch_stats(X, y)
         scale = np.abs(ref.scatter).max()
         assert np.abs(est.scatter() - ref.scatter).max() / scale < 1e-10
-        for label, mean in est.class_means().items():
-            np.testing.assert_allclose(mean, ref.means[label], rtol=1e-12, atol=1e-12)
+        means = est.class_rows()[1]
+        for label, mean in ref.means.items():
+            np.testing.assert_allclose(means[label], mean, rtol=1e-12, atol=1e-12)
 
     def test_class_means_high_count(self):
         rng = np.random.default_rng(12)
@@ -99,8 +101,9 @@ class TestBatchEquivalence:
         y = np.repeat(np.arange(10), 100)
         est = feed(StreamingEstimator(8, CLASSES), X, y)
         ref = batch_stats(X, y)
-        for label, mean in est.class_means().items():
-            np.testing.assert_allclose(mean, ref.means[label], rtol=1e-12)
+        means = est.class_rows()[1]
+        for label, mean in ref.means.items():
+            np.testing.assert_allclose(means[label], mean, rtol=1e-12)
 
     def test_reversed_stream_gives_same_covariance(self):
         rng = np.random.default_rng(13)
@@ -161,6 +164,12 @@ class TestNumericalShape:
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
             StreamingEstimator(0, CLASSES)
+        for value in (10.5, True, np.int64(4)):
+            refusal = rf"^embed_dim must be an integer, got {re.escape(repr(value))}$"
+            with pytest.raises(ConfigurationError, match=refusal):
+                StreamingEstimator(value, 3)
+        with pytest.raises(ConfigurationError, match=r"^num_classes must be an integer, got 3\.0$"):
+            StreamingEstimator(4, 3.0)
         # one covariance: no centering mode, no (n - C) normalizer
         with pytest.raises(TypeError):
             StreamingEstimator(4, CLASSES, mode="global")
@@ -215,7 +224,7 @@ class TestMemoryContract:
             model.observe(np.zeros(4), 1)
         with pytest.raises(ModelStateError):
             est.covariance()
-        assert set(est.class_means()) == {0, 1}
+        assert np.flatnonzero(est.class_rows()[0]).tolist() == [0, 1]
         # the packed upper triangle: E (E + 1) / 2 float64 entries
         assert full.state_nbytes() - est.state_nbytes() == 4 * 5 // 2 * 8
 
@@ -258,10 +267,10 @@ class TestClassRows:
                 n, m = want_counts.get(c, 0), len(rows)
                 mean += (rows.sum(axis=0) / m - mean) * m / (n + m)
                 want_counts[c] = n + m
-        assert est.classes_seen == list(range(10))
-        assert est.class_counts() == want_counts
-        for c, mean in est.class_means().items():
-            assert mean.tobytes() == want_means[c].tobytes()
+        counts, means = est.class_rows()
+        assert counts.tolist() == [want_counts[c] for c in range(CLASSES)]
+        for c in range(CLASSES):
+            assert means[c].tobytes() == want_means[c].tobytes()
         back = reload(model, tmp_path / "rows.rdck")
         for name, stored in est._arrays().items():
             assert back._arrays()[name].tobytes() == stored.tobytes()
@@ -274,7 +283,7 @@ class TestClassRows:
         with pytest.raises(DataError, match=f"label {bad} is outside 0..3") as info:
             est.observe(np.zeros((4, 3)), [1, 3, bad, 0])
         assert info.value.row == 2
-        assert est.class_counts() == {0: 1, 1: 1}
+        assert est.class_rows()[0].tolist() == [1, 1, 0, 0]
         np.testing.assert_array_equal(est.scatter(), before)
         with pytest.raises(DataError) as info:
             est.observe(np.zeros(3), bad)
@@ -309,8 +318,8 @@ class TestCheckpoint:
         est = feed(model.estimator, X, y)
         back = reload(model, tmp_path / "estimator.rdck")
         assert back.total_count == est.total_count
-        assert back.class_counts() == est.class_counts()
-        assert back.classes_seen == est.classes_seen == list(range(classes))
+        np.testing.assert_array_equal(back.class_rows()[0], est.class_rows()[0])
+        assert np.flatnonzero(est.class_rows()[0]).tolist() == list(range(classes))
         np.testing.assert_array_equal(back.covariance(), est.covariance())
         assert back.state_nbytes() == est.state_nbytes()
         for name, stored in est._arrays().items():
@@ -328,8 +337,8 @@ class TestCheckpoint:
         first rows after the load fold in as a fresh estimator's do."""
         model = raw_model(6)
         back = reload(model, tmp_path / "empty.rdck")
-        assert back.total_count == 0 and back.classes_seen == []
-        assert not back._counts.any() and not back._means.any()
+        counts, means = back.class_rows()
+        assert back.total_count == 0 and not counts.any() and not means.any()
         assert back.state_nbytes() == model.estimator.state_nbytes()
         x = np.arange(12.0).reshape(2, 6)
         for est in (back, model.estimator):
@@ -368,14 +377,14 @@ class TestCheckpoint:
         y = np.repeat([0, 2], 20)
         model.observe(X, y)
         back = reload(model, tmp_path / "gap.rdck")
-        assert back.class_counts() == {0: 20, 2: 20}
+        assert back.class_rows()[0].tolist() == [20, 0, 20]
         assert back._counts[1] == 0 and not back._means[1].any()
         for name, stored in model.estimator._arrays().items():
             assert back._arrays()[name].tobytes() == stored.tobytes()
         loaded = StreamingClassifier.load(tmp_path / "gap.rdck")
         if negative:
-            means = model.estimator.class_means()
-            assert (T @ np.stack([means[0], means[2]]).T < 0).all()
+            means = model.estimator.class_rows()[1]
+            assert (T @ means[[0, 2]].T < 0).all()
         for m in (model, loaded):
             m.finalize()
         predicted = model.predict_batch(T)
@@ -563,15 +572,15 @@ class TestBlocked:
             scale = np.abs(expected).max()
             for est in (blocked, single):
                 assert est.total_count == n
-                assert est.class_counts() == ref.counts
+                counts, means = est.class_rows()
+                assert counts.tolist() == [ref.counts.get(c, 0) for c in range(k)]
                 assert np.abs(est.covariance() - expected).max() / scale <= 1e-8
-                for label, mean in est.class_means().items():
-                    np.testing.assert_allclose(mean, ref.means[label], rtol=1e-8, atol=1e-12)
+                for label, mean in ref.means.items():
+                    np.testing.assert_allclose(means[label], mean, rtol=1e-8, atol=1e-12)
             if size == 1:
                 # a block of one takes the per-sample rule, to the last bit
                 np.testing.assert_array_equal(blocked.scatter(), single.scatter())
-                for label, mean in blocked.class_means().items():
-                    np.testing.assert_array_equal(mean, single.class_means()[label])
+                np.testing.assert_array_equal(blocked.class_rows()[1], single.class_rows()[1])
 
     @pytest.mark.parametrize("order", ["shuffled", "class_incremental"])
     def test_random_cuts_and_orders_agree(self, order):
@@ -600,8 +609,9 @@ class TestBlocked:
         y = rng.integers(0, 4, size=300)
         est = feed_blocks(StreamingEstimator(6, CLASSES, track_scatter=False), X, y, [5, 100, 299])
         ref = batch_stats(X, y)
-        for label, mean in est.class_means().items():
-            np.testing.assert_allclose(mean, ref.means[label], rtol=1e-10, atol=1e-12)
+        means = est.class_rows()[1]
+        for label, mean in ref.means.items():
+            np.testing.assert_allclose(means[label], mean, rtol=1e-10, atol=1e-12)
 
     def test_resume_at_block_boundary_bitwise(self, tmp_path):
         rng = np.random.default_rng(33)
@@ -616,8 +626,7 @@ class TestBlocked:
         restored = reload(first, tmp_path / "mid.rdck")
         resumed = feed_blocks(restored, X[stop:], y[stop:], rest)
         np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
-        for label, mean in whole.class_means().items():
-            np.testing.assert_array_equal(resumed.class_means()[label], mean)
+        np.testing.assert_array_equal(resumed.class_rows()[1], whole.class_rows()[1])
 
     def test_resume_at_a_random_block_boundary_is_bitwise(self, tmp_path):
         """Over random shapes, class counts and block cuts, a run saved at a random block boundary, loaded and
@@ -641,10 +650,9 @@ class TestBlocked:
             rest = [c - stop for c in cuts if c > stop]
             resumed = feed_blocks(reload(first, path), X[stop:], y[stop:], rest)
             assert resumed.total_count == whole.total_count == n
-            assert resumed.class_counts() == whole.class_counts()
+            np.testing.assert_array_equal(resumed.class_rows()[0], whole.class_rows()[0])
             np.testing.assert_array_equal(resumed._scatter, whole._scatter)
-            for label, mean in whole.class_means().items():
-                np.testing.assert_array_equal(resumed.class_means()[label], mean)
+            np.testing.assert_array_equal(resumed.class_rows()[1], whole.class_rows()[1])
             if n >= 2:
                 np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
 
@@ -658,7 +666,7 @@ class TestBlocked:
         with pytest.raises(DataError) as info:
             est.observe(block, [0, 0, 1, 1, 2])
         assert info.value.row == 3
-        assert est.total_count == 4 and est.classes_seen == [0, 1]
+        assert est.class_rows()[0].tolist() == [2, 2] + [0] * (CLASSES - 2)
         np.testing.assert_array_equal(est.scatter(), before)
 
     def test_block_shape_checks(self):
