@@ -43,7 +43,7 @@ from .errors import (
 )
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
 from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_pixels
-from .precision import PrecisionModel, shrink_packed
+from .precision import PrecisionModel, low_rank_fits, packed_shrinkage, shrink_packed
 from .streaming import StreamingEstimator
 
 # variant -> (random-map head, or None on raw inputs; Mahalanobis rule?)
@@ -135,7 +135,7 @@ class StreamingClassifier:
 
     def _reset(self) -> None:
         """Drop the finalized rule (W, b) and its diagnostics."""
-        self._weights = self._bias = self.log_det = None
+        self._weights = self._bias = self.log_det = self.factor_rank = None
         self.shrinkage_rho = self.shrinkage_mu = None
 
     @property
@@ -193,11 +193,16 @@ class StreamingClassifier:
         docstring); for Mahalanobis variants, shrink + ridge + factorize
         the covariance and solve against it once.
 
-        Shrinkage and factorization work in place on the estimator's
-        packed upper triangle of the scatter.  consume=True hands that
-        vector over without any copy, so nothing quadratic is allocated;
-        the estimator is spent afterwards.  consume=False works on one
-        copy.  Either way the factor is freed before finalize returns.
+        The factor is built from the estimator's packed upper triangle of
+        the scatter, in the representation ``precision.low_rank_fits``
+        picks from E, the rank bound n - k (k the classes seen) and C.
+        The dense one shrinks and factors the vector in place: with
+        consume=True it is handed over without any copy, so nothing
+        quadratic is allocated, and with consume=False it works on one
+        copy.  The low-rank one only reads the vector, so it copies
+        nothing either way.  consume=True spends the estimator.  The
+        factor is freed before finalize returns; ``factor_rank`` says
+        which representation ran (E: dense).
         """
         if self.estimator.total_count == 0:
             raise EmptyModelError("no samples observed; nothing to finalize")
@@ -206,12 +211,23 @@ class StreamingClassifier:
         self._reset()
         counts, means = self.estimator.class_rows()
         if self.config.needs_precision:
+            n, ridge = self.estimator.total_count, self.config.ridge
+            # the scatter's rank bound: one less than its count per class seen
+            max_rank = n - int(np.count_nonzero(counts))
             scatter, denom = self.estimator.packed_scatter(consume=consume)
-            rho, mu = shrink_packed(scatter, self.estimator.total_count, denom)
-            precision = PrecisionModel(scatter, self.config.ridge)
+            if low_rank_fits(self.config.embed_dim, max_rank, len(counts)):
+                rho, mu = packed_shrinkage(scatter, n, denom)
+                low_rank = ((1.0 - rho) / denom, max_rank)
+                precision = PrecisionModel(scatter, rho * mu + ridge, low_rank)
+            else:
+                if not consume:
+                    scatter = scatter.copy()
+                rho, mu = shrink_packed(scatter, n, denom)
+                precision = PrecisionModel(scatter, ridge)
             weights = precision.solve(means.T)
             bias = -0.5 * np.einsum("ec,ec->c", means.T, weights)
-            self.shrinkage_rho, self.shrinkage_mu, self.log_det = rho, mu, precision.log_det
+            self.shrinkage_rho, self.shrinkage_mu = rho, mu
+            self.log_det, self.factor_rank = precision.log_det, precision.factor_rank
         else:
             # a copy, so that later observations leave the snapshot as it is
             weights = means.T.copy(order="F")

@@ -206,6 +206,9 @@ class RunResult:
     measured: the process's resident-set high-water mark (``getrusage``
     ``ru_maxrss``) when the run ends, which also counts the interpreter,
     the raw data and whatever the process held before the run.
+    ``factor_rank`` is the rank of the final factor: E when finalize
+    factored densely, the low-rank factor's r otherwise, None without a
+    covariance.
     """
 
     config: dict
@@ -219,6 +222,7 @@ class RunResult:
     shrinkage_rho: float | None = None
     shrinkage_mu: float | None = None
     log_det: float | None = None
+    factor_rank: int | None = None
     intermediate: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -425,6 +429,7 @@ def _run_pass(data, model_config, stream, eval_every, echo) -> RunResult:
         shrinkage_rho=model.shrinkage_rho,
         shrinkage_mu=model.shrinkage_mu,
         log_det=model.log_det,
+        factor_rank=model.factor_rank,
         intermediate=intermediate,
     )
 

@@ -5,9 +5,9 @@ statistics, explicit dense inverses, literal kernel evaluation.  None
 of it calls into the streaming modules, so agreement between the two
 sides is evidence, not circularity.  Slow on purpose, so the verify
 checks run small: E <= 31 on at most 400 samples for the statistics,
-shrinkage and discriminant checks, 10-dimensional inputs for the kernel
-check, and E = 256 on 300-step image streams for the flip check
-(``run_verify``).
+shrinkage and discriminant checks, E = 239 and 240 on 4 samples for the
+low-rank finalize, 10-dimensional inputs for the kernel check, and
+E = 256 on 300-step image streams for the flip check (``run_verify``).
 """
 
 from __future__ import annotations
@@ -263,47 +263,51 @@ def _check_lda_equivalence(rng) -> OracleReport:
 
 
 def _check_finalize_upper(rng) -> OracleReport:
-    """The production finalize shrinks and factors the accumulator's
-    packed upper triangle in place.  Against the oracle on the full
-    covariance, at an even and an odd order (the two layouts of RFP
-    storage), for a consuming and a copying finalize
-    and for one after a checkpoint round trip: the worst error over rho,
-    mu, log det and predictions."""
+    """The production finalize factors the accumulator's packed upper
+    triangle.  Against the oracle on the full covariance, at an even and
+    an odd order (the two layouts of RFP storage), for a consuming and a
+    copying finalize and for one after a checkpoint round trip: the worst
+    error over rho, mu, log det and predictions.  Two sample sizes reach
+    its two representations: 30 samples per class at E = 12 and 11 factor
+    densely over 3 classes, and 2 per class at E = 240 and 239 in the
+    low-rank form over 2 classes (rank n - k = 2); a finalize whose
+    ``factor_rank`` shows the other representation counts as a failure."""
     from .classifier import ModelVariant, StreamingClassifier
 
-    dim, k, per_class, ridge = 12, 3, 30, 1e-3
-    centers = rng.standard_normal((k, dim)) * 2.0
-    X_all = np.concatenate(
-        [centers[i] + rng.standard_normal((per_class, dim)) for i in range(k)]
-    )
-    y = np.repeat(np.arange(k), per_class)
-    tests_all = rng.standard_normal((200, dim)) * 2.0
+    ridge = 1e-3
     worst = 0.0
-    for e in (dim, dim - 1):
-        X, tests = X_all[:, :e], tests_all[:, :e]
-        means = batch_stats(X, y).means
-        for handoff in ("consume", "copy", "restored"):
-            model = StreamingClassifier(
-                ModelVariant(variant="slda", num_classes=k, ridge=ridge, input_dim=e)
-            )
-            model.observe(X, y)
-            cov = model.estimator.covariance()
-            if handoff == "restored":
-                meta, arrays = model._state()
-                model = StreamingClassifier._from_state(
-                    meta, {name: a.copy() for name, a in arrays.items()}
-                )
-            model.finalize(consume=handoff != "copy")
-            rho, mu, shrunk = oas_reference(cov, len(y))
+    for dim, k, per_class, rank in ((12, 3, 30, None), (240, 2, 2, 2)):
+        centers = rng.standard_normal((k, dim)) * 2.0
+        X_all = np.concatenate(
+            [centers[i] + rng.standard_normal((per_class, dim)) for i in range(k)]
+        )
+        y = np.repeat(np.arange(k), per_class)
+        tests_all = rng.standard_normal((200, dim)) * 2.0
+        for e in (dim, dim - 1):
+            X, tests = X_all[:, :e], tests_all[:, :e]
+            stats = batch_stats(X, y)
+            rho, mu, shrunk = oas_reference(stats.covariance, len(y))
             _, log_det = np.linalg.slogdet(shrunk + ridge * np.eye(e))
-            oracle = batch_lda_predict(means, shrunk, ridge, tests)
-            worst = max(
-                worst,
-                abs(model.shrinkage_rho - rho),
-                abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
-                abs(model.log_det - log_det) / max(abs(log_det), 1.0),
-                float(np.mean(model.predict_batch(tests) != oracle)),
-            )
+            oracle = batch_lda_predict(stats.means, shrunk, ridge, tests)
+            for handoff in ("consume", "copy", "restored"):
+                model = StreamingClassifier(
+                    ModelVariant(variant="slda", num_classes=k, ridge=ridge, input_dim=e)
+                )
+                model.observe(X, y)
+                if handoff == "restored":
+                    meta, arrays = model._state()
+                    model = StreamingClassifier._from_state(
+                        meta, {name: a.copy() for name, a in arrays.items()}
+                    )
+                model.finalize(consume=handoff != "copy")
+                worst = max(
+                    worst,
+                    abs(model.shrinkage_rho - rho),
+                    abs(model.shrinkage_mu - mu) / max(abs(mu), 1e-300),
+                    abs(model.log_det - log_det) / max(abs(log_det), 1.0),
+                    float(np.mean(model.predict_batch(tests) != oracle)),
+                    float(model.factor_rank != (e if rank is None else rank)),
+                )
     return OracleReport("finalize_upper_matches_reference", worst, 1e-10)
 
 
@@ -413,8 +417,9 @@ def run_verify(seed: int = 0) -> list[OracleReport]:
 
     The checks run at small seeded sizes, far below the paper's E = 25000,
     so the whole suite takes seconds: the statistics, shrinkage and
-    discriminant checks at E <= 31 on at most 400 samples, the kernel
-    check on 10-dimensional inputs with 100 to 10000 frequencies, and the
+    discriminant checks at E <= 31 on at most 400 samples, the low-rank
+    finalize at E = 239 and 240 on 4 samples, the kernel check on
+    10-dimensional inputs with 100 to 10000 frequencies, and the
     flip-pair check at E = 256 on 300-step streams of CIFAR-shaped images.
     """
     if seed < 0:

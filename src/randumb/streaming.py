@@ -29,9 +29,9 @@ seen yet.
 The triangle is one float64 vector of E (E + 1) / 2 entries in LAPACK's
 rectangular full packed (RFP) format, half the bytes of a square
 buffer, and each block is folded into it with the RFP rank-k update
-(dsfrk).  ``packed_scatter`` hands the vector over as stored, for
-finalize to shrink and factor in place; ``scatter`` and ``covariance``
-unpack it into a full symmetric matrix.
+(dsfrk).  ``packed_scatter`` hands the vector over as stored, or lends
+it read-only, for finalize to shrink and factor; ``scatter`` and
+``covariance`` unpack it into a full symmetric matrix.
 """
 
 from __future__ import annotations
@@ -228,14 +228,18 @@ class StreamingEstimator:
 
         Returns (scatter, denom): the RFP vector of the scatter's upper
         triangle (module docstring; ``precision.RFP``) and n - 1.
-        Without ``consume`` the vector is a copy.  With ``consume`` it is
-        the accumulator itself, handed over without a copy; the estimator
-        is then spent and rejects further observe/covariance calls.  This is the
-        constant-memory path at the end of a one-pass run.
+        Without ``consume`` the vector is a read-only view of the
+        accumulator, which a caller that writes must copy.  With
+        ``consume`` it is the accumulator itself, handed over without a
+        copy; the estimator is then spent and rejects further
+        observe/covariance calls.  This is the constant-memory path at
+        the end of a one-pass run.
         """
         denom = self._normalizer()
         if not consume:
-            return self._scatter.copy(), denom
+            view = self._scatter.view()
+            view.flags.writeable = False
+            return view, denom
         out, self._scatter = self._scatter, None
         return out, denom
 

@@ -258,6 +258,25 @@ class TestContractGates:
             tracemalloc.stop()
         assert peak < 0.05 * 4 * e * (e + 1), f"finalize allocated {peak} bytes"
 
+    def test_consuming_low_rank_finalize_allocates_under_five_percent(self):
+        """The same gate on the low-rank path: 10 classes of 4 samples at
+        E=2048 bound the rank by 30, so finalize reads the accumulator and
+        allocates L (E x 30) and the discriminant, under 5% of it."""
+        e = 2048
+        rng = np.random.default_rng(25)
+        model = StreamingClassifier(
+            ModelVariant(variant="slda", num_classes=10, ridge=1e-4, input_dim=e)
+        )
+        model.observe(rng.standard_normal((40, e)), np.arange(40) % 10)
+        tracemalloc.start()
+        try:
+            model.finalize(consume=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.factor_rank == 30
+        assert peak < 0.05 * 4 * e * (e + 1), f"finalize allocated {peak} bytes"
+
     def test_state_size_constant_over_hundred_thousand_steps(self):
         # The model state must not grow with stream length: only the
         # accumulator, one mean per class, and counters.

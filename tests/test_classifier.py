@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_refused, gaussian_blobs
+from randumb import classifier as classifier_module
 from randumb import (
     ConfigurationError,
     EmptyModelError,
@@ -646,6 +647,166 @@ class TestUpperTriangleFinalize:
         assert model.shrinkage_rho is model.shrinkage_mu is model.log_det is None
         with pytest.raises(ModelStateError, match="finalize"):
             model.predict_batch(np.zeros((1, 3)))
+
+
+class TestLowRankFinalize:
+    """Few-shot finalize: n samples of k classes give a scatter of rank at
+    most n - k, and where ``low_rank_fits`` says so, finalize factors A as
+    a scaled identity plus a rank-r term read from the accumulator.  rho,
+    mu, log det, the weights and the predictions match the oracle on the
+    full covariance (``oas_reference``, a dense solve, ``slogdet``,
+    ``batch_lda_predict``) to the 1e-10 of the verify check."""
+
+    RIDGE = 1e-3
+
+    @staticmethod
+    def few_shot(rng, e, k, per_class, copies=1):
+        """k classes of ``per_class`` distinct rows, each row ``copies``
+        times, in shuffled order, and 50 test rows."""
+        centers = rng.standard_normal((k, e)) * 2.0
+        y = np.repeat(np.arange(k), per_class)
+        X = np.repeat(centers[y] + rng.standard_normal((len(y), e)), copies, axis=0)
+        y = np.repeat(y, copies)
+        order = rng.permutation(len(y))
+        return X[order], y[order], rng.standard_normal((50, e)) * 2.0
+
+    def assert_matches_oracle(self, model, X, y, T):
+        e = X.shape[1]
+        stats = batch_stats(X, y)
+        rho, mu, shrunk = oas_reference(stats.covariance, len(y))
+        A = shrunk + self.RIDGE * np.eye(e)
+        labels, means = seen_means(model)
+        W = np.linalg.solve(A, means.T)
+        assert abs(model.shrinkage_rho - rho) < 1e-10
+        assert abs(model.shrinkage_mu - mu) < 1e-10 * abs(mu)
+        assert abs(model.log_det - np.linalg.slogdet(A)[1]) < 1e-10 * abs(model.log_det)
+        assert np.abs(model._weights[:, labels] - W).max() < 1e-10 * np.abs(W).max()
+        oracle = batch_lda_predict(dict(zip(labels, means)), shrunk, self.RIDGE, T)
+        np.testing.assert_array_equal(model.predict_batch(T), oracle)
+
+    @pytest.mark.parametrize("handoff", ["consume", "copy", "restored"])
+    @pytest.mark.parametrize("e", [480, 479], ids=["even", "odd"])
+    def test_matches_oracle(self, tmp_path, e, handoff):
+        rng = np.random.default_rng(70)
+        X, y, T = self.few_shot(rng, e, k=3, per_class=3)
+        model = StreamingClassifier(raw_config(input_dim=e, ridge=self.RIDGE, num_classes=3))
+        model.observe(X[:4], y[:4])
+        model.observe(X[4:], y[4:])
+        if handoff == "restored":
+            model.save(tmp_path / "model.rdck")
+            model = StreamingClassifier.load(tmp_path / "model.rdck")
+        model.finalize(consume=handoff != "copy")
+        assert model.factor_rank == 9 - 3
+        self.assert_matches_oracle(model, X, y, T)
+
+    @pytest.mark.parametrize("per_class", [3, 40], ids=["low-rank", "dense"])
+    def test_either_side_of_the_rule_matches_oracle(self, per_class):
+        """At E = 480 with 3 classes, 3 samples per class give the rank
+        bound 6 (40 (6 + 2 C) <= E + 1) and 40 per class give 117 (not)."""
+        rng = np.random.default_rng(71)
+        X, y, T = self.few_shot(rng, 480, k=3, per_class=per_class)
+        model = fit(raw_config(input_dim=480, ridge=self.RIDGE, num_classes=3), X, y)
+        assert model.factor_rank == (6 if per_class == 3 else 480)
+        self.assert_matches_oracle(model, X, y, T)
+
+    def test_agrees_with_the_dense_factor_of_the_same_accumulator(self, monkeypatch):
+        """Forced onto the dense path, the same accumulator gives bitwise
+        the same rho and mu (one pair of packed traces), and log det and
+        weights within 1e-10."""
+        rng = np.random.default_rng(72)
+        X, y, T = self.few_shot(rng, 481, k=3, per_class=3)
+        config = raw_config(input_dim=481, ridge=self.RIDGE, num_classes=3)
+        low = fit(config, X, y, consume=True)
+        monkeypatch.setattr(classifier_module, "low_rank_fits", lambda *args: False)
+        dense = fit(config, X, y, consume=True)
+        assert (low.factor_rank, dense.factor_rank) == (6, 481)
+        assert (low.shrinkage_rho, low.shrinkage_mu) == (dense.shrinkage_rho, dense.shrinkage_mu)
+        assert abs(low.log_det - dense.log_det) < 1e-10 * abs(dense.log_det)
+        scale = np.abs(dense._weights).max()
+        assert np.abs(low._weights - dense._weights).max() < 1e-10 * scale
+        np.testing.assert_array_equal(low.predict_batch(T), dense.predict_batch(T))
+
+    def test_duplicate_rows_stop_the_pivoting_early(self):
+        """Two distinct rows per class, each twice: the bound n - k is 6
+        but the scatter has rank 2, and the factor stops at 2 columns."""
+        rng = np.random.default_rng(73)
+        X, y, T = self.few_shot(rng, 400, k=2, per_class=2, copies=2)
+        model = fit(raw_config(input_dim=400, ridge=self.RIDGE, num_classes=2), X, y)
+        assert model.factor_rank == 2
+        self.assert_matches_oracle(model, X, y, T)
+
+    def test_small_directions_are_kept(self):
+        """Within-class deviations scaled over four orders of magnitude:
+        every one of the n - k directions is far above the stopping
+        threshold, so all are taken and the oracle still holds."""
+        rng = np.random.default_rng(77)
+        X, y, T = self.few_shot(rng, 480, k=3, per_class=3)
+        means = np.stack([X[y == c].mean(axis=0) for c in range(3)])
+        X = means[y] + (X - means[y]) * np.logspace(0, -4, len(y))[:, None]
+        model = fit(raw_config(input_dim=480, ridge=self.RIDGE, num_classes=3), X, y)
+        assert model.factor_rank == 6
+        self.assert_matches_oracle(model, X, y, T)
+
+    def test_zero_scatter_without_ridge_is_refused_on_both_paths(self, monkeypatch):
+        """One distinct row per class: the scatter is exactly 0, so rho = 1,
+        mu = 0 and with ridge 0 the scaled identity alpha is 0."""
+        rng = np.random.default_rng(74)
+        X, y, _ = self.few_shot(rng, 240, k=2, per_class=1, copies=2)
+        config = raw_config(input_dim=240, ridge=0.0, num_classes=2)
+        for dense in (False, True):
+            if dense:
+                monkeypatch.setattr(classifier_module, "low_rank_fits", lambda *args: False)
+            model = StreamingClassifier(config)
+            model.observe(X, y)
+            with pytest.raises(NumericalError, match="not positive definite"):
+                model.finalize()
+            assert not model.finalized and model.factor_rank is None
+
+    def test_copying_finalize_reads_the_accumulator_in_place(self):
+        """A non-consuming low-rank finalize neither writes nor copies the
+        accumulator: it stays bitwise as it was, the stream goes on, and
+        the finalize allocates under 5% of its 4 E (E + 1) bytes."""
+        e = 1024
+        rng = np.random.default_rng(75)
+        X, y, _ = self.few_shot(rng, e, k=2, per_class=4)
+        model = StreamingClassifier(raw_config(input_dim=e, ridge=self.RIDGE, num_classes=2))
+        model.observe(X, y)
+        buffer = model.estimator._scatter
+        before = buffer.copy()
+        tracemalloc.start()
+        try:
+            model.finalize(consume=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.factor_rank == 6
+        assert peak < 0.05 * 4 * e * (e + 1)
+        assert model.estimator._scatter is buffer and buffer.flags.writeable
+        np.testing.assert_array_equal(buffer, before)
+        model.observe(X[:2] + rng.standard_normal((2, e)), y[:2])
+        model.finalize(consume=False)
+        assert model.factor_rank == 8
+
+    def test_resume_through_a_checkpoint_is_bitwise(self, tmp_path):
+        rng = np.random.default_rng(76)
+        X, y, T = self.few_shot(rng, 500, k=3, per_class=3)
+        config = raw_config(input_dim=500, ridge=self.RIDGE, num_classes=3)
+        whole = StreamingClassifier(config)
+        whole.observe(X[:5], y[:5])
+        whole.observe(X[5:], y[5:])
+        first = StreamingClassifier(config)
+        first.observe(X[:5], y[:5])
+        first.save(tmp_path / "half.rdck")
+        resumed = StreamingClassifier.load(tmp_path / "half.rdck")
+        resumed.observe(X[5:], y[5:])
+        for model in (whole, resumed):
+            model.finalize(consume=True)
+        assert whole.factor_rank == 6
+        for name in ("shrinkage_rho", "shrinkage_mu", "log_det", "factor_rank"):
+            assert getattr(resumed, name) == getattr(whole, name), name
+        np.testing.assert_array_equal(resumed._weights, whole._weights)
+        np.testing.assert_array_equal(resumed._bias, whole._bias)
+        np.testing.assert_array_equal(resumed.predict_batch(T), whole.predict_batch(T))
 
 
 class TestOrderInvariance:

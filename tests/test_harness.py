@@ -382,8 +382,22 @@ class TestRunBenchmark:
         assert set(result.per_class_accuracy) == set(range(5))
         assert 0.0 <= result.shrinkage_rho <= 1.0
         assert result.log_det is not None
+        assert result.factor_rank == 128  # rank bound 295: the dense factor
         # 5 counts, 5 mean rows and the packed 4*E*(E+1)-byte accumulator
         assert result.state_bytes == 8 * 5 + 8 * 5 * 128 + 4 * 128 * 129
+
+    def test_few_shot_run_reports_the_low_rank_factor(self):
+        """3 classes of 2 samples bound the scatter's rank by 3, so at
+        E=400 finalize factors in the low-rank form and the result says
+        so; a mean-only variant reports no factor."""
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((6, 16)).astype(np.float32)
+        y = np.arange(6) % 3
+        data = dataset_from_features(X, y, X, y)
+        result = run_on_dataset(data, variant="rp_relu", embed_dim=400, seed=0)
+        assert result.factor_rank == 3 and result.to_json()["factor_rank"] == 3
+        ncm = run_on_dataset(data, variant="ncm", seed=0)
+        assert ncm.factor_rank is None
 
     def test_bit_for_bit_repeatable(self):
         data = blob_dataset(seed=2)

@@ -10,10 +10,13 @@ from scipy.linalg.lapack import dtfttr
 from randumb.errors import DataError, NumericalError, ShapeError
 from randumb.precision import (
     PrecisionModel,
+    _rfp_column,
+    low_rank_fits,
     oas_shrink,
     pack_upper,
     packed_diagonal,
     packed_dim,
+    packed_shrinkage,
     shrink_packed,
 )
 from randumb.reference import oas_reference
@@ -127,6 +130,15 @@ class TestPackedLayout:
         assert a.shape == (e * (e + 1) // 2,) and packed_dim(a) == e
         np.testing.assert_array_equal(a[packed_diagonal(e)], np.arange(1.0, e + 1))
         assert np.count_nonzero(a) == e
+
+    @pytest.mark.parametrize("e", range(1, 10))
+    def test_columns_read_back_the_symmetric_matrix(self, e):
+        rng = np.random.default_rng(e)
+        S = random_spd(rng, e)
+        a = pack_upper(S)
+        out = np.empty(e)
+        for p in range(e):
+            np.testing.assert_array_equal(_rfp_column(a, e, p, out), S[:, p])
 
     def test_non_triangular_length_rejected(self):
         for bad in (np.zeros(0), np.zeros(4), np.zeros((3, 2))):
@@ -276,6 +288,60 @@ class TestBuildPrecision:
             with pytest.raises(NumericalError) as excinfo:
                 PrecisionModel(pack_upper(np.diag(d)), ridge=0.0)
             assert excinfo.value.pivot_index == pivot
+
+
+class TestLowRankPrecision:
+    """The low-rank representation of A = beta P + alpha I, P positive
+    semidefinite of rank at most max_rank, and the rule that picks it."""
+
+    def test_rule_puts_the_benchmark_shapes_on_their_sides(self):
+        """The few-shot features workload (E = 8192, 20 classes of 8:
+        rank bound 140) takes the low-rank path; the MNIST workload
+        (E = 6144, 10 classes of 30: rank bound 290, whose L alone would
+        be 9.4% of the accumulator) stays dense."""
+        assert low_rank_fits(8192, 160 - 20, 20)
+        assert not low_rank_fits(6144, 300 - 10, 10)
+        # the boundary: 8 E (r + 2 C) against 5% of 4 E (E + 1) bytes
+        assert low_rank_fits(239, 2, 2) and not low_rank_fits(238, 2, 2)
+
+    @pytest.mark.parametrize("e", [60, 61])
+    def test_solves_and_log_det_match_the_dense_matrix(self, e):
+        rng = np.random.default_rng(43)
+        F = rng.standard_normal((e, 5))
+        P = F @ F.T
+        packed = pack_upper(P)
+        before = packed.copy()
+        model = PrecisionModel(packed, 0.3, low_rank=(0.7, 8))
+        np.testing.assert_array_equal(packed, before)
+        assert model.factor_rank == 5
+        A = 0.7 * P + 0.3 * np.eye(e)
+        assert model.log_det == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
+        v = rng.standard_normal((e, 3))
+        np.testing.assert_allclose(model.solve(v), np.linalg.solve(A, v), rtol=1e-10)
+        np.testing.assert_allclose(model.solve(v[:, 0]), model.solve(v)[:, 0], rtol=1e-12)
+
+    def test_rank_zero_is_the_scaled_identity(self):
+        """beta = 0 (rho = 1): no column is taken, and A = alpha I."""
+        model = PrecisionModel(pack_upper(np.eye(7)), 2.0, low_rank=(0.0, 3))
+        assert model.factor_rank == 0
+        assert model.log_det == pytest.approx(7 * np.log(2.0), rel=1e-15)
+        np.testing.assert_array_equal(model.solve(np.arange(7.0)), np.arange(7.0) / 2.0)
+
+    def test_zero_alpha_and_non_finite_diagonal_refused(self):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            PrecisionModel(pack_upper(np.eye(4)), 0.0, low_rank=(1.0, 2))
+        S = np.eye(4)
+        S[2, 2] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            PrecisionModel(pack_upper(S), 1.0, low_rank=(1.0, 2))
+
+    def test_shrinkage_reads_what_shrink_packed_reads(self):
+        rng = np.random.default_rng(44)
+        a = pack_upper(random_spd(rng, 31, 20) * 19.0)
+        before = a.copy()
+        pair = packed_shrinkage(a, 20, 19.0)
+        np.testing.assert_array_equal(a, before)
+        assert shrink_packed(a, 20, 19.0) == pair
 
 
 class TestMahalanobis:

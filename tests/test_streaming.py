@@ -194,8 +194,8 @@ class TestMemoryContract:
     def test_consuming_covariance_spends_the_estimator(self):
         """The consuming handoff returns the accumulator itself, as
         stored: the scatter's upper triangle packed into E (E + 1) / 2
-        entries, and the normalizer; the copying handoff returns an equal
-        copy."""
+        entries, and the normalizer; the other handoff lends a read-only
+        view of it."""
         rng = np.random.default_rng(19)
         for e in (4, 5):
             X = rng.standard_normal((40, e))
@@ -204,7 +204,8 @@ class TestMemoryContract:
             expected = spend.scatter()
             buffer = spend._scatter
             copied, denom = spend.packed_scatter()
-            assert copied is not buffer and denom == 39
+            assert copied.base is buffer and denom == 39
+            assert not copied.flags.writeable and buffer.flags.writeable
             taken, denom = spend.packed_scatter(consume=True)
             assert taken is buffer and taken.shape == (e * (e + 1) // 2,) and denom == 39
             np.testing.assert_array_equal(taken, copied)
