@@ -195,12 +195,15 @@ class StreamingClassifier:
 
         The factor is built from the estimator's packed upper triangle of
         the scatter, in the representation ``precision.low_rank_fits``
-        picks from E, the rank bound n - k (k the classes seen) and C.
-        The dense one shrinks and factors the vector in place: with
-        consume=True it is handed over without any copy, so nothing
-        quadratic is allocated, and with consume=False it works on one
-        copy.  The low-rank one only reads the vector, so it copies
-        nothing either way.  consume=True spends the estimator.  The
+        picks from E, the rank bound n - k (k the classes seen) and C:
+        low rank where 8 (n - k + 2 C) <= E + 1, the range in which it is
+        the faster one.  The dense one shrinks and factors the vector in
+        place: with consume=True it is handed over without any copy, so
+        nothing quadratic is allocated, and with consume=False it works
+        on one copy.  The low-rank one only reads the vector, so it
+        copies nothing either way; its scratch, L, K and two E x C
+        blocks, stays within 8 E (r + 2 C) + 8 r^2 bytes, under 29% of
+        the accumulator.  consume=True spends the estimator.  The
         factor is freed before finalize returns; ``factor_rank`` says
         which representation ran (E: dense).
         """

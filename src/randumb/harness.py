@@ -36,6 +36,7 @@ from .errors import (
     check_int,
 )
 from .fourier import GENERATOR_NAME, FeatureMapSpec
+from .precision import low_rank_fits
 
 DEFAULT_MEMORY_CAP_BYTES = 16 * 1024**3
 
@@ -275,7 +276,8 @@ def _config_echo(
 
 
 def check_memory_cap(
-    model_config: ModelVariant, cap_bytes: int, eval_every: int = 0
+    model_config: ModelVariant, cap_bytes: int, eval_every: int = 0,
+    max_rank: int | None = None,
 ) -> int:
     """Refuse runs whose statistics exceed the cap, before any of them is
     allocated; returns the bytes they need.
@@ -283,19 +285,23 @@ def check_memory_cap(
     Every run holds the C class rows, a float64 mean and an int64 count
     each: 8*C*(E+1) bytes.  A covariance-tracking run also holds the
     float64 accumulator, the 4*E*(E+1) bytes of the scatter's upper
-    triangle; with eval_every > 0 each snapshot factors a copy of it as
-    well, so it holds two.
+    triangle; with eval_every > 0 each dense snapshot factors a copy of
+    it as well, so it holds two.  ``max_rank`` is the scatter's rank
+    bound n - k at the end of the stream, which no snapshot's exceeds:
+    where ``low_rank_fits`` holds for it, every snapshot only reads the
+    accumulator, so no copy is counted.  Without it the copy is counted.
     """
     c, e = model_config.num_classes, model_config.embed_dim
     rows = 8 * c * (e + 1)
-    copies = (2 if eval_every > 0 else 1) if model_config.needs_precision else 0
+    dense_snapshots = eval_every > 0 and (max_rank is None or not low_rank_fits(e, max_rank, c))
+    copies = (2 if dense_snapshots else 1) if model_config.needs_precision else 0
     needed = rows + copies * 4 * e * (e + 1)
     if needed > cap_bytes:
         what = f"8*C*(E+1) = {rows} for the class rows"
         if copies:
             what += f" and {copies} x 4*E*(E+1) = {needed - rows} for the float64 accumulator"
         if copies == 2:
-            what += " and the copy each --eval-every-k snapshot factors"
+            what += " and the copy each dense --eval-every-k snapshot factors"
         raise ConfigurationError(
             f"{c} classes at state dimension {e} need {needed} bytes ({what}), above "
             f"the configured cap of {cap_bytes} bytes; lower the embedding size or "
@@ -329,10 +335,11 @@ def run_on_dataset(
     eval_every by make_stream.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
-    steps via a non-consuming finalize (this factors a copy of the
-    accumulator, so the run holds two packed triangles, and normalizes the
-    raw test split again, block by block); the final evaluation always
-    goes through the consuming, single-buffer path.
+    steps via a non-consuming finalize (a dense one factors a copy of the
+    accumulator, so the run holds two packed triangles, and a low-rank one
+    only reads it; each normalizes the raw test split again, block by
+    block); the final evaluation always goes through the consuming,
+    single-buffer path.
     """
     return _planned_run(
         data, variant, embed_dim, gamma, ridge, seed, augment, classes_per_task,
@@ -379,7 +386,10 @@ def _planned_run(
         ridge=descriptor.default_ridge if ridge is None else ridge,
         input_dim=descriptor.input_dim if head is None else None,
     )
-    check_memory_cap(model_config, memory_cap_bytes, eval_every)
+    # the scatter's rank bound at the end of the stream: its rows less the
+    # classes present, which are all C (make_stream refuses an empty class)
+    max_rank = len(data.train_y) * (2 if augment else 1) - descriptor.num_classes
+    check_memory_cap(model_config, memory_cap_bytes, eval_every, max_rank)
     stream_seed = seed + 1
     stream = make_stream(data, classes_per_task, augment, stream_seed, cut_every=eval_every)
     echo = _config_echo(data, model_config, eval_every, augment, classes_per_task, stream_seed)

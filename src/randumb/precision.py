@@ -36,12 +36,15 @@ of two exact representations:
   K: E r^2 flops.
 
 ``low_rank_fits`` picks the representation from (E, n - k, C) alone:
-the low-rank one whenever L and two E x C blocks fit in 5% of the
-accumulator's bytes (so r < E / 40), far below where it stops being
-the faster one (between r = E / 8 and E / 4 at E = 6144 on two cores).
-Nothing E x E is mirrored, scanned or allocated on either path.  Every
-kernel is scipy's (``scipy.linalg.blas`` and ``.lapack``), so a run
-uses one OpenBLAS and one thread pool.
+the low-rank one whenever 8 (r + 2 C) <= E + 1.  Up to r = E / 8 it is
+the faster one at every E from 512 to 8192 on two cores; at E = 6144
+it stops being so between r = E / 6 and E / 4.  Its scratch, L, K (r x r) and
+at most two E x C blocks, is then 8 E (r + 2 C) + 8 r^2 <= E (E + 1) +
+(E + 1)^2 / 8 bytes: at most (9 E + 1) / (32 E), just over 28%, of the
+4 E (E + 1)-byte accumulator.  The dense one allocates under 5% of it
+on top.  Nothing E x E is mirrored, scanned or allocated on either
+path.  Every kernel is scipy's (``scipy.linalg.blas`` and ``.lapack``),
+so a run uses one OpenBLAS and one thread pool.
 """
 
 from __future__ import annotations
@@ -163,9 +166,10 @@ def shrink_packed(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, flo
 def low_rank_fits(e: int, max_rank: int, num_classes: int) -> bool:
     """Whether finalize factors an E x E accumulator of rank at most
     ``max_rank`` in the low-rank representation (module docstring): when
-    its scratch, L (E x r) and two E x C blocks, 8 E (r + 2 C) bytes, is
-    at most 5% of the accumulator's 4 E (E + 1)."""
-    return 40 * (max_rank + 2 * num_classes) <= e + 1
+    8 (r + 2 C) <= E + 1, so that L (E x r) and two E x C blocks, 8 E
+    (r + 2 C) bytes, are at most a quarter of the accumulator's
+    4 E (E + 1).  Up to there the low-rank factor is the faster one."""
+    return 8 * (max_rank + 2 * num_classes) <= e + 1
 
 
 def _rfp_column(a: np.ndarray, e: int, p: int, out: np.ndarray) -> np.ndarray:

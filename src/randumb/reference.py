@@ -267,16 +267,18 @@ def _check_finalize_upper(rng) -> OracleReport:
     triangle.  Against the oracle on the full covariance, at an even and
     an odd order (the two layouts of RFP storage), for a consuming and a
     copying finalize and for one after a checkpoint round trip: the worst
-    error over rho, mu, log det and predictions.  Two sample sizes reach
+    error over rho, mu, log det and predictions.  Three sample sizes reach
     its two representations: 30 samples per class at E = 12 and 11 factor
-    densely over 3 classes, and 2 per class at E = 240 and 239 in the
-    low-rank form over 2 classes (rank n - k = 2); a finalize whose
-    ``factor_rank`` shows the other representation counts as a failure."""
+    densely over 3 classes; 2 per class over 2 classes (rank n - k = 2)
+    and 9 per class over 3 classes (rank 24, with r + 2 C = 30 at the
+    edge of ``low_rank_fits``) at E = 240 and 239 in the low-rank form.
+    A finalize whose ``factor_rank`` shows the other representation
+    counts as a failure."""
     from .classifier import ModelVariant, StreamingClassifier
 
     ridge = 1e-3
     worst = 0.0
-    for dim, k, per_class, rank in ((12, 3, 30, None), (240, 2, 2, 2)):
+    for dim, k, per_class, rank in ((12, 3, 30, None), (240, 2, 2, 2), (240, 3, 9, 24)):
         centers = rng.standard_normal((k, dim)) * 2.0
         X_all = np.concatenate(
             [centers[i] + rng.standard_normal((per_class, dim)) for i in range(k)]
@@ -418,7 +420,7 @@ def run_verify(seed: int = 0) -> list[OracleReport]:
     The checks run at small seeded sizes, far below the paper's E = 25000,
     so the whole suite takes seconds: the statistics, shrinkage and
     discriminant checks at E <= 31 on at most 400 samples, the low-rank
-    finalize at E = 239 and 240 on 4 samples, the kernel check on
+    finalize at E = 239 and 240 on 4 and 27 samples, the kernel check on
     10-dimensional inputs with 100 to 10000 frequencies, and the
     flip-pair check at E = 256 on 300-step streams of CIFAR-shaped images.
     """

@@ -30,7 +30,7 @@ from randumb import (
     sweep_embedding,
 )
 from randumb.data_io import dataset_from_features
-from randumb.precision import pack_upper, shrink_packed
+from randumb.precision import low_rank_fits, pack_upper, shrink_packed
 from randumb.reference import (
     batch_lda_predict,
     batch_stats,
@@ -276,6 +276,31 @@ class TestContractGates:
             tracemalloc.stop()
         assert model.factor_rank == 30
         assert peak < 0.05 * 4 * e * (e + 1), f"finalize allocated {peak} bytes"
+
+    def test_consuming_low_rank_finalize_at_the_rule_boundary(self):
+        """246 samples of 10 classes at E=2048 bound the rank by 236, so
+        8 (r + 2 C) = 2048 meets the rule's E + 1 at its edge.  The
+        consuming finalize allocates at most L, K and two E x C blocks,
+        8 E (r + 2 C) + 8 r^2 bytes, which the rule keeps within
+        (9 E + 1) / (32 E) of the accumulator's 4 E (E + 1)."""
+        e, c, n = 2048, 10, 246
+        r = n - c
+        assert low_rank_fits(e, r, c) and not low_rank_fits(e, r + 1, c)
+        bound = 8 * e * (r + 2 * c) + 8 * r * r
+        assert bound <= (9 * e + 1) / (32 * e) * 4 * e * (e + 1)
+        rng = np.random.default_rng(26)
+        model = StreamingClassifier(
+            ModelVariant(variant="slda", num_classes=c, ridge=1e-4, input_dim=e)
+        )
+        model.observe(rng.standard_normal((n, e)), np.arange(n) % c)
+        tracemalloc.start()
+        try:
+            model.finalize(consume=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.factor_rank == r
+        assert peak <= bound, f"finalize allocated {peak} bytes"
 
     def test_state_size_constant_over_hundred_thousand_steps(self):
         # The model state must not grow with stream length: only the

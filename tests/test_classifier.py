@@ -702,7 +702,7 @@ class TestLowRankFinalize:
     @pytest.mark.parametrize("per_class", [3, 40], ids=["low-rank", "dense"])
     def test_either_side_of_the_rule_matches_oracle(self, per_class):
         """At E = 480 with 3 classes, 3 samples per class give the rank
-        bound 6 (40 (6 + 2 C) <= E + 1) and 40 per class give 117 (not)."""
+        bound 6 (8 (6 + 2 C) <= E + 1) and 40 per class give 117 (not)."""
         rng = np.random.default_rng(71)
         X, y, T = self.few_shot(rng, 480, k=3, per_class=per_class)
         model = fit(raw_config(input_dim=480, ridge=self.RIDGE, num_classes=3), X, y)

@@ -39,8 +39,10 @@ from randumb.data_io import (
 from randumb.reference import (
     FLIP_MEANS_TOL,
     FLIP_SCATTER_TOL,
+    batch_stats,
     flip_check_dataset,
     flip_pair_errors,
+    oas_reference,
 )
 from randumb.harness import (
     ABLATION_ORDER,
@@ -513,6 +515,32 @@ class TestRunBenchmark:
         with pytest.raises(ConfigurationError, match=r"2 x 4\*E\*\(E\+1\)"):
             run_on_dataset(data, eval_every=50, **settings)
 
+    def test_memory_cap_counts_no_copy_for_low_rank_snapshots(self):
+        """3 classes of 4 samples bound the scatter's rank by 9, and
+        8 (9 + 2 * 3) <= E + 1 at E=256: every snapshot takes the
+        low-rank factor, which only reads the accumulator, so an
+        eval_every run fits a cap of one accumulator plus the class rows."""
+        data = blob_dataset(seed=7, num_classes=3, train_per_class=4)
+        cap = 8 * 3 * 257 + 4 * 256 * 257
+        result = run_on_dataset(
+            data, variant="randumb", embed_dim=256, gamma=0.1, seed=0, eval_every=4,
+            memory_cap_bytes=cap,
+        )
+        assert [s["step"] for s in result.intermediate] == [4, 8, 12]
+        assert result.factor_rank == 9
+
+    def test_memory_cap_counts_flipped_rows_in_the_rank_bound(self):
+        """3 images of each of 2 classes bound the rank by 4 without flips
+        (8 (4 + 2 * 2) <= E + 1 at E=64) and by 10 with them (not), so
+        at a cap of one accumulator plus the class rows only the flip
+        run's snapshots need a copy, and it is refused."""
+        data = toy_image_dataset(per_class=3)
+        settings = dict(variant="randumb", embed_dim=64, seed=0, eval_every=2,
+                        memory_cap_bytes=8 * 2 * 65 + 4 * 64 * 65)
+        assert run_on_dataset(data, augment=False, **settings).factor_rank == 4
+        with pytest.raises(ConfigurationError, match=r"2 x 4\*E\*\(E\+1\)"):
+            run_on_dataset(data, augment=True, **settings)
+
     def test_memory_cap_ignores_mean_only_variants(self):
         """A mean-only run holds no accumulator, so a cap below its
         4*E*(E+1) bytes leaves it alone."""
@@ -676,6 +704,48 @@ class TestConfigEcho:
         assert echo["feature_seed"] == 4
 
 
+class TestRunSettingsReachTheModel:
+    """A run's settings reach the model it builds, checked on what the
+    model computes rather than on the config echo."""
+
+    def test_explicit_ridge_reaches_the_factor(self):
+        """log det of an slda run is that of the batch oracle's shrunk
+        covariance plus the ridge given, for each of two ridges."""
+        data = blob_dataset(seed=12, num_classes=3, dim=8, train_per_class=20)
+        stats = batch_stats(data.train_x.astype(np.float64), data.train_y)
+        _, _, shrunk = oas_reference(stats.covariance, len(data.train_y))
+        for ridge in (1e-3, 0.5):
+            result = run_on_dataset(data, variant="slda", ridge=ridge, seed=0)
+            expected = np.linalg.slogdet(shrunk + ridge * np.eye(8))[1]
+            assert result.log_det == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_snapshots_follow_the_stream_seeded_with_seed_plus_one(self):
+        """A run's snapshots are those of a model fed the stream seeded
+        with seed + 1, and not those of the stream seeded with the map's
+        own seed."""
+        data = blob_dataset(seed=13, num_classes=3, dim=6, train_per_class=30, spread=1.0)
+        seed, k = 4, 10
+        spec = FeatureMapSpec("fourier", 6, 32, seed=seed, gamma=0.1)
+        config = ModelVariant("randumb", 3, spec, ridge=data.descriptor.default_ridge)
+        result = run_on_dataset(
+            data, variant="randumb", embed_dim=32, gamma=0.1, seed=seed,
+            classes_per_task=3, eval_every=k,
+        )
+
+        def snapshots(stream_seed):
+            model, out = StreamingClassifier(config), []
+            for block in make_stream(data, 3, False, stream_seed, k):
+                model.observe(block.features, block.labels)
+                if block.stop % k == 0:
+                    model.finalize()
+                    _, average, _ = compute_accuracy(_predict_test(model, data), data.test_y)
+                    out.append({"step": block.stop, "average_accuracy": average})
+            return out
+
+        assert result.intermediate == snapshots(seed + 1)
+        assert result.intermediate != snapshots(seed)
+
+
 def prototype_images(name, seed, train_per_class, test_per_class, noise=64.0):
     """Images shaped as dataset ``name``'s: one smooth random prototype per
     class (fixed across seeds) plus pixel noise drawn from ``seed``."""
@@ -742,6 +812,15 @@ class TestCheckMemoryCap:
         assert check_memory_cap(self.CONFIG, 84032, eval_every=5) == 84032
         with pytest.raises(ConfigurationError, match="eval-every"):
             check_memory_cap(self.CONFIG, 84031, eval_every=5)
+
+    def test_low_rank_snapshots_add_no_copy(self):
+        """With the run's rank bound on the low-rank side of the rule
+        (8 (4 + 2 * 4) <= E + 1 at E=100), snapshots only read the
+        accumulator; one past it, each factors a copy."""
+        assert check_memory_cap(self.CONFIG, 43632, eval_every=5, max_rank=4) == 43632
+        assert check_memory_cap(self.CONFIG, 84032, eval_every=5, max_rank=5) == 84032
+        with pytest.raises(ConfigurationError, match="eval-every"):
+            check_memory_cap(self.CONFIG, 84031, eval_every=5, max_rank=5)
 
     def test_mean_only_variants_need_their_class_rows(self):
         config = ModelVariant("ncm", num_classes=4, input_dim=100)

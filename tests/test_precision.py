@@ -295,14 +295,16 @@ class TestLowRankPrecision:
     semidefinite of rank at most max_rank, and the rule that picks it."""
 
     def test_rule_puts_the_benchmark_shapes_on_their_sides(self):
-        """The few-shot features workload (E = 8192, 20 classes of 8:
-        rank bound 140) takes the low-rank path; the MNIST workload
-        (E = 6144, 10 classes of 30: rank bound 290, whose L alone would
-        be 9.4% of the accumulator) stays dense."""
+        """Both few-shot benchmark shapes take the low-rank path: the
+        features workload (E = 8192, 20 classes of 8: rank bound 140) and
+        the MNIST workload (E = 6144, 10 classes of 30: rank bound 290,
+        8 (290 + 2 * 10) = 2480 <= E + 1).  At E = 6144 with 10 classes
+        the rule's last low-rank bound is 748."""
         assert low_rank_fits(8192, 160 - 20, 20)
-        assert not low_rank_fits(6144, 300 - 10, 10)
-        # the boundary: 8 E (r + 2 C) against 5% of 4 E (E + 1) bytes
-        assert low_rank_fits(239, 2, 2) and not low_rank_fits(238, 2, 2)
+        assert low_rank_fits(6144, 300 - 10, 10)
+        assert low_rank_fits(6144, 748, 10) and not low_rank_fits(6144, 749, 10)
+        # the boundary: 8 (r + 2 C) against E + 1
+        assert low_rank_fits(47, 2, 2) and not low_rank_fits(46, 2, 2)
 
     @pytest.mark.parametrize("e", [60, 61])
     def test_solves_and_log_det_match_the_dense_matrix(self, e):
