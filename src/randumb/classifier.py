@@ -43,7 +43,7 @@ from .errors import (
 )
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
 from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_pixels
-from .precision import PrecisionModel, low_rank_fits, packed_shrinkage, shrink_packed
+from .precision import PrecisionModel, packed_shrinkage
 from .streaming import StreamingEstimator
 
 # variant -> (random-map head, or None on raw inputs; Mahalanobis rule?)
@@ -193,19 +193,15 @@ class StreamingClassifier:
         docstring); for Mahalanobis variants, shrink + ridge + factorize
         the covariance and solve against it once.
 
-        The factor is built from the estimator's packed upper triangle of
-        the scatter, in the representation ``precision.low_rank_fits``
-        picks from E, the rank bound n - k (k the classes seen) and C:
-        low rank where 8 (n - k + 2 C) <= E + 1, the range in which it is
-        the faster one.  The dense one shrinks and factors the vector in
-        place: with consume=True it is handed over without any copy, so
-        nothing quadratic is allocated, and with consume=False it works
-        on one copy.  The low-rank one only reads the vector, so it
-        copies nothing either way; its scratch, L, K and two E x C
-        blocks, stays within 8 E (r + 2 C) + 8 r^2 bytes, under 29% of
-        the accumulator.  consume=True spends the estimator.  The
-        factor is freed before finalize returns; ``factor_rank`` says
-        which representation ran (E: dense).
+        ``packed_shrinkage`` reads rho and mu from the estimator's packed
+        upper triangle of the scatter, and one ``PrecisionModel`` factors
+        A = (rho mu + lambda) I + ((1 - rho) / (n - 1)) scatter, in the
+        representation the ``precision`` module docstring's rule picks
+        from E, the rank bound n - k (k the classes seen) and C.
+        consume=True hands the vector over without a copy and spends the
+        estimator; consume=False lends it read-only, and only a dense
+        factor copies it.  The factor is freed before finalize returns;
+        ``factor_rank`` says which representation ran (E: dense).
         """
         if self.estimator.total_count == 0:
             raise EmptyModelError("no samples observed; nothing to finalize")
@@ -214,19 +210,14 @@ class StreamingClassifier:
         self._reset()
         counts, means = self.estimator.class_rows()
         if self.config.needs_precision:
-            n, ridge = self.estimator.total_count, self.config.ridge
+            n = self.estimator.total_count
             # the scatter's rank bound: one less than its count per class seen
             max_rank = n - int(np.count_nonzero(counts))
             scatter, denom = self.estimator.packed_scatter(consume=consume)
-            if low_rank_fits(self.config.embed_dim, max_rank, len(counts)):
-                rho, mu = packed_shrinkage(scatter, n, denom)
-                low_rank = ((1.0 - rho) / denom, max_rank)
-                precision = PrecisionModel(scatter, rho * mu + ridge, low_rank)
-            else:
-                if not consume:
-                    scatter = scatter.copy()
-                rho, mu = shrink_packed(scatter, n, denom)
-                precision = PrecisionModel(scatter, ridge)
+            rho, mu = packed_shrinkage(scatter, n, denom)
+            precision = PrecisionModel(
+                scatter, rho * mu + self.config.ridge, (1.0 - rho) / denom, max_rank, len(counts)
+            )
             weights = precision.solve(means.T)
             bias = -0.5 * np.einsum("ec,ec->c", means.T, weights)
             self.shrinkage_rho, self.shrinkage_mu = rho, mu

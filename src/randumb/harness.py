@@ -276,8 +276,7 @@ def _config_echo(
 
 
 def check_memory_cap(
-    model_config: ModelVariant, cap_bytes: int, eval_every: int = 0,
-    max_rank: int | None = None,
+    model_config: ModelVariant, cap_bytes: int, max_rank: int, eval_every: int = 0
 ) -> int:
     """Refuse runs whose statistics exceed the cap, before any of them is
     allocated; returns the bytes they need.
@@ -289,11 +288,11 @@ def check_memory_cap(
     it as well, so it holds two.  ``max_rank`` is the scatter's rank
     bound n - k at the end of the stream, which no snapshot's exceeds:
     where ``low_rank_fits`` holds for it, every snapshot only reads the
-    accumulator, so no copy is counted.  Without it the copy is counted.
+    accumulator, so no copy is counted.
     """
     c, e = model_config.num_classes, model_config.embed_dim
     rows = 8 * c * (e + 1)
-    dense_snapshots = eval_every > 0 and (max_rank is None or not low_rank_fits(e, max_rank, c))
+    dense_snapshots = eval_every > 0 and not low_rank_fits(e, max_rank, c)
     copies = (2 if dense_snapshots else 1) if model_config.needs_precision else 0
     needed = rows + copies * 4 * e * (e + 1)
     if needed > cap_bytes:
@@ -335,11 +334,11 @@ def run_on_dataset(
     eval_every by make_stream.
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
-    steps via a non-consuming finalize (a dense one factors a copy of the
-    accumulator, so the run holds two packed triangles, and a low-rank one
-    only reads it; each normalizes the raw test split again, block by
-    block); the final evaluation always goes through the consuming,
-    single-buffer path.
+    steps via a non-consuming finalize, each normalizing the raw test
+    split again, block by block; which factor a snapshot takes, and so
+    whether the run holds a copy of the accumulator, is the ``precision``
+    module docstring's rule.  The final evaluation always goes through
+    the consuming, single-buffer path.
     """
     return _planned_run(
         data, variant, embed_dim, gamma, ridge, seed, augment, classes_per_task,
@@ -389,7 +388,7 @@ def _planned_run(
     # the scatter's rank bound at the end of the stream: its rows less the
     # classes present, which are all C (make_stream refuses an empty class)
     max_rank = len(data.train_y) * (2 if augment else 1) - descriptor.num_classes
-    check_memory_cap(model_config, memory_cap_bytes, eval_every, max_rank)
+    check_memory_cap(model_config, memory_cap_bytes, max_rank, eval_every)
     stream_seed = seed + 1
     stream = make_stream(data, classes_per_task, augment, stream_seed, cut_every=eval_every)
     echo = _config_echo(data, model_config, eval_every, augment, classes_per_task, stream_seed)

@@ -18,31 +18,32 @@ into one vector of E (E + 1) / 2 entries in LAPACK's rectangular full
 packed (RFP) format (TRANSR = 'N', UPLO = 'U'; Gustavson, Wasniewski,
 Dongarra & Langou, ACM TOMS 37(2), 2010).  rho and mu come from two
 traces of that vector: tr(S) from the packed diagonal and tr(S^2) from
-one BLAS ddot over it (``packed_shrinkage``).  A is then factored in one
-of two exact representations:
+one BLAS ddot over it (``packed_shrinkage``).  ``PrecisionModel`` then
+factors A = alpha I + beta P, P the matrix whose upper triangle the vector
+holds, in one of two exact representations.  Finalize passes the raw
+scatter P = (n - 1) S of n samples in k classes, alpha = rho mu + lambda
+and beta = (1 - rho) / (n - 1), so that A = shrunk + lambda I.
 
-* dense: one scaling pass shrinks the vector in place
-  (``shrink_packed``), the ridge goes onto its diagonal and an RFP
-  Cholesky factor (dpftrf, E^3 / 3 flops) takes it over; solves are
-  dpftrs.
-* low rank: the scatter (n - 1) S of n samples in k classes has rank
-  r <= n - k, so A = alpha I + beta (n - 1) S, with alpha = rho mu +
-  lambda and beta = (1 - rho) / (n - 1), is a scaled identity plus a
-  rank-r term.  A pivoted partial Cholesky (Harbrecht, Peters &
+* dense: one scaling pass takes the vector to beta P in place, alpha
+  goes onto its diagonal and an RFP Cholesky factor (dpftrf, E^3 / 3
+  flops) takes it over; solves are dpftrs.
+* low rank: the scatter has rank r <= n - k, so A is a scaled identity
+  plus a rank-r term.  A pivoted partial Cholesky (Harbrecht, Peters &
   Schneider, Appl. Numer. Math. 62(4), 2012) reads r columns of the
-  vector, never writing it, into L L^T = beta (n - 1) S with L of
-  E x r.  Then A^{-1} b = (b - L K^{-1} L^T b) / alpha with K = alpha
-  I_r + L^T L (Woodbury), and log det A = (E - r) log alpha + log det
-  K: E r^2 flops.
+  vector, never writing it, into L L^T = beta P with L of E x r.  Then
+  A^{-1} b = (b - L K^{-1} L^T b) / alpha with K = alpha I_r + L^T L
+  (Woodbury), and log det A = (E - r) log alpha + log det K: E r^2
+  flops.
 
-``low_rank_fits`` picks the representation from (E, n - k, C) alone:
-the low-rank one whenever 8 (r + 2 C) <= E + 1.  Up to r = E / 8 it is
+``low_rank_fits`` picks the representation from E, the rank bound
+n - k and the C columns of the discriminant solve alone: the low-rank
+one whenever 8 (r + 2 C) <= E + 1.  Up to r = E / 8 it is
 the faster one at every E from 512 to 8192 on two cores; at E = 6144
 it stops being so between r = E / 6 and E / 4.  Its scratch, L, K (r x r) and
 at most two E x C blocks, is then 8 E (r + 2 C) + 8 r^2 <= E (E + 1) +
 (E + 1)^2 / 8 bytes: at most (9 E + 1) / (32 E), just over 28%, of the
 4 E (E + 1)-byte accumulator.  The dense one allocates under 5% of it
-on top.  Nothing E x E is mirrored, scanned or allocated on either
+on top, besides the copy of a read-only vector.  Nothing E x E is mirrored, scanned or allocated on either
 path.  Every kernel is scipy's (``scipy.linalg.blas`` and ``.lapack``),
 so a run uses one OpenBLAS and one thread pool.
 """
@@ -153,19 +154,10 @@ def packed_shrinkage(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, 
     return _oas(float(d.sum()) / denom, tr_s2, e, n)
 
 
-def shrink_packed(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, float]:
-    """OAS-shrink S = a / denom in place (``packed_shrinkage``): one pass
-    scales the vector by (1 - rho) / denom and adds rho mu to the
-    diagonal.  Returns (rho, mu)."""
-    rho, mu = packed_shrinkage(a, n, denom)
-    a *= (1.0 - rho) / denom
-    a[packed_diagonal(packed_dim(a))] += rho * mu
-    return rho, mu
-
-
 def low_rank_fits(e: int, max_rank: int, num_classes: int) -> bool:
-    """Whether finalize factors an E x E accumulator of rank at most
-    ``max_rank`` in the low-rank representation (module docstring): when
+    """Whether ``PrecisionModel`` factors an E x E matrix of rank at most
+    ``max_rank``, solved against C = ``num_classes`` columns, in the
+    low-rank representation (module docstring): when
     8 (r + 2 C) <= E + 1, so that L (E x r) and two E x C blocks, 8 E
     (r + 2 C) bytes, are at most a quarter of the accumulator's
     4 E (E + 1).  Up to there the low-rank factor is the faster one."""
@@ -215,11 +207,11 @@ def oas_shrink(S: np.ndarray, n: int, copy: bool = True) -> ShrinkageResult:
     ``n`` is the number of samples behind S (augmented copies included).
     With copy=False, S itself is overwritten with the shrunk matrix.
 
-    No run calls this full-matrix kernel: finalize runs ``shrink_packed``,
-    which the verify and acceptance checks test against the oracle.  It
-    stays only because ``perfbench/spans.py`` wraps it by name, until
-    ROADMAP item 2 deletes it with ``ShrinkageResult`` and
-    ``_check_symmetric``.
+    No run calls this full-matrix kernel: finalize runs
+    ``packed_shrinkage`` and ``PrecisionModel``, which the verify and
+    acceptance checks test against the oracle.  It stays only because
+    ``perfbench/spans.py`` wraps it by name, until ROADMAP item 2 deletes
+    it with ``ShrinkageResult`` and ``_check_symmetric``.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -236,26 +228,26 @@ def oas_shrink(S: np.ndarray, n: int, copy: bool = True) -> ShrinkageResult:
 
 
 class PrecisionModel:
-    """A factored A = shrunk + ridge I: repeated SPD solves, plus the
+    """A factored A = ridge I + scale P: repeated SPD solves, plus the
     log-determinant and factor-rank diagnostics.
 
-    Dense (``low_rank`` None): ``packed`` is the RFP vector of the upper
-    triangle of ``shrunk`` (``pack_upper``); the ridge is added to it and
-    it is factored in place, so the factor takes the vector over, and
-    ``factor_rank`` is E.
+    ``packed`` is the RFP vector of the upper triangle of a positive
+    semidefinite P (``pack_upper``).  From ``max_rank``, a bound on P's
+    rank (None: none), and ``num_rhs``, the columns the solves take,
+    ``low_rank_fits`` picks the representation (module docstring).
 
-    Low rank (``low_rank = (beta, max_rank)``): ``packed`` is the RFP
-    vector of a positive semidefinite P of rank at most ``max_rank``, and
-    A = beta P + ridge I (finalize passes the raw scatter, beta =
-    (1 - rho) / (n - 1) and ridge = rho mu + lambda).  The pivoted
-    Cholesky of beta P stops after ``max_rank`` columns, or once the
-    largest residual diagonal is at most E eps times the largest
-    diagonal of beta P; ``factor_rank`` is the r columns it took.
-    ``packed`` is only read.
+    Dense (``factor_rank`` E): the vector is scaled and ridged in place
+    and the factor takes it over; a read-only vector is copied first.
+
+    Low rank: the pivoted Cholesky of scale P stops after ``max_rank``
+    columns, or once the largest residual diagonal is at most E eps times
+    the largest diagonal of scale P; ``factor_rank`` is the r columns it
+    took.  ``packed`` is only read.
     """
 
     def __init__(
-        self, packed: np.ndarray, ridge: float, low_rank: tuple[float, int] | None = None
+        self, packed: np.ndarray, ridge: float, scale: float = 1.0,
+        max_rank: int | None = None, num_rhs: int = 1,
     ):
         packed = np.asarray(packed, dtype=np.float64)
         if ridge < 0:
@@ -264,12 +256,14 @@ class PrecisionModel:
         self.embed_dim = e
         self.ridge = float(ridge)
         self._low_rank = None
-        if low_rank is not None:
-            self._factor_low_rank(packed, *low_rank)
+        if max_rank is not None and low_rank_fits(e, max_rank, num_rhs):
+            self._factor_low_rank(packed, scale, max_rank)
             return
+        if not packed.flags.writeable:
+            packed = packed.copy()
+        packed *= scale
         diag = packed_diagonal(e)
-        if ridge:
-            packed[diag] += ridge
+        packed[diag] += ridge
         for i in range(0, packed.size, _PANEL_ELEMENTS):
             if not np.isfinite(packed[i : i + _PANEL_ELEMENTS]).all():
                 raise NumericalError(
@@ -289,8 +283,8 @@ class PrecisionModel:
         self.log_det = float(2.0 * np.log(self._factor[diag]).sum())
 
     def _factor_low_rank(self, packed: np.ndarray, beta: float, max_rank: int) -> None:
-        """L (E x r) with L L^T = beta P, and the Cholesky factor of
-        K = ridge I_r + L^T L (class docstring)."""
+        """L (E x r) with L L^T = beta P, beta the scale, and the
+        Cholesky factor of K = ridge I_r + L^T L (class docstring)."""
         e, alpha = self.embed_dim, self.ridge
         if not alpha > 0:
             raise NumericalError(
@@ -333,7 +327,7 @@ class PrecisionModel:
         self.log_det = (e - r) * math.log(alpha) + log_det_k
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (shrunk + lambda I) z = b for one vector or a column stack."""
+        """Solve A z = b for one vector or a column stack."""
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.embed_dim:
             raise ShapeError(

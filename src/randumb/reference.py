@@ -210,26 +210,32 @@ def _check_rff_kernel(rng) -> OracleReport:
 
 
 def _check_oas(rng) -> OracleReport:
-    """The shrinkage finalize runs, ``shrink_packed`` on the packed upper
-    triangle, against the oracle's full matrix (packed the same way)."""
-    from .precision import pack_upper, shrink_packed
+    """The shrinkage finalize runs against the oracle: (rho, mu) of the
+    packed upper triangle, and the log det and solves of the factor of
+    (rho mu + lambda) I + (1 - rho) S, against the oracle's shrunk + lambda
+    I.  A scaled identity is a fixed point: rho = 1, mu exact."""
+    from .precision import PrecisionModel, pack_upper, packed_shrinkage
 
+    ridge = 1e-3
     worst = 0.0
     for _ in range(5):
         e, n = 20, 50
         A = rng.standard_normal((n, e))
         S = A.T @ A / n
-        packed = pack_upper(S)
-        rho, mu = shrink_packed(packed, n)
+        rho, mu = packed_shrinkage(pack_upper(S), n)
         rho_ref, mu_ref, shrunk_ref = oas_reference(S, n)
-        worst = max(worst, abs(rho - rho_ref))
-        worst = max(worst, abs(mu - mu_ref))
-        worst = max(worst, np.abs(packed - pack_upper(shrunk_ref)).max())
+        model = PrecisionModel(pack_upper(S), rho * mu + ridge, 1.0 - rho)
+        oracle = shrunk_ref + ridge * np.eye(e)
+        b = rng.standard_normal((e, 3))
+        worst = max(
+            worst, abs(rho - rho_ref), abs(mu - mu_ref),
+            abs(model.log_det - np.linalg.slogdet(oracle)[1]),
+            np.abs(model.solve(b) - np.linalg.solve(oracle, b)).max(),
+        )
         if not (0.0 <= rho <= 1.0):
             worst = max(worst, 1.0)
-    ident = pack_upper(3.5 * np.eye(12))
-    shrink_packed(ident, 100)
-    worst = max(worst, np.abs(ident - pack_upper(3.5 * np.eye(12))).max())
+    rho, mu = packed_shrinkage(pack_upper(3.5 * np.eye(12)), 100)
+    worst = max(worst, abs(rho - 1.0), abs(mu - 3.5))
     return OracleReport("oas_matches_reference", worst, 1e-10)
 
 

@@ -30,7 +30,7 @@ from randumb import (
     sweep_embedding,
 )
 from randumb.data_io import dataset_from_features
-from randumb.precision import low_rank_fits, pack_upper, shrink_packed
+from randumb.precision import PrecisionModel, low_rank_fits, pack_upper, packed_shrinkage
 from randumb.reference import (
     batch_lda_predict,
     batch_stats,
@@ -111,8 +111,9 @@ class TestPropertyGates:
         assert fine < coarse, f"error grew with width: {fine:.4f} vs {coarse:.4f}"
 
     def test_shrinkage_bounds_identity_and_oracle_agreement(self):
-        # The shrinkage finalize runs: shrink_packed on the RFP vector of
-        # the covariance's upper triangle, shrunk in place.
+        # The shrinkage finalize runs: packed_shrinkage on the RFP vector of
+        # the covariance's upper triangle, then the factor of
+        # (rho mu + ridge) I + (1 - rho) S that finalize forms from it.
         rng = np.random.default_rng(11)
         # Mixing weight stays in [0, 1] across benign and degenerate inputs.
         cases = []
@@ -124,29 +125,30 @@ class TestPropertyGates:
             cases.append((np.zeros((e, e)), 5))        # all zero
             cases.append((np.eye(e) * 3.0, 10**9))     # huge n
         for S, n in cases:
-            rho, _ = shrink_packed(pack_upper(S), n)
+            rho, _ = packed_shrinkage(pack_upper(S), n)
             assert 0.0 <= rho <= 1.0, rho
 
-        # A scaled identity is a fixed point.
-        S = 2.5 * np.eye(40)
-        packed = pack_upper(S)
-        rho, _ = shrink_packed(packed, 100)
-        assert np.abs(packed - pack_upper(S)).max() == 0.0
-        assert rho == 1.0
+        # A scaled identity is a fixed point: rho = 1 and mu exact.
+        assert packed_shrinkage(pack_upper(2.5 * np.eye(40)), 100) == (1.0, 2.5)
 
         # Agreement with the independent transcription on random SPD input.
+        ridge = 1e-3
         worst = 0.0
         for trial in range(10):
             e = int(rng.integers(4, 64))
             n = int(rng.integers(e, 500))
             A = rng.standard_normal((n, e))
             S = A.T @ A / n
-            packed = pack_upper(S)
-            rho, mu = shrink_packed(packed, n)
+            rho, mu = packed_shrinkage(pack_upper(S), n)
             rho_ref, mu_ref, shrunk_ref = oas_reference(S, n)
-            worst = max(worst, abs(rho - rho_ref))
-            worst = max(worst, abs(mu - mu_ref))
-            worst = max(worst, float(np.abs(packed - pack_upper(shrunk_ref)).max()))
+            model = PrecisionModel(pack_upper(S), rho * mu + ridge, 1.0 - rho)
+            oracle = shrunk_ref + ridge * np.eye(e)
+            b = rng.standard_normal((e, 3))
+            worst = max(
+                worst, abs(rho - rho_ref), abs(mu - mu_ref),
+                abs(model.log_det - np.linalg.slogdet(oracle)[1]),
+                float(np.abs(model.solve(b) - np.linalg.solve(oracle, b)).max()),
+            )
         assert worst <= 1e-10, f"oracle disagreement {worst:.3e}"
 
     def test_predictions_match_batch_lda_oracle_everywhere(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_refused, gaussian_blobs
-from randumb import classifier as classifier_module
+from randumb import precision as precision_module
 from randumb import (
     ConfigurationError,
     EmptyModelError,
@@ -717,7 +717,7 @@ class TestLowRankFinalize:
         X, y, T = self.few_shot(rng, 481, k=3, per_class=3)
         config = raw_config(input_dim=481, ridge=self.RIDGE, num_classes=3)
         low = fit(config, X, y, consume=True)
-        monkeypatch.setattr(classifier_module, "low_rank_fits", lambda *args: False)
+        monkeypatch.setattr(precision_module, "low_rank_fits", lambda *args: False)
         dense = fit(config, X, y, consume=True)
         assert (low.factor_rank, dense.factor_rank) == (6, 481)
         assert (low.shrinkage_rho, low.shrinkage_mu) == (dense.shrinkage_rho, dense.shrinkage_mu)
@@ -755,7 +755,7 @@ class TestLowRankFinalize:
         config = raw_config(input_dim=240, ridge=0.0, num_classes=2)
         for dense in (False, True):
             if dense:
-                monkeypatch.setattr(classifier_module, "low_rank_fits", lambda *args: False)
+                monkeypatch.setattr(precision_module, "low_rank_fits", lambda *args: False)
             model = StreamingClassifier(config)
             model.observe(X, y)
             with pytest.raises(NumericalError, match="not positive definite"):

@@ -799,34 +799,37 @@ class TestCheckMemoryCap:
     CONFIG = ModelVariant(
         "randumb", num_classes=4, embedding=FeatureMapSpec("fourier", 8, 100, seed=0, gamma=1.0)
     )
+    # rank bounds either side of the rule at E=100 and C=4: 8 (4 + 2 * 4)
+    # <= E + 1 < 8 (5 + 2 * 4)
+    LOW_RANK, DENSE = 4, 5
 
     def test_byte_arithmetic(self):
         # 4 class rows of 100 float64 means and one int64 count (3232
         # bytes), and the packed upper triangle: 100 * 101 / 2 float64
         # entries (40400 bytes)
-        assert check_memory_cap(self.CONFIG, 43632) == 43632
+        assert check_memory_cap(self.CONFIG, 43632, self.DENSE) == 43632
         with pytest.raises(ConfigurationError, match="43632 bytes"):
-            check_memory_cap(self.CONFIG, 43631)
+            check_memory_cap(self.CONFIG, 43631, self.DENSE)
 
     def test_eval_every_doubles_the_need(self):
-        assert check_memory_cap(self.CONFIG, 84032, eval_every=5) == 84032
+        assert check_memory_cap(self.CONFIG, 84032, self.DENSE, eval_every=5) == 84032
         with pytest.raises(ConfigurationError, match="eval-every"):
-            check_memory_cap(self.CONFIG, 84031, eval_every=5)
+            check_memory_cap(self.CONFIG, 84031, self.DENSE, eval_every=5)
 
     def test_low_rank_snapshots_add_no_copy(self):
-        """With the run's rank bound on the low-rank side of the rule
-        (8 (4 + 2 * 4) <= E + 1 at E=100), snapshots only read the
-        accumulator; one past it, each factors a copy."""
-        assert check_memory_cap(self.CONFIG, 43632, eval_every=5, max_rank=4) == 43632
-        assert check_memory_cap(self.CONFIG, 84032, eval_every=5, max_rank=5) == 84032
+        """With the run's rank bound on the low-rank side of the rule,
+        snapshots only read the accumulator; one past it, each factors a
+        copy."""
+        assert check_memory_cap(self.CONFIG, 43632, self.LOW_RANK, eval_every=5) == 43632
+        assert check_memory_cap(self.CONFIG, 84032, self.DENSE, eval_every=5) == 84032
         with pytest.raises(ConfigurationError, match="eval-every"):
-            check_memory_cap(self.CONFIG, 84031, eval_every=5, max_rank=5)
+            check_memory_cap(self.CONFIG, 84031, self.DENSE, eval_every=5)
 
     def test_mean_only_variants_need_their_class_rows(self):
         config = ModelVariant("ncm", num_classes=4, input_dim=100)
-        assert check_memory_cap(config, 3232, eval_every=5) == 3232
+        assert check_memory_cap(config, 3232, self.DENSE, eval_every=5) == 3232
         with pytest.raises(ConfigurationError, match="4 classes at state dimension 100"):
-            check_memory_cap(config, 3231)
+            check_memory_cap(config, 3231, self.DENSE)
 
 
 class TestPeakMemoryEstimate:
@@ -990,7 +993,7 @@ class TestSweepAndAblation:
         d = data.descriptor
         cap = check_memory_cap(
             ModelVariant("rp_relu", d.num_classes, FeatureMapSpec("relu", d.input_dim, 64, 0)),
-            2**40,
+            2**40, len(data.train_y) - d.num_classes,
         )
         with pytest.raises(ConfigurationError, match="above the configured cap"):
             sweep_embedding([64, 65], data, variant="rp_relu", memory_cap_bytes=cap)

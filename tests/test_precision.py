@@ -5,8 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scipy.linalg.lapack import dtfttr
-
 from randumb.errors import DataError, NumericalError, ShapeError
 from randumb.precision import (
     PrecisionModel,
@@ -17,9 +15,9 @@ from randumb.precision import (
     packed_diagonal,
     packed_dim,
     packed_shrinkage,
-    shrink_packed,
 )
 from randumb.reference import oas_reference
+from randumb.streaming import StreamingEstimator
 
 
 def random_spd(rng, e, n=None):
@@ -115,11 +113,6 @@ class TestOasShrink:
         assert peak < 4 * 1024**2
 
 
-def unpack_upper(a):
-    """The upper triangle held in the RFP vector ``a``, zeros below."""
-    return np.triu(dtfttr(packed_dim(a), a)[0])
-
-
 class TestPackedLayout:
     """The RFP vector of an E x E upper triangle: its size, its diagonal
     and its order, for the even and the odd layout."""
@@ -147,8 +140,18 @@ class TestPackedLayout:
 
 
 class TestShrinkUpper:
-    """The production kernel: shrink S = a / denom in place, ``a`` the
-    packed upper triangle of S * denom."""
+    """The production shrinkage: (rho, mu) of S = a / denom, ``a`` the
+    packed upper triangle of S * denom, and the factor finalize forms
+    from them, A = (rho mu + lambda) I + ((1 - rho) / denom) a."""
+
+    RIDGE = 1e-3
+
+    def assert_factor_matches(self, a, rho, mu, denom, shrunk_ref, rng):
+        model = PrecisionModel(a, rho * mu + self.RIDGE, (1.0 - rho) / denom)
+        A = shrunk_ref + self.RIDGE * np.eye(len(shrunk_ref))
+        assert abs(model.log_det - np.linalg.slogdet(A)[1]) < 1e-10
+        b = rng.standard_normal((len(A), 3))
+        assert np.abs(model.solve(b) - np.linalg.solve(A, b)).max() < 1e-10
 
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_upper_only_matches_reference(self, order):
@@ -157,33 +160,39 @@ class TestShrinkUpper:
             S = random_spd(rng, e, 40)
             denom = 39.0
             a = pack_upper(np.array(np.triu(S * denom), order=order))
-            rho, mu = shrink_packed(a, 40, denom)
+            rho, mu = packed_shrinkage(a, 40, denom)
             rho_ref, mu_ref, shrunk_ref = oas_reference(S, 40)
             assert abs(rho - rho_ref) < 1e-10
             assert abs(mu - mu_ref) < 1e-10
-            assert np.abs(unpack_upper(a) - np.triu(shrunk_ref)).max() < 1e-10
+            self.assert_factor_matches(a, rho, mu, denom, shrunk_ref, rng)
 
     def test_mirrored_lower_triangle_stays_the_mirror(self):
         """Packing reads only the upper triangle, so a mirrored matrix
-        shrinks exactly like its upper triangle alone."""
+        shrinks and factors exactly like its upper triangle alone."""
         rng = np.random.default_rng(40)
         S = random_spd(rng, 25, 30)
         mirrored = pack_upper(np.asfortranarray(S * 29.0))
         upper = pack_upper(np.triu(S * 29.0))
         np.testing.assert_array_equal(mirrored, upper)
-        assert shrink_packed(mirrored, 30, 29.0) == shrink_packed(upper, 30, 29.0)
-        np.testing.assert_array_equal(mirrored, upper)
+        rho, mu = packed_shrinkage(mirrored, 30, 29.0)
+        assert packed_shrinkage(upper, 30, 29.0) == (rho, mu)
+        factors = [
+            PrecisionModel(a, rho * mu + self.RIDGE, (1.0 - rho) / 29.0) for a in (mirrored, upper)
+        ]
+        assert factors[0].log_det == factors[1].log_det
+        v = rng.standard_normal(25)
+        np.testing.assert_array_equal(factors[0].solve(v), factors[1].solve(v))
         _, _, shrunk_ref = oas_reference(S, 30)
-        assert np.abs(unpack_upper(mirrored) - np.triu(shrunk_ref)).max() < 1e-10
+        self.assert_factor_matches(pack_upper(S * 29.0), rho, mu, 29.0, shrunk_ref, rng)
 
     def test_non_finite_trace_of_square_raises(self):
         a = np.eye(5)
         a[1, 3] = np.inf
         with pytest.raises(NumericalError, match="not finite"):
-            shrink_packed(pack_upper(a), 10)
+            packed_shrinkage(pack_upper(a), 10)
         # finite entries whose squares overflow
         with pytest.raises(NumericalError, match="not finite"):
-            shrink_packed(pack_upper(np.eye(4) * 1e200), 10)
+            packed_shrinkage(pack_upper(np.eye(4) * 1e200), 10)
 
 
 class TestBuildPrecision:
@@ -278,6 +287,22 @@ class TestBuildPrecision:
         np.testing.assert_allclose(model.solve(v), np.linalg.solve(A, v), rtol=1e-9)
         np.testing.assert_allclose(model.solve(v[:, 0]), model.solve(v)[:, 0], rtol=1e-12)
 
+    def test_read_only_vector_is_copied_and_left_as_it_was(self):
+        """The lent view of a non-consuming ``packed_scatter`` is read-only:
+        the dense factor copies it, so it factors like a writable copy
+        and stays bitwise as it was."""
+        rng = np.random.default_rng(45)
+        est = StreamingEstimator(30, 2)
+        est.observe(rng.standard_normal((60, 30)), np.arange(60) % 2)
+        lent = est.packed_scatter()[0]
+        before = lent.copy()
+        model = PrecisionModel(lent, 1e-3)
+        np.testing.assert_array_equal(lent, before)
+        writable = PrecisionModel(lent.copy(), 1e-3)
+        assert model.factor_rank == 30 and model.log_det == writable.log_det
+        v = rng.standard_normal((30, 2))
+        np.testing.assert_array_equal(model.solve(v), writable.solve(v))
+
     @pytest.mark.parametrize("e", [6, 7])
     def test_pivot_index_is_global_in_either_layout(self, e):
         """The RFP factor works on two sub-triangles; the reported pivot is
@@ -291,7 +316,7 @@ class TestBuildPrecision:
 
 
 class TestLowRankPrecision:
-    """The low-rank representation of A = beta P + alpha I, P positive
+    """The low-rank representation of A = ridge I + scale P, P positive
     semidefinite of rank at most max_rank, and the rule that picks it."""
 
     def test_rule_puts_the_benchmark_shapes_on_their_sides(self):
@@ -308,12 +333,13 @@ class TestLowRankPrecision:
 
     @pytest.mark.parametrize("e", [60, 61])
     def test_solves_and_log_det_match_the_dense_matrix(self, e):
+        """A rank-5 P with the bound 5: 8 (5 + 2) <= E + 1."""
         rng = np.random.default_rng(43)
         F = rng.standard_normal((e, 5))
         P = F @ F.T
         packed = pack_upper(P)
         before = packed.copy()
-        model = PrecisionModel(packed, 0.3, low_rank=(0.7, 8))
+        model = PrecisionModel(packed, 0.3, 0.7, 5)
         np.testing.assert_array_equal(packed, before)
         assert model.factor_rank == 5
         A = 0.7 * P + 0.3 * np.eye(e)
@@ -322,28 +348,42 @@ class TestLowRankPrecision:
         np.testing.assert_allclose(model.solve(v), np.linalg.solve(A, v), rtol=1e-10)
         np.testing.assert_allclose(model.solve(v[:, 0]), model.solve(v)[:, 0], rtol=1e-12)
 
+    def test_the_rule_picks_the_representation(self):
+        """At E = 60 the bound 5 with one right-hand side fits the rule,
+        while the bound 6, or the bound 5 with two right-hand sides, does
+        not: those factor densely, in place, to the same A."""
+        rng = np.random.default_rng(46)
+        F = rng.standard_normal((60, 5))
+        P = F @ F.T
+        low = PrecisionModel(pack_upper(P), 0.3, 0.7, 5)
+        for max_rank, num_rhs in ((6, 1), (5, 2), (None, 1)):
+            packed = pack_upper(P)
+            dense = PrecisionModel(packed, 0.3, 0.7, max_rank, num_rhs)
+            assert (low.factor_rank, dense.factor_rank) == (5, 60)
+            assert np.shares_memory(dense._factor, packed)
+            assert dense.log_det == pytest.approx(low.log_det, rel=1e-12)
+
     def test_rank_zero_is_the_scaled_identity(self):
-        """beta = 0 (rho = 1): no column is taken, and A = alpha I."""
-        model = PrecisionModel(pack_upper(np.eye(7)), 2.0, low_rank=(0.0, 3))
+        """scale = 0 (rho = 1): no column is taken, and A = ridge I."""
+        model = PrecisionModel(pack_upper(np.eye(40)), 2.0, 0.0, 3)
         assert model.factor_rank == 0
-        assert model.log_det == pytest.approx(7 * np.log(2.0), rel=1e-15)
-        np.testing.assert_array_equal(model.solve(np.arange(7.0)), np.arange(7.0) / 2.0)
+        assert model.log_det == pytest.approx(40 * np.log(2.0), rel=1e-15)
+        np.testing.assert_array_equal(model.solve(np.arange(40.0)), np.arange(40.0) / 2.0)
 
     def test_zero_alpha_and_non_finite_diagonal_refused(self):
         with pytest.raises(NumericalError, match="not positive definite"):
-            PrecisionModel(pack_upper(np.eye(4)), 0.0, low_rank=(1.0, 2))
-        S = np.eye(4)
+            PrecisionModel(pack_upper(np.eye(40)), 0.0, 1.0, 3)
+        S = np.eye(40)
         S[2, 2] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            PrecisionModel(pack_upper(S), 1.0, low_rank=(1.0, 2))
+            PrecisionModel(pack_upper(S), 1.0, 1.0, 3)
 
-    def test_shrinkage_reads_what_shrink_packed_reads(self):
+    def test_shrinkage_only_reads_the_vector(self):
         rng = np.random.default_rng(44)
         a = pack_upper(random_spd(rng, 31, 20) * 19.0)
         before = a.copy()
-        pair = packed_shrinkage(a, 20, 19.0)
+        packed_shrinkage(a, 20, 19.0)
         np.testing.assert_array_equal(a, before)
-        assert shrink_packed(a, 20, 19.0) == pair
 
 
 class TestMahalanobis:

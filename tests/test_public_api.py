@@ -1,9 +1,9 @@
 """The package's public surface: every exported name resolves, the
 names the shared random-map spec, the single covariance, the one run
 function, the one stream input, the whole flip pairs and the one read
-of the class rows replaced stay gone, the shrinkage checks test the
-kernel finalize runs, no module imports a name it never uses, and no
-test hides where pytest cannot collect it."""
+of the class rows replaced stay gone, the factor has one interface, the
+shrinkage checks test the kernel finalize runs, no module imports a name
+it never uses, and no test hides where pytest cannot collect it."""
 
 import ast
 import inspect
@@ -11,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import randumb
-from randumb import classifier, fourier, harness, reference, streaming
+from randumb import classifier, fourier, harness, precision, reference, streaming
 
 
 def test_every_exported_name_resolves():
@@ -108,9 +108,19 @@ def test_one_read_of_the_class_rows():
     assert not hasattr(reference, "exact_rbf_kernel")
 
 
+def test_one_factor_interface():
+    """PrecisionModel picks its representation itself: the in-place
+    shrink, the ``low_rank`` argument and finalize's copy of the rule
+    are gone."""
+    assert not hasattr(precision, "shrink_packed")
+    assert not hasattr(classifier, "low_rank_fits")
+    assert "low_rank" not in inspect.signature(precision.PrecisionModel).parameters
+
+
 def test_shrinkage_checks_call_the_packed_kernel():
     """The verify OAS check and the acceptance shrinkage gate test
-    shrink_packed, which finalize runs, never the full-matrix oas_shrink."""
+    packed_shrinkage, which finalize runs, never the full-matrix
+    oas_shrink."""
     root = Path(__file__).resolve().parent.parent
     for path in (root / "src/randumb/reference.py", root / "tests/test_acceptance.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -119,7 +129,7 @@ def test_shrinkage_checks_call_the_packed_kernel():
             for node in ast.walk(tree) if isinstance(node, ast.Call)
         }
         assert "oas_shrink" not in called, path.name
-        assert "shrink_packed" in called, path.name
+        assert "packed_shrinkage" in called, path.name
 
 
 # Imported names a module keeps without using them, each with its reason.
