@@ -24,7 +24,21 @@ independent.  Fourier coordinates 2i, 2i + 1 (rows i) and E/2 + 2i,
 E/2 + 2i + 1 (rows i + D/2) pair up when D is even, so a paired
 Fourier map needs E % 4 == 0, and a paired relu map an even E.
 
-Embeddings are float32.  The same spec always yields the same matrix,
+A paired map does not store W.  For each mirror pair of columns
+(j, j' = P(j)) of an image row, with u = x_j + x_j', v = x_j - x_j',
+p = (a_j + a_j') / 2 and q = (a_j - a_j') / 2 over the columns a of W0,
+
+    W0 x = A u + B v,    W0 P x = A u - B v,
+
+where A holds the p columns and B the q columns, each (D/2) x (d/2).
+At an odd width the middle column is its own mirror: it goes whole into
+A (p = a_m, u = x_m) and has no column in B.  The map stores A and B,
+half the bytes of W, and projects [s + t, s - t] with s = A u and
+t = B v: half the multiply-adds of W x.  Px has the same u and the
+opposite v, so its s is the same and its t is -t to the bit, and the
+half swap is exact.
+
+Embeddings are float32.  The same spec always yields the same weights,
 which is what makes whole runs bit-reproducible.  A map embeds exactly
 the rows it is handed, in one projection; callers cut their inputs into
 blocks (``harness.BLOCK_ROWS``) to bound the projection temporary.
@@ -41,8 +55,9 @@ from .errors import ConfigurationError, ShapeError, check_int, check_real
 
 GENERATOR_NAME = "numpy PCG64, ziggurat standard_normal"
 
-# Entries of W drawn per call: 1 MiB of float64.  The generator yields
-# the same sequence however the draw is cut, so W does not depend on it.
+# Entries of W drawn per call: 1 MiB of float64 (whole image rows of W0,
+# at most that, on a paired map).  The generator yields the same sequence
+# however the draw is cut, so the weights do not depend on it.
 DRAW_CHUNK = 1 << 17
 
 HEADS = ("fourier", "relu")
@@ -117,26 +132,54 @@ def mirror_pixels(rows: np.ndarray, width: int, out: np.ndarray | None = None) -
 
 
 class FeatureMap:
-    """A frozen random map: a spec and the weight matrix it determines."""
+    """A frozen random map: a spec and the weights it determines, W for
+    an unpaired spec, A and B for a paired one (module docstring)."""
 
     def __init__(self, spec: FeatureMapSpec):
         self.spec = spec
         rng = np.random.Generator(np.random.PCG64(spec.seed))
-        self.weights = np.empty((spec.num_bases, spec.input_dim), dtype=np.float32)
-        drawn = self.weights
-        if spec.mirror_width is not None:
-            drawn = self.weights[: spec.num_bases // 2]
+        width = spec.mirror_width
+        rows = spec.num_bases if width is None else spec.num_bases // 2
+        self.weights = self.sum_weights = self.diff_weights = None
+        if width is None:
+            self.weights = np.empty((rows, spec.input_dim), dtype=np.float32)
+        else:
+            half, runs = width // 2, spec.input_dim // width
+            self.sum_weights = np.empty((rows, runs * (width - half)), dtype=np.float32)
+            self.diff_weights = np.empty((rows, runs * half), dtype=np.float32)
         # Drawn in float64 one chunk at a time, in row-major order, so the
-        # build holds W plus one chunk rather than a float64 copy of W.
-        flat = drawn.reshape(-1)
-        buffer = np.empty(min(DRAW_CHUNK, flat.size))
-        for start in range(0, flat.size, DRAW_CHUNK):
-            chunk = rng.standard_normal(out=buffer[: flat.size - start])
+        # build holds the stored weights plus one chunk rather than a
+        # float64 copy of them.  A paired map's chunks are whole image
+        # rows of W0, which fold into A and B on their own.
+        size = rows * spec.input_dim
+        unit = width or 1
+        step = max(unit, DRAW_CHUNK - DRAW_CHUNK % unit)
+        buffer = np.empty(min(step, size))
+        for start in range(0, size, step):
+            chunk = rng.standard_normal(out=buffer[: size - start])
             if spec.head == "fourier":
                 chunk *= np.sqrt(2.0 * spec.gamma)
-            flat[start : start + len(chunk)] = chunk
-        if spec.mirror_width is not None:
-            mirror_pixels(drawn, spec.mirror_width, out=self.weights[len(drawn):])
+            if width is None:
+                self.weights.reshape(-1)[start : start + len(chunk)] = chunk
+            else:
+                self._fold(start // width, chunk.reshape(-1, width))
+
+    def _fold(self, first: int, runs: np.ndarray) -> None:
+        """Fold image rows ``first``, ``first + 1``, ... of W0 (float64,
+        one per row of ``runs``) into A and B: p = (a_j + a_j') / 2 and
+        q = (a_j - a_j') / 2 of the float32 entries, and a middle column
+        whole into A."""
+        width = runs.shape[1]
+        half = width // 2
+        total = self.sum_weights.size // (width - half)
+        sums = self.sum_weights.reshape(total, width - half)[first : first + len(runs)]
+        diffs = self.diff_weights.reshape(total, half)[first : first + len(runs)]
+        left, right = runs[:, :half], runs[:, ::-1][:, :half]
+        np.add(left, right, out=sums[:, :half], dtype=np.float32)
+        sums[:, :half] *= 0.5
+        sums[:, half:] = runs[:, half : width - half]
+        np.subtract(left, right, out=diffs, dtype=np.float32)
+        diffs *= 0.5
 
     @property
     def embed_dim(self) -> int:
@@ -153,24 +196,31 @@ class FeatureMap:
         return self.embed_batch(x[None, :])[0]
 
     def embed_batch(self, X: np.ndarray) -> np.ndarray:
-        """Embed the rows of X in one projection; returns float32 (n, E).
+        """Embed the rows of X; returns float32 (n, E).
 
-        Each row's embedding depends only on that row.  At the sizes the
-        tests and the benchmark run, all with D d >= 2^20, its bits do not
-        depend on which block carried it either, a block of one included;
-        a smaller product can take OpenBLAS's small-matrix kernels, whose
-        rounding differs in the last bits.  The (n, D) projection
-        temporary is the caller's to bound.
+        Each row's embedding depends only on that row.  Its bits do not
+        depend on which block carried it either, as long as every product
+        of the block has M N K > 10^6 (M and K the rows and columns of
+        W, A or B, N the block's rows): below that OpenBLAS takes a
+        small-matrix kernel, whose rounding differs in the last bits.  An
+        unpaired map with D d > 10^6 is past it at any block, one row
+        included.  A paired map's products are (D/2)(d/2), so a block of
+        one can fall below it where the whole block does not: at
+        D = 1024, d = 3072 a row embedded alone differs in its last bits
+        from the same row in a 256-row block, while a 44-row block
+        matches.  A run cuts its stream and test split at the same places
+        every time, so its bits, and a resumed run's, stay fixed.  The
+        projection temporaries, a few times (n, D) and on a paired map
+        about (n, d/2) for the sums and differences, are the caller's to
+        bound.
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
             raise ShapeError(
                 f"expected (n, {self.spec.input_dim}) inputs, got shape {X.shape}"
             )
-        # X W^T, computed as (W X^T)^T in scipy's BLAS: both operands and
-        # the result are F-contiguous views, so f2py copies nothing.
         X = X.astype(np.float32, copy=False)
-        proj = sgemm(1.0, self.weights.T, X.T, trans_a=1).T
+        proj = self._project(X) if self.weights is None else _sgemm(self.weights, X)
         if self.spec.head == "relu":
             return np.maximum(proj, 0.0, out=proj)
         out = np.empty((len(X), self.embed_dim), dtype=np.float32)
@@ -178,6 +228,37 @@ class FeatureMap:
         np.sin(proj, out=out[:, 1::2])
         out *= np.float32(1.0 / np.sqrt(self.spec.num_bases))
         return out
+
+    def _project(self, X: np.ndarray) -> np.ndarray:
+        """[W0 x, W0 P x] for each row x of X, as [s + t, s - t] with
+        s = A u and t = B v, u and v the sums and differences of each
+        mirror pair of columns (a middle column goes whole into u)."""
+        width = self.spec.mirror_width
+        half = width // 2
+        runs = X.reshape(-1, width)
+        left, right = runs[:, :half], runs[:, ::-1][:, :half]
+        A, B = self.sum_weights, self.diff_weights
+        # v overwrites u once s is formed: one (n, about d/2) temporary
+        pairs = np.empty(len(runs) * (width - half), dtype=np.float32)
+        u = pairs.reshape(len(runs), width - half)
+        np.add(left, right, out=u[:, :half])
+        u[:, half:] = runs[:, half : width - half]
+        s = _sgemm(A, pairs.reshape(len(X), A.shape[1]))
+        v = pairs[: len(runs) * half].reshape(len(runs), half)
+        np.subtract(left, right, out=v)
+        t = _sgemm(B, v.reshape(len(X), B.shape[1]))
+        rows = A.shape[0]
+        proj = np.empty((len(X), 2 * rows), dtype=np.float32)
+        np.add(s, t, out=proj[:, :rows])
+        np.subtract(s, t, out=proj[:, rows:])
+        return proj
+
+
+def _sgemm(weights: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """X weights^T, computed as (weights X^T)^T in scipy's BLAS: both
+    operands and the result are F-contiguous views, so f2py copies
+    nothing."""
+    return sgemm(1.0, weights.T, X.T, trans_a=1).T
 
 
 class RandomReluMap(FeatureMap):

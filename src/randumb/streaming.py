@@ -69,9 +69,9 @@ def _mirror_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _merge(mean: np.ndarray, count: int, rows: np.ndarray):
-    """Fold ``rows`` into the running ``mean`` of ``count`` samples, and
-    centre them on their own mean b, both in place.
+def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool):
+    """Fold ``rows`` into the running ``mean`` of ``count`` samples in
+    place, and with ``centre`` centre them on their own mean b.
 
     Returns (n m / (n + m), b - mean): the coefficient and vector of the
     merge's mean-shift scatter term.  For a single row the sum is that
@@ -81,7 +81,8 @@ def _merge(mean: np.ndarray, count: int, rows: np.ndarray):
     block_mean = rows.sum(axis=0) / m
     delta = block_mean - mean
     mean += delta * m / (count + m)
-    rows -= block_mean
+    if centre:
+        rows -= block_mean
     return count * m / (count + m), delta
 
 
@@ -174,16 +175,20 @@ class StreamingEstimator:
         cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         starts, stops = [0, *cuts], [*cuts, m]
         # The sorted rows are scattered straight into z, whose last rows
-        # hold the mean-shift terms.
-        z = np.empty((m + len(starts), self.embed_dim), dtype=np.float64)
+        # hold the mean-shift terms; a mean-only estimator needs neither
+        # those nor centred rows.
+        shifts = len(starts) if self.track_scatter else 0
+        z = np.empty((m + shifts, self.embed_dim), dtype=np.float64)
         rows = z[:m]
         rows[np.argsort(order)] = phi
 
         stacked = m  # rows of z filled so far
         for c, start, stop in zip(labels[starts].tolist(), starts, stops):
             count = int(self._counts[c])
-            coef, delta = _merge(self._means[c], count, rows[start:stop])
-            if count > 0:
+            coef, delta = _merge(
+                self._means[c], count, rows[start:stop], centre=self.track_scatter
+            )
+            if count > 0 and self.track_scatter:
                 np.multiply(delta, np.sqrt(coef), out=z[stacked])
                 stacked += 1
             self._counts[c] += stop - start

@@ -57,6 +57,25 @@ def child_peak_rss(code: str, timeout: float = 120) -> tuple[int, str]:
     return usage.ru_maxrss * 1024, output  # Linux reports KiB
 
 
+def paired_halves(spec):
+    """A and B of a paired spec, folded by hand from the unpaired draw
+    W0 at D/2 rows: per image row of W0, p = (a_j + a_j') / 2 and
+    q = (a_j - a_j') / 2 over the mirror pairs (j, j') in float32, then
+    a middle column whole into A."""
+    from randumb.fourier import FeatureMapSpec, build_map
+
+    rows, width = spec.num_bases // 2, spec.mirror_width
+    half = width // 2
+    iid = build_map(FeatureMapSpec(
+        spec.head, spec.input_dim, 2 * rows if spec.head == "fourier" else rows,
+        spec.seed, gamma=spec.gamma,
+    ))
+    runs = iid.weights.reshape(-1, width)
+    left, right = runs[:, :half], runs[:, ::-1][:, :half]
+    sums = np.concatenate([(left + right) * np.float32(0.5), runs[:, half : width - half]], 1)
+    return sums.reshape(rows, -1), ((left - right) * np.float32(0.5)).reshape(rows, -1)
+
+
 def gaussian_blobs(rng, num_classes, dim, per_class, spread=2.0, noise=1.0):
     """Balanced labeled clusters with Gaussian class centers.
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_refused, gaussian_blobs
+from conftest import assert_refused, gaussian_blobs, paired_halves
 from randumb import precision as precision_module
 from randumb import (
     ConfigurationError,
@@ -936,8 +936,9 @@ class TestCheckpointing:
     @pytest.mark.parametrize("variant", ["randumb", "rp_relu"])
     def test_flip_run_roundtrip_restores_the_paired_map(self, tmp_path, variant):
         """The checkpoint meta carries the map's mirror width: the
-        restored model redraws the paired map, takes the rest of the flip
-        stream and predicts bit for bit as the model never saved."""
+        restored model redraws the paired map (A and B, the folds of the
+        iid draw at D/2 rows), takes the rest of the flip stream and
+        predicts bit for bit as the model never saved."""
         data = flip_check_dataset(np.random.default_rng(65))
         d = data.descriptor
         head = VARIANTS[variant][0]
@@ -960,7 +961,12 @@ class TestCheckpointing:
         first.save(path)
         restored = StreamingClassifier.load(path)
         assert restored.config.embedding.mirror_width == 32
-        assert restored.feature_map.weights.tobytes() == first.feature_map.weights.tobytes()
+        folded = paired_halves(spec)
+        for fmap in (first.feature_map, restored.feature_map):
+            assert fmap.sum_weights.tobytes() == folded[0].tobytes()
+            assert fmap.diff_weights.tobytes() == folded[1].tobytes()
+            # half the bytes of the unpaired W
+            assert 2 * (folded[0].nbytes + folded[1].nbytes) == 4 * spec.num_bases * d.input_dim
         feed(restored, blocks[3:])
         tests = normalize_batch(data.test_x, d)
         for model in (direct, restored):

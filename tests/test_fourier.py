@@ -13,7 +13,7 @@ from randumb.errors import ConfigurationError, ShapeError
 from randumb.fourier import DRAW_CHUNK, FeatureMap, FeatureMapSpec, RandomReluMap, build_map
 from randumb.reference import exact_rbf_kernel_matrix
 
-from conftest import traced_peak
+from conftest import paired_halves, traced_peak
 
 
 def rff(input_dim, num_bases, gamma, seed):
@@ -151,8 +151,9 @@ class TestSampling:
 
 
 class TestChunkedDraw:
-    """W is drawn one DRAW_CHUNK of float64 at a time: the build holds W
-    and one chunk, and W is the one-shot draw bit for bit."""
+    """W is drawn one DRAW_CHUNK of float64 at a time: the build holds at
+    most W's bytes and one chunk (a paired map stores half of W's bytes),
+    and the stored weights are the one-shot draw bit for bit."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -163,12 +164,19 @@ class TestChunkedDraw:
             FeatureMapSpec("relu", input_dim=DRAW_CHUNK + 68928, embed_dim=3, seed=5),
             # less than one chunk
             FeatureMapSpec("relu", input_dim=5, embed_dim=7, seed=6),
+            # paired: W0 at 500 rows, folded chunk by chunk into A and B
+            FeatureMapSpec("fourier", 3072, 2000, 4, gamma=0.3, mirror_width=32),
         ],
-        ids=["fourier-1000x3072", "relu-3x200000", "relu-7x5"],
+        ids=["fourier-1000x3072", "relu-3x200000", "relu-7x5", "paired-fourier-1000x3072"],
     )
     def test_build_holds_the_map_and_one_chunk(self, spec):
         fmap, peak = traced_peak(build_map, spec)
-        assert peak <= fmap.weights.nbytes + 1.1 * 2**20
+        # W's bytes, which a paired map's A and B hold half of
+        assert peak <= 4 * spec.num_bases * spec.input_dim + 1.1 * 2**20
+        if spec.mirror_width is not None:
+            for got, want in zip((fmap.sum_weights, fmap.diff_weights), paired_halves(spec)):
+                assert got.tobytes() == want.tobytes()
+            return
         w = np.random.Generator(np.random.PCG64(spec.seed)).standard_normal(
             (spec.num_bases, spec.input_dim)
         )
@@ -259,6 +267,22 @@ class TestEmbedding:
                 np.testing.assert_array_equal(sliced, full, err_msg=f"{spec} {block}")
             np.testing.assert_array_equal(fm.embed(X[4]), full[4])
 
+    def test_paired_blocks_past_the_small_kernel_cutoff_match(self):
+        """A paired map's two products are (D/2) x (d/2).  At D = 1024,
+        d = 3072 (E = 2048 on CIFAR) a block of n rows has
+        M N K = 512 * 1536 * n, past 10^6 from two rows on, so every such
+        block, the 44-row tail of a 256-row cut of 300 included, embeds
+        each row as one 300-row block does.  A block of one falls below
+        the cutoff, and its last bits may differ."""
+        fm = build_map(FeatureMapSpec("fourier", 3072, 2048, 1, gamma=5e-4, mirror_width=32))
+        X = np.random.default_rng(7).standard_normal((300, 3072))
+        full = fm.embed_batch(X)
+        for block in (2, 7, 44, 256):
+            sliced = np.concatenate(
+                [fm.embed_batch(X[i : i + block]) for i in range(0, len(X), block)]
+            )
+            np.testing.assert_array_equal(sliced, full, err_msg=f"block {block}")
+
     def test_shape_errors(self):
         fm = FeatureMap(rff(input_dim=4, num_bases=4, gamma=1.0, seed=0))
         with pytest.raises(ShapeError):
@@ -300,37 +324,63 @@ def mirrored(X, width):
 
 
 class TestMirrorPairedMap:
-    """A spec with mirror_width draws W0 at D/2 rows and stores
-    W = [W0; W0 P], so the embedding of a mirrored image is the
-    original's with its halves swapped."""
+    """A spec with mirror_width draws W0 at D/2 rows and stores its folds
+    A and B, with W0 x = A u + B v and W0 P x = A u - B v (u, v the sums
+    and differences of mirror pairs of columns), so the embedding of a
+    mirrored image is the original's with its halves swapped."""
 
     @pytest.mark.parametrize("head", ["fourier", "relu"])
     def test_first_half_is_the_unpaired_draw_at_half_the_rows(self, head):
         gamma = 5e-4 if head == "fourier" else None
-        paired = build_map(FeatureMapSpec(head, 3072, 256, 9, gamma=gamma, mirror_width=32))
-        half = paired.spec.num_bases // 2
-        # the iid draw at D/2 rows, which is also the first D/2 rows of
-        # the iid draw at D rows
-        for rows in (half, 2 * half):
-            embed_dim = 2 * rows if head == "fourier" else rows
-            iid = build_map(FeatureMapSpec(head, 3072, embed_dim, 9, gamma=gamma))
-            assert paired.weights[:half].tobytes() == iid.weights[:half].tobytes()
-        np.testing.assert_array_equal(paired.weights[half:], mirrored(paired.weights[:half], 32))
-        assert paired.weights.nbytes == build_map(
-            FeatureMapSpec(head, 3072, 256, 9, gamma=gamma)
-        ).weights.nbytes
+        spec = FeatureMapSpec(head, 3072, 256, 9, gamma=gamma, mirror_width=32)
+        paired = build_map(spec)
+        assert paired.weights is None
+        sums, diffs = paired_halves(spec)
+        assert paired.sum_weights.tobytes() == sums.tobytes()
+        assert paired.diff_weights.tobytes() == diffs.tobytes()
+        assert sums.shape == diffs.shape == (spec.num_bases // 2, 1536)
+        iid = build_map(FeatureMapSpec(head, 3072, 256, 9, gamma=gamma))
+        assert 2 * (sums.nbytes + diffs.nbytes) == iid.weights.nbytes
 
-    # float32 rounding: the two projections sum 3072 products in other
-    # orders, and cos/sin turn the projection's absolute error into an
-    # entry's (entries <= 1/sqrt(D))
-    @pytest.mark.parametrize("head,tol", [("fourier", 5e-5), ("relu", 1e-6)])
-    def test_mirrored_image_swaps_the_halves(self, head, tol):
+    @pytest.mark.parametrize("head", ["fourier", "relu"])
+    def test_mirrored_image_swaps_the_halves(self, head):
+        """u is the same for x and P x and v changes sign, so s stays and
+        t flips its sign exactly: the swap is bit for bit."""
         gamma = 5e-4 if head == "fourier" else None
         fmap = build_map(FeatureMapSpec(head, 3072, 512, 2, gamma=gamma, mirror_width=32))
         X = np.random.default_rng(2).standard_normal((40, 3072)).astype(np.float32)
         direct = fmap.embed_batch(mirrored(X, 32))
-        swapped = np.roll(fmap.embed_batch(X), 256, axis=1)
-        assert np.abs(direct - swapped).max() <= tol * np.abs(direct).max()
+        np.testing.assert_array_equal(direct, np.roll(fmap.embed_batch(X), 256, axis=1))
+
+    # float32 rounding of W0, of A and B, and of the projections against
+    # float64 ones; the Fourier entries are at most 1/sqrt(D)
+    @pytest.mark.parametrize("head,tol", [("fourier", 1e-5), ("relu", 1e-6)])
+    @pytest.mark.parametrize("width", [5, 1])
+    def test_odd_width_matches_the_explicit_paired_matrix(self, head, tol, width):
+        """At an odd width the middle column of each image row is its own
+        mirror and goes whole into A; at width 1 every column does, and B
+        is empty.  The embedding is that of [W0; W0 P] x in float64."""
+        gamma = 0.05 if head == "fourier" else None
+        spec = FeatureMapSpec(head, 3 * 5 * 5, 16, 4, gamma=gamma, mirror_width=width)
+        fmap = build_map(spec)
+        assert fmap.sum_weights.shape[1] == 75 - fmap.diff_weights.shape[1]
+        assert fmap.diff_weights.shape[1] == 15 * (width // 2)
+        rows = spec.num_bases // 2
+        w0 = build_map(FeatureMapSpec(
+            head, 75, 2 * rows if head == "fourier" else rows, 4, gamma=gamma
+        )).weights.astype(np.float64)
+        w = np.concatenate([w0, mirrored(w0, width)])
+        X = np.random.default_rng(3).standard_normal((30, 75)).astype(np.float32)
+        proj = X.astype(np.float64) @ w.T
+        if head == "fourier":
+            want = np.stack([np.cos(proj), np.sin(proj)], axis=2).reshape(30, 16)
+            want /= np.sqrt(spec.num_bases)
+        else:
+            want = np.maximum(proj, 0.0)
+        got = fmap.embed_batch(X)
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        direct = fmap.embed_batch(mirrored(X, width))
+        np.testing.assert_array_equal(direct, np.roll(got, 8, axis=1))
 
     def test_pairing_needs_sizes_that_split(self):
         for head, bad, good in (("fourier", (18, 6), 16), ("relu", (17, 3), 18)):

@@ -614,6 +614,20 @@ class TestBlocked:
         for label, mean in ref.means.items():
             np.testing.assert_allclose(means[label], mean, rtol=1e-10, atol=1e-12)
 
+    def test_mean_only_means_are_the_tracked_means_bit_for_bit(self):
+        """A mean-only estimator skips centring and the mean-shift rows,
+        which only the scatter reads; its counts and means are those of
+        an estimator that tracks the scatter, over blocks of one, blocks
+        holding several classes and classes seen again."""
+        rng = np.random.default_rng(34)
+        X = rng.standard_normal((300, 6)).astype(np.float32)
+        y = rng.integers(0, 4, size=300)
+        cuts = [1, 2, 40, 41, 170, 299]
+        mean_only = feed_blocks(StreamingEstimator(6, CLASSES, track_scatter=False), X, y, cuts)
+        tracked = feed_blocks(StreamingEstimator(6, CLASSES), X, y, cuts)
+        for got, want in zip(mean_only.class_rows(), tracked.class_rows()):
+            assert got.tobytes() == want.tobytes()
+
     def test_resume_at_block_boundary_bitwise(self, tmp_path):
         rng = np.random.default_rng(33)
         X = rng.standard_normal((200, 7))
