@@ -43,7 +43,7 @@ from .errors import (
 )
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
 from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_pixels
-from .precision import PrecisionModel, packed_shrinkage
+from .precision import PrecisionModel, factor_shrinkage, packed_shrinkage
 from .streaming import StreamingEstimator
 
 # variant -> (random-map head, or None on raw inputs; Mahalanobis rule?)
@@ -119,12 +119,16 @@ class StreamingClassifier:
 
     ``observe`` may resume after a non-consuming ``finalize`` (the
     scores simply reflect the most recent finalize).  A consuming
-    finalize releases the scatter buffer to the precision step without
-    copying it, and ends the stream.
+    finalize releases the scatter to the precision step without copying
+    it, and ends the stream.  ``rank_bound``, the stream's rows less its
+    classes, lets the estimator hold the scatter as a factor where the
+    rule allows (``streaming`` module docstring); None holds it packed.
     """
 
-    def __init__(self, config: ModelVariant):
-        estimator = StreamingEstimator(config.embed_dim, config.num_classes, config.needs_precision)
+    def __init__(self, config: ModelVariant, rank_bound: int | None = None):
+        estimator = StreamingEstimator(
+            config.embed_dim, config.num_classes, config.needs_precision, rank_bound
+        )
         self._start(config, estimator)
 
     def _start(self, config: ModelVariant, estimator: StreamingEstimator) -> None:
@@ -160,7 +164,7 @@ class StreamingClassifier:
         that width), or, on raw inputs, the original's pixels mirrored.
         """
         phi = self._embed(x_raw)
-        if mirror_width is not None:
+        if mirror_width is not None and len(phi):
             phi = self._with_mirrors(np.atleast_2d(phi), mirror_width)
         self.estimator.observe(phi, labels)
 
@@ -193,15 +197,15 @@ class StreamingClassifier:
         docstring); for Mahalanobis variants, shrink + ridge + factorize
         the covariance and solve against it once.
 
-        ``packed_shrinkage`` reads rho and mu from the estimator's packed
-        upper triangle of the scatter, and one ``PrecisionModel`` factors
-        A = (rho mu + lambda) I + ((1 - rho) / (n - 1)) scatter, in the
-        representation the ``precision`` module docstring's rule picks
-        from E, the rank bound n - k (k the classes seen) and C.
-        consume=True hands the vector over without a copy and spends the
-        estimator; consume=False lends it read-only, and only a dense
-        factor copies it.  The factor is freed before finalize returns;
-        ``factor_rank`` says which representation ran (E: dense).
+        rho and mu are read from the scatter in the form the estimator
+        holds it (``packed_shrinkage`` or ``factor_shrinkage``), and one
+        ``PrecisionModel`` factors A = (rho mu + lambda) I +
+        ((1 - rho) / (n - 1)) scatter in the representation that form
+        takes (``precision`` module docstring).  consume=True hands the
+        state over without a copy and spends the estimator;
+        consume=False lends it read-only, and only a dense factor copies
+        it.  The factor is freed before finalize returns; ``factor_rank``
+        says which representation ran (E: dense).
         """
         if self.estimator.total_count == 0:
             raise EmptyModelError("no samples observed; nothing to finalize")
@@ -211,13 +215,10 @@ class StreamingClassifier:
         counts, means = self.estimator.class_rows()
         if self.config.needs_precision:
             n = self.estimator.total_count
-            # the scatter's rank bound: one less than its count per class seen
-            max_rank = n - int(np.count_nonzero(counts))
-            scatter, denom = self.estimator.packed_scatter(consume=consume)
-            rho, mu = packed_shrinkage(scatter, n, denom)
-            precision = PrecisionModel(
-                scatter, rho * mu + self.config.ridge, (1.0 - rho) / denom, max_rank, len(counts)
-            )
+            scatter, denom = self.estimator.scatter_state(consume=consume)
+            shrinkage = factor_shrinkage if scatter.ndim == 2 else packed_shrinkage
+            rho, mu = shrinkage(scatter, n, denom)
+            precision = PrecisionModel(scatter, rho * mu + self.config.ridge, (1.0 - rho) / denom)
             weights = precision.solve(means.T)
             bias = -0.5 * np.einsum("ec,ec->c", means.T, weights)
             self.shrinkage_rho, self.shrinkage_mu = rho, mu

@@ -202,8 +202,10 @@ class RunResult:
     """Everything one benchmark run produced, JSON-serializable.
 
     ``state_bytes`` is the nbytes of the statistics' own arrays at the
-    end of the stream (``StreamingEstimator.state_nbytes``: the packed
-    accumulator and the C class means and counts).  ``peak_rss_bytes`` is
+    end of the stream (``StreamingEstimator.state_nbytes``: the C class
+    means and counts, 8*C*(E+1) bytes, and the scatter in the form the
+    run holds, the packed accumulator's 4*E*(E+1) bytes or the factor's
+    8*E*(n-k), see ``check_memory_cap``).  ``peak_rss_bytes`` is
     measured: the process's resident-set high-water mark (``getrusage``
     ``ru_maxrss``) when the run ends, which also counts the interpreter,
     the raw data and whatever the process held before the run.
@@ -283,24 +285,28 @@ def check_memory_cap(
 
     Every run holds the C class rows, a float64 mean and an int64 count
     each: 8*C*(E+1) bytes.  A covariance-tracking run also holds the
-    float64 accumulator, the 4*E*(E+1) bytes of the scatter's upper
-    triangle; with eval_every > 0 each dense snapshot factors a copy of
-    it as well, so it holds two.  ``max_rank`` is the scatter's rank
-    bound n - k at the end of the stream, which no snapshot's exceeds:
-    where ``low_rank_fits`` holds for it, every snapshot only reads the
-    accumulator, so no copy is counted.
+    scatter in the form the estimator picks from ``max_rank``, the
+    scatter's rank bound n - k at the end of the stream: where
+    ``low_rank_fits`` holds for it, the float64 factor, 8*E*(n-k) bytes,
+    which snapshots only read; otherwise the packed accumulator, the
+    4*E*(E+1) bytes of the scatter's upper triangle, and with
+    eval_every > 0 each dense snapshot factors a copy of it as well, so
+    it holds two.
     """
     c, e = model_config.num_classes, model_config.embed_dim
     rows = 8 * c * (e + 1)
-    dense_snapshots = eval_every > 0 and not low_rank_fits(e, max_rank, c)
-    copies = (2 if dense_snapshots else 1) if model_config.needs_precision else 0
-    needed = rows + copies * 4 * e * (e + 1)
-    if needed > cap_bytes:
-        what = f"8*C*(E+1) = {rows} for the class rows"
-        if copies:
-            what += f" and {copies} x 4*E*(E+1) = {needed - rows} for the float64 accumulator"
+    what = f"8*C*(E+1) = {rows} for the class rows"
+    needed = rows
+    if model_config.needs_precision and low_rank_fits(e, max_rank, c):
+        needed += 8 * e * max_rank
+        what += f" and 8*E*(n-k) = {needed - rows} for the float64 scatter factor"
+    elif model_config.needs_precision:
+        copies = 2 if eval_every > 0 else 1
+        needed += copies * 4 * e * (e + 1)
+        what += f" and {copies} x 4*E*(E+1) = {needed - rows} for the float64 accumulator"
         if copies == 2:
             what += " and the copy each dense --eval-every-k snapshot factors"
+    if needed > cap_bytes:
         raise ConfigurationError(
             f"{c} classes at state dimension {e} need {needed} bytes ({what}), above "
             f"the configured cap of {cap_bytes} bytes; lower the embedding size or "
@@ -335,10 +341,12 @@ def run_on_dataset(
 
     eval_every=k > 0 additionally snapshots test accuracy every k stream
     steps via a non-consuming finalize, each normalizing the raw test
-    split again, block by block; which factor a snapshot takes, and so
-    whether the run holds a copy of the accumulator, is the ``precision``
-    module docstring's rule.  The final evaluation always goes through
-    the consuming, single-buffer path.
+    split again, block by block.  The model is built with the stream's
+    rank bound (its rows, twice with flips, less its classes), so where
+    the ``precision`` module docstring's rule holds for it the run holds
+    the scatter as a factor, which snapshots only read; otherwise each
+    snapshot factors a copy of the packed accumulator.  The final
+    evaluation always goes through the consuming, single-buffer path.
     """
     return _planned_run(
         data, variant, embed_dim, gamma, ridge, seed, augment, classes_per_task,
@@ -392,12 +400,12 @@ def _planned_run(
     stream_seed = seed + 1
     stream = make_stream(data, classes_per_task, augment, stream_seed, cut_every=eval_every)
     echo = _config_echo(data, model_config, eval_every, augment, classes_per_task, stream_seed)
-    return partial(_run_pass, data, model_config, stream, eval_every, echo)
+    return partial(_run_pass, data, model_config, max_rank, stream, eval_every, echo)
 
 
-def _run_pass(data, model_config, stream, eval_every, echo) -> RunResult:
+def _run_pass(data, model_config, max_rank, stream, eval_every, echo) -> RunResult:
     started = time.perf_counter()
-    model = StreamingClassifier(model_config)
+    model = StreamingClassifier(model_config, max_rank)
     intermediate = []
     steps = 0
     for block in stream:

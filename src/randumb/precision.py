@@ -13,39 +13,36 @@ proportional to the identity).  A ridge term lambda * I is then added,
 and scoring needs only solves against A = shrunk + lambda I, never an
 explicit inverse.
 
-The estimator keeps only the upper triangle of its accumulator, packed
-into one vector of E (E + 1) / 2 entries in LAPACK's rectangular full
-packed (RFP) format (TRANSR = 'N', UPLO = 'U'; Gustavson, Wasniewski,
-Dongarra & Langou, ACM TOMS 37(2), 2010).  rho and mu come from two
-traces of that vector: tr(S) from the packed diagonal and tr(S^2) from
-one BLAS ddot over it (``packed_shrinkage``).  ``PrecisionModel`` then
-factors A = alpha I + beta P, P the matrix whose upper triangle the vector
-holds, in one of two exact representations.  Finalize passes the raw
-scatter P = (n - 1) S of n samples in k classes, alpha = rho mu + lambda
-and beta = (1 - rho) / (n - 1), so that A = shrunk + lambda I.
+The estimator holds the scatter P = (n - 1) S of n samples in k classes
+in one of two forms (``streaming`` module docstring), and each has its
+own exact factor of A = alpha I + beta P.  Finalize passes
+alpha = rho mu + lambda and beta = (1 - rho) / (n - 1), so that
+A = shrunk + lambda I.
 
-* dense: one scaling pass takes the vector to beta P in place, alpha
-  goes onto its diagonal and an RFP Cholesky factor (dpftrf, E^3 / 3
-  flops) takes it over; solves are dpftrs.
-* low rank: the scatter has rank r <= n - k, so A is a scaled identity
-  plus a rank-r term.  A pivoted partial Cholesky (Harbrecht, Peters &
-  Schneider, Appl. Numer. Math. 62(4), 2012) reads r columns of the
-  vector, never writing it, into L L^T = beta P with L of E x r.  Then
-  A^{-1} b = (b - L K^{-1} L^T b) / alpha with K = alpha I_r + L^T L
-  (Woodbury), and log det A = (E - r) log alpha + log det K: E r^2
-  flops.
+* packed: the RFP vector of P's upper triangle (TRANSR = 'N',
+  UPLO = 'U'; Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 37(2),
+  2010).  rho and mu come from two traces of the vector: tr(S) from the
+  packed diagonal and tr(S^2) from one BLAS ddot over it
+  (``packed_shrinkage``).  ``PrecisionModel`` scales the vector to
+  beta P in place, puts alpha onto its diagonal and takes an RFP
+  Cholesky factor of it (dpftrf, E^3 / 3 flops); solves are dpftrs.
+* factor: L (E x q) with L L^T = P, q <= n - k.  tr(S) is ||L||_F^2 and
+  tr(S^2) is ||L^T L||_F^2, each over n - 1 (``factor_shrinkage``), so
+  L is only read.  ``PrecisionModel`` solves by Woodbury,
+  A^{-1} b = (b - beta L K^{-1} L^T b) / alpha with
+  K = alpha I_q + beta L^T L, and log det A = (E - q) log alpha +
+  log det K: E q^2 flops.
 
-``low_rank_fits`` picks the representation from E, the rank bound
-n - k and the C columns of the discriminant solve alone: the low-rank
-one whenever 8 (r + 2 C) <= E + 1.  Up to r = E / 8 it is
-the faster one at every E from 512 to 8192 on two cores; at E = 6144
-it stops being so between r = E / 6 and E / 4.  Its scratch, L, K (r x r) and
-at most two E x C blocks, is then 8 E (r + 2 C) + 8 r^2 <= E (E + 1) +
-(E + 1)^2 / 8 bytes: at most (9 E + 1) / (32 E), just over 28%, of the
-4 E (E + 1)-byte accumulator.  The dense one allocates under 5% of it
-on top, besides the copy of a read-only vector.  Nothing E x E is mirrored, scanned or allocated on either
-path.  Every kernel is scipy's (``scipy.linalg.blas`` and ``.lapack``),
-so a run uses one OpenBLAS and one thread pool.
+``low_rank_fits`` is the rule that picks the form when the estimator is
+built, from E, the stream's rank bound r = n - k and the C columns of
+the discriminant solve alone: the factor form whenever
+8 (r + 2 C) <= E + 1, where it is the faster one (see the README's
+table).  Its finalize then allocates K (r x r) and at most two E x C
+blocks.  The packed form's finalize allocates under 5% of the
+accumulator on top, besides the copy of a read-only vector.  Nothing
+E x E is mirrored, scanned or allocated on either path.  Every kernel
+is scipy's (``scipy.linalg.blas`` and ``.lapack``), so a run uses one
+OpenBLAS and one thread pool.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk
+from scipy.linalg.blas import ddot, dgemm, dsyrk
 from scipy.linalg.lapack import dpftrf, dpftrs, dpotrf, dpotrs, dtrttf
 
 from .errors import DataError, NumericalError, ShapeError
@@ -155,35 +152,30 @@ def packed_shrinkage(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, 
 
 
 def low_rank_fits(e: int, max_rank: int, num_classes: int) -> bool:
-    """Whether ``PrecisionModel`` factors an E x E matrix of rank at most
-    ``max_rank``, solved against C = ``num_classes`` columns, in the
-    low-rank representation (module docstring): when
-    8 (r + 2 C) <= E + 1, so that L (E x r) and two E x C blocks, 8 E
-    (r + 2 C) bytes, are at most a quarter of the accumulator's
-    4 E (E + 1).  Up to there the low-rank factor is the faster one."""
+    """Whether the scatter of a stream whose rank is at most ``max_rank``,
+    solved against C = ``num_classes`` columns, is held as a factor
+    (module docstring): when 8 (r + 2 C) <= E + 1, so that L (E x r) and
+    two E x C blocks, 8 E (r + 2 C) bytes, are at most a quarter of the
+    packed accumulator's 4 E (E + 1).  Up to there the factor's finalize
+    is the faster one."""
     return 8 * (max_rank + 2 * num_classes) <= e + 1
 
 
-def _rfp_column(a: np.ndarray, e: int, p: int, out: np.ndarray) -> np.ndarray:
-    """Column p of the symmetric matrix whose upper triangle the RFP
-    vector ``a`` holds, copied into ``out`` (length E) as at most three
-    slices of ``a``.
-
-    In the layout ``packed_diagonal`` describes, entry (i, j), i <= j,
-    sits at i + (j - n1) lda when j >= n1, and at n1 + 1 + j + i lda
-    (the leading triangle, transposed) when j < n1.
-    """
-    n1 = e // 2
-    lda = e + 1 - e % 2
-    if p >= n1:
-        start = (p - n1) * lda
-        out[: p + 1] = a[start : start + p + 1]
-        out[p + 1 :] = a[p + (p + 1 - n1) * lda :: lda][: e - p - 1]
-    else:
-        out[: p + 1] = a[n1 + 1 + p :: lda][: p + 1]
-        out[p + 1 : n1] = a[n1 + 2 + p + p * lda : 2 * n1 + 1 + p * lda]
-        out[n1:] = a[p::lda][: e - n1]
-    return out
+def factor_shrinkage(L: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, float]:
+    """(rho, mu) of S = L L^T / denom without writing to ``L``, from the
+    upper triangle of its Gram L^T L: tr(S) = ||L||_F^2 / denom is the
+    Gram's trace, and tr(S^2) = ||L^T L||_F^2 / denom^2 counts its strict
+    upper triangle twice.  A non-finite or overflowing ``L`` raises
+    NumericalError here."""
+    e, q = L.shape
+    tr_s = tr_s2 = 0.0
+    if q:
+        gram = dsyrk(1.0, L, trans=1)
+        d = gram.diagonal()
+        g = gram.ravel()
+        tr_s = float(d.sum()) / denom
+        tr_s2 = (2.0 * ddot(g, g) - ddot(d, d)) / (denom * denom)
+    return _oas(tr_s, tr_s2, e, n)
 
 
 def _check_symmetric(S: np.ndarray) -> None:
@@ -231,36 +223,32 @@ class PrecisionModel:
     """A factored A = ridge I + scale P: repeated SPD solves, plus the
     log-determinant and factor-rank diagnostics.
 
-    ``packed`` is the RFP vector of the upper triangle of a positive
-    semidefinite P (``pack_upper``).  From ``max_rank``, a bound on P's
-    rank (None: none), and ``num_rhs``, the columns the solves take,
-    ``low_rank_fits`` picks the representation (module docstring).
+    ``state`` is the positive semidefinite P in either form the
+    estimator holds, and the form picks the factor (module docstring).
 
-    Dense (``factor_rank`` E): the vector is scaled and ridged in place
-    and the factor takes it over; a read-only vector is copied first.
+    Packed, the RFP vector of P's upper triangle (``pack_upper``;
+    ``factor_rank`` E): the vector is scaled and ridged in place and the
+    factor takes it over; a read-only vector is copied first.
 
-    Low rank: the pivoted Cholesky of scale P stops after ``max_rank``
-    columns, or once the largest residual diagonal is at most E eps times
-    the largest diagonal of scale P; ``factor_rank`` is the r columns it
-    took.  ``packed`` is only read.
+    Factor, L (E x q) with P = L L^T: L is only read, and K = ridge I_q +
+    scale L^T L is factored.  ``factor_rank`` counts the columns whose
+    scale ||l_i||^2 exceeds E eps times the largest, which is P's
+    numerical rank when L^T L is diagonal, as the estimator's is.
     """
 
-    def __init__(
-        self, packed: np.ndarray, ridge: float, scale: float = 1.0,
-        max_rank: int | None = None, num_rhs: int = 1,
-    ):
-        packed = np.asarray(packed, dtype=np.float64)
+    def __init__(self, state: np.ndarray, ridge: float, scale: float = 1.0):
+        state = np.asarray(state, dtype=np.float64)
         if ridge < 0:
             raise DataError(f"ridge must be >= 0, got {ridge}")
-        e = packed_dim(packed)
-        self.embed_dim = e
         self.ridge = float(ridge)
         self._low_rank = None
-        if max_rank is not None and low_rank_fits(e, max_rank, num_rhs):
-            self._factor_low_rank(packed, scale, max_rank)
+        if state.ndim == 2:
+            self.embed_dim = state.shape[0]
+            self._factor_low_rank(state, scale)
             return
-        if not packed.flags.writeable:
-            packed = packed.copy()
+        e = packed_dim(state)
+        self.embed_dim = e
+        packed = state if state.flags.writeable else state.copy()
         packed *= scale
         diag = packed_diagonal(e)
         packed[diag] += ridge
@@ -282,49 +270,34 @@ class PrecisionModel:
         self.factor_rank = e
         self.log_det = float(2.0 * np.log(self._factor[diag]).sum())
 
-    def _factor_low_rank(self, packed: np.ndarray, beta: float, max_rank: int) -> None:
-        """L (E x r) with L L^T = beta P, beta the scale, and the
-        Cholesky factor of K = ridge I_r + L^T L (class docstring)."""
-        e, alpha = self.embed_dim, self.ridge
+    def _factor_low_rank(self, L: np.ndarray, beta: float) -> None:
+        """The Cholesky factor of K = ridge I_q + beta L^T L, beta the
+        scale (class docstring)."""
+        (e, q), alpha = L.shape, self.ridge
         if not alpha > 0:
             raise NumericalError(
                 "regularized covariance is not positive definite: its "
                 "scaled-identity part (shrinkage target plus ridge) is 0",
                 pivot_index=0,
             )
-        residual = packed[packed_diagonal(e)]
-        residual *= beta
-        if not np.isfinite(residual).all():
-            raise NumericalError("factorization rejected the matrix: it contains non-finite values")
-        stop = e * np.finfo(np.float64).eps * residual.max()
-        L = np.empty((e, min(max_rank, e)), order="F")
-        r = 0
-        while r < L.shape[1]:
-            p = int(np.argmax(residual))
-            pivot = residual[p]
-            if pivot <= stop:
-                break
-            col = _rfp_column(packed, e, p, L[:, r])
-            if r:  # col = beta P[:, p] - L[:, :r] L[p, :r]
-                dgemv(-1.0, L[:, :r], L[p, :r], beta, col, overwrite_y=1)
-            else:
-                col *= beta
-            col /= math.sqrt(pivot)
-            residual -= col * col
-            r += 1
-        self._low_rank = L = L[:, :r]
-        self.factor_rank = r
-        log_det_k = 0.0
-        if r:
-            K = dsyrk(1.0, L, trans=1)
-            K[np.diag_indices(r)] += alpha
+        self._low_rank, self._scale = L, beta
+        self.factor_rank, log_det_k = 0, 0.0
+        if q:
+            K = dsyrk(beta, L, trans=1)
+            d = K.diagonal()
+            if not np.isfinite(K).all():
+                raise NumericalError(
+                    "factorization rejected the matrix: it contains non-finite values"
+                )
+            self.factor_rank = int(np.count_nonzero(d > e * np.finfo(np.float64).eps * d.max()))
+            K[np.diag_indices(q)] += alpha
             self._factor, info = dpotrf(K, overwrite_a=1)
             if info != 0:
                 raise NumericalError(
                     f"factorization rejected the low-rank factor's inner matrix (info={info})"
                 )
             log_det_k = 2.0 * float(np.log(self._factor.diagonal()).sum())
-        self.log_det = (e - r) * math.log(alpha) + log_det_k
+        self.log_det = (e - q) * math.log(alpha) + log_det_k
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A z = b for one vector or a column stack."""
@@ -337,13 +310,13 @@ class PrecisionModel:
         stack = b.reshape(len(b), -1)
         if self._low_rank is None:
             z, info = dpftrs(self.embed_dim, self._factor, stack, **RFP)
-        elif self.factor_rank == 0:
+        elif self._low_rank.shape[1] == 0:
             z, info = stack / self.ridge, 0
         else:
-            # Woodbury: z = (b - L K^{-1} L^T b) / alpha
+            # Woodbury: z = (b - beta L K^{-1} L^T b) / alpha
             L = self._low_rank
             y, info = dpotrs(self._factor, dgemm(1.0, L, stack, trans_a=1), overwrite_b=1)
-            z = dgemm(-1.0, L, y, 1.0, stack)
+            z = dgemm(-self._scale, L, y, 1.0, stack)
             z /= self.ridge
         if info != 0:
             raise NumericalError(f"solve rejected argument {-info}")

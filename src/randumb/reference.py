@@ -269,15 +269,16 @@ def _check_lda_equivalence(rng) -> OracleReport:
 
 
 def _check_finalize_upper(rng) -> OracleReport:
-    """The production finalize factors the accumulator's packed upper
-    triangle.  Against the oracle on the full covariance, at an even and
-    an odd order (the two layouts of RFP storage), for a consuming and a
-    copying finalize and for one after a checkpoint round trip: the worst
-    error over rho, mu, log det and predictions.  Three sample sizes reach
-    its two representations: 30 samples per class at E = 12 and 11 factor
-    densely over 3 classes; 2 per class over 2 classes (rank n - k = 2)
-    and 9 per class over 3 classes (rank 24, with r + 2 C = 30 at the
-    edge of ``low_rank_fits``) at E = 240 and 239 in the low-rank form.
+    """The production finalize, on the scatter in either form the
+    estimator holds, each model built with its stream's rank bound n - k.
+    Against the oracle on the full covariance, at an even and an odd
+    order (the two layouts of RFP storage), for a consuming and a copying
+    finalize and for one after a checkpoint round trip: the worst error
+    over rho, mu, log det and predictions.  Three sample sizes reach both
+    forms: 30 samples per class at E = 12 and 11 hold the packed triangle
+    over 3 classes and factor densely; 2 per class over 2 classes (rank
+    n - k = 2) and 9 per class over 3 classes (rank 24, with r + 2 C = 30
+    at the edge of ``low_rank_fits``) at E = 240 and 239 hold the factor.
     A finalize whose ``factor_rank`` shows the other representation
     counts as a failure."""
     from .classifier import ModelVariant, StreamingClassifier
@@ -299,7 +300,8 @@ def _check_finalize_upper(rng) -> OracleReport:
             oracle = batch_lda_predict(stats.means, shrunk, ridge, tests)
             for handoff in ("consume", "copy", "restored"):
                 model = StreamingClassifier(
-                    ModelVariant(variant="slda", num_classes=k, ridge=ridge, input_dim=e)
+                    ModelVariant(variant="slda", num_classes=k, ridge=ridge, input_dim=e),
+                    len(y) - k,
                 )
                 model.observe(X, y)
                 if handoff == "restored":
@@ -389,7 +391,7 @@ def flip_pair_errors(
     scatter = 0.0
     if config.needs_precision:
         scatter = rel(
-            streamed.estimator.packed_scatter()[0], explicit.estimator.packed_scatter()[0]
+            streamed.estimator.scatter_state()[0], explicit.estimator.scatter_state()[0]
         )
     tests = normalize_batch(data.test_x, d)
     for model in (streamed, explicit):

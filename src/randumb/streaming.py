@@ -20,34 +20,54 @@ A single sample is a block of one: its centred row is zero, and its
 mean-shift row carries coefficient n / (n + 1), the classic telescoping
 update.
 
-No sample outlives its block: state is the scatter's upper triangle
-plus one float64 mean vector and a count per class, so memory is
-O(E^2 + C*E) no matter how long the stream runs.  The C class rows are
-allocated up front and label c is row c; a count of 0 marks a class not
-seen yet.
+No sample outlives its block: state is the scatter, plus one float64
+mean vector and a count per class, so memory is O(E^2 + C*E) no matter
+how long the stream runs.  The C class rows are allocated up front and
+label c is row c; a count of 0 marks a class not seen yet.
 
-The triangle is one float64 vector of E (E + 1) / 2 entries in LAPACK's
-rectangular full packed (RFP) format, half the bytes of a square
-buffer, and each block is folded into it with the RFP rank-k update
-(dsfrk).  ``packed_scatter`` hands the vector over as stored, or lends
-it read-only, for finalize to shrink and factor; ``scatter`` and
-``covariance`` unpack it into a full symmetric matrix.
+The scatter is held in one of two forms, fixed when the estimator is
+built and kept through checkpoints.
+
+* packed: its upper triangle, one float64 vector of E (E + 1) / 2
+  entries in LAPACK's rectangular full packed (RFP) format, half the
+  bytes of a square buffer.  Each block is folded into it with the RFP
+  rank-k update (dsfrk).
+* factor: given the stream's rank bound b (its rows less its classes),
+  where ``precision.low_rank_fits(E, b, C)`` holds, an E x b matrix L
+  with L L^T = scatter.  After t samples of k_t classes the scatter has
+  rank at most t - k_t <= b, so only the first t - k_t columns of L, its
+  active width, are ever nonzero.  Each block takes the Gram of
+  W = [L, Z^T] (active columns only) with one dsyrk and its largest
+  eigenpairs with LAPACK's dsyevd, and sets L <- W V with one dgemm, V
+  the eigenvectors of the new active width in descending order (thin-SVD
+  updating; Brand, Linear Algebra Appl. 415, 2006).  So L is the
+  scatter's eigenvectors scaled by the square roots of its eigenvalues:
+  L^T L is diagonal and non-increasing, and L is a function of the
+  scatter alone up to column signs.  A block that would take the rank
+  past b is refused.
+
+``scatter_state`` hands the form over as held (the vector, or L's
+active columns), or lends it read-only, for finalize to shrink and
+factor; ``scatter`` and ``covariance`` expand either into a full
+symmetric matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dsfrk, dtfttr
+from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.lapack import dsfrk, dsyevd, dtfttr
 
 from .errors import (
     DataError,
     DataFormatError,
     InsufficientDataError,
     ModelStateError,
+    NumericalError,
     ShapeError,
     check_int,
 )
-from .precision import RFP, packed_size
+from .precision import RFP, low_rank_fits, packed_size
 
 _MIRROR_BLOCK = 256
 
@@ -109,21 +129,32 @@ class StreamingEstimator:
     num_classes : the class count C; labels are 0..C-1, and label c is
         row c of the counts and means.
     track_scatter : set False for mean-only classifiers to skip the
-        scatter accumulator entirely.
+        scatter entirely.
+    rank_bound : the stream's rows less its classes, a bound on the
+        scatter's rank (None: no bound).  Where ``low_rank_fits`` holds
+        for it, the scatter is held as an E x rank_bound factor, and
+        packed otherwise (module docstring).
     """
 
-    def __init__(self, embed_dim: int, num_classes: int, track_scatter: bool = True):
+    def __init__(
+        self, embed_dim: int, num_classes: int, track_scatter: bool = True,
+        rank_bound: int | None = None,
+    ):
         check_int("embed_dim", embed_dim, 1)
         check_int("num_classes", num_classes, 1)
+        if rank_bound is not None:
+            check_int("rank_bound", rank_bound, 0)
         self.embed_dim = embed_dim
         self.track_scatter = track_scatter
         self._counts = np.zeros(num_classes, dtype=np.int64)
         self._means = np.zeros((num_classes, embed_dim), dtype=np.float64)
-        self._scatter = (
-            np.zeros(packed_size(embed_dim), dtype=np.float64)
-            if track_scatter
-            else None
-        )
+        self._scatter = None
+        if track_scatter and rank_bound is not None and low_rank_fits(
+            embed_dim, rank_bound, num_classes
+        ):
+            self._scatter = np.zeros((embed_dim, rank_bound), order="F")
+        elif track_scatter:
+            self._scatter = np.zeros(packed_size(embed_dim), dtype=np.float64)
 
     # -- streaming ---------------------------------------------------------
 
@@ -133,11 +164,13 @@ class StreamingEstimator:
         ``phi`` is one embedding of length E with one label, or a block
         of shape (m, E) with m labels.  A block is validated whole before
         any state changes; a non-finite row, or a label outside 0..C-1,
-        raises a DataError whose ``row`` is that row's index in the block.
+        raises a DataError whose ``row`` is that row's index in the block,
+        and on the factor form a block that would take the scatter's rank
+        past the bound raises ModelStateError.
         """
         if self.track_scatter and self._scatter is None:
             raise ModelStateError(
-                "estimator state was consumed by packed_scatter(consume=True); "
+                "estimator state was consumed by scatter_state(consume=True); "
                 "no further observations are possible"
             )
         phi = np.asarray(phi)
@@ -174,11 +207,25 @@ class StreamingEstimator:
         labels = labels[order]
         cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         starts, stops = [0, *cuts], [*cuts, m]
+        factor = self.track_scatter and self._scatter.ndim == 2
+        lead = width = 0
+        if factor:
+            lead = self._active_width()
+            width = lead + m - int(np.count_nonzero(self._counts[labels[starts]] == 0))
+            bound = self._scatter.shape[1]
+            if width > bound:
+                raise ModelStateError(
+                    f"this block would raise the scatter's rank to {width}, past "
+                    f"the rank bound {bound} its factor was built for"
+                )
         # The sorted rows are scattered straight into z, whose last rows
         # hold the mean-shift terms; a mean-only estimator needs neither
-        # those nor centred rows.
+        # those nor centred rows.  z is the tail of the F-ordered work
+        # matrix, whose first ``lead`` columns take the factor's active
+        # columns: W = [L, Z^T].
         shifts = len(starts) if self.track_scatter else 0
-        z = np.empty((m + shifts, self.embed_dim), dtype=np.float64)
+        work = np.empty((self.embed_dim, lead + m + shifts), order="F")
+        z = work[:, lead:].T
         rows = z[:m]
         rows[np.argsort(order)] = phi
 
@@ -193,14 +240,39 @@ class StreamingEstimator:
                 stacked += 1
             self._counts[c] += stop - start
 
-        if not self.track_scatter:
+        if factor:
+            work[:, :lead] = self._scatter[:, :lead]
+            self._rotate(work[:, : lead + stacked], width)
+        elif self.track_scatter:
+            # z[:stacked].T is Fortran-ordered, so it reaches LAPACK without a copy.
+            dsfrk(
+                self.embed_dim, stacked, 1.0, z[:stacked].T, 1.0, self._scatter,
+                trans="N", overwrite_c=1, **RFP,
+            )
+
+    def _rotate(self, w: np.ndarray, width: int) -> None:
+        """Set the factor's first ``width`` columns to W V, V the
+        eigenvectors of the ``width`` largest eigenvalues of W^T W, in
+        descending order (module docstring)."""
+        if width == 0:
             return
-        stacked = z[:stacked]
-        # stacked.T is Fortran-ordered, so it reaches LAPACK without a copy.
-        dsfrk(
-            self.embed_dim, len(stacked), 1.0, stacked.T, 1.0, self._scatter,
-            trans="N", overwrite_c=1, **RFP,
-        )
+        L = self._scatter
+        gram = dsyrk(1.0, w, trans=1)
+        if not np.isfinite(gram).all():
+            # rows whose products overflow: the factor holds no number, so
+            # finalize refuses it as the packed form's overflow
+            L[:, :width] = np.nan
+            return
+        _, v, info = dsyevd(gram, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"the eigensolver rejected the block's Gram matrix (info={info})")
+        # dsyevd returns the eigenpairs in ascending order
+        dgemm(1.0, w, v[:, ::-1][:, :width], c=L[:, :width], overwrite_c=1)
+
+    def _active_width(self) -> int:
+        """Columns of the factor that may be nonzero: the samples seen less
+        the classes seen, the scatter's rank bound so far."""
+        return self.total_count - int(np.count_nonzero(self._counts))
 
     # -- snapshots ----------------------------------------------------------
 
@@ -216,6 +288,11 @@ class StreamingEstimator:
     def scatter(self) -> np.ndarray:
         """The pooled sum of squared deviations, as a full symmetric matrix."""
         self._require_scatter()
+        if self._scatter.ndim == 2:
+            L = self._scatter[:, : self._active_width()]
+            if L.shape[1] == 0:
+                return np.zeros((self.embed_dim, self.embed_dim))
+            return _mirror_upper(dsyrk(1.0, L))
         full, info = dtfttr(self.embed_dim, self._scatter, **RFP)
         if info != 0:
             raise ModelStateError(f"unpacking the scatter failed (info={info})")
@@ -228,25 +305,28 @@ class StreamingEstimator:
         out /= denom
         return out
 
-    def packed_scatter(self, consume: bool = False) -> tuple[np.ndarray, int]:
-        """The accumulator as stored, with the covariance's normalizer.
+    def scatter_state(self, consume: bool = False) -> tuple[np.ndarray, int]:
+        """The scatter as held, with the covariance's normalizer.
 
-        Returns (scatter, denom): the RFP vector of the scatter's upper
-        triangle (module docstring; ``precision.RFP``) and n - 1.
-        Without ``consume`` the vector is a read-only view of the
-        accumulator, which a caller that writes must copy.  With
-        ``consume`` it is the accumulator itself, handed over without a
-        copy; the estimator is then spent and rejects further
-        observe/covariance calls.  This is the constant-memory path at
-        the end of a one-pass run.
+        Returns (state, denom): the RFP vector of the scatter's upper
+        triangle (``precision.RFP``) on the packed form, or the factor's
+        active columns, E x (n - k), on the factor form (module
+        docstring); and n - 1.  Without ``consume`` the state is a
+        read-only view, which a caller that writes must copy.  With
+        ``consume`` it is handed over without a copy; the estimator is
+        then spent and rejects further observe/covariance calls.  This
+        is the constant-memory path at the end of a one-pass run.
         """
         denom = self._normalizer()
-        if not consume:
-            view = self._scatter.view()
-            view.flags.writeable = False
-            return view, denom
-        out, self._scatter = self._scatter, None
-        return out, denom
+        state = self._scatter
+        if state.ndim == 2:
+            state = state[:, : self._active_width()]
+        if consume:
+            self._scatter = None
+            return state, denom
+        view = state.view()
+        view.flags.writeable = False
+        return view, denom
 
     def _normalizer(self) -> int:
         self._require_scatter()
@@ -257,7 +337,8 @@ class StreamingEstimator:
 
     def state_nbytes(self) -> int:
         """Bytes held by the statistics: the C counts and mean rows and the
-        packed accumulator, constant from construction on."""
+        scatter in its form (the packed accumulator, or the E x b factor),
+        constant from construction on."""
         arrays = (self._counts, self._means, self._scatter)
         return sum(a.nbytes for a in arrays if a is not None)
 
@@ -271,11 +352,16 @@ class StreamingEstimator:
 
     def _arrays(self) -> dict[str, np.ndarray]:
         """The statistics as a checkpoint stores them: the arrays
-        themselves, not copies."""
+        themselves, not copies.  The form names the scatter's array:
+        'scatter' for the packed vector, 'scatter_factor' for L^T, whose
+        rows are the F-ordered factor's columns (b x E, C-ordered)."""
         arrays = {"class_counts": self._counts, "class_means": self._means}
         if self.track_scatter:
             self._require_scatter()
-            arrays["scatter"] = self._scatter
+            if self._scatter.ndim == 2:
+                arrays["scatter_factor"] = self._scatter.T
+            else:
+                arrays["scatter"] = self._scatter
         return arrays
 
     @classmethod
@@ -283,18 +369,20 @@ class StreamingEstimator:
         cls, arrays: dict, embed_dim: int, num_classes: int, track_scatter: bool
     ) -> "StreamingEstimator":
         """Rebuild an estimator around checkpoint ``arrays``, adopted
-        without a copy.  A missing or misshapen array, one the settings do
-        not use, counts that are not integers or a negative count raise
-        DataFormatError naming the array."""
-        # Built without an accumulator: the stored one is adopted below
-        # rather than allocated a second time.
+        without a copy, in the form its scatter array names.  A missing
+        or misshapen array, one the settings do not use, counts that are
+        not integers or a negative count, and a factor narrower than the
+        counts' rank bound raise DataFormatError naming the array."""
+        # Built without a scatter: the stored one is adopted below rather
+        # than allocated a second time.
         est = cls(embed_dim, num_classes, track_scatter=False)
         est.track_scatter = track_scatter
-        shapes = {
-            "class_counts": (num_classes,),
-            "class_means": (num_classes, embed_dim),
-            **({"scatter": (packed_size(embed_dim),)} if track_scatter else {}),
-        }
+        factor = track_scatter and "scatter_factor" in arrays
+        shapes = {"class_counts": (num_classes,), "class_means": (num_classes, embed_dim)}
+        if factor:
+            shapes["scatter_factor"] = (*np.shape(arrays["scatter_factor"])[:1], embed_dim)
+        elif track_scatter:
+            shapes["scatter"] = (packed_size(embed_dim),)
         unused = sorted(set(arrays) - set(shapes))
         if unused:
             raise DataFormatError(
@@ -310,6 +398,15 @@ class StreamingEstimator:
             raise DataFormatError("checkpoint array 'class_counts' holds a negative count")
         est._counts = counts.astype(np.int64, copy=False)
         est._means = stored["class_means"].astype(np.float64, copy=False)
-        if track_scatter:
+        if factor:
+            rows = stored["scatter_factor"]
+            if len(rows) < est._active_width():
+                raise DataFormatError(
+                    f"checkpoint array 'scatter_factor' has shape {list(rows.shape)}, expected "
+                    f"at least {est._active_width()} rows, the samples less the classes its "
+                    f"counts hold"
+                )
+            est._scatter = np.asfortranarray(rows.T, dtype=np.float64)
+        elif track_scatter:
             est._scatter = stored["scatter"].astype(np.float64, copy=False)
         return est

@@ -261,13 +261,14 @@ class TestContractGates:
         assert peak < 0.05 * 4 * e * (e + 1), f"finalize allocated {peak} bytes"
 
     def test_consuming_low_rank_finalize_allocates_under_five_percent(self):
-        """The same gate on the low-rank path: 10 classes of 4 samples at
-        E=2048 bound the rank by 30, so finalize reads the accumulator and
-        allocates L (E x 30) and the discriminant, under 5% of it."""
+        """The same gate on the factor form: 10 classes of 4 samples at
+        E=2048 bound the rank by 30, so the model holds L (E x 30) and
+        finalize allocates K and the discriminant, under 5% of the packed
+        form's bytes."""
         e = 2048
         rng = np.random.default_rng(25)
         model = StreamingClassifier(
-            ModelVariant(variant="slda", num_classes=10, ridge=1e-4, input_dim=e)
+            ModelVariant(variant="slda", num_classes=10, ridge=1e-4, input_dim=e), 30
         )
         model.observe(rng.standard_normal((40, e)), np.arange(40) % 10)
         tracemalloc.start()
@@ -282,9 +283,9 @@ class TestContractGates:
     def test_consuming_low_rank_finalize_at_the_rule_boundary(self):
         """246 samples of 10 classes at E=2048 bound the rank by 236, so
         8 (r + 2 C) = 2048 meets the rule's E + 1 at its edge.  The
-        consuming finalize allocates at most L, K and two E x C blocks,
-        8 E (r + 2 C) + 8 r^2 bytes, which the rule keeps within
-        (9 E + 1) / (32 E) of the accumulator's 4 E (E + 1)."""
+        consuming finalize of the factor form allocates at most K and two
+        E x C blocks, within 8 E (r + 2 C) + 8 r^2 bytes, which the rule
+        keeps within (9 E + 1) / (32 E) of the packed form's 4 E (E + 1)."""
         e, c, n = 2048, 10, 246
         r = n - c
         assert low_rank_fits(e, r, c) and not low_rank_fits(e, r + 1, c)
@@ -292,7 +293,7 @@ class TestContractGates:
         assert bound <= (9 * e + 1) / (32 * e) * 4 * e * (e + 1)
         rng = np.random.default_rng(26)
         model = StreamingClassifier(
-            ModelVariant(variant="slda", num_classes=c, ridge=1e-4, input_dim=e)
+            ModelVariant(variant="slda", num_classes=c, ridge=1e-4, input_dim=e), r
         )
         model.observe(rng.standard_normal((n, e)), np.arange(n) % c)
         tracemalloc.start()
@@ -303,6 +304,33 @@ class TestContractGates:
             tracemalloc.stop()
         assert model.factor_rank == r
         assert peak <= bound, f"finalize allocated {peak} bytes"
+
+    def test_factor_run_never_allocates_the_packed_vector(self):
+        """Built with its rank bound at the rule's edge (E=2048, 246
+        samples of 10 classes), a model holds the scatter as its factor
+        from construction through observe and a consuming finalize, and
+        never allocates the 4*E*(E+1)-byte packed vector: the peak is L,
+        one block's work matrix and the finalize's scratch."""
+        e, c, n = 2048, 10, 246
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((n, e))
+        config = ModelVariant(variant="slda", num_classes=c, ridge=1e-4, input_dim=e)
+
+        def run():
+            model = StreamingClassifier(config, n - c)
+            for start in range(0, n, 128):
+                model.observe(X[start : start + 128], np.arange(start, min(start + 128, n)) % c)
+            model.finalize(consume=True)
+            return model
+
+        tracemalloc.start()
+        try:
+            model = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.factor_rank == n - c
+        assert peak < 4 * e * (e + 1), f"the run allocated {peak} bytes"
 
     def test_state_size_constant_over_hundred_thousand_steps(self):
         # The model state must not grow with stream length: only the

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_refused, gaussian_blobs, paired_halves
-from randumb import precision as precision_module
+from randumb import streaming as streaming_module
 from randumb import (
     ConfigurationError,
     EmptyModelError,
@@ -422,6 +422,24 @@ class TestMirroredIntake:
         for name in got:
             np.testing.assert_array_equal(got[name], want[name])
 
+    @pytest.mark.parametrize("mirror_width", [None, 4])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_an_empty_block_is_a_no_op(self, variant, mirror_width):
+        """A block of no rows and no labels leaves the statistics as they
+        were, with or without mirrors, on every variant."""
+        head = VARIANTS[variant][0]
+        spec = None if head is None else FeatureMapSpec(
+            head, 48, 64, 5, gamma=0.05 if head == "fourier" else None, mirror_width=4
+        )
+        config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 48)
+        model = StreamingClassifier(config)
+        model.observe(np.ones((1, 48), np.float32), [1, 1], mirror_width=4)
+        before = {name: a.copy() for name, a in model.estimator._arrays().items()}
+        model.observe(np.zeros((0, 48), np.float32), [], mirror_width=mirror_width)
+        assert model.estimator.total_count == 2
+        for name, array in model.estimator._arrays().items():
+            np.testing.assert_array_equal(array, before[name])
+
     def test_map_paired_at_another_width_refused(self):
         for width in (4, None):
             spec = FeatureMapSpec("fourier", 48, 64, 5, gamma=0.05, mirror_width=width)
@@ -651,11 +669,12 @@ class TestUpperTriangleFinalize:
 
 class TestLowRankFinalize:
     """Few-shot finalize: n samples of k classes give a scatter of rank at
-    most n - k, and where ``low_rank_fits`` says so, finalize factors A as
-    a scaled identity plus a rank-r term read from the accumulator.  rho,
-    mu, log det, the weights and the predictions match the oracle on the
-    full covariance (``oas_reference``, a dense solve, ``slogdet``,
-    ``batch_lda_predict``) to the 1e-10 of the verify check."""
+    most n - k.  A model built with that bound holds the scatter as a
+    factor where ``low_rank_fits`` says so, and finalize factors A as a
+    scaled identity plus the factor's term.  rho, mu, log det, the
+    weights and the predictions match the oracle on the full covariance
+    (``oas_reference``, a dense solve, ``slogdet``, ``batch_lda_predict``)
+    to the 1e-10 of the verify check."""
 
     RIDGE = 1e-3
 
@@ -669,6 +688,15 @@ class TestLowRankFinalize:
         y = np.repeat(y, copies)
         order = rng.permutation(len(y))
         return X[order], y[order], rng.standard_normal((50, e)) * 2.0
+
+    @staticmethod
+    def fit_bounded(config, X, y, consume=False):
+        """A model built with the stream's rank bound n - k, fed in one
+        block and finalized."""
+        model = StreamingClassifier(config, len(y) - len(np.unique(y)))
+        model.observe(X, y)
+        model.finalize(consume=consume)
+        return model
 
     def assert_matches_oracle(self, model, X, y, T):
         e = X.shape[1]
@@ -689,12 +717,14 @@ class TestLowRankFinalize:
     def test_matches_oracle(self, tmp_path, e, handoff):
         rng = np.random.default_rng(70)
         X, y, T = self.few_shot(rng, e, k=3, per_class=3)
-        model = StreamingClassifier(raw_config(input_dim=e, ridge=self.RIDGE, num_classes=3))
+        config = raw_config(input_dim=e, ridge=self.RIDGE, num_classes=3)
+        model = StreamingClassifier(config, 9 - 3)
         model.observe(X[:4], y[:4])
         model.observe(X[4:], y[4:])
         if handoff == "restored":
             model.save(tmp_path / "model.rdck")
             model = StreamingClassifier.load(tmp_path / "model.rdck")
+        assert model.estimator._scatter.shape == (e, 6)
         model.finalize(consume=handoff != "copy")
         assert model.factor_rank == 9 - 3
         self.assert_matches_oracle(model, X, y, T)
@@ -702,25 +732,28 @@ class TestLowRankFinalize:
     @pytest.mark.parametrize("per_class", [3, 40], ids=["low-rank", "dense"])
     def test_either_side_of_the_rule_matches_oracle(self, per_class):
         """At E = 480 with 3 classes, 3 samples per class give the rank
-        bound 6 (8 (6 + 2 C) <= E + 1) and 40 per class give 117 (not)."""
+        bound 6 (8 (6 + 2 C) <= E + 1), so the model holds a factor, and
+        40 per class give 117 (not), so it holds the packed triangle."""
         rng = np.random.default_rng(71)
         X, y, T = self.few_shot(rng, 480, k=3, per_class=per_class)
-        model = fit(raw_config(input_dim=480, ridge=self.RIDGE, num_classes=3), X, y)
+        model = self.fit_bounded(raw_config(input_dim=480, ridge=self.RIDGE, num_classes=3), X, y)
         assert model.factor_rank == (6 if per_class == 3 else 480)
         self.assert_matches_oracle(model, X, y, T)
 
     def test_agrees_with_the_dense_factor_of_the_same_accumulator(self, monkeypatch):
-        """Forced onto the dense path, the same accumulator gives bitwise
-        the same rho and mu (one pair of packed traces), and log det and
-        weights within 1e-10."""
+        """Forced onto the packed form, the same stream factors densely:
+        rho and mu agree with the factor form's to 1e-12 relative (each
+        form reads its own pair of traces), and log det and weights within
+        1e-10."""
         rng = np.random.default_rng(72)
         X, y, T = self.few_shot(rng, 481, k=3, per_class=3)
         config = raw_config(input_dim=481, ridge=self.RIDGE, num_classes=3)
-        low = fit(config, X, y, consume=True)
-        monkeypatch.setattr(precision_module, "low_rank_fits", lambda *args: False)
-        dense = fit(config, X, y, consume=True)
+        low = self.fit_bounded(config, X, y, consume=True)
+        monkeypatch.setattr(streaming_module, "low_rank_fits", lambda *args: False)
+        dense = self.fit_bounded(config, X, y, consume=True)
         assert (low.factor_rank, dense.factor_rank) == (6, 481)
-        assert (low.shrinkage_rho, low.shrinkage_mu) == (dense.shrinkage_rho, dense.shrinkage_mu)
+        assert abs(low.shrinkage_rho - dense.shrinkage_rho) <= 1e-12 * dense.shrinkage_rho
+        assert abs(low.shrinkage_mu - dense.shrinkage_mu) <= 1e-12 * dense.shrinkage_mu
         assert abs(low.log_det - dense.log_det) < 1e-10 * abs(dense.log_det)
         scale = np.abs(dense._weights).max()
         assert np.abs(low._weights - dense._weights).max() < 1e-10 * scale
@@ -728,22 +761,23 @@ class TestLowRankFinalize:
 
     def test_duplicate_rows_stop_the_pivoting_early(self):
         """Two distinct rows per class, each twice: the bound n - k is 6
-        but the scatter has rank 2, and the factor stops at 2 columns."""
+        but the scatter has rank 2, and the factor counts 2 columns above
+        the threshold."""
         rng = np.random.default_rng(73)
         X, y, T = self.few_shot(rng, 400, k=2, per_class=2, copies=2)
-        model = fit(raw_config(input_dim=400, ridge=self.RIDGE, num_classes=2), X, y)
+        model = self.fit_bounded(raw_config(input_dim=400, ridge=self.RIDGE, num_classes=2), X, y)
         assert model.factor_rank == 2
         self.assert_matches_oracle(model, X, y, T)
 
     def test_small_directions_are_kept(self):
         """Within-class deviations scaled over four orders of magnitude:
-        every one of the n - k directions is far above the stopping
-        threshold, so all are taken and the oracle still holds."""
+        every one of the n - k directions is far above the threshold, so
+        all count and the oracle still holds."""
         rng = np.random.default_rng(77)
         X, y, T = self.few_shot(rng, 480, k=3, per_class=3)
         means = np.stack([X[y == c].mean(axis=0) for c in range(3)])
         X = means[y] + (X - means[y]) * np.logspace(0, -4, len(y))[:, None]
-        model = fit(raw_config(input_dim=480, ridge=self.RIDGE, num_classes=3), X, y)
+        model = self.fit_bounded(raw_config(input_dim=480, ridge=self.RIDGE, num_classes=3), X, y)
         assert model.factor_rank == 6
         self.assert_matches_oracle(model, X, y, T)
 
@@ -755,21 +789,36 @@ class TestLowRankFinalize:
         config = raw_config(input_dim=240, ridge=0.0, num_classes=2)
         for dense in (False, True):
             if dense:
-                monkeypatch.setattr(precision_module, "low_rank_fits", lambda *args: False)
-            model = StreamingClassifier(config)
+                monkeypatch.setattr(streaming_module, "low_rank_fits", lambda *args: False)
+            model = StreamingClassifier(config, 2)
             model.observe(X, y)
+            assert model.estimator._scatter.ndim == (1 if dense else 2)
             with pytest.raises(NumericalError, match="not positive definite"):
                 model.finalize()
             assert not model.finalized and model.factor_rank is None
 
+    def test_overflowing_rows_refused_at_finalize(self):
+        """Finite rows whose products overflow leave the factor without a
+        number, and finalize refuses it as it refuses the packed form's
+        overflow, leaving the model unfinalized."""
+        config = raw_config(input_dim=240, ridge=self.RIDGE, num_classes=2)
+        model = StreamingClassifier(config, 4)
+        model.observe(np.eye(240)[:3], [0, 0, 1])
+        model.observe(np.full((2, 240), 1e200), [1, 1])
+        with pytest.raises(NumericalError, match="not finite"):
+            model.finalize()
+        assert not model.finalized and model.log_det is None
+
     def test_copying_finalize_reads_the_accumulator_in_place(self):
-        """A non-consuming low-rank finalize neither writes nor copies the
-        accumulator: it stays bitwise as it was, the stream goes on, and
-        the finalize allocates under 5% of its 4 E (E + 1) bytes."""
+        """A non-consuming finalize on the factor form neither writes nor
+        copies the factor: it stays bitwise as it was, the stream goes
+        on, and the finalize allocates under 5% of the packed form's
+        4 E (E + 1) bytes."""
         e = 1024
         rng = np.random.default_rng(75)
         X, y, _ = self.few_shot(rng, e, k=2, per_class=4)
-        model = StreamingClassifier(raw_config(input_dim=e, ridge=self.RIDGE, num_classes=2))
+        config = raw_config(input_dim=e, ridge=self.RIDGE, num_classes=2)
+        model = StreamingClassifier(config, 10 - 2)
         model.observe(X, y)
         buffer = model.estimator._scatter
         before = buffer.copy()
@@ -791,14 +840,15 @@ class TestLowRankFinalize:
         rng = np.random.default_rng(76)
         X, y, T = self.few_shot(rng, 500, k=3, per_class=3)
         config = raw_config(input_dim=500, ridge=self.RIDGE, num_classes=3)
-        whole = StreamingClassifier(config)
+        whole = StreamingClassifier(config, 6)
         whole.observe(X[:5], y[:5])
         whole.observe(X[5:], y[5:])
-        first = StreamingClassifier(config)
+        first = StreamingClassifier(config, 6)
         first.observe(X[:5], y[:5])
         first.save(tmp_path / "half.rdck")
         resumed = StreamingClassifier.load(tmp_path / "half.rdck")
         resumed.observe(X[5:], y[5:])
+        np.testing.assert_array_equal(resumed.estimator._scatter, whole.estimator._scatter)
         for model in (whole, resumed):
             model.finalize(consume=True)
         assert whole.factor_rank == 6

@@ -390,14 +390,16 @@ class TestRunBenchmark:
 
     def test_few_shot_run_reports_the_low_rank_factor(self):
         """3 classes of 2 samples bound the scatter's rank by 3, so at
-        E=400 finalize factors in the low-rank form and the result says
-        so; a mean-only variant reports no factor."""
+        E=400 the run holds the scatter as its 400 x 3 factor, its state is
+        the class rows and that factor, and the result says so; a
+        mean-only variant reports no factor."""
         rng = np.random.default_rng(6)
         X = rng.standard_normal((6, 16)).astype(np.float32)
         y = np.arange(6) % 3
         data = dataset_from_features(X, y, X, y)
         result = run_on_dataset(data, variant="rp_relu", embed_dim=400, seed=0)
         assert result.factor_rank == 3 and result.to_json()["factor_rank"] == 3
+        assert result.state_bytes == 8 * 3 * 401 + 8 * 400 * 3
         ncm = run_on_dataset(data, variant="ncm", seed=0)
         assert ncm.factor_rank is None
 
@@ -444,13 +446,13 @@ class TestRunBenchmark:
         """Snapshots factor a copy; the last finalize hands the
         accumulator over instead of copying it once more."""
         flags = []
-        real = StreamingEstimator.packed_scatter
+        real = StreamingEstimator.scatter_state
 
         def recording(self, consume=False):
             flags.append(consume)
             return real(self, consume=consume)
 
-        monkeypatch.setattr(StreamingEstimator, "packed_scatter", recording)
+        monkeypatch.setattr(StreamingEstimator, "scatter_state", recording)
         data = blob_dataset(seed=5, num_classes=3, train_per_class=40)  # 120 steps
         run_on_dataset(
             data, variant="randumb", embed_dim=32, gamma=0.1, seed=0, eval_every=30
@@ -517,11 +519,11 @@ class TestRunBenchmark:
 
     def test_memory_cap_counts_no_copy_for_low_rank_snapshots(self):
         """3 classes of 4 samples bound the scatter's rank by 9, and
-        8 (9 + 2 * 3) <= E + 1 at E=256: every snapshot takes the
-        low-rank factor, which only reads the accumulator, so an
-        eval_every run fits a cap of one accumulator plus the class rows."""
+        8 (9 + 2 * 3) <= E + 1 at E=256: the run holds the scatter as its
+        factor, which every snapshot only reads, so an eval_every run fits
+        a cap of the class rows plus that factor."""
         data = blob_dataset(seed=7, num_classes=3, train_per_class=4)
-        cap = 8 * 3 * 257 + 4 * 256 * 257
+        cap = 8 * 3 * 257 + 8 * 256 * 9
         result = run_on_dataset(
             data, variant="randumb", embed_dim=256, gamma=0.1, seed=0, eval_every=4,
             memory_cap_bytes=cap,
@@ -533,7 +535,8 @@ class TestRunBenchmark:
         """3 images of each of 2 classes bound the rank by 4 without flips
         (8 (4 + 2 * 2) <= E + 1 at E=64) and by 10 with them (not), so
         at a cap of one accumulator plus the class rows only the flip
-        run's snapshots need a copy, and it is refused."""
+        run holds the packed accumulator, whose snapshots need a copy,
+        and it is refused."""
         data = toy_image_dataset(per_class=3)
         settings = dict(variant="randumb", embed_dim=64, seed=0, eval_every=2,
                         memory_cap_bytes=8 * 2 * 65 + 4 * 64 * 65)
@@ -810,6 +813,10 @@ class TestCheckMemoryCap:
         assert check_memory_cap(self.CONFIG, 43632, self.DENSE) == 43632
         with pytest.raises(ConfigurationError, match="43632 bytes"):
             check_memory_cap(self.CONFIG, 43631, self.DENSE)
+        # the factor form: the class rows and L, 100 x 4 float64 (3200 bytes)
+        assert check_memory_cap(self.CONFIG, 6432, self.LOW_RANK) == 6432
+        with pytest.raises(ConfigurationError, match=r"6432 bytes .*8\*E\*\(n-k\) = 3200"):
+            check_memory_cap(self.CONFIG, 6431, self.LOW_RANK)
 
     def test_eval_every_doubles_the_need(self):
         assert check_memory_cap(self.CONFIG, 84032, self.DENSE, eval_every=5) == 84032
@@ -817,10 +824,10 @@ class TestCheckMemoryCap:
             check_memory_cap(self.CONFIG, 84031, self.DENSE, eval_every=5)
 
     def test_low_rank_snapshots_add_no_copy(self):
-        """With the run's rank bound on the low-rank side of the rule,
-        snapshots only read the accumulator; one past it, each factors a
-        copy."""
-        assert check_memory_cap(self.CONFIG, 43632, self.LOW_RANK, eval_every=5) == 43632
+        """With the run's rank bound on the low-rank side of the rule the
+        run holds the factor, which snapshots only read; one past it, it
+        holds the packed accumulator and each snapshot factors a copy."""
+        assert check_memory_cap(self.CONFIG, 6432, self.LOW_RANK, eval_every=5) == 6432
         assert check_memory_cap(self.CONFIG, 84032, self.DENSE, eval_every=5) == 84032
         with pytest.raises(ConfigurationError, match="eval-every"):
             check_memory_cap(self.CONFIG, 84031, self.DENSE, eval_every=5)

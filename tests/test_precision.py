@@ -8,7 +8,7 @@ import pytest
 from randumb.errors import DataError, NumericalError, ShapeError
 from randumb.precision import (
     PrecisionModel,
-    _rfp_column,
+    factor_shrinkage,
     low_rank_fits,
     oas_shrink,
     pack_upper,
@@ -124,14 +124,29 @@ class TestPackedLayout:
         np.testing.assert_array_equal(a[packed_diagonal(e)], np.arange(1.0, e + 1))
         assert np.count_nonzero(a) == e
 
+    @staticmethod
+    def layout_column(a, e, p):
+        """Column p of the symmetric matrix, read from the RFP vector by
+        the layout ``packed_diagonal`` documents: entry (i, j), i <= j,
+        at i + (j - n1) lda when j >= n1, and at n1 + 1 + j + i lda (the
+        leading triangle, transposed) when j < n1."""
+        n1, lda = e // 2, e + 1 - e % 2
+
+        def at(i, j):
+            i, j = min(i, j), max(i, j)
+            return i + (j - n1) * lda if j >= n1 else n1 + 1 + j + i * lda
+
+        return a[[at(i, p) for i in range(e)]]
+
     @pytest.mark.parametrize("e", range(1, 10))
     def test_columns_read_back_the_symmetric_matrix(self, e):
+        """Every entry sits where that layout says, so the diagonal
+        positions derived from it are LAPACK's."""
         rng = np.random.default_rng(e)
         S = random_spd(rng, e)
         a = pack_upper(S)
-        out = np.empty(e)
         for p in range(e):
-            np.testing.assert_array_equal(_rfp_column(a, e, p, out), S[:, p])
+            np.testing.assert_array_equal(self.layout_column(a, e, p), S[:, p])
 
     def test_non_triangular_length_rejected(self):
         for bad in (np.zeros(0), np.zeros(4), np.zeros((3, 2))):
@@ -246,7 +261,7 @@ class TestBuildPrecision:
 
     def test_input_validation(self):
         with pytest.raises(ShapeError):
-            PrecisionModel(np.eye(3), ridge=0.0)
+            PrecisionModel(np.zeros((3, 3, 1)), ridge=0.0)
         with pytest.raises(ShapeError):
             PrecisionModel(np.zeros(5), ridge=0.0)
         with pytest.raises(DataError):
@@ -288,13 +303,13 @@ class TestBuildPrecision:
         np.testing.assert_allclose(model.solve(v[:, 0]), model.solve(v)[:, 0], rtol=1e-12)
 
     def test_read_only_vector_is_copied_and_left_as_it_was(self):
-        """The lent view of a non-consuming ``packed_scatter`` is read-only:
+        """The lent view of a non-consuming ``scatter_state`` is read-only:
         the dense factor copies it, so it factors like a writable copy
         and stays bitwise as it was."""
         rng = np.random.default_rng(45)
         est = StreamingEstimator(30, 2)
         est.observe(rng.standard_normal((60, 30)), np.arange(60) % 2)
-        lent = est.packed_scatter()[0]
+        lent = est.scatter_state()[0]
         before = lent.copy()
         model = PrecisionModel(lent, 1e-3)
         np.testing.assert_array_equal(lent, before)
@@ -316,11 +331,11 @@ class TestBuildPrecision:
 
 
 class TestLowRankPrecision:
-    """The low-rank representation of A = ridge I + scale P, P positive
-    semidefinite of rank at most max_rank, and the rule that picks it."""
+    """The factor form of A = ridge I + scale P, P = L L^T given as its
+    factor L, and the rule that picks the form."""
 
     def test_rule_puts_the_benchmark_shapes_on_their_sides(self):
-        """Both few-shot benchmark shapes take the low-rank path: the
+        """Both few-shot benchmark shapes take the factor form: the
         features workload (E = 8192, 20 classes of 8: rank bound 140) and
         the MNIST workload (E = 6144, 10 classes of 30: rank bound 290,
         8 (290 + 2 * 10) = 2480 <= E + 1).  At E = 6144 with 10 classes
@@ -333,57 +348,70 @@ class TestLowRankPrecision:
 
     @pytest.mark.parametrize("e", [60, 61])
     def test_solves_and_log_det_match_the_dense_matrix(self, e):
-        """A rank-5 P with the bound 5: 8 (5 + 2) <= E + 1."""
+        """A rank-5 P handed over as its factor F (E x 5), only read."""
         rng = np.random.default_rng(43)
         F = rng.standard_normal((e, 5))
-        P = F @ F.T
-        packed = pack_upper(P)
-        before = packed.copy()
-        model = PrecisionModel(packed, 0.3, 0.7, 5)
-        np.testing.assert_array_equal(packed, before)
+        before = F.copy()
+        model = PrecisionModel(F, 0.3, 0.7)
+        np.testing.assert_array_equal(F, before)
         assert model.factor_rank == 5
-        A = 0.7 * P + 0.3 * np.eye(e)
+        A = 0.7 * F @ F.T + 0.3 * np.eye(e)
         assert model.log_det == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
         v = rng.standard_normal((e, 3))
         np.testing.assert_allclose(model.solve(v), np.linalg.solve(A, v), rtol=1e-10)
         np.testing.assert_allclose(model.solve(v[:, 0]), model.solve(v)[:, 0], rtol=1e-12)
 
     def test_the_rule_picks_the_representation(self):
-        """At E = 60 the bound 5 with one right-hand side fits the rule,
-        while the bound 6, or the bound 5 with two right-hand sides, does
-        not: those factor densely, in place, to the same A."""
+        """At E = 60 the bound 5 with one class fits the rule, so the
+        estimator holds the scatter of 6 rows of one class as a factor;
+        the bound 6, the bound 5 with two classes (two right-hand sides)
+        or no bound do not, and it holds the packed triangle, which
+        factors densely, in place, to the same A."""
         rng = np.random.default_rng(46)
-        F = rng.standard_normal((60, 5))
-        P = F @ F.T
-        low = PrecisionModel(pack_upper(P), 0.3, 0.7, 5)
-        for max_rank, num_rhs in ((6, 1), (5, 2), (None, 1)):
-            packed = pack_upper(P)
-            dense = PrecisionModel(packed, 0.3, 0.7, max_rank, num_rhs)
+        X = rng.standard_normal((6, 60))
+
+        def state(bound, classes):
+            est = StreamingEstimator(60, classes, rank_bound=bound)
+            est.observe(X, np.zeros(6, dtype=np.int64))
+            return est.scatter_state(consume=True)[0]
+
+        factor = state(5, 1)
+        low = PrecisionModel(factor, 0.3, 0.7)
+        assert factor.shape == (60, 5)
+        for bound, classes in ((6, 1), (5, 2), (None, 1)):
+            packed = state(bound, classes)
+            dense = PrecisionModel(packed, 0.3, 0.7)
             assert (low.factor_rank, dense.factor_rank) == (5, 60)
             assert np.shares_memory(dense._factor, packed)
             assert dense.log_det == pytest.approx(low.log_det, rel=1e-12)
 
     def test_rank_zero_is_the_scaled_identity(self):
-        """scale = 0 (rho = 1): no column is taken, and A = ridge I."""
-        model = PrecisionModel(pack_upper(np.eye(40)), 2.0, 0.0, 3)
+        """scale = 0 (rho = 1): no column counts, and A = ridge I."""
+        F = np.random.default_rng(47).standard_normal((40, 3))
+        model = PrecisionModel(F, 2.0, 0.0)
         assert model.factor_rank == 0
         assert model.log_det == pytest.approx(40 * np.log(2.0), rel=1e-15)
         np.testing.assert_array_equal(model.solve(np.arange(40.0)), np.arange(40.0) / 2.0)
 
     def test_zero_alpha_and_non_finite_diagonal_refused(self):
+        F = np.random.default_rng(48).standard_normal((40, 3))
         with pytest.raises(NumericalError, match="not positive definite"):
-            PrecisionModel(pack_upper(np.eye(40)), 0.0, 1.0, 3)
-        S = np.eye(40)
-        S[2, 2] = np.nan
+            PrecisionModel(F, 0.0, 1.0)
+        F[2, 1] = np.nan
         with pytest.raises(NumericalError, match="non-finite"):
-            PrecisionModel(pack_upper(S), 1.0, 1.0, 3)
+            PrecisionModel(F, 1.0, 1.0)
 
     def test_shrinkage_only_reads_the_vector(self):
+        """Either form's traces leave the state as it was, and agree."""
         rng = np.random.default_rng(44)
-        a = pack_upper(random_spd(rng, 31, 20) * 19.0)
-        before = a.copy()
-        packed_shrinkage(a, 20, 19.0)
-        np.testing.assert_array_equal(a, before)
+        F = rng.standard_normal((31, 6))
+        a = pack_upper(F @ F.T)
+        before = a.copy(), F.copy()
+        packed = packed_shrinkage(a, 20, 19.0)
+        factor = factor_shrinkage(F, 20, 19.0)
+        np.testing.assert_array_equal(a, before[0])
+        np.testing.assert_array_equal(F, before[1])
+        np.testing.assert_allclose(factor, packed, rtol=1e-12)
 
 
 class TestMahalanobis:

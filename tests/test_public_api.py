@@ -103,18 +103,38 @@ def test_one_read_of_the_class_rows():
     estimator = randumb.StreamingEstimator(3, 2)
     assert not hasattr(estimator, "_consumed")
     estimator.observe([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]], [1, 1])
-    estimator.packed_scatter(consume=True)
+    estimator.scatter_state(consume=True)
     assert not hasattr(estimator, "_consumed")
     assert not hasattr(reference, "exact_rbf_kernel")
 
 
 def test_one_factor_interface():
-    """PrecisionModel picks its representation itself: the in-place
-    shrink, the ``low_rank`` argument and finalize's copy of the rule
-    are gone."""
+    """PrecisionModel's representation follows from the state it is
+    handed: the in-place shrink, the ``low_rank``, ``max_rank`` and
+    ``num_rhs`` arguments, the pivoted Cholesky's RFP column reader and
+    finalize's copy of the rule are gone."""
     assert not hasattr(precision, "shrink_packed")
+    assert not hasattr(precision, "_rfp_column")
     assert not hasattr(classifier, "low_rank_fits")
-    assert "low_rank" not in inspect.signature(precision.PrecisionModel).parameters
+    parameters = inspect.signature(precision.PrecisionModel).parameters
+    assert not {"low_rank", "max_rank", "num_rhs"} & set(parameters)
+
+
+def test_the_rule_is_called_where_the_form_is_picked():
+    """``low_rank_fits`` is called in two places only: where the
+    estimator picks the scatter's form, and in the memory cap that
+    counts it."""
+    root = Path(__file__).resolve().parent.parent / "src/randumb"
+    callers = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "low_rank_fits":
+                    callers.add((path.stem, func.name))
+    assert callers == {("streaming", "__init__"), ("harness", "check_memory_cap")}
 
 
 def test_shrinkage_checks_call_the_packed_kernel():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_refused, traced_peak
+from randumb import streaming as streaming_module
 from randumb.classifier import VARIANTS, ModelVariant, StreamingClassifier
 from randumb.fourier import FeatureMapSpec
 from randumb.data_io import read_checkpoint, write_checkpoint
@@ -35,10 +36,26 @@ def feed(est, X, y):
 CLASSES = 10
 
 
-def raw_model(e, classes=CLASSES):
+def raw_model(e, classes=CLASSES, rank_bound=None):
     """A classifier on raw inputs: its state is exactly one estimator
     plus a ridge, and checkpoints are the classifier's."""
-    return StreamingClassifier(ModelVariant("slda", num_classes=classes, input_dim=e, ridge=1e-4))
+    return StreamingClassifier(
+        ModelVariant("slda", num_classes=classes, input_dim=e, ridge=1e-4), rank_bound
+    )
+
+
+FORMS = ["packed", "factor"]
+
+
+def in_form(form, monkeypatch):
+    """The rank bound to build a model with in ``form`` from a stream of
+    labels y, as a function: None for the packed form; for the factor
+    form the stream's rows less its classes, with the rule forced to
+    hold, since it fails at the small E of these tests."""
+    if form == "packed":
+        return lambda y: None
+    monkeypatch.setattr(streaming_module, "low_rank_fits", lambda *args: True)
+    return lambda y: len(y) - len(np.unique(y))
 
 
 def reload(model, path):
@@ -157,9 +174,9 @@ class TestNumericalShape:
         with pytest.raises(InsufficientDataError):
             est.covariance()
         with pytest.raises(InsufficientDataError):
-            est.packed_scatter(consume=True)
+            est.scatter_state(consume=True)
         est.observe(np.zeros(3), 1)
-        assert est.packed_scatter()[1] == 1
+        assert est.scatter_state()[1] == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
@@ -203,10 +220,10 @@ class TestMemoryContract:
             spend = feed(StreamingEstimator(e, CLASSES), X, y)
             expected = spend.scatter()
             buffer = spend._scatter
-            copied, denom = spend.packed_scatter()
+            copied, denom = spend.scatter_state()
             assert copied.base is buffer and denom == 39
             assert not copied.flags.writeable and buffer.flags.writeable
-            taken, denom = spend.packed_scatter(consume=True)
+            taken, denom = spend.scatter_state(consume=True)
             assert taken is buffer and taken.shape == (e * (e + 1) // 2,) and denom == 39
             np.testing.assert_array_equal(taken, copied)
             np.testing.assert_array_equal(taken, pack_upper(expected))
@@ -215,7 +232,7 @@ class TestMemoryContract:
             with pytest.raises(ModelStateError):
                 spend.covariance()
             with pytest.raises(ModelStateError):
-                spend.packed_scatter()
+                spend.scatter_state()
 
     def test_mean_only_mode_has_no_scatter(self):
         est = StreamingEstimator(4, CLASSES, track_scatter=False)
@@ -250,6 +267,16 @@ class TestClassRows:
         model = raw_model(e, c)
         model.observe(rng.standard_normal((20, e)), np.arange(20) % c)
         assert model.estimator.state_nbytes() == 8 * c + 8 * c * e + 4 * e * (e + 1)
+
+    def test_factor_state_nbytes_fixed_at_construction(self):
+        """On the factor form the scatter is L, E x b float64: 8 C + 8 C E
+        + 8 E b bytes from construction on, with no packed vector."""
+        e, c, b = 200, 3, 10
+        est = StreamingEstimator(e, c, rank_bound=b)
+        want = 8 * c + 8 * c * e + 8 * e * b
+        assert est.state_nbytes() == want
+        est.observe(np.random.default_rng(33).standard_normal((12, e)), np.arange(12) % c)
+        assert est.state_nbytes() == want and est._scatter.shape == (e, b)
 
     def test_each_row_keeps_its_class_statistics_bitwise(self, tmp_path):
         """New labels arrive out of order, several per block; each class's
@@ -436,16 +463,25 @@ class TestCheckpoint:
         "means_fewer_rows_than_labels": ("class_means", np.zeros((2, 6)), [3, 6], [2, 6]),
         "means_narrower_than_embed_dim": ("class_means", np.zeros((3, 4)), [3, 6], [3, 4]),
         "counts_shorter_than_labels": ("class_counts", np.ones(2, np.int64), [3], [2]),
+        # the factor form stores L^T, b x E; 30 samples of 3 classes need
+        # at least 27 rows
+        "factor_narrower_than_its_counts": (
+            "scatter_factor", np.zeros((26, 6)), "at least 27 rows", [26, 6]
+        ),
+        "factor_of_another_embed_dim": ("scatter_factor", np.zeros((27, 5)), [27, 6], [27, 5]),
     }
 
     @pytest.mark.parametrize("case", sorted(MISMATCHES))
-    def test_array_disagreeing_with_meta_rejected(self, tmp_path, case):
+    def test_array_disagreeing_with_meta_rejected(self, tmp_path, monkeypatch, case):
         """Every array is checked against the shape the model's config
-        implies, so a mismatched checkpoint fails at load, naming the
-        array, instead of at the next observe."""
+        and counts imply, so a mismatched checkpoint fails at load, naming
+        the array, instead of at the next observe.  The factor cases save
+        a model held in the factor form."""
         name, bad, expected, found = self.MISMATCHES[case]
+        if name == "scatter_factor":
+            monkeypatch.setattr(streaming_module, "low_rank_fits", lambda *args: True)
         rng = np.random.default_rng(24)
-        model = raw_model(6, 3)
+        model = raw_model(6, 3, rank_bound=27)
         model.observe(rng.standard_normal((30, 6)), np.arange(30) % 3)
         path = tmp_path / "bad.rdck"
         model.save(path)
@@ -583,10 +619,16 @@ class TestBlocked:
                 np.testing.assert_array_equal(blocked.scatter(), single.scatter())
                 np.testing.assert_array_equal(blocked.class_rows()[1], single.class_rows()[1])
 
-    @pytest.mark.parametrize("order", ["shuffled", "class_incremental"])
-    def test_random_cuts_and_orders_agree(self, order):
+    @pytest.mark.parametrize(
+        "order,form",
+        [(order, form) for form in FORMS for order in ("shuffled", "class_incremental")],
+        ids=["shuffled", "class_incremental", "shuffled-factor", "class_incremental-factor"],
+    )
+    def test_random_cuts_and_orders_agree(self, monkeypatch, order, form):
         """One stream in the drawn order (or sorted by class) against a
-        random permutation of it, each cut at random block boundaries."""
+        random permutation of it, each cut at random block boundaries,
+        with the scatter held in either form (L L^T on the factor form)."""
+        bound = in_form(form, monkeypatch)
         rng = np.random.default_rng(31)
         for trial in range(10):
             e = int(rng.integers(2, 20))
@@ -597,12 +639,56 @@ class TestBlocked:
                 y = np.sort(y)
             perm = rng.permutation(n)
             cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 12), replace=False))
-            a = feed_blocks(StreamingEstimator(e, CLASSES), X, y, cuts)
-            b = feed_blocks(StreamingEstimator(e, CLASSES), X[perm], y[perm], cuts[::2])
+            a = feed_blocks(StreamingEstimator(e, CLASSES, rank_bound=bound(y)), X, y, cuts)
+            b = feed_blocks(
+                StreamingEstimator(e, CLASSES, rank_bound=bound(y)), X[perm], y[perm], cuts[::2]
+            )
             ref = batch_stats(X, y)
             scale = np.abs(ref.scatter).max()
             for est in (a, b):
+                assert est._scatter.ndim == (2 if form == "factor" else 1)
                 assert np.abs(est.scatter() - ref.scatter).max() / scale <= 1e-8
+
+    def test_factor_columns_are_orthogonal_and_descending(self, monkeypatch):
+        """After every block the factor's active columns (samples less
+        classes seen) have L^T L diagonal to 1e-12 of its largest entry and
+        non-increasing, and the columns past them are exactly zero: L is
+        the scatter's scaled eigenvectors, never a block's centred rows."""
+        bound = in_form("factor", monkeypatch)
+        rng = np.random.default_rng(36)
+        for trial in range(10):
+            e = int(rng.integers(8, 60))
+            n = int(rng.integers(5, 120))
+            X = rng.standard_normal((n, e)) * np.logspace(0, -2, e) + rng.standard_normal(e)
+            y = rng.integers(0, int(rng.integers(1, 6)), size=n)
+            cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, 6), replace=False))
+            est = StreamingEstimator(e, CLASSES, rank_bound=bound(y) + int(rng.integers(0, 3)))
+            for start, stop in zip([0, *cuts], [*cuts, n]):
+                est.observe(X[start:stop], y[start:stop])
+                width = est.total_count - np.count_nonzero(est.class_rows()[0])
+                L = est._scatter
+                assert not L[:, width:].any()
+                if width:
+                    gram = L[:, :width].T @ L[:, :width]
+                    d = gram.diagonal()
+                    assert np.abs(gram - np.diag(d)).max() <= 1e-12 * d.max()
+                    assert (np.diff(d) <= 1e-12 * d.max()).all()
+
+    def test_rows_past_the_rank_bound_refused_and_state_kept(self):
+        """At E = 200 with 3 classes the bound 4 fits the rule.  A block
+        that would take the samples less the classes seen to 5 is refused
+        naming the bound, and the statistics are left as they were."""
+        rng = np.random.default_rng(37)
+        X = rng.standard_normal((10, 200))
+        est = StreamingEstimator(200, 3, rank_bound=4)
+        est.observe(X[:5], [0, 0, 1, 1, 2])
+        before = {name: a.copy() for name, a in est._arrays().items()}
+        with pytest.raises(ModelStateError, match="rank to 5, past the rank bound 4"):
+            est.observe(X[5:8], [0, 1, 2])
+        for name, array in est._arrays().items():
+            np.testing.assert_array_equal(array, before[name])
+        est.observe(X[5:7], [0, 2])
+        assert est._scatter.shape == (200, 4) and est.total_count == 7
 
     def test_mean_only_blocks_match_batch_means(self):
         rng = np.random.default_rng(32)
@@ -643,9 +729,12 @@ class TestBlocked:
         np.testing.assert_array_equal(resumed.covariance(), whole.covariance())
         np.testing.assert_array_equal(resumed.class_rows()[1], whole.class_rows()[1])
 
-    def test_resume_at_a_random_block_boundary_is_bitwise(self, tmp_path):
-        """Over random shapes, class counts and block cuts, a run saved at a random block boundary, loaded and
-        finished holds exactly the state of the uninterrupted run."""
+    @pytest.mark.parametrize("form", FORMS)
+    def test_resume_at_a_random_block_boundary_is_bitwise(self, tmp_path, monkeypatch, form):
+        """Over random shapes, class counts and block cuts, a run saved at
+        a random block boundary, loaded and finished holds exactly the
+        state of the uninterrupted run, its scatter in either form."""
+        bound = in_form(form, monkeypatch)
         rng = np.random.default_rng(35)
         path = tmp_path / "resume.rdck"
         for trial in range(30):
@@ -659,13 +748,14 @@ class TestBlocked:
             bounds = [0, *cuts, n]
             stop = bounds[int(rng.integers(1, len(bounds)))]
 
-            whole = feed_blocks(StreamingEstimator(e, CLASSES), X, y, cuts)
-            first = raw_model(e)
+            whole = feed_blocks(StreamingEstimator(e, CLASSES, rank_bound=bound(y)), X, y, cuts)
+            first = raw_model(e, rank_bound=bound(y))
             feed_blocks(first.estimator, X[:stop], y[:stop], [c for c in cuts if c < stop])
             rest = [c - stop for c in cuts if c > stop]
             resumed = feed_blocks(reload(first, path), X[stop:], y[stop:], rest)
             assert resumed.total_count == whole.total_count == n
             np.testing.assert_array_equal(resumed.class_rows()[0], whole.class_rows()[0])
+            assert resumed._scatter.ndim == whole._scatter.ndim == (2 if form == "factor" else 1)
             np.testing.assert_array_equal(resumed._scatter, whole._scatter)
             np.testing.assert_array_equal(resumed.class_rows()[1], whole.class_rows()[1])
             if n >= 2:
