@@ -34,6 +34,7 @@ from scipy.linalg.blas import dgemm
 from . import data_io
 from .errors import (
     ConfigurationError,
+    DataError,
     DataFormatError,
     EmptyModelError,
     ModelStateError,
@@ -239,7 +240,8 @@ class StreamingClassifier:
     def predict_batch(self, X_raw: np.ndarray) -> np.ndarray:
         """Labels for rows of raw inputs, embedded in one block as handed
         in (the caller bounds it) and ranked by the linear discriminant
-        (module docstring)."""
+        (module docstring).  A row with a non-finite entry has no label:
+        it raises a DataError whose ``row`` is its index in the block."""
         self._require_finalized()
         X_raw = np.asarray(X_raw)
         if X_raw.ndim != 2 or X_raw.shape[1] != self.config.raw_input_dim:
@@ -247,6 +249,9 @@ class StreamingClassifier:
                 f"expected (n, {self.config.raw_input_dim}) inputs, "
                 f"got shape {X_raw.shape}"
             )
+        if not np.isfinite(X_raw).all():
+            row = int(np.argmin(np.isfinite(X_raw).all(axis=1)))
+            raise DataError(f"input row {row} contains non-finite values", row=row)
         phi = self._embed(X_raw).astype(np.float64, copy=False)
         # phi W as (W^T phi^T)^T in scipy's BLAS: W (E x C) and phi^T are
         # F-contiguous views, so f2py copies nothing.

@@ -294,7 +294,7 @@ def write_feature_file(
         )
     if not np.isfinite(vectors).all():
         raise DataError("feature vectors contain non-finite values")
-    _refuse_fractional_labels(labels, str(path))
+    refuse_fractional_labels(labels, str(path))
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= 2**32:
         raise DataError("labels must fit in an unsigned 32-bit integer")
     n, dim = vectors.shape
@@ -626,7 +626,7 @@ def _refuse_labels_past(y: np.ndarray, num_classes: int, split: str) -> None:
         )
 
 
-def _refuse_fractional_labels(y: np.ndarray, split: str) -> None:
+def refuse_fractional_labels(y: np.ndarray, split: str) -> None:
     """Raise DataError naming ``split``, the first index and the label when
     a label of ``y`` is not a finite whole number: the cast to integer
     labels would truncate it without a word."""
@@ -659,7 +659,7 @@ def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
         if not finite.all():
             i = int(np.argmin(finite))
             raise DataError(f"{part} vector at index {i} is not finite", row=i)
-        _refuse_fractional_labels(y, part)
+        refuse_fractional_labels(y, part)
         if (y < 0).any():
             i = int(np.argmax(y < 0))
             raise DataError(f"{part} label at index {i} is {y[i]}; labels must be >= 0", row=i)

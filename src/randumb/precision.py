@@ -26,23 +26,25 @@ A = shrunk + lambda I.
   (``packed_shrinkage``).  ``PrecisionModel`` scales the vector to
   beta P in place, puts alpha onto its diagonal and takes an RFP
   Cholesky factor of it (dpftrf, E^3 / 3 flops); solves are dpftrs.
-* factor: L (E x q) with L L^T = P, q <= n - k.  tr(S) is ||L||_F^2 and
-  tr(S^2) is ||L^T L||_F^2, each over n - 1 (``factor_shrinkage``), so
-  L is only read.  ``PrecisionModel`` solves by Woodbury,
-  A^{-1} b = (b - beta L K^{-1} L^T b) / alpha with
-  K = alpha I_q + beta L^T L, and log det A = (E - q) log alpha +
-  log det K: E q^2 flops.
+* factor: L (E x q) with L L^T = P, q <= n - k, as the estimator holds
+  it: P's eigenvectors scaled by the square roots of its eigenvalues
+  s_i = ||l_i||^2, so L's columns are orthogonal.  tr(S) is sum(s) and
+  tr(S^2) is s.s, each over n - 1 (``factor_shrinkage``), so L is only
+  read.  ``PrecisionModel`` solves by Woodbury with the diagonal inner
+  matrix D = alpha I_q + beta diag(s), A^{-1} b = (b - beta L D^{-1}
+  L^T b) / alpha, and log det A = (E - q) log alpha + log det D: E q
+  flops per right-hand side.
 
 ``low_rank_fits`` is the rule that picks the form when the estimator is
 built, from E, the stream's rank bound r = n - k and the C columns of
 the discriminant solve alone: the factor form whenever
 8 (r + 2 C) <= E + 1, where it is the faster one (see the README's
-table).  Its finalize then allocates K (r x r) and at most two E x C
-blocks.  The packed form's finalize allocates under 5% of the
-accumulator on top, besides the copy of a read-only vector.  Nothing
-E x E is mirrored, scanned or allocated on either path.  Every kernel
-is scipy's (``scipy.linalg.blas`` and ``.lapack``), so a run uses one
-OpenBLAS and one thread pool.
+table).  Its finalize then allocates at most two E x C blocks.  The
+packed form's finalize allocates under 5% of the accumulator on top,
+besides the copy of a read-only vector.  Nothing E x E is mirrored,
+scanned or allocated on either path.  Every kernel is scipy's
+(``scipy.linalg.blas`` and ``.lapack``), so a run uses one OpenBLAS and
+one thread pool.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm, dsyrk
-from scipy.linalg.lapack import dpftrf, dpftrs, dpotrf, dpotrs, dtrttf
+from scipy.linalg.blas import ddot, dgemm
+from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
 
 from .errors import DataError, NumericalError, ShapeError
 
@@ -156,26 +158,20 @@ def low_rank_fits(e: int, max_rank: int, num_classes: int) -> bool:
     solved against C = ``num_classes`` columns, is held as a factor
     (module docstring): when 8 (r + 2 C) <= E + 1, so that L (E x r) and
     two E x C blocks, 8 E (r + 2 C) bytes, are at most a quarter of the
-    packed accumulator's 4 E (E + 1).  Up to there the factor's finalize
-    is the faster one."""
+    packed accumulator's 4 E (E + 1).  Up to there the factor form's
+    observe plus finalize is the faster one (README's table)."""
     return 8 * (max_rank + 2 * num_classes) <= e + 1
 
 
 def factor_shrinkage(L: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, float]:
-    """(rho, mu) of S = L L^T / denom without writing to ``L``, from the
-    upper triangle of its Gram L^T L: tr(S) = ||L||_F^2 / denom is the
-    Gram's trace, and tr(S^2) = ||L^T L||_F^2 / denom^2 counts its strict
-    upper triangle twice.  A non-finite or overflowing ``L`` raises
+    """(rho, mu) of S = L L^T / denom without writing to ``L``, whose
+    columns are orthogonal (``PrecisionModel``): s_i = ||l_i||^2 are the
+    scatter's nonzero eigenvalues, so tr(S) = sum(s) / denom and
+    tr(S^2) = s.s / denom^2.  A non-finite or overflowing ``L`` raises
     NumericalError here."""
-    e, q = L.shape
-    tr_s = tr_s2 = 0.0
-    if q:
-        gram = dsyrk(1.0, L, trans=1)
-        d = gram.diagonal()
-        g = gram.ravel()
-        tr_s = float(d.sum()) / denom
-        tr_s2 = (2.0 * ddot(g, g) - ddot(d, d)) / (denom * denom)
-    return _oas(tr_s, tr_s2, e, n)
+    s = np.einsum("ij,ij->j", L, L)
+    tr_s2 = ddot(s, s) / (denom * denom) if s.size else 0.0
+    return _oas(float(s.sum()) / denom, tr_s2, L.shape[0], n)
 
 
 def _check_symmetric(S: np.ndarray) -> None:
@@ -230,10 +226,11 @@ class PrecisionModel:
     ``factor_rank`` E): the vector is scaled and ridged in place and the
     factor takes it over; a read-only vector is copied first.
 
-    Factor, L (E x q) with P = L L^T: L is only read, and K = ridge I_q +
-    scale L^T L is factored.  ``factor_rank`` counts the columns whose
-    scale ||l_i||^2 exceeds E eps times the largest, which is P's
-    numerical rank when L^T L is diagonal, as the estimator's is.
+    Factor, L (E x q) with P = L L^T and orthogonal columns, as the
+    estimator holds it: L is only read, and is trusted to be that
+    eigen-factor.  With d_i = scale ||l_i||^2, A is ridge + d_i along
+    column i and ridge on the rest.  ``factor_rank`` counts the columns
+    whose d_i exceeds E eps times the largest, P's numerical rank.
     """
 
     def __init__(self, state: np.ndarray, ridge: float, scale: float = 1.0):
@@ -271,8 +268,8 @@ class PrecisionModel:
         self.log_det = float(2.0 * np.log(self._factor[diag]).sum())
 
     def _factor_low_rank(self, L: np.ndarray, beta: float) -> None:
-        """The Cholesky factor of K = ridge I_q + beta L^T L, beta the
-        scale (class docstring)."""
+        """d_i = beta ||l_i||^2, beta the scale: A is ridge + d_i along L's
+        column i and ridge on the rest (class docstring)."""
         (e, q), alpha = L.shape, self.ridge
         if not alpha > 0:
             raise NumericalError(
@@ -280,24 +277,15 @@ class PrecisionModel:
                 "scaled-identity part (shrinkage target plus ridge) is 0",
                 pivot_index=0,
             )
-        self._low_rank, self._scale = L, beta
-        self.factor_rank, log_det_k = 0, 0.0
-        if q:
-            K = dsyrk(beta, L, trans=1)
-            d = K.diagonal()
-            if not np.isfinite(K).all():
-                raise NumericalError(
-                    "factorization rejected the matrix: it contains non-finite values"
-                )
-            self.factor_rank = int(np.count_nonzero(d > e * np.finfo(np.float64).eps * d.max()))
-            K[np.diag_indices(q)] += alpha
-            self._factor, info = dpotrf(K, overwrite_a=1)
-            if info != 0:
-                raise NumericalError(
-                    f"factorization rejected the low-rank factor's inner matrix (info={info})"
-                )
-            log_det_k = 2.0 * float(np.log(self._factor.diagonal()).sum())
-        self.log_det = (e - q) * math.log(alpha) + log_det_k
+        d = beta * np.einsum("ij,ij->j", L, L)
+        if not np.isfinite(d).all():
+            raise NumericalError(
+                "factorization rejected the matrix: it contains non-finite values"
+            )
+        floor = e * np.finfo(np.float64).eps * d.max(initial=0.0)
+        self.factor_rank = int(np.count_nonzero(d > floor))
+        self._low_rank, self._weights = L, beta / (alpha + d)
+        self.log_det = (e - q) * math.log(alpha) + float(np.log(alpha + d).sum())
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A z = b for one vector or a column stack."""
@@ -310,14 +298,12 @@ class PrecisionModel:
         stack = b.reshape(len(b), -1)
         if self._low_rank is None:
             z, info = dpftrs(self.embed_dim, self._factor, stack, **RFP)
-        elif self._low_rank.shape[1] == 0:
-            z, info = stack / self.ridge, 0
+            if info != 0:
+                raise NumericalError(f"solve rejected argument {-info}")
         else:
-            # Woodbury: z = (b - beta L K^{-1} L^T b) / alpha
+            # Woodbury: z = (b - L ((beta / (ridge + d)) * L^T b)) / ridge
             L = self._low_rank
-            y, info = dpotrs(self._factor, dgemm(1.0, L, stack, trans_a=1), overwrite_b=1)
-            z = dgemm(-self._scale, L, y, 1.0, stack)
+            y = dgemm(1.0, L, stack, trans_a=1) * self._weights[:, None]
+            z = dgemm(-1.0, L, y, 1.0, stack)
             z /= self.ridge
-        if info != 0:
-            raise NumericalError(f"solve rejected argument {-info}")
         return z.reshape(b.shape)

@@ -58,6 +58,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import dsfrk, dsyevd, dtfttr
 
+from .data_io import refuse_fractional_labels
 from .errors import (
     DataError,
     DataFormatError,
@@ -163,10 +164,11 @@ class StreamingEstimator:
 
         ``phi`` is one embedding of length E with one label, or a block
         of shape (m, E) with m labels.  A block is validated whole before
-        any state changes; a non-finite row, or a label outside 0..C-1,
-        raises a DataError whose ``row`` is that row's index in the block,
-        and on the factor form a block that would take the scatter's rank
-        past the bound raises ModelStateError.
+        any state changes; a non-finite row, or a label that is not a
+        whole number in 0..C-1, raises a DataError whose ``row`` is that
+        row's index in the block, and on the factor form a block that
+        would take the scatter's rank past the bound raises
+        ModelStateError.
         """
         if self.track_scatter and self._scatter is None:
             raise ModelStateError(
@@ -181,12 +183,14 @@ class StreamingEstimator:
                 f"expected an embedding of length {self.embed_dim} or a block "
                 f"of them, got shape {phi.shape}"
             )
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        labels = np.asarray(labels).reshape(-1)
         if labels.shape != (phi.shape[0],):
             raise ShapeError(
                 f"a block of {phi.shape[0]} embeddings needs as many labels, "
                 f"got {labels.size}"
             )
+        refuse_fractional_labels(labels, "block")
+        labels = labels.astype(np.int64, copy=False)
         if not np.isfinite(phi).all():
             raise DataError(
                 "embedded sample contains non-finite values",

@@ -11,6 +11,7 @@ from conftest import assert_refused, gaussian_blobs, paired_halves
 from randumb import streaming as streaming_module
 from randumb import (
     ConfigurationError,
+    DataError,
     EmptyModelError,
     FeatureMap,
     FeatureMapSpec,
@@ -323,23 +324,26 @@ class TestDecisionRule:
         )
 
 
+def variant_config(variant):
+    """A model of ``variant`` on 6-dimensional inputs."""
+    if variant in ("randumb", "kernel_ncm"):
+        return fourier_config(variant, input_dim=6)
+    if variant == "rp_relu":
+        return ModelVariant(
+            variant="rp_relu",
+            num_classes=CLASSES,
+            embedding=relu_spec(6, 24, 2),
+            ridge=1e-4,
+        )
+    return raw_config(variant, input_dim=6)
+
+
 class TestBatchAgreement:
     @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
     def test_predict_batch_matches_single(self, variant):
         rng = np.random.default_rng(13)
         X, y = gaussian_blobs(rng, num_classes=5, dim=6, per_class=40)
-        if variant in ("randumb", "kernel_ncm"):
-            config = fourier_config(variant, input_dim=6)
-        elif variant == "rp_relu":
-            config = ModelVariant(
-                variant="rp_relu",
-                num_classes=CLASSES,
-                embedding=relu_spec(6, 24, 2),
-                ridge=1e-4,
-            )
-        else:
-            config = raw_config(variant, input_dim=6)
-        model = fit(config, X, y)
+        model = fit(variant_config(variant), X, y)
         # More rows than one scoring block, so the batch crosses a cut.
         T = rng.standard_normal((BLOCK_ROWS + 73, 6)).astype(np.float32)
         batch = model.predict_batch(T)
@@ -369,6 +373,20 @@ class TestBatchAgreement:
         batch = model.predict_batch(T)
         singles = np.concatenate([model.predict_batch(t[None, :]) for t in T])
         np.testing.assert_array_equal(batch, singles)
+
+    @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "slda", "ncm", "rp_relu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_gets_no_label(self, variant, bad):
+        """A row with a NaN or infinite entry is refused by its index in
+        the block, as observe refuses it, rather than scored."""
+        rng = np.random.default_rng(14)
+        X, y = gaussian_blobs(rng, num_classes=5, dim=6, per_class=40)
+        model = fit(variant_config(variant), X, y)
+        T = rng.standard_normal((8, 6)).astype(np.float32)
+        T[5, 2] = bad
+        with pytest.raises(DataError, match="row 5") as info:
+            model.predict_batch(T)
+        assert info.value.row == 5
 
     def test_predict_batch_shape_check(self):
         rng = np.random.default_rng(1)

@@ -26,6 +26,13 @@ def random_spd(rng, e, n=None):
     return A.T @ A / n
 
 
+def eigen_factor(rng, e, sigma):
+    """L = U diag(sigma), U (E x len(sigma)) with orthonormal columns: a
+    factor with orthogonal columns, as the estimator holds the scatter."""
+    U = np.linalg.qr(rng.standard_normal((e, len(sigma))))[0]
+    return U * np.asarray(sigma)
+
+
 class TestOasShrink:
     def test_scaled_identity_maps_to_itself(self):
         """mu equals the diagonal value, so the convex combination is a
@@ -346,11 +353,14 @@ class TestLowRankPrecision:
         # the boundary: 8 (r + 2 C) against E + 1
         assert low_rank_fits(47, 2, 2) and not low_rank_fits(46, 2, 2)
 
+    # four orders of magnitude and two zero columns: rank 5 of 7 columns
+    SIGMA = (10.0, 3.0, 0.1, 0.02, 1e-3, 0.0, 0.0)
+
     @pytest.mark.parametrize("e", [60, 61])
     def test_solves_and_log_det_match_the_dense_matrix(self, e):
-        """A rank-5 P handed over as its factor F (E x 5), only read."""
+        """A rank-5 P handed over as its eigen-factor L (E x 7), only read."""
         rng = np.random.default_rng(43)
-        F = rng.standard_normal((e, 5))
+        F = eigen_factor(rng, e, self.SIGMA)
         before = F.copy()
         model = PrecisionModel(F, 0.3, 0.7)
         np.testing.assert_array_equal(F, before)
@@ -393,6 +403,16 @@ class TestLowRankPrecision:
         assert model.log_det == pytest.approx(40 * np.log(2.0), rel=1e-15)
         np.testing.assert_array_equal(model.solve(np.arange(40.0)), np.arange(40.0) / 2.0)
 
+    def test_no_columns_is_the_scaled_identity(self):
+        """q = 0 (one sample per class): A = ridge I, and S is 0."""
+        L = np.zeros((40, 0))
+        model = PrecisionModel(L, 2.0, 0.7)
+        assert model.factor_rank == 0
+        assert model.log_det == pytest.approx(40 * np.log(2.0), rel=1e-15)
+        b = np.arange(80.0).reshape(40, 2)
+        np.testing.assert_array_equal(model.solve(b), b / 2.0)
+        assert factor_shrinkage(L, 20, 19.0) == (1.0, 0.0)
+
     def test_zero_alpha_and_non_finite_diagonal_refused(self):
         F = np.random.default_rng(48).standard_normal((40, 3))
         with pytest.raises(NumericalError, match="not positive definite"):
@@ -404,7 +424,7 @@ class TestLowRankPrecision:
     def test_shrinkage_only_reads_the_vector(self):
         """Either form's traces leave the state as it was, and agree."""
         rng = np.random.default_rng(44)
-        F = rng.standard_normal((31, 6))
+        F = eigen_factor(rng, 31, (4.0, 2.5, 1.0, 0.3, 0.01, 0.0))
         a = pack_upper(F @ F.T)
         before = a.copy(), F.copy()
         packed = packed_shrinkage(a, 20, 19.0)

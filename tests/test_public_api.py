@@ -112,12 +112,14 @@ def test_one_factor_interface():
     """PrecisionModel's representation follows from the state it is
     handed: the in-place shrink, the ``low_rank``, ``max_rank`` and
     ``num_rhs`` arguments, the pivoted Cholesky's RFP column reader and
-    finalize's copy of the rule are gone."""
+    finalize's copy of the rule are gone, and the factor form's finalize
+    forms no Gram and factors no inner matrix."""
     assert not hasattr(precision, "shrink_packed")
     assert not hasattr(precision, "_rfp_column")
     assert not hasattr(classifier, "low_rank_fits")
     parameters = inspect.signature(precision.PrecisionModel).parameters
     assert not {"low_rank", "max_rank", "num_rhs"} & set(parameters)
+    assert not {"dsyrk", "dpotrf", "dpotrs"} & set(vars(precision))
 
 
 def test_the_rule_is_called_where_the_form_is_picked():

@@ -317,6 +317,20 @@ class TestClassRows:
             est.observe(np.zeros(3), bad)
         assert info.value.row == 0
 
+    def test_fractional_label_names_its_row_and_leaves_state(self):
+        """A label that is not a whole number is refused, not truncated."""
+        est = StreamingEstimator(3, 3)
+        est.observe(np.ones((2, 3)), [0, 1])
+        before = est.scatter()
+        for labels, row in (([1.0, 1.5], 1), ([0.7, 1.0], 0), ([2.0, np.nan], 1)):
+            with pytest.raises(DataError, match="whole numbers") as info:
+                est.observe(np.ones((2, 3)), labels)
+            assert info.value.row == row
+        assert est.class_rows()[0].tolist() == [1, 1, 0]
+        np.testing.assert_array_equal(est.scatter(), before)
+        est.observe(np.ones((2, 3)), np.array([2.0, 0.0]))
+        assert est.class_rows()[0].tolist() == [2, 1, 1]
+
     def test_observe_allocates_the_stack_and_a_few_vectors(self):
         """A float32 block is scattered straight into the float64 stack
         of the rank-k update: no float32 sorted copy, no held mean-shift
