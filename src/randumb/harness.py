@@ -204,9 +204,9 @@ class RunResult:
     ``state_bytes`` is the nbytes of the statistics' own arrays at the
     end of the stream (``StreamingEstimator.state_nbytes``: the C class
     means and counts, 8*C*(E+1) bytes, and the scatter in the form the
-    run holds, the packed accumulator's 4*E*(E+1) bytes or the factor's
-    8*E*(n-k), see ``check_memory_cap``).  ``peak_rss_bytes`` is
-    measured: the process's resident-set high-water mark (``getrusage``
+    run holds, the packed accumulator's 4*E*(E+1) bytes or the factor
+    buffer's 8*E*(n-k+C), see ``check_memory_cap``).  ``peak_rss_bytes``
+    is measured: the process's resident-set high-water mark (``getrusage``
     ``ru_maxrss``) when the run ends, which also counts the interpreter,
     the raw data and whatever the process held before the run.
     ``factor_rank`` is the rank of the final factor: E when finalize
@@ -287,19 +287,20 @@ def check_memory_cap(
     each: 8*C*(E+1) bytes.  A covariance-tracking run also holds the
     scatter in the form the estimator picks from ``max_rank``, the
     scatter's rank bound n - k at the end of the stream: where
-    ``low_rank_fits`` holds for it, the float64 factor, 8*E*(n-k) bytes,
-    which snapshots only read; otherwise the packed accumulator, the
-    4*E*(E+1) bytes of the scatter's upper triangle, and with
-    eval_every > 0 each dense snapshot factors a copy of it as well, so
-    it holds two.
+    ``low_rank_fits`` holds for it, the float64 factor's buffer,
+    8*E*(n-k+C) bytes (L and the C spare columns each block's rows pass
+    through), which snapshots only read; otherwise the packed
+    accumulator, the 4*E*(E+1) bytes of the scatter's upper triangle,
+    and with eval_every > 0 each dense snapshot factors a copy of it as
+    well, so it holds two.
     """
     c, e = model_config.num_classes, model_config.embed_dim
     rows = 8 * c * (e + 1)
     what = f"8*C*(E+1) = {rows} for the class rows"
     needed = rows
     if model_config.needs_precision and low_rank_fits(e, max_rank, c):
-        needed += 8 * e * max_rank
-        what += f" and 8*E*(n-k) = {needed - rows} for the float64 scatter factor"
+        needed += 8 * e * (max_rank + c)
+        what += f" and 8*E*(n-k+C) = {needed - rows} for the float64 scatter factor"
     elif model_config.needs_precision:
         copies = 2 if eval_every > 0 else 1
         needed += copies * 4 * e * (e + 1)

@@ -156,10 +156,12 @@ def packed_shrinkage(a: np.ndarray, n: int, denom: float = 1.0) -> tuple[float, 
 def low_rank_fits(e: int, max_rank: int, num_classes: int) -> bool:
     """Whether the scatter of a stream whose rank is at most ``max_rank``,
     solved against C = ``num_classes`` columns, is held as a factor
-    (module docstring): when 8 (r + 2 C) <= E + 1, so that L (E x r) and
-    two E x C blocks, 8 E (r + 2 C) bytes, are at most a quarter of the
-    packed accumulator's 4 E (E + 1).  Up to there the factor form's
-    observe plus finalize is the faster one (README's table)."""
+    (module docstring): when 8 (r + 2 C) <= E + 1, so that the factor's
+    E x (r + C) buffer (L and the C spare columns a block's rows pass
+    through) and one more E x C block, 8 E (r + 2 C) bytes, are at most
+    a quarter of the packed accumulator's 4 E (E + 1).  Up to there the
+    factor form's observe plus finalize is the faster one (README's
+    table)."""
     return 8 * (max_rank + 2 * num_classes) <= e + 1
 
 

@@ -34,17 +34,25 @@ built and kept through checkpoints.
   rank-k update (dsfrk).
 * factor: given the stream's rank bound b (its rows less its classes),
   where ``precision.low_rank_fits(E, b, C)`` holds, an E x b matrix L
-  with L L^T = scatter.  After t samples of k_t classes the scatter has
-  rank at most t - k_t <= b, so only the first t - k_t columns of L, its
-  active width, are ever nonzero.  Each block takes the Gram of
-  W = [L, Z^T] (active columns only) with one dsyrk and its largest
-  eigenpairs with LAPACK's dsyevd, and sets L <- W V with one dgemm, V
-  the eigenvectors of the new active width in descending order (thin-SVD
-  updating; Brand, Linear Algebra Appl. 415, 2006).  So L is the
-  scatter's eigenvectors scaled by the square roots of its eigenvalues:
-  L^T L is diagonal and non-increasing, and L is a function of the
-  scatter alone up to column signs.  A block that would take the rank
-  past b is refused.
+  with L L^T = scatter, held in an F-ordered E x (b + C) buffer.  After
+  t samples of k_t classes the scatter has rank at most t - k_t <= b,
+  so only the first t - k_t columns, L's active width, are nonzero
+  between blocks.  A block writes its centred and mean-shift rows Z
+  straight into the columns after the active ones, so the buffer's
+  first columns are W = [L, Z^T].  They fit: the block leaves the width
+  t' - k_t' <= b and adds one column beyond it per class it holds,
+  since each such class is either new or gets a mean shift.  The Gram
+  of W is diag(||l_i||^2) on L's block, since L's columns are
+  orthogonal, L^T Z^T (one dgemm) beside it and Z Z^T (one dsyrk) below;
+  LAPACK's dsyevd gives its eigenpairs, and W V overwrites W one row
+  panel at a time, V the eigenvectors of the new active width in
+  descending order (thin-SVD updating; Brand, Linear Algebra Appl. 415,
+  2006).  The columns past the new width are zeroed, so no row outlives
+  its block and nothing E-tall is allocated beside the buffer.  So L is
+  the scatter's eigenvectors scaled by the square roots of its
+  eigenvalues: L^T L is diagonal and non-increasing, and L is a
+  function of the scatter alone up to column signs.  A block that would
+  take the rank past b is refused.
 
 ``scatter_state`` hands the form over as held (the vector, or L's
 active columns), or lends it read-only, for finalize to shrink and
@@ -71,6 +79,11 @@ from .errors import (
 from .precision import RFP, low_rank_fits, packed_size
 
 _MIRROR_BLOCK = 256
+
+# Rows of W per panel of the factor update's write-back: a panel's
+# temporaries are 512 x q, about 1 MiB each at a q of a few hundred
+# columns, and never E-tall.
+_ROTATE_ROWS = 512
 
 
 def _mirror_upper(a: np.ndarray) -> np.ndarray:
@@ -133,8 +146,9 @@ class StreamingEstimator:
         scatter entirely.
     rank_bound : the stream's rows less its classes, a bound on the
         scatter's rank (None: no bound).  Where ``low_rank_fits`` holds
-        for it, the scatter is held as an E x rank_bound factor, and
-        packed otherwise (module docstring).
+        for it, the scatter is held as an E x rank_bound factor in an
+        E x (rank_bound + C) buffer, and packed otherwise (module
+        docstring).
     """
 
     def __init__(
@@ -153,7 +167,7 @@ class StreamingEstimator:
         if track_scatter and rank_bound is not None and low_rank_fits(
             embed_dim, rank_bound, num_classes
         ):
-            self._scatter = np.zeros((embed_dim, rank_bound), order="F")
+            self._scatter = np.zeros((embed_dim, rank_bound + num_classes), order="F")
         elif track_scatter:
             self._scatter = np.zeros(packed_size(embed_dim), dtype=np.float64)
 
@@ -212,24 +226,29 @@ class StreamingEstimator:
         cuts = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
         starts, stops = [0, *cuts], [*cuts, m]
         factor = self.track_scatter and self._scatter.ndim == 2
-        lead = width = 0
+        seen = int(np.count_nonzero(self._counts[labels[starts]]))
+        lead = 0
         if factor:
             lead = self._active_width()
-            width = lead + m - int(np.count_nonzero(self._counts[labels[starts]] == 0))
-            bound = self._scatter.shape[1]
+            width = lead + m - (len(starts) - seen)
+            bound = self._rank_bound()
             if width > bound:
                 raise ModelStateError(
                     f"this block would raise the scatter's rank to {width}, past "
                     f"the rank bound {bound} its factor was built for"
                 )
         # The sorted rows are scattered straight into z, whose last rows
-        # hold the mean-shift terms; a mean-only estimator needs neither
-        # those nor centred rows.  z is the tail of the F-ordered work
-        # matrix, whose first ``lead`` columns take the factor's active
-        # columns: W = [L, Z^T].
-        shifts = len(starts) if self.track_scatter else 0
-        work = np.empty((self.embed_dim, lead + m + shifts), order="F")
-        z = work[:, lead:].T
+        # hold the mean-shift terms, one per class seen before; a
+        # mean-only estimator needs neither those nor centred rows.  On
+        # the factor form z^T is the buffer's columns after L's active
+        # ones, so W = [L, Z^T] is its first lead + m + shifts columns:
+        # that is width plus one column per class in the block, within
+        # the rank bound plus the C spare columns.
+        shifts = seen if self.track_scatter else 0
+        if factor:
+            z = self._scatter[:, lead : lead + m + shifts].T
+        else:
+            z = np.empty((self.embed_dim, m + shifts), order="F").T
         rows = z[:m]
         rows[np.argsort(order)] = phi
 
@@ -245,33 +264,57 @@ class StreamingEstimator:
             self._counts[c] += stop - start
 
         if factor:
-            work[:, :lead] = self._scatter[:, :lead]
-            self._rotate(work[:, : lead + stacked], width)
+            self._rotate(lead, lead + stacked, width)
         elif self.track_scatter:
-            # z[:stacked].T is Fortran-ordered, so it reaches LAPACK without a copy.
+            # z.T is Fortran-ordered, so it reaches LAPACK without a copy.
             dsfrk(
-                self.embed_dim, stacked, 1.0, z[:stacked].T, 1.0, self._scatter,
+                self.embed_dim, stacked, 1.0, z.T, 1.0, self._scatter,
                 trans="N", overwrite_c=1, **RFP,
             )
 
-    def _rotate(self, w: np.ndarray, width: int) -> None:
-        """Set the factor's first ``width`` columns to W V, V the
+    def _rotate(self, lead: int, q: int, width: int) -> None:
+        """Set the factor's first ``width`` columns to W V and zero the
+        rest of W, the buffer's first ``q`` columns [L, Z^T]: V holds the
         eigenvectors of the ``width`` largest eigenvalues of W^T W, in
-        descending order (module docstring)."""
+        descending order (module docstring).
+
+        L's ``lead`` columns are orthogonal, so the Gram's leading block
+        is diag(||l_i||^2); only L^T Z^T (one dgemm) and Z Z^T (one
+        dsyrk) are formed.  W V is written back over W one row panel at
+        a time, each panel of _ROTATE_ROWS rows its own temporary."""
         if width == 0:
+            # every row was a new class's only one, so W is zero already
             return
-        L = self._scatter
-        gram = dsyrk(1.0, w, trans=1)
+        w = self._scatter[:, :q]
+        gram = np.zeros((q, q), order="F")
+        zt = w[:, lead:]
+        if lead:
+            L = w[:, :lead]
+            diagonal = np.arange(lead)
+            gram[diagonal, diagonal] = np.einsum("ij,ij->j", L, L)
+            gram[:lead, lead:] = dgemm(1.0, L, zt, trans_a=1)
+        gram[lead:, lead:] = dsyrk(1.0, zt, trans=1)
         if not np.isfinite(gram).all():
             # rows whose products overflow: the factor holds no number, so
             # finalize refuses it as the packed form's overflow
-            L[:, :width] = np.nan
+            w[:, :width] = np.nan
+            w[:, width:] = 0.0
             return
         _, v, info = dsyevd(gram, overwrite_a=1)
         if info != 0:
             raise NumericalError(f"the eigensolver rejected the block's Gram matrix (info={info})")
-        # dsyevd returns the eigenpairs in ascending order
-        dgemm(1.0, w, v[:, ::-1][:, :width], c=L[:, :width], overwrite_c=1)
+        # dsyevd returns the eigenpairs in ascending order; a row of W V
+        # reads only that row of W, so each panel is written in place
+        top = v[:, q - width :]
+        for i0 in range(0, self.embed_dim, _ROTATE_ROWS):
+            panel = w[i0 : i0 + _ROTATE_ROWS]
+            panel[:, :width] = dgemm(1.0, panel, top)[:, ::-1]
+            panel[:, width:] = 0.0
+
+    def _rank_bound(self) -> int:
+        """The factor's rank bound: its buffer's width less the C spare
+        columns a block's rows pass through."""
+        return self._scatter.shape[1] - len(self._counts)
 
     def _active_width(self) -> int:
         """Columns of the factor that may be nonzero: the samples seen less
@@ -341,8 +384,8 @@ class StreamingEstimator:
 
     def state_nbytes(self) -> int:
         """Bytes held by the statistics: the C counts and mean rows and the
-        scatter in its form (the packed accumulator, or the E x b factor),
-        constant from construction on."""
+        scatter in its form (the packed accumulator, or the factor's
+        E x (b + C) buffer), constant from construction on."""
         arrays = (self._counts, self._means, self._scatter)
         return sum(a.nbytes for a in arrays if a is not None)
 
@@ -358,12 +401,14 @@ class StreamingEstimator:
         """The statistics as a checkpoint stores them: the arrays
         themselves, not copies.  The form names the scatter's array:
         'scatter' for the packed vector, 'scatter_factor' for L^T, whose
-        rows are the F-ordered factor's columns (b x E, C-ordered)."""
+        rows are the F-ordered buffer's first b columns (b x E,
+        C-ordered; the C spare columns are zero between blocks and not
+        stored)."""
         arrays = {"class_counts": self._counts, "class_means": self._means}
         if self.track_scatter:
             self._require_scatter()
             if self._scatter.ndim == 2:
-                arrays["scatter_factor"] = self._scatter.T
+                arrays["scatter_factor"] = self._scatter[:, : self._rank_bound()].T
             else:
                 arrays["scatter"] = self._scatter
         return arrays
@@ -376,7 +421,9 @@ class StreamingEstimator:
         without a copy, in the form its scatter array names.  A missing
         or misshapen array, one the settings do not use, counts that are
         not integers or a negative count, and a factor narrower than the
-        counts' rank bound raise DataFormatError naming the array."""
+        counts' rank bound raise DataFormatError naming the array.  A
+        stored factor's b rows are copied once into a new E x (b + C)
+        buffer, which adds the C spare columns."""
         # Built without a scatter: the stored one is adopted below rather
         # than allocated a second time.
         est = cls(embed_dim, num_classes, track_scatter=False)
@@ -410,7 +457,8 @@ class StreamingEstimator:
                     f"at least {est._active_width()} rows, the samples less the classes its "
                     f"counts hold"
                 )
-            est._scatter = np.asfortranarray(rows.T, dtype=np.float64)
+            est._scatter = np.zeros((embed_dim, len(rows) + num_classes), order="F")
+            est._scatter[:, : len(rows)] = rows.T
         elif track_scatter:
             est._scatter = stored["scatter"].astype(np.float64, copy=False)
         return est

@@ -309,8 +309,8 @@ class TestContractGates:
         """Built with its rank bound at the rule's edge (E=2048, 246
         samples of 10 classes), a model holds the scatter as its factor
         from construction through observe and a consuming finalize, and
-        never allocates the 4*E*(E+1)-byte packed vector: the peak is L,
-        one block's work matrix and the finalize's scratch."""
+        never allocates the 4*E*(E+1)-byte packed vector: the peak is L's
+        buffer, one block's temporaries and the finalize's scratch."""
         e, c, n = 2048, 10, 246
         rng = np.random.default_rng(27)
         X = rng.standard_normal((n, e))
@@ -331,6 +331,29 @@ class TestContractGates:
             tracemalloc.stop()
         assert model.factor_rank == n - c
         assert peak < 4 * e * (e + 1), f"the run allocated {peak} bytes"
+
+    def test_factor_update_holds_no_copy_of_the_factor(self):
+        """Each block's rows go into the factor buffer's spare columns and
+        W V is written back one row panel at a time, so at E=8192 the
+        observe calls allocate, beyond the buffer built before them, under
+        half of one E x q float64 matrix, q = lead + m + shifts the widest
+        block's columns [L, Z^T]: 70-row blocks of all 10 classes give
+        q = 70, 140 and 210."""
+        e, c, n, m = 8192, 10, 210, 70
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((n, e))
+        y = np.arange(n) % c
+        est = StreamingEstimator(e, c, rank_bound=n - c)
+        assert est._scatter.shape == (e, n)
+        tracemalloc.start()
+        try:
+            for start in range(0, n, m):
+                est.observe(X[start : start + m], y[start : start + m])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        q = (n - m - c) + m + c  # the last block's lead + m + shifts
+        assert peak < 0.5 * 8 * e * q, f"observe allocated {peak} bytes"
 
     def test_state_size_constant_over_hundred_thousand_steps(self):
         # The model state must not grow with stream length: only the

@@ -742,7 +742,7 @@ class TestLowRankFinalize:
         if handoff == "restored":
             model.save(tmp_path / "model.rdck")
             model = StreamingClassifier.load(tmp_path / "model.rdck")
-        assert model.estimator._scatter.shape == (e, 6)
+        assert model.estimator._scatter.shape == (e, 6 + 3)
         model.finalize(consume=handoff != "copy")
         assert model.factor_rank == 9 - 3
         self.assert_matches_oracle(model, X, y, T)

@@ -390,16 +390,16 @@ class TestRunBenchmark:
 
     def test_few_shot_run_reports_the_low_rank_factor(self):
         """3 classes of 2 samples bound the scatter's rank by 3, so at
-        E=400 the run holds the scatter as its 400 x 3 factor, its state is
-        the class rows and that factor, and the result says so; a
-        mean-only variant reports no factor."""
+        E=400 the run holds the scatter as its 400 x 3 factor in a
+        400 x (3 + 3) buffer, its state is the class rows and that buffer,
+        and the result says so; a mean-only variant reports no factor."""
         rng = np.random.default_rng(6)
         X = rng.standard_normal((6, 16)).astype(np.float32)
         y = np.arange(6) % 3
         data = dataset_from_features(X, y, X, y)
         result = run_on_dataset(data, variant="rp_relu", embed_dim=400, seed=0)
         assert result.factor_rank == 3 and result.to_json()["factor_rank"] == 3
-        assert result.state_bytes == 8 * 3 * 401 + 8 * 400 * 3
+        assert result.state_bytes == 8 * 3 * 401 + 8 * 400 * (3 + 3)
         ncm = run_on_dataset(data, variant="ncm", seed=0)
         assert ncm.factor_rank is None
 
@@ -521,9 +521,9 @@ class TestRunBenchmark:
         """3 classes of 4 samples bound the scatter's rank by 9, and
         8 (9 + 2 * 3) <= E + 1 at E=256: the run holds the scatter as its
         factor, which every snapshot only reads, so an eval_every run fits
-        a cap of the class rows plus that factor."""
+        a cap of the class rows plus the factor's E x (9 + C) buffer."""
         data = blob_dataset(seed=7, num_classes=3, train_per_class=4)
-        cap = 8 * 3 * 257 + 8 * 256 * 9
+        cap = 8 * 3 * 257 + 8 * 256 * (9 + 3)
         result = run_on_dataset(
             data, variant="randumb", embed_dim=256, gamma=0.1, seed=0, eval_every=4,
             memory_cap_bytes=cap,
@@ -813,10 +813,11 @@ class TestCheckMemoryCap:
         assert check_memory_cap(self.CONFIG, 43632, self.DENSE) == 43632
         with pytest.raises(ConfigurationError, match="43632 bytes"):
             check_memory_cap(self.CONFIG, 43631, self.DENSE)
-        # the factor form: the class rows and L, 100 x 4 float64 (3200 bytes)
-        assert check_memory_cap(self.CONFIG, 6432, self.LOW_RANK) == 6432
-        with pytest.raises(ConfigurationError, match=r"6432 bytes .*8\*E\*\(n-k\) = 3200"):
-            check_memory_cap(self.CONFIG, 6431, self.LOW_RANK)
+        # the factor form: the class rows and L's buffer, 100 x (4 + 4)
+        # float64 (6400 bytes)
+        assert check_memory_cap(self.CONFIG, 9632, self.LOW_RANK) == 9632
+        with pytest.raises(ConfigurationError, match=r"9632 bytes .*8\*E\*\(n-k\+C\) = 6400"):
+            check_memory_cap(self.CONFIG, 9631, self.LOW_RANK)
 
     def test_eval_every_doubles_the_need(self):
         assert check_memory_cap(self.CONFIG, 84032, self.DENSE, eval_every=5) == 84032
@@ -827,7 +828,7 @@ class TestCheckMemoryCap:
         """With the run's rank bound on the low-rank side of the rule the
         run holds the factor, which snapshots only read; one past it, it
         holds the packed accumulator and each snapshot factors a copy."""
-        assert check_memory_cap(self.CONFIG, 6432, self.LOW_RANK, eval_every=5) == 6432
+        assert check_memory_cap(self.CONFIG, 9632, self.LOW_RANK, eval_every=5) == 9632
         assert check_memory_cap(self.CONFIG, 84032, self.DENSE, eval_every=5) == 84032
         with pytest.raises(ConfigurationError, match="eval-every"):
             check_memory_cap(self.CONFIG, 84031, self.DENSE, eval_every=5)

@@ -3,6 +3,7 @@ invariance, memory behavior, and its state through a checkpoint."""
 
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -269,14 +270,15 @@ class TestClassRows:
         assert model.estimator.state_nbytes() == 8 * c + 8 * c * e + 4 * e * (e + 1)
 
     def test_factor_state_nbytes_fixed_at_construction(self):
-        """On the factor form the scatter is L, E x b float64: 8 C + 8 C E
-        + 8 E b bytes from construction on, with no packed vector."""
+        """On the factor form the scatter is L, E x b float64, in a buffer
+        with C spare columns: 8 C + 8 C E + 8 E (b + C) bytes from
+        construction on, with no packed vector."""
         e, c, b = 200, 3, 10
         est = StreamingEstimator(e, c, rank_bound=b)
-        want = 8 * c + 8 * c * e + 8 * e * b
+        want = 8 * c + 8 * c * e + 8 * e * (b + c)
         assert est.state_nbytes() == want
         est.observe(np.random.default_rng(33).standard_normal((12, e)), np.arange(12) % c)
-        assert est.state_nbytes() == want and est._scatter.shape == (e, b)
+        assert est.state_nbytes() == want and est._scatter.shape == (e, b + c)
 
     def test_each_row_keeps_its_class_statistics_bitwise(self, tmp_path):
         """New labels arrive out of order, several per block; each class's
@@ -469,6 +471,40 @@ class TestCheckpoint:
         assert loaded < 1.1 * packed
         assert back._scatter.shape == (e * (e + 1) // 2,)
         np.testing.assert_array_equal(back._scatter, model.estimator._scatter)
+
+    def test_factor_checkpoint_of_bound_rows_loads_and_keeps_observing(self, tmp_path):
+        """A factor checkpoint stores L^T's b rows and nothing of the C
+        spare columns.  One written by hand in that layout (the scatter of
+        the first 12 rows as its scaled eigenvectors, padded to b = 17
+        rows) loads into an E x (b + C) buffer, takes the rest of the
+        stream, saves b rows again, and matches the batch oracle."""
+        e, c, n, head = 200, 3, 20, 12
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((n, e)) + rng.standard_normal(e)
+        y = np.arange(n) % c
+        config = raw_model(e, c).config
+        first = batch_stats(X[:head], y[:head])
+        lam, vec = np.linalg.eigh(first.scatter)
+        top = slice(e - 1, e - 1 - (head - c), -1)
+        factor = np.zeros((n - c, e))
+        factor[: head - c] = (vec[:, top] * np.sqrt(np.clip(lam[top], 0.0, None))).T
+        arrays = {
+            "class_counts": np.array([first.counts[k] for k in range(c)], dtype=np.int64),
+            "class_means": np.stack([first.means[k] for k in range(c)]),
+            "scatter_factor": factor,
+        }
+        path = tmp_path / "factor.rdck"
+        write_checkpoint(path, {"kind": "classifier", "model": asdict(config)}, arrays)
+        est = StreamingClassifier.load(path).estimator
+        assert est._scatter.shape == (e, n - c + c)
+        assert est.state_nbytes() == 8 * c + 8 * c * e + 8 * e * (n - c + c)
+        feed_blocks(est, X[head:], y[head:], [3, 5])
+        ref = batch_stats(X, y)
+        scale = np.abs(ref.scatter).max()
+        assert np.abs(est.scatter() - ref.scatter).max() / scale <= 1e-8
+        for k in range(c):
+            np.testing.assert_allclose(est.class_rows()[1][k], ref.means[k], rtol=1e-8, atol=1e-12)
+        assert est._arrays()["scatter_factor"].shape == (n - c, e)
 
     MISMATCHES = {
         "scatter_square_of_a_smaller_order": ("scatter", np.zeros((5, 5)), [21], [5, 5]),
@@ -702,7 +738,7 @@ class TestBlocked:
         for name, array in est._arrays().items():
             np.testing.assert_array_equal(array, before[name])
         est.observe(X[5:7], [0, 2])
-        assert est._scatter.shape == (200, 4) and est.total_count == 7
+        assert est._scatter.shape == (200, 4 + 3) and est.total_count == 7
 
     def test_mean_only_blocks_match_batch_means(self):
         rng = np.random.default_rng(32)
