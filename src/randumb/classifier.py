@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from . import data_io
 from .errors import (
@@ -44,6 +43,7 @@ from .errors import (
 )
 # RandomReluMap is re-exported: perfbench/spans.py wraps it by this path.
 from .fourier import FeatureMapSpec, RandomReluMap, build_map, mirror_pixels
+from .kernels import dgemm
 from .precision import PrecisionModel, factor_shrinkage, packed_shrinkage
 from .streaming import StreamingEstimator
 

@@ -639,6 +639,16 @@ def refuse_fractional_labels(y: np.ndarray, split: str) -> None:
             )
 
 
+def as_class_labels(y: np.ndarray, split: str) -> np.ndarray:
+    """``y`` as int64 class indices; a negative or fractional label raises
+    DataError naming ``split``, the first such index and the label."""
+    refuse_fractional_labels(y, split)
+    if (y < 0).any():
+        i = int(np.argmax(y < 0))
+        raise DataError(f"{split} label at index {i} is {y[i]}; labels must be >= 0", row=i)
+    return y.astype(np.int64, copy=False)
+
+
 def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
     """Build a RawDataset around in-memory feature vectors.
 
@@ -659,11 +669,7 @@ def dataset_from_features(train_x, train_y, test_x, test_y, name="features"):
         if not finite.all():
             i = int(np.argmin(finite))
             raise DataError(f"{part} vector at index {i} is not finite", row=i)
-        refuse_fractional_labels(y, part)
-        if (y < 0).any():
-            i = int(np.argmax(y < 0))
-            raise DataError(f"{part} label at index {i} is {y[i]}; labels must be >= 0", row=i)
-        labels.append(y.astype(np.int64, copy=False))
+        labels.append(as_class_labels(y, part))
     train_y, test_y = labels
     num_classes = int(train_y.max(initial=0)) + 1
     _refuse_labels_past(test_y, num_classes, f"{name} test")

@@ -49,9 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import sgemm
+from numpy.random import PCG64, Generator
 
 from .errors import ConfigurationError, ShapeError, check_int, check_real
+from .kernels import sgemm
 
 GENERATOR_NAME = "numpy PCG64, ziggurat standard_normal"
 
@@ -137,7 +138,7 @@ class FeatureMap:
 
     def __init__(self, spec: FeatureMapSpec):
         self.spec = spec
-        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        rng = Generator(PCG64(spec.seed))
         width = spec.mirror_width
         rows = spec.num_bases if width is None else spec.num_bases // 2
         self.weights = self.sum_weights = self.diff_weights = None

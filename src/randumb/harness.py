@@ -24,9 +24,10 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.random import default_rng
 
 from .classifier import ModelVariant, StreamingClassifier, VARIANTS
-from .data_io import DatasetDescriptor, RawDataset, normalize_batch
+from .data_io import DatasetDescriptor, RawDataset, as_class_labels, normalize_batch
 from .errors import (
     ConfigurationError,
     DataError,
@@ -121,7 +122,7 @@ def make_stream(
                 f"flip run needs an even --eval-every-k (or --no-augment)"
             )
         width = descriptor.image_shape[-1]
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     c = descriptor.num_classes
     orders = []
     for first in range(0, c, classes_per_task):
@@ -137,9 +138,12 @@ def make_stream(
     step = 2 if augment else 1
     indices = np.repeat(np.concatenate(orders), step)
     n = len(indices)
-    cuts = np.arange(0, n, BLOCK_ROWS)
+    # A mask, not np.union1d: np.unique imports numpy.ma on first use.
+    steps = np.arange(n)
+    is_cut = steps % BLOCK_ROWS == 0
     if cut_every > 0:
-        cuts = np.union1d(cuts, np.arange(0, n, cut_every))
+        is_cut |= steps % cut_every == 0
+    cuts = np.flatnonzero(is_cut)
 
     def blocks():
         for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
@@ -175,9 +179,10 @@ def compute_accuracy(predictions: np.ndarray, labels: np.ndarray):
     """Per-class and overall accuracy.
 
     Returns (per_class, sample_average, class_average): per-class is
-    correct_c / count_c over the true labels; sample average is total
-    correct / total count.  On class-balanced test sets the two
-    averages coincide; both are reported.
+    correct_c / count_c over the classes present in the true labels;
+    sample average is total correct / total count.  On class-balanced
+    test sets the two averages coincide; both are reported.  A negative
+    or fractional true label raises DataError naming its row.
     """
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
@@ -188,11 +193,12 @@ def compute_accuracy(predictions: np.ndarray, labels: np.ndarray):
         )
     if len(labels) == 0:
         raise DataError("cannot score an empty evaluation set")
-    per_class = {}
-    for c in np.unique(labels):
-        mask = labels == c
-        per_class[int(c)] = float((predictions[mask] == c).mean())
-    average = float((predictions == labels).mean())
+    labels = as_class_labels(labels, "evaluation")
+    correct = predictions == labels
+    counts = np.bincount(labels)
+    hits = np.bincount(labels[correct], minlength=len(counts))
+    per_class = {int(c): float(hits[c] / counts[c]) for c in np.flatnonzero(counts)}
+    average = float(correct.mean())
     class_average = float(np.mean(list(per_class.values())))
     return per_class, average, class_average
 

@@ -42,9 +42,9 @@ the discriminant solve alone: the factor form whenever
 table).  Its finalize then allocates at most two E x C blocks.  The
 packed form's finalize allocates under 5% of the accumulator on top,
 besides the copy of a read-only vector.  Nothing E x E is mirrored,
-scanned or allocated on either path.  Every kernel is scipy's
-(``scipy.linalg.blas`` and ``.lapack``), so a run uses one OpenBLAS and
-one thread pool.
+scanned or allocated on either path.  Every kernel is one of scipy's
+f2py routines that ``kernels`` loads without ``scipy.linalg``, so a run
+uses one OpenBLAS and one thread pool.
 """
 
 from __future__ import annotations
@@ -53,10 +53,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import ddot, dgemm
-from scipy.linalg.lapack import dpftrf, dpftrs, dtrttf
 
 from .errors import DataError, NumericalError, ShapeError
+from .kernels import ddot, dgemm, dpftrf, dpftrs, dtrttf
 
 # The RFP variant every packed routine is called with.
 RFP = {"transr": "N", "uplo": "U"}

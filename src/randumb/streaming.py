@@ -63,8 +63,6 @@ symmetric matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dsyrk
-from scipy.linalg.lapack import dsfrk, dsyevd, dtfttr
 
 from .data_io import refuse_fractional_labels
 from .errors import (
@@ -76,6 +74,7 @@ from .errors import (
     ShapeError,
     check_int,
 )
+from .kernels import dgemm, dsfrk, dsyevd, dsyrk, dtfttr
 from .precision import RFP, low_rank_fits, packed_size
 
 _MIRROR_BLOCK = 256

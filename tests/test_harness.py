@@ -72,6 +72,31 @@ result = run_on_dataset(data, variant="kernel_ncm", embed_dim=256, gamma=1e-3, s
 print(before, result.peak_rss_bytes)
 """
 
+# Every variant, with flips and without (at E=512 the Fourier variants
+# hold a factor without flips and the packed form with them), and one
+# snapshotting run; prints the modules the runs added and removed.  The
+# images are hashed, not drawn, so the child itself imports no
+# numpy.random before the runs.
+RUN_IMPORTS_CHILD = """
+import json, sys
+import numpy as np
+from randumb import RawDataset, run_on_dataset
+from randumb.classifier import VARIANTS
+from randumb.data_io import DESCRIPTORS
+
+def draw(n, offset):
+    pixels = (np.arange(offset, offset + n * 3 * 32 * 32) * 2654435761) % 251
+    return pixels.astype(np.uint8).reshape(n, 3, 32, 32), np.arange(n) % 10
+data = RawDataset(DESCRIPTORS["cifar10"], *draw(40, 0), *draw(20, 1 << 20))
+before = set(sys.modules)
+for variant in VARIANTS:
+    for augment in (False, True):
+        run_on_dataset(data, variant=variant, embed_dim=512, seed=0, augment=augment)
+run_on_dataset(data, variant="randumb", embed_dim=512, seed=0, augment=True, eval_every=10)
+after = set(sys.modules)
+print(json.dumps([sorted(after - before), sorted(before - after)]))
+"""
+
 
 def toy_image_descriptor():
     return DatasetDescriptor(
@@ -371,6 +396,12 @@ class TestComputeAccuracy:
             compute_accuracy(np.zeros(3), np.zeros(4))
         with pytest.raises(DataError, match="empty"):
             compute_accuracy(np.zeros(0), np.zeros(0))
+        with pytest.raises(DataError, match=r"^evaluation label at index 2 is -1.0;") as bad:
+            compute_accuracy(np.zeros(4), np.array([0.0, 1.0, -1.0, 1.0]))
+        assert bad.value.row == 2
+        with pytest.raises(DataError, match=r"^evaluation label at index 1 is 0.5;") as bad:
+            compute_accuracy(np.zeros(3), np.array([0.0, 0.5, 1.0]))
+        assert bad.value.row == 1
 
 
 class TestRunBenchmark:
@@ -387,6 +418,12 @@ class TestRunBenchmark:
         assert result.factor_rank == 128  # rank bound 295: the dense factor
         # 5 counts, 5 mean rows and the packed 4*E*(E+1)-byte accumulator
         assert result.state_bytes == 8 * 5 + 8 * 5 * 128 + 4 * 128 * 129
+
+    def test_a_run_imports_nothing(self):
+        """Whatever a run uses is imported with the package, so no lazy
+        import lands inside the timed run."""
+        _, output = child_peak_rss(RUN_IMPORTS_CHILD)
+        assert json.loads(output.splitlines()[-1]) == [[], []]
 
     def test_few_shot_run_reports_the_low_rank_factor(self):
         """3 classes of 2 samples bound the scatter's rank by 3, so at

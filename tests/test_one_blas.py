@@ -4,15 +4,23 @@ numpy and scipy each load their own OpenBLAS, each with its own thread
 pool.  A call into one library right after a call into the other finds
 the first pool's workers still spinning, so on two cores the two pools
 slow each other down.  The RFP LAPACK routines exist only in scipy, so
-every product goes through ``scipy.linalg.blas`` and nothing in ``src``
-may reach numpy's BLAS.  ``reference.py`` is exempt: its oracles use
-numpy on purpose, as an independent implementation.
+every product goes through one of scipy's f2py routines, which
+``randumb.kernels`` loads without ``scipy.linalg`` and no other module
+of ``src`` imports, and nothing in ``src`` may reach numpy's BLAS.
+``reference.py`` is exempt: its oracles use numpy on purpose, as an
+independent implementation, and its kernel-matrix oracle alone loads
+``scipy.spatial``.
 """
 
 import ast
+import json
+import re
 from pathlib import Path
 
+import pytest
+
 import randumb
+from conftest import child_peak_rss
 
 SOURCES = sorted(
     p for p in Path(randumb.__file__).parent.glob("*.py") if p.name != "reference.py"
@@ -62,6 +70,65 @@ def test_no_source_reaches_numpys_blas():
         for line, what in numpy_blas_uses(ast.parse(path.read_text(), str(path)))
     ]
     assert not offences, "numpy BLAS on the run path:\n" + "\n".join(offences)
+
+
+def scipy_imports(tree: ast.AST) -> list[int]:
+    """The lines of ``tree`` that import from scipy."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    )
+
+
+def test_only_the_loader_imports_scipy():
+    offences = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        if path.name != "kernels.py"
+        for line in scipy_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not offences, "scipy imported outside kernels.py:\n" + "\n".join(offences)
+    for source, count in {"import scipy": 1, "import scipy.linalg as la": 1,
+                          "from scipy.linalg.blas import dgemm": 1, "from scipy import linalg": 1,
+                          "from .kernels import dgemm": 0, "import scipyish": 0}.items():
+        assert len(scipy_imports(ast.parse(source))) == count, source
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """The kernels come from scipy's two extension modules alone, so
+    importing the package runs no ``scipy/linalg/__init__`` and none of
+    the numpy submodules it would pull in."""
+    heavy = ["scipy.linalg", "numpy.ma", "numpy.testing", "numpy.f2py"]
+    _, output = child_peak_rss(
+        f"import json, sys, randumb; print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+    )
+    assert json.loads(output.splitlines()[-1]) == []
+
+
+def test_bound_routines_are_scipys_own():
+    """Each routine ``kernels`` binds is the very object ``scipy.linalg``
+    exposes, imported after randumb, with the same Fortran entry point."""
+    names = ("sgemm", "dgemm", "dsyrk", "ddot", "dsfrk", "dsyevd", "dtfttr", "dpftrf",
+             "dpftrs", "dtrttf")
+    _, output = child_peak_rss(
+        "import json, randumb.kernels as k, scipy.linalg.blas as b, scipy.linalg.lapack as l\n"
+        "same = {}\n"
+        f"for name in {names!r}:\n"
+        "    ours, theirs = getattr(k, name), getattr(b, name, None) or getattr(l, name)\n"
+        "    same[name] = ours is theirs and ours._cpointer == theirs._cpointer\n"
+        "print(json.dumps(same))"
+    )
+    assert json.loads(output.splitlines()[-1]) == dict.fromkeys(names, True)
+
+
+def test_a_missing_extension_module_names_the_directory():
+    from randumb import kernels
+
+    with pytest.raises(ImportError, match=re.escape(kernels.LINALG_DIR)):
+        kernels._load("_no_such_module")
 
 
 def test_the_check_catches_each_construct():
