@@ -56,6 +56,10 @@ VARIANTS = {
     "rp_relu": ("relu", True),
 }
 
+# Float64 entries of the one slice of embeddings predict_batch scores at a
+# time: 2 MiB, 32 rows at E=8192.
+SCORE_CHUNK = 1 << 18
+
 
 @dataclass(frozen=True)
 class ModelVariant:
@@ -238,10 +242,20 @@ class StreamingClassifier:
             raise ModelStateError("call finalize() before scoring")
 
     def predict_batch(self, X_raw: np.ndarray) -> np.ndarray:
-        """Labels for rows of raw inputs, embedded in one block as handed
-        in (the caller bounds it) and ranked by the linear discriminant
-        (module docstring).  A row with a non-finite entry has no label:
-        it raises a DataError whose ``row`` is its index in the block."""
+        """Labels for rows of raw inputs, ranked by the linear
+        discriminant (module docstring).
+
+        The rows are projected in one call, as handed in (the caller
+        bounds them), and then scored SCORE_CHUNK entries at a time: each
+        slice of rows is activated into one reused float32 scratch, copied
+        into one reused float64 buffer (on raw inputs, copied straight
+        in) and scored with one dgemm.  So a call allocates the block's
+        float32 projection plus one float64 slice of at most
+        8 * SCORE_CHUNK bytes and its float32 scratch of half that, and
+        no float32 or float64 embedding of the whole block.  A row with a
+        non-finite entry, or one whose scores are not finite (an entry
+        past float32's range, such as 1e39), has no label: it raises a
+        DataError whose ``row`` is its index in the block."""
         self._require_finalized()
         X_raw = np.asarray(X_raw)
         if X_raw.ndim != 2 or X_raw.shape[1] != self.config.raw_input_dim:
@@ -252,11 +266,37 @@ class StreamingClassifier:
         if not np.isfinite(X_raw).all():
             row = int(np.argmin(np.isfinite(X_raw).all(axis=1)))
             raise DataError(f"input row {row} contains non-finite values", row=row)
-        phi = self._embed(X_raw).astype(np.float64, copy=False)
-        # phi W as (W^T phi^T)^T in scipy's BLAS: W (E x C) and phi^T are
-        # F-contiguous views, so f2py copies nothing.
-        scores = dgemm(1.0, self._weights, phi.T, trans_a=1).T + self._bias
-        return np.argmax(scores, axis=1)
+        fmap, e, n = self.feature_map, self.config.embed_dim, len(X_raw)
+        step = max(1, min(SCORE_CHUNK // e, n))
+        labels = np.empty(n, dtype=np.intp)
+        # An entry past float32's range overflows the cast or the
+        # projection, and its row's scores are refused below, so the
+        # warnings on the way are silenced.
+        with np.errstate(over="ignore", invalid="ignore"):
+            source = X_raw if fmap is None else fmap.project(X_raw)
+            # allocated after the projection, so its temporaries are gone;
+            # a slice is embedded in float32, then cast to float64 exactly
+            phis = np.empty((step, e))
+            scratch = None if fmap is None else np.empty((step, e), dtype=np.float32)
+            for start in range(0, n, step):
+                rows = source[start : start + step]
+                k = len(rows)
+                phis[:k] = rows if fmap is None else fmap.activate(rows, scratch[:k])
+                # phi W as (W^T phi^T)^T in scipy's BLAS: W (E x C) and
+                # phi^T are F-contiguous views, so f2py copies nothing.
+                scores = dgemm(1.0, self._weights, phis[:k].T, trans_a=1).T
+                # a non-finite phi makes every score of its row non-finite
+                finite = np.isfinite(scores).all(axis=1)
+                if not finite.all():
+                    row = start + int(np.argmin(finite))
+                    raise DataError(
+                        f"input row {row} has non-finite scores: an entry, or its "
+                        f"projection, is past float32's range",
+                        row=row,
+                    )
+                scores += self._bias
+                labels[start : start + k] = np.argmax(scores, axis=1)
+        return labels
 
     # -- checkpointing ------------------------------------------------------
 

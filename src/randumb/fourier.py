@@ -40,8 +40,9 @@ half swap is exact.
 
 Embeddings are float32.  The same spec always yields the same weights,
 which is what makes whole runs bit-reproducible.  A map embeds exactly
-the rows it is handed, in one projection; callers cut their inputs into
-blocks (``harness.BLOCK_ROWS``) to bound the projection temporary.
+the rows it is handed, in one projection (``project``) followed by the
+nonlinearity (``activate``); callers cut their inputs into blocks
+(``harness.BLOCK_ROWS``) to bound the projection temporary.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ class FeatureMap:
         return self.embed_batch(x[None, :])[0]
 
     def embed_batch(self, X: np.ndarray) -> np.ndarray:
-        """Embed the rows of X; returns float32 (n, E).
+        """Embed the rows of X; returns float32 (n, E): ``activate`` of
+        ``project``.
 
         Each row's embedding depends only on that row.  Its bits do not
         depend on which block carried it either, as long as every product
@@ -210,21 +212,36 @@ class FeatureMap:
         D = 1024, d = 3072 a row embedded alone differs in its last bits
         from the same row in a 256-row block, while a 44-row block
         matches.  A run cuts its stream and test split at the same places
-        every time, so its bits, and a resumed run's, stay fixed.  The
-        projection temporaries, a few times (n, D) and on a paired map
-        about (n, d/2) for the sums and differences, are the caller's to
-        bound.
+        every time, so its bits, and a resumed run's, stay fixed.  A call
+        allocates the projection, a few times (n, D) and on a paired map
+        about (n, d/2) for the sums and differences, and the float32
+        (n, E) result (on relu, the projection itself); the caller bounds
+        n.  Evaluation does not call this: ``predict_batch`` projects a
+        block and activates it a slice of rows at a time, so it holds the
+        block's projection and one slice, never the block's embedding.
         """
+        proj = self.project(X)
+        if self.spec.head == "relu":
+            return self.activate(proj, proj)
+        return self.activate(proj, np.empty((len(proj), self.embed_dim), dtype=np.float32))
+
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """The rows of X cast to float32 and projected in one call:
+        float32 (n, D), Wx per row ([W0 x, W0 P x] on a paired map)."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
             raise ShapeError(
                 f"expected (n, {self.spec.input_dim}) inputs, got shape {X.shape}"
             )
         X = X.astype(np.float32, copy=False)
-        proj = self._project(X) if self.weights is None else _sgemm(self.weights, X)
+        return self._project(X) if self.weights is None else _sgemm(self.weights, X)
+
+    def activate(self, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The head's nonlinearity on ``proj``, float32 (n, D), written
+        into ``out``, float32 (n, E), and returned: the cosine/sine pairs
+        scaled by 1/sqrt(D), or relu, where ``out`` may be ``proj``."""
         if self.spec.head == "relu":
-            return np.maximum(proj, 0.0, out=proj)
-        out = np.empty((len(X), self.embed_dim), dtype=np.float32)
+            return np.maximum(proj, 0.0, out=out)
         np.cos(proj, out=out[:, 0::2])
         np.sin(proj, out=out[:, 1::2])
         out *= np.float32(1.0 / np.sqrt(self.spec.num_bases))

@@ -279,8 +279,9 @@ class StreamingEstimator:
 
         L's ``lead`` columns are orthogonal, so the Gram's leading block
         is diag(||l_i||^2); only L^T Z^T (one dgemm) and Z Z^T (one
-        dsyrk) are formed.  W V is written back over W one row panel at
-        a time, each panel of _ROTATE_ROWS rows its own temporary."""
+        dsyrk) are formed.  W V is written back over W one row panel of
+        _ROTATE_ROWS rows at a time, through two panel buffers reused
+        for every panel."""
         if width == 0:
             # every row was a new class's only one, so W is zero already
             return
@@ -302,12 +303,22 @@ class StreamingEstimator:
         _, v, info = dsyevd(gram, overwrite_a=1)
         if info != 0:
             raise NumericalError(f"the eigensolver rejected the block's Gram matrix (info={info})")
-        # dsyevd returns the eigenpairs in ascending order; a row of W V
-        # reads only that row of W, so each panel is written in place
-        top = v[:, q - width :]
-        for i0 in range(0, self.embed_dim, _ROTATE_ROWS):
-            panel = w[i0 : i0 + _ROTATE_ROWS]
-            panel[:, :width] = dgemm(1.0, panel, top)[:, ::-1]
+        # dsyevd returns the eigenpairs in ascending order, so the kept
+        # columns are reversed once.  A row of W V reads only that row of
+        # W, so each panel is written in place: copied into one F-ordered
+        # scratch (a row panel of the buffer is not contiguous, which f2py
+        # would copy anyway), multiplied into one reused output, and
+        # copied back.
+        top = np.asfortranarray(v[:, q - width :][:, ::-1])
+        rows = min(_ROTATE_ROWS, self.embed_dim)
+        scratch, product = np.empty(rows * q), np.empty(rows * width)
+        for i0 in range(0, self.embed_dim, rows):
+            panel = w[i0 : i0 + rows]
+            k = len(panel)
+            a = scratch[: k * q].reshape((k, q), order="F")
+            c = product[: k * width].reshape((k, width), order="F")
+            a[:] = panel
+            panel[:, :width] = dgemm(1.0, a, top, c=c, overwrite_c=1)
             panel[:, width:] = 0.0
 
     def _rank_bound(self) -> int:

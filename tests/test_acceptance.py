@@ -29,6 +29,7 @@ from randumb import (
     run_on_dataset,
     sweep_embedding,
 )
+from randumb.classifier import SCORE_CHUNK
 from randumb.data_io import dataset_from_features
 from randumb.precision import PrecisionModel, low_rank_fits, pack_upper, packed_shrinkage
 from randumb.reference import (
@@ -354,6 +355,34 @@ class TestContractGates:
             tracemalloc.stop()
         q = (n - m - c) + m + c  # the last block's lead + m + shifts
         assert peak < 0.5 * 8 * e * q, f"observe allocated {peak} bytes"
+
+    @pytest.mark.parametrize(
+        "variant,spec",
+        [
+            ("rp_relu", FeatureMapSpec("relu", 64, 8192, 3)),
+            ("randumb", FeatureMapSpec("fourier", 64, 6144, 3, gamma=0.05)),
+        ],
+        ids=["rp_relu-e8192", "randumb-e6144"],
+    )
+    def test_predict_batch_holds_the_projection_and_one_slice(self, variant, spec):
+        """Scoring a 256-row block allocates its float32 projection,
+        4 * 256 * D bytes, plus one float64 slice of at most SCORE_CHUNK
+        entries and its float32 scratch: under two slice budgets beyond
+        the projection, where a float64 copy of the block's embedding
+        alone is 8 * 256 * E."""
+        rng = np.random.default_rng(30)
+        c = 10
+        model = StreamingClassifier(
+            ModelVariant(variant, num_classes=c, embedding=spec, ridge=1e-4), 10
+        )
+        model.observe(rng.standard_normal((20, 64)), np.arange(20) % c)
+        model.finalize(consume=True)
+        T = rng.standard_normal((256, 64)).astype(np.float32)
+        labels, peak = traced_peak(model.predict_batch, T)
+        assert labels.shape == (256,)
+        bound = 4 * 256 * spec.num_bases + 2 * 8 * SCORE_CHUNK
+        assert bound < 8 * 256 * spec.embed_dim
+        assert peak < bound, f"predict_batch allocated {peak} bytes"
 
     def test_state_size_constant_over_hundred_thousand_steps(self):
         # The model state must not grow with stream length: only the

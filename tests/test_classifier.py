@@ -3,11 +3,13 @@ semantics, batch/single agreement, and checkpointing."""
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import assert_refused, gaussian_blobs, paired_halves
+from randumb import classifier as classifier_module
 from randumb import streaming as streaming_module
 from randumb import (
     ConfigurationError,
@@ -388,6 +390,38 @@ class TestBatchAgreement:
             model.predict_batch(T)
         assert info.value.row == 5
 
+    @pytest.mark.parametrize("variant", ["randumb", "kernel_ncm", "rp_relu"])
+    def test_row_past_float32_range_gets_no_label(self, variant):
+        """A row that is finite in float64 but past float32's range (1e39)
+        has no float32 embedding: predict_batch refuses it by its index
+        in the block, as observe does, rather than label it class 0, and
+        lets no RuntimeWarning out."""
+        rng = np.random.default_rng(15)
+        X, y = gaussian_blobs(rng, num_classes=5, dim=6, per_class=40)
+        model = fit(variant_config(variant), X, y)
+        T = rng.standard_normal((8, 6))
+        T[5, 2] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="row 5") as info:
+                model.predict_batch(T)
+        assert info.value.row == 5
+
+    def test_row_past_float32_range_is_named_in_a_later_slice(self):
+        """The refused row is named by its index in the block, not in the
+        float64 slice that found it."""
+        rng = np.random.default_rng(16)
+        spec = relu_spec(6, 8192, 4)
+        model = StreamingClassifier(ModelVariant("rp_relu", CLASSES, spec, ridge=1e-4), 10)
+        model.observe(rng.standard_normal((20, 6)), np.arange(20) % CLASSES)
+        model.finalize()
+        step = classifier_module.SCORE_CHUNK // spec.embed_dim
+        T = rng.standard_normal((2 * step + 5, 6))
+        T[step + 3] = -1e39
+        with pytest.raises(DataError) as info:
+            model.predict_batch(T)
+        assert info.value.row == step + 3
+
     def test_predict_batch_shape_check(self):
         rng = np.random.default_rng(1)
         X, y = gaussian_blobs(rng, num_classes=3, dim=4, per_class=20)
@@ -409,6 +443,56 @@ class TestBatchAgreement:
         _, _, shrunk = oas_reference(stats.covariance, len(y))
         quad = batch_mahalanobis_predict(stats.means, shrunk, 1e-3, T)
         np.testing.assert_array_equal(model.predict_batch(T), quad)
+
+
+class TestSlicedScoring:
+    """predict_batch projects a block once and scores it a float64 slice
+    of SCORE_CHUNK entries at a time; its labels are those of the float64
+    reference that scores the whole block's embedding at once."""
+
+    E = 4096  # 64 rows per slice
+
+    def model(self, variant, flips):
+        head = VARIANTS[variant][0]
+        if head is None:
+            spec, d, width = None, self.E, 64
+        else:
+            d, width = 3 * 8 * 8, 8
+            spec = FeatureMapSpec(
+                head, d, self.E, 7, gamma=0.01 if head == "fourier" else None,
+                mirror_width=width if flips else None,
+            )
+        config = ModelVariant(variant, CLASSES, spec, ridge=1e-3, input_dim=None if spec else d)
+        rng = np.random.default_rng(31)
+        X, y = gaussian_blobs(rng, num_classes=CLASSES, dim=d, per_class=4)
+        rows = 2 * len(y) if flips else len(y)
+        model = StreamingClassifier(config, rows - CLASSES)
+        if flips:
+            model.observe(X, np.repeat(y, 2), mirror_width=width)
+        else:
+            model.observe(X, y)
+        model.finalize()
+        return model, X
+
+    @pytest.mark.parametrize("flips", [False, True], ids=["plain", "flips"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_labels_match_the_float64_reference(self, variant, flips):
+        model, X = self.model(variant, flips)
+        step = classifier_module.SCORE_CHUNK // self.E
+        assert step + 1 < BLOCK_ROWS
+        rng = np.random.default_rng(32)
+        for n in (0, 1, step + 1, BLOCK_ROWS):
+            T = X[np.arange(n) % len(X)] + rng.standard_normal((n, X.shape[1])).astype(np.float32)
+            fmap = model.feature_map
+            phi = (fmap.embed_batch(T) if fmap else T).astype(np.float64)
+            scores = phi @ model._weights + model._bias
+            want = np.argmax(scores, axis=1)
+            got = model.predict_batch(T)
+            assert got.shape == (n,)
+            top = np.sort(scores, axis=1)[:, -2:]
+            clear = top[:, 1] - top[:, 0] > 1e-9 * np.abs(top).max(axis=1)
+            assert n < 2 or clear.mean() > 0.9
+            np.testing.assert_array_equal(got[clear], want[clear])
 
 
 class TestMirroredIntake:

@@ -17,7 +17,6 @@ from randumb import (
     FeatureMapSpec,
     ModelStateError,
     ModelVariant,
-    RandomReluMap,
     RunResult,
     StreamingClassifier,
     StreamingEstimator,
@@ -505,15 +504,17 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("variant", ["randumb", "rp_relu"])
     def test_every_embed_call_gets_at_most_block_rows(self, monkeypatch, variant):
-        """The map embeds whatever it is handed, so the stream and
-        predict_batch must keep each call within one block."""
+        """The map projects whatever it is handed, in one call, so the
+        stream (through embed_batch) and predict_batch must keep each
+        projection within one block."""
         rows = []
-        for cls in (FeatureMap, RandomReluMap):
-            def recording(self, X, real=vars(cls)["embed_batch"]):
-                rows.append(len(X))
-                return real(self, X)
+        real = FeatureMap.project
 
-            monkeypatch.setattr(cls, "embed_batch", recording)
+        def recording(self, X):
+            rows.append(len(X))
+            return real(self, X)
+
+        monkeypatch.setattr(FeatureMap, "project", recording)
         data = blob_dataset(
             seed=8, num_classes=3, dim=6, train_per_class=200, test_per_class=100
         )
@@ -1007,13 +1008,13 @@ class TestFlipPairs:
 
     def test_flip_run_embeds_each_image_once(self, data, monkeypatch):
         rows = []
-        original = FeatureMap.embed_batch
+        original = FeatureMap.project
 
         def counted(self, X):
             rows.append(len(X))
             return original(self, X)
 
-        monkeypatch.setattr(FeatureMap, "embed_batch", counted)
+        monkeypatch.setattr(FeatureMap, "project", counted)
         result = run_on_dataset(data, variant="kernel_ncm", embed_dim=256, seed=0)
         n = len(data.train_y)
         assert result.config["augment"] is True and result.observe_count == 2 * n
