@@ -22,6 +22,16 @@ phi^T A^{-1} phi term cancels, with the weights from one Cholesky solve
 per finalize.  For the inner-product variants w_c = mean_c and b_c = 0.
 A class not seen yet has b_c = -inf and is never predicted.  Ties break
 toward the smallest class label.
+
+A flip run's model observes each original followed by its mirror: on a
+mirror-paired map the mirror's embedding is the original's with its
+halves swapped, [phi, Q phi], and on raw inputs its pixels mirrored.
+An inner-product model on a paired map (``kernel_ncm`` with flips)
+holds only the symmetric half s = (phi_1 + phi_2)/sqrt(2) of its rows
+(``fourier`` module docstring): a flip pair is the rows (s, a) and
+(s, -a), so every class mean has a = 0, and phi . mean equals
+s . mean_s.  Such a model folds each pair into one s row counted twice,
+holds C x E/2 means and scores s . mean_s.
 """
 
 from __future__ import annotations
@@ -117,6 +127,44 @@ class ModelVariant:
     def needs_precision(self) -> bool:
         return VARIANTS[self.variant][1]
 
+    @property
+    def symmetric_half(self) -> bool:
+        """An inner-product variant on a mirror-paired map: its state and
+        scores live in the symmetric half (module docstring)."""
+        return (
+            not self.needs_precision
+            and self.embedding is not None
+            and self.embedding.mirror_width is not None
+        )
+
+    @property
+    def state_dim(self) -> int:
+        """Entries of each class mean: E/2 on the symmetric half, else E."""
+        return self.embed_dim // 2 if self.symmetric_half else self.embed_dim
+
+
+def _pair_labels(labels, pairs: int) -> np.ndarray:
+    """The labels of a block of ``pairs`` flip pairs, one per row of the
+    pairs.  A count other than two per pair raises ShapeError, and a
+    label that is not a whole number, or a mirror whose label differs
+    from its original's, a DataError whose ``row`` is its index."""
+    labels = np.asarray(labels).reshape(-1)
+    if labels.shape != (2 * pairs,):
+        raise ShapeError(
+            f"a block of {pairs} flip pairs needs {2 * pairs} labels, one per row, "
+            f"got {labels.size}"
+        )
+    data_io.refuse_fractional_labels(labels, "block")
+    split = labels[0::2] != labels[1::2]
+    if split.any():
+        row = 2 * int(np.argmax(split)) + 1
+        raise DataError(
+            f"row {row} mirrors row {row - 1} but has label {labels[row]}, not "
+            f"{labels[row - 1]}: an image and its mirror share one label",
+            row=row,
+        )
+    return labels
+
 
 class StreamingClassifier:
     """One streaming model: embed each block of samples, fold it into the
@@ -132,13 +180,17 @@ class StreamingClassifier:
 
     def __init__(self, config: ModelVariant, rank_bound: int | None = None):
         estimator = StreamingEstimator(
-            config.embed_dim, config.num_classes, config.needs_precision, rank_bound
+            config.state_dim, config.num_classes, config.needs_precision, rank_bound
         )
         self._start(config, estimator)
 
     def _start(self, config: ModelVariant, estimator: StreamingEstimator) -> None:
         self.config = config
-        self.feature_map = build_map(config.embedding) if config.embedding else None
+        self.feature_map = fmap = build_map(config.embedding) if config.embedding else None
+        # the nonlinearity of a projection: phi, or s on the symmetric half
+        self._activate = None
+        if fmap is not None:
+            self._activate = fmap.activate_symmetric if config.symmetric_half else fmap.activate
         self.estimator = estimator
         self._reset()
 
@@ -163,15 +215,48 @@ class StreamingClassifier:
 
         With ``mirror_width``, ``x_raw`` holds the originals of flip
         pairs, and ``labels`` one label per row of the pairs: each
-        original is followed by its image mirrored at that width.  The
-        originals are embedded once; a mirrored row is the original's
-        embedding with its halves swapped (which needs a map paired at
-        that width), or, on raw inputs, the original's pixels mirrored.
+        original is followed by its image mirrored at that width, under
+        the same label.  The originals are embedded once; a mirrored row
+        is the original's embedding with its halves swapped (which needs
+        a map paired at that width), or, on raw inputs, the original's
+        pixels mirrored.  On the symmetric half (module docstring) each
+        pair is one s row counted twice, so such a model refuses a
+        non-empty block without its map's width.  A pair whose two
+        labels differ, which the symmetric half could not hold, raises a
+        DataError whose ``row`` is the mirror's, before any state
+        changes.
         """
+        rows = np.atleast_2d(x_raw)
+        if mirror_width is not None:
+            labels = _pair_labels(labels, len(rows))
+        if self.config.symmetric_half:
+            # one s row per pair, under the pair's label, counted twice
+            if len(rows):
+                self._require_paired_at(mirror_width)
+            proj = self.feature_map.project(rows)
+            s = self._activate(proj, np.empty((len(proj), self.estimator.embed_dim), np.float32))
+            self.estimator._observe(s, labels if mirror_width is None else labels[0::2], 2)
+            return
         phi = self._embed(x_raw)
         if mirror_width is not None and len(phi):
             phi = self._with_mirrors(np.atleast_2d(phi), mirror_width)
         self.estimator.observe(phi, labels)
+
+    def _require_paired_at(self, width: int | None) -> None:
+        """Refuse mirrored rows at an image width other than the one the
+        map is paired at, and on the symmetric half a block without
+        mirrors."""
+        paired = self.config.embedding.mirror_width
+        if width is None:
+            raise ConfigurationError(
+                f"a model on the symmetric half observes flip pairs only: its blocks "
+                f"need mirror_width {paired}, the width its map is paired at"
+            )
+        if width != paired:
+            raise ConfigurationError(
+                f"mirrored rows at image width {width} need a map paired at that "
+                f"width; this model's map has mirror_width {paired}"
+            )
 
     def _with_mirrors(self, phi: np.ndarray, width: int) -> np.ndarray:
         """Rows [phi_i, mirror of phi_i] for each row i of ``phi``."""
@@ -187,12 +272,7 @@ class StreamingClassifier:
                 )
             mirror_pixels(phi, width, out=pairs[:, 1])
         else:
-            paired = self.config.embedding.mirror_width
-            if paired != width:
-                raise ConfigurationError(
-                    f"mirrored rows at image width {width} need a map paired at that "
-                    f"width; this model's map has mirror_width {paired}"
-                )
+            self._require_paired_at(width)
             # the half swap Q: the embedding of the mirrored image
             pairs.reshape(m, 2, 2, -1)[:, 1] = phi.reshape(m, 2, -1)[:, ::-1]
         return pairs.reshape(2 * m, e)
@@ -247,12 +327,14 @@ class StreamingClassifier:
 
         The rows are projected in one call, as handed in (the caller
         bounds them), and then scored SCORE_CHUNK entries at a time: each
-        slice of rows is activated into one reused float32 scratch, copied
-        into one reused float64 buffer (on raw inputs, copied straight
-        in) and scored with one dgemm.  So a call allocates the block's
-        float32 projection plus one float64 slice of at most
-        8 * SCORE_CHUNK bytes and its float32 scratch of half that, and
-        no float32 or float64 embedding of the whole block.  A row with a
+        slice of rows is activated into one reused float32 scratch (phi,
+        or s on the symmetric half), copied into one reused float64
+        buffer (on raw inputs, copied straight in) and scored with one
+        dgemm.  So a call allocates the block's float32 projection plus
+        one float64 slice of at most 8 * SCORE_CHUNK bytes and its
+        float32 scratch of half that (and on a paired map the activation's
+        float32 temporary of one slice), and no float32 or float64
+        embedding of the whole block.  A row with a
         non-finite entry, or one whose scores are not finite (an entry
         past float32's range, such as 1e39), has no label: it raises a
         DataError whose ``row`` is its index in the block."""
@@ -266,7 +348,7 @@ class StreamingClassifier:
         if not np.isfinite(X_raw).all():
             row = int(np.argmin(np.isfinite(X_raw).all(axis=1)))
             raise DataError(f"input row {row} contains non-finite values", row=row)
-        fmap, e, n = self.feature_map, self.config.embed_dim, len(X_raw)
+        fmap, e, n = self.feature_map, self.estimator.embed_dim, len(X_raw)
         step = max(1, min(SCORE_CHUNK // e, n))
         labels = np.empty(n, dtype=np.intp)
         # An entry past float32's range overflows the cast or the
@@ -281,7 +363,7 @@ class StreamingClassifier:
             for start in range(0, n, step):
                 rows = source[start : start + step]
                 k = len(rows)
-                phis[:k] = rows if fmap is None else fmap.activate(rows, scratch[:k])
+                phis[:k] = rows if fmap is None else self._activate(rows, scratch[:k])
                 # phi W as (W^T phi^T)^T in scipy's BLAS: W (E x C) and
                 # phi^T are F-contiguous views, so f2py copies nothing.
                 scores = dgemm(1.0, self._weights, phis[:k].T, trans_a=1).T
@@ -328,7 +410,7 @@ class StreamingClassifier:
         except (ConfigurationError, TypeError) as exc:
             raise DataFormatError(f"checkpoint model: {exc}") from exc
         estimator = StreamingEstimator._restore(
-            arrays, config.embed_dim, config.num_classes, config.needs_precision
+            arrays, config.state_dim, config.num_classes, config.needs_precision
         )
         # The classifier is built around the restored estimator, so no
         # zero accumulator is allocated beside the one just read.

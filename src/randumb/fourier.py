@@ -18,7 +18,8 @@ P mirrors a flat channel-major image left-right.  Row i + D/2 is row i
 mirrored, so (row i + D/2) . Px = (row i) . x: the embedding of a
 mirrored image is the embedding of the original with its two halves
 swapped, and a flipped copy costs no projection
-(``StreamingClassifier.observe`` emits it so).
+(``StreamingClassifier.observe`` emits it so, or on an inner-product
+model folds the pair into its symmetric half, below).
 Each row is still N(0, 2*gamma*I) (or N(0, I)), but only D/2 of them are
 independent.  Fourier coordinates 2i, 2i + 1 (rows i) and E/2 + 2i,
 E/2 + 2i + 1 (rows i + D/2) pair up when D is even, so a paired
@@ -33,10 +34,17 @@ p = (a_j + a_j') / 2 and q = (a_j - a_j') / 2 over the columns a of W0,
 where A holds the p columns and B the q columns, each (D/2) x (d/2).
 At an odd width the middle column is its own mirror: it goes whole into
 A (p = a_m, u = x_m) and has no column in B.  The map stores A and B,
-half the bytes of W, and projects [s + t, s - t] with s = A u and
-t = B v: half the multiply-adds of W x.  Px has the same u and the
-opposite v, so its s is the same and its t is -t to the bit, and the
-half swap is exact.
+half the bytes of W, and projects [S, T] with S = A u and T = B v: half
+the multiply-adds of W x.  The nonlinearity then takes [S + T, S - T],
+which is W x.  Px has the same u and the opposite v, so its S is the
+same and its T is -T to the bit, and the half swap is exact.
+
+A Fourier map's flip pair (phi_1, phi_2) and (phi_2, phi_1), phi_1 and
+phi_2 the two halves, is in the orthogonal basis s = (phi_1 + phi_2)/sqrt(2),
+a = (phi_1 - phi_2)/sqrt(2) the two rows (s, a) and (s, -a).  By the
+product-to-sum identities s = sqrt(2) [cos S cos T, sin S cos T] / sqrt(D),
+interleaved as phi is: three transcendentals per frequency pair instead
+of four (``activate_symmetric``).
 
 Embeddings are float32.  The same spec always yields the same weights,
 which is what makes whole runs bit-reproducible.  A map embeds exactly
@@ -227,7 +235,8 @@ class FeatureMap:
 
     def project(self, X: np.ndarray) -> np.ndarray:
         """The rows of X cast to float32 and projected in one call:
-        float32 (n, D), Wx per row ([W0 x, W0 P x] on a paired map)."""
+        float32 (n, D), Wx per row ([S, T] on a paired map, whose
+        [S + T, S - T] is [W0 x, W0 P x])."""
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.spec.input_dim:
             raise ShapeError(
@@ -237,9 +246,17 @@ class FeatureMap:
         return self._project(X) if self.weights is None else _sgemm(self.weights, X)
 
     def activate(self, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The head's nonlinearity on ``proj``, float32 (n, D), written
-        into ``out``, float32 (n, E), and returned: the cosine/sine pairs
-        scaled by 1/sqrt(D), or relu, where ``out`` may be ``proj``."""
+        """The head's nonlinearity on ``proj``, float32 (n, D) from
+        ``project``, written into ``out``, float32 (n, E), and returned:
+        the cosine/sine pairs scaled by 1/sqrt(D), or relu, where ``out``
+        may be ``proj``.  A paired map's [S, T] is first formed into
+        [S + T, S - T] in a float32 (n, D) temporary."""
+        if self.weights is None:
+            half = proj.shape[1] // 2
+            S, T = proj[:, :half], proj[:, half:]
+            proj = np.empty_like(proj)
+            np.add(S, T, out=proj[:, :half])
+            np.subtract(S, T, out=proj[:, half:])
         if self.spec.head == "relu":
             return np.maximum(proj, 0.0, out=out)
         np.cos(proj, out=out[:, 0::2])
@@ -247,10 +264,26 @@ class FeatureMap:
         out *= np.float32(1.0 / np.sqrt(self.spec.num_bases))
         return out
 
+    def activate_symmetric(self, proj: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The symmetric half s = (phi_1 + phi_2)/sqrt(2) of a paired
+        Fourier map's [S, T], float32 (n, D), written into ``out``,
+        float32 (n, E/2), and returned:
+        sqrt(2) [cos S cos T, sin S cos T] / sqrt(D), interleaved as phi
+        (module docstring).  A flip pair's two rows share it."""
+        half = proj.shape[1] // 2
+        S, T = proj[:, :half], proj[:, half:]
+        np.cos(S, out=out[:, 0::2])
+        np.sin(S, out=out[:, 1::2])
+        cos_t = np.cos(T)
+        cos_t *= np.float32(np.sqrt(2.0 / self.spec.num_bases))
+        out[:, 0::2] *= cos_t
+        out[:, 1::2] *= cos_t
+        return out
+
     def _project(self, X: np.ndarray) -> np.ndarray:
-        """[W0 x, W0 P x] for each row x of X, as [s + t, s - t] with
-        s = A u and t = B v, u and v the sums and differences of each
-        mirror pair of columns (a middle column goes whole into u)."""
+        """[S, T] for each row x of X, S = A u and T = B v, u and v the
+        sums and differences of each mirror pair of columns (a middle
+        column goes whole into u)."""
         width = self.spec.mirror_width
         half = width // 2
         runs = X.reshape(-1, width)
@@ -265,11 +298,7 @@ class FeatureMap:
         v = pairs[: len(runs) * half].reshape(len(runs), half)
         np.subtract(left, right, out=v)
         t = _sgemm(B, v.reshape(len(X), B.shape[1]))
-        rows = A.shape[0]
-        proj = np.empty((len(X), 2 * rows), dtype=np.float32)
-        np.add(s, t, out=proj[:, :rows])
-        np.subtract(s, t, out=proj[:, rows:])
-        return proj
+        return np.concatenate([s, t], axis=1)
 
 
 def _sgemm(weights: np.ndarray, X: np.ndarray) -> np.ndarray:

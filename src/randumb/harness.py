@@ -10,7 +10,8 @@ every element exactly once, is finalized, and is then evaluated on the
 same RawDataset's full test split.  A flip stream is cut only between
 an image and its mirror, so each flip block is the normalized originals
 of its steps; the model emits each original's row followed by its
-mirror's (``StreamingClassifier.observe``).
+mirror's, or on the symmetric half one row per pair counted twice
+(``StreamingClassifier.observe``).
 """
 
 from __future__ import annotations
@@ -209,7 +210,8 @@ class RunResult:
 
     ``state_bytes`` is the nbytes of the statistics' own arrays at the
     end of the stream (``StreamingEstimator.state_nbytes``: the C class
-    means and counts, 8*C*(E+1) bytes, and the scatter in the form the
+    means and counts, 8*C*(E+1) bytes, 8*C*(E/2+1) on the symmetric
+    half, and the scatter in the form the
     run holds, the packed accumulator's 4*E*(E+1) bytes or the factor
     buffer's 8*E*(n-k+C), see ``check_memory_cap``).  ``peak_rss_bytes``
     is measured: the process's resident-set high-water mark (``getrusage``
@@ -290,7 +292,8 @@ def check_memory_cap(
     allocated; returns the bytes they need.
 
     Every run holds the C class rows, a float64 mean and an int64 count
-    each: 8*C*(E+1) bytes.  A covariance-tracking run also holds the
+    each: 8*C*(E+1) bytes, or 8*C*(E/2+1) on the symmetric half
+    (``classifier`` module docstring).  A covariance-tracking run also holds the
     scatter in the form the estimator picks from ``max_rank``, the
     scatter's rank bound n - k at the end of the stream: where
     ``low_rank_fits`` holds for it, the float64 factor's buffer,
@@ -301,8 +304,9 @@ def check_memory_cap(
     well, so it holds two.
     """
     c, e = model_config.num_classes, model_config.embed_dim
-    rows = 8 * c * (e + 1)
-    what = f"8*C*(E+1) = {rows} for the class rows"
+    rows = 8 * c * (model_config.state_dim + 1)
+    half = "/2" if model_config.symmetric_half else ""
+    what = f"8*C*(E{half}+1) = {rows} for the class rows"
     needed = rows
     if model_config.needs_precision and low_rank_fits(e, max_rank, c):
         needed += 8 * e * (max_rank + c)

@@ -360,7 +360,13 @@ def flip_pair_errors(
     normalized and embedded through the same mirror-paired map, block by
     block on the same cuts.  Returns the worst differences of the class
     means and of the packed scatter, each relative to its largest entry,
-    and the fraction of test predictions apart after a finalize."""
+    and the fraction of test predictions apart after a finalize.
+
+    A model on the symmetric half (``kernel_ncm``) takes flip pairs only,
+    so its explicit side is built here: the E-dim class means of the
+    embedded copies, summed in float64, and the argmax of phi . mean over
+    the test split.  The streamed means are compared with their
+    symmetric half (mean_1 + mean_2)/sqrt(2)."""
     from .classifier import VARIANTS, ModelVariant, StreamingClassifier
     from .data_io import flip_horizontal, normalize_batch
     from .fourier import FeatureMapSpec
@@ -376,27 +382,44 @@ def flip_pair_errors(
     config = ModelVariant(
         variant, d.num_classes, spec, d.default_ridge, None if spec else d.input_dim
     )
-    streamed, explicit = StreamingClassifier(config), StreamingClassifier(config)
+    streamed = StreamingClassifier(config)
+    explicit = None if config.symmetric_half else StreamingClassifier(config)
+    fmap = streamed.feature_map
+    sums = np.zeros((d.num_classes, embed_dim))
+    counts = np.zeros(d.num_classes)
     for block in make_stream(data, classes_per_task, True, seed + 1, cut_every):
         streamed.observe(block.features, block.labels, block.mirror_width)
         images = data.train_x[block.indices]
         # every block starts on an even step, so its odd rows are the copies
         images[1::2] = flip_horizontal(images[1::2])
-        explicit.observe(normalize_batch(images, d), block.labels)
+        flat = normalize_batch(images, d)
+        if explicit is None:
+            np.add.at(sums, block.labels, fmap.embed_batch(flat))
+            np.add.at(counts, block.labels, 1)
+        else:
+            explicit.observe(flat, block.labels)
 
     def rel(a, b):
         return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
-    means = rel(streamed.estimator.class_rows()[1], explicit.estimator.class_rows()[1])
-    scatter = 0.0
-    if config.needs_precision:
-        scatter = rel(
-            streamed.estimator.scatter_state()[0], explicit.estimator.scatter_state()[0]
-        )
     tests = normalize_batch(data.test_x, d)
-    for model in (streamed, explicit):
-        model.finalize(consume=True)
-    apart = float(np.mean(streamed.predict_batch(tests) != explicit.predict_batch(tests)))
+    streamed_means = streamed.estimator.class_rows()[1]
+    scatter = 0.0
+    if explicit is None:
+        full = sums / counts[:, None]
+        half = embed_dim // 2
+        means = rel(streamed_means, (full[:, :half] + full[:, half:]) / np.sqrt(2.0))
+        want = np.argmax(fmap.embed_batch(tests).astype(np.float64) @ full.T, axis=1)
+    else:
+        means = rel(streamed_means, explicit.estimator.class_rows()[1])
+        if config.needs_precision:
+            scatter = rel(
+                streamed.estimator.scatter_state()[0], explicit.estimator.scatter_state()[0]
+            )
+        explicit.finalize(consume=True)
+        want = explicit.predict_batch(tests)
+    streamed.finalize(consume=True)
+    apart = float(np.mean(streamed.predict_batch(tests) != want))
     return means, scatter, apart
 
 

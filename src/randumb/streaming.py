@@ -18,7 +18,8 @@ order and any cut of the stream into blocks.
 
 A single sample is a block of one: its centred row is zero, and its
 mean-shift row carries coefficient n / (n + 1), the classic telescoping
-update.
+update.  A mean-only estimator may also count each row of a block
+twice: the symmetric half's flip pairs (``StreamingClassifier.observe``).
 
 No sample outlives its block: state is the scatter, plus one float64
 mean vector and a count per class, so memory is O(E^2 + C*E) no matter
@@ -102,16 +103,18 @@ def _mirror_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool):
-    """Fold ``rows`` into the running ``mean`` of ``count`` samples in
-    place, and with ``centre`` centre them on their own mean b.
+def _merge(mean: np.ndarray, count: int, rows: np.ndarray, centre: bool, repeat: int):
+    """Fold ``rows``, each counted ``repeat`` times, into the running
+    ``mean`` of ``count`` samples in place, and with ``centre`` centre
+    them on their own mean b.
 
-    Returns (n m / (n + m), b - mean): the coefficient and vector of the
-    merge's mean-shift scatter term.  For a single row the sum is that
-    row exactly, so this is the per-sample update to the last bit.
+    Returns (n m / (n + m), b - mean), m the rows counted: the
+    coefficient and vector of the merge's mean-shift scatter term.  For
+    a single row the sum is that row exactly, so this is the per-sample
+    update to the last bit.
     """
-    m = len(rows)
-    block_mean = rows.sum(axis=0) / m
+    block_mean = rows.sum(axis=0) / len(rows)
+    m = repeat * len(rows)
     delta = block_mean - mean
     mean += delta * m / (count + m)
     if centre:
@@ -183,6 +186,13 @@ class StreamingEstimator:
         would take the scatter's rank past the bound raises
         ModelStateError.
         """
+        self._observe(phi, labels, 1)
+
+    def _observe(self, phi: np.ndarray, labels, repeat: int) -> None:
+        """``observe``, each row counted ``repeat`` times: a mean-only
+        estimator's intake of flip pairs whose two rows are one row of
+        the symmetric half (``StreamingClassifier.observe``), which
+        advances its counts by two per pair."""
         if self.track_scatter and self._scatter is None:
             raise ModelStateError(
                 "estimator state was consumed by scatter_state(consume=True); "
@@ -255,12 +265,12 @@ class StreamingEstimator:
         for c, start, stop in zip(labels[starts].tolist(), starts, stops):
             count = int(self._counts[c])
             coef, delta = _merge(
-                self._means[c], count, rows[start:stop], centre=self.track_scatter
+                self._means[c], count, rows[start:stop], self.track_scatter, repeat
             )
             if count > 0 and self.track_scatter:
                 np.multiply(delta, np.sqrt(coef), out=z[stacked])
                 stacked += 1
-            self._counts[c] += stop - start
+            self._counts[c] += repeat * (stop - start)
 
         if factor:
             self._rotate(lead, lead + stacked, width)

@@ -24,6 +24,7 @@ from randumb import (
     RandomReluMap,
     ShapeError,
     StreamingClassifier,
+    StreamingEstimator,
     VARIANTS,
     make_stream,
 )
@@ -31,6 +32,7 @@ from randumb.harness import BLOCK_ROWS
 from randumb.data_io import normalize_batch, read_checkpoint, write_checkpoint
 from randumb.precision import pack_upper, packed_size
 from randumb.reference import (
+    FLIP_MEANS_TOL,
     batch_lda_predict,
     batch_mahalanobis_predict,
     batch_stats,
@@ -448,7 +450,9 @@ class TestBatchAgreement:
 class TestSlicedScoring:
     """predict_batch projects a block once and scores it a float64 slice
     of SCORE_CHUNK entries at a time; its labels are those of the float64
-    reference that scores the whole block's embedding at once."""
+    reference that scores the whole block's embedding at once (on
+    kernel_ncm with flips, the symmetric half (phi_1 + phi_2)/sqrt(2) of
+    that embedding, against the C x E/2 means)."""
 
     E = 4096  # 64 rows per slice
 
@@ -478,13 +482,17 @@ class TestSlicedScoring:
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_labels_match_the_float64_reference(self, variant, flips):
         model, X = self.model(variant, flips)
-        step = classifier_module.SCORE_CHUNK // self.E
+        symmetric = model.config.symmetric_half
+        assert symmetric == (variant == "kernel_ncm" and flips)
+        step = classifier_module.SCORE_CHUNK // (self.E // 2 if symmetric else self.E)
         assert step + 1 < BLOCK_ROWS
         rng = np.random.default_rng(32)
         for n in (0, 1, step + 1, BLOCK_ROWS):
             T = X[np.arange(n) % len(X)] + rng.standard_normal((n, X.shape[1])).astype(np.float32)
             fmap = model.feature_map
             phi = (fmap.embed_batch(T) if fmap else T).astype(np.float64)
+            if symmetric:
+                phi = (phi[:, : self.E // 2] + phi[:, self.E // 2 :]) / np.sqrt(2.0)
             scores = phi @ model._weights + model._bias
             want = np.argmax(scores, axis=1)
             got = model.predict_batch(T)
@@ -498,7 +506,9 @@ class TestSlicedScoring:
 class TestMirroredIntake:
     """observe(x, labels, mirror_width) folds in each original followed by
     its mirror: [phi, Q phi] (the halves swapped) on a paired map, and
-    [x, P x] (the pixels mirrored) on raw inputs."""
+    [x, P x] (the pixels mirrored) on raw inputs.  kernel_ncm on a paired
+    map holds the symmetric half of those rows: its counts are the
+    explicit rows' and its means the symmetric half of their means."""
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_each_original_then_its_mirror(self, variant):
@@ -517,10 +527,17 @@ class TestMirroredIntake:
         else:
             phi = paired.feature_map.embed_batch(X)
             mirror = np.concatenate([phi[:, 32:], phi[:, :32]], axis=1)
-        explicit = StreamingClassifier(config)
-        explicit.estimator.observe(np.stack([phi, mirror], axis=1).reshape(40, -1), labels)
-        got, want = paired.estimator._arrays(), explicit.estimator._arrays()
+        explicit = StreamingEstimator(phi.shape[1], 3, config.needs_precision)
+        explicit.observe(np.stack([phi, mirror], axis=1).reshape(40, -1), labels)
+        got, want = paired.estimator._arrays(), explicit._arrays()
         assert list(got) == list(want)
+        if variant == "kernel_ncm":
+            assert paired.config.symmetric_half
+            np.testing.assert_array_equal(got["class_counts"], want["class_counts"])
+            means = want["class_means"]
+            half = (means[:, :32] + means[:, 32:]) / np.sqrt(2.0)
+            assert np.abs(got["class_means"] - half).max() <= FLIP_MEANS_TOL * np.abs(half).max()
+            return
         for name in got:
             np.testing.assert_array_equal(got[name], want[name])
 
@@ -541,6 +558,42 @@ class TestMirroredIntake:
         assert model.estimator.total_count == 2
         for name, array in model.estimator._arrays().items():
             np.testing.assert_array_equal(array, before[name])
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_a_mirror_under_another_label_is_refused(self, variant):
+        """An image and its mirror share one label: a pair whose mirror
+        carries another is refused, naming the mirror's row, before any
+        state changes, on a paired map (where kernel_ncm could not even
+        hold it: its pair is one row of the symmetric half) and on raw
+        inputs alike."""
+        head = VARIANTS[variant][0]
+        spec = None if head is None else FeatureMapSpec(
+            head, 48, 64, 5, gamma=0.05 if head == "fourier" else None, mirror_width=4
+        )
+        config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 48)
+        model = StreamingClassifier(config)
+        X = np.random.default_rng(67).standard_normal((3, 48)).astype(np.float32)
+        model.observe(X, [0, 0, 2, 2, 1, 1], mirror_width=4)
+        before = {name: a.copy() for name, a in model.estimator._arrays().items()}
+        for labels, row in (([0, 1, 1, 1, 2, 2], 1), ([0, 0, 1, 1, 2, 0], 5)):
+            with pytest.raises(DataError, match=rf"^row {row} mirrors row {row - 1} ") as info:
+                model.observe(X, labels, mirror_width=4)
+            assert info.value.row == row
+        with pytest.raises(ShapeError, match="3 flip pairs needs 6 labels, one per row, got 3"):
+            model.observe(X, [0, 1, 2], mirror_width=4)
+        for name, array in model.estimator._arrays().items():
+            np.testing.assert_array_equal(array, before[name])
+
+    def test_symmetric_half_takes_flip_pairs_only(self):
+        """kernel_ncm on a paired map holds one row of the symmetric half
+        per flip pair, so a non-empty block without the map's width is
+        refused and leaves the statistics as they were."""
+        spec = FeatureMapSpec("fourier", 48, 64, 5, gamma=0.05, mirror_width=4)
+        model = StreamingClassifier(ModelVariant("kernel_ncm", 3, spec))
+        assert model.estimator.class_rows()[1].shape == (3, 32)
+        with pytest.raises(ConfigurationError, match="observes flip pairs only"):
+            model.observe(np.ones((2, 48), np.float32), [0, 1])
+        assert model.estimator.total_count == 0
 
     def test_map_paired_at_another_width_refused(self):
         for width in (4, None):
@@ -1085,12 +1138,13 @@ class TestCheckpointing:
         T = rng.standard_normal((60, 5))
         np.testing.assert_array_equal(model.predict_batch(T), restored.predict_batch(T))
 
-    @pytest.mark.parametrize("variant", ["randumb", "rp_relu"])
+    @pytest.mark.parametrize("variant", ["randumb", "rp_relu", "kernel_ncm"])
     def test_flip_run_roundtrip_restores_the_paired_map(self, tmp_path, variant):
         """The checkpoint meta carries the map's mirror width: the
         restored model redraws the paired map (A and B, the folds of the
         iid draw at D/2 rows), takes the rest of the flip stream and
-        predicts bit for bit as the model never saved."""
+        predicts bit for bit as the model never saved (kernel_ncm on the
+        symmetric half of its means)."""
         data = flip_check_dataset(np.random.default_rng(65))
         d = data.descriptor
         head = VARIANTS[variant][0]
@@ -1120,6 +1174,8 @@ class TestCheckpointing:
             # half the bytes of the unpaired W
             assert 2 * (folded[0].nbytes + folded[1].nbytes) == 4 * spec.num_bases * d.input_dim
         feed(restored, blocks[3:])
+        for got, want in zip(restored.estimator.class_rows(), direct.estimator.class_rows()):
+            assert got.tobytes() == want.tobytes()
         tests = normalize_batch(data.test_x, d)
         for model in (direct, restored):
             model.finalize()
@@ -1316,6 +1372,21 @@ class TestCheckpointMeta:
             path,
             re.escape(f"'class_means' has shape {found}, expected {expected}"),
         )
+
+    def test_full_means_on_the_symmetric_half_rejected(self, tmp_path):
+        """kernel_ncm on a paired map holds C x E/2 means: a checkpoint
+        holding C x E of them, as one written before it held the
+        symmetric half, is refused naming the array."""
+        spec = FeatureMapSpec("fourier", 48, 64, 5, gamma=0.05, mirror_width=4)
+        model = StreamingClassifier(ModelVariant("kernel_ncm", 3, spec))
+        X = np.random.default_rng(68).standard_normal((6, 48)).astype(np.float32)
+        model.observe(X, np.repeat(np.arange(6) % 3, 2), mirror_width=4)
+        path = tmp_path / "model.rdck"
+        model.save(path)
+        meta, arrays = read_checkpoint(path)
+        arrays["class_means"] = np.zeros((3, 64))
+        write_checkpoint(path, meta, arrays)
+        assert_refused(path, re.escape("'class_means' has shape [3, 64], expected [3, 32]"))
 
     @pytest.mark.parametrize(
         "num_classes,refusal",

@@ -382,6 +382,25 @@ class TestMirrorPairedMap:
         direct = fmap.embed_batch(mirrored(X, width))
         np.testing.assert_array_equal(direct, np.roll(got, 8, axis=1))
 
+    def test_symmetric_half_is_the_pair_sum_over_sqrt_two(self):
+        """activate_symmetric of the paired projection [S, T] is
+        s = (phi_1 + phi_2)/sqrt(2) of the embedding's two halves, to
+        float32 rounding (product against sum form), and an image and
+        its mirror share it bit for bit: they differ only in T's sign."""
+        spec = FeatureMapSpec("fourier", 3072, 512, 2, gamma=5e-4, mirror_width=32)
+        fmap = build_map(spec)
+        X = np.random.default_rng(4).standard_normal((40, 3072)).astype(np.float32)
+        proj = fmap.project(X)
+        assert proj.shape == (40, spec.num_bases) and proj.dtype == np.float32
+        s = fmap.activate_symmetric(proj, np.empty((40, 256), np.float32))
+        phi = fmap.embed_batch(X).astype(np.float64)
+        want = (phi[:, :256] + phi[:, 256:]) / np.sqrt(2.0)
+        assert np.abs(s - want).max() <= 1e-6 * np.abs(want).max()
+        mirror = fmap.activate_symmetric(
+            fmap.project(mirrored(X, 32)), np.empty((40, 256), np.float32)
+        )
+        np.testing.assert_array_equal(mirror, s)
+
     def test_pairing_needs_sizes_that_split(self):
         for head, bad, good in (("fourier", (18, 6), 16), ("relu", (17, 3), 18)):
             gamma = 0.5 if head == "fourier" else None

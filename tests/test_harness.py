@@ -871,6 +871,23 @@ class TestCheckMemoryCap:
         with pytest.raises(ConfigurationError, match="eval-every"):
             check_memory_cap(self.CONFIG, 84031, self.DENSE, eval_every=5)
 
+    def test_symmetric_half_counts_half_the_class_rows(self):
+        """kernel_ncm on a flip run holds C means of E/2 entries and C
+        counts: the cap counts 8*C*(E/2+1) bytes, and the run's
+        state_bytes is that count."""
+        data = flip_check_dataset(np.random.default_rng(69))
+        d = data.descriptor
+        config = ModelVariant("kernel_ncm", d.num_classes, FeatureMapSpec(
+            "fourier", d.input_dim, 256, 0, gamma=d.default_gamma, mirror_width=32,
+        ))
+        need = 8 * d.num_classes * (128 + 1)
+        assert check_memory_cap(config, need, 2 * len(data.train_y)) == need
+        with pytest.raises(ConfigurationError, match=rf"8\*C\*\(E/2\+1\) = {need} "):
+            check_memory_cap(config, need - 1, 2 * len(data.train_y))
+        result = run_on_dataset(data, variant="kernel_ncm", embed_dim=256, seed=0)
+        assert result.config["state_dim"] == 256
+        assert result.state_bytes == need
+
     def test_mean_only_variants_need_their_class_rows(self):
         config = ModelVariant("ncm", num_classes=4, input_dim=100)
         assert check_memory_cap(config, 3232, self.DENSE, eval_every=5) == 3232

@@ -669,6 +669,37 @@ class TestBlocked:
                 np.testing.assert_array_equal(blocked.scatter(), single.scatter())
                 np.testing.assert_array_equal(blocked.class_rows()[1], single.class_rows()[1])
 
+    @pytest.mark.parametrize("form", [*FORMS, "mean-only"])
+    def test_random_blocks_match_batch(self, monkeypatch, form):
+        """The fixed block sizes above as a seeded property: random E,
+        class counts, cut positions and arrival orders (a random
+        permutation, or sorted by class), each equal to the two-pass
+        batch oracle within 1e-8, with the scatter in either form or
+        none."""
+        bound = in_form("packed" if form == "mean-only" else form, monkeypatch)
+        rng = np.random.default_rng(38)
+        for trial in range(40):
+            e = int(rng.integers(1, 40))
+            k = int(rng.integers(1, CLASSES + 1))
+            n = int(rng.integers(2, 160))
+            y = rng.integers(0, k, size=n)
+            X = rng.standard_normal((k, e))[y] * 3 + rng.standard_normal((n, e))
+            order = rng.permutation(n)
+            if trial % 2:
+                order = order[np.argsort(y[order], kind="stable")]
+            cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+            est = StreamingEstimator(e, CLASSES, form != "mean-only", bound(y))
+            feed_blocks(est, X[order], y[order], cuts)
+            ref = batch_stats(X, y)
+            counts, means = est.class_rows()
+            assert counts.tolist() == [ref.counts.get(c, 0) for c in range(CLASSES)]
+            for label, mean in ref.means.items():
+                np.testing.assert_allclose(means[label], mean, rtol=1e-8, atol=1e-12)
+            if form != "mean-only":
+                assert est._scatter.ndim == (2 if form == "factor" else 1)
+                scale = max(np.abs(ref.covariance).max(), 1e-300)
+                assert np.abs(est.covariance() - ref.covariance).max() / scale <= 1e-8
+
     @pytest.mark.parametrize(
         "order,form",
         [(order, form) for form in FORMS for order in ("shuffled", "class_incremental")],
@@ -832,3 +863,150 @@ class TestBlocked:
             est.observe(np.zeros((4, 2)), [0, 1, 2, 3])
         with pytest.raises(ShapeError):
             est.observe(np.zeros((2, 4, 3)), [0, 1])
+
+
+def twin_rows(rng, X, y):
+    """Other rows with the same counts, class means and scatter as X:
+    X'_c = 1 mu_c^T + M_c (X_c - 1 mu_c^T) for each class c, M_c a random
+    orthogonal matrix with M_c 1 = 1, so 1^T X'_c = 1^T X_c and
+    (X'_c - 1 mu_c^T)^T (X'_c - 1 mu_c^T) = (X_c - 1 mu_c^T)^T (X_c - 1 mu_c^T)."""
+    twin = X.copy()
+    for c in np.unique(y):
+        rows = np.flatnonzero(y == c)
+        n = len(rows)
+        if n < 2:
+            continue
+        # q's first column is 1/sqrt(n) up to sign; M = q diag(1, O) q^T
+        q, _ = np.linalg.qr(np.hstack([np.ones((n, 1)), rng.standard_normal((n, n - 1))]))
+        turn = np.eye(n)
+        turn[1:, 1:] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+        mean = X[rows].mean(axis=0)
+        twin[rows] = mean + q @ turn @ q.T @ (X[rows] - mean)
+    return twin
+
+
+def factor_gap(a, b):
+    """The largest entry of a - b over b's largest, for two factor
+    buffers [L, spare columns]: each column of a takes the sign of b's.
+    A column is determined by the scatter only as well as its eigenvalue
+    (squared column norm) is apart from its neighbours', so columns whose
+    eigenvalues lie within 1% of the largest of each other are grouped,
+    and a group's L_g L_g^T is compared instead, over b's largest entry
+    squared."""
+    a = a.copy()
+    signs = np.sign(np.einsum("ij,ij->j", a, b))
+    a *= np.where(signs == 0, 1.0, signs)
+    norms = np.einsum("ij,ij->j", b, b)
+    scale = max(np.abs(b).max(), 1e-300)
+    apart = np.abs(np.diff(norms)) > 1e-2 * norms.max(initial=0)
+    bounds = [0, *(np.flatnonzero(apart) + 1), len(norms)]
+    gap = 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo == 1:
+            gap = max(gap, np.abs(a[:, lo] - b[:, lo]).max() / scale)
+        else:
+            outer = lambda m: m[:, lo:hi] @ m[:, lo:hi].T  # noqa: E731
+            gap = max(gap, np.abs(outer(a) - outer(b)).max() / scale**2)
+    return gap
+
+
+# The worst twin-stream gaps of TestNoSampleOutlivesItsBlock.gaps over
+# seeds 0..49, relative to the largest entry: class means 4.3e-16 (every
+# form), the packed scatter 1.1e-15, the factor buffer 1.9e-13 (``factor_gap``).
+# Each bound is about ten times that; the test runs all 50 seeds.
+TWIN_MEANS_TOL = 5e-15
+TWIN_PACKED_TOL = 1e-14
+TWIN_FACTOR_TOL = 2e-12
+
+
+class TestNoSampleOutlivesItsBlock:
+    """After a stream, every array the estimator holds (the factor's
+    whole buffer, spare columns included) and so every checkpoint array
+    is a function of the counts, the class means and the scatter alone:
+    a twin stream of other rows with the same counts, means and scatter
+    (``twin_rows``), on the same labels and cuts, leaves the same arrays.
+    On the packed form, the factor form, the mean-only intake and the
+    mean-only intake of symmetric-half rows (each row counted twice)."""
+
+    E, C, N = 64, 3, 30
+
+    def estimators(self, form, y):
+        if form == "packed":
+            return StreamingEstimator(self.E, self.C)
+        if form == "factor":
+            return StreamingEstimator(self.E, self.C, rank_bound=len(y) - len(np.unique(y)))
+        return StreamingEstimator(self.E, self.C, track_scatter=False)
+
+    def gaps(self, seed, form):
+        """The worst gaps (means, scatter) of one seed's twin streams in
+        ``form``, over both stream orders and four cuts of the stream."""
+        rng = np.random.default_rng(seed)
+        means_gap = scatter_gap = 0.0
+        for order in ("shuffled", "class_incremental"):
+            y = rng.integers(0, self.C, size=self.N)
+            if order == "class_incremental":
+                y = np.sort(y)
+            X = rng.standard_normal((self.C, self.E))[y] * 3
+            X += rng.standard_normal((self.N, self.E))
+            twin = twin_rows(rng, X, y)
+            assert np.abs(twin - X).max() > 0.5
+            random = sorted(rng.choice(np.arange(1, self.N), size=5, replace=False).tolist())
+            for cuts in (fixed_cuts(self.N, 1), fixed_cuts(self.N, 7), random, []):
+                pair = []
+                for rows in (X, twin):
+                    est = self.estimators(form, y)
+                    bounds = [0, *cuts, self.N]
+                    for start, stop in zip(bounds, bounds[1:]):
+                        if form == "pairs":
+                            est._observe(rows[start:stop], y[start:stop], 2)
+                        else:
+                            est.observe(rows[start:stop], y[start:stop])
+                    pair.append(est._arrays() | {"buffer": est._scatter})
+                a, b = pair
+                assert a.keys() == b.keys()
+                np.testing.assert_array_equal(a["class_counts"], b["class_counts"])
+                means = b["class_means"]
+                gap = np.abs(a["class_means"] - means).max() / np.abs(means).max()
+                means_gap = max(means_gap, gap)
+                if form == "packed":
+                    gap = np.abs(a["scatter"] - b["scatter"]).max() / np.abs(b["scatter"]).max()
+                    scatter_gap = max(scatter_gap, gap)
+                elif form == "factor":
+                    assert a["buffer"].shape == (self.E, self.N)
+                    scatter_gap = max(scatter_gap, factor_gap(a["buffer"], b["buffer"]))
+        return means_gap, scatter_gap
+
+    @pytest.mark.parametrize("variant", ["slda", "ncm"])
+    def test_twin_checkpoints_agree_on_raw_inputs(self, tmp_path, variant):
+        """The same through ``StreamingClassifier.save``: on raw inputs
+        the twin is built in input space, and the two checkpoints hold
+        the same meta and the same arrays."""
+        rng = np.random.default_rng(70)
+        config = ModelVariant(variant, self.C, input_dim=self.E, ridge=1e-4)
+        for trial in range(10):
+            y = rng.integers(0, self.C, size=self.N)
+            X = rng.standard_normal((self.C, self.E))[y] * 3
+            X += rng.standard_normal((self.N, self.E))
+            saved = []
+            for rows in (X, twin_rows(rng, X, y)):
+                model = StreamingClassifier(config)
+                for start in range(0, self.N, 7):
+                    model.observe(rows[start : start + 7], y[start : start + 7])
+                model.save(tmp_path / "twin.rdck")
+                saved.append(read_checkpoint(tmp_path / "twin.rdck"))
+            (meta, a), (twin_meta, b) = saved
+            assert meta == twin_meta and a.keys() == b.keys()
+            np.testing.assert_array_equal(a["class_counts"], b["class_counts"])
+            for name, tol in (("class_means", TWIN_MEANS_TOL), ("scatter", TWIN_PACKED_TOL)):
+                if name in b:
+                    assert np.abs(a[name] - b[name]).max() <= tol * np.abs(b[name]).max()
+
+    @pytest.mark.parametrize("form", ["packed", "factor", "mean-only", "pairs"])
+    def test_twin_streams_leave_the_same_arrays(self, monkeypatch, form):
+        if form == "factor":
+            in_form(form, monkeypatch)
+        tol = {"packed": TWIN_PACKED_TOL, "factor": TWIN_FACTOR_TOL}.get(form, 0.0)
+        for seed in range(50):
+            means_gap, scatter_gap = self.gaps(seed, form)
+            assert means_gap <= TWIN_MEANS_TOL
+            assert scatter_gap <= tol
