@@ -23,9 +23,10 @@ per finalize.  For the inner-product variants w_c = mean_c and b_c = 0.
 A class not seen yet has b_c = -inf and is never predicted.  Ties break
 toward the smallest class label.
 
-A flip run's model observes each original followed by its mirror: on a
-mirror-paired map the mirror's embedding is the original's with its
-halves swapped, [phi, Q phi], and on raw inputs its pixels mirrored.
+A flip block hands the model its originals only, one label each, and
+the model makes each mirror, folding in each original followed by it:
+on a mirror-paired map the mirror's embedding is the original's with
+its halves swapped, [phi, Q phi], and on raw inputs its pixels mirrored.
 An inner-product model on a paired map (``kernel_ncm`` with flips)
 holds only the symmetric half s = (phi_1 + phi_2)/sqrt(2) of its rows
 (``fourier`` module docstring): a flip pair is the rows (s, a) and
@@ -143,29 +144,6 @@ class ModelVariant:
         return self.embed_dim // 2 if self.symmetric_half else self.embed_dim
 
 
-def _pair_labels(labels, pairs: int) -> np.ndarray:
-    """The labels of a block of ``pairs`` flip pairs, one per row of the
-    pairs.  A count other than two per pair raises ShapeError, and a
-    label that is not a whole number, or a mirror whose label differs
-    from its original's, a DataError whose ``row`` is its index."""
-    labels = np.asarray(labels).reshape(-1)
-    if labels.shape != (2 * pairs,):
-        raise ShapeError(
-            f"a block of {pairs} flip pairs needs {2 * pairs} labels, one per row, "
-            f"got {labels.size}"
-        )
-    data_io.refuse_fractional_labels(labels, "block")
-    split = labels[0::2] != labels[1::2]
-    if split.any():
-        row = 2 * int(np.argmax(split)) + 1
-        raise DataError(
-            f"row {row} mirrors row {row - 1} but has label {labels[row]}, not "
-            f"{labels[row - 1]}: an image and its mirror share one label",
-            row=row,
-        )
-    return labels
-
-
 class StreamingClassifier:
     """One streaming model: embed each block of samples, fold it into the
     running statistics, finalize once, then score test points.
@@ -203,49 +181,63 @@ class StreamingClassifier:
     def finalized(self) -> bool:
         return self._weights is not None
 
-    def _embed(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if self.feature_map is None:
-            return x
-        return self.feature_map.embed_batch(x[None] if x.ndim == 1 else x)
-
     def observe(self, x_raw: np.ndarray, labels, mirror_width: int | None = None) -> None:
         """Embed one raw sample, or a block of rows with one label each,
         and fold it into the statistics.
 
-        With ``mirror_width``, ``x_raw`` holds the originals of flip
-        pairs, and ``labels`` one label per row of the pairs: each
-        original is followed by its image mirrored at that width, under
-        the same label.  The originals are embedded once; a mirrored row
-        is the original's embedding with its halves swapped (which needs
-        a map paired at that width), or, on raw inputs, the original's
-        pixels mirrored.  On the symmetric half (module docstring) each
-        pair is one s row counted twice, so such a model refuses a
-        non-empty block without its map's width.  A pair whose two
-        labels differ, which the symmetric half could not hold, raises a
-        DataError whose ``row`` is the mirror's, before any state
-        changes.
+        With ``mirror_width``, each row of ``x_raw`` is an original
+        image, and the model folds in the original followed by its image
+        mirrored at that width, under the original's label.  The
+        originals are embedded once; a mirrored row is the original's
+        embedding with its halves swapped (which needs a map paired at
+        that width), or, on raw inputs, the original's pixels mirrored
+        (which needs a width that divides the input size).  On the
+        symmetric half (module docstring) each original is one s row
+        counted twice, so such a model refuses a non-empty block without
+        its map's width.  A label count other than the rows', a label
+        that is not a whole number, or a width the model cannot mirror
+        at is refused before any embedding.  A DataError names the
+        offending row of ``x_raw`` as its ``row``, and a refused block
+        leaves the statistics as they were.
         """
         rows = np.atleast_2d(x_raw)
-        if mirror_width is not None:
-            labels = _pair_labels(labels, len(rows))
+        labels = np.asarray(labels).reshape(-1)
+        if labels.shape != (len(rows),):
+            raise ShapeError(
+                f"a block of {len(rows)} rows needs one label per row, got {labels.size}"
+            )
+        data_io.refuse_fractional_labels(labels, "block")
+        if len(rows) and (mirror_width is not None or self.config.symmetric_half):
+            self._check_mirror_width(mirror_width, rows.shape[1])
         if self.config.symmetric_half:
-            # one s row per pair, under the pair's label, counted twice
-            if len(rows):
-                self._require_paired_at(mirror_width)
             proj = self.feature_map.project(rows)
             s = self._activate(proj, np.empty((len(proj), self.estimator.embed_dim), np.float32))
-            self.estimator._observe(s, labels if mirror_width is None else labels[0::2], 2)
+            self.estimator._observe(s, labels, 2)
             return
-        phi = self._embed(x_raw)
-        if mirror_width is not None and len(phi):
-            phi = self._with_mirrors(np.atleast_2d(phi), mirror_width)
-        self.estimator.observe(phi, labels)
+        phi = rows if self.feature_map is None else self.feature_map.embed_batch(rows)
+        if mirror_width is None or not len(phi):
+            self.estimator.observe(phi, labels)
+            return
+        try:
+            self.estimator.observe(self._with_mirrors(phi, mirror_width), np.repeat(labels, 2))
+        except DataError as exc:
+            if exc.row is not None:
+                exc.row //= 2  # rows 2i and 2i + 1 are original i and its mirror
+            raise
 
-    def _require_paired_at(self, width: int | None) -> None:
-        """Refuse mirrored rows at an image width other than the one the
-        map is paired at, and on the symmetric half a block without
-        mirrors."""
+    def _check_mirror_width(self, width: int | None, entries: int) -> None:
+        """Refuse mirrored rows the model cannot make at image width
+        ``width`` from rows of ``entries`` entries: on raw inputs a width
+        that does not divide them, on a map one other than the width it
+        is paired at, and on the symmetric half no width at all."""
+        if self.feature_map is None:
+            check_int("mirror_width", width, 1)
+            if entries % width:
+                raise ConfigurationError(
+                    f"mirrored rows at image width {width} need an input size the width "
+                    f"divides; these rows hold {entries} entries"
+                )
+            return
         paired = self.config.embedding.mirror_width
         if width is None:
             raise ConfigurationError(
@@ -264,15 +256,8 @@ class StreamingClassifier:
         pairs = np.empty((m, 2, e), dtype=phi.dtype)
         pairs[:, 0] = phi
         if self.feature_map is None:
-            check_int("mirror_width", width, 1)
-            if e % width:
-                raise ConfigurationError(
-                    f"mirrored rows at image width {width} need an input size the width "
-                    f"divides; these rows hold {e} entries"
-                )
             mirror_pixels(phi, width, out=pairs[:, 1])
         else:
-            self._require_paired_at(width)
             # the half swap Q: the embedding of the mirrored image
             pairs.reshape(m, 2, 2, -1)[:, 1] = phi.reshape(m, 2, -1)[:, ::-1]
         return pairs.reshape(2 * m, e)

@@ -177,16 +177,20 @@ def _read_bytes(path: str | Path) -> bytes:
     return raw
 
 
-def _parse_idx(raw: bytes, path: str | Path) -> tuple[int, np.ndarray]:
+def _parse_idx(path: str | Path, kind: str, magic: int) -> np.ndarray:
+    """The u8 tensor of the IDX file at ``path``, whose magic must be
+    ``magic``: the one for ``kind`` ("image" or "label").  The magic's
+    low byte is the tensor's dimension count."""
+    raw = _read_bytes(path)
     if len(raw) < 4:
         raise DataFormatError(f"{path}: bad magic, file truncated at offset 0")
-    magic = struct.unpack(">I", raw[:4])[0]
-    if magic == _IDX_IMAGE_MAGIC:
-        ndim = 3
-    elif magic == _IDX_LABEL_MAGIC:
-        ndim = 1
-    else:
-        raise DataFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0")
+    got = struct.unpack(">I", raw[:4])[0]
+    if got != magic:
+        raise DataFormatError(
+            f"{path}: bad magic 0x{got:08x} at offset 0: expected {kind} magic "
+            f"0x{magic:08x}"
+        )
+    ndim = magic & 0xFF
     header_end = 4 + 4 * ndim
     if len(raw) < header_end:
         raise DataFormatError(
@@ -200,30 +204,17 @@ def _parse_idx(raw: bytes, path: str | Path) -> tuple[int, np.ndarray]:
             f"{path}: payload truncated at offset {header_end + len(payload)}: "
             f"expected {expected} bytes after header, found {len(payload)}"
         )
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
-    return magic, data
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def load_idx_images(path: str | Path) -> np.ndarray:
     """Read one IDX image file into a u8 tensor of shape (N, rows, cols)."""
-    magic, data = _parse_idx(_read_bytes(path), path)
-    if magic != _IDX_IMAGE_MAGIC:
-        raise DataFormatError(
-            f"{path}: expected image magic 0x{_IDX_IMAGE_MAGIC:08x}, "
-            f"got 0x{magic:08x}"
-        )
-    return data
+    return _parse_idx(path, "image", _IDX_IMAGE_MAGIC)
 
 
 def load_idx_labels(path: str | Path) -> np.ndarray:
     """Read one IDX label file into an int64 vector of length N."""
-    magic, data = _parse_idx(_read_bytes(path), path)
-    if magic != _IDX_LABEL_MAGIC:
-        raise DataFormatError(
-            f"{path}: expected label magic 0x{_IDX_LABEL_MAGIC:08x}, "
-            f"got 0x{magic:08x}"
-        )
-    return data.astype(np.int64)
+    return _parse_idx(path, "label", _IDX_LABEL_MAGIC).astype(np.int64)
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path):

@@ -9,7 +9,8 @@ stream is delivered in blocks of consecutive steps; the model observes
 every element exactly once, is finalized, and is then evaluated on the
 same RawDataset's full test split.  A flip stream is cut only between
 an image and its mirror, so each flip block is the normalized originals
-of its steps; the model emits each original's row followed by its
+of its steps, with one train index and one label per original; the
+model makes each mirror, emitting each original's row followed by its
 mirror's, or on the symmetric half one row per pair counted twice
 (``StreamingClassifier.observe``).
 """
@@ -56,13 +57,14 @@ ABLATION_ORDER = tuple(VARIANTS)
 
 @dataclass(frozen=True)
 class StreamBlock:
-    """Consecutive stream steps ``start .. start + len(labels) - 1``.
+    """Consecutive stream steps ``start .. stop - 1``, one row of
+    ``features`` per original image.
 
-    Step ``start + i`` is train-set sample ``indices[i]`` with label
-    ``labels[i]``.  ``features`` holds the flat normalized originals:
-    without flips (``mirror_width`` None) row i is step i.  With flips
-    ``start`` is even, row i is step 2i, and step 2i + 1 is its image
-    mirrored left-right at width ``mirror_width``.
+    Row i is train-set sample ``indices[i]`` with label ``labels[i]``,
+    flat and normalized.  Without flips (``mirror_width`` None) it is
+    step ``start + i``.  With flips ``start`` is even, row i is step
+    ``start + 2i``, and step ``start + 2i + 1`` is its image mirrored
+    left-right at width ``mirror_width``, which the model makes.
     """
 
     start: int
@@ -73,15 +75,20 @@ class StreamBlock:
 
     @property
     def stop(self) -> int:
-        return self.start + len(self.labels)
+        return self.start + (2 if self.mirror_width else 1) * len(self.labels)
 
     def describe(self, row: int | None) -> str:
-        """Name one row's stream step, or the whole block without a row."""
+        """Name the stream step of one row of ``features``, and on a flip
+        block its mirror's, or the whole block without a row."""
         if row is None:
             return f"stream steps {self.start}..{self.stop - 1}"
-        step = self.start + row
-        origin = "flipped" if self.mirror_width and step % 2 else "original"
-        return f"stream step {step} (class {self.labels[row]}, {origin})"
+        if self.mirror_width:
+            step = self.start + 2 * row
+            return (
+                f"stream step {step} (class {self.labels[row]}, original, "
+                f"mirrored at step {step + 1})"
+            )
+        return f"stream step {self.start + row} (class {self.labels[row]}, original)"
 
 
 def make_stream(
@@ -103,8 +110,9 @@ def make_stream(
     BLOCK_ROWS stream steps and, when cut_every > 0, at every multiple of
     cut_every: cuts depend only on the absolute stream position, never on
     task boundaries.  A flip stream is cut only between pairs, so it
-    refuses an odd cut_every.  Only the originals of one block of the
-    train set are ever normalized at a time.
+    refuses an odd cut_every.  Each block holds one train index, one
+    label and one row per original it covers; only the originals of one
+    block of the train set are ever normalized at a time.
     """
     descriptor, train_x, train_y = data.descriptor, data.train_x, data.train_y
     check_int("classes_per_task", classes_per_task, 1)
@@ -136,9 +144,9 @@ def make_stream(
         order = np.concatenate(members)
         rng.shuffle(order)
         orders.append(order)
+    indices = np.concatenate(orders)
     step = 2 if augment else 1
-    indices = np.repeat(np.concatenate(orders), step)
-    n = len(indices)
+    n = step * len(indices)
     # A mask, not np.union1d: np.unique imports numpy.ma on first use.
     steps = np.arange(n)
     is_cut = steps % BLOCK_ROWS == 0
@@ -147,10 +155,11 @@ def make_stream(
     cuts = np.flatnonzero(is_cut)
 
     def blocks():
+        # every cut is even on a flip stream, so step // 2 is its original
         for start, stop in zip(cuts.tolist(), cuts[1:].tolist() + [n]):
-            idx = indices[start:stop]
+            idx = indices[start // step : stop // step]
             yield StreamBlock(
-                start, idx, _flat(train_x[idx[::step]], descriptor),
+                start, idx, _flat(train_x[idx], descriptor),
                 train_y[idx].astype(np.int64, copy=False), width,
             )
 

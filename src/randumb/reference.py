@@ -356,9 +356,10 @@ def flip_pair_errors(
     data, variant: str, embed_dim: int, seed: int, classes_per_task: int, cut_every: int
 ) -> tuple[float, float, float]:
     """A flip run's streamed model against the stream that materializes
-    every copy: each step's image flipped (``flip_horizontal``),
-    normalized and embedded through the same mirror-paired map, block by
-    block on the same cuts.  Returns the worst differences of the class
+    every copy: each block's originals repeated for their steps, the
+    odd step's image flipped (``flip_horizontal``), normalized and
+    embedded through the same mirror-paired map, block by block on the
+    same cuts.  Returns the worst differences of the class
     means and of the packed scatter, each relative to its largest entry,
     and the fraction of test predictions apart after a finalize.
 
@@ -389,15 +390,17 @@ def flip_pair_errors(
     counts = np.zeros(d.num_classes)
     for block in make_stream(data, classes_per_task, True, seed + 1, cut_every):
         streamed.observe(block.features, block.labels, block.mirror_width)
-        images = data.train_x[block.indices]
+        indices = np.repeat(block.indices, 2)
+        labels = data.train_y[indices]
+        images = data.train_x[indices]
         # every block starts on an even step, so its odd rows are the copies
         images[1::2] = flip_horizontal(images[1::2])
         flat = normalize_batch(images, d)
         if explicit is None:
-            np.add.at(sums, block.labels, fmap.embed_batch(flat))
-            np.add.at(counts, block.labels, 1)
+            np.add.at(sums, labels, fmap.embed_batch(flat))
+            np.add.at(counts, labels, 1)
         else:
-            explicit.observe(flat, block.labels)
+            explicit.observe(flat, labels)
 
     def rel(a, b):
         return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))

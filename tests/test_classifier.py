@@ -23,6 +23,7 @@ from randumb import (
     PrecisionModel,
     RandomReluMap,
     ShapeError,
+    StreamBlock,
     StreamingClassifier,
     StreamingEstimator,
     VARIANTS,
@@ -472,7 +473,7 @@ class TestSlicedScoring:
         rows = 2 * len(y) if flips else len(y)
         model = StreamingClassifier(config, rows - CLASSES)
         if flips:
-            model.observe(X, np.repeat(y, 2), mirror_width=width)
+            model.observe(X, y, mirror_width=width)
         else:
             model.observe(X, y)
         model.finalize()
@@ -519,7 +520,7 @@ class TestMirroredIntake:
         )
         config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 48)
         X = rng.standard_normal((20, 48)).astype(np.float32)
-        labels = np.repeat(rng.integers(0, 3, 20), 2)
+        labels = rng.integers(0, 3, 20)
         paired = StreamingClassifier(config)
         paired.observe(X, labels, mirror_width=4)
         if spec is None:
@@ -528,7 +529,7 @@ class TestMirroredIntake:
             phi = paired.feature_map.embed_batch(X)
             mirror = np.concatenate([phi[:, 32:], phi[:, :32]], axis=1)
         explicit = StreamingEstimator(phi.shape[1], 3, config.needs_precision)
-        explicit.observe(np.stack([phi, mirror], axis=1).reshape(40, -1), labels)
+        explicit.observe(np.stack([phi, mirror], axis=1).reshape(40, -1), np.repeat(labels, 2))
         got, want = paired.estimator._arrays(), explicit._arrays()
         assert list(got) == list(want)
         if variant == "kernel_ncm":
@@ -552,20 +553,20 @@ class TestMirroredIntake:
         )
         config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 48)
         model = StreamingClassifier(config)
-        model.observe(np.ones((1, 48), np.float32), [1, 1], mirror_width=4)
+        model.observe(np.ones((1, 48), np.float32), [1], mirror_width=4)
         before = {name: a.copy() for name, a in model.estimator._arrays().items()}
         model.observe(np.zeros((0, 48), np.float32), [], mirror_width=mirror_width)
         assert model.estimator.total_count == 2
         for name, array in model.estimator._arrays().items():
             np.testing.assert_array_equal(array, before[name])
 
+    @pytest.mark.parametrize("mirror_width", [None, 4])
     @pytest.mark.parametrize("variant", list(VARIANTS))
-    def test_a_mirror_under_another_label_is_refused(self, variant):
-        """An image and its mirror share one label: a pair whose mirror
-        carries another is refused, naming the mirror's row, before any
-        state changes, on a paired map (where kernel_ncm could not even
-        hold it: its pair is one row of the symmetric half) and on raw
-        inputs alike."""
+    def test_a_label_count_other_than_the_rows_is_refused(self, variant, mirror_width):
+        """A block takes one label per row of x_raw, with or without
+        mirrors: two per original, or one too few, is refused before any
+        state changes, on a paired map and on raw inputs alike (on the
+        symmetric half before the missing width)."""
         head = VARIANTS[variant][0]
         spec = None if head is None else FeatureMapSpec(
             head, 48, 64, 5, gamma=0.05 if head == "fourier" else None, mirror_width=4
@@ -573,16 +574,44 @@ class TestMirroredIntake:
         config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 48)
         model = StreamingClassifier(config)
         X = np.random.default_rng(67).standard_normal((3, 48)).astype(np.float32)
-        model.observe(X, [0, 0, 2, 2, 1, 1], mirror_width=4)
+        model.observe(X, [0, 2, 1], mirror_width=4)
         before = {name: a.copy() for name, a in model.estimator._arrays().items()}
-        for labels, row in (([0, 1, 1, 1, 2, 2], 1), ([0, 0, 1, 1, 2, 0], 5)):
-            with pytest.raises(DataError, match=rf"^row {row} mirrors row {row - 1} ") as info:
-                model.observe(X, labels, mirror_width=4)
-            assert info.value.row == row
-        with pytest.raises(ShapeError, match="3 flip pairs needs 6 labels, one per row, got 3"):
-            model.observe(X, [0, 1, 2], mirror_width=4)
+        for labels in ([0, 0, 2, 2, 1, 1], [0, 2]):
+            refusal = f"^a block of 3 rows needs one label per row, got {len(labels)}$"
+            with pytest.raises(ShapeError, match=refusal):
+                model.observe(X, labels, mirror_width=mirror_width)
         for name, array in model.estimator._arrays().items():
             np.testing.assert_array_equal(array, before[name])
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_a_bad_original_is_named_by_its_row(self, variant):
+        """A DataError from a flip block names the row of x_raw at fault,
+        whichever of the three intakes the variant takes (the symmetric
+        half, [phi, Q phi], or [x, P x]), and the block's describe of
+        that row names the original's stream step."""
+        head = VARIANTS[variant][0]
+        spec = None if head is None else FeatureMapSpec(
+            head, 32, 16, 5, gamma=0.05 if head == "fourier" else None, mirror_width=4
+        )
+        config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 32)
+        model = StreamingClassifier(config)
+        X = np.random.default_rng(69).standard_normal((3, 32)).astype(np.float32)
+        labels = np.array([0, 1, 2])
+        block = StreamBlock(6, np.arange(3), X, labels, mirror_width=4)
+        assert block.stop == 12
+        assert block.describe(1).startswith("stream step 8 (class 1, original, mirrored at step 9)")
+        bad = X.copy()
+        bad[1, 5] = np.nan
+        with pytest.raises(DataError, match="non-finite") as info:
+            model.observe(bad, labels, mirror_width=4)
+        assert info.value.row == 1
+        with pytest.raises(DataError, match=r"^label 3 is outside 0\.\.2$") as info:
+            model.observe(X, [0, 3, 2], mirror_width=4)
+        assert info.value.row == 1
+        with pytest.raises(DataError, match="^block label at index 1 is 1.5;") as info:
+            model.observe(X, [0.0, 1.5, 2.0], mirror_width=4)
+        assert info.value.row == 1
+        assert model.estimator.total_count == 0
 
     def test_symmetric_half_takes_flip_pairs_only(self):
         """kernel_ncm on a paired map holds one row of the symmetric half
@@ -600,7 +629,7 @@ class TestMirroredIntake:
             spec = FeatureMapSpec("fourier", 48, 64, 5, gamma=0.05, mirror_width=width)
             model = StreamingClassifier(ModelVariant("kernel_ncm", 3, spec))
             with pytest.raises(ConfigurationError, match=rf"has mirror_width {width}$"):
-                model.observe(np.zeros((2, 48), np.float32), [0, 0, 1, 1], mirror_width=8)
+                model.observe(np.zeros((2, 48), np.float32), [0, 1], mirror_width=8)
             assert model.estimator.total_count == 0
 
     @pytest.mark.parametrize("variant", ["slda", "ncm"])
@@ -609,14 +638,14 @@ class TestMirroredIntake:
         must divide the input size; the refusal names both, and the
         statistics are left as they were."""
         model = StreamingClassifier(ModelVariant(variant, 3, input_dim=48))
-        model.observe(np.ones((1, 48), np.float32), [0, 0], mirror_width=4)
+        model.observe(np.ones((1, 48), np.float32), [0], mirror_width=4)
         before = {name: a.copy() for name, a in model.estimator._arrays().items()}
         refusal = "image width 5 need an input size the width divides; these rows hold 48"
         with pytest.raises(ConfigurationError, match=refusal):
-            model.observe(np.zeros((2, 48), np.float32), [0, 0, 1, 1], mirror_width=5)
+            model.observe(np.zeros((2, 48), np.float32), [0, 1], mirror_width=5)
         for width in (0, 4.0):
             with pytest.raises(ConfigurationError, match="^mirror_width must be"):
-                model.observe(np.zeros((2, 48), np.float32), [0, 0, 1, 1], mirror_width=width)
+                model.observe(np.zeros((2, 48), np.float32), [0, 1], mirror_width=width)
         for name, array in model.estimator._arrays().items():
             np.testing.assert_array_equal(array, before[name])
 
@@ -1380,7 +1409,7 @@ class TestCheckpointMeta:
         spec = FeatureMapSpec("fourier", 48, 64, 5, gamma=0.05, mirror_width=4)
         model = StreamingClassifier(ModelVariant("kernel_ncm", 3, spec))
         X = np.random.default_rng(68).standard_normal((6, 48)).astype(np.float32)
-        model.observe(X, np.repeat(np.arange(6) % 3, 2), mirror_width=4)
+        model.observe(X, np.arange(6) % 3, mirror_width=4)
         path = tmp_path / "model.rdck"
         model.save(path)
         meta, arrays = read_checkpoint(path)

@@ -232,13 +232,15 @@ def step_flipped(block):
 
 
 def stream_rows(data, **kwargs):
-    """Concatenate a block stream into per-step arrays."""
+    """Concatenate a block stream into per-step arrays: a flip block's
+    index and label of each original repeated for its mirror."""
     blocks = list(make_stream(data, **kwargs))
+    per_step = [2 if b.mirror_width else 1 for b in blocks]
     return (
-        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([np.repeat(b.indices, k) for b, k in zip(blocks, per_step)]),
         np.concatenate([step_flipped(b) for b in blocks]),
         np.concatenate([step_rows(b, data.descriptor) for b in blocks]),
-        np.concatenate([b.labels for b in blocks]),
+        np.concatenate([np.repeat(b.labels, k) for b, k in zip(blocks, per_step)]),
     )
 
 
@@ -286,21 +288,40 @@ class TestMakeStream:
 
     def test_flip_augmentation_doubles_and_interleaves(self):
         """2n steps, each flipped copy right after its original, and the
-        block carries one normalized, unflipped row per image, the
-        original of steps 2i and 2i + 1: nothing is flipped or normalized
-        twice."""
+        block carries one normalized, unflipped row, one index and one
+        label per image, the original of steps 2i and 2i + 1: nothing is
+        flipped or normalized twice."""
         data = toy_image_dataset(per_class=6)
         (block,) = make_stream(data, augment=True, seed=2)
         n = len(data.train_y)
-        assert len(block.labels) == 2 * n and block.mirror_width == 2
-        assert block.describe(2).endswith(", original)")
-        assert block.describe(3).endswith(", flipped)")
-        np.testing.assert_array_equal(block.indices[0::2], block.indices[1::2])
-        np.testing.assert_array_equal(block.labels[0::2], block.labels[1::2])
-        assert sorted(block.indices[0::2].tolist()) == list(range(n))
-        np.testing.assert_array_equal(
-            block.features, normalize_batch(data.train_x[block.indices[0::2]], data.descriptor)
+        assert len(block.labels) == n and block.stop == 2 * n and block.mirror_width == 2
+        assert block.describe(1) == (
+            f"stream step 2 (class {block.labels[1]}, original, mirrored at step 3)"
         )
+        assert sorted(block.indices.tolist()) == list(range(n))
+        np.testing.assert_array_equal(block.labels, data.train_y[block.indices])
+        np.testing.assert_array_equal(
+            block.features, normalize_batch(data.train_x[block.indices], data.descriptor)
+        )
+
+    @pytest.mark.parametrize("cut_every", [0, 38])
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_blocks_hold_one_entry_per_original(self, augment, cut_every):
+        """Each block's indices, labels and feature rows have one entry
+        per original image; a flip block spans twice as many steps.  The
+        blocks tile the stream, and together hold every train image
+        once."""
+        data = toy_image_dataset(per_class=150)
+        blocks = list(make_stream(data, augment=augment, seed=3, cut_every=cut_every))
+        assert len(blocks) > 1
+        for a, b in zip(blocks, blocks[1:]):
+            assert a.stop == b.start
+        for block in blocks:
+            m = len(block.indices)
+            assert len(block.labels) == len(block.features) == m > 0
+            assert block.stop - block.start == (2 * m if augment else m)
+        held = np.concatenate([b.indices for b in blocks])
+        assert sorted(held.tolist()) == list(range(len(data.train_y)))
 
     def test_no_augmentation_keeps_origin_original(self):
         data = toy_image_dataset(per_class=4)
@@ -360,7 +381,7 @@ class TestMakeStream:
         assert [b.start for b in blocks] == [0, 256, 302, 512, 604, 768]
         for b in blocks:
             np.testing.assert_array_equal(
-                b.features, normalize_batch(data.train_x[b.indices[0::2]], data.descriptor)
+                b.features, normalize_batch(data.train_x[b.indices], data.descriptor)
             )
         for a, b in zip(whole, stream_rows(data, cut_every=302, **settings)):
             np.testing.assert_array_equal(a, b)
@@ -630,7 +651,9 @@ class TestRunBenchmark:
 
     def test_flipped_copy_error_names_its_step(self, monkeypatch):
         # Image pixels are always finite, so a fault is injected into the
-        # embedded row of one flipped copy.
+        # embedded row of one flipped copy.  The copy is made from its
+        # original, the one row of the block to blame, so the error names
+        # the original's step and its mirror's.
         from randumb.streaming import StreamingEstimator
 
         data = toy_image_dataset(per_class=200)
@@ -648,7 +671,8 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(StreamingEstimator, "observe", poisoned)
         with pytest.raises(
-            DataError, match=rf"stream step {step} \(class \d+, flipped\)"
+            DataError,
+            match=rf"stream step {step - 1} \(class \d+, original, mirrored at step {step}\)",
         ):
             run_on_dataset(
                 data, variant="randumb", embed_dim=16, gamma=0.5, seed=0,
