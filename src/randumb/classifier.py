@@ -194,36 +194,28 @@ class StreamingClassifier:
         (which needs a width that divides the input size).  On the
         symmetric half (module docstring) each original is one s row
         counted twice, so such a model refuses a non-empty block without
-        its map's width.  A label count other than the rows', a label
-        that is not a whole number, or a width the model cannot mirror
-        at is refused before any embedding.  A DataError names the
+        its map's width.  A label count other than the rows', a label not
+        a whole number in 0..C-1, or a width the model cannot mirror at is
+        refused before any embedding; the embedded rows are checked once,
+        before any mirror of them is made.  A DataError names the
         offending row of ``x_raw`` as its ``row``, and a refused block
         leaves the statistics as they were.
         """
-        rows = np.atleast_2d(x_raw)
-        labels = np.asarray(labels).reshape(-1)
-        if labels.shape != (len(rows),):
-            raise ShapeError(
-                f"a block of {len(rows)} rows needs one label per row, got {labels.size}"
-            )
-        data_io.refuse_fractional_labels(labels, "block")
-        if len(rows) and (mirror_width is not None or self.config.symmetric_half):
+        rows, est = np.atleast_2d(x_raw), self.estimator
+        labels = est._check_labels(labels, len(rows))
+        symmetric = self.config.symmetric_half
+        mirrored = len(rows) > 0 and (mirror_width is not None or symmetric)
+        if mirrored:
             self._check_mirror_width(mirror_width, rows.shape[1])
-        if self.config.symmetric_half:
+        if symmetric:
             proj = self.feature_map.project(rows)
-            s = self._activate(proj, np.empty((len(proj), self.estimator.embed_dim), np.float32))
-            self.estimator._observe(s, labels, 2)
-            return
-        phi = rows if self.feature_map is None else self.feature_map.embed_batch(rows)
-        if mirror_width is None or not len(phi):
-            self.estimator.observe(phi, labels)
-            return
-        try:
-            self.estimator.observe(self._with_mirrors(phi, mirror_width), np.repeat(labels, 2))
-        except DataError as exc:
-            if exc.row is not None:
-                exc.row //= 2  # rows 2i and 2i + 1 are original i and its mirror
-            raise
+            phi = self._activate(proj, np.empty((len(proj), est.embed_dim), np.float32))
+        else:
+            phi = rows if self.feature_map is None else self.feature_map.embed_batch(rows)
+        phi = est._check_rows(phi)
+        if mirrored and not symmetric:
+            phi, labels = self._with_mirrors(phi, mirror_width), np.repeat(labels, 2)
+        est._fold(phi, labels, 2 if symmetric else 1)
 
     def _check_mirror_width(self, width: int | None, entries: int) -> None:
         """Refuse mirrored rows the model cannot make at image width

@@ -30,6 +30,7 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,9 +172,13 @@ DESCRIPTORS: dict[str, DatasetDescriptor] = {
 
 
 def _read_bytes(path: str | Path) -> bytes:
+    """The file's bytes, gunzipped if gzipped; a corrupt gzip is a DataFormatError."""
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise DataFormatError(f"{path}: corrupt gzip stream: {exc}") from exc
     return raw
 
 

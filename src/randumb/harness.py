@@ -118,6 +118,8 @@ def make_stream(
     check_int("classes_per_task", classes_per_task, 1)
     check_int("seed", seed, 0)
     check_int("cut_every", cut_every, 0)
+    if type(augment) is not bool:
+        raise ConfigurationError(f"augment must be True or False, got {augment!r}")
     width = None
     if augment:
         if descriptor.kind != "images":
@@ -312,6 +314,7 @@ def check_memory_cap(
     and with eval_every > 0 each dense snapshot factors a copy of it as
     well, so it holds two.
     """
+    check_int("memory_cap_bytes", cap_bytes, 1)
     c, e = model_config.num_classes, model_config.embed_dim
     rows = 8 * c * (model_config.state_dim + 1)
     half = "/2" if model_config.symmetric_half else ""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, NumericalError
+from .errors import DataError, NumericalError, check_int
 
 
 def exact_rbf_kernel_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
@@ -458,8 +458,7 @@ def run_verify(seed: int = 0) -> list[OracleReport]:
     10-dimensional inputs with 100 to 10000 frequencies, and the
     flip-pair check at E = 256 on 300-step streams of CIFAR-shaped images.
     """
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    check_int("seed", seed, 0)
     checks = [
         _check_streaming_vs_batch,
         _check_rff_kernel,

@@ -20,6 +20,9 @@ A single sample is a block of one: its centred row is zero, and its
 mean-shift row carries coefficient n / (n + 1), the classic telescoping
 update.  A mean-only estimator may also count each row of a block
 twice: the symmetric half's flip pairs (``StreamingClassifier.observe``).
+A block's labels, then its rows, are checked once before the fold,
+which trusts them: the classifier checks the rows it embeds, and its
+mirrors of them, permutations of checked rows, go to the fold as made.
 
 No sample outlives its block: state is the scatter, plus one float64
 mean vector and a count per class, so memory is O(E^2 + C*E) no matter
@@ -180,50 +183,48 @@ class StreamingEstimator:
 
         ``phi`` is one embedding of length E with one label, or a block
         of shape (m, E) with m labels.  A block is validated whole before
-        any state changes; a non-finite row, or a label that is not a
-        whole number in 0..C-1, raises a DataError whose ``row`` is that
-        row's index in the block, and on the factor form a block that
-        would take the scatter's rank past the bound raises
+        any state changes, labels first; a label that is not a whole
+        number in 0..C-1, or a non-finite row, raises a DataError whose
+        ``row`` is that row's index in the block, and on the factor form
+        a block that would take the scatter's rank past the bound raises
         ModelStateError.
         """
-        self._observe(phi, labels, 1)
+        phi = np.atleast_2d(phi)
+        labels = self._check_labels(labels, len(phi))
+        self._fold(self._check_rows(phi), labels, 1)
 
-    def _observe(self, phi: np.ndarray, labels, repeat: int) -> None:
-        """``observe``, each row counted ``repeat`` times: a mean-only
-        estimator's intake of flip pairs whose two rows are one row of
-        the symmetric half (``StreamingClassifier.observe``), which
-        advances its counts by two per pair."""
+    def _check_labels(self, labels, m: int) -> np.ndarray:
+        """A block's labels as int64: m of them, each a whole number in 0..C-1."""
+        labels = np.asarray(labels).reshape(-1)
+        if labels.shape != (m,):
+            raise ShapeError(f"a block of {m} rows needs one label per row, got {labels.size}")
+        refuse_fractional_labels(labels, "block")
+        labels = labels.astype(np.int64, copy=False)
+        outside = (labels < 0) | (labels >= len(self._counts))
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise DataError(f"label {labels[row]} is outside 0..{len(self._counts) - 1}", row=row)
+        return labels
+
+    def _check_rows(self, phi: np.ndarray) -> np.ndarray:
+        """``phi``, if it is an (m, E) block of finite rows."""
+        if phi.ndim != 2 or phi.shape[1] != self.embed_dim:
+            raise ShapeError(f"expected rows of length {self.embed_dim}, got shape {phi.shape}")
+        finite = np.isfinite(phi).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise DataError("embedded sample contains non-finite values", row=row)
+        return phi
+
+    def _fold(self, phi: np.ndarray, labels: np.ndarray, repeat: int) -> None:
+        """Fold in a checked block, each row counted ``repeat`` times (2: a
+        mean-only estimator's flip pairs, one symmetric-half row each).
+        Refuses only what the checks cannot know: a spent estimator, and
+        on the factor form a block past the rank bound."""
         if self.track_scatter and self._scatter is None:
             raise ModelStateError(
                 "estimator state was consumed by scatter_state(consume=True); "
                 "no further observations are possible"
-            )
-        phi = np.asarray(phi)
-        if phi.ndim == 1 and phi.shape[0] == self.embed_dim:
-            phi = phi[None, :]
-        elif phi.ndim != 2 or phi.shape[1] != self.embed_dim:
-            raise ShapeError(
-                f"expected an embedding of length {self.embed_dim} or a block "
-                f"of them, got shape {phi.shape}"
-            )
-        labels = np.asarray(labels).reshape(-1)
-        if labels.shape != (phi.shape[0],):
-            raise ShapeError(
-                f"a block of {phi.shape[0]} embeddings needs as many labels, "
-                f"got {labels.size}"
-            )
-        refuse_fractional_labels(labels, "block")
-        labels = labels.astype(np.int64, copy=False)
-        if not np.isfinite(phi).all():
-            raise DataError(
-                "embedded sample contains non-finite values",
-                row=int(np.argmin(np.isfinite(phi).all(axis=1))),
-            )
-        outside = (labels < 0) | (labels >= len(self._counts))
-        if outside.any():
-            row = int(np.argmax(outside))
-            raise DataError(
-                f"label {labels[row]} is outside 0..{len(self._counts) - 1}", row=row
             )
         m = phi.shape[0]
         if m == 0:

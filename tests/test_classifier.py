@@ -583,18 +583,26 @@ class TestMirroredIntake:
         for name, array in model.estimator._arrays().items():
             np.testing.assert_array_equal(array, before[name])
 
-    @pytest.mark.parametrize("variant", list(VARIANTS))
-    def test_a_bad_original_is_named_by_its_row(self, variant):
-        """A DataError from a flip block names the row of x_raw at fault,
-        whichever of the three intakes the variant takes (the symmetric
-        half, [phi, Q phi], or [x, P x]), and the block's describe of
-        that row names the original's stream step."""
+    @staticmethod
+    def small_model(variant, mirror_width):
+        """A 3-class model on 32 inputs (E = 16), its map paired at
+        ``mirror_width``."""
         head = VARIANTS[variant][0]
         spec = None if head is None else FeatureMapSpec(
-            head, 32, 16, 5, gamma=0.05 if head == "fourier" else None, mirror_width=4
+            head, 32, 16, 5, gamma=0.05 if head == "fourier" else None,
+            mirror_width=mirror_width,
         )
         config = ModelVariant(variant, 3, spec, ridge=1e-3, input_dim=None if spec else 32)
-        model = StreamingClassifier(config)
+        return StreamingClassifier(config)
+
+    @pytest.mark.parametrize("mirror_width", [None, 4])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_a_bad_original_is_named_by_its_row(self, variant, mirror_width):
+        """A DataError from a block names the row of x_raw at fault,
+        whichever of the intakes the variant takes (phi, the symmetric
+        half, [phi, Q phi], or [x, P x]), and the block's describe of
+        that row names the original's stream step."""
+        model = self.small_model(variant, mirror_width)
         X = np.random.default_rng(69).standard_normal((3, 32)).astype(np.float32)
         labels = np.array([0, 1, 2])
         block = StreamBlock(6, np.arange(3), X, labels, mirror_width=4)
@@ -603,14 +611,34 @@ class TestMirroredIntake:
         bad = X.copy()
         bad[1, 5] = np.nan
         with pytest.raises(DataError, match="non-finite") as info:
-            model.observe(bad, labels, mirror_width=4)
+            model.observe(bad, labels, mirror_width=mirror_width)
         assert info.value.row == 1
         with pytest.raises(DataError, match=r"^label 3 is outside 0\.\.2$") as info:
-            model.observe(X, [0, 3, 2], mirror_width=4)
+            model.observe(X, [0, 3, 2], mirror_width=mirror_width)
         assert info.value.row == 1
         with pytest.raises(DataError, match="^block label at index 1 is 1.5;") as info:
-            model.observe(X, [0.0, 1.5, 2.0], mirror_width=4)
+            model.observe(X, [0.0, 1.5, 2.0], mirror_width=mirror_width)
         assert info.value.row == 1
+        assert model.estimator.total_count == 0
+
+    @pytest.mark.parametrize("mirror_width", [None, 4])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_labels_are_refused_before_any_embedding(self, variant, mirror_width, monkeypatch):
+        """A label past the class rows is refused before the map runs, and
+        before the rows are checked: a block whose row 0 is not finite and
+        whose row 2 has such a label is refused for the label."""
+        model = self.small_model(variant, mirror_width)
+        if model.feature_map is not None:
+            def embedded(*args):
+                raise AssertionError("the block was embedded")
+
+            for name in ("embed_batch", "project"):
+                monkeypatch.setattr(model.feature_map, name, embedded)
+        X = np.random.default_rng(71).standard_normal((3, 32)).astype(np.float32)
+        X[0, 7] = np.inf
+        with pytest.raises(DataError, match=r"^label 3 is outside 0\.\.2$") as info:
+            model.observe(X, [0, 1, 3], mirror_width=mirror_width)
+        assert info.value.row == 2
         assert model.estimator.total_count == 0
 
     def test_symmetric_half_takes_flip_pairs_only(self):

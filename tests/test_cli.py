@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import gzip
 import json
 import re
 from dataclasses import fields
@@ -325,6 +326,19 @@ class TestExitCodes:
         )
         assert code == 3
         assert "train-images-idx3-ubyte" in err
+
+    def test_half_written_gzip_exits_3(self, capsys, cifar10_dir):
+        """A truncated gzipped data file is a format error (exit 3) naming
+        the file, not a traceback."""
+        path = cifar10_dir / "cifar10" / "data_batch_3.bin"
+        whole = gzip.compress(path.read_bytes())
+        path.write_bytes(whole[: len(whole) // 2])
+        code, out, err = run_cli(
+            capsys, "run", "--dataset", "cifar10", "--data-dir", str(cifar10_dir), *BASE,
+        )
+        assert code == 3 and out == ""
+        assert f"{path}: corrupt gzip stream" in err
+        assert "Traceback" not in err
 
     def test_memory_cap_exceeded(self, capsys, feature_dir):
         code, _, err = run_cli(

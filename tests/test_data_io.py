@@ -72,6 +72,15 @@ class TestIdx:
         path.write_bytes(gzip.compress(idx_image_bytes(images)))
         np.testing.assert_array_equal(load_idx_images(path), images)
 
+    def test_truncated_gzip_names_its_path(self, tmp_path):
+        """A half-written gzipped file is a format error naming the path,
+        not gzip's own EOFError."""
+        path = tmp_path / "imgs.gz"
+        whole = gzip.compress(idx_image_bytes(np.zeros((4, 3, 3), dtype=np.uint8)))
+        path.write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: corrupt gzip"):
+            load_idx_images(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad"
         path.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + b"\x00" * 4)
@@ -158,6 +167,22 @@ class TestCifarBinary:
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
         with pytest.raises(DataFormatError, match="positive multiple"):
+            load_cifar_binary(path, "cifar10")
+
+    @pytest.mark.parametrize("damage", ["truncated", "crc", "deflate"])
+    def test_corrupt_gzip_names_its_path(self, tmp_path, damage):
+        """gzip's EOFError, BadGzipFile and zlib.error all become a format
+        error naming the path."""
+        whole = bytearray(gzip.compress(self.make_records([1, 2])))
+        if damage == "truncated":
+            whole = whole[:-20]
+        elif damage == "crc":
+            whole[-8] ^= 0xFF  # the trailer's CRC-32
+        else:
+            whole[10:30] = b"\xff" * 20  # the deflate stream itself
+        path = tmp_path / "batch.bin"
+        path.write_bytes(bytes(whole))
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: corrupt gzip"):
             load_cifar_binary(path, "cifar10")
 
     def test_label_out_of_range(self, tmp_path):

@@ -188,6 +188,26 @@ class TestStreamSettings:
         with pytest.raises(ConfigurationError, match=rf"^{stream_setting} must be an integer"):
             make_stream(data, **{stream_setting: value})
 
+    @pytest.mark.parametrize("augment", ["no", 1, np.bool_(True)])
+    def test_augment_that_is_not_a_bool_refused(self, augment):
+        """augment="no" used to run with flips (30 images, 60 observed) and
+        echo "no"; augment=1 echoed 1."""
+        data = toy_image_dataset()
+        refusal = rf"^augment must be True or False, got {re.escape(repr(augment))}$"
+        with pytest.raises(ConfigurationError, match=refusal):
+            run_on_dataset(data, variant="ncm", augment=augment)
+        with pytest.raises(ConfigurationError, match=refusal):
+            make_stream(data, augment=augment)
+
+    @pytest.mark.parametrize("cap", ["16G", True, 2.0**40, 0])
+    def test_memory_cap_that_is_not_a_positive_int_refused(self, cap):
+        """A string cap used to end in a bare TypeError, and True acted as a
+        one-byte cap."""
+        data = blob_dataset(seed=3, num_classes=3, train_per_class=10)
+        refusal = "must be >= 1, got 0" if cap == 0 else "must be an integer, got "
+        with pytest.raises(ConfigurationError, match=rf"^memory_cap_bytes {refusal}"):
+            run_on_dataset(data, variant="slda", memory_cap_bytes=cap)
+
     def test_odd_cut_refused_on_a_flip_stream(self, monkeypatch):
         """A flip stream is cut only between an image and its mirror: an
         odd cut is refused naming --eval-every-k when make_stream is
@@ -651,25 +671,25 @@ class TestRunBenchmark:
 
     def test_flipped_copy_error_names_its_step(self, monkeypatch):
         # Image pixels are always finite, so a fault is injected into the
-        # embedded row of one flipped copy.  The copy is made from its
-        # original, the one row of the block to blame, so the error names
-        # the original's step and its mirror's.
+        # embedded row of one original as the model checks it.  Its
+        # mirror is made from it after the check, so the error names the
+        # original's step and its mirror's.
         from randumb.streaming import StreamingEstimator
 
         data = toy_image_dataset(per_class=200)
         step = 2 * 150 + 1  # the flipped copy of the 151st image
-        original = StreamingEstimator.observe
+        original = StreamingEstimator._check_rows
         seen = []
 
-        def poisoned(self, phi, labels):
+        def poisoned(self, phi):
             start = sum(seen)
             seen.append(len(phi))
-            if start <= step < start + len(phi):
+            if start <= step // 2 < start + len(phi):
                 phi = np.array(phi)
-                phi[step - start] = np.inf
-            return original(self, phi, labels)
+                phi[step // 2 - start] = np.inf
+            return original(self, phi)
 
-        monkeypatch.setattr(StreamingEstimator, "observe", poisoned)
+        monkeypatch.setattr(StreamingEstimator, "_check_rows", poisoned)
         with pytest.raises(
             DataError,
             match=rf"stream step {step - 1} \(class \d+, original, mirrored at step {step}\)",
@@ -681,21 +701,22 @@ class TestRunBenchmark:
 
     def test_label_past_the_class_rows_names_its_step(self, monkeypatch):
         """The loaders refuse such labels, so one is injected into the
-        labels of one step: the model has no row for it."""
+        labels of one step as the model checks them: the model has no row
+        for it."""
         data = blob_dataset(seed=6, num_classes=3)
         step = 100
-        original = StreamingEstimator.observe
+        original = StreamingEstimator._check_labels
         seen = []
 
-        def relabeled(self, phi, labels):
+        def relabeled(self, labels, m):
             start = sum(seen)
-            seen.append(len(phi))
-            if start <= step < start + len(phi):
+            seen.append(m)
+            if start <= step < start + m:
                 labels = np.array(labels)
                 labels[step - start] = 3
-            return original(self, phi, labels)
+            return original(self, labels, m)
 
-        monkeypatch.setattr(StreamingEstimator, "observe", relabeled)
+        monkeypatch.setattr(StreamingEstimator, "_check_labels", relabeled)
         with pytest.raises(
             DataError,
             match=rf"stream step {step} \(class \d+, original\): label 3 is outside 0..2",

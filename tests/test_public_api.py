@@ -1,12 +1,14 @@
 """The package's public surface: every exported name resolves, the
 names the shared random-map spec, the single covariance, the one run
 function, the one stream input, the whole flip pairs and the one read
-of the class rows replaced stay gone, the factor has one interface, the
+of the class rows replaced stay gone, the factor has one interface, a
+train block is checked once and folded through one call, the
 shrinkage checks test the kernel finalize runs, no module imports a name
 it never uses, and no test hides where pytest cannot collect it."""
 
 import ast
 import inspect
+import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -139,6 +141,36 @@ def test_the_rule_is_called_where_the_form_is_picked():
     assert callers == {("streaming", "__init__"), ("harness", "check_memory_cap")}
 
 
+def _called_names(node: ast.AST) -> list[str]:
+    """The names of the functions and methods ``node`` calls, in order."""
+    return [
+        call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+    ]
+
+
+def test_one_block_check():
+    """A train block's labels are checked in one function of the
+    estimator, and the classifier's observe folds every intake path
+    (phi, [phi, Q phi] or [x, P x], and s counted twice) through one
+    ``_fold`` call, never through the estimator's own observe."""
+    root = Path(__file__).resolve().parent.parent / "src/randumb"
+    checkers = {}
+    for stem in ("streaming", "classifier"):
+        tree = ast.parse((root / f"{stem}.py").read_text(encoding="utf-8"))
+        checkers[stem] = {
+            func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            and "refuse_fractional_labels" in _called_names(func)
+        }
+    assert checkers == {"streaming": {"_check_labels"}, "classifier": set()}
+    observe = ast.parse(textwrap.dedent(inspect.getsource(classifier.StreamingClassifier.observe)))
+    called = _called_names(observe)
+    assert called.count("_fold") == 1, called
+    assert called.count("_check_labels") == called.count("_check_rows") == 1, called
+    assert "observe" not in called and "_observe" not in called, called
+    assert not hasattr(streaming.StreamingEstimator, "_observe")
+
+
 def test_shrinkage_checks_call_the_packed_kernel():
     """The verify OAS check and the acceptance shrinkage gate test
     packed_shrinkage, which finalize runs, never the full-matrix
@@ -146,10 +178,7 @@ def test_shrinkage_checks_call_the_packed_kernel():
     root = Path(__file__).resolve().parent.parent
     for path in (root / "src/randumb/reference.py", root / "tests/test_acceptance.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        called = {
-            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-            for node in ast.walk(tree) if isinstance(node, ast.Call)
-        }
+        called = set(_called_names(tree))
         assert "oas_shrink" not in called, path.name
         assert "packed_shrinkage" in called, path.name
 

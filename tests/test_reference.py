@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randumb.errors import DataError
+from randumb.errors import ConfigurationError, DataError
 from randumb.reference import (
     OracleReport,
     batch_lda_predict,
@@ -171,3 +171,15 @@ def test_run_verify_all_green():
     assert len(reports) == 6
     for report in reports:
         assert report.passed, f"{report.name}: {report.max_error} > {report.tolerance}"
+
+
+@pytest.mark.parametrize(
+    "seed,refusal",
+    [(1.5, "must be an integer, got 1.5"), (True, "must be an integer, got True"),
+     (np.int64(1), "must be an integer"), (-1, "must be >= 0, got -1")],
+)
+def test_run_verify_refuses_a_seed_that_is_not_a_natural_int(seed, refusal):
+    """The verify seed follows every other seed's rule: 1.5 used to end in
+    numpy's TypeError, and True ran as seed 1."""
+    with pytest.raises(ConfigurationError, match=rf"^seed {refusal}"):
+        run_verify(seed)

@@ -857,7 +857,7 @@ class TestBlocked:
 
     def test_block_shape_checks(self):
         est = StreamingEstimator(3, CLASSES)
-        with pytest.raises(ShapeError, match="labels"):
+        with pytest.raises(ShapeError, match="^a block of 4 rows needs one label per row, got 3$"):
             est.observe(np.zeros((4, 3)), [0, 1, 2])
         with pytest.raises(ShapeError):
             est.observe(np.zeros((4, 2)), [0, 1, 2, 3])
@@ -958,7 +958,7 @@ class TestNoSampleOutlivesItsBlock:
                     bounds = [0, *cuts, self.N]
                     for start, stop in zip(bounds, bounds[1:]):
                         if form == "pairs":
-                            est._observe(rows[start:stop], y[start:stop], 2)
+                            est._fold(rows[start:stop], y[start:stop], 2)
                         else:
                             est.observe(rows[start:stop], y[start:stop])
                     pair.append(est._arrays() | {"buffer": est._scatter})
