@@ -200,6 +200,12 @@ class StreamingClassifier:
         before any mirror of them is made.  A DataError names the
         offending row of ``x_raw`` as its ``row``, and a refused block
         leaves the statistics as they were.
+
+        The embedding, or its pairs with their mirrors, is handed to the
+        estimator's fold without being bound to a name here, so the
+        fold holds its only reference and frees it once the rows are
+        copied into its own: of what observe makes, only the fold's rows
+        live through the scatter update.
         """
         rows, est = np.atleast_2d(x_raw), self.estimator
         labels = est._check_labels(labels, len(rows))
@@ -207,15 +213,26 @@ class StreamingClassifier:
         mirrored = len(rows) > 0 and (mirror_width is not None or symmetric)
         if mirrored:
             self._check_mirror_width(mirror_width, rows.shape[1])
-        if symmetric:
-            proj = self.feature_map.project(rows)
-            phi = self._activate(proj, np.empty((len(proj), est.embed_dim), np.float32))
-        else:
-            phi = rows if self.feature_map is None else self.feature_map.embed_batch(rows)
-        phi = est._check_rows(phi)
-        if mirrored and not symmetric:
-            phi, labels = self._with_mirrors(phi, mirror_width), np.repeat(labels, 2)
-        est._fold(phi, labels, 2 if symmetric else 1)
+        # the width to pair each row with its mirror at, None if it is not
+        paired = mirror_width if mirrored and not symmetric else None
+        est._fold(
+            self._with_mirrors(est._check_rows(self._embed(rows)), paired),
+            labels if paired is None else np.repeat(labels, 2),
+            2 if symmetric else 1,
+        )
+
+    def _embed(self, rows: np.ndarray) -> np.ndarray:
+        """The rows as the estimator takes them: phi on a map, s on the
+        symmetric half, the rows themselves on raw inputs.  The
+        projection is freed as soon as it is activated."""
+        if self.feature_map is None:
+            return rows
+        if self.config.symmetric_half:
+            return self._activate(
+                self.feature_map.project(rows),
+                np.empty((len(rows), self.estimator.embed_dim), np.float32),
+            )
+        return self.feature_map.embed_batch(rows)
 
     def _check_mirror_width(self, width: int | None, entries: int) -> None:
         """Refuse mirrored rows the model cannot make at image width
@@ -242,8 +259,11 @@ class StreamingClassifier:
                 f"width; this model's map has mirror_width {paired}"
             )
 
-    def _with_mirrors(self, phi: np.ndarray, width: int) -> np.ndarray:
-        """Rows [phi_i, mirror of phi_i] for each row i of ``phi``."""
+    def _with_mirrors(self, phi: np.ndarray, width: int | None) -> np.ndarray:
+        """Rows [phi_i, mirror of phi_i] for each row i of ``phi``, or
+        ``phi`` itself when ``width`` is None."""
+        if width is None:
+            return phi
         m, e = phi.shape
         pairs = np.empty((m, 2, e), dtype=phi.dtype)
         pairs[:, 0] = phi
@@ -311,7 +331,10 @@ class StreamingClassifier:
         one float64 slice of at most 8 * SCORE_CHUNK bytes and its
         float32 scratch of half that (and on a paired map the activation's
         float32 temporary of one slice), and no float32 or float64
-        embedding of the whole block.  A row with a
+        embedding of the whole block.  On a map the input block is
+        dropped once it is projected, so a caller that passes its only
+        reference (the harness does) has it freed before the first slice
+        is scored.  A row with a
         non-finite entry, or one whose scores are not finite (an entry
         past float32's range, such as 1e39), has no label: it raises a
         DataError whose ``row`` is its index in the block."""
@@ -333,6 +356,8 @@ class StreamingClassifier:
         # warnings on the way are silenced.
         with np.errstate(over="ignore", invalid="ignore"):
             source = X_raw if fmap is None else fmap.project(X_raw)
+            # a caller that passed its only reference has its block freed here
+            del X_raw
             # allocated after the projection, so its temporaries are gone;
             # a slice is embedded in float32, then cast to float64 exactly
             phis = np.empty((step, e))

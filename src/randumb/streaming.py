@@ -27,7 +27,11 @@ mirrors of them, permutations of checked rows, go to the fold as made.
 No sample outlives its block: state is the scatter, plus one float64
 mean vector and a count per class, so memory is O(E^2 + C*E) no matter
 how long the stream runs.  The C class rows are allocated up front and
-label c is row c; a count of 0 marks a class not seen yet.
+label c is row c; a count of 0 marks a class not seen yet.  Nor does a
+block's embedding outlive its copy into the fold's own float64 rows:
+the fold drops the rows it is handed before the update, so a caller
+that hands over its only reference (``StreamingClassifier.observe``)
+holds no float32 block through the rotation or ``dsfrk``.
 
 The scatter is held in one of two forms, fixed when the estimator is
 built and kept through checkpoints.
@@ -220,7 +224,12 @@ class StreamingEstimator:
         """Fold in a checked block, each row counted ``repeat`` times (2: a
         mean-only estimator's flip pairs, one symmetric-half row each).
         Refuses only what the checks cannot know: a spent estimator, and
-        on the factor form a block past the rank bound."""
+        on the factor form a block past the rank bound.
+
+        ``phi`` is dropped as soon as its rows are in the fold's own
+        float64 rows, so a caller that hands over its only reference
+        (``StreamingClassifier.observe``) has the block freed before the
+        scatter update runs."""
         if self.track_scatter and self._scatter is None:
             raise ModelStateError(
                 "estimator state was consumed by scatter_state(consume=True); "
@@ -261,6 +270,7 @@ class StreamingEstimator:
             z = np.empty((self.embed_dim, m + shifts), order="F").T
         rows = z[:m]
         rows[np.argsort(order)] = phi
+        del phi
 
         stacked = m  # rows of z filled so far
         for c, start, stop in zip(labels[starts].tolist(), starts, stops):
@@ -314,13 +324,14 @@ class StreamingEstimator:
         _, v, info = dsyevd(gram, overwrite_a=1)
         if info != 0:
             raise NumericalError(f"the eigensolver rejected the block's Gram matrix (info={info})")
-        # dsyevd returns the eigenpairs in ascending order, so the kept
-        # columns are reversed once.  A row of W V reads only that row of
-        # W, so each panel is written in place: copied into one F-ordered
-        # scratch (a row panel of the buffer is not contiguous, which f2py
-        # would copy anyway), multiplied into one reused output, and
-        # copied back.
-        top = np.asfortranarray(v[:, q - width :][:, ::-1])
+        # dsyevd returns the eigenpairs in ascending order: the kept
+        # columns are V's last ones, an F-contiguous view, and each
+        # panel's product is written back in reverse column order.  A row
+        # of W V reads only that row of W, so each panel is written in
+        # place: copied into one F-ordered scratch (a row panel of the
+        # buffer is not contiguous, which f2py would copy anyway),
+        # multiplied into one reused output, and copied back.
+        kept = v[:, q - width :]
         rows = min(_ROTATE_ROWS, self.embed_dim)
         scratch, product = np.empty(rows * q), np.empty(rows * width)
         for i0 in range(0, self.embed_dim, rows):
@@ -329,7 +340,7 @@ class StreamingEstimator:
             a = scratch[: k * q].reshape((k, q), order="F")
             c = product[: k * width].reshape((k, width), order="F")
             a[:] = panel
-            panel[:, :width] = dgemm(1.0, a, top, c=c, overwrite_c=1)
+            panel[:, :width] = dgemm(1.0, a, kept, c=c, overwrite_c=1)[:, ::-1]
             panel[:, width:] = 0.0
 
     def _rank_bound(self) -> int:

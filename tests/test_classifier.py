@@ -504,6 +504,87 @@ class TestSlicedScoring:
             np.testing.assert_array_equal(got[clear], want[clear])
 
 
+class TestBlockBuffersAreFreed:
+    """A block's buffers go as soon as their consumer has copied them out:
+    the train embedding, and a flip block's pairs, once the fold holds the
+    rows, so no float32 block lives through the scatter update; a test
+    block once it is projected, so its slices are scored beside the
+    projection only.  Each test reads tracemalloc's current bytes at
+    every entry to the consumer's next step, counting only what was
+    allocated after the model (its map and its state) and the caller's
+    own input."""
+
+    E, M, C = 4096, 256, 4
+
+    @staticmethod
+    def traced_entries(monkeypatch, owner, name, call):
+        """tracemalloc's current bytes at each entry to ``owner.name``
+        while ``call()`` runs, counted from the start of the call."""
+        seen, original = [], getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            seen.append(tracemalloc.get_traced_memory()[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        tracemalloc.start()
+        try:
+            call()
+        finally:
+            tracemalloc.stop()
+        return seen
+
+    def train(self, rank_bound, originals, width=None):
+        spec = FeatureMapSpec("fourier", 64, self.E, 5, gamma=0.01, mirror_width=width)
+        model = StreamingClassifier(ModelVariant("randumb", self.C, spec, ridge=1e-3), rank_bound)
+        x = np.random.default_rng(41).standard_normal((originals, 64), dtype=np.float32)
+        return model, x, np.arange(originals) % self.C
+
+    def test_no_train_embedding_at_the_factor_rotation(self, monkeypatch):
+        model, x, y = self.train(self.M - self.C, self.M)
+        assert model.estimator._scatter.ndim == 2
+        seen = self.traced_entries(
+            monkeypatch, StreamingEstimator, "_rotate", lambda: model.observe(x, y)
+        )
+        assert len(seen) == 1 and seen[0] < self.M * self.E * 4, seen
+
+    def test_no_train_embedding_at_the_packed_update(self, monkeypatch):
+        model, x, y = self.train(None, self.M)
+        assert model.estimator._scatter.ndim == 1
+        seen = self.traced_entries(
+            monkeypatch, streaming_module, "dsfrk", lambda: model.observe(x, y)
+        )
+        # the fold's own float64 rows, one per sample (no class was seen before)
+        rows = self.M * self.E * 8
+        assert len(seen) == 1 and seen[0] - rows < self.M * self.E * 4, seen
+
+    def test_no_flip_pairs_at_the_factor_rotation(self, monkeypatch):
+        originals = self.M // 2
+        model, x, y = self.train(self.M - self.C, originals, width=8)
+        assert model.estimator._scatter.ndim == 2
+        seen = self.traced_entries(
+            monkeypatch, StreamingEstimator, "_rotate",
+            lambda: model.observe(x, y, mirror_width=8),
+        )
+        assert len(seen) == 1 and seen[0] < originals * self.E * 4, seen
+
+    def test_no_test_block_beside_the_scoring_slices(self, monkeypatch):
+        d, e, n = 3072, 512, BLOCK_ROWS
+        spec = FeatureMapSpec("fourier", d, e, 5, gamma=1e-4)
+        model = StreamingClassifier(ModelVariant("randumb", self.C, spec, ridge=1e-3))
+        rng = np.random.default_rng(42)
+        model.observe(rng.standard_normal((8, d)), np.arange(8) % self.C)
+        model.finalize()
+        step = min(classifier_module.SCORE_CHUNK // e, n)
+        # the projection, the float64 slice and its float32 scratch
+        slices = n * (e // 2) * 4 + step * e * 12
+        seen = self.traced_entries(
+            monkeypatch, classifier_module, "dgemm",
+            lambda: model.predict_batch(rng.standard_normal((n, d), dtype=np.float32)),
+        )
+        assert seen and max(seen) - slices < n * d * 4, seen
+
+
 class TestMirroredIntake:
     """observe(x, labels, mirror_width) folds in each original followed by
     its mirror: [phi, Q phi] (the halves swapped) on a paired map, and
